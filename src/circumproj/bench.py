@@ -9,11 +9,13 @@ byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
 import sys
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -23,7 +25,6 @@ import scipy
 from . import __version__
 from .circumcenter import OperatorSet, build_psi
 from .isometry import (
-    AffineIsometry,
     AffineMap,
     AveragedSpec,
     build_product_averaged,
@@ -35,20 +36,23 @@ from .isometry import (
     operator_from_literal,
 )
 from .methods import (
-    METHOD_TAGS,
     IterationTrace,
     MethodConfig,
     dr_operator,
-    run_accel,
-    run_averaged_iter,
     run_cim,
-    run_dr,
+    run_linear,
     run_map,
-    run_sym_map,
     symmetric_map_operator,
 )
 from .numerics import DEFAULT_TOL, Tolerance, as_vector
-from .rates import RateReport, accel_constants, audit_bound, operator_rate, tuple_angle_cos
+from .rates import (
+    AccelConstants,
+    RateReport,
+    accel_constants,
+    audit_bound,
+    operator_rate,
+    tuple_angle_cos,
+)
 from .subspace import AffineSubspace, intersect, subspace_from_literal
 
 __all__ = [
@@ -68,9 +72,7 @@ class ConfigError(ValueError):
     """Config parsing or validation failure, with a key-path diagnostic."""
 
 
-OPERATOR_SET_RECIPES = ("psi", "identity_plus_reflectors", "identity_plus_prefix_products", "custom")
 PREFIX_KINDS = ("none", "sym_map_product")
-BUILDER_KINDS = ("sum", "product")
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,13 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
 
-def _expect_mapping(obj, path: str) -> dict:
+def _expect_mapping(obj, path: str, keys: Sequence[str]) -> dict:
+    """``obj`` as a mapping whose keys are all among ``keys``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key, expected one of {tuple(keys)}")
     return obj
 
 
@@ -153,7 +159,7 @@ def _as_number(value, path: str) -> float:
 
 
 def _parse_x0(obj, path: str) -> X0Spec:
-    mapping = _expect_mapping(obj, path)
+    mapping = _expect_mapping(obj, path, ("kind", "point", "seed"))
     kind = _get(mapping, "kind", path)
     if kind == "explicit":
         point = _expect_list(_get(mapping, "point", path), f"{path}.point")
@@ -164,23 +170,22 @@ def _parse_x0(obj, path: str) -> X0Spec:
     raise ConfigError(f"{path}.kind: expected 'explicit' or 'random_unit', got {kind!r}")
 
 
+def _choice(mapping: dict, key: str, default, choices: tuple, path: str):
+    value = mapping.get(key, default)
+    if value not in choices:
+        raise ConfigError(f"{path}.{key}: unknown value {value!r}, expected one of {choices}")
+    return value
+
+
 def _parse_method(obj, index: int) -> MethodSpec:
     path = f"methods[{index}]"
-    mapping = _expect_mapping(obj, path)
+    mapping = _expect_mapping(obj, path, METHOD_KEYS)
     method = _get(mapping, "method", path)
     if method not in METHOD_TAGS:
         raise ConfigError(f"{path}.method: unknown tag {method!r}, expected one of {METHOD_TAGS}")
-    operator_set = mapping.get("operator_set", "psi")
-    if operator_set not in OPERATOR_SET_RECIPES:
-        raise ConfigError(
-            f"{path}.operator_set: unknown recipe {operator_set!r}, expected one of {OPERATOR_SET_RECIPES}"
-        )
-    prefix = mapping.get("prefix", "none")
-    if prefix not in PREFIX_KINDS:
-        raise ConfigError(f"{path}.prefix: unknown prefix {prefix!r}, expected one of {PREFIX_KINDS}")
-    builder = mapping.get("builder", "sum")
-    if builder not in BUILDER_KINDS:
-        raise ConfigError(f"{path}.builder: unknown builder {builder!r}, expected one of {BUILDER_KINDS}")
+    operator_set = _choice(mapping, "operator_set", "psi", OPERATOR_SET_RECIPES, path)
+    prefix = _choice(mapping, "prefix", "none", PREFIX_KINDS, path)
+    builder = _choice(mapping, "builder", "sum", BUILDER_KINDS, path)
     symmetrized = mapping.get("symmetrized", False)
     if not isinstance(symmetrized, bool):
         raise ConfigError(f"{path}.symmetrized: expected a boolean")
@@ -214,7 +219,8 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
 
     Raises :class:`ConfigError` with the offending key path on any problem.
     """
-    root = _expect_mapping(obj, source)
+    root = _expect_mapping(obj, source, ("name", "ambient_dim", "seed", "max_iters", "stop_tol",
+                                         "x0", "instances", "methods", "out_dir"))
     name = _get(root, "name", source)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{source}.name: expected a nonempty string")
@@ -230,7 +236,8 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{source}.stop_tol: must be nonnegative")
     x0 = _parse_x0(root.get("x0", {"kind": "random_unit", "seed": seed}), f"{source}.x0")
 
-    instances = _expect_mapping(_get(root, "instances", source), f"{source}.instances")
+    instances = _expect_mapping(_get(root, "instances", source), f"{source}.instances",
+                                ("kind", "items", "count", "num_subspaces", "dim_range", "seed"))
     kind = _get(instances, "kind", f"{source}.instances")
     explicit_items = None
     random_instances = None
@@ -242,7 +249,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
         items = []
         for i, raw in enumerate(raw_items):
             path = f"{source}.instances.items[{i}]"
-            mapping = _expect_mapping(raw, path)
+            mapping = _expect_mapping(raw, path, ("label", "subspaces", "x0", "product_fixed_line"))
             label = mapping.get("label", f"instance_{i:02d}")
             if not isinstance(label, str) or not label:
                 raise ConfigError(f"{path}.label: expected a nonempty string")
@@ -349,147 +356,175 @@ def generate_instance(ambient_dim: int, num_subspaces: int, dim_range,
 
 @dataclass(frozen=True)
 class _MethodPlan:
-    label: str
-    method: str
+    """A method's audited constant, if any, and the run it bounds. Only a
+    prefixed run has a ``prefactor``: its bound scales the pre-prefix error."""
+
     constant_name: Optional[str]
     rate: Optional[float]
     ingredients: dict
-    scale_mode: str
-    prefactor: Optional[float]
-    runner: Callable[[], IterationTrace]
+    run: Callable[[MethodConfig], IterationTrace]
+    prefactor: Optional[float] = None
+
+    @property
+    def scale_mode(self) -> str:
+        return "plain" if self.prefactor is None else "prefixed"
+
+
+@dataclass(eq=False)
+class _Instance:
+    """One instance and the parts its recipes share, each computed once."""
+
+    subspaces: list
+    x0: np.ndarray
+    tol: Tolerance
+
+    @cached_property
+    def reflectors(self) -> list:
+        return [make_reflector(s) for s in self.subspaces]
+
+    def family(self, symmetrized: bool) -> list:
+        """The reflectors, as the palindrome R1..Rm..R1 when symmetrized."""
+        return self.reflectors + self.reflectors[-2::-1] if symmetrized else self.reflectors
+
+    @cached_property
+    def tuple_cos(self) -> float:
+        return tuple_angle_cos(self.subspaces, self.tol)
+
+    @cached_property
+    def sym_op(self) -> AffineMap:
+        return symmetric_map_operator(self.subspaces)
+
+    @cached_property
+    def sym_fixed(self) -> Optional[AffineSubspace]:
+        return fixed_point_set(self.sym_op, self.tol)
+
+    @cached_property
+    def accel(self) -> AccelConstants:
+        return accel_constants(self.sym_op, self.tol, fixed=self.sym_fixed)
+
+
+def _linear_plan(constant_name: str, op: AffineMap, fixed: AffineSubspace,
+                 ctx: _Instance, **ingredients) -> _MethodPlan:
+    rate = operator_rate(op, fixed, ctx.tol)
+    return _MethodPlan(constant_name, rate, {"operator_rate": rate, **ingredients},
+                       lambda config: run_linear(op, ctx.x0, config, ctx.tol, fixed=fixed))
+
+
+def _plan_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    gamma = ctx.tuple_cos
+    return _MethodPlan("cyclic_projection_tuple_rate", gamma, {"tuple_angle_cos": gamma},
+                       lambda config: run_map(ctx.subspaces, ctx.x0, config, ctx.tol))
+
+
+def _plan_sym_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    return _linear_plan("symmetric_product_rate", ctx.sym_op, ctx.sym_fixed, ctx,
+                        tuple_angle_cos_half=ctx.tuple_cos)
+
+
+def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    return _MethodPlan("acceleration_rate", ctx.accel.eta, dataclasses.asdict(ctx.accel),
+                       lambda config: run_linear(ctx.sym_op, ctx.x0, config, ctx.tol,
+                                                 fixed=ctx.sym_fixed))
+
+
+def _plan_dr(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    if len(ctx.subspaces) < 2:
+        raise ConfigError("method 'dr' needs at least two subspaces")
+    op = dr_operator(ctx.subspaces[0], ctx.subspaces[1], ctx.tol)
+    return _linear_plan("douglas_rachford_rate", op, fixed_point_set(op, ctx.tol), ctx)
+
+
+_AVERAGED_BUILDERS = {"sum": build_sum_averaged, "product": build_product_averaged}
+
+
+def _plan_averaged_iter(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    build = _AVERAGED_BUILDERS[spec.builder]
+    op = build(AveragedSpec.uniform(len(ctx.reflectors)), ctx.reflectors, ctx.tol)
+    return _linear_plan(f"{spec.builder}_averaged_rate", op, fixed_point_set(op, ctx.tol), ctx)
+
+
+def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    family = ctx.family(spec.symmetrized)
+    prefix = ctx.sym_op if spec.prefix == "sym_map_product" else None
+
+    def run(config: MethodConfig) -> IterationTrace:
+        config = dataclasses.replace(config, prefix=prefix)
+        return run_cim(build_psi(family, ctx.tol), ctx.x0, config, ctx.tol)
+
+    if prefix is not None:
+        return _MethodPlan("accelerated_prefixed_rate", ctx.accel.eta,
+                           dataclasses.asdict(ctx.accel), run, prefactor=ctx.accel.cT)
+    gamma = ctx.tuple_cos
+    if spec.symmetrized:
+        return _MethodPlan("symmetric_tuple_rate", gamma * gamma,
+                           {"tuple_angle_cos_half": gamma}, run)
+    return _MethodPlan("tuple_rate", gamma, {"tuple_angle_cos": gamma}, run)
+
+
+def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    """Circumcenter over {Id, R1, .., Rm} (sum) or {Id, R1, R2R1, ..} (product),
+    with the rate of the averaged map the builder makes of the same reflectors."""
+    family = ctx.family(spec.symmetrized)
+    ops = [identity(ctx.x0.shape[0])]
+    for reflector in family:
+        ops.append(compose(reflector, ops[-1]) if builder == "product" else reflector)
+    operator_set = OperatorSet.build(ops, ctx.tol)
+    avg = _AVERAGED_BUILDERS[builder](AveragedSpec.uniform(len(family)), family, ctx.tol)
+    rate = operator_rate(avg, operator_set.common_fixed, ctx.tol)
+    return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate},
+                       lambda config: run_cim(operator_set, ctx.x0, config, ctx.tol))
+
+
+def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    def run(config: MethodConfig) -> IterationTrace:
+        ops = [operator_from_literal(lit, ctx.tol) for lit in spec.operators]
+        return run_cim(OperatorSet.build(ops, ctx.tol), ctx.x0, config, ctx.tol)
+
+    return _MethodPlan(None, None, {}, run)
+
+
+# The key of a methods entry that names the variant of its method tag.
+_VARIANT_KEYS = {"cim": "operator_set", "averaged_iter": "builder"}
+
+# (method tag, variant) -> (recipe, the other keys of a methods entry it reads)
+_RECIPES = {
+    ("cim", "psi"): (_plan_cim_psi, ("symmetrized", "prefix")),
+    ("cim", "identity_plus_reflectors"): (partial(_plan_cim_averaged, "sum"), ("symmetrized",)),
+    ("cim", "identity_plus_prefix_products"):
+        (partial(_plan_cim_averaged, "product"), ("symmetrized",)),
+    ("cim", "custom"): (_plan_cim_custom, ("operators",)),
+    ("map", None): (_plan_map, ()),
+    ("sym_map", None): (_plan_sym_map, ()),
+    ("accel_map", None): (_plan_accel_map, ()),
+    ("dr", None): (_plan_dr, ()),
+    ("averaged_iter", "sum"): (_plan_averaged_iter, ()),
+    ("averaged_iter", "product"): (_plan_averaged_iter, ()),
+}
+
+METHOD_TAGS = tuple(dict.fromkeys(method for method, _ in _RECIPES))
+OPERATOR_SET_RECIPES = tuple(variant for method, variant in _RECIPES if method == "cim")
+BUILDER_KINDS = tuple(variant for method, variant in _RECIPES if method == "averaged_iter")
+METHOD_KEYS = tuple(dict.fromkeys(("method", "label", "max_iters", *_VARIANT_KEYS.values(),
+                                   *(key for _, keys in _RECIPES.values() for key in keys))))
+
+
+def _variant(spec: MethodSpec) -> Optional[str]:
+    key = _VARIANT_KEYS.get(spec.method)
+    return None if key is None else getattr(spec, key)
 
 
 def _default_label(spec: MethodSpec, index: int) -> str:
     if spec.label is not None:
         return spec.label
-    parts = [f"{index:02d}", spec.method]
-    if spec.method == "cim":
-        parts.append(spec.operator_set)
-        if spec.symmetrized:
-            parts.append("sym")
-        if spec.prefix != "none":
-            parts.append("prefixed")
-    if spec.method == "averaged_iter":
-        parts.append(spec.builder)
-    return "_".join(parts)
+    parts = [f"{index:02d}", spec.method, _variant(spec),
+             "sym" if spec.method == "cim" and spec.symmetrized else None,
+             None if spec.prefix == "none" else "prefixed"]
+    return "_".join(part for part in parts if part is not None)
 
 
-def _plan_method(spec: MethodSpec, index: int, subspaces: Sequence[AffineSubspace],
-                 x0: np.ndarray, base: ExperimentConfig,
-                 tol: Tolerance) -> _MethodPlan:
-    label = _default_label(spec, index)
-    max_iters = spec.max_iters if spec.max_iters is not None else base.max_iters
-    config = MethodConfig(method=spec.method, max_iters=max_iters, stop_tol=base.stop_tol)
-    reflectors = None
-    if spec.method == "averaged_iter" or (spec.method == "cim" and spec.operator_set != "custom"):
-        reflectors = [make_reflector(s) for s in subspaces]
-
-    if spec.method == "map":
-        gamma = tuple_angle_cos(subspaces, tol)
-        return _MethodPlan(label, spec.method, "cyclic_projection_tuple_rate", gamma,
-                           {"tuple_angle_cos": gamma}, "plain", None,
-                           lambda: run_map(subspaces, x0, config, tol))
-
-    if spec.method == "sym_map":
-        op = symmetric_map_operator(subspaces)
-        fixed = fixed_point_set(op, tol)
-        rate = operator_rate(op, fixed, tol)
-        half = tuple_angle_cos(subspaces, tol)
-        return _MethodPlan(label, spec.method, "symmetric_product_rate", rate,
-                           {"operator_rate": rate, "tuple_angle_cos_half": half},
-                           "plain", None,
-                           lambda: run_sym_map(op, x0, config, tol))
-
-    if spec.method == "accel_map":
-        op = symmetric_map_operator(subspaces)
-        consts = accel_constants(op, tol)
-        ingredients = {"c1": consts.c1, "c2": consts.c2, "eta": consts.eta, "cT": consts.cT}
-        return _MethodPlan(label, spec.method, "acceleration_rate", consts.eta,
-                           ingredients, "plain", None,
-                           lambda: run_accel(op, x0, config, tol))
-
-    if spec.method == "dr":
-        if len(subspaces) < 2:
-            raise ConfigError(f"method {label!r} needs at least two subspaces")
-        op = dr_operator(subspaces[0], subspaces[1], tol)
-        fixed = fixed_point_set(op, tol)
-        rate = operator_rate(op, fixed, tol)
-        return _MethodPlan(label, spec.method, "douglas_rachford_rate", rate,
-                           {"operator_rate": rate}, "plain", None,
-                           lambda: run_dr(subspaces[0], subspaces[1], x0, config, tol))
-
-    if spec.method == "averaged_iter":
-        count = len(reflectors)
-        avg_spec = AveragedSpec.uniform(count)
-        if spec.builder == "sum":
-            op = build_sum_averaged(avg_spec, reflectors, tol)
-        else:
-            op = build_product_averaged(avg_spec, reflectors, tol)
-        fixed = fixed_point_set(op, tol)
-        rate = operator_rate(op, fixed, tol)
-        return _MethodPlan(label, spec.method, f"{spec.builder}_averaged_rate", rate,
-                           {"operator_rate": rate}, "plain", None,
-                           lambda: run_averaged_iter(op, x0, config, tol))
-
-    # circumcentered iterations
-    if spec.operator_set == "custom":
-        ops = [operator_from_literal(lit, tol) for lit in spec.operators]
-        operator_set = OperatorSet.build(ops, tol)
-        return _MethodPlan(label, spec.method, None, None, {}, "plain", None,
-                           lambda: run_cim(operator_set, x0, config, tol))
-
-    family = list(subspaces)
-    if spec.symmetrized:
-        family = family + family[-2::-1]
-    family_reflectors = [make_reflector(s) for s in family]
-
-    if spec.operator_set == "psi":
-        operator_set = build_psi(family_reflectors, tol)
-        if spec.prefix == "sym_map_product":
-            op = symmetric_map_operator(subspaces)
-            consts = accel_constants(op, tol)
-            prefixed_config = MethodConfig(method=spec.method, max_iters=max_iters,
-                                           stop_tol=base.stop_tol, prefix=op)
-            ingredients = {"c1": consts.c1, "c2": consts.c2, "eta": consts.eta,
-                           "cT": consts.cT}
-            return _MethodPlan(label, spec.method, "accelerated_prefixed_rate",
-                               consts.eta, ingredients, "prefixed", consts.cT,
-                               lambda: run_cim(operator_set, x0, prefixed_config, tol))
-        if spec.symmetrized:
-            half = tuple_angle_cos(subspaces, tol)
-            rate = half * half
-            return _MethodPlan(label, spec.method, "symmetric_tuple_rate", rate,
-                               {"tuple_angle_cos_half": half}, "plain", None,
-                               lambda: run_cim(operator_set, x0, config, tol))
-        gamma = tuple_angle_cos(subspaces, tol)
-        return _MethodPlan(label, spec.method, "tuple_rate", gamma,
-                           {"tuple_angle_cos": gamma}, "plain", None,
-                           lambda: run_cim(operator_set, x0, config, tol))
-
-    if spec.operator_set == "identity_plus_reflectors":
-        ops = [identity(subspaces[0].ambient_dim)] + family_reflectors
-        operator_set = OperatorSet.build(ops, tol)
-        avg = build_sum_averaged(AveragedSpec.uniform(len(family_reflectors)),
-                                 family_reflectors, tol)
-        rate = operator_rate(avg, operator_set.common_fixed, tol)
-        return _MethodPlan(label, spec.method, "sum_averaged_rate", rate,
-                           {"operator_rate": rate}, "plain", None,
-                           lambda: run_cim(operator_set, x0, config, tol))
-
-    # identity_plus_prefix_products
-    n = subspaces[0].ambient_dim
-    ops = [identity(n)]
-    prefix_product = identity(n)
-    for reflector in family_reflectors:
-        prefix_product = compose(reflector, prefix_product)
-        ops.append(prefix_product)
-    operator_set = OperatorSet.build(ops, tol)
-    avg = build_product_averaged(AveragedSpec.uniform(len(family_reflectors)),
-                                 family_reflectors, tol)
-    rate = operator_rate(avg, operator_set.common_fixed, tol)
-    return _MethodPlan(label, spec.method, "product_averaged_rate", rate,
-                       {"operator_rate": rate}, "plain", None,
-                       lambda: run_cim(operator_set, x0, config, tol))
+def _plan_method(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
+    recipe, _ = _RECIPES[spec.method, _variant(spec)]
+    return recipe(spec, ctx)
 
 
 @dataclass(frozen=True)
@@ -501,12 +536,8 @@ class MethodOutcome:
 
     def summary_obj(self) -> dict:
         errors = self.trace.errors
-        to_target = None
-        for k in range(errors.shape[0]):
-            if errors[k] <= 1e-10:
-                to_target = k
-                break
-        out = {
+        to_target = next((k for k, error in enumerate(errors) if error <= 1e-10), None)
+        return {
             "label": self.label,
             "method": self.method,
             "final_error": float(errors[-1]),
@@ -515,7 +546,6 @@ class MethodOutcome:
             "iters_to_1e-10": to_target,
             "rate": None if self.report is None else self.report.to_json_obj(),
         }
-        return out
 
 
 @dataclass(frozen=True)
@@ -654,6 +684,24 @@ def _product_fixed_line_check(subspaces: Sequence[AffineSubspace], direction,
             f"dimension {fixed.dim}, direction residual {residual:.3e}")
 
 
+def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
+    """Plan, run and audit every method of the config on one instance. The
+    instance's shared parts are freed when this returns."""
+    outcomes = []
+    for m_index, spec in enumerate(config.methods):
+        plan = _plan_method(spec, ctx)
+        max_iters = spec.max_iters if spec.max_iters is not None else config.max_iters
+        trace = plan.run(MethodConfig(method=spec.method, max_iters=max_iters,
+                                      stop_tol=config.stop_tol))
+        report = None
+        if plan.constant_name is not None:
+            report = audit_bound(trace, plan.rate, scale_mode=plan.scale_mode,
+                                 prefactor=plan.prefactor, constant_name=plan.constant_name,
+                                 ingredients=plan.ingredients)
+        outcomes.append(MethodOutcome(_default_label(spec, m_index), spec.method, trace, report))
+    return tuple(outcomes)
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
                    tol: Tolerance = DEFAULT_TOL,
                    write: bool = True) -> ExperimentReport:
@@ -667,21 +715,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     outcomes = []
-    for index, (label, subspaces, x0, fixed_line) in enumerate(_resolve_instances(config, tol)):
-        method_outcomes = []
-        for m_index, spec in enumerate(config.methods):
-            plan = _plan_method(spec, m_index, subspaces, x0, config, tol)
-            trace = plan.runner()
-            report = None
-            if plan.constant_name is not None:
-                report = audit_bound(trace, plan.rate, scale_mode=plan.scale_mode,
-                                     prefactor=plan.prefactor,
-                                     constant_name=plan.constant_name,
-                                     ingredients=plan.ingredients)
-            method_outcomes.append(MethodOutcome(plan.label, spec.method, trace, report))
-        checks = []
-        if fixed_line is not None:
-            checks.append(_product_fixed_line_check(subspaces, fixed_line, tol))
+    for label, subspaces, x0, fixed_line in _resolve_instances(config, tol):
+        method_outcomes = _run_methods(config, _Instance(subspaces, x0, tol))
+        checks = [] if fixed_line is None else [_product_fixed_line_check(subspaces, fixed_line, tol)]
         inter = intersect(subspaces, tol)
         outcomes.append(InstanceOutcome(
             label=label,
@@ -689,7 +725,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
             subspace_dims=tuple(int(s.dim) for s in subspaces),
             intersection_dim=-1 if inter.is_empty else int(inter.subspace.dim),
             x0=x0,
-            methods=tuple(method_outcomes),
+            methods=method_outcomes,
             extra_checks=tuple(checks),
         ))
     report = ExperimentReport(name=config.name,
@@ -721,14 +757,19 @@ def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
 
 
 def compute_rates(config: ExperimentConfig, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Theoretical constants for every instance/method pair, without tracing."""
+    """Theoretical constants for every instance/method pair, without tracing.
+
+    Nothing is iterated, and no operator family is built that only the
+    iteration needs.
+    """
     rows = []
-    for index, (label, subspaces, x0, _) in enumerate(_resolve_instances(config, tol)):
+    for label, subspaces, x0, _ in _resolve_instances(config, tol):
+        ctx = _Instance(subspaces, x0, tol)
         for m_index, spec in enumerate(config.methods):
-            plan = _plan_method(spec, m_index, subspaces, x0, config, tol)
+            plan = _plan_method(spec, ctx)
             rows.append({
                 "instance": label,
-                "method": plan.label,
+                "method": _default_label(spec, m_index),
                 "constant_name": plan.constant_name,
                 "value": plan.rate,
                 "ingredients": {k: float(v) for k, v in sorted(plan.ingredients.items())},

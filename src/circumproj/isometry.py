@@ -339,12 +339,13 @@ def accelerated_apply(op: AffineMap, x, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     few orders above machine epsilon.
     """
     x = as_vector(x)
-    if float(np.linalg.norm(op.b)) > tol.consistency_tol:
-        raise ValueError("acceleration requires a linear map")
-    norm_bound = spectral_norm(op.A)
-    if norm_bound > 1.0 + tol.eq_tol:
-        raise ValueError(f"acceleration requires a nonexpansive map, norm {norm_bound:.12f}")
-    image = op.A @ x
+    _require_nonexpansive(op, tol)
+    return _accelerated_step(op.A, x)
+
+
+def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The step of :func:`accelerated_apply`, for callers that check once."""
+    image = A @ x
     direction = x - image
     gap = float(np.linalg.norm(direction))
     if gap <= _ACCEL_STATIONARY_FLOOR * (1.0 + float(np.linalg.norm(x))):
@@ -356,6 +357,17 @@ def accelerated_apply(op: AffineMap, x, tol: Tolerance = DEFAULT_TOL) -> np.ndar
 def is_self_adjoint(op: AffineOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
     M = _linear_part(op)
     return float(np.max(np.abs(M - M.T))) <= tol.eq_tol * (1.0 + float(np.max(np.abs(M))))
+
+
+def _require_nonexpansive(op: AffineMap, tol: Tolerance, self_adjoint: bool = False) -> None:
+    """Raise ValueError unless op is linear, nonexpansive and, if asked, self-adjoint."""
+    if float(np.linalg.norm(op.b)) > tol.consistency_tol:
+        raise ValueError("expected a linear operator")
+    if self_adjoint and not is_self_adjoint(op, tol):
+        raise ValueError("expected a self-adjoint operator")
+    norm = spectral_norm(op.A)
+    if norm > 1.0 + tol.eq_tol:
+        raise ValueError(f"expected a nonexpansive operator, norm {norm:.12f}")
 
 
 def is_nonexpansive(op: AffineOperator, tol: Tolerance = DEFAULT_TOL) -> bool:

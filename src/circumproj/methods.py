@@ -8,7 +8,6 @@ relevant fixed set, also when a prefix operator was applied to the start.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -18,12 +17,12 @@ from .circumcenter import OperatorSet, circumcenter_map
 from .isometry import (
     AffineIsometry,
     AffineMap,
-    accelerated_apply,
+    _accelerated_step,
+    _require_nonexpansive,
     fixed_point_set,
-    is_self_adjoint,
     make_reflector,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_vector, spectral_norm
+from .numerics import DEFAULT_TOL, Tolerance, as_vector
 from .subspace import AffineSubspace, intersect
 
 __all__ = [
@@ -32,17 +31,15 @@ __all__ = [
     "IterationTrace",
     "run_cim",
     "run_map",
-    "run_sym_map",
-    "run_accel",
-    "run_dr",
+    "run_linear",
     "run_blockwise_cim",
-    "run_averaged_iter",
     "map_operator",
     "symmetric_map_operator",
     "dr_operator",
 ]
 
 METHOD_TAGS = ("cim", "map", "sym_map", "accel_map", "dr", "averaged_iter")
+LINEAR_METHODS = ("sym_map", "accel_map", "dr", "averaged_iter")
 
 PrefixOperator = Union[AffineIsometry, AffineMap]
 
@@ -80,16 +77,15 @@ class IterationTrace:
 
     ``iterates[0]`` is the start point after any prefix; ``errors[k]`` is
     the distance from ``iterates[k]`` to ``target``, the projection of the
-    original, pre-prefix start onto the fixed set of the method. Wall time
-    lives only in memory and is never written to artifacts, so reruns of a
-    seeded experiment are byte-identical.
+    original, pre-prefix start onto the fixed set of the method. Nothing
+    time-dependent is recorded, so reruns of a seeded experiment are
+    byte-identical.
     """
 
     method: str
     iterates: np.ndarray
     errors: np.ndarray
     stopped_at: int
-    wall_time: float
     x0_original: np.ndarray
     target: np.ndarray
 
@@ -152,7 +148,6 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
            config: MethodConfig, target: np.ndarray) -> IterationTrace:
     x0_original = as_vector(x0)
     start = x0_original if config.prefix is None else as_vector(config.prefix.apply(x0_original))
-    clock = time.perf_counter()
     iterates = [start]
     current = start
     steps_taken = 0
@@ -166,7 +161,6 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
             current = nxt
             break
         current = nxt
-    elapsed = time.perf_counter() - clock
     stacked = np.array(iterates)
     errors = np.linalg.norm(stacked - target, axis=1)
     return IterationTrace(
@@ -174,7 +168,6 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
         iterates=stacked,
         errors=errors,
         stopped_at=steps_taken,
-        wall_time=elapsed,
         x0_original=x0_original,
         target=target,
     )
@@ -208,40 +201,34 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
     return _drive(config.method, sweep, x0, config, target)
 
 
-def _check_sym_nonexpansive(op: AffineMap, tol: Tolerance) -> None:
-    if float(np.linalg.norm(op.b)) > tol.consistency_tol:
-        raise ValueError("expected a linear operator")
-    if not is_self_adjoint(op, tol):
-        raise ValueError("expected a self-adjoint operator")
-    norm = spectral_norm(op.A)
-    if norm > 1.0 + tol.eq_tol:
-        raise ValueError(f"expected a nonexpansive operator, norm {norm:.12f}")
+def run_linear(op: AffineMap, x0, config: MethodConfig, tol: Tolerance = DEFAULT_TOL,
+               fixed: Optional[AffineSubspace] = None) -> IterationTrace:
+    """Iterate a linear operator toward the projection onto its fixed set.
 
-
-def run_sym_map(op: AffineMap, x0, config: MethodConfig,
-                tol: Tolerance = DEFAULT_TOL) -> IterationTrace:
-    """Iterate a self-adjoint nonexpansive linear operator."""
+    ``config.method`` picks the step, the acceleration step of
+    :func:`accelerated_apply` for ``accel_map`` and the operator itself
+    otherwise, and the checks, made once per run: ``sym_map`` and
+    ``accel_map`` need a self-adjoint nonexpansive operator,
+    ``averaged_iter`` the averaged builders' certificate, all a fixed point.
+    ``fixed`` is the operator's fixed set when the caller already has it.
+    For ``dr`` that set strictly contains the intersection whenever the two
+    orthogonal complements meet nontrivially.
+    """
+    if config.method not in LINEAR_METHODS:
+        raise ValueError(f"run_linear iterates {LINEAR_METHODS}, not {config.method!r}")
     x0 = as_vector(x0)
-    _check_sym_nonexpansive(op, tol)
-    fixed = fixed_point_set(op, tol)
+    if config.method in ("sym_map", "accel_map"):
+        _require_nonexpansive(op, tol, self_adjoint=True)
+    elif config.method == "averaged_iter" and op.averagedness is None:
+        raise ValueError("operator carries no averagedness certificate; "
+                         "use build_sum_averaged or build_product_averaged")
     if fixed is None:
-        raise ValueError("operator has no fixed points")
+        fixed = fixed_point_set(op, tol)
+        if fixed is None:
+            raise ValueError("operator has no fixed points")
     target = fixed.project(x0)
-    return _drive(config.method, op.apply, x0, config, target)
-
-
-def run_accel(op: AffineMap, x0, config: MethodConfig,
-              tol: Tolerance = DEFAULT_TOL) -> IterationTrace:
-    """Iterate the line-search acceleration of a self-adjoint nonexpansive
-    linear operator."""
-    x0 = as_vector(x0)
-    _check_sym_nonexpansive(op, tol)
-    fixed = fixed_point_set(op, tol)
-    if fixed is None:
-        raise ValueError("operator has no fixed points")
-    target = fixed.project(x0)
-    return _drive(config.method, lambda x: accelerated_apply(op, x, tol),
-                  x0, config, target)
+    step = (lambda x: _accelerated_step(op.A, x)) if config.method == "accel_map" else op.apply
+    return _drive(config.method, step, x0, config, target)
 
 
 def dr_operator(first: AffineSubspace, second: AffineSubspace,
@@ -254,23 +241,6 @@ def dr_operator(first: AffineSubspace, second: AffineSubspace,
     q2 = make_reflector(second).Q
     n = first.ambient_dim
     return AffineMap(0.5 * (np.eye(n) + q2 @ q1), np.zeros(n))
-
-
-def run_dr(first: AffineSubspace, second: AffineSubspace, x0,
-           config: MethodConfig, tol: Tolerance = DEFAULT_TOL) -> IterationTrace:
-    """Iterate the Douglas-Rachford operator of two linear subspaces.
-
-    Errors are measured to the projection of the start onto the operator's
-    own fixed set, which strictly contains the intersection whenever the
-    two orthogonal complements meet nontrivially.
-    """
-    x0 = as_vector(x0)
-    op = dr_operator(first, second, tol)
-    fixed = fixed_point_set(op, tol)
-    if fixed is None:
-        raise ValueError("Douglas-Rachford operator has no fixed points")
-    target = fixed.project(x0)
-    return _drive(config.method, op.apply, x0, config, target)
 
 
 def run_blockwise_cim(blocks: Sequence[OperatorSet], x0, config: MethodConfig,
@@ -315,20 +285,6 @@ def run_blockwise_cim(blocks: Sequence[OperatorSet], x0, config: MethodConfig,
                        for w, block in zip(weights, blocks))
 
     return _drive(config.method, step, x0, config, target)
-
-
-def run_averaged_iter(op: AffineMap, x0, config: MethodConfig,
-                      tol: Tolerance = DEFAULT_TOL) -> IterationTrace:
-    """Iterate a map produced by one of the averaged builders."""
-    x0 = as_vector(x0)
-    if op.averagedness is None:
-        raise ValueError("operator carries no averagedness certificate; "
-                         "use build_sum_averaged or build_product_averaged")
-    fixed = fixed_point_set(op, tol)
-    if fixed is None:
-        raise ValueError("averaged operator has no fixed points")
-    target = fixed.project(x0)
-    return _drive(config.method, op.apply, x0, config, target)
 
 
 def _projector_map(subspace: AffineSubspace) -> AffineMap:

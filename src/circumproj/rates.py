@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .isometry import AffineMap, fixed_point_set, is_self_adjoint
+from .isometry import AffineMap, _require_nonexpansive, fixed_point_set
 from .methods import IterationTrace
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace, intersect
@@ -160,22 +160,17 @@ class AccelConstants:
 
 
 def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
-                    samples: int = 32, seed: int = 0) -> AccelConstants:
+                    samples: int = 32, seed: int = 0,
+                    fixed: Optional[AffineSubspace] = None) -> AccelConstants:
     """Acceleration constants of a monotone self-adjoint nonexpansive map.
 
     Monotonicity is verified both through the smallest symmetric eigenvalue
     and by sampling the quadratic form at seeded random unit vectors. The
     extreme values (c1, c2) come from the compression of the operator to
     the orthogonal complement of its fixed set; both are 0 when that
-    complement is trivial.
+    complement is trivial. ``fixed`` may pass the operator's fixed set.
     """
-    if float(np.linalg.norm(op.b)) > tol.consistency_tol:
-        raise ValueError("acceleration constants need a linear operator")
-    if not is_self_adjoint(op, tol):
-        raise ValueError("acceleration constants need a self-adjoint operator")
-    norm = spectral_norm(op.A)
-    if norm > 1.0 + tol.eq_tol:
-        raise ValueError(f"acceleration constants need a nonexpansive operator, norm {norm:.12f}")
+    _require_nonexpansive(op, tol, self_adjoint=True)
     eig_min, _ = sym_eigen_extremes(op.A)
     if eig_min < -tol.eq_tol:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")
@@ -186,9 +181,10 @@ def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
         v /= np.linalg.norm(v)
         if float(v @ (op.A @ v)) < -tol.eq_tol:
             raise ValueError("operator is not monotone on sampled directions")
-    fixed = fixed_point_set(op, tol)
     if fixed is None:
-        raise ValueError("operator has no fixed points")
+        fixed = fixed_point_set(op, tol)
+        if fixed is None:
+            raise ValueError("operator has no fixed points")
     complement = fixed.orthogonal_complement(tol)
     if complement.dim == 0:
         c1, c2 = 0.0, 0.0

@@ -34,8 +34,8 @@ from circumproj import (
     make_reflector,
     map_operator,
     operator_rate,
-    run_accel,
     run_cim,
+    run_linear,
     run_map,
     symmetric_map_operator,
     tuple_angle_cos,
@@ -255,7 +255,7 @@ def test_criterion_08_acceleration_chain_and_bounds():
         if np.linalg.norm(x0 - inter.project(x0)) < 0.1:
             continue
 
-        accel = run_accel(op, x0, MethodConfig(method="accel_map", max_iters=12))
+        accel = run_linear(op, x0, MethodConfig(method="accel_map", max_iters=12))
         report = audit_bound(accel, consts.eta, constant_name="acceleration_rate")
         assert report.all_satisfied, (
             f"case {case}: accelerated trace broke eta^k, slack {report.slack_min}"

@@ -100,6 +100,46 @@ def test_parse_config_rejects_operators_outside_custom():
         parse_config(obj)
 
 
+def test_parse_config_rejects_unknown_top_level_key(tmp_path, capsys):
+    obj = demo_config()
+    obj["max_iter"] = 3
+    with pytest.raises(ConfigError, match=r"config\.max_iter: unknown key"):
+        parse_config(obj)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "max_iter: unknown key" in capsys.readouterr().err
+
+
+def test_parse_config_rejects_unknown_x0_key():
+    obj = demo_config()
+    obj["x0"]["sead"] = 4
+    with pytest.raises(ConfigError, match=r"config\.x0\.sead: unknown key"):
+        parse_config(obj)
+
+
+def test_parse_config_rejects_unknown_instances_key():
+    obj = demo_config()
+    obj["instances"]["itemz"] = []
+    with pytest.raises(ConfigError, match=r"config\.instances\.itemz: unknown key"):
+        parse_config(obj)
+
+
+def test_parse_config_rejects_unknown_item_key():
+    obj = demo_config()
+    obj["instances"]["items"][1]["fixed_line"] = [1.0, 1.0]
+    with pytest.raises(ConfigError,
+                       match=r"config\.instances\.items\[1\]\.fixed_line: unknown key"):
+        parse_config(obj)
+
+
+def test_parse_config_rejects_unknown_method_key():
+    obj = demo_config()
+    obj["methods"] = [{"method": "cim", "operatorset": "identity_plus_reflectors"}]
+    with pytest.raises(ConfigError, match=r"methods\[0\]\.operatorset: unknown key"):
+        parse_config(obj)
+
+
 def test_parse_config_random_instances_validation():
     base = {
         "name": "r", "ambient_dim": 4, "seed": 1,
@@ -232,6 +272,16 @@ def test_compute_rates_frozen_demo_values():
     assert table[("lines_45deg", "00_map")]["prefactor"] is None
     assert set(table[("lines_45deg", "03_accel_map")]["ingredients"]) == {
         "c1", "c2", "eta", "cT"}
+
+
+def test_compute_rates_builds_no_circumcentered_family(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rates of the psi recipes need no family")
+
+    monkeypatch.setattr("circumproj.bench.build_psi", refuse)
+    rows = compute_rates(parse_config(demo_config()))
+    assert len(rows) == 14
+    assert all(row["value"] is not None for row in rows)
 
 
 def test_shipped_demo_config_matches_builtin():

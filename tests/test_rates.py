@@ -38,7 +38,6 @@ def _toy_trace(errors, x0=None, target=None):
         iterates=iterates,
         errors=errors,
         stopped_at=count - 1,
-        wall_time=0.0,
         x0_original=np.array([1.0, 0.0]) if x0 is None else np.asarray(x0, dtype=float),
         target=np.zeros(2) if target is None else np.asarray(target, dtype=float),
     )

@@ -1,0 +1,208 @@
+"""Every row of the README method table, run through the harness.
+
+Each case runs one method entry on one seeded instance (three linear
+subspaces in R^4) through ``run_experiment`` and recomputes the same trace
+and the same audited constant directly from the library calls. The two must
+agree to 1e-12, and the constant name and default label are pinned.
+"""
+
+import numpy as np
+import pytest
+
+from circumproj import (
+    AveragedSpec,
+    OperatorSet,
+    MethodConfig,
+    accel_constants,
+    accelerated_apply,
+    build_product_averaged,
+    build_psi,
+    build_sum_averaged,
+    compose,
+    dr_operator,
+    fixed_point_set,
+    generate_instance,
+    identity,
+    make_reflector,
+    operator_from_literal,
+    operator_rate,
+    parse_config,
+    run_cim,
+    run_experiment,
+    run_map,
+    symmetric_map_operator,
+    tuple_angle_cos,
+)
+
+SEED = 707
+MAX_ITERS = 6
+CUSTOM_OPERATORS = (
+    {"kind": "orthogonal", "matrix": np.eye(4).tolist()},
+    {"kind": "reflector", "subspace": {"span": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}},
+    {"kind": "reflector", "subspace": {"span": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]}},
+)
+
+
+def _instance():
+    return generate_instance(4, 3, (1, 3), np.random.default_rng((SEED, 0)))
+
+
+def _iterate(step, x0, target):
+    iterates = [x0]
+    for _ in range(MAX_ITERS):
+        iterates.append(step(iterates[-1]))
+    iterates = np.array(iterates)
+    return iterates, np.linalg.norm(iterates - target, axis=1)
+
+
+def _fixed_target(op, x0):
+    fixed = fixed_point_set(op)
+    return fixed, fixed.project(x0)
+
+
+def _cim(operator_set, x0, prefix=None):
+    trace = run_cim(operator_set, x0, MethodConfig(method="cim", max_iters=MAX_ITERS,
+                                                    prefix=prefix))
+    return trace.iterates, trace.errors
+
+
+def _family(subspaces, symmetrized):
+    family = list(subspaces) + (list(subspaces[-2::-1]) if symmetrized else [])
+    return [make_reflector(s) for s in family]
+
+
+def _direct_map(subspaces, x0):
+    trace = run_map(subspaces, x0, MethodConfig(method="map", max_iters=MAX_ITERS))
+    gamma = tuple_angle_cos(subspaces)
+    return (trace.iterates, trace.errors), gamma, {"tuple_angle_cos": gamma}
+
+
+def _direct_cim_psi(subspaces, x0):
+    gamma = tuple_angle_cos(subspaces)
+    return (_cim(build_psi(_family(subspaces, False)), x0), gamma,
+            {"tuple_angle_cos": gamma})
+
+
+def _direct_cim_psi_sym(subspaces, x0):
+    half = tuple_angle_cos(subspaces)
+    return (_cim(build_psi(_family(subspaces, True)), x0), half * half,
+            {"tuple_angle_cos_half": half})
+
+
+def _direct_cim_psi_prefixed(subspaces, x0):
+    op = symmetric_map_operator(subspaces)
+    c = accel_constants(op)
+    return (_cim(build_psi(_family(subspaces, True)), x0, prefix=op), c.eta,
+            {"c1": c.c1, "c2": c.c2, "eta": c.eta, "cT": c.cT, "prefactor": c.cT})
+
+
+def _direct_cim_identity_plus_reflectors(subspaces, x0):
+    reflectors = _family(subspaces, False)
+    operator_set = OperatorSet.build([identity(4)] + reflectors)
+    avg = build_sum_averaged(AveragedSpec.uniform(len(reflectors)), reflectors)
+    rate = operator_rate(avg, operator_set.common_fixed)
+    return _cim(operator_set, x0), rate, {"operator_rate": rate}
+
+
+def _direct_cim_identity_plus_prefix_products(subspaces, x0):
+    reflectors = _family(subspaces, False)
+    ops = [identity(4)]
+    for reflector in reflectors:
+        ops.append(compose(reflector, ops[-1]))
+    operator_set = OperatorSet.build(ops)
+    avg = build_product_averaged(AveragedSpec.uniform(len(reflectors)), reflectors)
+    rate = operator_rate(avg, operator_set.common_fixed)
+    return _cim(operator_set, x0), rate, {"operator_rate": rate}
+
+
+def _direct_cim_custom(subspaces, x0):
+    ops = [operator_from_literal(lit) for lit in CUSTOM_OPERATORS]
+    return _cim(OperatorSet.build(ops), x0), None, None
+
+
+def _direct_sym_map(subspaces, x0):
+    op = symmetric_map_operator(subspaces)
+    fixed, target = _fixed_target(op, x0)
+    rate = operator_rate(op, fixed)
+    return (_iterate(op.apply, x0, target), rate,
+            {"operator_rate": rate, "tuple_angle_cos_half": tuple_angle_cos(subspaces)})
+
+
+def _direct_accel_map(subspaces, x0):
+    op = symmetric_map_operator(subspaces)
+    _, target = _fixed_target(op, x0)
+    c = accel_constants(op)
+    return (_iterate(lambda x: accelerated_apply(op, x), x0, target), c.eta,
+            {"c1": c.c1, "c2": c.c2, "eta": c.eta, "cT": c.cT})
+
+
+def _direct_dr(subspaces, x0):
+    op = dr_operator(subspaces[0], subspaces[1])
+    fixed, target = _fixed_target(op, x0)
+    rate = operator_rate(op, fixed)
+    return _iterate(op.apply, x0, target), rate, {"operator_rate": rate}
+
+
+def _direct_averaged(builder):
+    def direct(subspaces, x0):
+        reflectors = _family(subspaces, False)
+        op = builder(AveragedSpec.uniform(len(reflectors)), reflectors)
+        fixed, target = _fixed_target(op, x0)
+        rate = operator_rate(op, fixed)
+        return _iterate(op.apply, x0, target), rate, {"operator_rate": rate}
+    return direct
+
+
+# (method entry, default label, constant name, direct computation)
+ROWS = [
+    ({"method": "map"}, "00_map", "cyclic_projection_tuple_rate", _direct_map),
+    ({"method": "cim", "operator_set": "psi"}, "00_cim_psi", "tuple_rate", _direct_cim_psi),
+    ({"method": "cim", "operator_set": "psi", "symmetrized": True},
+     "00_cim_psi_sym", "symmetric_tuple_rate", _direct_cim_psi_sym),
+    ({"method": "cim", "operator_set": "psi", "symmetrized": True, "prefix": "sym_map_product"},
+     "00_cim_psi_sym_prefixed", "accelerated_prefixed_rate", _direct_cim_psi_prefixed),
+    ({"method": "cim", "operator_set": "identity_plus_reflectors"},
+     "00_cim_identity_plus_reflectors", "sum_averaged_rate",
+     _direct_cim_identity_plus_reflectors),
+    ({"method": "cim", "operator_set": "identity_plus_prefix_products"},
+     "00_cim_identity_plus_prefix_products", "product_averaged_rate",
+     _direct_cim_identity_plus_prefix_products),
+    ({"method": "cim", "operator_set": "custom", "operators": list(CUSTOM_OPERATORS)},
+     "00_cim_custom", None, _direct_cim_custom),
+    ({"method": "sym_map"}, "00_sym_map", "symmetric_product_rate", _direct_sym_map),
+    ({"method": "accel_map"}, "00_accel_map", "acceleration_rate", _direct_accel_map),
+    ({"method": "dr"}, "00_dr", "douglas_rachford_rate", _direct_dr),
+    ({"method": "averaged_iter", "builder": "sum"}, "00_averaged_iter_sum",
+     "sum_averaged_rate", _direct_averaged(build_sum_averaged)),
+    ({"method": "averaged_iter", "builder": "product"}, "00_averaged_iter_product",
+     "product_averaged_rate", _direct_averaged(build_product_averaged)),
+]
+
+
+@pytest.mark.parametrize("entry, label, constant_name, direct", ROWS,
+                         ids=[row[1][3:] for row in ROWS])
+def test_recipe_matches_direct_library_calls(entry, label, constant_name, direct):
+    config = parse_config({
+        "name": "recipe",
+        "ambient_dim": 4,
+        "max_iters": MAX_ITERS,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 3,
+                      "dim_range": [1, 3], "seed": SEED},
+        "methods": [entry],
+    })
+    outcome = run_experiment(config, write=False).instances[0].methods[0]
+    subspaces, x0 = _instance()
+    (iterates, errors), rate, ingredients = direct(subspaces, x0)
+
+    assert outcome.label == label
+    assert np.allclose(outcome.trace.iterates, iterates, rtol=0.0, atol=1e-12)
+    assert np.allclose(outcome.trace.errors, errors, rtol=0.0, atol=1e-12)
+    if constant_name is None:
+        assert outcome.report is None
+        return
+    report = outcome.report
+    assert report.constant_name == constant_name
+    assert abs(report.value - rate) <= 1e-12
+    assert sorted(report.ingredients) == sorted(ingredients)
+    for key, value in ingredients.items():
+        assert abs(report.ingredients[key] - value) <= 1e-12, key
