@@ -209,9 +209,13 @@ def _parse_method(obj, index: int) -> MethodSpec:
         max_iters = _as_int(max_iters, f"{path}.max_iters")
         if max_iters < 0:
             raise ConfigError(f"{path}.max_iters: must be nonnegative")
-    return MethodSpec(method=method, operator_set=operator_set, symmetrized=symmetrized,
+    spec = MethodSpec(method=method, operator_set=operator_set, symmetrized=symmetrized,
                       prefix=prefix, builder=builder, operators=operators,
                       label=label, max_iters=max_iters)
+    variant_key = (_VARIANT_KEYS[method],) if method in _VARIANT_KEYS else ()
+    _expect_mapping(mapping, path, ("method", "label", "max_iters", *variant_key,
+                                    *_RECIPES[method, _variant(spec)][1]))
+    return spec
 
 
 def parse_config(obj, source: str = "config") -> ExperimentConfig:
@@ -465,10 +469,8 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
     """Circumcenter over {Id, R1, .., Rm} (sum) or {Id, R1, R2R1, ..} (product),
     with the rate of the averaged map the builder makes of the same reflectors."""
     family = ctx.family(spec.symmetrized)
-    ops = [identity(ctx.x0.shape[0])]
-    for reflector in family:
-        ops.append(compose(reflector, ops[-1]) if builder == "product" else reflector)
-    operator_set = OperatorSet.build(ops, ctx.tol)
+    words = [tuple(range(i + 1)) if builder == "product" else (i,) for i in range(len(family))]
+    operator_set = OperatorSet(family, [()] + words, ctx.tol)
     avg = _AVERAGED_BUILDERS[builder](AveragedSpec.uniform(len(family)), family, ctx.tol)
     rate = operator_rate(avg, operator_set.common_fixed, ctx.tol)
     return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate},
@@ -478,7 +480,7 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
 def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     def run(config: MethodConfig) -> IterationTrace:
         ops = [operator_from_literal(lit, ctx.tol) for lit in spec.operators]
-        return run_cim(OperatorSet.build(ops, ctx.tol), ctx.x0, config, ctx.tol)
+        return run_cim(OperatorSet(ops, tol=ctx.tol), ctx.x0, config, ctx.tol)
 
     return _MethodPlan(None, None, {}, run)
 

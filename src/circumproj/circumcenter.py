@@ -9,13 +9,13 @@ common fixed set of the family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineIsometry, compose, fixed_point_set, identity, linearize_about
+from .isometry import AffineIsometry, fixed_point_set, linearize_about
 from .numerics import DEFAULT_TOL, Tolerance, as_vector, min_norm_solve, orthonormal_basis
 from .subspace import AffineSubspace, intersect
 
@@ -67,30 +67,31 @@ class CircumcenterResult:
     hull_residual: float
 
 
-def _dedup(points: np.ndarray, tol: Tolerance) -> np.ndarray:
-    scale = float(np.max(np.linalg.norm(points, axis=1))) if points.size else 0.0
-    threshold = tol.eq_tol * (1.0 + scale)
-    kept: list[int] = []
-    for i in range(points.shape[0]):
-        duplicate = False
-        for j in kept:
+def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """Greedy first-occurrence representatives at eq_tol, and the diameter.
+
+    Point i is dropped when it lies within eq_tol * (1 + largest norm) of
+    an earlier kept point. Near the threshold t, a squared distance read off
+    the Gram matrix and a directly measured one differ by less than
+    2 (n + 2) eps (|p_i|^2 + |p_j|^2 + t^2), so the Gram distances rule out
+    the pairs beyond twice that margin and every other pair is measured
+    directly. The diameter of the points comes from the Gram distances.
+    """
+    gram = points @ points.T
+    norms_sq = np.diag(gram)
+    threshold = tol.eq_tol * (1.0 + float(np.sqrt(np.max(norms_sq))))
+    pair_sq = norms_sq[:, None] + norms_sq
+    dist_sq = pair_sq - 2.0 * gram
+    margin = 4.0 * (points.shape[1] + 2) * np.finfo(float).eps * (pair_sq + threshold**2)
+    near = dist_sq <= threshold**2 + margin
+    keep = np.ones(points.shape[0], dtype=bool)
+    # every row is near on the diagonal, whose Gram distance is exactly 0
+    for i in np.flatnonzero(near.sum(axis=1) > 1):
+        for j in np.flatnonzero(near[i, :i] & keep[:i]):
             if float(np.linalg.norm(points[i] - points[j])) <= threshold:
-                duplicate = True
+                keep[i] = False
                 break
-        if not duplicate:
-            kept.append(i)
-    return points[kept]
-
-
-def _diameter(points: np.ndarray) -> float:
-    k = points.shape[0]
-    if k <= 1:
-        return 0.0
-    if k <= 512:
-        diffs = points[:, None, :] - points[None, :, :]
-        return float(np.max(np.linalg.norm(diffs, axis=2)))
-    center = points[0]
-    return 2.0 * float(np.max(np.linalg.norm(points - center, axis=1)))
+    return np.flatnonzero(keep), float(np.sqrt(max(float(np.max(dist_sq)), 0.0)))
 
 
 def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
@@ -111,7 +112,8 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
         raise ValueError("expected a nonempty 2-d array of points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point entries must be finite")
-    rep = _dedup(pts, tol)
+    kept, diameter = _distinct(pts, tol)
+    rep = pts[kept]
     p0 = rep[0]
     if rep.shape[0] == 1:
         dists = np.linalg.norm(pts - p0, axis=1)
@@ -127,8 +129,7 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
     hull = orthonormal_basis(offsets, tol)
     in_hull = candidate - p0
     hull_residual = float(np.linalg.norm(in_hull - hull.T @ (hull @ in_hull)))
-    scale = _diameter(rep)
-    if spread <= tol.consistency_tol * (1.0 + scale):
+    if spread <= tol.consistency_tol * (1.0 + diameter):
         return CircumcenterResult(candidate, alpha, spread, hull_residual)
     return CircumcenterResult(None, alpha, spread, hull_residual)
 
@@ -141,69 +142,77 @@ def _is_identity(op: AffineIsometry, tol: Tolerance) -> bool:
     )
 
 
-def _same_operator(a: AffineIsometry, b: AffineIsometry, tol: Tolerance) -> bool:
-    return (
-        float(np.max(np.abs(a.Q - b.Q))) <= tol.eq_tol
-        and float(np.max(np.abs(a.b - b.b))) <= tol.eq_tol
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """An ordered finite family of affine isometries with a common fixed
-    point.
+    """A finite family of affine isometries, written as words over generators.
 
-    The common fixed set is intersected once at construction and cached;
-    construction fails when any operator has no fixed point or when the
-    family shares none. ``solve_indices`` lists one representative per
-    distinct operator (matrix equality at eq_tol), which is what the
-    circumcenter map actually evaluates; structurally duplicated entries
-    stay in ``ops``.
+    Each word is a tuple of indices into ``generators``; the word
+    (i, j, ..) is the product that applies generator i first, then j, and
+    so on, and the empty word is the identity. ``words=None`` lists every
+    generator on its own. The words must be prefix-closed, in order: each
+    nonempty word without its last letter is empty or an earlier word. Every
+    generator must occur in some word.
+
+    Construction computes one fixed point set per distinct generator object
+    and intersects them into ``common_fixed``, which for prefix-closed words
+    is the common fixed set of the whole family; it fails when a generator
+    has no fixed point or the generators share none. ``contains_identity``
+    holds when some word has identity generators only, the empty word
+    included. No product is ever formed.
     """
 
-    ops: tuple
-    contains_identity: bool
-    common_fixed: AffineSubspace
-    solve_indices: tuple
+    generators: tuple
+    words: Optional[tuple] = None
+    tol: InitVar[Tolerance] = DEFAULT_TOL
+    common_fixed: AffineSubspace = field(init=False)
+    contains_identity: bool = field(init=False)
 
-    @classmethod
-    def build(cls, operators: Sequence[AffineIsometry],
-              tol: Tolerance = DEFAULT_TOL) -> "OperatorSet":
-        ops = tuple(operators)
-        if len(ops) == 0:
-            raise ValueError("operator set must be nonempty")
-        n = ops[0].ambient_dim
-        for op in ops:
+    def __post_init__(self, tol: Tolerance) -> None:
+        generators = tuple(self.generators)
+        if len(generators) == 0:
+            raise ValueError("operator set needs at least one generator")
+        for op in generators:
             if not isinstance(op, AffineIsometry):
                 raise ValueError("operator sets hold affine isometries only")
-            if op.ambient_dim != n:
+            if op.ambient_dim != generators[0].ambient_dim:
                 raise ValueError("operators live in different dimensions")
-        fixed_sets = []
-        for op in ops:
-            fixed = fixed_point_set(op, tol)
-            if fixed is None:
-                raise ValueError(
-                    "an operator has no fixed points, so the family has no common fixed set"
-                )
-            fixed_sets.append(fixed)
+        count = len(generators)
+        words = (tuple((i,) for i in range(count)) if self.words is None
+                 else tuple(tuple(word) for word in self.words))
+        seen = {()}
+        for word in words:
+            if not all(isinstance(i, int) and 0 <= i < count for i in word):
+                raise ValueError(f"word {word} has a letter outside range({count})")
+            if word[:-1] not in seen:
+                raise ValueError(f"word {word} is not preceded by its prefix {word[:-1]}; "
+                                 "words must be prefix-closed")
+            seen.add(word)
+        unused = sorted(set(range(count)).difference(*words))
+        if unused:
+            raise ValueError(f"generators {unused} occur in no word")
+        fixed_sets = [fixed_point_set(op, tol) for op in {id(op): op for op in generators}.values()]
+        if any(fixed is None for fixed in fixed_sets):
+            raise ValueError("a generator has no fixed points, so the family shares none")
         common = intersect(fixed_sets, tol)
         if common.is_empty:
             raise ValueError(
                 f"operators share no common fixed point, residual {common.residual:.3e}"
             )
-        has_identity = any(_is_identity(op, tol) for op in ops)
-        unique: list[int] = []
-        for i, op in enumerate(ops):
-            if not any(_same_operator(op, ops[j], tol) for j in unique):
-                unique.append(i)
-        return cls(ops, has_identity, common.subspace, tuple(unique))
+        identities = [_is_identity(op, tol) for op in generators]
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "common_fixed", common.subspace)
+        object.__setattr__(self, "contains_identity",
+                           any(all(identities[i] for i in word) for word in words))
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.ops[0].ambient_dim
-
-    def __len__(self) -> int:
-        return len(self.ops)
+    def images(self, x) -> np.ndarray:
+        """The images of x under the words, one row per word in order; each
+        is one generator applied to the image of the word's prefix."""
+        image = {(): as_vector(x)}
+        for word in self.words:
+            if word not in image:
+                image[word] = self.generators[word[-1]].apply(image[word[:-1]])
+        return np.array([image[word] for word in self.words])
 
 
 def circumcenter_map(operator_set: OperatorSet, x,
@@ -214,9 +223,7 @@ def circumcenter_map(operator_set: OperatorSet, x,
     absent within tolerance, since for isometry families with a common
     fixed point it exists in exact arithmetic.
     """
-    x = as_vector(x)
-    images = np.array([operator_set.ops[i].apply(x) for i in operator_set.solve_indices])
-    result = circumcenter(images, tol)
+    result = circumcenter(operator_set.images(x), tol)
     if result.center is None:
         raise NumericalPropernessError(result.equidistance_spread, result.hull_residual)
     return result.center
@@ -224,55 +231,42 @@ def circumcenter_map(operator_set: OperatorSet, x,
 
 def shift_operator_set(operator_set: OperatorSet, z,
                        tol: Tolerance = DEFAULT_TOL) -> OperatorSet:
-    """Conjugate every operator by the translation taking z to the origin.
+    """Conjugate every generator by the translation taking z to the origin.
 
-    Requires z to lie in the common fixed set. The shifted family consists
-    of linear isometries and its circumcenter map satisfies
+    Requires z to lie in the common fixed set. The shifted family has the
+    same words over linear isometries and its circumcenter map satisfies
     C(x) = z + C_shifted(x - z).
     """
     z = as_vector(z)
     if not operator_set.common_fixed.contains(z, tol):
         raise ValueError("shift point must belong to the common fixed set")
-    shifted = tuple(linearize_about(op, z, tol) for op in operator_set.ops)
-    return OperatorSet.build(shifted, tol)
+    shifted = tuple(linearize_about(op, z, tol) for op in operator_set.generators)
+    return OperatorSet(shifted, operator_set.words, tol)
 
 
 def build_psi(reflectors: Sequence[AffineIsometry],
-              tol: Tolerance = DEFAULT_TOL,
-              limit: int = PSI_PRODUCT_LIMIT) -> OperatorSet:
-    """All increasing-index products of the given reflectors.
+              tol: Tolerance = DEFAULT_TOL) -> OperatorSet:
+    """All increasing-index products of the given reflectors, as words.
 
     For reflectors R_1, .., R_m this is the family of 2^m operators
-    R_{i_r} .. R_{i_1} over index subsets i_1 < .. < i_r, ordered by subset
-    size and lexicographically within a size, starting with the empty
-    product (the identity). Inputs must be reflectors of linear subspaces,
-    that is linear isometries with symmetric orthogonal linear part.
-    Structural duplicates (repeated input reflectors make repeated
-    products) are kept in order; the circumcenter map deduplicates them by
-    matrix equality before solving.
+    R_{i_r} .. R_{i_1} over index subsets i_1 < .. < i_r, listed as the
+    words (i_1, .., i_r) ordered by subset size and lexicographically
+    within a size, starting with the empty word (the identity). Inputs
+    must be reflectors of linear subspaces, that is linear isometries with
+    symmetric linear part. Repeated input reflectors make repeated images,
+    which the circumcenter deduplicates.
     """
-    ops = list(reflectors)
-    if len(ops) == 0:
-        raise ValueError("need at least one reflector")
-    if len(ops) > limit:
+    generators = tuple(reflectors)
+    if len(generators) > PSI_PRODUCT_LIMIT:
         raise ValueError(
-            f"{len(ops)} reflectors would give 2^{len(ops)} products, limit is {limit}"
+            f"{len(generators)} reflectors would give 2^{len(generators)} words, "
+            f"limit is {PSI_PRODUCT_LIMIT}"
         )
-    n = ops[0].ambient_dim
-    for op in ops:
-        if not isinstance(op, AffineIsometry):
-            raise ValueError("inputs must be affine isometries")
-        if op.ambient_dim != n:
-            raise ValueError("reflectors live in different dimensions")
-        if float(np.linalg.norm(op.b)) > tol.eq_tol:
+    for op in generators:
+        if not isinstance(op, AffineIsometry) or float(np.linalg.norm(op.b)) > tol.eq_tol:
             raise ValueError("inputs must be reflectors of linear subspaces")
         if float(np.max(np.abs(op.Q - op.Q.T))) > tol.eq_tol:
             raise ValueError("inputs must have symmetric linear part")
-    products = []
-    for size in range(len(ops) + 1):
-        for combo in combinations(range(len(ops)), size):
-            product = identity(n)
-            for index in combo:
-                product = compose(ops[index], product)
-            products.append(product)
-    return OperatorSet.build(products, tol)
+    words = tuple(combo for size in range(len(generators) + 1)
+                  for combo in combinations(range(len(generators)), size))
+    return OperatorSet(generators, words, tol)

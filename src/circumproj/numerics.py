@@ -3,6 +3,8 @@
 Everything here operates on plain numpy float arrays. Rank decisions use a
 relative singular value cutoff so callers never tune absolute thresholds to
 the scale of their data. All functions are pure and never mutate inputs.
+Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
+calls alternating between the two stall on each other's spinning threads.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space as _null_space
-from scipy.linalg import orth as _orth
 
 __all__ = [
     "Tolerance",
@@ -87,8 +87,9 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("vector entries must be finite")
     if arr.shape[0] == 0 or not np.any(arr):
         return np.zeros((0, arr.shape[1]))
-    basis_cols = _orth(arr.T, rcond=tol.rank_tol)
-    return np.ascontiguousarray(basis_cols.T)
+    u, s, _ = np.linalg.svd(arr.T, full_matrices=False)
+    rank = int(np.sum(s > s[0] * tol.rank_tol))
+    return np.ascontiguousarray(u[:, :rank].T)
 
 
 def complement_basis(basis, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -100,8 +101,9 @@ def complement_basis(basis, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> n
     arr = np.asarray(basis, dtype=float).reshape(-1, ambient_dim)
     if arr.shape[0] == 0:
         return np.eye(ambient_dim)
-    ns_cols = _null_space(arr, rcond=tol.rank_tol)
-    return np.ascontiguousarray(ns_cols.T)
+    _, s, vt = np.linalg.svd(arr, full_matrices=True)
+    rank = int(np.sum(s > s[0] * tol.rank_tol))
+    return np.ascontiguousarray(vt[rank:])
 
 
 def min_norm_solve(A, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:

@@ -79,3 +79,18 @@ def oracle_operator_rate(matrix: np.ndarray, fixed_projector: np.ndarray,
             return 0.0
         v = w / norm_w
     return float(np.sqrt(v @ normal @ v))
+
+
+def oracle_dedup(points, eq_tol: float = 1e-10) -> list:
+    """Indices of the greedy first-occurrence representatives of a point set.
+
+    Point i is dropped when it lies within eq_tol * (1 + largest norm) of an
+    earlier kept point, judged by a plain double loop over direct distances.
+    """
+    pts = np.asarray(points, dtype=float)
+    threshold = eq_tol * (1.0 + float(np.max(np.linalg.norm(pts, axis=1))))
+    kept = []
+    for i in range(pts.shape[0]):
+        if not any(float(np.linalg.norm(pts[i] - pts[j])) <= threshold for j in kept):
+            kept.append(i)
+    return kept

@@ -104,7 +104,7 @@ def test_criterion_02_properness_and_double_projection():
     for family, x, _ in _psi_families(202, 200):
         operator_set = build_psi(reflectors_of(family))
         center = circumcenter_map(operator_set, x)
-        images = np.array([op(x) for op in operator_set.ops])
+        images = operator_set.images(x)
         hull = affine_hull(images)
         through = hull.project(operator_set.common_fixed.project(x))
         gap = np.linalg.norm(center - through)
@@ -223,7 +223,7 @@ def test_criterion_07_projection_sweep_is_reflector_average():
     psi = build_psi(reflectors_of(family))
     for case in range(100):
         x = 2.0 * rng.standard_normal(8)
-        averaged = sum(op(x) for op in psi.ops) / len(psi.ops)
+        averaged = psi.images(x).mean(axis=0)
         gap = np.linalg.norm(sweep.A @ x - averaged)
         assert gap <= 1e-10 * (1.0 + np.linalg.norm(x)), (
             f"case {case}: expansion identity off by {gap}"
@@ -289,7 +289,7 @@ def test_criterion_09_averaged_operator_rates():
         spec = AveragedSpec.uniform(len(reflectors))
         eye = identity(6)
 
-        flat = OperatorSet.build([eye, *reflectors])
+        flat = OperatorSet([eye, *reflectors])
         averaged = build_sum_averaged(spec, reflectors)
         rate = operator_rate(averaged, flat.common_fixed)
         if 0.3 <= rate <= 0.9995:
@@ -306,7 +306,7 @@ def test_criterion_09_averaged_operator_rates():
         for reflector in reflectors:
             running = compose(reflector, running)
             prefixes.append(running)
-        nested = OperatorSet.build(prefixes)
+        nested = OperatorSet(prefixes)
         averaged = build_product_averaged(spec, reflectors)
         rate = operator_rate(averaged, nested.common_fixed)
         if 0.3 <= rate <= 0.9995:
@@ -345,8 +345,8 @@ def test_criterion_10_equivariance_suite():
         family = random_family(rng, 4, 2, 1, 3)
         z = rng.standard_normal(4)
         x0 = 2.0 * unit_vector(rng, 4)
-        base_set = OperatorSet.build([identity(4), *reflectors_of(family)])
-        moved_set = OperatorSet.build([
+        base_set = OperatorSet([identity(4), *reflectors_of(family)])
+        moved_set = OperatorSet([
             identity(4),
             *(make_reflector(AffineSubspace.from_span(z, s.basis)) for s in family),
         ])

@@ -100,6 +100,19 @@ def test_parse_config_rejects_operators_outside_custom():
         parse_config(obj)
 
 
+@pytest.mark.parametrize("entry, key", [
+    ({"method": "map", "builder": "product"}, "builder"),
+    ({"method": "cim", "operator_set": "custom", "operators": [], "symmetrized": True},
+     "symmetrized"),
+    ({"method": "sym_map", "prefix": "none"}, "prefix"),
+], ids=["map_builder", "custom_symmetrized", "sym_map_prefix"])
+def test_parse_config_rejects_keys_the_recipe_does_not_read(entry, key):
+    obj = demo_config()
+    obj["methods"] = [entry]
+    with pytest.raises(ConfigError, match=rf"methods\[0\]\.{key}: unknown key"):
+        parse_config(obj)
+
+
 def test_parse_config_rejects_unknown_top_level_key(tmp_path, capsys):
     obj = demo_config()
     obj["max_iter"] = 3

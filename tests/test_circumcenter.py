@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
+    DEFAULT_TOL,
     AffineSubspace,
     NumericalPropernessError,
     OperatorSet,
@@ -18,8 +19,9 @@ from circumproj import (
     make_translation,
     shift_operator_set,
 )
+from circumproj.circumcenter import _distinct
 from helpers import random_family, reflectors_of, unit_vector
-from oracles import oracle_circumcenter
+from oracles import oracle_circumcenter, oracle_dedup
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
 LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
@@ -102,7 +104,7 @@ def test_circumcenter_scaling_and_translation_equivariance(seed):
 
 def test_circumcenter_map_frozen_pair_gives_projection():
     """C over {Id, R_U} is the midpoint of x and its reflection, i.e. P_U x."""
-    family = OperatorSet.build([identity(2), make_reflector(LINE_X)])
+    family = OperatorSet([identity(2), make_reflector(LINE_X)])
     assert family.contains_identity
     center = circumcenter_map(family, np.array([3.0, 4.0]))
     assert np.allclose(center, [3.0, 0.0], atol=1e-12)
@@ -110,38 +112,69 @@ def test_circumcenter_map_frozen_pair_gives_projection():
 
 def test_operator_set_rejects_fixed_point_free_and_disjoint_families():
     with pytest.raises(ValueError):
-        OperatorSet.build([make_translation([1.0, 0.0])])
+        OperatorSet([make_translation([1.0, 0.0])])
     shifted_up = make_reflector(AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]]))
     shifted_down = make_reflector(AffineSubspace.from_span([0.0, -1.0], [[1.0, 0.0]]))
     with pytest.raises(ValueError):
-        OperatorSet.build([shifted_up, shifted_down])
+        OperatorSet([shifted_up, shifted_down])
     with pytest.raises(ValueError):
-        OperatorSet.build([])
+        OperatorSet([])
+
+
+def test_operator_set_rejects_malformed_words():
+    reflector = make_reflector(LINE_X)
+    with pytest.raises(ValueError, match="prefix-closed"):
+        OperatorSet([reflector, reflector], words=((0, 1),))
+    with pytest.raises(ValueError, match="prefix-closed"):
+        OperatorSet([reflector, reflector], words=((0, 1), (0,)))
+    with pytest.raises(ValueError, match="outside range"):
+        OperatorSet([reflector], words=((1,),))
+    with pytest.raises(ValueError, match="outside range"):
+        OperatorSet([reflector], words=((), (-1,)))
+    with pytest.raises(ValueError, match="occur in no word"):
+        OperatorSet([reflector, make_reflector(LINE_DIAG)], words=((), (0,)))
+
+
+@given(st.integers(0, 10**6), st.integers(-6, 6))
+def test_dedup_keeps_the_oracle_representatives(seed, exponent):
+    """Pairs planted at half and twice the threshold, chains included, at
+    scales from 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    points = list(10.0 ** exponent * rng.standard_normal((int(rng.integers(1, 5)), dim)))
+    threshold = DEFAULT_TOL.eq_tol * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    for _ in range(int(rng.integers(1, 8))):
+        source = points[int(rng.integers(len(points)))]
+        factor = 0.5 if rng.integers(2) else 2.0
+        points.append(source + factor * threshold * unit_vector(rng, dim))
+    points = np.array(points)[rng.permutation(len(points))]
+    kept, diameter = _distinct(points, DEFAULT_TOL)
+    assert list(kept) == oracle_dedup(points, DEFAULT_TOL.eq_tol)
+    exact = max(float(np.linalg.norm(p - q)) for p in points for q in points)
+    # a distance read off the Gram matrix is exact to sqrt(eps) times the largest norm
+    largest = float(np.max(np.linalg.norm(points, axis=1)))
+    assert abs(diameter - exact) <= 1e-6 * (1.0 + largest)
 
 
 def test_operator_set_deduplicates_solver_entries():
     reflector = make_reflector(LINE_X)
-    family = OperatorSet.build([identity(2), reflector, make_reflector(LINE_X)])
-    assert len(family.ops) == 3
-    assert family.solve_indices == (0, 1), (
-        f"duplicate reflector should collapse for the solver, got {family.solve_indices}"
+    family = OperatorSet([identity(2), reflector, make_reflector(LINE_X)])
+    plain = OperatorSet([identity(2), reflector])
+    x = np.array([1.0, 2.0])
+    result = circumcenter(family.images(x))
+    assert len(result.coefficients) + 1 == 2, (
+        f"duplicate reflector should collapse for the solver, got {result.coefficients}"
     )
     # the duplicate does not change the circumcenter
-    plain = OperatorSet.build([identity(2), reflector])
-    x = np.array([1.0, 2.0])
-    assert np.allclose(circumcenter_map(family, x), circumcenter_map(plain, x))
+    assert np.allclose(result.center, circumcenter(plain.images(x)).center)
 
 
 def test_build_psi_frozen_order_and_size():
     reflectors = reflectors_of([LINE_X, LINE_DIAG])
     family = build_psi(reflectors)
-    assert len(family) == 4
     assert family.contains_identity
-    assert np.allclose(family.ops[0].Q, np.eye(2), atol=1e-12)
-    assert np.allclose(family.ops[1].Q, reflectors[0].Q, atol=1e-12)
-    assert np.allclose(family.ops[2].Q, reflectors[1].Q, atol=1e-12)
-    assert np.allclose(family.ops[3].Q, reflectors[1].Q @ reflectors[0].Q, atol=1e-12), (
-        "the pair product must apply the lower index first"
+    assert family.words == ((), (0,), (1,), (0, 1)), (
+        "words run by size, then lexicographically; the pair applies the lower index first"
     )
 
 
@@ -157,19 +190,18 @@ def test_build_psi_rejects_bad_inputs():
         build_psi(many)
 
 
-def test_numerical_properness_error_carries_diagnostics():
+def test_numerical_properness_error_carries_diagnostics(monkeypatch):
     """Collinear unequal images have no circumcenter; the mapping must say so.
 
-    A family of translations never passes OperatorSet.build, so the guard is
-    exercised by constructing the set directly, the way a corrupted cache
-    would look.
+    A family of isometries with a common fixed point never has such images,
+    so the guard is exercised by rigging the images, the way a corrupted
+    family would look.
     """
-    ops = (identity(1), make_translation([1.0]), make_translation([3.0]))
-    rigged = OperatorSet(ops=ops, contains_identity=True,
-                         common_fixed=AffineSubspace.point([0.0]),
-                         solve_indices=(0, 1, 2))
+    family = OperatorSet([identity(1)])
+    monkeypatch.setattr(OperatorSet, "images",
+                        lambda self, x: np.array([[0.0], [1.0], [3.0]]))
     with pytest.raises(NumericalPropernessError) as excinfo:
-        circumcenter_map(rigged, np.array([0.0]))
+        circumcenter_map(family, np.array([0.0]))
     assert excinfo.value.spread > 0.1
 
 
@@ -181,7 +213,7 @@ def test_circumcenter_map_is_proper_for_reflector_families(seed):
     operator_set = build_psi(reflectors_of(family))
     x = 2.0 * rng.standard_normal(4)
     center = circumcenter_map(operator_set, x)
-    images = np.array([op(x) for op in operator_set.ops])
+    images = operator_set.images(x)
     dists = np.linalg.norm(images - center, axis=1)
     assert float(dists.max() - dists.min()) < 1e-8 * (1.0 + float(dists.max()))
 
@@ -193,13 +225,35 @@ def test_circumcenter_map_translation_identity(seed):
     linear_family = random_family(rng, 4, 2, 1, 3)
     z = rng.standard_normal(4)
     anchored = [AffineSubspace.from_span(z + s.anchor, s.basis) for s in linear_family]
-    operator_set = OperatorSet.build([make_reflector(s) for s in anchored])
+    operator_set = OperatorSet([make_reflector(s) for s in anchored])
     assert operator_set.common_fixed.contains(z)
     shifted = shift_operator_set(operator_set, z)
     x = rng.standard_normal(4) * 2.0
     direct = circumcenter_map(operator_set, x)
     via_shift = z + circumcenter_map(shifted, x - z)
     assert np.allclose(direct, via_shift, atol=1e-8 * (1.0 + np.linalg.norm(x)))
+
+
+def test_shifted_family_images_equal_dense_products():
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal(4)
+    anchored = [AffineSubspace.from_span(z + s.anchor, s.basis)
+                for s in random_family(rng, 4, 3, 1, 3)]
+    reflectors = reflectors_of(anchored)
+    words = ((), (0,), (1,), (0, 1), (2,), (0, 2), (0, 1, 2))
+    family = OperatorSet(reflectors, words)
+    dense = []
+    for word in words:
+        product = identity(4)
+        for i in word:
+            product = compose(reflectors[i], product)
+        dense.append(product)
+    shifted = shift_operator_set(family, z)
+    assert shifted.words == words
+    y = 2.0 * rng.standard_normal(4)
+    assert np.allclose(family.images(y), [op(y) for op in dense], rtol=0.0, atol=1e-12)
+    assert np.allclose(shifted.images(y), [op(y + z) - z for op in dense],
+                       rtol=0.0, atol=1e-12)
 
 
 def test_shift_operator_set_rejects_non_fixed_point():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -137,3 +142,17 @@ def test_min_norm_solve_picks_smallest_solution(seed):
         if np.linalg.norm(shift) < 1e-12:
             continue
         assert np.linalg.norm(solution) <= np.linalg.norm(solution + shift) + 1e-10
+
+
+def test_demo_run_loads_one_blas():
+    # numpy and scipy each bundle a BLAS with its own thread pool; calls
+    # alternating between the two stall on each other's spinning threads,
+    # so a run must not load scipy.linalg
+    code = ("import sys, circumproj\n"
+            "config = circumproj.parse_config(circumproj.demo_config())\n"
+            "circumproj.run_experiment(config, write=False)\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was loaded'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr

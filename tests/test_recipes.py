@@ -3,12 +3,18 @@
 Each case runs one method entry on one seeded instance (three linear
 subspaces in R^4) through ``run_experiment`` and recomputes the same trace
 and the same audited constant directly from the library calls. The two must
-agree to 1e-12, and the constant name and default label are pinned.
+agree to 1e-12, and the constant name and default label are pinned. The
+families of the circumcentered recipes are checked against dense products
+composed here, and the symmetrized family's construction cost is pinned.
 """
+
+import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from circumproj import isometry
 from circumproj import (
     AveragedSpec,
     OperatorSet,
@@ -41,6 +47,17 @@ CUSTOM_OPERATORS = (
     {"kind": "reflector", "subspace": {"span": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}},
     {"kind": "reflector", "subspace": {"span": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]}},
 )
+
+
+def _config(entry, num_subspaces=3, ambient_dim=4):
+    return parse_config({
+        "name": "recipe",
+        "ambient_dim": ambient_dim,
+        "max_iters": MAX_ITERS,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": num_subspaces,
+                      "dim_range": [1, 3], "seed": SEED},
+        "methods": [entry],
+    })
 
 
 def _instance():
@@ -98,7 +115,7 @@ def _direct_cim_psi_prefixed(subspaces, x0):
 
 def _direct_cim_identity_plus_reflectors(subspaces, x0):
     reflectors = _family(subspaces, False)
-    operator_set = OperatorSet.build([identity(4)] + reflectors)
+    operator_set = OperatorSet([identity(4)] + reflectors)
     avg = build_sum_averaged(AveragedSpec.uniform(len(reflectors)), reflectors)
     rate = operator_rate(avg, operator_set.common_fixed)
     return _cim(operator_set, x0), rate, {"operator_rate": rate}
@@ -109,7 +126,7 @@ def _direct_cim_identity_plus_prefix_products(subspaces, x0):
     ops = [identity(4)]
     for reflector in reflectors:
         ops.append(compose(reflector, ops[-1]))
-    operator_set = OperatorSet.build(ops)
+    operator_set = OperatorSet(ops)
     avg = build_product_averaged(AveragedSpec.uniform(len(reflectors)), reflectors)
     rate = operator_rate(avg, operator_set.common_fixed)
     return _cim(operator_set, x0), rate, {"operator_rate": rate}
@@ -117,7 +134,7 @@ def _direct_cim_identity_plus_prefix_products(subspaces, x0):
 
 def _direct_cim_custom(subspaces, x0):
     ops = [operator_from_literal(lit) for lit in CUSTOM_OPERATORS]
-    return _cim(OperatorSet.build(ops), x0), None, None
+    return _cim(OperatorSet(ops), x0), None, None
 
 
 def _direct_sym_map(subspaces, x0):
@@ -182,15 +199,7 @@ ROWS = [
 @pytest.mark.parametrize("entry, label, constant_name, direct", ROWS,
                          ids=[row[1][3:] for row in ROWS])
 def test_recipe_matches_direct_library_calls(entry, label, constant_name, direct):
-    config = parse_config({
-        "name": "recipe",
-        "ambient_dim": 4,
-        "max_iters": MAX_ITERS,
-        "instances": {"kind": "random", "count": 1, "num_subspaces": 3,
-                      "dim_range": [1, 3], "seed": SEED},
-        "methods": [entry],
-    })
-    outcome = run_experiment(config, write=False).instances[0].methods[0]
+    outcome = run_experiment(_config(entry), write=False).instances[0].methods[0]
     subspaces, x0 = _instance()
     (iterates, errors), rate, ingredients = direct(subspaces, x0)
 
@@ -206,3 +215,69 @@ def test_recipe_matches_direct_library_calls(entry, label, constant_name, direct
     assert sorted(report.ingredients) == sorted(ingredients)
     for key, value in ingredients.items():
         assert abs(report.ingredients[key] - value) <= 1e-12, key
+
+
+def _subsets(count):
+    return [c for size in range(count + 1) for c in combinations(range(count), size)]
+
+
+# (methods entry, whether the reflectors run as a palindrome, the index lists
+# of the reflector products the family holds, in order, first index acting first)
+FAMILIES = [
+    ({"method": "cim", "operator_set": "psi"}, False, _subsets),
+    ({"method": "cim", "operator_set": "psi", "symmetrized": True}, True, _subsets),
+    ({"method": "cim", "operator_set": "identity_plus_reflectors"}, False,
+     lambda count: [()] + [(i,) for i in range(count)]),
+    ({"method": "cim", "operator_set": "identity_plus_prefix_products"}, False,
+     lambda count: [tuple(range(i)) for i in range(count + 1)]),
+]
+
+
+@pytest.mark.parametrize("entry, symmetrized, index_lists", FAMILIES,
+                         ids=["psi", "psi_sym", "identity_plus_reflectors",
+                              "identity_plus_prefix_products"])
+def test_recipe_family_images_equal_dense_products(monkeypatch, entry, symmetrized,
+                                                   index_lists):
+    families = []
+
+    def capture(operator_set, *args, **kwargs):
+        families.append(operator_set)
+        return run_cim(operator_set, *args, **kwargs)
+
+    monkeypatch.setattr("circumproj.bench.run_cim", capture)
+    run_experiment(_config(entry), write=False)
+    subspaces, _ = _instance()
+    reflectors = _family(subspaces, symmetrized)
+    dense = []
+    for indices in index_lists(len(reflectors)):
+        product = identity(4)
+        for i in indices:
+            product = compose(reflectors[i], product)
+        dense.append(product)
+    x = 2.0 * np.random.default_rng(SEED).standard_normal(4)
+    assert np.allclose(families[0].images(x), [op(x) for op in dense], rtol=0.0, atol=1e-12)
+
+
+def test_symmetrized_psi_recipe_forms_no_products(monkeypatch):
+    """The symmetrized family of 5 subspaces has 2^9 members, yet its recipe
+    needs one fixed point set per distinct reflector and no composition."""
+    calls = {"fixed_point_set": [], "compose": []}
+    for name, log in calls.items():
+        original = getattr(isometry, name)
+
+        def counting(*args, _original=original, _log=log, **kwargs):
+            _log.append(args[0])
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "circumproj" or module_name.startswith("circumproj."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    entry = {"method": "cim", "operator_set": "psi", "symmetrized": True}
+    run_experiment(_config(entry, num_subspaces=5, ambient_dim=8), write=False)
+    fixed_args = calls["fixed_point_set"]
+    assert len({id(op) for op in fixed_args}) == len(fixed_args) <= 5, (
+        f"{len(fixed_args)} fixed point sets for 5 reflectors"
+    )
+    assert calls["compose"] == []
