@@ -36,6 +36,7 @@ from .isometry import (
     operator_from_literal,
 )
 from .methods import (
+    METHOD_TAGS,
     IterationTrace,
     MethodConfig,
     dr_operator,
@@ -53,7 +54,7 @@ from .rates import (
     operator_rate,
     tuple_angle_cos,
 )
-from .subspace import AffineSubspace, intersect, subspace_from_literal
+from .subspace import AffineSubspace, Intersection, intersect, subspace_from_literal
 
 __all__ = [
     "ConfigError",
@@ -335,6 +336,16 @@ def generate_instance(ambient_dim: int, num_subspaces: int, dim_range,
     Consuming order per try: dimensions, then one Gaussian matrix per
     subspace, then the start point.
     """
+    subspaces, x0, _ = _draw_instance(ambient_dim, num_subspaces, dim_range, rng,
+                                      min_offset, max_tries, tol)
+    return subspaces, x0
+
+
+def _draw_instance(ambient_dim: int, num_subspaces: int, dim_range,
+                   rng: np.random.Generator, min_offset: float = 0.1,
+                   max_tries: int = 100, tol: Tolerance = DEFAULT_TOL):
+    """:func:`generate_instance`, also returning the intersection the start
+    was checked against."""
     lo, hi = int(dim_range[0]), int(dim_range[1])
     if not 1 <= lo <= hi <= ambient_dim:
         raise ValueError("need 1 <= low <= high <= ambient_dim in dim_range")
@@ -351,7 +362,7 @@ def generate_instance(ambient_dim: int, num_subspaces: int, dim_range,
             continue
         offset = float(np.linalg.norm(x0 - inter.subspace.project(x0)))
         if offset > min_offset:
-            return subspaces, x0
+            return subspaces, x0, inter
     raise RuntimeError(
         f"failed to draw a nondegenerate instance in {max_tries} tries; "
         "the requested dimensions leave no room between start and intersection"
@@ -376,10 +387,12 @@ class _MethodPlan:
 
 @dataclass(eq=False)
 class _Instance:
-    """One instance and the parts its recipes share, each computed once."""
+    """One instance and the parts its recipes share, each computed once.
+    ``inter`` is the intersection of the subspaces, computed on resolution."""
 
     subspaces: list
     x0: np.ndarray
+    inter: Intersection
     tol: Tolerance
 
     @cached_property
@@ -392,7 +405,7 @@ class _Instance:
 
     @cached_property
     def tuple_cos(self) -> float:
-        return tuple_angle_cos(self.subspaces, self.tol)
+        return tuple_angle_cos(self.subspaces, self.tol, fixed=self.inter.subspace)
 
     @cached_property
     def sym_op(self) -> AffineMap:
@@ -417,7 +430,8 @@ def _linear_plan(constant_name: str, op: AffineMap, fixed: AffineSubspace,
 def _plan_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     gamma = ctx.tuple_cos
     return _MethodPlan("cyclic_projection_tuple_rate", gamma, {"tuple_angle_cos": gamma},
-                       lambda config: run_map(ctx.subspaces, ctx.x0, config, ctx.tol))
+                       lambda config: run_map(ctx.subspaces, ctx.x0, config, ctx.tol,
+                                              fixed=ctx.inter.subspace))
 
 
 def _plan_sym_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -503,7 +517,6 @@ _RECIPES = {
     ("averaged_iter", "product"): (_plan_averaged_iter, ()),
 }
 
-METHOD_TAGS = tuple(dict.fromkeys(method for method, _ in _RECIPES))
 OPERATOR_SET_RECIPES = tuple(variant for method, variant in _RECIPES if method == "cim")
 BUILDER_KINDS = tuple(variant for method, variant in _RECIPES if method == "averaged_iter")
 METHOD_KEYS = tuple(dict.fromkeys(("method", "label", "max_iters", *_VARIANT_KEYS.values(),
@@ -637,6 +650,7 @@ def _resolve_x0(spec: X0Spec, ambient_dim: int, instance_index: int) -> np.ndarr
 
 
 def _resolve_instances(config: ExperimentConfig, tol: Tolerance):
+    """(label, subspaces, x0, intersection, product_fixed_line) per instance."""
     resolved = []
     if config.explicit_items is not None:
         for i, item in enumerate(config.explicit_items):
@@ -655,14 +669,15 @@ def _resolve_instances(config: ExperimentConfig, tol: Tolerance):
                     )
                 subspaces.append(s)
             x0 = _resolve_x0(item.x0 or config.x0, config.ambient_dim, i)
-            resolved.append((item.label, subspaces, x0, item.product_fixed_line))
+            resolved.append((item.label, subspaces, x0, intersect(subspaces, tol),
+                             item.product_fixed_line))
     else:
         spec = config.random_instances
         for i in range(spec.count):
             rng = np.random.default_rng((spec.seed, i))
-            subspaces, x0 = generate_instance(config.ambient_dim, spec.num_subspaces,
-                                              spec.dim_range, rng, tol=tol)
-            resolved.append((f"random_{i:03d}", subspaces, x0, None))
+            subspaces, x0, inter = _draw_instance(config.ambient_dim, spec.num_subspaces,
+                                                  spec.dim_range, rng, tol=tol)
+            resolved.append((f"random_{i:03d}", subspaces, x0, inter, None))
     return resolved
 
 
@@ -717,10 +732,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     outcomes = []
-    for label, subspaces, x0, fixed_line in _resolve_instances(config, tol):
-        method_outcomes = _run_methods(config, _Instance(subspaces, x0, tol))
+    for label, subspaces, x0, inter, fixed_line in _resolve_instances(config, tol):
+        method_outcomes = _run_methods(config, _Instance(subspaces, x0, inter, tol))
         checks = [] if fixed_line is None else [_product_fixed_line_check(subspaces, fixed_line, tol)]
-        inter = intersect(subspaces, tol)
         outcomes.append(InstanceOutcome(
             label=label,
             ambient_dim=config.ambient_dim,
@@ -765,8 +779,8 @@ def compute_rates(config: ExperimentConfig, tol: Tolerance = DEFAULT_TOL) -> lis
     iteration needs.
     """
     rows = []
-    for label, subspaces, x0, _ in _resolve_instances(config, tol):
-        ctx = _Instance(subspaces, x0, tol)
+    for label, subspaces, x0, inter, _ in _resolve_instances(config, tol):
+        ctx = _Instance(subspaces, x0, inter, tol)
         for m_index, spec in enumerate(config.methods):
             plan = _plan_method(spec, ctx)
             rows.append({

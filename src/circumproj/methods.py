@@ -183,15 +183,22 @@ def run_cim(operator_set: OperatorSet, x0, config: MethodConfig,
 
 
 def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
-            tol: Tolerance = DEFAULT_TOL) -> IterationTrace:
-    """Cyclic projections; one trace step is one full sweep through the list."""
+            tol: Tolerance = DEFAULT_TOL,
+            fixed: Optional[AffineSubspace] = None) -> IterationTrace:
+    """Cyclic projections; one trace step is one full sweep through the list.
+
+    ``fixed`` is the intersection of the subspaces when the caller already
+    has it; without it the intersection is computed here.
+    """
     x0 = as_vector(x0)
-    inter = intersect(subspaces, tol)
-    if inter.is_empty:
-        raise ValueError(
-            f"subspaces have empty intersection, residual {inter.residual:.3e}"
-        )
-    target = inter.subspace.project(x0)
+    if fixed is None:
+        inter = intersect(subspaces, tol)
+        if inter.is_empty:
+            raise ValueError(
+                f"subspaces have empty intersection, residual {inter.residual:.3e}"
+            )
+        fixed = inter.subspace
+    target = fixed.project(x0)
 
     def sweep(x: np.ndarray) -> np.ndarray:
         for s in subspaces:

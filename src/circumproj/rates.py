@@ -100,18 +100,20 @@ def friedrichs_cos(first: AffineSubspace, second: AffineSubspace,
 
 
 def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
-                    tol: Tolerance = DEFAULT_TOL) -> float:
+                    tol: Tolerance = DEFAULT_TOL,
+                    fixed: Optional[AffineSubspace] = None) -> float:
     """Norm of the cyclic projection product restricted off the intersection.
 
     For a single subspace this is 0; for two it agrees with the Friedrichs
-    cosine.
+    cosine. ``fixed`` may pass the intersection of the subspaces.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
     _require_linear(subspaces, tol)
-    inter = intersect(subspaces, tol)
+    if fixed is None:
+        fixed = intersect(subspaces, tol).subspace
     n = subspaces[0].ambient_dim
-    product = np.eye(n) - inter.subspace.projector_matrix()
+    product = np.eye(n) - fixed.projector_matrix()
     for s in subspaces:
         product = s.projector_matrix() @ product
     return spectral_norm(product)

@@ -1,5 +1,6 @@
 """Config parsing, experiment harness, and command line behavior."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -300,6 +301,25 @@ def test_compute_rates_builds_no_circumcentered_family(monkeypatch):
 def test_shipped_demo_config_matches_builtin():
     shipped = (REPO_ROOT / "configs" / "demo.json").read_text()
     assert shipped == json.dumps(demo_config(), indent=1, sort_keys=True) + "\n"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_artifact_digest_of_demo_is_stable(fmt, capsys):
+    script = _load_script("artifact_digest")
+    demo = REPO_ROOT / "configs" / "demo.json"
+    first = script.artifact_digest(demo, fmt)
+    assert script.main([str(demo), "--format", fmt]) == 0
+    assert capsys.readouterr().out == f"{first}  {demo}\n"
+    assert len(first) == 64
+    other = "json" if fmt == "csv" else "csv"
+    assert script.artifact_digest(demo, other) != first
 
 
 # command line

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from circumproj import isometry
+from circumproj import bench, isometry, methods
 from circumproj import (
     AveragedSpec,
     OperatorSet,
@@ -281,3 +281,9 @@ def test_symmetrized_psi_recipe_forms_no_products(monkeypatch):
         f"{len(fixed_args)} fixed point sets for 5 reflectors"
     )
     assert calls["compose"] == []
+
+
+def test_method_tags_have_one_source():
+    """The parser's method tags are the drivers' tags, in the recipe table's order."""
+    assert bench.METHOD_TAGS is methods.METHOD_TAGS
+    assert tuple(dict.fromkeys(method for method, _ in bench._RECIPES)) == methods.METHOD_TAGS

@@ -1,0 +1,151 @@
+"""Each instance's intersection is computed once and shared.
+
+The resolver computes ``intersect`` of an instance's subspaces; the cyclic
+projection driver, the tuple rate and the report reuse it. The counting
+tests rebind ``intersect`` in every circumproj module that imports it. The
+sharing must not move a byte: ``run_map`` and ``tuple_angle_cos`` given the
+intersection agree exactly with the calls that compute it themselves, and
+their error paths are unchanged.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from circumproj import (
+    AffineSubspace,
+    MethodConfig,
+    compute_rates,
+    generate_instance,
+    intersect,
+    parse_config,
+    run_experiment,
+    run_map,
+    subspace,
+    tuple_angle_cos,
+)
+
+LINEAR_METHODS = (
+    {"method": "map"},
+    {"method": "sym_map"},
+    {"method": "accel_map"},
+    {"method": "dr"},
+    {"method": "averaged_iter", "builder": "sum"},
+    {"method": "averaged_iter", "builder": "product"},
+)
+
+
+def _count_intersect(monkeypatch) -> list:
+    """Rebind ``intersect`` wherever circumproj imported it; returns the
+    log of the subspace lists it was called with."""
+    calls = []
+    original = subspace.intersect
+
+    def counting(subspaces, *args, **kwargs):
+        calls.append(list(subspaces))
+        return original(subspaces, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "circumproj" or module_name.startswith("circumproj."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _random_config():
+    return parse_config({
+        "name": "shared",
+        "ambient_dim": 8,
+        "max_iters": 8,
+        "instances": {"kind": "random", "count": 3, "num_subspaces": 3,
+                      "dim_range": [4, 6], "seed": 31},
+        "methods": [dict(m) for m in LINEAR_METHODS],
+    })
+
+
+def _explicit_config():
+    return parse_config({
+        "name": "shared_explicit",
+        "ambient_dim": 3,
+        "max_iters": 8,
+        "x0": {"kind": "explicit", "point": [0.3, -1.0, 2.0]},
+        "instances": {"kind": "explicit", "items": [
+            {"label": "two_planes", "subspaces": [
+                {"span": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+                {"span": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]},
+            ]},
+            {"label": "plane_and_line", "subspaces": [
+                {"span": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+                {"span": [[1.0, 2.0, 0.0]]},
+                {"span": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            ]},
+        ]},
+        "methods": [dict(m) for m in LINEAR_METHODS],
+    })
+
+
+@pytest.mark.parametrize("make_config", [_random_config, _explicit_config],
+                         ids=["random", "explicit"])
+def test_run_experiment_intersects_once_per_instance(monkeypatch, make_config):
+    config = make_config()
+    calls = _count_intersect(monkeypatch)
+    report = run_experiment(config, write=False)
+    assert len(report.instances) in (2, 3)
+    assert len(calls) == len(report.instances), (
+        f"{len(calls)} intersections for {len(report.instances)} instances")
+    for instance, subspaces in zip(report.instances, calls):
+        assert instance.intersection_dim == intersect(subspaces).subspace.dim
+
+
+@pytest.mark.parametrize("make_config", [_random_config, _explicit_config],
+                         ids=["random", "explicit"])
+def test_compute_rates_intersects_once_per_instance(monkeypatch, make_config):
+    config = make_config()
+    calls = _count_intersect(monkeypatch)
+    rows = compute_rates(config)
+    instances = len({row["instance"] for row in rows})
+    assert len(calls) == instances
+
+
+def _shifted(subspaces, z):
+    return [s.translate(z) for s in subspaces]
+
+
+@pytest.mark.parametrize("ambient_dim", [4, 7, 12, 20, 30])
+def test_shared_intersection_changes_no_byte(ambient_dim):
+    rng = np.random.default_rng((ambient_dim, 17))
+    config = MethodConfig(method="map", max_iters=25)
+    for num_subspaces in (2, 3, 5):
+        subspaces, x0 = generate_instance(ambient_dim, num_subspaces,
+                                          (ambient_dim // 2, ambient_dim - 1), rng)
+        inter = intersect(subspaces)
+        assert tuple_angle_cos(subspaces, fixed=inter.subspace) == tuple_angle_cos(subspaces)
+        z = rng.standard_normal(ambient_dim)
+        for family in (subspaces, _shifted(subspaces, z)):
+            fixed = intersect(family).subspace
+            shared = run_map(family, x0, config, fixed=fixed)
+            assert shared.to_json() == run_map(family, x0, config).to_json()
+
+
+def test_run_map_without_intersection_still_raises():
+    lines = [AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]]),
+             AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])]
+    with pytest.raises(ValueError, match="subspaces have empty intersection"):
+        run_map(lines, [0.5, 2.0], MethodConfig(method="map", max_iters=3))
+
+
+def test_affine_instance_still_rejected_by_rate_constants():
+    config = parse_config({
+        "name": "affine",
+        "ambient_dim": 2,
+        "max_iters": 4,
+        "instances": {"kind": "explicit", "items": [{"label": "through_1_1", "subspaces": [
+            {"anchor": [1.0, 1.0], "span": [[1.0, 0.0]]},
+            {"anchor": [1.0, 1.0], "span": [[1.0, 1.0]]},
+        ]}]},
+        "methods": [{"method": "map"}],
+    })
+    with pytest.raises(ValueError, match="rate constants are defined for linear subspaces"):
+        run_experiment(config, write=False)
