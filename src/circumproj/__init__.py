@@ -8,153 +8,19 @@ bound against observed iterates.
 
 __version__ = "0.1.0"
 
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    as_vector,
-    complement_basis,
-    min_norm_solve,
-    orthonormal_basis,
-    spectral_norm,
-    sym_eigen_extremes,
-)
-from .subspace import (
-    AffineSubspace,
-    Intersection,
-    affine_hull,
-    intersect,
-    subspace_from_literal,
-)
-from .isometry import (
-    AffineIsometry,
-    AffineMap,
-    AveragedSpec,
-    accelerated_apply,
-    build_product_averaged,
-    build_sum_averaged,
-    compose,
-    fixed_point_set,
-    identity,
-    is_nonexpansive,
-    is_normal,
-    is_self_adjoint,
-    linearize_about,
-    make_orthogonal,
-    make_reflector,
-    make_translation,
-    operator_from_literal,
-)
-from .circumcenter import (
-    PSI_PRODUCT_LIMIT,
-    CircumcenterResult,
-    NumericalPropernessError,
-    OperatorSet,
-    build_psi,
-    circumcenter,
-    circumcenter_map,
-    shift_operator_set,
-)
-from .methods import (
-    METHOD_TAGS,
-    IterationTrace,
-    MethodConfig,
-    dr_operator,
-    map_operator,
-    run_blockwise_cim,
-    run_cim,
-    run_linear,
-    run_map,
-    symmetric_map_operator,
-)
-from .rates import (
-    AUDIT_TOL,
-    AccelConstants,
-    RateReport,
-    accel_constants,
-    audit_bound,
-    friedrichs_cos,
-    operator_rate,
-    tuple_angle_cos,
-)
-from .bench import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentReport,
-    compute_rates,
-    demo_config,
-    generate_instance,
-    load_config,
-    parse_config,
-    run_experiment,
-)
+# The modules are bound before the star imports: after them,
+# ``from . import circumcenter`` would return the exported function of that
+# name instead of the module.
+from . import numerics as _numerics, subspace as _subspace, isometry as _isometry
+from . import circumcenter as _circumcenter, methods as _methods, rates as _rates
+from . import bench as _bench
+from .numerics import *
+from .subspace import *
+from .isometry import *
+from .circumcenter import *
+from .methods import *
+from .rates import *
+from .bench import *
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TOL",
-    "Tolerance",
-    "as_matrix",
-    "as_vector",
-    "complement_basis",
-    "min_norm_solve",
-    "orthonormal_basis",
-    "spectral_norm",
-    "sym_eigen_extremes",
-    "AffineSubspace",
-    "Intersection",
-    "affine_hull",
-    "intersect",
-    "subspace_from_literal",
-    "AffineIsometry",
-    "AffineMap",
-    "AveragedSpec",
-    "accelerated_apply",
-    "build_product_averaged",
-    "build_sum_averaged",
-    "compose",
-    "fixed_point_set",
-    "identity",
-    "is_nonexpansive",
-    "is_normal",
-    "is_self_adjoint",
-    "linearize_about",
-    "make_orthogonal",
-    "make_reflector",
-    "make_translation",
-    "operator_from_literal",
-    "PSI_PRODUCT_LIMIT",
-    "CircumcenterResult",
-    "NumericalPropernessError",
-    "OperatorSet",
-    "build_psi",
-    "circumcenter",
-    "circumcenter_map",
-    "shift_operator_set",
-    "METHOD_TAGS",
-    "IterationTrace",
-    "MethodConfig",
-    "dr_operator",
-    "map_operator",
-    "run_blockwise_cim",
-    "run_cim",
-    "run_linear",
-    "run_map",
-    "symmetric_map_operator",
-    "AUDIT_TOL",
-    "AccelConstants",
-    "RateReport",
-    "accel_constants",
-    "audit_bound",
-    "friedrichs_cos",
-    "operator_rate",
-    "tuple_angle_cos",
-    "ConfigError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "compute_rates",
-    "demo_config",
-    "generate_instance",
-    "load_config",
-    "parse_config",
-    "run_experiment",
-]
+__all__ = ["__version__", *_numerics.__all__, *_subspace.__all__, *_isometry.__all__,
+           *_circumcenter.__all__, *_methods.__all__, *_rates.__all__, *_bench.__all__]

@@ -323,33 +323,27 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(obj, source=str(path))
 
 
+_MIN_OFFSET = 0.1
+_MAX_TRIES = 100
+
+
 def generate_instance(ambient_dim: int, num_subspaces: int, dim_range,
-                      rng: np.random.Generator, min_offset: float = 0.1,
-                      max_tries: int = 100,
-                      tol: Tolerance = DEFAULT_TOL):
+                      rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL):
     """Draw random linear subspaces and a unit start point.
 
-    Subspace bases are orthonormalized Gaussian draws with dimensions from
-    ``dim_range`` inclusive; the start point is uniform on the unit sphere.
-    Draws whose start lies closer than ``min_offset`` to the intersection
-    are retried, and after ``max_tries`` failures an error is raised.
-    Consuming order per try: dimensions, then one Gaussian matrix per
-    subspace, then the start point.
+    Returns ``(subspaces, x0, intersection)``, the intersection being the
+    one the start was checked against. Subspace bases are orthonormalized
+    Gaussian draws with dimensions from ``dim_range`` inclusive; the start
+    point is uniform on the unit sphere. Draws whose start lies within
+    ``_MIN_OFFSET`` = 0.1 of the intersection are retried, and after
+    ``_MAX_TRIES`` = 100 failures an error is raised. Consuming order per
+    try: dimensions, then one Gaussian matrix per subspace, then the start
+    point.
     """
-    subspaces, x0, _ = _draw_instance(ambient_dim, num_subspaces, dim_range, rng,
-                                      min_offset, max_tries, tol)
-    return subspaces, x0
-
-
-def _draw_instance(ambient_dim: int, num_subspaces: int, dim_range,
-                   rng: np.random.Generator, min_offset: float = 0.1,
-                   max_tries: int = 100, tol: Tolerance = DEFAULT_TOL):
-    """:func:`generate_instance`, also returning the intersection the start
-    was checked against."""
     lo, hi = int(dim_range[0]), int(dim_range[1])
     if not 1 <= lo <= hi <= ambient_dim:
         raise ValueError("need 1 <= low <= high <= ambient_dim in dim_range")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         dims = rng.integers(lo, hi + 1, size=num_subspaces)
         subspaces = [
             AffineSubspace.linear(rng.standard_normal((int(d), ambient_dim)), tol=tol)
@@ -361,10 +355,10 @@ def _draw_instance(ambient_dim: int, num_subspaces: int, dim_range,
         if inter.is_empty:
             continue
         offset = float(np.linalg.norm(x0 - inter.subspace.project(x0)))
-        if offset > min_offset:
+        if offset > _MIN_OFFSET:
             return subspaces, x0, inter
     raise RuntimeError(
-        f"failed to draw a nondegenerate instance in {max_tries} tries; "
+        f"failed to draw a nondegenerate instance in {_MAX_TRIES} tries; "
         "the requested dimensions leave no room between start and intersection"
     )
 
@@ -675,8 +669,8 @@ def _resolve_instances(config: ExperimentConfig, tol: Tolerance):
         spec = config.random_instances
         for i in range(spec.count):
             rng = np.random.default_rng((spec.seed, i))
-            subspaces, x0, inter = _draw_instance(config.ambient_dim, spec.num_subspaces,
-                                                  spec.dim_range, rng, tol=tol)
+            subspaces, x0, inter = generate_instance(config.ambient_dim, spec.num_subspaces,
+                                                     spec.dim_range, rng, tol)
             resolved.append((f"random_{i:03d}", subspaces, x0, inter, None))
     return resolved
 

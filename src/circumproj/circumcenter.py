@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineIsometry, fixed_point_set, linearize_about
+from .isometry import AffineIsometry, fixed_point_set
 from .numerics import DEFAULT_TOL, Tolerance, as_vector, min_norm_solve, orthonormal_basis
 from .subspace import AffineSubspace, intersect
 
@@ -25,7 +25,6 @@ __all__ = [
     "OperatorSet",
     "circumcenter",
     "circumcenter_map",
-    "shift_operator_set",
     "build_psi",
     "PSI_PRODUCT_LIMIT",
 ]
@@ -134,14 +133,6 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
     return CircumcenterResult(None, alpha, spread, hull_residual)
 
 
-def _is_identity(op: AffineIsometry, tol: Tolerance) -> bool:
-    n = op.ambient_dim
-    return (
-        float(np.max(np.abs(op.Q - np.eye(n)))) <= tol.eq_tol
-        and float(np.max(np.abs(op.b))) <= tol.eq_tol
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """A finite family of affine isometries, written as words over generators.
@@ -156,16 +147,14 @@ class OperatorSet:
     Construction computes one fixed point set per distinct generator object
     and intersects them into ``common_fixed``, which for prefix-closed words
     is the common fixed set of the whole family; it fails when a generator
-    has no fixed point or the generators share none. ``contains_identity``
-    holds when some word has identity generators only, the empty word
-    included. No product is ever formed.
+    has no fixed point or the generators share none. No product is ever
+    formed.
     """
 
     generators: tuple
     words: Optional[tuple] = None
     tol: InitVar[Tolerance] = DEFAULT_TOL
     common_fixed: AffineSubspace = field(init=False)
-    contains_identity: bool = field(init=False)
 
     def __post_init__(self, tol: Tolerance) -> None:
         generators = tuple(self.generators)
@@ -198,12 +187,9 @@ class OperatorSet:
             raise ValueError(
                 f"operators share no common fixed point, residual {common.residual:.3e}"
             )
-        identities = [_is_identity(op, tol) for op in generators]
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "common_fixed", common.subspace)
-        object.__setattr__(self, "contains_identity",
-                           any(all(identities[i] for i in word) for word in words))
 
     def images(self, x) -> np.ndarray:
         """The images of x under the words, one row per word in order; each
@@ -227,21 +213,6 @@ def circumcenter_map(operator_set: OperatorSet, x,
     if result.center is None:
         raise NumericalPropernessError(result.equidistance_spread, result.hull_residual)
     return result.center
-
-
-def shift_operator_set(operator_set: OperatorSet, z,
-                       tol: Tolerance = DEFAULT_TOL) -> OperatorSet:
-    """Conjugate every generator by the translation taking z to the origin.
-
-    Requires z to lie in the common fixed set. The shifted family has the
-    same words over linear isometries and its circumcenter map satisfies
-    C(x) = z + C_shifted(x - z).
-    """
-    z = as_vector(z)
-    if not operator_set.common_fixed.contains(z, tol):
-        raise ValueError("shift point must belong to the common fixed set")
-    shifted = tuple(linearize_about(op, z, tol) for op in operator_set.generators)
-    return OperatorSet(shifted, operator_set.words, tol)
 
 
 def build_psi(reflectors: Sequence[AffineIsometry],

@@ -27,17 +27,18 @@ __all__ = [
     "make_orthogonal",
     "compose",
     "fixed_point_set",
-    "linearize_about",
     "build_sum_averaged",
     "build_product_averaged",
     "accelerated_apply",
     "is_self_adjoint",
-    "is_nonexpansive",
-    "is_normal",
     "operator_from_literal",
 ]
 
 _ORTHOGONALITY_TOL = 1e-10
+
+# The relaxation parameters alpha and lambda of AveragedSpec.uniform.
+_UNIFORM_ALPHA = 0.5
+_UNIFORM_LAMBDA = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +79,6 @@ class AffineIsometry:
     def is_linear(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return float(np.linalg.norm(self.b)) <= tol.eq_tol
 
-    def as_map(self) -> "AffineMap":
-        return AffineMap(self.Q, self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
@@ -114,9 +112,6 @@ class AffineMap:
 
     def __call__(self, x) -> np.ndarray:
         return self.apply(x)
-
-    def is_linear(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return float(np.linalg.norm(self.b)) <= tol.eq_tol
 
 
 AffineOperator = Union[AffineIsometry, AffineMap]
@@ -189,26 +184,6 @@ def fixed_point_set(op: AffineOperator,
     return AffineSubspace(anchor, np.ascontiguousarray(vt[rank:]))
 
 
-def linearize_about(op: AffineOperator, z,
-                    tol: Tolerance = DEFAULT_TOL) -> AffineOperator:
-    """Conjugate by the translation taking z to the origin.
-
-    Returns F with F(x) = op(x + z) - z. Requires z to be a fixed point of
-    ``op``, which makes F linear up to round-off. The input type is
-    preserved.
-    """
-    z = as_vector(z)
-    image = op.apply(z)
-    gap = float(np.linalg.norm(image - z))
-    if gap > tol.consistency_tol * (1.0 + float(np.linalg.norm(z))):
-        raise ValueError(f"point is not fixed by the operator, gap {gap:.3e}")
-    M = _linear_part(op)
-    new_offset = M @ z + op.b - z
-    if isinstance(op, AffineIsometry):
-        return AffineIsometry(M, new_offset)
-    return AffineMap(M, new_offset)
-
-
 @dataclass(frozen=True)
 class AveragedSpec:
     """Weights for the averaged-map builders.
@@ -250,11 +225,12 @@ class AveragedSpec:
         object.__setattr__(self, "lambdas", lambdas)
 
     @classmethod
-    def uniform(cls, count: int, alpha: float = 0.5, lam: float = 0.5) -> "AveragedSpec":
-        """Equal weights 1/count with constant alpha and lambda."""
+    def uniform(cls, count: int) -> "AveragedSpec":
+        """Equal weights 1/count, every alpha and lambda 1/2."""
         if count < 1:
             raise ValueError("count must be positive")
-        return cls((1.0 / count,) * count, (alpha,) * count, (lam,) * count)
+        return cls((1.0 / count,) * count, (_UNIFORM_ALPHA,) * count,
+                   (_UNIFORM_LAMBDA,) * count)
 
 
 def _linear_isometry_parts(operators: Sequence[AffineIsometry],
@@ -368,16 +344,6 @@ def _require_nonexpansive(op: AffineMap, tol: Tolerance, self_adjoint: bool = Fa
     norm = spectral_norm(op.A)
     if norm > 1.0 + tol.eq_tol:
         raise ValueError(f"expected a nonexpansive operator, norm {norm:.12f}")
-
-
-def is_nonexpansive(op: AffineOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return spectral_norm(_linear_part(op)) <= 1.0 + tol.eq_tol
-
-
-def is_normal(op: AffineOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
-    M = _linear_part(op)
-    commutator = M @ M.T - M.T @ M
-    return float(np.max(np.abs(commutator))) <= tol.eq_tol * (1.0 + float(np.max(np.abs(M))) ** 2)
 
 
 def operator_from_literal(obj, tol: Tolerance = DEFAULT_TOL) -> AffineIsometry:

@@ -32,7 +32,6 @@ __all__ = [
     "run_cim",
     "run_map",
     "run_linear",
-    "run_blockwise_cim",
     "map_operator",
     "symmetric_map_operator",
     "dr_operator",
@@ -248,50 +247,6 @@ def dr_operator(first: AffineSubspace, second: AffineSubspace,
     q2 = make_reflector(second).Q
     n = first.ambient_dim
     return AffineMap(0.5 * (np.eye(n) + q2 @ q1), np.zeros(n))
-
-
-def run_blockwise_cim(blocks: Sequence[OperatorSet], x0, config: MethodConfig,
-                      tol: Tolerance = DEFAULT_TOL, mode: str = "compose",
-                      weights: Optional[Sequence[float]] = None) -> IterationTrace:
-    """Apply circumcenter maps of several families blockwise.
-
-    ``compose`` chains the block maps in order within one trace step;
-    ``convex`` averages the block images with the given weights (uniform by
-    default). Every block must contain the identity, which makes each block
-    map firmly quasinonexpansive and the combination convergent to the
-    projection onto the intersection of all the blocks' fixed sets.
-    """
-    x0 = as_vector(x0)
-    if len(blocks) == 0:
-        raise ValueError("need at least one block")
-    for i, block in enumerate(blocks):
-        if not block.contains_identity:
-            raise ValueError(f"block {i} does not contain the identity")
-    if mode not in ("compose", "convex"):
-        raise ValueError(f"unknown blockwise mode {mode!r}")
-    inter = intersect([b.common_fixed for b in blocks], tol)
-    if inter.is_empty:
-        raise ValueError("blocks share no common fixed point")
-    target = inter.subspace.project(x0)
-    if mode == "compose":
-        def step(x: np.ndarray) -> np.ndarray:
-            for block in blocks:
-                x = circumcenter_map(block, x, tol)
-            return x
-    else:
-        if weights is None:
-            weights = [1.0 / len(blocks)] * len(blocks)
-        weights = [float(w) for w in weights]
-        if len(weights) != len(blocks):
-            raise ValueError("need one weight per block")
-        if abs(sum(weights) - 1.0) > 1e-12 or any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive and sum to 1")
-
-        def step(x: np.ndarray) -> np.ndarray:
-            return sum(w * circumcenter_map(block, x, tol)
-                       for w, block in zip(weights, blocks))
-
-    return _drive(config.method, step, x0, config, target)
 
 
 def _projector_map(subspace: AffineSubspace) -> AffineMap:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .isometry import AffineMap, _require_nonexpansive, fixed_point_set
 from .methods import IterationTrace
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, spectral_norm, sym_eigen_extremes
+from .numerics import DEFAULT_TOL, Tolerance, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace, intersect
 
 __all__ = [
@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 AUDIT_TOL = 1e-8
+
+# accel_constants samples the quadratic form at this many unit vectors,
+# drawn from default_rng(_MONOTONE_SEED).
+_MONOTONE_SAMPLES = 32
+_MONOTONE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -86,17 +91,12 @@ def friedrichs_cos(first: AffineSubspace, second: AffineSubspace,
                    tol: Tolerance = DEFAULT_TOL) -> float:
     """Cosine of the Friedrichs angle between two linear subspaces.
 
-    Computed as the spectral norm of P_second P_first P_perp where P_perp
-    projects onto the orthogonal complement of the intersection. Always
-    strictly below 1 in finite dimension, and 0 when one subspace contains
-    the other.
+    The two-subspace case of :func:`tuple_angle_cos`: the spectral norm of
+    P_second P_first P_perp where P_perp projects onto the orthogonal
+    complement of the intersection. Always strictly below 1 in finite
+    dimension, and 0 when one subspace contains the other.
     """
-    _require_linear([first, second], tol)
-    inter = intersect([first, second], tol)
-    n = first.ambient_dim
-    perp = np.eye(n) - inter.subspace.projector_matrix()
-    matrix = second.projector_matrix() @ first.projector_matrix() @ perp
-    return spectral_norm(matrix)
+    return tuple_angle_cos([first, second], tol)
 
 
 def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
@@ -104,8 +104,8 @@ def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
                     fixed: Optional[AffineSubspace] = None) -> float:
     """Norm of the cyclic projection product restricted off the intersection.
 
-    For a single subspace this is 0; for two it agrees with the Friedrichs
-    cosine. ``fixed`` may pass the intersection of the subspaces.
+    For a single subspace this is 0; for two it is the Friedrichs cosine.
+    ``fixed`` may pass the intersection of the subspaces.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
@@ -119,15 +119,15 @@ def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
     return spectral_norm(product)
 
 
-def operator_rate(op: Union[AffineMap, np.ndarray], fixed: AffineSubspace,
+def operator_rate(op: AffineMap, fixed: AffineSubspace,
                   tol: Tolerance = DEFAULT_TOL) -> float:
-    """Spectral norm of the operator restricted off a fixed subspace.
+    """Spectral norm of a linear operator restricted off a fixed subspace.
 
     ``fixed`` must be a linear subspace of fixed points of the operator;
     each basis direction is checked before the norm is taken.
     """
-    matrix = op.A if isinstance(op, AffineMap) else as_matrix(op)
-    if isinstance(op, AffineMap) and float(np.linalg.norm(op.b)) > tol.consistency_tol:
+    matrix = op.A
+    if float(np.linalg.norm(op.b)) > tol.consistency_tol:
         raise ValueError("operator rates are defined for linear operators")
     if not fixed.is_linear(tol):
         raise ValueError("fixed subspace must be linear")
@@ -162,7 +162,6 @@ class AccelConstants:
 
 
 def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
-                    samples: int = 32, seed: int = 0,
                     fixed: Optional[AffineSubspace] = None) -> AccelConstants:
     """Acceleration constants of a monotone self-adjoint nonexpansive map.
 
@@ -176,9 +175,9 @@ def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
     eig_min, _ = sym_eigen_extremes(op.A)
     if eig_min < -tol.eq_tol:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_MONOTONE_SEED)
     n = op.ambient_dim
-    for _ in range(samples):
+    for _ in range(_MONOTONE_SAMPLES):
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
         if float(v @ (op.A @ v)) < -tol.eq_tol:
@@ -222,8 +221,7 @@ def _slack(observed: float, bound: float) -> float:
 def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
                 prefactor: Optional[float] = None,
                 constant_name: str = "linear_rate",
-                ingredients: Optional[dict] = None,
-                audit_tol: float = AUDIT_TOL) -> RateReport:
+                ingredients: Optional[dict] = None) -> RateReport:
     """Audit a trace against the geometric bound rate^k * scale.
 
     ``plain`` scales by the first recorded error; ``prefixed`` scales by
@@ -245,7 +243,7 @@ def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
     for k in range(trace.errors.shape[0]):
         bound = (rate ** k) * scale
         observed = float(trace.errors[k])
-        satisfied = observed <= bound * (1.0 + audit_tol)
+        satisfied = observed <= bound * (1.0 + AUDIT_TOL)
         rows.append((k, observed, bound, satisfied))
         slack_min = min(slack_min, _slack(observed, bound))
     full_ingredients = dict(ingredients or {})

@@ -13,6 +13,7 @@ from circumproj import (
     compute_rates,
     demo_config,
     generate_instance,
+    intersect,
     load_config,
     parse_config,
     run_experiment,
@@ -205,14 +206,15 @@ def test_generate_instance_deterministic_and_in_range():
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(77)
-        subspaces, x0 = generate_instance(6, 3, (1, 3), rng)
-        draws.append((subspaces, x0))
+        subspaces, x0, inter = generate_instance(6, 3, (1, 3), rng)
+        draws.append((subspaces, x0, inter))
     first, second = draws
     assert np.array_equal(first[1], second[1])
     for a, b in zip(first[0], second[0]):
         assert np.array_equal(a.basis, b.basis)
     assert all(1 <= s.dim <= 3 for s in first[0])
     assert abs(np.linalg.norm(first[1]) - 1.0) < 1e-12
+    assert np.array_equal(first[2].subspace.basis, intersect(first[0]).subspace.basis)
 
 
 def test_generate_instance_raises_when_degenerate():

@@ -15,10 +15,7 @@ from circumproj import (
     fixed_point_set,
     identity,
     intersect,
-    is_nonexpansive,
-    is_normal,
     is_self_adjoint,
-    linearize_about,
     make_orthogonal,
     make_reflector,
     make_translation,
@@ -113,22 +110,6 @@ def test_fixed_space_of_reflector_product_decomposes(seed):
     )
 
 
-def test_linearize_about_matches_original_action():
-    line = AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])
-    reflector = make_reflector(line)
-    z = np.array([5.0, 1.0])  # a point of the line, hence fixed
-    linear = linearize_about(reflector, z)
-    assert np.allclose(linear.b, 0.0, atol=1e-12)
-    x = np.array([2.0, 3.0])
-    assert np.allclose(linear(x - z) + z, reflector(x), atol=1e-10)
-
-
-def test_linearize_about_rejects_moving_point():
-    reflector = make_reflector(AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        linearize_about(reflector, np.array([0.0, 0.0]))
-
-
 def test_averaged_spec_validation():
     with pytest.raises(ValueError):
         AveragedSpec(weights=(0.5, 0.6), alphas=(0.5, 0.5))
@@ -172,7 +153,7 @@ def test_averaged_builders_fix_exactly_the_common_fixed_space(seed):
         assert fixed is not None
         assert np.allclose(fixed.projector_matrix(), common.projector_matrix(),
                            atol=1e-8), f"{builder.__name__} fixed space mismatch"
-        assert is_nonexpansive(avg)
+        assert np.linalg.norm(avg.A, 2) <= 1.0 + 1e-10, f"{builder.__name__} expands"
 
 
 def test_accelerated_apply_exact_after_one_product_step():
@@ -199,12 +180,8 @@ def test_accelerated_apply_returns_fixed_points_unchanged():
 def test_predicates():
     reflector = make_reflector(LINE_DIAG)
     assert is_self_adjoint(reflector)
-    assert is_nonexpansive(reflector)
-    assert is_normal(reflector)
     rotation = make_orthogonal([[0.0, -1.0], [1.0, 0.0]])
     assert not is_self_adjoint(rotation)
-    assert is_normal(rotation)
-    assert not is_nonexpansive(AffineMap(A=2.0 * np.eye(2), b=np.zeros(2)))
 
 
 def test_operator_from_literal_kinds():

@@ -10,13 +10,9 @@ from circumproj import (
     AffineSubspace,
     IterationTrace,
     MethodConfig,
-    OperatorSet,
     build_psi,
     dr_operator,
-    identity,
-    make_reflector,
     map_operator,
-    run_blockwise_cim,
     run_cim,
     run_linear,
     run_map,
@@ -142,41 +138,6 @@ def test_dr_operator_rejects_anchored_subspace():
     shifted = AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])
     with pytest.raises(ValueError):
         dr_operator(shifted, LINE_DIAG)
-
-
-def test_blockwise_compose_equals_alternating_projections():
-    blocks = [
-        OperatorSet([identity(2), make_reflector(LINE_X)]),
-        OperatorSet([identity(2), make_reflector(LINE_DIAG)]),
-    ]
-    config = MethodConfig(method="cim", max_iters=6)
-    blockwise = run_blockwise_cim(blocks, X0, config)
-    sweeps = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=6))
-    assert np.allclose(blockwise.iterates, sweeps.iterates, atol=1e-10), (
-        "a block {Id, R_U} averages x with its reflection, so composing blocks"
-        " must reproduce the projection sweep"
-    )
-
-
-def test_blockwise_convex_mixes_block_centers():
-    blocks = [
-        OperatorSet([identity(2), make_reflector(LINE_X)]),
-        OperatorSet([identity(2), make_reflector(LINE_DIAG)]),
-    ]
-    config = MethodConfig(method="cim", max_iters=1)
-    trace = run_blockwise_cim(blocks, X0, config, mode="convex", weights=[0.25, 0.75])
-    expected = 0.25 * LINE_X.project(X0) + 0.75 * LINE_DIAG.project(X0)
-    assert np.allclose(trace.iterates[1], expected, atol=1e-10)
-    with pytest.raises(ValueError):
-        run_blockwise_cim(blocks, X0, config, mode="convex", weights=[0.5, 0.6])
-    with pytest.raises(ValueError):
-        run_blockwise_cim(blocks, X0, config, mode="sideways")
-
-
-def test_blockwise_requires_identity_in_each_block():
-    no_id = OperatorSet([make_reflector(LINE_X)])
-    with pytest.raises(ValueError):
-        run_blockwise_cim([no_id], X0, MethodConfig(method="cim"))
 
 
 def test_run_averaged_iter_requires_certificate():

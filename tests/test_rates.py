@@ -54,13 +54,6 @@ def test_tuple_angle_frozen_three_lines():
     assert abs(gamma - 0.5) < 1e-10, f"three coordinate lines give 1/2, got {gamma}"
 
 
-def test_tuple_angle_reduces_to_friedrichs_for_pairs():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        pair = random_family(rng, 5, 2, 1, 4)
-        assert abs(tuple_angle_cos(pair) - friedrichs_cos(pair[0], pair[1])) < 1e-10
-
-
 @given(st.integers(0, 10**6))
 def test_friedrichs_matches_principal_angle_oracle(seed):
     rng = np.random.default_rng(seed)

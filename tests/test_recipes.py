@@ -200,7 +200,7 @@ ROWS = [
                          ids=[row[1][3:] for row in ROWS])
 def test_recipe_matches_direct_library_calls(entry, label, constant_name, direct):
     outcome = run_experiment(_config(entry), write=False).instances[0].methods[0]
-    subspaces, x0 = _instance()
+    subspaces, x0, _ = _instance()
     (iterates, errors), rate, ingredients = direct(subspaces, x0)
 
     assert outcome.label == label
@@ -246,7 +246,7 @@ def test_recipe_family_images_equal_dense_products(monkeypatch, entry, symmetriz
 
     monkeypatch.setattr("circumproj.bench.run_cim", capture)
     run_experiment(_config(entry), write=False)
-    subspaces, _ = _instance()
+    subspaces, _, _ = _instance()
     reflectors = _family(subspaces, symmetrized)
     dense = []
     for indices in index_lists(len(reflectors)):

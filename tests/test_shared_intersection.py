@@ -118,9 +118,8 @@ def test_shared_intersection_changes_no_byte(ambient_dim):
     rng = np.random.default_rng((ambient_dim, 17))
     config = MethodConfig(method="map", max_iters=25)
     for num_subspaces in (2, 3, 5):
-        subspaces, x0 = generate_instance(ambient_dim, num_subspaces,
-                                          (ambient_dim // 2, ambient_dim - 1), rng)
-        inter = intersect(subspaces)
+        subspaces, x0, inter = generate_instance(ambient_dim, num_subspaces,
+                                                 (ambient_dim // 2, ambient_dim - 1), rng)
         assert tuple_angle_cos(subspaces, fixed=inter.subspace) == tuple_angle_cos(subspaces)
         z = rng.standard_normal(ambient_dim)
         for family in (subspaces, _shifted(subspaces, z)):
