@@ -398,6 +398,13 @@ class _Instance:
         return self.reflectors + self.reflectors[-2::-1] if symmetrized else self.reflectors
 
     @cached_property
+    def common_fixed(self) -> AffineSubspace:
+        """The common fixed set of the reflectors, shared by every reflector
+        family: its distinct generators are R1..Rm, in that order, so this is
+        the set each family's constructor would compute."""
+        return OperatorSet(self.reflectors, tol=self.tol).common_fixed
+
+    @cached_property
     def tuple_cos(self) -> float:
         return tuple_angle_cos(self.subspaces, self.tol, fixed=self.inter.subspace)
 
@@ -461,7 +468,7 @@ def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
     def run(config: MethodConfig) -> IterationTrace:
         config = dataclasses.replace(config, prefix=prefix)
-        return run_cim(build_psi(family, ctx.tol), ctx.x0, config, ctx.tol)
+        return run_cim(build_psi(family, ctx.tol, fixed=ctx.common_fixed), ctx.x0, config, ctx.tol)
 
     if prefix is not None:
         return _MethodPlan("accelerated_prefixed_rate", ctx.accel.eta,
@@ -478,7 +485,7 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
     with the rate of the averaged map the builder makes of the same reflectors."""
     family = ctx.family(spec.symmetrized)
     words = [tuple(range(i + 1)) if builder == "product" else (i,) for i in range(len(family))]
-    operator_set = OperatorSet(family, [()] + words, ctx.tol)
+    operator_set = OperatorSet(family, [()] + words, ctx.tol, fixed=ctx.common_fixed)
     avg = _AVERAGED_BUILDERS[builder](AveragedSpec.uniform(len(family)), family, ctx.tol)
     rate = operator_rate(avg, operator_set.common_fixed, ctx.tol)
     return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate},

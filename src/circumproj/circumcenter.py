@@ -10,6 +10,7 @@ common fixed set of the family.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -56,14 +57,23 @@ class CircumcenterResult:
     they are the minimum-norm choice, which is one valid selection among
     many for affinely dependent inputs, so compare centers rather than
     coefficients. ``equidistance_spread`` is max minus min of the distances
-    from the candidate to the input points, ``hull_residual`` the distance
-    from the candidate to the affine hull.
+    from the candidate to the input points. ``hull_residual``, the distance
+    from the candidate to the affine hull, is computed on first access from
+    the stored offsets of the hull, so a caller that never reads it never
+    pays for the factorization.
     """
 
     center: Optional[np.ndarray]
     coefficients: np.ndarray
     equidistance_spread: float
-    hull_residual: float
+    _offsets: np.ndarray = field(repr=False, compare=False)
+    _in_hull: np.ndarray = field(repr=False, compare=False)
+    _tol: Tolerance = field(repr=False, compare=False)
+
+    @cached_property
+    def hull_residual(self) -> float:
+        hull = orthonormal_basis(self._offsets, self._tol)
+        return float(np.linalg.norm(self._in_hull - hull.T @ (hull @ self._in_hull)))
 
 
 def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
@@ -79,10 +89,15 @@ def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     gram = points @ points.T
     norms_sq = np.diag(gram)
     threshold = tol.eq_tol * (1.0 + float(np.sqrt(np.max(norms_sq))))
+    # In place, in two n x n buffers: each step is an operation of the plain
+    # formulas dist_sq = pair_sq - 2 gram and margin = c (pair_sq + t^2), in
+    # their order, so the bits are theirs (doubling is exact).
     pair_sq = norms_sq[:, None] + norms_sq
-    dist_sq = pair_sq - 2.0 * gram
-    margin = 4.0 * (points.shape[1] + 2) * np.finfo(float).eps * (pair_sq + threshold**2)
-    near = dist_sq <= threshold**2 + margin
+    dist_sq = np.subtract(pair_sq, np.multiply(gram, 2.0, out=gram), out=gram)
+    threshold_sq = threshold**2
+    margin = np.multiply(np.add(pair_sq, threshold_sq, out=pair_sq),
+                         4.0 * (points.shape[1] + 2) * np.finfo(float).eps, out=pair_sq)
+    near = dist_sq <= np.add(margin, threshold_sq, out=margin)
     keep = np.ones(points.shape[0], dtype=bool)
     # every row is near on the diagonal, whose Gram distance is exactly 0
     for i in np.flatnonzero(near.sum(axis=1) > 1):
@@ -114,23 +129,19 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
     kept, diameter = _distinct(pts, tol)
     rep = pts[kept]
     p0 = rep[0]
-    if rep.shape[0] == 1:
+    offsets = rep[1:] - p0
+    if offsets.shape[0] == 0:
         dists = np.linalg.norm(pts - p0, axis=1)
         spread = float(np.max(dists) - np.min(dists))
-        return CircumcenterResult(p0.copy(), np.zeros(0), spread, 0.0)
-    offsets = rep[1:] - p0
+        return CircumcenterResult(p0.copy(), np.zeros(0), spread, offsets, np.zeros_like(p0), tol)
     gram = offsets @ offsets.T
     rhs = np.einsum("ij,ij->i", offsets, offsets)
     alpha, _ = min_norm_solve(2.0 * gram, rhs, tol)
     candidate = p0 + offsets.T @ alpha
     dists = np.linalg.norm(pts - candidate, axis=1)
     spread = float(np.max(dists) - np.min(dists))
-    hull = orthonormal_basis(offsets, tol)
-    in_hull = candidate - p0
-    hull_residual = float(np.linalg.norm(in_hull - hull.T @ (hull @ in_hull)))
-    if spread <= tol.consistency_tol * (1.0 + diameter):
-        return CircumcenterResult(candidate, alpha, spread, hull_residual)
-    return CircumcenterResult(None, alpha, spread, hull_residual)
+    center = candidate if spread <= tol.consistency_tol * (1.0 + diameter) else None
+    return CircumcenterResult(center, alpha, spread, offsets, candidate - p0, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,16 +158,21 @@ class OperatorSet:
     Construction computes one fixed point set per distinct generator object
     and intersects them into ``common_fixed``, which for prefix-closed words
     is the common fixed set of the whole family; it fails when a generator
-    has no fixed point or the generators share none. No product is ever
+    has no fixed point or the generators share none. ``fixed`` is that
+    common fixed set when the caller already has it: it is then checked,
+    not computed, and construction fails when a generator moves its anchor
+    by more than tol.consistency_tol relative to the anchor's norm, or a
+    basis direction by more than tol.consistency_tol. No product is ever
     formed.
     """
 
     generators: tuple
     words: Optional[tuple] = None
     tol: InitVar[Tolerance] = DEFAULT_TOL
+    fixed: InitVar[Optional[AffineSubspace]] = None
     common_fixed: AffineSubspace = field(init=False)
 
-    def __post_init__(self, tol: Tolerance) -> None:
+    def __post_init__(self, tol: Tolerance, fixed: Optional[AffineSubspace]) -> None:
         generators = tuple(self.generators)
         if len(generators) == 0:
             raise ValueError("operator set needs at least one generator")
@@ -179,17 +195,14 @@ class OperatorSet:
         unused = sorted(set(range(count)).difference(*words))
         if unused:
             raise ValueError(f"generators {unused} occur in no word")
-        fixed_sets = [fixed_point_set(op, tol) for op in {id(op): op for op in generators}.values()]
-        if any(fixed is None for fixed in fixed_sets):
-            raise ValueError("a generator has no fixed points, so the family shares none")
-        common = intersect(fixed_sets, tol)
-        if common.is_empty:
-            raise ValueError(
-                f"operators share no common fixed point, residual {common.residual:.3e}"
-            )
+        distinct = {id(op): op for op in generators}.values()
+        if fixed is None:
+            fixed = _common_fixed(distinct, tol)
+        else:
+            _require_fixed(distinct, fixed, tol)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", words)
-        object.__setattr__(self, "common_fixed", common.subspace)
+        object.__setattr__(self, "common_fixed", fixed)
 
     def images(self, x) -> np.ndarray:
         """The images of x under the words, one row per word in order; each
@@ -197,8 +210,38 @@ class OperatorSet:
         image = {(): as_vector(x)}
         for word in self.words:
             if word not in image:
-                image[word] = self.generators[word[-1]].apply(image[word[:-1]])
+                gen = self.generators[word[-1]]
+                image[word] = gen.Q @ image[word[:-1]] + gen.b
         return np.array([image[word] for word in self.words])
+
+
+def _common_fixed(generators, tol: Tolerance) -> AffineSubspace:
+    """The intersection of the generators' fixed point sets."""
+    fixed_sets = [fixed_point_set(op, tol) for op in generators]
+    if any(fixed is None for fixed in fixed_sets):
+        raise ValueError("a generator has no fixed points, so the family shares none")
+    common = intersect(fixed_sets, tol)
+    if common.is_empty:
+        raise ValueError(
+            f"operators share no common fixed point, residual {common.residual:.3e}"
+        )
+    return common.subspace
+
+
+def _require_fixed(generators, fixed: AffineSubspace, tol: Tolerance) -> None:
+    """Raise unless every generator fixes the anchor and the basis of ``fixed``."""
+    anchor_tol = tol.consistency_tol * (1.0 + float(np.linalg.norm(fixed.anchor)))
+    for op in generators:
+        if fixed.ambient_dim != op.ambient_dim:
+            raise ValueError("fixed set and operators live in different dimensions")
+        anchor_gap = float(np.linalg.norm(op.Q @ fixed.anchor + op.b - fixed.anchor))
+        direction_gap = float(np.max(np.linalg.norm(fixed.basis @ op.Q.T - fixed.basis, axis=1),
+                                     initial=0.0))
+        if anchor_gap > anchor_tol or direction_gap > tol.consistency_tol:
+            raise ValueError(
+                f"a generator moves the given fixed set, anchor gap {anchor_gap:.3e}, "
+                f"direction gap {direction_gap:.3e}"
+            )
 
 
 def circumcenter_map(operator_set: OperatorSet, x,
@@ -216,16 +259,24 @@ def circumcenter_map(operator_set: OperatorSet, x,
 
 
 def build_psi(reflectors: Sequence[AffineIsometry],
-              tol: Tolerance = DEFAULT_TOL) -> OperatorSet:
-    """All increasing-index products of the given reflectors, as words.
+              tol: Tolerance = DEFAULT_TOL,
+              fixed: Optional[AffineSubspace] = None) -> OperatorSet:
+    """The increasing-index products of the given reflectors, as reduced words.
 
-    For reflectors R_1, .., R_m this is the family of 2^m operators
-    R_{i_r} .. R_{i_1} over index subsets i_1 < .. < i_r, listed as the
-    words (i_1, .., i_r) ordered by subset size and lexicographically
-    within a size, starting with the empty word (the identity). Inputs
-    must be reflectors of linear subspaces, that is linear isometries with
-    symmetric linear part. Repeated input reflectors make repeated images,
-    which the circumcenter deduplicates.
+    For reflectors R_1, .., R_m the family holds the operators
+    R_{i_r} .. R_{i_1} over index subsets i_1 < .. < i_r, and the empty
+    subset is the identity. Its words are these subsets, ordered by size and
+    lexicographically within a size, except that a subset is left out when
+    its product names the same operator as an earlier one: reflectors are
+    involutions, so the same reflector object twice in a row cancels, and
+    two subsets whose products cancel down to the same sequence of objects
+    are one operator. Without repeated objects all 2^m subsets stay; the
+    palindrome R_1..R_5..R_1 keeps 342 of 512. The kept words are
+    prefix-closed, and each is imaged along the same chain as in the full
+    list. Inputs must be reflectors of linear subspaces, that is linear
+    isometries with symmetric linear part. ``fixed`` is the common fixed
+    set of the reflectors when the caller already has it (see
+    :class:`OperatorSet`).
     """
     generators = tuple(reflectors)
     if len(generators) > PSI_PRODUCT_LIMIT:
@@ -238,6 +289,17 @@ def build_psi(reflectors: Sequence[AffineIsometry],
             raise ValueError("inputs must be reflectors of linear subspaces")
         if float(np.max(np.abs(op.Q - op.Q.T))) > tol.eq_tol:
             raise ValueError("inputs must have symmetric linear part")
-    words = tuple(combo for size in range(len(generators) + 1)
-                  for combo in combinations(range(len(generators)), size))
-    return OperatorSet(generators, words, tol)
+    words, reduced_forms = [], set()
+    for size in range(len(generators) + 1):
+        for word in combinations(range(len(generators)), size):
+            reduced = []
+            for i in word:
+                if reduced and reduced[-1] is generators[i]:
+                    reduced.pop()
+                else:
+                    reduced.append(generators[i])
+            form = tuple(map(id, reduced))
+            if form not in reduced_forms:
+                reduced_forms.add(form)
+                words.append(word)
+    return OperatorSet(generators, words, tol, fixed=fixed)

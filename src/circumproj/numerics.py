@@ -113,7 +113,8 @@ def min_norm_solve(A, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, floa
     norm ||A x - b||. Singular values below ``tol.rank_tol`` relative to
     the largest one are treated as zero, which keeps rank-deficient and
     inconsistent systems stable. The residual lets callers decide whether
-    the system was consistent.
+    the system was consistent. A zero right-hand side has the zero solution
+    and needs no factorization.
     """
     mat = as_matrix(A)
     rhs = as_vector(b)
@@ -121,6 +122,8 @@ def min_norm_solve(A, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, floa
         raise ValueError(
             f"matrix has {mat.shape[0]} rows but right-hand side has {rhs.shape[0]} entries"
         )
+    if not np.any(rhs):
+        return np.zeros(mat.shape[1]), 0.0
     solution, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=tol.rank_tol)
     residual = float(np.linalg.norm(mat @ solution - rhs))
     return solution, residual

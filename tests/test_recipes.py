@@ -9,7 +9,6 @@ composed here, and the symmetrized family's construction cost is pinned.
 """
 
 import sys
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ from circumproj import (
     symmetric_map_operator,
     tuple_angle_cos,
 )
+from helpers import dense_product, subsets
 
 SEED = 707
 MAX_ITERS = 6
@@ -217,19 +217,30 @@ def test_recipe_matches_direct_library_calls(entry, label, constant_name, direct
         assert abs(report.ingredients[key] - value) <= 1e-12, key
 
 
-def _subsets(count):
-    return [c for size in range(count + 1) for c in combinations(range(count), size)]
+def _distinct_subsets(reflectors):
+    """The subsets whose dense products differ from every earlier kept one's:
+    the palindrome's reflectors are involutions, so many subsets name one
+    operator, and the family keeps the first of each."""
+    kept, products = [], []
+    for indices in subsets(len(reflectors)):
+        product = dense_product(reflectors, indices)
+        if not any(np.allclose(product.Q, other.Q, rtol=0.0, atol=1e-12) for other in products):
+            kept.append(indices)
+            products.append(product)
+    return kept
 
 
 # (methods entry, whether the reflectors run as a palindrome, the index lists
-# of the reflector products the family holds, in order, first index acting first)
+# of the reflector products the family holds, in order, first index acting
+# first, as a function of the reflectors)
 FAMILIES = [
-    ({"method": "cim", "operator_set": "psi"}, False, _subsets),
-    ({"method": "cim", "operator_set": "psi", "symmetrized": True}, True, _subsets),
+    ({"method": "cim", "operator_set": "psi"}, False,
+     lambda reflectors: subsets(len(reflectors))),
+    ({"method": "cim", "operator_set": "psi", "symmetrized": True}, True, _distinct_subsets),
     ({"method": "cim", "operator_set": "identity_plus_reflectors"}, False,
-     lambda count: [()] + [(i,) for i in range(count)]),
+     lambda reflectors: [()] + [(i,) for i in range(len(reflectors))]),
     ({"method": "cim", "operator_set": "identity_plus_prefix_products"}, False,
-     lambda count: [tuple(range(i)) for i in range(count + 1)]),
+     lambda reflectors: [tuple(range(i)) for i in range(len(reflectors) + 1)]),
 ]
 
 
@@ -248,12 +259,7 @@ def test_recipe_family_images_equal_dense_products(monkeypatch, entry, symmetriz
     run_experiment(_config(entry), write=False)
     subspaces, _, _ = _instance()
     reflectors = _family(subspaces, symmetrized)
-    dense = []
-    for indices in index_lists(len(reflectors)):
-        product = identity(4)
-        for i in indices:
-            product = compose(reflectors[i], product)
-        dense.append(product)
+    dense = [dense_product(reflectors, indices) for indices in index_lists(reflectors)]
     x = 2.0 * np.random.default_rng(SEED).standard_normal(4)
     assert np.allclose(families[0].images(x), [op(x) for op in dense], rtol=0.0, atol=1e-12)
 
