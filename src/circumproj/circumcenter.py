@@ -10,14 +10,13 @@ common fixed set of the family.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .isometry import AffineIsometry, fixed_point_set
-from .numerics import DEFAULT_TOL, Tolerance, as_vector, min_norm_solve, orthonormal_basis
+from .numerics import DEFAULT_TOL, Tolerance, as_vector
 from .subspace import AffineSubspace, intersect
 
 __all__ = [
@@ -27,21 +26,24 @@ __all__ = [
     "circumcenter",
     "circumcenter_map",
     "build_psi",
-    "PSI_PRODUCT_LIMIT",
+    "DEDUP_BUDGET_BYTES",
 ]
 
-PSI_PRODUCT_LIMIT = 16
+# The most memory the deduplication of one step's images may take: its two
+# k x k float64 buffers (the Gram matrix and the pairwise sums) need 16 k^2
+# bytes for k words, so a family may have at most 8192 words.
+DEDUP_BUDGET_BYTES = 2**30
 
 
 class NumericalPropernessError(RuntimeError):
     """Raised when a circumcenter that theory guarantees cannot be produced
-    numerically. Carries the achieved equidistance spread and the affine
-    hull residual of the failed candidate."""
+    numerically. Carries the achieved equidistance spread and the
+    equidistance residual of the failed candidate."""
 
     def __init__(self, spread: float, residual: float):
         super().__init__(
             f"circumcenter absent within tolerance, spread {spread:.3e}, "
-            f"hull residual {residual:.3e}"
+            f"equidistance residual {residual:.3e}"
         )
         self.spread = spread
         self.residual = residual
@@ -53,27 +55,22 @@ class CircumcenterResult:
 
     ``center`` is None when no point of the affine hull is equidistant from
     all inputs within tolerance. ``coefficients`` are affine-hull
-    coordinates of the candidate relative to the first deduplicated point;
-    they are the minimum-norm choice, which is one valid selection among
-    many for affinely dependent inputs, so compare centers rather than
-    coefficients. ``equidistance_spread`` is max minus min of the distances
-    from the candidate to the input points. ``hull_residual``, the distance
-    from the candidate to the affine hull, is computed on first access from
-    the stored offsets of the hull, so a caller that never reads it never
-    pays for the factorization.
+    coordinates of the candidate relative to the first deduplicated point
+    p0, so the candidate is p0 + D^T a for the offsets D; they are the
+    minimum-norm choice, which is one valid selection among many for
+    affinely dependent inputs, so compare centers rather than coefficients.
+    ``equidistance_spread`` is max minus min of the distances from the
+    candidate to the input points. ``equidistance_residual`` is
+    ||h/2 - D y|| for the candidate's offset y from p0, with h_i = ||d_i||^2:
+    how far the equidistance system D y = h/2 is from consistent. It is 0 up
+    to rounding when a circumcenter exists; the candidate lies in the hull
+    by construction, so it has no hull distance to report.
     """
 
     center: Optional[np.ndarray]
     coefficients: np.ndarray
     equidistance_spread: float
-    _offsets: np.ndarray = field(repr=False, compare=False)
-    _in_hull: np.ndarray = field(repr=False, compare=False)
-    _tol: Tolerance = field(repr=False, compare=False)
-
-    @cached_property
-    def hull_residual(self) -> float:
-        hull = orthonormal_basis(self._offsets, self._tol)
-        return float(np.linalg.norm(self._in_hull - hull.T @ (hull @ self._in_hull)))
+    equidistance_residual: float
 
 
 def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
@@ -112,12 +109,17 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
     """Circumcenter of a finite point set, if it exists.
 
     Points are deduplicated at eq_tol first. With d_i the offsets of the
-    remaining points from the first one, the candidate p0 + sum a_i d_i is
-    found by solving the Gram system 2 G a = h with G_ij = <d_i, d_j> and
-    h_i = ||d_i||^2 in the minimum-norm sense. The candidate is accepted
-    when the distances from it to all original points agree within
-    tol.consistency_tol relative to the diameter; otherwise the result is
-    absent with the achieved spread attached.
+    remaining points from the first one, p0, a point p0 + y is equidistant
+    from all of them when <d_i, y> = h_i / 2 with h_i = ||d_i||^2. The
+    candidate takes the minimum-norm solution y of this system, which lies
+    in the hull's direction space, from one thin SVD D = U S V^T of the
+    offset rows: with rank r at tol.rank_tol relative to the largest
+    singular value, y = V_r S_r^-1 U_r^T h / 2. Working on D itself, not on
+    its Gram matrix, keeps the conditioning of the offsets rather than its
+    square, so nearly parallel hull directions are kept. The candidate is
+    accepted when the distances from it to all original points agree
+    within tol.consistency_tol relative to the diameter; otherwise the
+    result is absent with the achieved spread attached.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -133,15 +135,19 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
     if offsets.shape[0] == 0:
         dists = np.linalg.norm(pts - p0, axis=1)
         spread = float(np.max(dists) - np.min(dists))
-        return CircumcenterResult(p0.copy(), np.zeros(0), spread, offsets, np.zeros_like(p0), tol)
-    gram = offsets @ offsets.T
-    rhs = np.einsum("ij,ij->i", offsets, offsets)
-    alpha, _ = min_norm_solve(2.0 * gram, rhs, tol)
-    candidate = p0 + offsets.T @ alpha
+        return CircumcenterResult(p0.copy(), np.zeros(0), spread, 0.0)
+    half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
+    u, s, vt = np.linalg.svd(offsets, full_matrices=False)
+    rank = int(np.sum(s > s[0] * tol.rank_tol))
+    u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+    projected = u.T @ half
+    coords = projected / s
+    candidate = p0 + vt.T @ coords
     dists = np.linalg.norm(pts - candidate, axis=1)
     spread = float(np.max(dists) - np.min(dists))
     center = candidate if spread <= tol.consistency_tol * (1.0 + diameter) else None
-    return CircumcenterResult(center, alpha, spread, offsets, candidate - p0, tol)
+    residual = float(np.linalg.norm(half - u @ projected))
+    return CircumcenterResult(center, u @ (coords / s), spread, residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +159,9 @@ class OperatorSet:
     so on, and the empty word is the identity. ``words=None`` lists every
     generator on its own. The words must be prefix-closed, in order: each
     nonempty word without its last letter is empty or an earlier word. Every
-    generator must occur in some word.
+    generator must occur in some word. A family has at most 8192 words:
+    deduplicating the images of k words takes 16 k^2 bytes, and
+    DEDUP_BUDGET_BYTES allows 2^30.
 
     Construction computes one fixed point set per distinct generator object
     and intersects them into ``common_fixed``, which for prefix-closed words
@@ -184,6 +192,7 @@ class OperatorSet:
         count = len(generators)
         words = (tuple((i,) for i in range(count)) if self.words is None
                  else tuple(tuple(word) for word in self.words))
+        _require_word_budget(len(words))
         seen = {()}
         for word in words:
             if not all(isinstance(i, int) and 0 <= i < count for i in word):
@@ -213,6 +222,16 @@ class OperatorSet:
                 gen = self.generators[word[-1]]
                 image[word] = gen.Q @ image[word[:-1]] + gen.b
         return np.array([image[word] for word in self.words])
+
+
+def _require_word_budget(count: int) -> None:
+    """Raise unless the images of ``count`` words dedup within DEDUP_BUDGET_BYTES."""
+    need = 16 * count**2
+    if need > DEDUP_BUDGET_BYTES:
+        raise ValueError(
+            f"{count} words need {need} bytes to deduplicate their images, "
+            f"budget is {DEDUP_BUDGET_BYTES}"
+        )
 
 
 def _common_fixed(generators, tol: Tolerance) -> AffineSubspace:
@@ -254,7 +273,8 @@ def circumcenter_map(operator_set: OperatorSet, x,
     """
     result = circumcenter(operator_set.images(x), tol)
     if result.center is None:
-        raise NumericalPropernessError(result.equidistance_spread, result.hull_residual)
+        raise NumericalPropernessError(result.equidistance_spread,
+                                       result.equidistance_residual)
     return result.center
 
 
@@ -276,16 +296,15 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     list. Inputs must be reflectors of linear subspaces, that is linear
     isometries with symmetric linear part. ``fixed`` is the common fixed
     set of the reflectors when the caller already has it (see
-    :class:`OperatorSet`).
+    :class:`OperatorSet`). The 2^m subsets must fit the word budget of
+    :class:`OperatorSet`, DEDUP_BUDGET_BYTES, which allows m <= 13; this
+    is checked before any subset is enumerated, so a longer list fails
+    at once even when its reduced words would fit.
     """
     generators = tuple(reflectors)
-    if len(generators) > PSI_PRODUCT_LIMIT:
-        raise ValueError(
-            f"{len(generators)} reflectors would give 2^{len(generators)} words, "
-            f"limit is {PSI_PRODUCT_LIMIT}"
-        )
+    _require_word_budget(2 ** len(generators))
     for op in generators:
-        if not isinstance(op, AffineIsometry) or float(np.linalg.norm(op.b)) > tol.eq_tol:
+        if not isinstance(op, AffineIsometry) or not op.is_linear(tol):
             raise ValueError("inputs must be reflectors of linear subspaces")
         if float(np.max(np.abs(op.Q - op.Q.T))) > tol.eq_tol:
             raise ValueError("inputs must have symmetric linear part")

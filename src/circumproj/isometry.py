@@ -77,7 +77,7 @@ class AffineIsometry:
         return self.apply(x)
 
     def is_linear(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return float(np.linalg.norm(self.b)) <= tol.eq_tol
+        return _zero_offset(self, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +150,12 @@ def compose(second: AffineIsometry, first: AffineIsometry) -> AffineIsometry:
     if second.ambient_dim != first.ambient_dim:
         raise ValueError("cannot compose isometries of different dimensions")
     return AffineIsometry(second.Q @ first.Q, second.Q @ first.b + second.b)
+
+
+def _zero_offset(op: AffineOperator, tol: Tolerance) -> bool:
+    """Whether op is linear: its offset is 0 within tol.eq_tol. Every test
+    of an operator's linearity goes through here, so it means one thing."""
+    return float(np.linalg.norm(op.b)) <= tol.eq_tol
 
 
 def _linear_part(op: AffineOperator) -> np.ndarray:
@@ -337,7 +343,7 @@ def is_self_adjoint(op: AffineOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _require_nonexpansive(op: AffineMap, tol: Tolerance, self_adjoint: bool = False) -> None:
     """Raise ValueError unless op is linear, nonexpansive and, if asked, self-adjoint."""
-    if float(np.linalg.norm(op.b)) > tol.consistency_tol:
+    if not _zero_offset(op, tol):
         raise ValueError("expected a linear operator")
     if self_adjoint and not is_self_adjoint(op, tol):
         raise ValueError("expected a self-adjoint operator")

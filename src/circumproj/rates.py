@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineMap, _require_nonexpansive, fixed_point_set
+from .isometry import AffineMap, _require_nonexpansive, _zero_offset, fixed_point_set
 from .methods import IterationTrace
 from .numerics import DEFAULT_TOL, Tolerance, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace, intersect
@@ -127,7 +127,7 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace,
     each basis direction is checked before the norm is taken.
     """
     matrix = op.A
-    if float(np.linalg.norm(op.b)) > tol.consistency_tol:
+    if not _zero_offset(op, tol):
         raise ValueError("operator rates are defined for linear operators")
     if not fixed.is_linear(tol):
         raise ValueError("fixed subspace must be linear")

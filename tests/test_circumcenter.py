@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +22,7 @@ from circumproj import (
     make_translation,
 )
 from circumproj.circumcenter import _distinct
-from helpers import random_family, reflectors_of, unit_vector
+from helpers import random_family, reflectors_of, subsets, unit_vector
 from oracles import oracle_circumcenter, oracle_dedup
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
@@ -33,7 +36,7 @@ def test_circumcenter_frozen_right_triangle():
         f"hypotenuse midpoint expected, got {result.center}"
     )
     assert result.equidistance_spread < 1e-12
-    assert result.hull_residual < 1e-12
+    assert result.equidistance_residual < 1e-12
 
 
 def test_circumcenter_frozen_collinear_points_have_none():
@@ -187,6 +190,29 @@ def test_build_psi_rejects_bad_inputs():
         build_psi(many)
 
 
+def test_word_budget_rejects_before_any_buffer_is_allocated(monkeypatch):
+    """Deduplicating k images takes two k x k float64 buffers, 16 k^2 bytes;
+    a family over budget fails at construction, before any image exists."""
+    assert len(build_psi(reflectors_of([LINE_X] * 13)).words) == 8192
+    many = reflectors_of([LINE_X] * 14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="16384 words need 4294967296 bytes"):
+            build_psi(many)
+        with pytest.raises(ValueError, match="budget"):
+            OperatorSet(many, subsets(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 16384**2 / 100
+    # the package binds the name circumcenter to the function
+    module = importlib.import_module("circumproj.circumcenter")
+    monkeypatch.setattr(module, "DEDUP_BUDGET_BYTES", 16 * 8**2)
+    assert len(OperatorSet(many[:3], subsets(3)).words) == 8
+    with pytest.raises(ValueError, match="9 words need 1296 bytes"):
+        OperatorSet(many[:3], subsets(3) + [(2, 1)])
+
+
 def test_numerical_properness_error_carries_diagnostics(monkeypatch):
     """Collinear unequal images have no circumcenter; the mapping must say so.
 
@@ -200,6 +226,39 @@ def test_numerical_properness_error_carries_diagnostics(monkeypatch):
     with pytest.raises(NumericalPropernessError) as excinfo:
         circumcenter_map(family, np.array([0.0]))
     assert excinfo.value.spread > 0.1
+    assert excinfo.value.residual == circumcenter(np.array([[0.0], [1.0], [3.0]])).equidistance_residual
+
+
+@given(st.integers(0, 10**6))
+def test_equidistance_residual_is_the_inconsistency_of_the_system(seed):
+    """||h/2 - D y|| for the offsets D from p0, h_i = ||d_i||^2 and the
+    candidate's offset y, measured here from the center (or, when there is
+    none, from the coefficients); large when no circumcenter exists."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((int(rng.integers(2, 8)), int(rng.integers(1, 5))))
+    result = circumcenter(points)
+    p0, offsets = points[0], points[1:] - points[0]
+    half = 0.5 * np.sum(offsets * offsets, axis=1)
+    candidate = p0 + offsets.T @ result.coefficients if result.center is None else result.center
+    expected = float(np.linalg.norm(half - offsets @ (candidate - p0)))
+    assert abs(result.equidistance_residual - expected) <= 1e-12 * float(np.linalg.norm(half))
+    collinear = circumcenter(np.array([[0.0], [1.0], [3.0]]))
+    # h/2 = (0.5, 4.5) against D = (1, 3): least squares y = 1.4, residual sqrt(0.9)
+    assert collinear.center is None
+    assert collinear.equidistance_residual == pytest.approx(np.sqrt(0.9), rel=1e-12)
+
+
+@given(st.integers(0, 10**6), st.integers(-6, 6))
+def test_center_is_p0_plus_offsets_times_coefficients(seed, exponent):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    points = 10.0**exponent * rng.standard_normal((int(rng.integers(1, dim + 2)), dim))
+    result = circumcenter(points)
+    assert result.center is not None
+    p0, offsets = points[0], points[1:] - points[0]
+    assert result.coefficients.shape == (points.shape[0] - 1,)
+    scale = float(np.linalg.norm(p0) + np.linalg.norm(offsets) * np.linalg.norm(result.coefficients))
+    assert np.linalg.norm(p0 + offsets.T @ result.coefficients - result.center) <= 1e-13 * scale
 
 
 @given(st.integers(0, 10**6))

@@ -1,0 +1,104 @@
+"""A ladder of degenerate inputs for the circumcenter step.
+
+Two lines through 0 in R^3 at angle theta from 1e-1 down to 1e-8, the same
+start point scaled by 1e-6 and 1e6, duplicated subspaces and nested
+subspaces, each under the increasing reflector products and their
+palindrome. Every case must converge to the known projection onto the
+intersection, with its first step checked against the independent oracle,
+or raise NumericalPropernessError. None may stop short of the target
+without saying so.
+"""
+
+import numpy as np
+import pytest
+
+from circumproj import AffineSubspace, MethodConfig, build_psi, run_cim
+from helpers import reflectors_of
+from oracles import oracle_circumcenter
+
+X0 = np.array([0.3, 1.0, 0.5])
+THETAS = [10.0**-e for e in range(1, 9)]
+STEPS = 20
+
+
+def _lines(theta):
+    return [AffineSubspace.linear([[1.0, 0.0, 0.0]]),
+            AffineSubspace.linear([[np.cos(theta), np.sin(theta), 0.0]])]
+
+
+def _family(subspaces, symmetrized):
+    reflectors = reflectors_of(subspaces)
+    return build_psi(reflectors + reflectors[-2::-1] if symmetrized else reflectors)
+
+
+def _assert_reaches(family, x0, projection):
+    """The first center is the oracle's, and the iterates reach the known
+    projection to 1e-6 of the starting error within STEPS steps."""
+    oracle = oracle_circumcenter(family.images(x0))
+    trace = run_cim(family, x0, MethodConfig(method="cim", max_iters=STEPS))
+    start = float(np.linalg.norm(x0 - projection))
+    assert oracle is not None
+    assert np.linalg.norm(trace.iterates[1] - oracle) <= 1e-6 * start
+    final = float(np.linalg.norm(trace.iterates[-1] - projection))
+    assert final <= 1e-6 * start, f"stopped at {final / start:.3e} of the starting error"
+
+
+# At scale 1e-6 the images of the two lines lie within eq_tol of each other
+# once theta <= 1e-5: the deduplication threshold eq_tol * (1 + largest norm)
+# is absolute for data this small, so the step sees one line and the trace
+# stops at the projection onto it, about 0.26 of the starting error away.
+SMALL_SCALE_FREEZE = pytest.mark.xfail(
+    strict=True, reason="deduplication merges the images of nearly parallel lines at scale 1e-6")
+
+
+@pytest.mark.parametrize("symmetrized", [False, True], ids=["psi", "psi_sym"])
+@pytest.mark.parametrize("scale, theta", [
+    *[pytest.param(1e-6, theta, id=f"1e-6-{theta:.0e}")
+      for theta in THETAS if theta > 1e-5],
+    *[pytest.param(1e-6, theta, id=f"1e-6-{theta:.0e}", marks=SMALL_SCALE_FREEZE)
+      for theta in THETAS if theta <= 1e-5],
+    *[pytest.param(1.0, theta, id=f"1-{theta:.0e}") for theta in THETAS],
+    *[pytest.param(1e6, theta, id=f"1e6-{theta:.0e}") for theta in THETAS],
+])
+def test_two_lines_at_a_small_angle_reach_the_origin(scale, theta, symmetrized):
+    _assert_reaches(_family(_lines(theta), symmetrized), scale * X0, np.zeros(3))
+
+
+def test_lines_at_1e_8_do_not_freeze():
+    """The first step moves from x0 to the origin: a candidate equal to x0
+    has a spread of 8e-9 here, which the acceptance test would pass."""
+    trace = run_cim(_family(_lines(1e-8), False), X0, MethodConfig(method="cim", max_iters=1))
+    assert np.linalg.norm(trace.iterates[1] - X0) > 0.1
+    assert trace.errors[1] < 1e-6
+
+
+# Two planes in R^4 meeting in the first axis at angle theta, a start point
+# and its projection onto that axis.
+X0_4 = np.array([0.3, 1.0, 0.5, -0.7])
+E1_PART = np.array([0.3, 0.0, 0.0, 0.0])
+
+
+def _planes(theta):
+    return [AffineSubspace.linear(np.eye(4)[:2]),
+            AffineSubspace.linear([[1.0, 0.0, 0.0, 0.0],
+                                   [0.0, np.cos(theta), np.sin(theta), 0.0]])]
+
+
+@pytest.mark.parametrize("symmetrized", [False, True], ids=["psi", "psi_sym"])
+@pytest.mark.parametrize("theta", [1e-2, 1e-8])
+def test_duplicated_subspaces_reach_the_intersection(theta, symmetrized):
+    """Equal subspaces with separate reflector objects give coinciding images."""
+    plane, tilted = _planes(theta)
+    family = _family([plane, plane, tilted, tilted], symmetrized)
+    _assert_reaches(family, X0_4, E1_PART)
+
+
+@pytest.mark.parametrize("symmetrized", [False, True], ids=["psi", "psi_sym"])
+@pytest.mark.parametrize("theta", [1e-2, 1e-8])
+def test_nested_subspaces_reach_the_innermost(theta, symmetrized):
+    """A line inside two planes at angle theta inside a 3-space."""
+    plane, tilted = _planes(theta)
+    line = AffineSubspace.linear(np.eye(4)[:1])
+    space = AffineSubspace.linear(np.eye(4)[:3])
+    family = _family([space, plane, line, tilted], symmetrized)
+    _assert_reaches(family, X0_4, E1_PART)

@@ -8,8 +8,10 @@ from circumproj import (
     AffineMap,
     AveragedSpec,
     AffineSubspace,
+    MethodConfig,
     accelerated_apply,
     build_product_averaged,
+    build_psi,
     build_sum_averaged,
     compose,
     fixed_point_set,
@@ -20,6 +22,8 @@ from circumproj import (
     make_reflector,
     make_translation,
     operator_from_literal,
+    operator_rate,
+    run_linear,
     symmetric_map_operator,
 )
 from helpers import random_family, random_linear_subspace, reflectors_of
@@ -222,3 +226,28 @@ def test_isometries_preserve_distances(seed):
     x = rng.standard_normal(ambient)
     y = rng.standard_normal(ambient)
     assert abs(np.linalg.norm(iso(x) - iso(y)) - np.linalg.norm(x - y)) < 1e-10
+
+
+
+def _accepts(check) -> bool:
+    try:
+        check()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("offset, linear", [(1e-9, False), (1e-11, True)])
+def test_one_linearity_verdict_for_every_check(offset, linear):
+    """Every check that an operator is linear gives one verdict, also for an
+    offset between eq_tol and consistency_tol."""
+    reflector = AffineIsometry(np.diag([1.0, -1.0]), np.array([offset, 0.0]))
+    halving = AffineMap(np.diag([1.0, 0.5]), np.array([offset, 0.0]))
+    verdicts = {
+        "is_linear": reflector.is_linear(),
+        "build_psi": _accepts(lambda: build_psi([reflector])),
+        "run_linear": _accepts(lambda: run_linear(halving, np.array([1.0, 1.0]),
+                                                  MethodConfig(method="sym_map", max_iters=2))),
+        "operator_rate": _accepts(lambda: operator_rate(halving, LINE_X)),
+    }
+    assert verdicts == dict.fromkeys(verdicts, linear)

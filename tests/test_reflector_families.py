@@ -22,7 +22,6 @@ from circumproj import (
     MethodConfig,
     OperatorSet,
     build_psi,
-    circumcenter,
     generate_instance,
     isometry,
     parse_config,
@@ -30,7 +29,6 @@ from circumproj import (
     run_experiment,
 )
 from circumproj.circumcenter import _distinct
-from circumproj.numerics import orthonormal_basis
 from helpers import dense_product, random_family, reflectors_of, subsets, unit_vector
 
 
@@ -92,17 +90,6 @@ def test_in_place_dedup_matches_the_eager_formula_bit_for_bit(seed, exponent):
     eager_kept, eager_diameter = _distinct_eager(points, DEFAULT_TOL)
     assert list(kept) == list(eager_kept)
     assert diameter == eager_diameter
-
-
-@given(st.integers(0, 10**6))
-def test_hull_residual_on_demand_is_the_eager_value(seed):
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-    result = circumcenter(points)
-    offsets = points[1:] - points[0]
-    in_hull = points[0] + offsets.T @ result.coefficients - points[0]
-    hull = orthonormal_basis(offsets)
-    assert result.hull_residual == float(np.linalg.norm(in_hull - hull.T @ (hull @ in_hull)))
 
 
 @pytest.mark.parametrize("ambient_dim", [4, 7, 12, 20])
