@@ -9,6 +9,8 @@ common fixed set of the family.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .isometry import AffineIsometry, fixed_point_set
-from .numerics import DEFAULT_TOL, Tolerance, as_vector
+from .numerics import DEFAULT_TOL, Tolerance, _norm, as_vector
 from .subspace import AffineSubspace, intersect
 
 __all__ = [
@@ -33,6 +35,8 @@ __all__ = [
 # k x k float64 buffers (the Gram matrix and the pairwise sums) need 16 k^2
 # bytes for k words, so a family may have at most 8192 words.
 DEDUP_BUDGET_BYTES = 2**30
+
+_EPS = float(np.finfo(float).eps)
 
 
 class NumericalPropernessError(RuntimeError):
@@ -83,9 +87,11 @@ def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     the pairs beyond twice that margin and every other pair is measured
     directly. The diameter of the points comes from the Gram distances.
     """
+    count = points.shape[0]
     gram = points @ points.T
-    norms_sq = np.diag(gram)
-    threshold = tol.eq_tol * (1.0 + float(np.sqrt(np.max(norms_sq))))
+    # a view: it is read before gram is overwritten below
+    norms_sq = gram.diagonal()
+    threshold = tol.eq_tol * (1.0 + math.sqrt(norms_sq.max()))
     # In place, in two n x n buffers: each step is an operation of the plain
     # formulas dist_sq = pair_sq - 2 gram and margin = c (pair_sq + t^2), in
     # their order, so the bits are theirs (doubling is exact).
@@ -93,16 +99,29 @@ def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     dist_sq = np.subtract(pair_sq, np.multiply(gram, 2.0, out=gram), out=gram)
     threshold_sq = threshold**2
     margin = np.multiply(np.add(pair_sq, threshold_sq, out=pair_sq),
-                         4.0 * (points.shape[1] + 2) * np.finfo(float).eps, out=pair_sq)
+                         4.0 * (points.shape[1] + 2) * _EPS, out=pair_sq)
     near = dist_sq <= np.add(margin, threshold_sq, out=margin)
-    keep = np.ones(points.shape[0], dtype=bool)
-    # every row is near on the diagonal, whose Gram distance is exactly 0
-    for i in np.flatnonzero(near.sum(axis=1) > 1):
-        for j in np.flatnonzero(near[i, :i] & keep[:i]):
-            if float(np.linalg.norm(points[i] - points[j])) <= threshold:
+    diameter = math.sqrt(max(float(dist_sq.max()), 0.0))
+    # Every row is near on the diagonal, whose Gram distance is exactly 0,
+    # unless a squared norm overflows, which makes the diameter NaN. So k
+    # near entries and a number for the diameter mean no near pair.
+    if np.count_nonzero(near) == count and not math.isnan(diameter):
+        return np.arange(count), diameter
+    keep = np.ones(count, dtype=bool)
+    for i in (near.sum(axis=1) > 1).nonzero()[0]:
+        for j in (near[i, :i] & keep[:i]).nonzero()[0]:
+            if _norm(points[i] - points[j]) <= threshold:
                 keep[i] = False
                 break
-    return np.flatnonzero(keep), float(np.sqrt(max(float(np.max(dist_sq)), 0.0)))
+    return np.flatnonzero(keep), diameter
+
+
+def _spread(points: np.ndarray, center: np.ndarray) -> float:
+    """Largest minus smallest distance from ``center`` to the points, with
+    the reductions of ``np.linalg.norm(points - center, axis=1)``."""
+    diff = points - center
+    dists = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
+    return float(dists.max() - dists.min())
 
 
 def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
@@ -126,27 +145,24 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
         pts = pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
         raise ValueError("expected a nonempty 2-d array of points")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("point entries must be finite")
     kept, diameter = _distinct(pts, tol)
-    rep = pts[kept]
+    rep = pts if kept.shape[0] == pts.shape[0] else pts[kept]
     p0 = rep[0]
     offsets = rep[1:] - p0
     if offsets.shape[0] == 0:
-        dists = np.linalg.norm(pts - p0, axis=1)
-        spread = float(np.max(dists) - np.min(dists))
-        return CircumcenterResult(p0.copy(), np.zeros(0), spread, 0.0)
+        return CircumcenterResult(p0.copy(), np.zeros(0), _spread(pts, p0), 0.0)
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
     u, s, vt = np.linalg.svd(offsets, full_matrices=False)
-    rank = int(np.sum(s > s[0] * tol.rank_tol))
+    rank = np.count_nonzero(s > s[0] * tol.rank_tol)
     u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     projected = u.T @ half
     coords = projected / s
     candidate = p0 + vt.T @ coords
-    dists = np.linalg.norm(pts - candidate, axis=1)
-    spread = float(np.max(dists) - np.min(dists))
+    spread = _spread(pts, candidate)
     center = candidate if spread <= tol.consistency_tol * (1.0 + diameter) else None
-    residual = float(np.linalg.norm(half - u @ projected))
+    residual = _norm(half - u @ projected)
     return CircumcenterResult(center, u @ (coords / s), spread, residual)
 
 
@@ -162,6 +178,11 @@ class OperatorSet:
     generator must occur in some word. A family has at most 8192 words:
     deduplicating the images of k words takes 16 k^2 bytes, and
     DEDUP_BUDGET_BYTES allows 2^30.
+
+    Letters are integer indices, bools excepted, and are stored as plain
+    ints. Construction also lays out the step plan of :meth:`images`: per
+    word, its last generator's ``Q`` and ``b`` (the generator's own arrays)
+    and the row it applies them to.
 
     Construction computes one fixed point set per distinct generator object
     and intersects them into ``common_fixed``, which for prefix-closed words
@@ -179,6 +200,7 @@ class OperatorSet:
     tol: InitVar[Tolerance] = DEFAULT_TOL
     fixed: InitVar[Optional[AffineSubspace]] = None
     common_fixed: AffineSubspace = field(init=False)
+    _plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self, tol: Tolerance, fixed: Optional[AffineSubspace]) -> None:
         generators = tuple(self.generators)
@@ -193,14 +215,22 @@ class OperatorSet:
         words = (tuple((i,) for i in range(count)) if self.words is None
                  else tuple(tuple(word) for word in self.words))
         _require_word_budget(len(words))
-        seen = {()}
-        for word in words:
-            if not all(isinstance(i, int) and 0 <= i < count for i in word):
-                raise ValueError(f"word {word} has a letter outside range({count})")
-            if word[:-1] not in seen:
+        words = tuple(_letters(word, count) for word in words)
+        # Row of each word's first occurrence, -1 for the empty prefix (x).
+        # A plan entry (Q, b, source) makes its row Q source + b, or a copy
+        # of source when Q is None; source 0 is x and source r + 1 is row r.
+        first_row = {(): -1}
+        plan = []
+        for row, word in enumerate(words):
+            if word[:-1] not in first_row:
                 raise ValueError(f"word {word} is not preceded by its prefix {word[:-1]}; "
                                  "words must be prefix-closed")
-            seen.add(word)
+            if word in first_row:
+                plan.append((None, None, first_row[word] + 1))
+            else:
+                gen = generators[word[-1]]
+                plan.append((gen.Q, gen.b, first_row[word[:-1]] + 1))
+                first_row[word] = row
         unused = sorted(set(range(count)).difference(*words))
         if unused:
             raise ValueError(f"generators {unused} occur in no word")
@@ -212,16 +242,40 @@ class OperatorSet:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "common_fixed", fixed)
+        object.__setattr__(self, "_plan", tuple(plan))
 
     def images(self, x) -> np.ndarray:
         """The images of x under the words, one row per word in order; each
-        is one generator applied to the image of the word's prefix."""
-        image = {(): as_vector(x)}
-        for word in self.words:
-            if word not in image:
-                gen = self.generators[word[-1]]
-                image[word] = gen.Q @ image[word[:-1]] + gen.b
-        return np.array([image[word] for word in self.words])
+        is one generator applied to the image of the word's prefix, and a
+        repeated word copies its first image."""
+        x = as_vector(x)
+        out = np.empty((len(self._plan), x.shape[0]))
+        sources = [x, *out]
+        for row, (Q, b, source) in zip(sources[1:], self._plan):
+            if Q is None:
+                row[...] = sources[source]
+            else:
+                np.dot(Q, sources[source], out=row)
+                row += b
+        return out
+
+
+def _letters(word: tuple, count: int) -> tuple:
+    """The word's letters as plain ints in range(count)."""
+    letters = []
+    for letter in word:
+        if isinstance(letter, (bool, np.bool_)):
+            raise ValueError(f"word {word} has the boolean letter {letter}; "
+                             "letters are generator indices")
+        try:
+            index = operator.index(letter)
+        except TypeError:
+            raise ValueError(f"word {word} has the letter {letter!r}, "
+                             "not an integer index") from None
+        if not 0 <= index < count:
+            raise ValueError(f"word {word} has a letter outside range({count})")
+        letters.append(index)
+    return tuple(letters)
 
 
 def _require_word_budget(count: int) -> None:

@@ -14,7 +14,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_vector, min_norm_solve, spectral_norm
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    _norm,
+    as_matrix,
+    as_vector,
+    min_norm_solve,
+    spectral_norm,
+)
 from .subspace import AffineSubspace, subspace_from_literal
 
 __all__ = [
@@ -329,8 +337,7 @@ def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The step of :func:`accelerated_apply`, for callers that check once."""
     image = A @ x
     direction = x - image
-    gap = float(np.linalg.norm(direction))
-    if gap <= _ACCEL_STATIONARY_FLOOR * (1.0 + float(np.linalg.norm(x))):
+    if _norm(direction) <= _ACCEL_STATIONARY_FLOOR * (1.0 + _norm(x)):
         return x.copy()
     t = float(x @ direction) / float(direction @ direction)
     return t * image + (1.0 - t) * x

@@ -22,7 +22,7 @@ from .isometry import (
     fixed_point_set,
     make_reflector,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_vector
+from .numerics import DEFAULT_TOL, Tolerance, _norm, as_vector
 from .subspace import AffineSubspace, intersect
 
 __all__ = [
@@ -112,10 +112,9 @@ class IterationTrace:
     def to_csv(self) -> str:
         lines = ["k,x_norm,error,step_norm"]
         steps = self.step_norms()
-        for k in range(self.iterates.shape[0]):
-            x_norm = float(np.linalg.norm(self.iterates[k]))
+        for k, row in enumerate(self.iterates):
             lines.append(
-                f"{k},{_fmt17(x_norm)},{_fmt17(self.errors[k])},{_fmt17(steps[k])}"
+                f"{k},{_fmt17(_norm(row))},{_fmt17(self.errors[k])},{_fmt17(steps[k])}"
             )
         return "\n".join(lines) + "\n"
 
@@ -131,11 +130,11 @@ class IterationTrace:
             "rows": [
                 {
                     "k": k,
-                    "x_norm": float(np.linalg.norm(self.iterates[k])),
+                    "x_norm": _norm(row),
                     "error": float(self.errors[k]),
                     "step_norm": float(steps[k]),
                 }
-                for k in range(self.iterates.shape[0])
+                for k, row in enumerate(self.iterates)
             ],
         }
 
@@ -152,11 +151,11 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
     steps_taken = 0
     for _ in range(config.max_iters):
         nxt = step(current)
-        if not np.all(np.isfinite(nxt)):
+        if not np.isfinite(nxt).all():
             raise RuntimeError(f"{method} produced a non-finite iterate at step {steps_taken + 1}")
         iterates.append(nxt)
         steps_taken += 1
-        if config.stop_tol > 0 and float(np.linalg.norm(nxt - current)) <= config.stop_tol:
+        if config.stop_tol > 0 and _norm(nxt - current) <= config.stop_tol:
             current = nxt
             break
         current = nxt
@@ -233,7 +232,10 @@ def run_linear(op: AffineMap, x0, config: MethodConfig, tol: Tolerance = DEFAULT
         if fixed is None:
             raise ValueError("operator has no fixed points")
     target = fixed.project(x0)
-    step = (lambda x: _accelerated_step(op.A, x)) if config.method == "accel_map" else op.apply
+    A, b = op.A, op.b
+    # iterates are finite vectors, checked by _drive, so op.apply's check of x is skipped
+    step = (lambda x: _accelerated_step(A, x)) if config.method == "accel_map" else (
+        lambda x: A @ x + b)
     return _drive(config.method, step, x0, config, target)
 
 

@@ -324,6 +324,20 @@ def test_artifact_digest_of_demo_is_stable(fmt, capsys):
     assert script.artifact_digest(demo, other) != first
 
 
+def test_artifact_digest_of_a_workload_operation_matches_its_config_file(tmp_path, capsys):
+    script = _load_script("artifact_digest")
+    workload = script.workloads.WORKLOADS["family-psi"]
+    config = tmp_path / "op_0000.json"
+    config.write_text(json.dumps(script.workloads.op_config(workload, 4242, 0), indent=1) + "\n")
+    assert script.main(["--workload", "family-psi", "--ops", "1"]) == 0
+    digest = script.artifact_digest(config, workload.fmt)
+    assert capsys.readouterr().out == f"{digest}  family-psi seed 4242 op 0\n"
+    for argv in ([], [str(config), "--workload", "family-psi"],
+                 ["--workload", "family-psi", "--format", "csv"]):
+        with pytest.raises(SystemExit):
+            script.main(argv)
+
+
 # command line
 
 

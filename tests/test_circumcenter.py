@@ -136,6 +136,26 @@ def test_operator_set_rejects_malformed_words():
         OperatorSet([reflector, make_reflector(LINE_DIAG)], words=((), (0,)))
 
 
+def test_operator_set_rejects_boolean_letters():
+    reflector = make_reflector(LINE_X)
+    for letter in (True, False, np.True_):
+        with pytest.raises(ValueError, match="boolean letter"):
+            OperatorSet([reflector, reflector], words=((0,), (1,), (letter,)))
+
+
+def test_operator_set_accepts_numpy_integer_letters_as_plain_ints():
+    reflectors = [make_reflector(LINE_X), make_reflector(LINE_DIAG)]
+    words = ((np.int64(0),), (np.int64(0), np.int32(1)), (np.uint8(1),))
+    family = OperatorSet(reflectors, words=words)
+    assert family.words == ((0,), (0, 1), (1,))
+    assert all(type(letter) is int for word in family.words for letter in word)
+    plain = OperatorSet(reflectors, words=((0,), (0, 1), (1,)))
+    x = np.array([0.3, -1.2])
+    assert np.array_equal(family.images(x), plain.images(x))
+    with pytest.raises(ValueError, match="not an integer index"):
+        OperatorSet(reflectors, words=((0,), (1.0,)))
+
+
 @given(st.integers(0, 10**6), st.integers(-6, 6))
 def test_dedup_keeps_the_oracle_representatives(seed, exponent):
     """Pairs planted at half and twice the threshold, chains included, at

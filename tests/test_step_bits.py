@@ -1,0 +1,163 @@
+"""The circumcenter step against its reference formulas, bit for bit.
+
+``circumcenter``, ``_distinct`` and ``OperatorSet.images`` avoid numpy's
+generic wrappers and repeated temporaries, but they must do the same
+floating-point operations in the same order as the reference formulas in
+``helpers``, so every bit of every result, and every artifact byte, holds.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from circumproj import DEFAULT_TOL, AffineIsometry, OperatorSet, circumcenter, make_reflector
+from circumproj.circumcenter import _distinct
+from helpers import (
+    random_linear_subspace,
+    reference_circumcenter,
+    reference_distinct,
+    reference_images,
+    unit_vector,
+)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _points(rng, count: int, dim: int, scale: float, shape: str) -> np.ndarray:
+    """``count`` points: some distinct ones of the given shape, then exact
+    copies of them and near copies at 0.5 and 2 times the dedup threshold."""
+    distinct = int(rng.integers(1, count + 1))
+    if shape == "generic":
+        base = rng.standard_normal((distinct, dim))
+    else:
+        # an affine subspace of dimension r: on a sphere in it the offsets are
+        # rank deficient and a circumcenter exists; in general position in a
+        # flat of dimension r < distinct - 1 there is none
+        r = int(rng.integers(1 if shape == "sphere" else 0, dim + 1))
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:r]
+        center = rng.standard_normal(dim)
+        coords = rng.standard_normal((distinct, r))
+        if shape == "sphere":
+            coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+        base = center + coords @ basis
+    points = list(scale * base)
+    threshold = DEFAULT_TOL.eq_tol * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    for _ in range(count - distinct):
+        source = points[int(rng.integers(len(points)))]
+        kind = int(rng.integers(3))
+        if kind == 0:
+            points.append(source.copy())
+        else:
+            factor = 0.5 if kind == 1 else 2.0
+            points.append(source + factor * threshold * unit_vector(rng, dim))
+    return np.array(points)[rng.permutation(count)]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 12), st.integers(-6, 6),
+       st.sampled_from(("generic", "sphere", "flat")))
+@example(seed=0, count=1, exponent=0, shape="generic")
+@example(seed=1, count=12, exponent=-6, shape="sphere")
+@example(seed=2, count=12, exponent=6, shape="flat")
+@example(seed=3, count=3, exponent=0, shape="generic")
+def test_circumcenter_matches_the_reference_bit_for_bit(seed, count, exponent, shape):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    points = _points(rng, count, dim, 10.0 ** exponent, shape)
+    kept, diameter = _distinct(points, DEFAULT_TOL)
+    ref_kept, ref_diameter = reference_distinct(points, DEFAULT_TOL)
+    assert list(kept) == list(ref_kept)
+    assert _bits(diameter) == _bits(ref_diameter)
+    result = circumcenter(points)
+    expected = reference_circumcenter(points, DEFAULT_TOL)
+    assert (result.center is None) == (expected.center is None)
+    if expected.center is not None:
+        assert _bits(result.center) == _bits(expected.center)
+    assert _bits(result.coefficients) == _bits(expected.coefficients)
+    assert _bits(result.equidistance_spread) == _bits(expected.equidistance_spread)
+    assert _bits(result.equidistance_residual) == _bits(expected.equidistance_residual)
+
+
+@pytest.mark.parametrize("points", [
+    [[1e160, 0.0], [0.0, 1e160]],
+    [[1e160, 0.0], [0.0, 1e160], [1e160, 1e-300]],
+    [[1e160, 0.0], [1.0, 0.0]],
+    [[1e200, 1.0], [1e200, 2.0], [3.0, 1e200]],
+])
+def test_overflowing_squared_norms_match_the_reference(points):
+    """Squared norms past the float range make Gram distances NaN, the
+    diagonal's included, so the dedup has no exact zeros to count on; it and
+    the circumcenter still follow the reference."""
+    points = np.array(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept, diameter = _distinct(points, DEFAULT_TOL)
+        ref_kept, ref_diameter = reference_distinct(points, DEFAULT_TOL)
+        result = circumcenter(points)
+        expected = reference_circumcenter(points, DEFAULT_TOL)
+    assert list(kept) == list(ref_kept)
+    assert math.isnan(diameter) and math.isnan(ref_diameter)
+    assert (result.center is None) == (expected.center is None)
+    if expected.center is not None:
+        assert np.array_equal(result.center, expected.center)
+    assert np.array_equal(result.coefficients, expected.coefficients, equal_nan=True)
+    for field in ("equidistance_spread", "equidistance_residual"):
+        assert np.array_equal(getattr(result, field), getattr(expected, field), equal_nan=True)
+
+
+def test_the_reference_cases_include_absent_and_rank_deficient_circumcenters():
+    """Three distinct collinear points have no circumcenter; six points on a
+    circle in R^3 have one, with offsets of rank 2."""
+    collinear = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+    assert reference_circumcenter(collinear, DEFAULT_TOL).center is None
+    assert circumcenter(collinear).center is None
+    angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    circle = np.column_stack([np.cos(angles), np.sin(angles), np.full(6, 2.0)])
+    result = circumcenter(circle)
+    assert np.linalg.matrix_rank(circle[1:] - circle[0]) == 2
+    assert _bits(result.center) == _bits(reference_circumcenter(circle, DEFAULT_TOL).center)
+
+
+def _generators(rng, dim: int, count: int, fixed_point: np.ndarray) -> list:
+    """Affine isometries that all fix ``fixed_point``: reflectors through
+    subspaces translated to it, general orthogonal maps about it, and
+    repeated objects."""
+    generators = []
+    for _ in range(count):
+        roll = int(rng.integers(3))
+        if roll == 0 and generators:
+            generators.append(generators[int(rng.integers(len(generators)))])
+        elif roll == 1:
+            subspace = random_linear_subspace(rng, dim, int(rng.integers(1, dim)))
+            generators.append(make_reflector(subspace.translate(fixed_point)))
+        else:
+            q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            generators.append(AffineIsometry(q, fixed_point - q @ fixed_point))
+    return generators
+
+
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_images_match_the_dict_walk_bit_for_bit(seed, with_empty, with_repeat):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    count = int(rng.integers(1, 5))
+    generators = _generators(rng, dim, count, rng.standard_normal(dim))
+    words = []
+    for _ in range(int(rng.integers(1, 12))):
+        prefix = words[int(rng.integers(len(words)))] if words and rng.integers(2) else ()
+        words.append(prefix + (int(rng.integers(count)),))
+    words += [(i,) for i in range(count) if not any(i in word for word in words)]
+    if with_empty:
+        words.insert(int(rng.integers(len(words) + 1)), ())
+    if with_repeat:
+        words.append(words[int(rng.integers(len(words)))])
+    family = OperatorSet(generators, words)
+    assert any(np.any(op.b != 0.0) for op in generators)
+    for scale in (1e-6, 1.0, 1e6):
+        x = scale * rng.standard_normal(dim)
+        images = family.images(x)
+        assert images.shape == (len(words), dim)
+        assert _bits(images) == _bits(reference_images(family, x))
