@@ -4,9 +4,12 @@
 Runs operations 0..N-1 of each perfbench workload at one seed under two
 checkouts, each in its own subprocess with that checkout's ``src`` first on
 the import path, and prints one row per workload: the largest absolute
-difference between corresponding iterates, and how many audit verdicts and
-stop steps changed. Operations are generated by this checkout's
-``perfbench/workloads.py``, so both trees run the same configs:
+differences between corresponding iterates, between corresponding entries
+of the error columns and between the audited constants, and how many audit
+verdicts and stop steps changed. A change of fixed set moves the errors and
+the constants but no iterate, so the iterates alone would read 0 for it.
+Operations are generated by this checkout's ``perfbench/workloads.py``, so
+both trees run the same configs:
 
     python3 scripts/iterate_drift.py /path/to/parent /path/to/change --seed 4242
 
@@ -30,7 +33,8 @@ import workloads  # noqa: E402
 
 def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
     """Run the operations with the circumproj on the import path and write,
-    per operation, each method's iterates, stop step and audit verdict."""
+    per operation, each method's iterates, errors, stop step, audited
+    constant and audit verdict."""
     from circumproj import parse_config, run_experiment
 
     workload = workloads.WORKLOADS[workload_name]
@@ -46,7 +50,9 @@ def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
             {
                 "label": f"{instance.label}/{m.label}",
                 "iterates": m.trace.iterates.tolist(),
+                "errors": m.trace.errors.tolist(),
                 "stopped_at": int(m.trace.stopped_at),
+                "constant": None if m.report is None else m.report.value,
                 "verdict": None if m.report is None else m.report.all_satisfied,
             }
             for instance in report.instances for m in instance.methods
@@ -64,9 +70,11 @@ def run_tree(tree: Path, workload: str, seed: int, ops: int) -> list:
 
 
 def compare(first: list, second: list) -> dict:
-    """Largest iterate difference, changed verdicts and changed stop steps;
-    iterates are compared over the steps both runs took."""
-    drift = {"methods": 0, "max_abs_diff": 0.0, "changed_verdicts": 0, "changed_stops": 0}
+    """Largest iterate, error and constant differences, changed verdicts and
+    changed stop steps; iterates and errors are compared over the steps both
+    runs took, constants where both runs audited one."""
+    drift = {"methods": 0, "max_abs_diff": 0.0, "max_error_diff": 0.0,
+             "max_constant_diff": 0.0, "changed_verdicts": 0, "changed_stops": 0}
     for op_first, op_second in zip(first, second):
         if "error" in op_first or "error" in op_second:
             drift["changed_verdicts"] += op_first.get("error") != op_second.get("error")
@@ -79,6 +87,11 @@ def compare(first: list, second: list) -> dict:
             for row_a, row_b in zip(a["iterates"][:steps], b["iterates"][:steps]):
                 diff = max(abs(x - y) for x, y in zip(row_a, row_b, strict=True))
                 drift["max_abs_diff"] = max(drift["max_abs_diff"], diff)
+            for x, y in zip(a["errors"][:steps], b["errors"][:steps]):
+                drift["max_error_diff"] = max(drift["max_error_diff"], abs(x - y))
+            if a["constant"] is not None and b["constant"] is not None:
+                drift["max_constant_diff"] = max(drift["max_constant_diff"],
+                                                 abs(a["constant"] - b["constant"]))
             drift["changed_verdicts"] += a["verdict"] != b["verdict"]
             drift["changed_stops"] += a["stopped_at"] != b["stopped_at"]
     return drift
@@ -101,11 +114,13 @@ def main(argv=None) -> int:
     if len(args.trees) != 2:
         parser.error("give exactly two source trees")
     print(f"{'workload':<14}{'ops':>4}{'methods':>9}{'max_abs_diff':>14}"
+          f"{'max_error_diff':>16}{'max_constant_diff':>19}"
           f"{'changed_verdicts':>18}{'changed_stops':>15}")
     for name in args.workload or list(workloads.WORKLOADS):
         first, second = (run_tree(tree, name, args.seed, args.ops) for tree in args.trees)
         drift = compare(first, second)
         print(f"{name:<14}{args.ops:>4}{drift['methods']:>9}{drift['max_abs_diff']:>14.3e}"
+              f"{drift['max_error_diff']:>16.3e}{drift['max_constant_diff']:>19.3e}"
               f"{drift['changed_verdicts']:>18}{drift['changed_stops']:>15}")
     return 0
 

@@ -275,6 +275,8 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{source}.instances.items: labels must be unique")
         explicit_items = tuple(items)
     elif kind == "random":
+        if x0.kind == "explicit":
+            raise ConfigError(f"{source}.x0: random instances draw their own start points")
         path = f"{source}.instances"
         count = _as_int(_get(instances, "count", path), f"{path}.count")
         num_subspaces = _as_int(_get(instances, "num_subspaces", path), f"{path}.num_subspaces")
@@ -382,7 +384,10 @@ class _MethodPlan:
 @dataclass(eq=False)
 class _Instance:
     """One instance and the parts its recipes share, each computed once.
-    ``inter`` is the intersection of the subspaces, computed on resolution."""
+    ``inter`` is the intersection of the subspaces, computed on resolution.
+    Its subspace is the fixed set of every recipe but ``dr``. Deriving it
+    from A - I, as ``fixed_point_set`` does, is ill-conditioned at small
+    angles theta: the smallest singular values of A - I are of order theta^2."""
 
     subspaces: list
     x0: np.ndarray
@@ -398,13 +403,6 @@ class _Instance:
         return self.reflectors + self.reflectors[-2::-1] if symmetrized else self.reflectors
 
     @cached_property
-    def common_fixed(self) -> AffineSubspace:
-        """The common fixed set of the reflectors, shared by every reflector
-        family: its distinct generators are R1..Rm, in that order, so this is
-        the set each family's constructor would compute."""
-        return OperatorSet(self.reflectors, tol=self.tol).common_fixed
-
-    @cached_property
     def tuple_cos(self) -> float:
         return tuple_angle_cos(self.subspaces, self.tol, fixed=self.inter.subspace)
 
@@ -413,12 +411,8 @@ class _Instance:
         return symmetric_map_operator(self.subspaces)
 
     @cached_property
-    def sym_fixed(self) -> Optional[AffineSubspace]:
-        return fixed_point_set(self.sym_op, self.tol)
-
-    @cached_property
     def accel(self) -> AccelConstants:
-        return accel_constants(self.sym_op, self.tol, fixed=self.sym_fixed)
+        return accel_constants(self.sym_op, self.tol, fixed=self.inter.subspace)
 
 
 def _linear_plan(constant_name: str, op: AffineMap, fixed: AffineSubspace,
@@ -436,20 +430,22 @@ def _plan_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
 
 def _plan_sym_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    return _linear_plan("symmetric_product_rate", ctx.sym_op, ctx.sym_fixed, ctx,
+    return _linear_plan("symmetric_product_rate", ctx.sym_op, ctx.inter.subspace, ctx,
                         tuple_angle_cos_half=ctx.tuple_cos)
 
 
 def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     return _MethodPlan("acceleration_rate", ctx.accel.eta, dataclasses.asdict(ctx.accel),
                        lambda config: run_linear(ctx.sym_op, ctx.x0, config, ctx.tol,
-                                                 fixed=ctx.sym_fixed))
+                                                 fixed=ctx.inter.subspace))
 
 
 def _plan_dr(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     if len(ctx.subspaces) < 2:
         raise ConfigError("method 'dr' needs at least two subspaces")
     op = dr_operator(ctx.subspaces[0], ctx.subspaces[1], ctx.tol)
+    # Fix(op) = (U ∩ V) ⊕ (U⊥ ∩ V⊥), not the intersection; the singular
+    # values of A - I are of order theta here, so A - I decides it well.
     return _linear_plan("douglas_rachford_rate", op, fixed_point_set(op, ctx.tol), ctx)
 
 
@@ -459,7 +455,7 @@ _AVERAGED_BUILDERS = {"sum": build_sum_averaged, "product": build_product_averag
 def _plan_averaged_iter(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     build = _AVERAGED_BUILDERS[spec.builder]
     op = build(AveragedSpec.uniform(len(ctx.reflectors)), ctx.reflectors, ctx.tol)
-    return _linear_plan(f"{spec.builder}_averaged_rate", op, fixed_point_set(op, ctx.tol), ctx)
+    return _linear_plan(f"{spec.builder}_averaged_rate", op, ctx.inter.subspace, ctx)
 
 
 def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -468,7 +464,8 @@ def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
     def run(config: MethodConfig) -> IterationTrace:
         config = dataclasses.replace(config, prefix=prefix)
-        return run_cim(build_psi(family, ctx.tol, fixed=ctx.common_fixed), ctx.x0, config, ctx.tol)
+        operator_set = build_psi(family, ctx.tol, fixed=ctx.inter.subspace)
+        return run_cim(operator_set, ctx.x0, config, ctx.tol)
 
     if prefix is not None:
         return _MethodPlan("accelerated_prefixed_rate", ctx.accel.eta,
@@ -485,9 +482,9 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
     with the rate of the averaged map the builder makes of the same reflectors."""
     family = ctx.family(spec.symmetrized)
     words = [tuple(range(i + 1)) if builder == "product" else (i,) for i in range(len(family))]
-    operator_set = OperatorSet(family, [()] + words, ctx.tol, fixed=ctx.common_fixed)
+    operator_set = OperatorSet(family, [()] + words, ctx.tol, fixed=ctx.inter.subspace)
     avg = _AVERAGED_BUILDERS[builder](AveragedSpec.uniform(len(family)), family, ctx.tol)
-    rate = operator_rate(avg, operator_set.common_fixed, ctx.tol)
+    rate = operator_rate(avg, ctx.inter.subspace, ctx.tol)
     return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate},
                        lambda config: run_cim(operator_set, ctx.x0, config, ctx.tol))
 

@@ -217,7 +217,8 @@ def run_linear(op: AffineMap, x0, config: MethodConfig, tol: Tolerance = DEFAULT
     ``averaged_iter`` the averaged builders' certificate, all a fixed point.
     ``fixed`` is the operator's fixed set when the caller already has it.
     For ``dr`` that set strictly contains the intersection whenever the two
-    orthogonal complements meet nontrivially.
+    orthogonal complements meet nontrivially. The fallback,
+    ``fixed_point_set``, is ill-conditioned at small angles.
     """
     if config.method not in LINEAR_METHODS:
         raise ValueError(f"run_linear iterates {LINEAR_METHODS}, not {config.method!r}")

@@ -169,7 +169,8 @@ def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
     and by sampling the quadratic form at seeded random unit vectors. The
     extreme values (c1, c2) come from the compression of the operator to
     the orthogonal complement of its fixed set; both are 0 when that
-    complement is trivial. ``fixed`` may pass the operator's fixed set.
+    complement is trivial. ``fixed`` may pass the operator's fixed set;
+    the fallback, ``fixed_point_set``, is ill-conditioned at small angles.
     """
     _require_nonexpansive(op, tol, self_adjoint=True)
     eig_min, _ = sym_eigen_extremes(op.A)

@@ -177,6 +177,22 @@ def test_parse_config_random_instances_validation():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("point", [[9.0], [0.1, 0.2, 0.3, 0.4]], ids=["wrong_dim", "right_dim"])
+def test_parse_config_rejects_explicit_x0_with_random_instances(point):
+    """Random instances draw their own start points, so an explicit x0
+    would be ignored; the random_unit kind stays accepted."""
+    obj = {
+        "name": "r", "ambient_dim": 4, "x0": {"kind": "explicit", "point": point},
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 2,
+                      "dim_range": [1, 2], "seed": 5},
+        "methods": [{"method": "map"}],
+    }
+    with pytest.raises(ConfigError, match=r"^config\.x0: random instances draw their own"):
+        parse_config(obj)
+    obj["x0"] = {"kind": "random_unit", "seed": 3}
+    assert parse_config(obj).x0.kind == "random_unit"
+
+
 def test_parse_config_bad_x0_kind():
     obj = demo_config()
     obj["x0"] = {"kind": "weird"}

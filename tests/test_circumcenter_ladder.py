@@ -6,13 +6,16 @@ subspaces, each under the increasing reflector products and their
 palindrome. Every case must converge to the known projection onto the
 intersection, with its first step checked against the independent oracle,
 or raise NumericalPropernessError. None may stop short of the target
-without saying so.
+without saying so. The same two lines also run through the harness under
+the linear recipes, whose fixed set must stay the intersection {0} (or,
+for Douglas-Rachford, the line orthogonal to both) at every angle.
 """
 
 import numpy as np
 import pytest
 
-from circumproj import AffineSubspace, MethodConfig, build_psi, run_cim
+from circumproj import (AffineSubspace, MethodConfig, build_psi, compute_rates,
+                        parse_config, run_cim, run_experiment)
 from helpers import reflectors_of
 from oracles import oracle_circumcenter
 
@@ -102,3 +105,75 @@ def test_nested_subspaces_reach_the_innermost(theta, symmetrized):
     space = AffineSubspace.linear(np.eye(4)[:3])
     family = _family([space, plane, line, tilted], symmetrized)
     _assert_reaches(family, X0_4, E1_PART)
+
+
+# The linear recipes and the prefixed circumcentered one on the same two
+# lines, through run_experiment. Their fixed set is the intersection {0},
+# except for Douglas-Rachford's (U ∩ V) ⊕ (U⊥ ∩ V⊥), the third axis.
+FIXED_SET_RECIPES = {
+    "sym_map": {"method": "sym_map"},
+    "accel_map": {"method": "accel_map"},
+    "averaged_sum": {"method": "averaged_iter", "builder": "sum"},
+    "averaged_product": {"method": "averaged_iter", "builder": "product"},
+    "cim_prefixed": {"method": "cim", "operator_set": "psi", "symmetrized": True,
+                     "prefix": "sym_map_product"},
+    "dr": {"method": "dr"},
+}
+# At 1e-8 the plain rate cT = 1 - theta^2 rounds to 1.0, so the acceleration
+# constants' rate chain (cT < 1) raises for the recipes that audit eta.
+CHAIN_LIMIT = {"accel_map", "cim_prefixed"}
+
+
+def _lines_config(theta, entries):
+    return parse_config({
+        "name": "ladder", "ambient_dim": 3, "max_iters": 40,
+        "x0": {"kind": "explicit", "point": X0.tolist()},
+        "instances": {"kind": "explicit", "items": [{"label": "lines", "subspaces": [
+            {"span": [[1.0, 0.0, 0.0]]},
+            {"span": [[np.cos(theta), np.sin(theta), 0.0]]}]}]},
+        "methods": entries,
+    })
+
+
+@pytest.mark.parametrize("recipe", sorted(FIXED_SET_RECIPES))
+@pytest.mark.parametrize("theta", THETAS[3:], ids=lambda theta: f"{theta:.0e}")
+def test_linear_recipes_target_the_intersection_at_small_angles(theta, recipe):
+    config = _lines_config(theta, [FIXED_SET_RECIPES[recipe]])
+    if theta < 1e-7 and recipe in CHAIN_LIMIT:
+        with pytest.raises(RuntimeError, match="rate chain violated"):
+            run_experiment(config, write=False)
+        return
+    (instance,) = run_experiment(config, write=False).instances
+    (outcome,) = instance.methods
+    wanted = [0.0, 0.0, X0[2]] if recipe == "dr" else [0.0, 0.0, 0.0]
+    assert instance.intersection_dim == 0
+    assert np.array_equal(outcome.trace.target, wanted)
+    assert outcome.report.all_satisfied
+    assert 1.0 - 3 * theta**2 <= outcome.report.value <= 1.0
+
+
+def _random_config(seed, entries):
+    """Three subspaces of dimension 21 in R^30, which meet in a 3-space."""
+    return parse_config({
+        "name": "random", "ambient_dim": 30,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 3,
+                      "dim_range": [21, 21], "seed": seed},
+        "methods": entries,
+    })
+
+
+@pytest.mark.parametrize("builder, operator_set", [
+    ("sum", "identity_plus_reflectors"), ("product", "identity_plus_prefix_products")])
+@pytest.mark.parametrize("make_config, arg", [
+    *[pytest.param(_lines_config, theta, id=f"lines-{theta:.0e}") for theta in THETAS[3:7]],
+    *[pytest.param(_random_config, seed, id=f"random-{seed}") for seed in (3, 4, 5)],
+])
+def test_averaged_map_and_its_family_report_one_constant(make_config, arg, builder,
+                                                         operator_set):
+    """``averaged_iter`` and the circumcentered family {Id, R1, ..} or
+    {Id, R1, R2R1, ..} audit the rate of one averaged operator, bit for bit."""
+    averaged, family = compute_rates(make_config(arg, [
+        {"method": "averaged_iter", "builder": builder},
+        {"method": "cim", "operator_set": operator_set}]))
+    assert family["constant_name"] == averaged["constant_name"]
+    assert family["value"] == averaged["value"]

@@ -15,9 +15,10 @@ def test_a_tree_against_itself_has_zero_drift():
          "--seed", "4242", "--ops", "1"],
         capture_output=True, text=True, timeout=300, check=True)
     header, row = result.stdout.strip().splitlines()
-    assert header.split() == ["workload", "ops", "methods", "max_abs_diff",
-                              "changed_verdicts", "changed_stops"]
-    assert row.split() == ["family-psi", "1", "6", "0.000e+00", "0", "0"]
+    assert header.split() == ["workload", "ops", "methods", "max_abs_diff", "max_error_diff",
+                              "max_constant_diff", "changed_verdicts", "changed_stops"]
+    assert row.split() == ["family-psi", "1", "6", "0.000e+00", "0.000e+00", "0.000e+00",
+                           "0", "0"]
 
 
 def test_compare_counts_each_kind_of_change():
@@ -25,15 +26,19 @@ def test_compare_counts_each_kind_of_change():
     drift = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(drift)
 
-    def method(label, iterates, stopped_at, verdict):
-        return {"label": label, "iterates": iterates, "stopped_at": stopped_at,
-                "verdict": verdict}
+    def method(label, iterates, errors, stopped_at, constant, verdict):
+        return {"label": label, "iterates": iterates, "errors": errors,
+                "stopped_at": stopped_at, "constant": constant, "verdict": verdict}
 
-    first = [{"methods": [method("a", [[0.0, 1.0], [0.5, 0.5]], 1, True),
-                          method("b", [[1.0], [0.0], [0.0]], 2, None)]},
+    first = [{"methods": [method("a", [[0.0, 1.0], [0.5, 0.5]], [1.0, 0.5], 1, 0.5, True),
+                          method("b", [[1.0], [0.0], [0.0]], [2.0, 1.0, 1.0], 2, None, None),
+                          method("c", [[1.0]], [0.0], 0, 0.25, True)]},
              {"error": "NumericalPropernessError: spread"}]
-    second = [{"methods": [method("a", [[0.0, 1.0], [0.5, 0.25]], 1, False),
-                           method("b", [[1.0], [1e-3]], 1, None)]},
+    second = [{"methods": [method("a", [[0.0, 1.0], [0.5, 0.25]], [1.0, 0.375], 1, 0.75,
+                                  False),
+                           method("b", [[1.0], [1e-3]], [2.0, 1.0], 1, None, None),
+                           method("c", [[1.0]], [0.0], 0, None, None)]},
               {"methods": []}]
     assert drift.compare(first, second) == {
-        "methods": 2, "max_abs_diff": 0.25, "changed_verdicts": 2, "changed_stops": 1}
+        "methods": 3, "max_abs_diff": 0.25, "max_error_diff": 0.125,
+        "max_constant_diff": 0.25, "changed_verdicts": 3, "changed_stops": 1}

@@ -264,10 +264,10 @@ def test_recipe_family_images_equal_dense_products(monkeypatch, entry, symmetriz
     assert np.allclose(families[0].images(x), [op(x) for op in dense], rtol=0.0, atol=1e-12)
 
 
-def test_symmetrized_psi_recipe_forms_no_products(monkeypatch):
-    """The symmetrized family of 5 subspaces has 2^9 members, yet its recipe
-    needs one fixed point set per distinct reflector and no composition."""
-    calls = {"fixed_point_set": [], "compose": []}
+def _count_calls(monkeypatch, names) -> dict:
+    """Rebind the named isometry functions wherever circumproj imported
+    them; returns, per name, the log of their first arguments."""
+    calls = {name: [] for name in names}
     for name, log in calls.items():
         original = getattr(isometry, name)
 
@@ -280,13 +280,40 @@ def test_symmetrized_psi_recipe_forms_no_products(monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_symmetrized_psi_recipe_forms_no_products(monkeypatch):
+    """The symmetrized family of 5 subspaces has 2^9 members, yet its recipe
+    computes no fixed point set, since the instance's intersection is the
+    family's, and forms no composition."""
+    calls = _count_calls(monkeypatch, ("fixed_point_set", "compose"))
     entry = {"method": "cim", "operator_set": "psi", "symmetrized": True}
     run_experiment(_config(entry, num_subspaces=5, ambient_dim=8), write=False)
-    fixed_args = calls["fixed_point_set"]
-    assert len({id(op) for op in fixed_args}) == len(fixed_args) <= 5, (
-        f"{len(fixed_args)} fixed point sets for 5 reflectors"
-    )
+    assert calls["fixed_point_set"] == []
     assert calls["compose"] == []
+
+
+def test_only_dr_computes_a_fixed_point_set(monkeypatch):
+    """Every recipe with an instance fixed set runs on the intersection,
+    except dr, whose fixed set also holds the complements' intersection."""
+    calls = _count_calls(monkeypatch, ("fixed_point_set",))
+    entries = [{"method": method, bench._VARIANT_KEYS[method]: variant} if variant else
+               {"method": method} for method, variant in bench._RECIPES if variant != "custom"]
+    entries.append({"method": "cim", "operator_set": "psi", "symmetrized": True,
+                    "prefix": "sym_map_product"})
+    config = parse_config({
+        "name": "full", "ambient_dim": 6, "max_iters": MAX_ITERS,
+        "instances": {"kind": "random", "count": 2, "num_subspaces": 3,
+                      "dim_range": [2, 4], "seed": SEED},
+        "methods": entries,
+    })
+    report = run_experiment(config, write=False)
+    ops = calls["fixed_point_set"]
+    assert len(ops) == len(report.instances) == 2
+    for index, op in enumerate(ops):
+        subspaces, _, _ = generate_instance(6, 3, (2, 4), np.random.default_rng((SEED, index)))
+        assert np.array_equal(op.A, dr_operator(subspaces[0], subspaces[1]).A)
 
 
 def test_method_tags_have_one_source():
