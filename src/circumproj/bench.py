@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -264,10 +265,14 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             item_x0 = _parse_x0(mapping["x0"], f"{path}.x0") if "x0" in mapping else None
             fixed_line = mapping.get("product_fixed_line")
             if fixed_line is not None:
-                fixed_line = tuple(
-                    _as_number(v, f"{path}.product_fixed_line[{j}]")
-                    for j, v in enumerate(_expect_list(fixed_line, f"{path}.product_fixed_line"))
-                )
+                line_path = f"{path}.product_fixed_line"
+                fixed_line = tuple(_as_number(v, f"{line_path}[{j}]")
+                                   for j, v in enumerate(_expect_list(fixed_line, line_path)))
+                if len(fixed_line) != ambient_dim:
+                    raise ConfigError(f"{line_path}: expected {ambient_dim} entries, "
+                                      f"got {len(fixed_line)}")
+                if not any(fixed_line) or not all(map(math.isfinite, fixed_line)):
+                    raise ConfigError(f"{line_path}: must be a finite nonzero direction")
             items.append(InstanceItem(label=label, subspace_literals=tuple(subs),
                                       x0=item_x0, product_fixed_line=fixed_line))
         labels = [item.label for item in items]

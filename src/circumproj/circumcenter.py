@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineIsometry, fixed_point_set
+from .isometry import AffineIsometry, _common_fixed_points
 from .numerics import DEFAULT_TOL, Tolerance, _norm, as_vector
-from .subspace import AffineSubspace, intersect
+from .subspace import AffineSubspace
 
 __all__ = [
     "CircumcenterResult",
@@ -184,10 +184,10 @@ class OperatorSet:
     word, its last generator's ``Q`` and ``b`` (the generator's own arrays)
     and the row it applies them to.
 
-    Construction computes one fixed point set per distinct generator object
-    and intersects them into ``common_fixed``, which for prefix-closed words
-    is the common fixed set of the whole family; it fails when a generator
-    has no fixed point or the generators share none. ``fixed`` is that
+    Construction solves the stacked systems (Q_i - I) x = -b_i of the
+    distinct generator objects in one call for ``common_fixed``, which for
+    prefix-closed words is the common fixed set of the whole family; it
+    fails when the generators share no fixed point. ``fixed`` is that
     common fixed set when the caller already has it: it is then checked,
     not computed, and construction fails when a generator moves its anchor
     by more than tol.consistency_tol relative to the anchor's norm, or a
@@ -236,7 +236,9 @@ class OperatorSet:
             raise ValueError(f"generators {unused} occur in no word")
         distinct = {id(op): op for op in generators}.values()
         if fixed is None:
-            fixed = _common_fixed(distinct, tol)
+            fixed = _common_fixed_points(tuple(distinct), tol)
+            if fixed is None:
+                raise ValueError("operators share no common fixed point")
         else:
             _require_fixed(distinct, fixed, tol)
         object.__setattr__(self, "generators", generators)
@@ -286,19 +288,6 @@ def _require_word_budget(count: int) -> None:
             f"{count} words need {need} bytes to deduplicate their images, "
             f"budget is {DEDUP_BUDGET_BYTES}"
         )
-
-
-def _common_fixed(generators, tol: Tolerance) -> AffineSubspace:
-    """The intersection of the generators' fixed point sets."""
-    fixed_sets = [fixed_point_set(op, tol) for op in generators]
-    if any(fixed is None for fixed in fixed_sets):
-        raise ValueError("a generator has no fixed points, so the family shares none")
-    common = intersect(fixed_sets, tol)
-    if common.is_empty:
-        raise ValueError(
-            f"operators share no common fixed point, residual {common.residual:.3e}"
-        )
-    return common.subspace
 
 
 def _require_fixed(generators, fixed: AffineSubspace, tol: Tolerance) -> None:

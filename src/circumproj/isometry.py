@@ -20,7 +20,7 @@ from .numerics import (
     _norm,
     as_matrix,
     as_vector,
-    min_norm_solve,
+    solution_set,
     spectral_norm,
 )
 from .subspace import AffineSubspace, subspace_from_literal
@@ -174,28 +174,25 @@ def fixed_point_set(op: AffineOperator,
                     tol: Tolerance = DEFAULT_TOL) -> Optional[AffineSubspace]:
     """Fixed points of an affine operator, or None when there are none.
 
-    Solves (M - I) x = -b by a minimum-norm least squares solve; the set is
-    empty when the residual exceeds tol.consistency_tol relative to ||b||.
-    The direction space is the numerical null space of M - I, with singular
-    values below tol.rank_tol * (1 + largest) counting as exact fixed
-    directions. The offset in that cutoff matters: when M is a product that
-    collapses to the identity, every singular value of M - I is rounding
-    noise, and a cutoff relative to the largest of them would keep all the
-    noise as nonzero rank and report no fixed directions at all. Works for
-    general affine maps too, which is how Douglas-Rachford operators get
-    their fixed sets.
+    The solution set of (M - I) x = -b, from one :func:`solution_set`
+    call; see :func:`_common_fixed_points`. Works for general affine maps
+    too, which is how Douglas-Rachford operators get their fixed sets.
     """
-    M = _linear_part(op)
-    b = op.b
-    n = M.shape[0]
-    shifted = M - np.eye(n)
-    anchor, residual = min_norm_solve(shifted, -b, tol)
-    if residual > tol.consistency_tol * (1.0 + float(np.linalg.norm(b))):
+    return _common_fixed_points((op,), tol)
+
+
+def _common_fixed_points(ops: Sequence[AffineOperator],
+                         tol: Tolerance) -> Optional[AffineSubspace]:
+    """Points fixed by every operator, or None when there are none: the
+    solution set of the stacked systems (M_i - I) x = -b_i, empty when the
+    residual exceeds tol.consistency_tol relative to the stacked offsets."""
+    eye = np.eye(ops[0].ambient_dim)
+    rhs = -np.concatenate([op.b for op in ops])
+    anchor, direction, residual = solution_set(
+        np.vstack([_linear_part(op) - eye for op in ops]), rhs, tol)
+    if residual > tol.consistency_tol * (1.0 + _norm(rhs)):
         return None
-    s, vt = np.linalg.svd(shifted)[1:]
-    cutoff = tol.rank_tol * (1.0 + float(s[0]))
-    rank = int(np.sum(s > cutoff))
-    return AffineSubspace(anchor, np.ascontiguousarray(vt[rank:]))
+    return AffineSubspace(anchor, direction)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Dense small-matrix kernels shared by every other module.
 
-Everything here operates on plain numpy float arrays. Rank decisions use a
-relative singular value cutoff so callers never tune absolute thresholds to
-the scale of their data. All functions are pure and never mutate inputs.
+Everything here operates on plain numpy float arrays. Rank decisions scale
+with the largest singular value so callers never tune absolute thresholds to
+the scale of their data. Every affine solution set of the package
+(intersections, fixed point sets, orthogonal complements) comes from
+:func:`solution_set`, so its rank rule, tol.rank_tol * (1 + largest), is
+decided in one place. All functions are pure and never mutate inputs.
 Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
 calls alternating between the two stall on each other's spinning threads.
 """
@@ -20,8 +23,7 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "orthonormal_basis",
-    "complement_basis",
-    "min_norm_solve",
+    "solution_set",
     "spectral_norm",
     "sym_eigen_extremes",
 ]
@@ -99,41 +101,44 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.ascontiguousarray(u[:, :rank].T)
 
 
-def complement_basis(basis, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal rows spanning the orthogonal complement of the row space.
+def solution_set(A, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least squares solution set of A x = b, from one SVD.
 
-    ``basis`` may have zero rows, in which case the complement is all of
-    R^n and the identity basis is returned.
-    """
-    arr = np.asarray(basis, dtype=float).reshape(-1, ambient_dim)
-    if arr.shape[0] == 0:
-        return np.eye(ambient_dim)
-    _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    rank = int(np.sum(s > s[0] * tol.rank_tol))
-    return np.ascontiguousarray(vt[rank:])
+    Returns ``(x, null_basis, residual)``: the minimum-norm minimizer x of
+    ||A x - b||, orthonormal rows spanning the numerical null space of A,
+    and the residual ||A x - b||. Singular values at or below
+    tol.rank_tol * (1 + largest) count as zero. The offset in that cutoff
+    matters: when every entry of A is rounding noise, as in M - I for a
+    product that collapses to the identity, a cutoff relative to the largest
+    singular value alone would keep the noise as rank and report no null
+    directions at all. A with no rows has the identity as its null basis.
 
-
-def min_norm_solve(A, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Minimum-norm least squares solution of A x = b.
-
-    Returns the pseudoinverse solution together with the achieved residual
-    norm ||A x - b||. Singular values below ``tol.rank_tol`` relative to
-    the largest one are treated as zero, which keeps rank-deficient and
-    inconsistent systems stable. The residual lets callers decide whether
-    the system was consistent. A zero right-hand side has the zero solution
-    and needs no factorization.
+    A tall A, with more rows than its n columns, is first reduced by the QR
+    factorization of [A | b]: the leading n x n block of the triangle has
+    the singular values and right singular vectors of A, its last column is
+    Q^T b, and its corner is the part of b outside the range of A. A zero
+    right-hand side has the zero solution without a solve.
     """
     mat = as_matrix(A)
     rhs = as_vector(b)
-    if mat.shape[0] != rhs.shape[0]:
-        raise ValueError(
-            f"matrix has {mat.shape[0]} rows but right-hand side has {rhs.shape[0]} entries"
-        )
+    rows, n = mat.shape
+    if rows != rhs.shape[0]:
+        raise ValueError(f"matrix has {rows} rows but right-hand side has {rhs.shape[0]} entries")
+    if rows == 0:
+        return np.zeros(n), np.eye(n), 0.0
+    outside = 0.0
+    if rows > n:
+        r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")
+        mat, rhs, outside = r[:n, :n], r[:n, n], abs(float(r[n, n]))
+    u, s, vt = np.linalg.svd(mat)
+    rank = int(np.count_nonzero(s > tol.rank_tol * (1.0 + float(s[0]))))
+    null_basis = np.ascontiguousarray(vt[rank:])
     if not np.any(rhs):
-        return np.zeros(mat.shape[1]), 0.0
-    solution, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=tol.rank_tol)
-    residual = float(np.linalg.norm(mat @ solution - rhs))
-    return solution, residual
+        return np.zeros(n), null_basis, outside
+    coords = u[:, :rank].T @ rhs
+    solution = vt[:rank].T @ (coords / s[:rank])
+    residual = math.hypot(_norm(rhs - u[:, :rank] @ coords), outside)
+    return solution, null_basis, residual
 
 
 def spectral_norm(A) -> float:

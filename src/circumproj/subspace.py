@@ -16,10 +16,10 @@ import numpy as np
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _norm,
     as_vector,
-    complement_basis,
-    min_norm_solve,
     orthonormal_basis,
+    solution_set,
 )
 
 __all__ = [
@@ -140,7 +140,7 @@ class AffineSubspace:
         """Orthogonal complement; defined for linear subspaces only."""
         if not self.is_linear(tol):
             raise ValueError("orthogonal complement is defined for linear subspaces only")
-        comp = complement_basis(self.basis, self.ambient_dim, tol)
+        _, comp, _ = solution_set(self.basis, np.zeros(self.dim), tol)
         return AffineSubspace(np.zeros(self.ambient_dim), comp)
 
     def translate(self, z) -> "AffineSubspace":
@@ -168,12 +168,12 @@ def intersect(subspaces: Sequence[AffineSubspace],
               tol: Tolerance = DEFAULT_TOL) -> Intersection:
     """Intersect finitely many affine subspaces.
 
-    Membership in each input is the linear constraint that the offset from
-    its anchor has no component in the complement of its direction space.
-    The stacked constraints are solved by a minimum-norm least squares
-    solve; the intersection is declared empty when the residual exceeds
-    tol.consistency_tol relative to the data scale. The direction space of
-    the intersection is the complement of the sum of the complements.
+    x lies in the subspace with anchor a and projector P exactly when
+    (I - P) x = (I - P) a. One :func:`solution_set` call on these blocks,
+    stacked, gives the anchor of the intersection (the minimum-norm
+    solution) and its direction (the null space). Summing the blocks instead
+    would square their condition number. The intersection is empty when the
+    residual exceeds tol.consistency_tol relative to the data scale.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace to intersect")
@@ -181,25 +181,14 @@ def intersect(subspaces: Sequence[AffineSubspace],
     for s in subspaces[1:]:
         if s.ambient_dim != n:
             raise ValueError("subspaces live in different ambient dimensions")
-    constraint_rows = []
-    rhs_parts = []
-    for s in subspaces:
-        comp = complement_basis(s.basis, n, tol)
-        if comp.shape[0] == 0:
-            continue
-        constraint_rows.append(comp)
-        rhs_parts.append(comp @ s.anchor)
-    if not constraint_rows:
-        return Intersection(AffineSubspace.full(n), 0.0)
-    stacked = np.vstack(constraint_rows)
-    rhs = np.concatenate(rhs_parts)
-    solution, residual = min_norm_solve(stacked, rhs, tol)
-    scale = 1.0 + float(np.linalg.norm(rhs))
-    if residual > tol.consistency_tol * scale:
+    blocks = np.empty((len(subspaces), n, n))
+    for block, s in zip(blocks, subspaces):
+        np.subtract(np.eye(n), s.projector_matrix(), out=block)
+    rhs = np.concatenate([block @ s.anchor for block, s in zip(blocks, subspaces)])
+    anchor, direction, residual = solution_set(blocks.reshape(-1, n), rhs, tol)
+    if residual > tol.consistency_tol * (1.0 + _norm(rhs)):
         return Intersection(None, residual)
-    normals = orthonormal_basis(stacked, tol)
-    direction = complement_basis(normals, n, tol)
-    return Intersection(AffineSubspace(solution, direction), residual)
+    return Intersection(AffineSubspace(anchor, direction), residual)
 
 
 def affine_hull(points, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:

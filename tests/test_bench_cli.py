@@ -397,6 +397,20 @@ def test_cli_verify_flags_wrong_fixed_line(tmp_path, capsys):
     assert "all bounds hold: False" in out
 
 
+@pytest.mark.parametrize("line", [[1.0], [1.0, 1.0, 1.0], [0.0, 0.0]])
+def test_cli_rejects_a_bad_product_fixed_line(tmp_path, capsys, line):
+    def mutate(obj):
+        obj["instances"]["items"][1]["product_fixed_line"] = line
+
+    path = _write_demo(tmp_path, mutate)
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error:" in captured.err
+    assert "instances.items[1].product_fixed_line:" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_error_exits_two(tmp_path, capsys):
     def mutate(obj):
         del obj["methods"]

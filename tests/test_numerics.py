@@ -9,34 +9,55 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
+    AffineSubspace,
     Tolerance,
     as_matrix,
     as_vector,
-    complement_basis,
-    min_norm_solve,
+    intersect,
     orthonormal_basis,
+    solution_set,
     spectral_norm,
     sym_eigen_extremes,
 )
 
 
-def test_min_norm_solve_frozen_overdetermined():
+def test_solution_set_frozen_overdetermined():
     # rows x = 0 and x = 2: least squares lands on x = 1 with residual sqrt(2)
-    solution, residual = min_norm_solve(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
+    solution, null, residual = solution_set(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
     assert solution.shape == (1,)
+    assert null.shape == (0, 1)
     assert abs(solution[0] - 1.0) < 1e-12, f"expected 1.0, got {solution[0]}"
     assert abs(residual - np.sqrt(2.0)) < 1e-12, f"expected sqrt(2), got {residual}"
 
 
-def test_min_norm_solve_consistent_system_has_zero_residual():
+def test_solution_set_consistent_system_has_zero_residual():
     rng = np.random.default_rng(5)
     mat = rng.standard_normal((4, 6))
     x_true = rng.standard_normal(6)
-    solution, residual = min_norm_solve(mat, mat @ x_true)
+    solution, null, residual = solution_set(mat, mat @ x_true)
     assert residual < 1e-10
+    assert null.shape == (2, 6)
     # minimum-norm solution agrees with the pseudoinverse one
     expected = np.linalg.pinv(mat) @ (mat @ x_true)
     assert np.allclose(solution, expected, atol=1e-10)
+
+
+@given(st.integers(0, 10**6))
+def test_solution_set_tall_reduction_matches_svd_of_the_matrix(seed):
+    """The QR path on a rank-deficient 3n x n system gives the null-space
+    projector, solution and residual of an SVD of A itself."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    rank = int(rng.integers(1, n))
+    mat = rng.standard_normal((3 * n, rank)) @ rng.standard_normal((rank, n))
+    rhs = rng.standard_normal(3 * n)
+    solution, null, residual = solution_set(mat, rhs)
+    u, s, vt = np.linalg.svd(mat)
+    expected = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    assert null.shape == (n - rank, n)
+    assert np.allclose(null.T @ null, vt[rank:].T @ vt[rank:], rtol=0, atol=1e-12)
+    assert np.allclose(solution, expected, rtol=0, atol=1e-12)
+    assert abs(residual - np.linalg.norm(mat @ expected - rhs)) < 1e-12
 
 
 def test_spectral_norm_frozen_nilpotent():
@@ -83,10 +104,25 @@ def test_orthonormal_basis_of_zero_input_is_empty():
     assert basis.shape == (0, 4)
 
 
-def test_complement_basis_of_empty_is_identity():
-    comp = complement_basis(np.zeros((0, 3)), 3)
+def test_solution_set_of_zero_rows_is_identity():
+    solution, comp, residual = solution_set(np.zeros((0, 3)), np.zeros(0))
     assert comp.shape == (3, 3)
     assert np.allclose(comp @ comp.T, np.eye(3), atol=1e-12)
+    assert np.array_equal(solution, np.zeros(3)) and residual == 0.0
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_intersect_of_full_spaces_is_everything(copies):
+    """I - P of the whole space is zero or rounding noise, which the floor
+    of the rank cutoff must keep at rank 0."""
+    rng = np.random.default_rng(copies)
+    full = AffineSubspace.full(6)
+    noisy = AffineSubspace.linear(rng.standard_normal((6, 6)))
+    for family in ([full] * copies, [noisy] * copies):
+        inter = intersect(family)
+        assert not inter.is_empty
+        assert inter.subspace.dim == 6
+        assert np.allclose(inter.subspace.projector_matrix(), np.eye(6), rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 10**6))
@@ -107,12 +143,12 @@ def test_orthonormal_basis_rows_are_orthonormal_and_span_input(seed):
 
 
 @given(st.integers(0, 10**6))
-def test_complement_basis_completes_an_orthonormal_square(seed):
+def test_solution_set_complement_completes_an_orthonormal_square(seed):
     rng = np.random.default_rng(seed)
     ambient = int(rng.integers(2, 7))
     rank = int(rng.integers(1, ambient + 1))
     basis = orthonormal_basis(rng.standard_normal((rank, ambient)))
-    comp = complement_basis(basis, ambient)
+    _, comp, _ = solution_set(basis, np.zeros(rank))
     stacked = np.vstack([basis, comp])
     assert stacked.shape == (ambient, ambient)
     assert np.allclose(stacked @ stacked.T, np.eye(ambient), atol=1e-10)
@@ -129,14 +165,15 @@ def test_spectral_norm_dominates_action(seed):
 
 
 @given(st.integers(0, 10**6))
-def test_min_norm_solve_picks_smallest_solution(seed):
+def test_solution_set_picks_smallest_solution(seed):
     """Adding any null-space component must not shrink the norm."""
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((2, 5))
     rhs = rng.standard_normal(2)
-    solution, residual = min_norm_solve(mat, rhs)
+    solution, null, residual = solution_set(mat, rhs)
     assert residual < 1e-9, f"wide system should be consistent, residual {residual}"
-    null = complement_basis(orthonormal_basis(mat), 5)
+    assert null.shape == (3, 5)
+    assert np.allclose(null @ solution, 0.0, atol=1e-10)
     for _ in range(3):
         shift = null.T @ rng.standard_normal(null.shape[0])
         if np.linalg.norm(shift) < 1e-12:

@@ -3,11 +3,14 @@
 ``circumproj/__init__.py`` star-imports each module, so a name listed by
 two modules would be shadowed silently. The module ``circumcenter`` shares
 its name with the function it exports, and the package must bind the
-function.
+function. Factorizations that decide a rank live in ``numerics`` and in the
+circumcenter step only.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import circumproj
 
@@ -40,3 +43,40 @@ def test_circumcenter_is_the_function_not_the_module():
 
     assert circumcenter is circumproj.circumcenter
     assert inspect.ismodule(importlib.import_module("circumproj.circumcenter"))
+
+
+FACTORIZATIONS = {"svd", "qr", "lstsq", "pinv", "matrix_rank"}
+
+
+def _factorization_sites(tree) -> set:
+    """(function name or None, factorization) for each ``np.linalg.<name>``
+    or ``numpy.linalg`` import in a module, by innermost enclosing function."""
+    sites = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            sites.add((function, node.attr))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            sites.update((function, alias.name) for alias in node.names
+                         if alias.name in FACTORIZATIONS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+def test_rank_deciding_factorizations_live_in_numerics_and_the_circumcenter():
+    package = Path(circumproj.__file__).parent
+    allowed = {("circumcenter.py", "circumcenter")}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        sites = _factorization_sites(ast.parse(path.read_text()))
+        stray = {site for site in sites if (path.name, site[0]) not in allowed}
+        assert not stray, f"{path.name} factorizes outside numerics: {sorted(stray, key=str)}"
+    sites = _factorization_sites(ast.parse((package / "circumcenter.py").read_text()))
+    assert sites == {("circumcenter", "svd")}
