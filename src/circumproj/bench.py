@@ -623,8 +623,10 @@ class ExperimentReport:
         }
 
     def to_json(self, include_traces: bool = False) -> str:
+        """Compact sorted-key JSON on one line; without an indent ``json``
+        keeps its C encoder."""
         return json.dumps(self.to_json_obj(include_traces=include_traces),
-                          sort_keys=True, indent=1)
+                          sort_keys=True, separators=(",", ":"))
 
 
 def _environment_stamp(config: ExperimentConfig) -> dict:
@@ -757,9 +759,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
 
 
 def _write_atomic(path: Path, data: str) -> None:
+    """Write through ``<name>.tmp`` and a rename, so readers see the old
+    file or the whole new one. A failed write removes the temp file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:

@@ -28,6 +28,7 @@ from .bench import (
     load_config,
     parse_config,
     run_experiment,
+    _write_atomic,
 )
 
 __all__ = ["main", "build_parser"]
@@ -137,11 +138,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 value = "-" if row["value"] is None else f"{row['value']:.12g}"
                 print(f"{row['instance']}/{row['method']}: {row['constant_name']} = {value}")
             if args.out is not None:
-                text = json.dumps(rows, sort_keys=True, indent=1) + "\n"
                 target = Path(args.out)
-                if target.parent != Path(""):
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text(text)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                _write_atomic(target, json.dumps(rows, sort_keys=True, indent=1) + "\n")
             return 0
 
         if args.verb == "demo":

@@ -66,10 +66,6 @@ class MethodConfig:
             raise ValueError("stop_tol must be nonnegative")
 
 
-def _fmt17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Recorded iterates of one run.
@@ -110,13 +106,12 @@ class IterationTrace:
         return steps
 
     def to_csv(self) -> str:
-        lines = ["k,x_norm,error,step_norm"]
-        steps = self.step_norms()
-        for k, row in enumerate(self.iterates):
-            lines.append(
-                f"{k},{_fmt17(_norm(row))},{_fmt17(self.errors[k])},{_fmt17(steps[k])}"
-            )
-        return "\n".join(lines) + "\n"
+        """One row per iterate at 17 significant digits, formatted from
+        whole columns."""
+        rows = map("{},{:.17g},{:.17g},{:.17g}".format, range(self.iterates.shape[0]),
+                   [_norm(row) for row in self.iterates], self.errors.tolist(),
+                   self.step_norms().tolist())
+        return "k,x_norm,error,step_norm\n" + "\n".join(rows) + "\n"
 
     def to_json_obj(self) -> dict:
         steps = self.step_norms()

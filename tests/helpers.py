@@ -13,6 +13,7 @@ from circumproj import (
     identity,
     make_reflector,
 )
+from circumproj.numerics import _norm
 
 
 def random_linear_subspace(rng: np.random.Generator, ambient_dim: int,
@@ -108,3 +109,22 @@ def reference_images(operator_set, x) -> np.ndarray:
             gen = operator_set.generators[word[-1]]
             image[word] = gen.Q @ image[word[:-1]] + gen.b
     return np.array([image[word] for word in operator_set.words])
+
+
+# The trace CSV as the library wrote it row by row, one float formatting
+# call per field. The library's column-wise writer must reproduce it byte
+# for byte, so keep it as it is.
+
+def _fmt17(value: float) -> str:
+    return format(float(value), ".17g")
+
+
+def reference_trace_csv(trace) -> str:
+    """``k,x_norm,error,step_norm`` rows at 17 significant digits."""
+    lines = ["k,x_norm,error,step_norm"]
+    steps = trace.step_norms()
+    for k, row in enumerate(trace.iterates):
+        lines.append(
+            f"{k},{_fmt17(_norm(row))},{_fmt17(trace.errors[k])},{_fmt17(steps[k])}"
+        )
+    return "\n".join(lines) + "\n"

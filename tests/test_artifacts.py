@@ -1,0 +1,120 @@
+"""The artifact writers: trace CSV bytes, the form of report.json, and the
+atomic write behind every file the harness and the CLI write."""
+
+import json
+import os
+
+import pytest
+
+from circumproj import cli, compute_rates, demo_config, parse_config, run_experiment
+from circumproj.bench import _write_atomic
+
+from helpers import reference_trace_csv
+
+
+def _random_config(max_iters: int) -> dict:
+    """One random instance of three 21-dimensional subspaces of R^30."""
+    return {
+        "name": "random_r30",
+        "ambient_dim": 30,
+        "seed": 31,
+        "max_iters": max_iters,
+        "stop_tol": 1e-11,
+        "x0": {"kind": "random_unit", "seed": 31},
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 3,
+                      "dim_range": [21, 21], "seed": 31},
+        "methods": [
+            {"method": "map"},
+            {"method": "cim", "operator_set": "psi"},
+            {"method": "cim", "operator_set": "psi", "symmetrized": True},
+            {"method": "sym_map"},
+            {"method": "accel_map"},
+            {"method": "dr"},
+        ],
+    }
+
+
+def _traces(config_obj: dict) -> list:
+    report = run_experiment(parse_config(config_obj), write=False)
+    return [m.trace for instance in report.instances for m in instance.methods]
+
+
+@pytest.mark.parametrize("config_obj", [demo_config(), _random_config(60), _random_config(0)],
+                         ids=["demo", "random_r30", "max_iters_0"])
+def test_trace_csv_is_the_row_by_row_bytes(config_obj):
+    traces = _traces(config_obj)
+    assert traces
+    for trace in traces:
+        assert trace.to_csv() == reference_trace_csv(trace)
+
+
+def test_max_iters_0_trace_csv_has_one_row():
+    for trace in _traces(_random_config(0)):
+        assert trace.to_csv().count("\n") == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_json_is_one_compact_line_with_the_indented_schema(tmp_path, fmt):
+    report = run_experiment(parse_config(demo_config()), out_dir=tmp_path, fmt=fmt)
+    text = (tmp_path / "report.json").read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    obj = report.to_json_obj(include_traces=(fmt == "json"))
+    payload = json.loads(text)
+    assert payload == json.loads(json.dumps(obj, sort_keys=True, indent=1))
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    for instance, written in zip(report.instances, payload["instances"]):
+        for outcome, method in zip(instance.methods, written["methods"]):
+            assert method["final_error"].hex() == float(outcome.trace.errors[-1]).hex()
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        _write_atomic(target, "new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    assert target.read_text() == "old\n"
+    with pytest.raises(OSError, match="replace refused"):
+        run_experiment(parse_config(demo_config()), out_dir=tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        _write_atomic(tmp_path / "bad.json", "\udc80")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _write_demo(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(demo_config(), indent=1, sort_keys=True) + "\n")
+    return path
+
+
+def test_cli_rates_out_is_written_atomically_with_indented_bytes(tmp_path, capsys):
+    config = _write_demo(tmp_path)
+    dump = tmp_path / "dumps" / "rates.json"
+    assert cli.main(["rates", str(config), "--out", str(dump)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in dump.parent.iterdir()) == ["rates.json"]
+    rows = compute_rates(parse_config(demo_config()))
+    assert dump.read_text() == json.dumps(rows, sort_keys=True, indent=1) + "\n"
+
+
+def test_cli_rates_out_goes_through_the_atomic_writer(tmp_path, capsys, monkeypatch):
+    config = _write_demo(tmp_path)
+    dump = tmp_path / "dumps" / "rates.json"
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        cli.main(["rates", str(config), "--out", str(dump)])
+    capsys.readouterr()
+    assert list(dump.parent.iterdir()) == []
