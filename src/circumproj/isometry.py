@@ -9,8 +9,8 @@ keeping the types apart keeps the isometry invariant meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .numerics import (
     as_vector,
     solution_set,
     spectral_norm,
+    sym_eigen_extremes,
 )
 from .subspace import AffineSubspace, subspace_from_literal
 
@@ -47,6 +48,8 @@ _ORTHOGONALITY_TOL = 1e-10
 # The relaxation parameters alpha and lambda of AveragedSpec.uniform.
 _UNIFORM_ALPHA = 0.5
 _UNIFORM_LAMBDA = 0.5
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +97,17 @@ class AffineMap:
 
     ``averagedness`` is set only by the averaged builders below and serves
     as their certificate; hand-built maps carry None there.
+
+    ``A`` is a read-only view of the array passed in, not a copy, so the
+    spectral data of A (its norm, its symmetric eigenvalue extremes and its
+    rates off fixed subspaces) is computed once per operator and cached on
+    it as scalars. Changing the passed array afterwards is unsupported.
     """
 
     A: np.ndarray
     b: np.ndarray
     averagedness: Optional[float] = None
+    _spectral: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         A = as_matrix(self.A)
@@ -107,8 +116,16 @@ class AffineMap:
             raise ValueError(f"linear part must be square, got shape {A.shape}")
         if A.shape[0] != b.shape[0]:
             raise ValueError("linear part and offset dimensions differ")
-        object.__setattr__(self, "A", np.ascontiguousarray(A))
+        A = np.ascontiguousarray(A).view()
+        A.flags.writeable = False
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+
+    def _spectral_datum(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, a scalar function of A, evaluated once per key."""
+        if key not in self._spectral:
+            self._spectral[key] = compute()
+        return self._spectral[key]
 
     @property
     def ambient_dim(self) -> int:
@@ -345,13 +362,28 @@ def is_self_adjoint(op: AffineOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(M - M.T))) <= tol.eq_tol * (1.0 + float(np.max(np.abs(M))))
 
 
+def _sym_extremes(op: AffineMap) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of op's symmetrized linear part,
+    computed once per operator."""
+    return op._spectral_datum("sym_extremes", lambda: sym_eigen_extremes(op.A))
+
+
 def _require_nonexpansive(op: AffineMap, tol: Tolerance, self_adjoint: bool = False) -> None:
-    """Raise ValueError unless op is linear, nonexpansive and, if asked, self-adjoint."""
+    """Raise ValueError unless op is linear, nonexpansive and, if asked, self-adjoint.
+
+    The norm of a self-adjoint operator is max(-lambda_min, lambda_max), read
+    from :func:`_sym_extremes`; any other takes its spectral norm. Either is
+    computed once per operator.
+    """
     if not _zero_offset(op, tol):
         raise ValueError("expected a linear operator")
-    if self_adjoint and not is_self_adjoint(op, tol):
-        raise ValueError("expected a self-adjoint operator")
-    norm = spectral_norm(op.A)
+    if self_adjoint:
+        if not is_self_adjoint(op, tol):
+            raise ValueError("expected a self-adjoint operator")
+        eig_min, eig_max = _sym_extremes(op)
+        norm = max(-eig_min, eig_max)
+    else:
+        norm = op._spectral_datum("norm", lambda: spectral_norm(op.A))
     if norm > 1.0 + tol.eq_tol:
         raise ValueError(f"expected a nonexpansive operator, norm {norm:.12f}")
 

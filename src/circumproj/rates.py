@@ -13,7 +13,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineMap, _require_nonexpansive, _zero_offset, fixed_point_set
+from .isometry import (
+    AffineMap,
+    _require_nonexpansive,
+    _sym_extremes,
+    _zero_offset,
+    fixed_point_set,
+)
 from .methods import IterationTrace
 from .numerics import DEFAULT_TOL, Tolerance, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace, intersect
@@ -124,7 +130,8 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace,
     """Spectral norm of a linear operator restricted off a fixed subspace.
 
     ``fixed`` must be a linear subspace of fixed points of the operator;
-    each basis direction is checked before the norm is taken.
+    each basis direction is checked on every call. The norm is taken once
+    per fixed-subspace object and cached on the operator.
     """
     matrix = op.A
     if not _zero_offset(op, tol):
@@ -139,9 +146,12 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace,
             raise ValueError(
                 f"a basis direction of the subspace is not fixed, gap {gap:.3e}"
             )
-    n = matrix.shape[0]
-    perp = np.eye(n) - fixed.projector_matrix()
-    return spectral_norm(matrix @ perp)
+
+    def rate() -> float:
+        perp = np.eye(matrix.shape[0]) - fixed.projector_matrix()
+        return spectral_norm(matrix @ perp)
+
+    return op._spectral_datum(("rate", fixed), rate)
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,7 @@ def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
     the fallback, ``fixed_point_set``, is ill-conditioned at small angles.
     """
     _require_nonexpansive(op, tol, self_adjoint=True)
-    eig_min, _ = sym_eigen_extremes(op.A)
+    eig_min, _ = _sym_extremes(op)
     if eig_min < -tol.eq_tol:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")
     rng = np.random.default_rng(_MONOTONE_SEED)

@@ -443,6 +443,21 @@ def test_cli_rates_stdout_and_dump(tmp_path, capsys):
     assert len(rows) == 14
 
 
+@pytest.mark.parametrize("verb", ["run", "demo", "rates"])
+def test_cli_unwritable_out_is_a_runtime_error(tmp_path, capsys, verb):
+    """An --out under a regular file cannot be created: exit 1 with an
+    error line, not a traceback."""
+    path = _write_demo(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    argv = {"run": ["run", str(path)], "demo": ["demo"], "rates": ["rates", str(path)]}[verb]
+    code = cli.main(argv + ["--out", str(blocker / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert blocker.read_text() == "a regular file\n"
+
+
 def test_cli_seed_override_changes_start(tmp_path, capsys):
     path = _write_demo(tmp_path)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "a")]) == 0

@@ -98,15 +98,21 @@ def test_run_accel_reaches_machine_floor():
 
 
 def test_run_linear_checks_the_operator_once_per_run(monkeypatch):
+    """The self-adjoint check takes one eigen-solve per operator, not one
+    per step, and a second run on the same operator takes none."""
     import circumproj.isometry as isometry
 
     calls = []
-    norm = isometry.spectral_norm
-    monkeypatch.setattr(isometry, "spectral_norm", lambda A: calls.append(1) or norm(A))
+    for name in ("spectral_norm", "sym_eigen_extremes"):
+        kernel = getattr(isometry, name)
+        monkeypatch.setattr(isometry, name,
+                            lambda A, name=name, kernel=kernel: calls.append(name) or kernel(A))
     op = symmetric_map_operator([LINE_X, LINE_DIAG, LINE_Y])
     trace = run_linear(op, X0, MethodConfig(method="accel_map", max_iters=40))
     assert trace.stopped_at == 40
-    assert len(calls) == 1, f"{len(calls)} spectral norms for one run of 40 steps"
+    assert calls == ["sym_eigen_extremes"], f"{calls} for one run of 40 steps"
+    run_linear(op, X0, MethodConfig(method="sym_map", max_iters=40))
+    assert calls == ["sym_eigen_extremes"], f"{calls} after a second run"
 
 
 def test_run_linear_rejects_methods_that_are_not_one_linear_map():

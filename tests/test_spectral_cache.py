@@ -1,0 +1,121 @@
+"""Each operator's spectral data is computed once per operator object.
+
+The factorization budget of one planned run, the cached constants against
+fresh ones bit for bit, and the guards that keep a cached value from going
+stale or from hiding a failed check.
+"""
+
+import numpy as np
+import pytest
+
+from circumproj import (
+    DEFAULT_TOL,
+    AffineMap,
+    accelerated_apply,
+    bench,
+    isometry,
+    operator_rate,
+    parse_config,
+    rates,
+    run_experiment,
+    spectral_norm,
+)
+
+# The six methods of the resolve-n200 benchmark workload, on a smaller draw.
+RESOLVE_METHODS = [
+    {"method": "map"},
+    {"method": "sym_map"},
+    {"method": "accel_map"},
+    {"method": "dr"},
+    {"method": "averaged_iter", "builder": "sum"},
+    {"method": "averaged_iter", "builder": "product"},
+]
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count the calls of the numerics kernel ``name`` from the modules
+    that take spectral data."""
+    calls = []
+    for module in (isometry, rates):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda M, kernel=kernel: calls.append(1) or kernel(M))
+    return calls
+
+
+def _recording_contexts(monkeypatch) -> list:
+    contexts = []
+    run_methods = bench._run_methods
+
+    def record(config, ctx):
+        contexts.append(ctx)
+        return run_methods(config, ctx)
+
+    monkeypatch.setattr(bench, "_run_methods", record)
+    return contexts
+
+
+def test_resolve_methods_take_five_norms_and_two_eigen_solves(monkeypatch):
+    config = parse_config({
+        "name": "budget",
+        "ambient_dim": 40,
+        "max_iters": 5,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 4,
+                      "dim_range": [1, 20], "seed": 2024},
+        "methods": RESOLVE_METHODS,
+    })
+    norms = _count_calls(monkeypatch, "spectral_norm")
+    eigen = _count_calls(monkeypatch, "sym_eigen_extremes")
+    contexts = _recording_contexts(monkeypatch)
+    report = run_experiment(config, write=False)
+    # tuple_cos, the shared rate of sym_op, dr, sum and product; the
+    # eigen-solves are A of sym_op and its compression in accel_constants
+    assert (len(norms), len(eigen)) == (5, 2)
+
+    (ctx,) = contexts
+    outcomes = {o.method: o for o in report.instances[0].methods}
+    assert ctx.accel.cT == outcomes["sym_map"].report.value
+    op, fixed = ctx.sym_op, ctx.inter.subspace
+    memoized = operator_rate(op, fixed)
+    assert len(norms) == 5
+    fresh = spectral_norm(op.A @ (np.eye(op.ambient_dim) - fixed.projector_matrix()))
+    assert memoized == fresh
+
+
+def test_linear_part_is_a_read_only_view_of_the_input():
+    matrix = np.diag([0.5, 0.25, 1.0])
+    op = AffineMap(matrix, np.zeros(3))
+    with pytest.raises(ValueError):
+        op.A[0, 0] = 1.0
+    assert np.shares_memory(op.A, matrix)
+    assert matrix.flags.writeable
+    matrix[1, 1] = 0.75
+    assert op.A[1, 1] == 0.75
+
+
+def _symmetric(eigenvalues) -> AffineMap:
+    return AffineMap(np.diag(eigenvalues), np.zeros(len(eigenvalues)))
+
+
+def test_self_adjoint_check_reads_both_ends_of_the_spectrum():
+    """An eigenvalue of -1.5 makes the norm 1.5 although lambda_max is 0.5."""
+    with pytest.raises(ValueError, match="nonexpansive"):
+        isometry._require_nonexpansive(_symmetric([-1.5, 0.5, 0.0]), DEFAULT_TOL,
+                                       self_adjoint=True)
+
+
+def test_self_adjoint_check_has_the_eq_tol_margin():
+    with pytest.raises(ValueError, match="nonexpansive"):
+        isometry._require_nonexpansive(_symmetric([1.0 + 1e-9, 0.5]), DEFAULT_TOL,
+                                       self_adjoint=True)
+    isometry._require_nonexpansive(_symmetric([1.0 + 1e-11, 0.5]), DEFAULT_TOL,
+                                   self_adjoint=True)
+
+
+def test_accelerated_apply_takes_one_norm_per_operator(monkeypatch):
+    norms = _count_calls(monkeypatch, "spectral_norm")
+    c, s = np.cos(0.3), np.sin(0.3)
+    op = AffineMap(0.5 * np.array([[c, -s], [s, c]]), np.zeros(2))
+    x = np.array([1.0, 2.0])
+    for _ in range(50):
+        x = accelerated_apply(op, x)
+    assert len(norms) == 1
