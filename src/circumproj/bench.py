@@ -15,7 +15,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -398,6 +398,7 @@ class _Instance:
     x0: np.ndarray
     inter: Intersection
     tol: Tolerance
+    _averaged: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def reflectors(self) -> list:
@@ -406,6 +407,16 @@ class _Instance:
     def family(self, symmetrized: bool) -> list:
         """The reflectors, as the palindrome R1..Rm..R1 when symmetrized."""
         return self.reflectors + self.reflectors[-2::-1] if symmetrized else self.reflectors
+
+    def averaged(self, builder: str, symmetrized: bool) -> AffineMap:
+        """The uniform averaged map ``builder`` makes of the family, one
+        object per (builder, family), so its spectral data is taken once."""
+        key = builder, symmetrized
+        if key not in self._averaged:
+            family = self.family(symmetrized)
+            self._averaged[key] = _AVERAGED_BUILDERS[builder](
+                AveragedSpec.uniform(len(family)), family, self.tol)
+        return self._averaged[key]
 
     @cached_property
     def tuple_cos(self) -> float:
@@ -458,8 +469,7 @@ _AVERAGED_BUILDERS = {"sum": build_sum_averaged, "product": build_product_averag
 
 
 def _plan_averaged_iter(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    build = _AVERAGED_BUILDERS[spec.builder]
-    op = build(AveragedSpec.uniform(len(ctx.reflectors)), ctx.reflectors, ctx.tol)
+    op = ctx.averaged(spec.builder, symmetrized=False)
     return _linear_plan(f"{spec.builder}_averaged_rate", op, ctx.inter.subspace, ctx)
 
 
@@ -488,8 +498,7 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
     family = ctx.family(spec.symmetrized)
     words = [tuple(range(i + 1)) if builder == "product" else (i,) for i in range(len(family))]
     operator_set = OperatorSet(family, [()] + words, ctx.tol, fixed=ctx.inter.subspace)
-    avg = _AVERAGED_BUILDERS[builder](AveragedSpec.uniform(len(family)), family, ctx.tol)
-    rate = operator_rate(avg, ctx.inter.subspace, ctx.tol)
+    rate = operator_rate(ctx.averaged(builder, spec.symmetrized), ctx.inter.subspace, ctx.tol)
     return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate},
                        lambda config: run_cim(operator_set, ctx.x0, config, ctx.tol))
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,35 +86,59 @@ def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     the Gram matrix and a directly measured one differ by less than
     2 (n + 2) eps (|p_i|^2 + |p_j|^2 + t^2), so the Gram distances rule out
     the pairs beyond twice that margin and every other pair is measured
-    directly. The diameter of the points comes from the Gram distances.
+    directly. One bound on every margin settles the common case of no near
+    pair before the margins are formed. A kept point that drops a point and
+    is near still others measures all later near points at once, so k
+    coincident points take one vectorised pass, not k - 1 trips through the
+    loop. The diameter of the points comes from the Gram distances.
     """
     count = points.shape[0]
     gram = points @ points.T
     # a view: it is read before gram is overwritten below
     norms_sq = gram.diagonal()
-    threshold = tol.eq_tol * (1.0 + math.sqrt(norms_sq.max()))
+    largest_sq = float(norms_sq.max())
+    threshold = tol.eq_tol * (1.0 + math.sqrt(largest_sq))
     # In place, in two n x n buffers: each step is an operation of the plain
     # formulas dist_sq = pair_sq - 2 gram and margin = c (pair_sq + t^2), in
     # their order, so the bits are theirs (doubling is exact).
     pair_sq = norms_sq[:, None] + norms_sq
     dist_sq = np.subtract(pair_sq, np.multiply(gram, 2.0, out=gram), out=gram)
-    threshold_sq = threshold**2
-    margin = np.multiply(np.add(pair_sq, threshold_sq, out=pair_sq),
-                         4.0 * (points.shape[1] + 2) * _EPS, out=pair_sq)
-    near = dist_sq <= np.add(margin, threshold_sq, out=margin)
     diameter = math.sqrt(max(float(dist_sq.max()), 0.0))
+    threshold_sq = threshold**2
+    scale = 4.0 * (points.shape[1] + 2) * _EPS
     # Every row is near on the diagonal, whose Gram distance is exactly 0,
-    # unless a squared norm overflows, which makes the diameter NaN. So k
-    # near entries and a number for the diameter mean no near pair.
-    if np.count_nonzero(near) == count and not math.isnan(diameter):
+    # unless a squared norm overflows, which makes the diameter NaN. Rounding
+    # is monotone, so the margin at the largest squared norm bounds every
+    # margin, and k distances within that bound mean no near pair.
+    bound = (2.0 * largest_sq + threshold_sq) * scale + threshold_sq
+    if not math.isnan(diameter) and np.count_nonzero(dist_sq <= bound) == count:
         return np.arange(count), diameter
+    margin = np.multiply(np.add(pair_sq, threshold_sq, out=pair_sq), scale, out=pair_sq)
+    near = dist_sq <= np.add(margin, threshold_sq, out=margin)
+    # free both n x n float buffers before the loop allocates
+    del gram, norms_sq, pair_sq, dist_sq, margin
+    # only a row near more than one point may be dropped; a NaN diagonal is
+    # near nothing, so a row with one near pair may have a count of 1
+    counts = near.sum(axis=1)
+    droppable = counts > 1
     keep = np.ones(count, dtype=bool)
-    for i in (near.sum(axis=1) > 1).nonzero()[0]:
-        for j in (near[i, :i] & keep[:i]).nonzero()[0]:
+    for i in droppable.nonzero()[0].tolist():
+        if not keep[i]:
+            continue
+        for j in (near[i, :i] & keep[:i]).nonzero()[0].tolist():
             if _norm(points[i] - points[j]) <= threshold:
                 keep[i] = False
+                if counts[j] > 2:
+                    # j is near more than itself and i: measure the later
+                    # near points at once, each by the dot product of _norm
+                    # (a stack of 1 x n by n x 1 products)
+                    later = (near[i + 1:, j] & droppable[i + 1:]).nonzero()[0] + (i + 1)
+                    diff = points[later]
+                    diff -= points[j]
+                    norms = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel())
+                    keep[later[norms <= threshold]] = False
                 break
-    return np.flatnonzero(keep), diameter
+    return keep.nonzero()[0], diameter
 
 
 def _spread(points: np.ndarray, center: np.ndarray) -> float:
@@ -182,7 +207,11 @@ class OperatorSet:
     Letters are integer indices, bools excepted, and are stored as plain
     ints. Construction also lays out the step plan of :meth:`images`: per
     word, its last generator's ``Q`` and ``b`` (the generator's own arrays)
-    and the row it applies them to.
+    and the row it applies them to. The validated layout (the int words,
+    and which generator each step applies to which row) depends only on the
+    words and the number of generators, so it is built once per shape and
+    cached, and families of one shape share their ``words``; an instance
+    binds the steps to its own generators' arrays.
 
     Construction solves the stacked systems (Q_i - I) x = -b_i of the
     distinct generator objects in one call for ``common_fixed``, which for
@@ -215,25 +244,14 @@ class OperatorSet:
         words = (tuple((i,) for i in range(count)) if self.words is None
                  else tuple(tuple(word) for word in self.words))
         _require_word_budget(len(words))
-        words = tuple(_letters(word, count) for word in words)
-        # Row of each word's first occurrence, -1 for the empty prefix (x).
-        # A plan entry (Q, b, source) makes its row Q source + b, or a copy
-        # of source when Q is None; source 0 is x and source r + 1 is row r.
-        first_row = {(): -1}
-        plan = []
-        for row, word in enumerate(words):
-            if word[:-1] not in first_row:
-                raise ValueError(f"word {word} is not preceded by its prefix {word[:-1]}; "
-                                 "words must be prefix-closed")
-            if word in first_row:
-                plan.append((None, None, first_row[word] + 1))
-            else:
-                gen = generators[word[-1]]
-                plan.append((gen.Q, gen.b, first_row[word[:-1]] + 1))
-                first_row[word] = row
-        unused = sorted(set(range(count)).difference(*words))
-        if unused:
-            raise ValueError(f"generators {unused} occur in no word")
+        # The layout cache is keyed by plain int letters only: 1.0, True
+        # and np.bool_ compare and hash equal to 1, and must still raise.
+        if not set(map(type, chain.from_iterable(words))) <= {int}:
+            words = tuple(_letters(word, count) for word in words)
+        words, steps = _layout(words, count)
+        plan = tuple((None, None, source) if letter is None
+                     else (generators[letter].Q, generators[letter].b, source)
+                     for letter, source in steps)
         distinct = {id(op): op for op in generators}.values()
         if fixed is None:
             fixed = _common_fixed_points(tuple(distinct), tol)
@@ -244,7 +262,7 @@ class OperatorSet:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "common_fixed", fixed)
-        object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_plan", plan)
 
     def images(self, x) -> np.ndarray:
         """The images of x under the words, one row per word in order; each
@@ -278,6 +296,32 @@ def _letters(word: tuple, count: int) -> tuple:
             raise ValueError(f"word {word} has a letter outside range({count})")
         letters.append(index)
     return tuple(letters)
+
+
+@lru_cache(maxsize=64)
+def _layout(words: tuple, count: int) -> tuple:
+    """The validated layout of words over ``count`` generators, built once
+    per shape: the words with plain int letters, and per word the step that
+    images it, (letter, source). The step applies generator ``letter`` to
+    its source row, or copies the source when ``letter`` is None (a repeated
+    word); source 0 is x and source r + 1 is row r."""
+    words = tuple(_letters(word, count) for word in words)
+    # Row of each word's first occurrence, -1 for the empty prefix (x).
+    first_row = {(): -1}
+    steps = []
+    for row, word in enumerate(words):
+        if word[:-1] not in first_row:
+            raise ValueError(f"word {word} is not preceded by its prefix {word[:-1]}; "
+                             "words must be prefix-closed")
+        if word in first_row:
+            steps.append((None, first_row[word] + 1))
+        else:
+            steps.append((word[-1], first_row[word[:-1]] + 1))
+            first_row[word] = row
+    unused = sorted(set(range(count)).difference(*words))
+    if unused:
+        raise ValueError(f"generators {unused} occur in no word")
+    return words, tuple(steps)
 
 
 def _require_word_budget(count: int) -> None:
@@ -336,8 +380,10 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     are one operator. Without repeated objects all 2^m subsets stay; the
     palindrome R_1..R_5..R_1 keeps 342 of 512. The kept words are
     prefix-closed, and each is imaged along the same chain as in the full
-    list. Inputs must be reflectors of linear subspaces, that is linear
-    isometries with symmetric linear part. ``fixed`` is the common fixed
+    list. The words depend only on which inputs are the same object, so
+    they are built once per pattern of repeats, such as (0, 1, 2, 1, 0)
+    for R_1 R_2 R_3 R_2 R_1, and then shared. Inputs must be reflectors of
+    linear subspaces, that is linear isometries with symmetric linear part. ``fixed`` is the common fixed
     set of the reflectors when the caller already has it (see
     :class:`OperatorSet`). The 2^m subsets must fit the word budget of
     :class:`OperatorSet`, DEDUP_BUDGET_BYTES, which allows m <= 13; this
@@ -351,17 +397,27 @@ def build_psi(reflectors: Sequence[AffineIsometry],
             raise ValueError("inputs must be reflectors of linear subspaces")
         if float(np.max(np.abs(op.Q - op.Q.T))) > tol.eq_tol:
             raise ValueError("inputs must have symmetric linear part")
+    first = {}
+    repeats = tuple(first.setdefault(id(op), i) for i, op in enumerate(generators))
+    return OperatorSet(generators, _psi_words(repeats), tol, fixed=fixed)
+
+
+@lru_cache(maxsize=64)
+def _psi_words(repeats: tuple) -> tuple:
+    """The reduced words of :func:`build_psi` over generators whose object
+    identities follow ``repeats``, the index of each one's first occurrence;
+    they depend on nothing else, so they are built once per pattern."""
     words, reduced_forms = [], set()
-    for size in range(len(generators) + 1):
-        for word in combinations(range(len(generators)), size):
+    for size in range(len(repeats) + 1):
+        for word in combinations(range(len(repeats)), size):
             reduced = []
             for i in word:
-                if reduced and reduced[-1] is generators[i]:
+                if reduced and reduced[-1] == repeats[i]:
                     reduced.pop()
                 else:
-                    reduced.append(generators[i])
-            form = tuple(map(id, reduced))
+                    reduced.append(repeats[i])
+            form = tuple(reduced)
             if form not in reduced_forms:
                 reduced_forms.add(form)
                 words.append(word)
-    return OperatorSet(generators, words, tol, fixed=fixed)
+    return tuple(words)

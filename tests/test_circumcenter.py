@@ -22,7 +22,13 @@ from circumproj import (
     make_translation,
 )
 from circumproj.circumcenter import _distinct
-from helpers import random_family, reflectors_of, subsets, unit_vector
+from helpers import (
+    random_family,
+    reference_images,
+    reflectors_of,
+    subsets,
+    unit_vector,
+)
 from oracles import oracle_circumcenter, oracle_dedup
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
@@ -154,6 +160,87 @@ def test_operator_set_accepts_numpy_integer_letters_as_plain_ints():
     assert np.array_equal(family.images(x), plain.images(x))
     with pytest.raises(ValueError, match="not an integer index"):
         OperatorSet(reflectors, words=((0,), (1.0,)))
+
+
+def test_cached_layouts_still_reject_float_and_boolean_letters():
+    """Layouts are cached by their words, and 1.0, True and np.True_ compare
+    and hash equal to 1: once the int spelling is cached they still raise."""
+    reflectors = [make_reflector(LINE_X), make_reflector(LINE_DIAG)]
+    OperatorSet(reflectors, words=((), (0,), (1,), (0, 1)))
+    assert ((), (0,), (1.0,), (0, 1)) == ((), (0,), (1,), (0, 1))
+    with pytest.raises(ValueError, match="not an integer index"):
+        OperatorSet(reflectors, words=((), (0,), (1.0,), (0, 1)))
+    for letter in (True, np.True_):
+        with pytest.raises(ValueError, match="boolean letter"):
+            OperatorSet(reflectors, words=((), (0,), (letter,), (0, 1)))
+    with pytest.raises(ValueError, match="boolean letter"):
+        OperatorSet(reflectors, words=((), (np.False_,), (1,), (0, 1)))
+
+
+def test_cached_layouts_store_numpy_integer_letters_as_plain_ints():
+    module = importlib.import_module("circumproj.circumcenter")
+    reflectors = [make_reflector(LINE_X), make_reflector(LINE_DIAG)]
+    plain = ((0,), (0, 1), (1,))
+    numpy_words = ((np.int64(0),), (np.int64(0), np.int64(1)), (np.int64(1),))
+    for first, second in ((plain, numpy_words), (numpy_words, plain)):
+        module._layout.cache_clear()
+        cached = OperatorSet(reflectors, words=first)
+        family = OperatorSet(reflectors, words=second)
+        assert family.words is cached.words
+        assert all(type(letter) is int for word in family.words for letter in word)
+
+
+def _reduced_by_identity(generators) -> tuple:
+    """The words of build_psi by reducing every subset over object identity,
+    without any cache."""
+    words, forms = [], set()
+    for word in subsets(len(generators)):
+        reduced = []
+        for i in word:
+            if reduced and reduced[-1] is generators[i]:
+                reduced.pop()
+            else:
+                reduced.append(generators[i])
+        form = tuple(map(id, reduced))
+        if form not in forms:
+            forms.add(form)
+            words.append(word)
+    return tuple(words)
+
+
+def test_palindrome_of_distinct_copies_gets_unreduced_words():
+    """Words reduce by object identity, so a cached palindrome's words do not
+    carry over to one whose mirrored reflectors are equal copies."""
+    rng = np.random.default_rng(5)
+    subspaces = random_family(rng, 6, 3, 1, 4)
+    reflectors = reflectors_of(subspaces)
+    palindrome = reflectors + reflectors[-2::-1]
+    assert len(build_psi(palindrome).words) == len(_reduced_by_identity(palindrome)) < 32
+    one_copy = reflectors + [make_reflector(subspaces[1]), reflectors[0]]
+    assert build_psi(one_copy).words == _reduced_by_identity(one_copy)
+    copies = reflectors + reflectors_of(subspaces[-2::-1])
+    assert build_psi(copies).words == tuple(subsets(5))
+
+
+def test_families_of_one_repeat_pattern_share_words_and_images_bits():
+    module = importlib.import_module("circumproj.circumcenter")
+    rng = np.random.default_rng(11)
+    first = reflectors_of(random_family(rng, 8, 4, 1, 6))
+    second = reflectors_of(random_family(rng, 8, 4, 1, 6))
+    generators = second + second[-2::-1]
+    cached = build_psi(first + first[-2::-1])
+    family = build_psi(generators)
+    assert family.words is cached.words
+    assert family.words == _reduced_by_identity(generators)
+    module._psi_words.cache_clear()
+    module._layout.cache_clear()
+    fresh = build_psi(generators)
+    assert fresh.words == family.words and fresh.words is not family.words
+    for scale in (1e-6, 1.0, 1e6):
+        x = scale * rng.standard_normal(8)
+        images = family.images(x)
+        assert images.tobytes() == fresh.images(x).tobytes()
+        assert images.tobytes() == reference_images(family, x).tobytes()
 
 
 @given(st.integers(0, 10**6), st.integers(-6, 6))

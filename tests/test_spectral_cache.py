@@ -81,6 +81,49 @@ def test_resolve_methods_take_five_norms_and_two_eigen_solves(monkeypatch):
     assert memoized == fresh
 
 
+# The nine method variants of the iterate-long benchmark workload.
+ITERATE_METHODS = [
+    {"method": "map"},
+    {"method": "cim", "operator_set": "psi"},
+    {"method": "cim", "operator_set": "identity_plus_reflectors"},
+    {"method": "cim", "operator_set": "identity_plus_prefix_products"},
+    {"method": "sym_map"},
+    {"method": "accel_map"},
+    {"method": "dr"},
+    {"method": "averaged_iter", "builder": "sum"},
+    {"method": "averaged_iter", "builder": "product"},
+]
+
+
+def test_each_averaged_map_is_built_once_per_instance(monkeypatch):
+    """The averaged cim recipes and averaged_iter share one map per builder,
+    so its rate is one SVD: five norms, no value twice."""
+    config = parse_config({
+        "name": "iterate",
+        "ambient_dim": 30,
+        "max_iters": 5,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 3,
+                      "dim_range": [21, 21], "seed": 4242},
+        "methods": ITERATE_METHODS,
+    })
+    values = []
+    for module in (isometry, rates):
+        kernel = module.spectral_norm
+        monkeypatch.setattr(module, "spectral_norm",
+                            lambda M, kernel=kernel: values.append(kernel(M)) or values[-1])
+    contexts = _recording_contexts(monkeypatch)
+    report = run_experiment(config, write=False)
+    # tuple_cos, the shared rate of sym_op, dr, sum and product
+    assert len(values) == len(set(values)) == 5
+
+    (ctx,) = contexts
+    assert ctx.averaged("sum", False) is ctx.averaged("sum", False)
+    constants = {o.label: o.report.value for o in report.instances[0].methods}
+    assert constants["02_cim_identity_plus_reflectors"] == constants["07_averaged_iter_sum"]
+    assert (constants["03_cim_identity_plus_prefix_products"]
+            == constants["08_averaged_iter_product"])
+
+
 def test_linear_part_is_a_read_only_view_of_the_input():
     matrix = np.diag([0.5, 0.25, 1.0])
     op = AffineMap(matrix, np.zeros(3))

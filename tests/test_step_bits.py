@@ -13,10 +13,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from circumproj import DEFAULT_TOL, AffineIsometry, OperatorSet, circumcenter, make_reflector
+from circumproj import (
+    DEFAULT_TOL,
+    AffineIsometry,
+    MethodConfig,
+    OperatorSet,
+    build_psi,
+    circumcenter,
+    make_reflector,
+    run_cim,
+)
 from circumproj.circumcenter import _distinct
 from helpers import (
+    random_family,
     random_linear_subspace,
+    reflectors_of,
     reference_circumcenter,
     reference_distinct,
     reference_images,
@@ -82,6 +93,80 @@ def test_circumcenter_matches_the_reference_bit_for_bit(seed, count, exponent, s
     assert _bits(result.equidistance_residual) == _bits(expected.equidistance_residual)
 
 
+def _assert_step_matches_the_reference(points: np.ndarray) -> np.ndarray:
+    """``_distinct`` and ``circumcenter`` against the reference, bit for
+    bit; returns the kept indices."""
+    kept, diameter = _distinct(points, DEFAULT_TOL)
+    ref_kept, ref_diameter = reference_distinct(points, DEFAULT_TOL)
+    assert list(kept) == list(ref_kept)
+    assert _bits(diameter) == _bits(ref_diameter)
+    result = circumcenter(points)
+    expected = reference_circumcenter(points, DEFAULT_TOL)
+    assert (result.center is None) == (expected.center is None)
+    if expected.center is not None:
+        assert _bits(result.center) == _bits(expected.center)
+    assert _bits(result.coefficients) == _bits(expected.coefficients)
+    assert _bits(result.equidistance_spread) == _bits(expected.equidistance_spread)
+    assert _bits(result.equidistance_residual) == _bits(expected.equidistance_residual)
+    return kept
+
+
+def _large_points(rng, count: int, dim: int, kind: str) -> np.ndarray:
+    """``count`` points in R^dim: all one point ("coincident"), exact copies
+    of 1 to 5 centers ("clusters"), distinct points with exactly one
+    coincident pair ("pair"), or chains whose every step is 0.5 or 2 times
+    the dedup threshold."""
+    if kind == "coincident":
+        return np.repeat(rng.standard_normal((1, dim)), count, axis=0)
+    if kind == "clusters":
+        centers = rng.standard_normal((int(rng.integers(1, 6)), dim))
+        return centers[rng.integers(len(centers), size=count)]
+    points = rng.standard_normal((count, dim))
+    if kind == "pair":
+        i, j = rng.choice(count, size=2, replace=False)
+        points[i] = points[j]
+        return points
+    factor = 0.5 if kind == "chains at 0.5" else 2.0
+    starts = points[:int(rng.integers(1, 6))]
+    threshold = DEFAULT_TOL.eq_tol * (1.0 + max(float(np.linalg.norm(p)) for p in starts))
+    chain = []
+    while len(chain) < count:
+        point = starts[int(rng.integers(len(starts)))]
+        for _ in range(int(rng.integers(1, 40))):
+            chain.append(point)
+            point = point + factor * threshold * unit_vector(rng, dim)
+    return np.array(chain[:count])[rng.permutation(count)]
+
+
+@pytest.mark.parametrize("count", [64, 342, 400])
+@pytest.mark.parametrize("kind", ["coincident", "clusters", "pair", "chains at 0.5",
+                                  "chains at 2"])
+def test_large_steps_match_the_reference_bit_for_bit(count, kind):
+    rng = np.random.default_rng(count)
+    for dim in (2, 17, 60):
+        points = _large_points(rng, count, dim, kind)
+        kept = _assert_step_matches_the_reference(points)
+        if kind == "coincident":
+            assert len(kept) == 1
+        if kind == "pair":
+            assert len(kept) == count - 1
+
+
+def test_converged_symmetrized_psi_step_matches_the_reference():
+    """The images of the symmetrized psi family over 5 reflectors in R^60,
+    342 words, at the start, where they are distinct, and at the converged
+    step, where they all coincide."""
+    rng = np.random.default_rng(2024)
+    reflectors = reflectors_of(random_family(rng, 60, 5, 1, 30))
+    family = build_psi(reflectors + reflectors[-2::-1])
+    assert len(family.words) == 342
+    trace = run_cim(family, unit_vector(rng, 60),
+                    MethodConfig("cim", max_iters=60, stop_tol=1e-11))
+    first, last = (family.images(trace.iterates[k]) for k in (0, -1))
+    assert len(_assert_step_matches_the_reference(first)) > 1
+    assert len(_assert_step_matches_the_reference(last)) == 1
+
+
 @pytest.mark.parametrize("points", [
     [[1e160, 0.0], [0.0, 1e160]],
     [[1e160, 0.0], [0.0, 1e160], [1e160, 1e-300]],
@@ -106,6 +191,33 @@ def test_overflowing_squared_norms_match_the_reference(points):
     assert np.array_equal(result.coefficients, expected.coefficients, equal_nan=True)
     for field in ("equidistance_spread", "equidistance_residual"):
         assert np.array_equal(getattr(result, field), getattr(expected, field), equal_nan=True)
+
+
+def test_a_nan_diameter_sends_the_step_past_the_screen():
+    """Point 1 has a finite squared norm and points 0 and 2 overflow, so the
+    threshold is infinite and exactly k Gram distances lie within the
+    screen's bound, yet the reference drops point 1, whose distance to point
+    0 is within that threshold."""
+    points = np.array([[1e160, 0.0], [0.0, 1e150], [1e160, 1e160]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept, diameter = _distinct(points, DEFAULT_TOL)
+        ref_kept, _ = reference_distinct(points, DEFAULT_TOL)
+    assert list(ref_kept) == [0, 2]
+    assert list(kept) == list(ref_kept)
+    assert math.isnan(diameter)
+
+
+def test_a_kept_point_drops_only_rows_the_reference_may_drop():
+    """Point 0 drops point 1 and is near point 2 as well, so it measures the
+    later near points at once. Point 2 overflows and is near point 0 alone,
+    its own diagonal being NaN: the reference never drops it, although it
+    lies within the infinite threshold."""
+    points = np.array([[1.0, 0.0], [0.0, 1e150], [1e160, 1e160]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept, _ = _distinct(points, DEFAULT_TOL)
+        ref_kept, _ = reference_distinct(points, DEFAULT_TOL)
+    assert list(ref_kept) == [0, 2]
+    assert list(kept) == list(ref_kept)
 
 
 def test_the_reference_cases_include_absent_and_rank_deficient_circumcenters():
