@@ -179,6 +179,11 @@ def _choice(mapping: dict, key: str, default, choices: tuple, path: str):
     return value
 
 
+def _require_file_name(label: Optional[str], path: str) -> None:
+    if label is not None and any(c in label for c in "/\\\0"):
+        raise ConfigError(f"{path}.label: {label!r} may not contain '/', '\\' or NUL")
+
+
 def _parse_method(obj, index: int) -> MethodSpec:
     path = f"methods[{index}]"
     mapping = _expect_mapping(obj, path, METHOD_KEYS)
@@ -206,6 +211,7 @@ def _parse_method(obj, index: int) -> MethodSpec:
     label = mapping.get("label")
     if label is not None and not isinstance(label, str):
         raise ConfigError(f"{path}.label: expected a string")
+    _require_file_name(label, path)
     max_iters = mapping.get("max_iters")
     if max_iters is not None:
         max_iters = _as_int(max_iters, f"{path}.max_iters")
@@ -259,6 +265,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             label = mapping.get("label", f"instance_{i:02d}")
             if not isinstance(label, str) or not label:
                 raise ConfigError(f"{path}.label: expected a nonempty string")
+            _require_file_name(label, path)
             subs = _expect_list(_get(mapping, "subspaces", path), f"{path}.subspaces")
             if not subs:
                 raise ConfigError(f"{path}.subspaces: must be nonempty")

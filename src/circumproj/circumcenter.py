@@ -172,12 +172,27 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
         raise ValueError("expected a nonempty 2-d array of points")
     if not np.isfinite(pts).all():
         raise ValueError("point entries must be finite")
+    candidate, spread, accepted, system = _solve(pts, tol)
+    if system is None:
+        return CircumcenterResult(candidate, np.zeros(0), spread, 0.0)
+    half, u, projected, coords, s = system
+    return CircumcenterResult(candidate if accepted else None, u @ (coords / s), spread,
+                              _norm(half - u @ projected))
+
+
+def _solve(pts: np.ndarray, tol: Tolerance) -> tuple:
+    """The solve of :func:`circumcenter`, shared with the iteration step:
+    (candidate, spread, accepted, system), ``system`` None for one distinct
+    point, else (half, u, projected, coords, s). Any non-finite point makes
+    the diameter NaN, so finite points pass without a test of their own."""
     kept, diameter = _distinct(pts, tol)
+    if math.isnan(diameter) and not np.isfinite(pts).all():
+        raise ValueError("point entries must be finite")
     rep = pts if kept.shape[0] == pts.shape[0] else pts[kept]
     p0 = rep[0]
     offsets = rep[1:] - p0
     if offsets.shape[0] == 0:
-        return CircumcenterResult(p0.copy(), np.zeros(0), _spread(pts, p0), 0.0)
+        return p0.copy(), _spread(pts, p0), True, None
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
     u, s, vt = np.linalg.svd(offsets, full_matrices=False)
     rank = np.count_nonzero(s > s[0] * tol.rank_tol)
@@ -186,9 +201,18 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
     coords = projected / s
     candidate = p0 + vt.T @ coords
     spread = _spread(pts, candidate)
-    center = candidate if spread <= tol.consistency_tol * (1.0 + diameter) else None
-    residual = _norm(half - u @ projected)
-    return CircumcenterResult(center, u @ (coords / s), spread, residual)
+    accepted = spread <= tol.consistency_tol * (1.0 + diameter)
+    return candidate, spread, accepted, (half, u, projected, coords, s)
+
+
+def _center(points: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The step of :func:`circumcenter_map`. A rejection raises, so only then
+    is the full :func:`circumcenter` result computed, for the error."""
+    candidate, _, accepted, _ = _solve(points, tol)
+    if not accepted:
+        result = circumcenter(points, tol)
+        raise NumericalPropernessError(result.equidistance_spread, result.equidistance_residual)
+    return candidate
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +292,9 @@ class OperatorSet:
         """The images of x under the words, one row per word in order; each
         is one generator applied to the image of the word's prefix, and a
         repeated word copies its first image."""
-        x = as_vector(x)
+        return self._images(as_vector(x))
+
+    def _images(self, x: np.ndarray) -> np.ndarray:  # x: a finite vector, unchecked
         out = np.empty((len(self._plan), x.shape[0]))
         sources = [x, *out]
         for row, (Q, b, source) in zip(sources[1:], self._plan):
@@ -358,11 +384,7 @@ def circumcenter_map(operator_set: OperatorSet, x,
     absent within tolerance, since for isometry families with a common
     fixed point it exists in exact arithmetic.
     """
-    result = circumcenter(operator_set.images(x), tol)
-    if result.center is None:
-        raise NumericalPropernessError(result.equidistance_spread,
-                                       result.equidistance_residual)
-    return result.center
+    return _center(operator_set.images(x), tol)
 
 
 def build_psi(reflectors: Sequence[AffineIsometry],

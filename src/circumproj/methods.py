@@ -8,12 +8,13 @@ relevant fixed set, also when a prefix operator was applied to the start.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .circumcenter import OperatorSet, circumcenter_map
+from .circumcenter import OperatorSet, _center
 from .isometry import (
     AffineIsometry,
     AffineMap,
@@ -105,16 +106,20 @@ class IterationTrace:
             steps[1:] = np.linalg.norm(np.diff(self.iterates, axis=0), axis=1)
         return steps
 
+    def _x_norms(self) -> list:
+        """``_norm`` of each iterate, from one stack of 1 x n by n x 1 products."""
+        it = self.iterates
+        return np.sqrt(np.matmul(it[:, None], it[:, :, None]).ravel()).tolist()
+
     def to_csv(self) -> str:
         """One row per iterate at 17 significant digits, formatted from
         whole columns."""
         rows = map("{},{:.17g},{:.17g},{:.17g}".format, range(self.iterates.shape[0]),
-                   [_norm(row) for row in self.iterates], self.errors.tolist(),
-                   self.step_norms().tolist())
+                   self._x_norms(), self.errors.tolist(), self.step_norms().tolist())
         return "k,x_norm,error,step_norm\n" + "\n".join(rows) + "\n"
 
     def to_json_obj(self) -> dict:
-        steps = self.step_norms()
+        columns = zip(self._x_norms(), self.errors.tolist(), self.step_norms().tolist())
         return {
             "method": self.method,
             "ambient_dim": int(self.ambient_dim),
@@ -123,13 +128,8 @@ class IterationTrace:
             "target": [float(v) for v in self.target],
             "error_origin": self.error_origin,
             "rows": [
-                {
-                    "k": k,
-                    "x_norm": _norm(row),
-                    "error": float(self.errors[k]),
-                    "step_norm": float(steps[k]),
-                }
-                for k, row in enumerate(self.iterates)
+                {"k": k, "x_norm": x_norm, "error": error, "step_norm": step}
+                for k, (x_norm, error, step) in enumerate(columns)
             ],
         }
 
@@ -139,28 +139,27 @@ class IterationTrace:
 
 def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
            config: MethodConfig, target: np.ndarray) -> IterationTrace:
+    """Iterate ``step``, which may trust its argument to be a finite vector. A finite
+    step norm proves an iterate finite; only stop_tol == 0 or a non-finite one tests it."""
     x0_original = as_vector(x0)
-    start = x0_original if config.prefix is None else as_vector(config.prefix.apply(x0_original))
-    iterates = [start]
-    current = start
-    steps_taken = 0
-    for _ in range(config.max_iters):
+    current = x0_original if config.prefix is None else as_vector(config.prefix.apply(x0_original))
+    iterates = [current]
+    for steps_taken in range(1, config.max_iters + 1):
         nxt = step(current)
-        if not np.isfinite(nxt).all():
-            raise RuntimeError(f"{method} produced a non-finite iterate at step {steps_taken + 1}")
+        step_norm = _norm(nxt - current) if config.stop_tol > 0 else math.nan
+        if not math.isfinite(step_norm) and not np.isfinite(nxt).all():
+            raise RuntimeError(f"{method} produced a non-finite iterate at step {steps_taken}")
         iterates.append(nxt)
-        steps_taken += 1
-        if config.stop_tol > 0 and _norm(nxt - current) <= config.stop_tol:
-            current = nxt
-            break
         current = nxt
+        if step_norm <= config.stop_tol:
+            break
     stacked = np.array(iterates)
     errors = np.linalg.norm(stacked - target, axis=1)
     return IterationTrace(
         method=method,
         iterates=stacked,
         errors=errors,
-        stopped_at=steps_taken,
+        stopped_at=len(iterates) - 1,
         x0_original=x0_original,
         target=target,
     )
@@ -171,7 +170,7 @@ def run_cim(operator_set: OperatorSet, x0, config: MethodConfig,
     """Iterate the circumcenter map of the family."""
     x0 = as_vector(x0)
     target = operator_set.common_fixed.project(x0)
-    return _drive(config.method, lambda x: circumcenter_map(operator_set, x, tol),
+    return _drive(config.method, lambda x: _center(operator_set._images(x), tol),
                   x0, config, target)
 
 
@@ -181,9 +180,12 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
     """Cyclic projections; one trace step is one full sweep through the list.
 
     ``fixed`` is the intersection of the subspaces when the caller already
-    has it; without it the intersection is computed here.
+    has it; without it the intersection is computed here. The start's
+    dimension is checked here, once, so the sweep trusts the driver's iterates.
     """
     x0 = as_vector(x0)
+    for s in subspaces:
+        s._check_dim(x0)
     if fixed is None:
         inter = intersect(subspaces, tol)
         if inter.is_empty:
@@ -195,7 +197,7 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
 
     def sweep(x: np.ndarray) -> np.ndarray:
         for s in subspaces:
-            x = s.project(x)
+            x = s._project(x)
         return x
 
     return _drive(config.method, sweep, x0, config, target)

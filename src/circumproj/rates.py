@@ -64,11 +64,9 @@ class RateReport:
         return all(row[3] for row in self.per_iteration)
 
     def to_csv(self) -> str:
-        lines = ["k,error,bound,slack"]
-        for k, observed, bound, _ in self.per_iteration:
-            slack = _slack(observed, bound)
-            lines.append(f"{k},{observed!r},{bound!r},{slack!r}")
-        return "\n".join(lines) + "\n"
+        """One row per audited iterate, each float by its repr, in one pass."""
+        fields = [v for k, o, b, _ in self.per_iteration for v in (k, o, b, _slack(o, b))]
+        return "k,error,bound,slack\n" + "%s,%r,%r,%r\n" * len(self.per_iteration) % tuple(fields)
 
     def to_json_obj(self) -> dict:
         return {
@@ -251,9 +249,8 @@ def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
         raise ValueError(f"unknown scale mode {scale_mode!r}")
     rows = []
     slack_min = float("inf")
-    for k in range(trace.errors.shape[0]):
+    for k, observed in enumerate(trace.errors.tolist()):
         bound = (rate ** k) * scale
-        observed = float(trace.errors[k])
         satisfied = observed <= bound * (1.0 + AUDIT_TOL)
         rows.append((k, observed, bound, satisfied))
         slack_min = min(slack_min, _slack(observed, bound))

@@ -116,8 +116,10 @@ class AffineSubspace:
         """Nearest point of the subspace."""
         x = as_vector(x)
         self._check_dim(x)
-        shifted = x - self.anchor
-        return self.anchor + self.basis.T @ (self.basis @ shifted)
+        return self._project(x)
+
+    def _project(self, x: np.ndarray) -> np.ndarray:  # x: finite, of this dimension
+        return self.anchor + self.basis.T @ (self.basis @ (x - self.anchor))
 
     def reflect(self, x) -> np.ndarray:
         """Reflection through the subspace, 2 * project(x) - x."""

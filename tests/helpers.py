@@ -14,6 +14,7 @@ from circumproj import (
     make_reflector,
 )
 from circumproj.numerics import _norm
+from circumproj.rates import _slack
 
 
 def random_linear_subspace(rng: np.random.Generator, ambient_dim: int,
@@ -127,4 +128,17 @@ def reference_trace_csv(trace) -> str:
         lines.append(
             f"{k},{_fmt17(_norm(row))},{_fmt17(trace.errors[k])},{_fmt17(steps[k])}"
         )
+    return "\n".join(lines) + "\n"
+
+
+# The rate CSV as the library wrote it row by row, one f-string per row. The
+# library's one-pass writer must reproduce it byte for byte, so keep it as it
+# is.
+
+def reference_rate_csv(report) -> str:
+    """``k,error,bound,slack`` rows, every float by its repr."""
+    lines = ["k,error,bound,slack"]
+    for k, observed, bound, _ in report.per_iteration:
+        slack = _slack(observed, bound)
+        lines.append(f"{k},{observed!r},{bound!r},{slack!r}")
     return "\n".join(lines) + "\n"
