@@ -46,7 +46,7 @@ from .methods import (
     run_map,
     symmetric_map_operator,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_vector
+from .numerics import as_vector
 from .rates import (
     AccelConstants,
     RateReport,
@@ -342,7 +342,7 @@ _MAX_TRIES = 100
 
 
 def generate_instance(ambient_dim: int, num_subspaces: int, dim_range,
-                      rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL):
+                      rng: np.random.Generator):
     """Draw random linear subspaces and a unit start point.
 
     Returns ``(subspaces, x0, intersection)``, the intersection being the
@@ -360,12 +360,12 @@ def generate_instance(ambient_dim: int, num_subspaces: int, dim_range,
     for _ in range(_MAX_TRIES):
         dims = rng.integers(lo, hi + 1, size=num_subspaces)
         subspaces = [
-            AffineSubspace.linear(rng.standard_normal((int(d), ambient_dim)), tol=tol)
+            AffineSubspace.linear(rng.standard_normal((int(d), ambient_dim)))
             for d in dims
         ]
         raw = rng.standard_normal(ambient_dim)
         x0 = raw / float(np.linalg.norm(raw))
-        inter = intersect(subspaces, tol)
+        inter = intersect(subspaces)
         if inter.is_empty:
             continue
         offset = float(np.linalg.norm(x0 - inter.subspace.project(x0)))
@@ -404,7 +404,6 @@ class _Instance:
     subspaces: list
     x0: np.ndarray
     inter: Intersection
-    tol: Tolerance
     _averaged: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -422,12 +421,12 @@ class _Instance:
         if key not in self._averaged:
             family = self.family(symmetrized)
             self._averaged[key] = _AVERAGED_BUILDERS[builder](
-                AveragedSpec.uniform(len(family)), family, self.tol)
+                AveragedSpec.uniform(len(family)), family)
         return self._averaged[key]
 
     @cached_property
     def tuple_cos(self) -> float:
-        return tuple_angle_cos(self.subspaces, self.tol, fixed=self.inter.subspace)
+        return tuple_angle_cos(self.subspaces, fixed=self.inter.subspace)
 
     @cached_property
     def sym_op(self) -> AffineMap:
@@ -435,20 +434,20 @@ class _Instance:
 
     @cached_property
     def accel(self) -> AccelConstants:
-        return accel_constants(self.sym_op, self.tol, fixed=self.inter.subspace)
+        return accel_constants(self.sym_op, fixed=self.inter.subspace)
 
 
 def _linear_plan(constant_name: str, op: AffineMap, fixed: AffineSubspace,
                  ctx: _Instance, **ingredients) -> _MethodPlan:
-    rate = operator_rate(op, fixed, ctx.tol)
+    rate = operator_rate(op, fixed)
     return _MethodPlan(constant_name, rate, {"operator_rate": rate, **ingredients},
-                       lambda config: run_linear(op, ctx.x0, config, ctx.tol, fixed=fixed))
+                       lambda config: run_linear(op, ctx.x0, config, fixed=fixed))
 
 
 def _plan_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     gamma = ctx.tuple_cos
     return _MethodPlan("cyclic_projection_tuple_rate", gamma, {"tuple_angle_cos": gamma},
-                       lambda config: run_map(ctx.subspaces, ctx.x0, config, ctx.tol,
+                       lambda config: run_map(ctx.subspaces, ctx.x0, config,
                                               fixed=ctx.inter.subspace))
 
 
@@ -459,17 +458,17 @@ def _plan_sym_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
 def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     return _MethodPlan("acceleration_rate", ctx.accel.eta, dataclasses.asdict(ctx.accel),
-                       lambda config: run_linear(ctx.sym_op, ctx.x0, config, ctx.tol,
+                       lambda config: run_linear(ctx.sym_op, ctx.x0, config,
                                                  fixed=ctx.inter.subspace))
 
 
 def _plan_dr(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     if len(ctx.subspaces) < 2:
         raise ConfigError("method 'dr' needs at least two subspaces")
-    op = dr_operator(ctx.subspaces[0], ctx.subspaces[1], ctx.tol)
+    op = dr_operator(ctx.subspaces[0], ctx.subspaces[1])
     # Fix(op) = (U ∩ V) ⊕ (U⊥ ∩ V⊥), not the intersection; the singular
     # values of A - I are of order theta here, so A - I decides it well.
-    return _linear_plan("douglas_rachford_rate", op, fixed_point_set(op, ctx.tol), ctx)
+    return _linear_plan("douglas_rachford_rate", op, fixed_point_set(op), ctx)
 
 
 _AVERAGED_BUILDERS = {"sum": build_sum_averaged, "product": build_product_averaged}
@@ -486,8 +485,8 @@ def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
     def run(config: MethodConfig) -> IterationTrace:
         config = dataclasses.replace(config, prefix=prefix)
-        operator_set = build_psi(family, ctx.tol, fixed=ctx.inter.subspace)
-        return run_cim(operator_set, ctx.x0, config, ctx.tol)
+        operator_set = build_psi(family, fixed=ctx.inter.subspace)
+        return run_cim(operator_set, ctx.x0, config)
 
     if prefix is not None:
         return _MethodPlan("accelerated_prefixed_rate", ctx.accel.eta,
@@ -504,16 +503,16 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
     with the rate of the averaged map the builder makes of the same reflectors."""
     family = ctx.family(spec.symmetrized)
     words = [tuple(range(i + 1)) if builder == "product" else (i,) for i in range(len(family))]
-    operator_set = OperatorSet(family, [()] + words, ctx.tol, fixed=ctx.inter.subspace)
-    rate = operator_rate(ctx.averaged(builder, spec.symmetrized), ctx.inter.subspace, ctx.tol)
+    operator_set = OperatorSet(family, [()] + words, fixed=ctx.inter.subspace)
+    rate = operator_rate(ctx.averaged(builder, spec.symmetrized), ctx.inter.subspace)
     return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate},
-                       lambda config: run_cim(operator_set, ctx.x0, config, ctx.tol))
+                       lambda config: run_cim(operator_set, ctx.x0, config))
 
 
 def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     def run(config: MethodConfig) -> IterationTrace:
-        ops = [operator_from_literal(lit, ctx.tol) for lit in spec.operators]
-        return run_cim(OperatorSet(ops, tol=ctx.tol), ctx.x0, config, ctx.tol)
+        ops = [operator_from_literal(lit) for lit in spec.operators]
+        return run_cim(OperatorSet(ops), ctx.x0, config)
 
     return _MethodPlan(None, None, {}, run)
 
@@ -670,7 +669,7 @@ def _resolve_x0(spec: X0Spec, ambient_dim: int, instance_index: int) -> np.ndarr
     return raw / float(np.linalg.norm(raw))
 
 
-def _resolve_instances(config: ExperimentConfig, tol: Tolerance):
+def _resolve_instances(config: ExperimentConfig):
     """(label, subspaces, x0, intersection, product_fixed_line) per instance."""
     resolved = []
     if config.explicit_items is not None:
@@ -678,7 +677,7 @@ def _resolve_instances(config: ExperimentConfig, tol: Tolerance):
             subspaces = []
             for j, literal in enumerate(item.subspace_literals):
                 try:
-                    s = subspace_from_literal(literal, tol)
+                    s = subspace_from_literal(literal)
                 except ValueError as err:
                     raise ConfigError(
                         f"instances.items[{i}].subspaces[{j}]: {err}"
@@ -690,24 +689,23 @@ def _resolve_instances(config: ExperimentConfig, tol: Tolerance):
                     )
                 subspaces.append(s)
             x0 = _resolve_x0(item.x0 or config.x0, config.ambient_dim, i)
-            resolved.append((item.label, subspaces, x0, intersect(subspaces, tol),
+            resolved.append((item.label, subspaces, x0, intersect(subspaces),
                              item.product_fixed_line))
     else:
         spec = config.random_instances
         for i in range(spec.count):
             rng = np.random.default_rng((spec.seed, i))
             subspaces, x0, inter = generate_instance(config.ambient_dim, spec.num_subspaces,
-                                                     spec.dim_range, rng, tol)
+                                                     spec.dim_range, rng)
             resolved.append((f"random_{i:03d}", subspaces, x0, inter, None))
     return resolved
 
 
-def _product_fixed_line_check(subspaces: Sequence[AffineSubspace], direction,
-                              tol: Tolerance):
+def _product_fixed_line_check(subspaces: Sequence[AffineSubspace], direction):
     product = identity(subspaces[0].ambient_dim)
     for s in subspaces:
         product = compose(make_reflector(s), product)
-    fixed = fixed_point_set(product, tol)
+    fixed = fixed_point_set(product)
     if fixed is None:
         return ("product_fixed_line", False, "product has no fixed points")
     wanted = as_vector(list(direction))
@@ -716,7 +714,7 @@ def _product_fixed_line_check(subspaces: Sequence[AffineSubspace], direction,
         return ("product_fixed_line", False, f"fixed set has dimension {fixed.dim}")
     basis_vec = fixed.basis[0]
     residual = float(np.linalg.norm(basis_vec - (basis_vec @ unit) * unit))
-    through_origin = fixed.contains(np.zeros(fixed.ambient_dim), tol)
+    through_origin = fixed.contains(np.zeros(fixed.ambient_dim))
     passed = residual <= 1e-10 and through_origin
     return ("product_fixed_line", passed,
             f"dimension {fixed.dim}, direction residual {residual:.3e}")
@@ -741,7 +739,6 @@ def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
-                   tol: Tolerance = DEFAULT_TOL,
                    write: bool = True) -> ExperimentReport:
     """Run every method on every instance, audit the bounds, write artifacts.
 
@@ -753,9 +750,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     outcomes = []
-    for label, subspaces, x0, inter, fixed_line in _resolve_instances(config, tol):
-        method_outcomes = _run_methods(config, _Instance(subspaces, x0, inter, tol))
-        checks = [] if fixed_line is None else [_product_fixed_line_check(subspaces, fixed_line, tol)]
+    for label, subspaces, x0, inter, fixed_line in _resolve_instances(config):
+        method_outcomes = _run_methods(config, _Instance(subspaces, x0, inter))
+        checks = [] if fixed_line is None else [_product_fixed_line_check(subspaces, fixed_line)]
         outcomes.append(InstanceOutcome(
             label=label,
             ambient_dim=config.ambient_dim,
@@ -799,15 +796,15 @@ def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
                   report.to_json(include_traces=(fmt == "json")) + "\n")
 
 
-def compute_rates(config: ExperimentConfig, tol: Tolerance = DEFAULT_TOL) -> list:
+def compute_rates(config: ExperimentConfig) -> list:
     """Theoretical constants for every instance/method pair, without tracing.
 
     Nothing is iterated, and no operator family is built that only the
     iteration needs.
     """
     rows = []
-    for label, subspaces, x0, inter, _ in _resolve_instances(config, tol):
-        ctx = _Instance(subspaces, x0, inter, tol)
+    for label, subspaces, x0, inter, _ in _resolve_instances(config):
+        ctx = _Instance(subspaces, x0, inter)
         for m_index, spec in enumerate(config.methods):
             plan = _plan_method(spec, ctx)
             rows.append({

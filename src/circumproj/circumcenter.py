@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .isometry import AffineIsometry, _common_fixed_points
-from .numerics import DEFAULT_TOL, Tolerance, _norm, as_vector
+from .numerics import CONSISTENCY_TOL, EQ_TOL, RANK_TOL, _norm, as_vector
 from .subspace import AffineSubspace
 
 __all__ = [
@@ -78,10 +78,10 @@ class CircumcenterResult:
     equidistance_residual: float
 
 
-def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
-    """Greedy first-occurrence representatives at eq_tol, and the diameter.
+def _distinct(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Greedy first-occurrence representatives at EQ_TOL, and the diameter.
 
-    Point i is dropped when it lies within eq_tol * (1 + largest norm) of
+    Point i is dropped when it lies within EQ_TOL * (1 + largest norm) of
     an earlier kept point. Near the threshold t, a squared distance read off
     the Gram matrix and a directly measured one differ by less than
     2 (n + 2) eps (|p_i|^2 + |p_j|^2 + t^2), so the Gram distances rule out
@@ -97,7 +97,7 @@ def _distinct(points: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
     # a view: it is read before gram is overwritten below
     norms_sq = gram.diagonal()
     largest_sq = float(norms_sq.max())
-    threshold = tol.eq_tol * (1.0 + math.sqrt(largest_sq))
+    threshold = EQ_TOL * (1.0 + math.sqrt(largest_sq))
     # In place, in two n x n buffers: each step is an operation of the plain
     # formulas dist_sq = pair_sq - 2 gram and margin = c (pair_sq + t^2), in
     # their order, so the bits are theirs (doubling is exact).
@@ -149,20 +149,20 @@ def _spread(points: np.ndarray, center: np.ndarray) -> float:
     return float(dists.max() - dists.min())
 
 
-def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
+def circumcenter(points) -> CircumcenterResult:
     """Circumcenter of a finite point set, if it exists.
 
-    Points are deduplicated at eq_tol first. With d_i the offsets of the
+    Points are deduplicated at EQ_TOL first. With d_i the offsets of the
     remaining points from the first one, p0, a point p0 + y is equidistant
     from all of them when <d_i, y> = h_i / 2 with h_i = ||d_i||^2. The
     candidate takes the minimum-norm solution y of this system, which lies
     in the hull's direction space, from one thin SVD D = U S V^T of the
-    offset rows: with rank r at tol.rank_tol relative to the largest
+    offset rows: with rank r at RANK_TOL relative to the largest
     singular value, y = V_r S_r^-1 U_r^T h / 2. Working on D itself, not on
     its Gram matrix, keeps the conditioning of the offsets rather than its
     square, so nearly parallel hull directions are kept. The candidate is
     accepted when the distances from it to all original points agree
-    within tol.consistency_tol relative to the diameter; otherwise the
+    within CONSISTENCY_TOL relative to the diameter; otherwise the
     result is absent with the achieved spread attached.
     """
     pts = np.asarray(points, dtype=float)
@@ -172,7 +172,7 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
         raise ValueError("expected a nonempty 2-d array of points")
     if not np.isfinite(pts).all():
         raise ValueError("point entries must be finite")
-    candidate, spread, accepted, system = _solve(pts, tol)
+    candidate, spread, accepted, system = _solve(pts)
     if system is None:
         return CircumcenterResult(candidate, np.zeros(0), spread, 0.0)
     half, u, projected, coords, s = system
@@ -180,12 +180,12 @@ def circumcenter(points, tol: Tolerance = DEFAULT_TOL) -> CircumcenterResult:
                               _norm(half - u @ projected))
 
 
-def _solve(pts: np.ndarray, tol: Tolerance) -> tuple:
+def _solve(pts: np.ndarray) -> tuple:
     """The solve of :func:`circumcenter`, shared with the iteration step:
     (candidate, spread, accepted, system), ``system`` None for one distinct
     point, else (half, u, projected, coords, s). Any non-finite point makes
     the diameter NaN, so finite points pass without a test of their own."""
-    kept, diameter = _distinct(pts, tol)
+    kept, diameter = _distinct(pts)
     if math.isnan(diameter) and not np.isfinite(pts).all():
         raise ValueError("point entries must be finite")
     rep = pts if kept.shape[0] == pts.shape[0] else pts[kept]
@@ -195,22 +195,22 @@ def _solve(pts: np.ndarray, tol: Tolerance) -> tuple:
         return p0.copy(), _spread(pts, p0), True, None
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
     u, s, vt = np.linalg.svd(offsets, full_matrices=False)
-    rank = np.count_nonzero(s > s[0] * tol.rank_tol)
+    rank = np.count_nonzero(s > s[0] * RANK_TOL)
     u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     projected = u.T @ half
     coords = projected / s
     candidate = p0 + vt.T @ coords
     spread = _spread(pts, candidate)
-    accepted = spread <= tol.consistency_tol * (1.0 + diameter)
+    accepted = spread <= CONSISTENCY_TOL * (1.0 + diameter)
     return candidate, spread, accepted, (half, u, projected, coords, s)
 
 
-def _center(points: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _center(points: np.ndarray) -> np.ndarray:
     """The step of :func:`circumcenter_map`. A rejection raises, so only then
     is the full :func:`circumcenter` result computed, for the error."""
-    candidate, _, accepted, _ = _solve(points, tol)
+    candidate, _, accepted, _ = _solve(points)
     if not accepted:
-        result = circumcenter(points, tol)
+        result = circumcenter(points)
         raise NumericalPropernessError(result.equidistance_spread, result.equidistance_residual)
     return candidate
 
@@ -243,19 +243,17 @@ class OperatorSet:
     fails when the generators share no fixed point. ``fixed`` is that
     common fixed set when the caller already has it: it is then checked,
     not computed, and construction fails when a generator moves its anchor
-    by more than tol.consistency_tol relative to the anchor's norm, or a
-    basis direction by more than tol.consistency_tol. No product is ever
-    formed.
+    by more than CONSISTENCY_TOL relative to the anchor's norm, or a basis
+    direction by more than CONSISTENCY_TOL. No product is ever formed.
     """
 
     generators: tuple
     words: Optional[tuple] = None
-    tol: InitVar[Tolerance] = DEFAULT_TOL
     fixed: InitVar[Optional[AffineSubspace]] = None
     common_fixed: AffineSubspace = field(init=False)
     _plan: tuple = field(init=False, repr=False)
 
-    def __post_init__(self, tol: Tolerance, fixed: Optional[AffineSubspace]) -> None:
+    def __post_init__(self, fixed: Optional[AffineSubspace]) -> None:
         generators = tuple(self.generators)
         if len(generators) == 0:
             raise ValueError("operator set needs at least one generator")
@@ -278,11 +276,11 @@ class OperatorSet:
                      for letter, source in steps)
         distinct = {id(op): op for op in generators}.values()
         if fixed is None:
-            fixed = _common_fixed_points(tuple(distinct), tol)
+            fixed = _common_fixed_points(tuple(distinct))
             if fixed is None:
                 raise ValueError("operators share no common fixed point")
         else:
-            _require_fixed(distinct, fixed, tol)
+            _require_fixed(distinct, fixed)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "common_fixed", fixed)
@@ -360,35 +358,33 @@ def _require_word_budget(count: int) -> None:
         )
 
 
-def _require_fixed(generators, fixed: AffineSubspace, tol: Tolerance) -> None:
+def _require_fixed(generators, fixed: AffineSubspace) -> None:
     """Raise unless every generator fixes the anchor and the basis of ``fixed``."""
-    anchor_tol = tol.consistency_tol * (1.0 + float(np.linalg.norm(fixed.anchor)))
+    anchor_tol = CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(fixed.anchor)))
     for op in generators:
         if fixed.ambient_dim != op.ambient_dim:
             raise ValueError("fixed set and operators live in different dimensions")
         anchor_gap = float(np.linalg.norm(op.Q @ fixed.anchor + op.b - fixed.anchor))
         direction_gap = float(np.max(np.linalg.norm(fixed.basis @ op.Q.T - fixed.basis, axis=1),
                                      initial=0.0))
-        if anchor_gap > anchor_tol or direction_gap > tol.consistency_tol:
+        if anchor_gap > anchor_tol or direction_gap > CONSISTENCY_TOL:
             raise ValueError(
                 f"a generator moves the given fixed set, anchor gap {anchor_gap:.3e}, "
                 f"direction gap {direction_gap:.3e}"
             )
 
 
-def circumcenter_map(operator_set: OperatorSet, x,
-                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def circumcenter_map(operator_set: OperatorSet, x) -> np.ndarray:
     """Circumcenter of the images of x under the family.
 
     Raises :class:`NumericalPropernessError` when the circumcenter is
     absent within tolerance, since for isometry families with a common
     fixed point it exists in exact arithmetic.
     """
-    return _center(operator_set.images(x), tol)
+    return _center(operator_set.images(x))
 
 
 def build_psi(reflectors: Sequence[AffineIsometry],
-              tol: Tolerance = DEFAULT_TOL,
               fixed: Optional[AffineSubspace] = None) -> OperatorSet:
     """The increasing-index products of the given reflectors, as reduced words.
 
@@ -415,13 +411,13 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     generators = tuple(reflectors)
     _require_word_budget(2 ** len(generators))
     for op in generators:
-        if not isinstance(op, AffineIsometry) or not op.is_linear(tol):
+        if not isinstance(op, AffineIsometry) or not op.is_linear():
             raise ValueError("inputs must be reflectors of linear subspaces")
-        if float(np.max(np.abs(op.Q - op.Q.T))) > tol.eq_tol:
+        if float(np.max(np.abs(op.Q - op.Q.T))) > EQ_TOL:
             raise ValueError("inputs must have symmetric linear part")
     first = {}
     repeats = tuple(first.setdefault(id(op), i) for i, op in enumerate(generators))
-    return OperatorSet(generators, _psi_words(repeats), tol, fixed=fixed)
+    return OperatorSet(generators, _psi_words(repeats), fixed=fixed)
 
 
 @lru_cache(maxsize=64)

@@ -15,8 +15,9 @@ from typing import Callable, Hashable, Optional, Sequence, TypeVar, Union
 import numpy as np
 
 from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
+    CONSISTENCY_TOL,
+    EQ_TOL,
+    _ORTHONORMALITY_TOL,
     _norm,
     as_matrix,
     as_vector,
@@ -42,8 +43,6 @@ __all__ = [
     "is_self_adjoint",
     "operator_from_literal",
 ]
-
-_ORTHOGONALITY_TOL = 1e-10
 
 # The relaxation parameters alpha and lambda of AveragedSpec.uniform.
 _UNIFORM_ALPHA = 0.5
@@ -71,7 +70,7 @@ class AffineIsometry:
         if Q.shape[0] != b.shape[0]:
             raise ValueError("linear part and offset dimensions differ")
         defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
-        if defect > _ORTHOGONALITY_TOL:
+        if defect > _ORTHONORMALITY_TOL:
             raise ValueError(f"linear part is not orthogonal, defect {defect:.3e}")
         object.__setattr__(self, "Q", np.ascontiguousarray(Q))
         object.__setattr__(self, "b", b)
@@ -87,8 +86,8 @@ class AffineIsometry:
     def __call__(self, x) -> np.ndarray:
         return self.apply(x)
 
-    def is_linear(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return _zero_offset(self, tol)
+    def is_linear(self) -> bool:
+        return _zero_offset(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,37 +176,35 @@ def compose(second: AffineIsometry, first: AffineIsometry) -> AffineIsometry:
     return AffineIsometry(second.Q @ first.Q, second.Q @ first.b + second.b)
 
 
-def _zero_offset(op: AffineOperator, tol: Tolerance) -> bool:
-    """Whether op is linear: its offset is 0 within tol.eq_tol. Every test
-    of an operator's linearity goes through here, so it means one thing."""
-    return float(np.linalg.norm(op.b)) <= tol.eq_tol
+def _zero_offset(op: AffineOperator) -> bool:
+    """Whether op is linear: its offset is 0 within EQ_TOL. Every test of an
+    operator's linearity goes through here, so it means one thing."""
+    return float(np.linalg.norm(op.b)) <= EQ_TOL
 
 
 def _linear_part(op: AffineOperator) -> np.ndarray:
     return op.Q if isinstance(op, AffineIsometry) else op.A
 
 
-def fixed_point_set(op: AffineOperator,
-                    tol: Tolerance = DEFAULT_TOL) -> Optional[AffineSubspace]:
+def fixed_point_set(op: AffineOperator) -> Optional[AffineSubspace]:
     """Fixed points of an affine operator, or None when there are none.
 
     The solution set of (M - I) x = -b, from one :func:`solution_set`
     call; see :func:`_common_fixed_points`. Works for general affine maps
     too, which is how Douglas-Rachford operators get their fixed sets.
     """
-    return _common_fixed_points((op,), tol)
+    return _common_fixed_points((op,))
 
 
-def _common_fixed_points(ops: Sequence[AffineOperator],
-                         tol: Tolerance) -> Optional[AffineSubspace]:
+def _common_fixed_points(ops: Sequence[AffineOperator]) -> Optional[AffineSubspace]:
     """Points fixed by every operator, or None when there are none: the
     solution set of the stacked systems (M_i - I) x = -b_i, empty when the
-    residual exceeds tol.consistency_tol relative to the stacked offsets."""
+    residual exceeds CONSISTENCY_TOL relative to the stacked offsets."""
     eye = np.eye(ops[0].ambient_dim)
     rhs = -np.concatenate([op.b for op in ops])
     anchor, direction, residual = solution_set(
-        np.vstack([_linear_part(op) - eye for op in ops]), rhs, tol)
-    if residual > tol.consistency_tol * (1.0 + _norm(rhs)):
+        np.vstack([_linear_part(op) - eye for op in ops]), rhs)
+    if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
         return None
     return AffineSubspace(anchor, direction)
 
@@ -261,8 +258,7 @@ class AveragedSpec:
                    (_UNIFORM_LAMBDA,) * count)
 
 
-def _linear_isometry_parts(operators: Sequence[AffineIsometry],
-                           tol: Tolerance) -> list[np.ndarray]:
+def _linear_isometry_parts(operators: Sequence[AffineIsometry]) -> list[np.ndarray]:
     if len(operators) == 0:
         raise ValueError("need at least one operator")
     n = operators[0].ambient_dim
@@ -272,21 +268,20 @@ def _linear_isometry_parts(operators: Sequence[AffineIsometry],
             raise ValueError("averaged builders take affine isometries")
         if op.ambient_dim != n:
             raise ValueError("operators live in different dimensions")
-        if not op.is_linear(tol):
+        if not op.is_linear():
             raise ValueError("averaged builders require linear isometries")
         parts.append(op.Q)
     return parts
 
 
-def build_sum_averaged(spec: AveragedSpec, operators: Sequence[AffineIsometry],
-                       tol: Tolerance = DEFAULT_TOL) -> AffineMap:
+def build_sum_averaged(spec: AveragedSpec, operators: Sequence[AffineIsometry]) -> AffineMap:
     """Weighted sum of relaxed operators.
 
     A = sum_i w_i ((1 - a_i) I + a_i F_i) for linear isometries F_i. The
     result is averaged with constant sum_i w_i a_i and shares the common
     fixed set of the F_i.
     """
-    parts = _linear_isometry_parts(operators, tol)
+    parts = _linear_isometry_parts(operators)
     if len(parts) != len(spec.weights):
         raise ValueError("spec length does not match the number of operators")
     n = parts[0].shape[0]
@@ -297,8 +292,8 @@ def build_sum_averaged(spec: AveragedSpec, operators: Sequence[AffineIsometry],
     return AffineMap(A, np.zeros(n), averagedness=certificate)
 
 
-def build_product_averaged(spec: AveragedSpec, operators: Sequence[AffineIsometry],
-                           tol: Tolerance = DEFAULT_TOL) -> AffineMap:
+def build_product_averaged(spec: AveragedSpec,
+                           operators: Sequence[AffineIsometry]) -> AffineMap:
     """Weighted sum of relaxed prefix products.
 
     A_1 = (1 - a_1) I + a_1 F_1 and, for i >= 2,
@@ -306,7 +301,7 @@ def build_product_averaged(spec: AveragedSpec, operators: Sequence[AffineIsometr
     combined as A = sum_i w_i A_i. Also averaged with constant
     sum_i w_i a_i and fixed set equal to the common fixed set of the F_i.
     """
-    parts = _linear_isometry_parts(operators, tol)
+    parts = _linear_isometry_parts(operators)
     if len(parts) != len(spec.weights):
         raise ValueError("spec length does not match the number of operators")
     if len(parts) >= 2 and spec.lambdas is None:
@@ -331,7 +326,7 @@ def build_product_averaged(spec: AveragedSpec, operators: Sequence[AffineIsometr
 _ACCEL_STATIONARY_FLOOR = 1e-13
 
 
-def accelerated_apply(op: AffineMap, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def accelerated_apply(op: AffineMap, x) -> np.ndarray:
     """One step of the line-search acceleration of a nonexpansive map.
 
     Moves from x to t * T x + (1 - t) * x with
@@ -343,7 +338,7 @@ def accelerated_apply(op: AffineMap, x, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     few orders above machine epsilon.
     """
     x = as_vector(x)
-    _require_nonexpansive(op, tol)
+    _require_nonexpansive(op)
     return _accelerated_step(op.A, x)
 
 
@@ -357,9 +352,9 @@ def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return t * image + (1.0 - t) * x
 
 
-def is_self_adjoint(op: AffineOperator, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_self_adjoint(op: AffineOperator) -> bool:
     M = _linear_part(op)
-    return float(np.max(np.abs(M - M.T))) <= tol.eq_tol * (1.0 + float(np.max(np.abs(M))))
+    return float(np.max(np.abs(M - M.T))) <= EQ_TOL * (1.0 + float(np.max(np.abs(M))))
 
 
 def _sym_extremes(op: AffineMap) -> tuple[float, float]:
@@ -368,27 +363,27 @@ def _sym_extremes(op: AffineMap) -> tuple[float, float]:
     return op._spectral_datum("sym_extremes", lambda: sym_eigen_extremes(op.A))
 
 
-def _require_nonexpansive(op: AffineMap, tol: Tolerance, self_adjoint: bool = False) -> None:
+def _require_nonexpansive(op: AffineMap, self_adjoint: bool = False) -> None:
     """Raise ValueError unless op is linear, nonexpansive and, if asked, self-adjoint.
 
     The norm of a self-adjoint operator is max(-lambda_min, lambda_max), read
     from :func:`_sym_extremes`; any other takes its spectral norm. Either is
     computed once per operator.
     """
-    if not _zero_offset(op, tol):
+    if not _zero_offset(op):
         raise ValueError("expected a linear operator")
     if self_adjoint:
-        if not is_self_adjoint(op, tol):
+        if not is_self_adjoint(op):
             raise ValueError("expected a self-adjoint operator")
         eig_min, eig_max = _sym_extremes(op)
         norm = max(-eig_min, eig_max)
     else:
         norm = op._spectral_datum("norm", lambda: spectral_norm(op.A))
-    if norm > 1.0 + tol.eq_tol:
+    if norm > 1.0 + EQ_TOL:
         raise ValueError(f"expected a nonexpansive operator, norm {norm:.12f}")
 
 
-def operator_from_literal(obj, tol: Tolerance = DEFAULT_TOL) -> AffineIsometry:
+def operator_from_literal(obj) -> AffineIsometry:
     """Load an affine isometry from its literal form.
 
     Supported kinds:
@@ -405,7 +400,7 @@ def operator_from_literal(obj, tol: Tolerance = DEFAULT_TOL) -> AffineIsometry:
     if kind == "reflector":
         if "subspace" not in obj:
             raise ValueError("reflector literal needs a 'subspace' key")
-        return make_reflector(subspace_from_literal(obj["subspace"], tol))
+        return make_reflector(subspace_from_literal(obj["subspace"]))
     if kind == "translation":
         if "offset" not in obj:
             raise ValueError("translation literal needs an 'offset' key")
@@ -418,7 +413,7 @@ def operator_from_literal(obj, tol: Tolerance = DEFAULT_TOL) -> AffineIsometry:
         factors = obj.get("factors")
         if not isinstance(factors, list) or len(factors) == 0:
             raise ValueError("compose literal needs a nonempty 'factors' list")
-        ops = [operator_from_literal(f, tol) for f in factors]
+        ops = [operator_from_literal(f) for f in factors]
         product = ops[0]
         for op in ops[1:]:
             product = compose(op, product)

@@ -23,7 +23,7 @@ from .isometry import (
     fixed_point_set,
     make_reflector,
 )
-from .numerics import DEFAULT_TOL, Tolerance, _norm, as_vector
+from .numerics import _norm, as_vector
 from .subspace import AffineSubspace, intersect
 
 __all__ = [
@@ -165,17 +165,15 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
     )
 
 
-def run_cim(operator_set: OperatorSet, x0, config: MethodConfig,
-            tol: Tolerance = DEFAULT_TOL) -> IterationTrace:
+def run_cim(operator_set: OperatorSet, x0, config: MethodConfig) -> IterationTrace:
     """Iterate the circumcenter map of the family."""
     x0 = as_vector(x0)
     target = operator_set.common_fixed.project(x0)
-    return _drive(config.method, lambda x: _center(operator_set._images(x), tol),
+    return _drive(config.method, lambda x: _center(operator_set._images(x)),
                   x0, config, target)
 
 
 def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
-            tol: Tolerance = DEFAULT_TOL,
             fixed: Optional[AffineSubspace] = None) -> IterationTrace:
     """Cyclic projections; one trace step is one full sweep through the list.
 
@@ -187,7 +185,7 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
     for s in subspaces:
         s._check_dim(x0)
     if fixed is None:
-        inter = intersect(subspaces, tol)
+        inter = intersect(subspaces)
         if inter.is_empty:
             raise ValueError(
                 f"subspaces have empty intersection, residual {inter.residual:.3e}"
@@ -203,7 +201,7 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
     return _drive(config.method, sweep, x0, config, target)
 
 
-def run_linear(op: AffineMap, x0, config: MethodConfig, tol: Tolerance = DEFAULT_TOL,
+def run_linear(op: AffineMap, x0, config: MethodConfig,
                fixed: Optional[AffineSubspace] = None) -> IterationTrace:
     """Iterate a linear operator toward the projection onto its fixed set.
 
@@ -221,12 +219,12 @@ def run_linear(op: AffineMap, x0, config: MethodConfig, tol: Tolerance = DEFAULT
         raise ValueError(f"run_linear iterates {LINEAR_METHODS}, not {config.method!r}")
     x0 = as_vector(x0)
     if config.method in ("sym_map", "accel_map"):
-        _require_nonexpansive(op, tol, self_adjoint=True)
+        _require_nonexpansive(op, self_adjoint=True)
     elif config.method == "averaged_iter" and op.averagedness is None:
         raise ValueError("operator carries no averagedness certificate; "
                          "use build_sum_averaged or build_product_averaged")
     if fixed is None:
-        fixed = fixed_point_set(op, tol)
+        fixed = fixed_point_set(op)
         if fixed is None:
             raise ValueError("operator has no fixed points")
     target = fixed.project(x0)
@@ -237,11 +235,10 @@ def run_linear(op: AffineMap, x0, config: MethodConfig, tol: Tolerance = DEFAULT
     return _drive(config.method, step, x0, config, target)
 
 
-def dr_operator(first: AffineSubspace, second: AffineSubspace,
-                tol: Tolerance = DEFAULT_TOL) -> AffineMap:
+def dr_operator(first: AffineSubspace, second: AffineSubspace) -> AffineMap:
     """The averaged reflector composition (I + R_second R_first) / 2."""
     for s in (first, second):
-        if not s.is_linear(tol):
+        if not s.is_linear():
             raise ValueError("expected linear subspaces")
     q1 = make_reflector(first).Q
     q2 = make_reflector(second).Q

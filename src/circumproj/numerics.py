@@ -4,7 +4,7 @@ Everything here operates on plain numpy float arrays. Rank decisions scale
 with the largest singular value so callers never tune absolute thresholds to
 the scale of their data. Every affine solution set of the package
 (intersections, fixed point sets, orthogonal complements) comes from
-:func:`solution_set`, so its rank rule, tol.rank_tol * (1 + largest), is
+:func:`solution_set`, so its rank rule, RANK_TOL * (1 + largest), is
 decided in one place. All functions are pure and never mutate inputs.
 Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
 calls alternating between the two stall on each other's spinning threads.
@@ -13,13 +13,13 @@ calls alternating between the two stall on each other's spinning threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "RANK_TOL",
+    "CONSISTENCY_TOL",
+    "EQ_TOL",
     "as_vector",
     "as_matrix",
     "orthonormal_basis",
@@ -29,27 +29,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Shared numerical cutoffs.
+# The cutoffs of every numerical decision in the package. They are policy of
+# this float64 implementation, fixed: no argument or config key sets them.
+# RANK_TOL is the relative singular value cutoff for rank decisions,
+# CONSISTENCY_TOL decides whether a linear system or a membership test is
+# satisfied, and EQ_TOL is the pointwise equality threshold used for
+# deduplication and exactness checks.
+RANK_TOL = 1e-10
+CONSISTENCY_TOL = 1e-8
+EQ_TOL = 1e-10
 
-    rank_tol is the relative singular value cutoff for rank decisions,
-    consistency_tol decides whether a linear system or a membership test is
-    satisfied, and eq_tol is the pointwise equality threshold used for
-    deduplication and exactness checks.
-    """
-
-    rank_tol: float = 1e-10
-    consistency_tol: float = 1e-8
-    eq_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("rank_tol", "consistency_tol", "eq_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-DEFAULT_TOL = Tolerance()
+# The largest entry of Q^T Q - I (of B B^T - I for orthonormal rows B) that
+# construction accepts as orthogonal.
+_ORTHONORMALITY_TOL = 1e-10
 
 
 def _norm(v: np.ndarray) -> float:
@@ -78,14 +70,14 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
-def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormal rows spanning the same space as the input vectors.
 
     Accepts a sequence of equal-length vectors or a 2-d array whose rows
     are the vectors. Returns an (r, n) array with orthonormal rows where r
     is the numerical rank, decided by a rank-revealing orthogonal
-    factorization with singular values below ``tol.rank_tol`` relative to
-    the largest one treated as zero.
+    factorization with singular values below ``RANK_TOL`` relative to the
+    largest one treated as zero.
     """
     arr = np.asarray(vectors, dtype=float)
     if arr.ndim != 2:
@@ -97,17 +89,17 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if arr.shape[0] == 0 or not np.any(arr):
         return np.zeros((0, arr.shape[1]))
     u, s, _ = np.linalg.svd(arr.T, full_matrices=False)
-    rank = int(np.sum(s > s[0] * tol.rank_tol))
+    rank = int(np.sum(s > s[0] * RANK_TOL))
     return np.ascontiguousarray(u[:, :rank].T)
 
 
-def solution_set(A, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, float]:
+def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     """Least squares solution set of A x = b, from one SVD.
 
     Returns ``(x, null_basis, residual)``: the minimum-norm minimizer x of
     ||A x - b||, orthonormal rows spanning the numerical null space of A,
     and the residual ||A x - b||. Singular values at or below
-    tol.rank_tol * (1 + largest) count as zero. The offset in that cutoff
+    RANK_TOL * (1 + largest) count as zero. The offset in that cutoff
     matters: when every entry of A is rounding noise, as in M - I for a
     product that collapses to the identity, a cutoff relative to the largest
     singular value alone would keep the noise as rank and report no null
@@ -131,7 +123,7 @@ def solution_set(A, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
         r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")
         mat, rhs, outside = r[:n, :n], r[:n, n], abs(float(r[n, n]))
     u, s, vt = np.linalg.svd(mat)
-    rank = int(np.count_nonzero(s > tol.rank_tol * (1.0 + float(s[0]))))
+    rank = int(np.count_nonzero(s > RANK_TOL * (1.0 + float(s[0]))))
     null_basis = np.ascontiguousarray(vt[rank:])
     if not np.any(rhs):
         return np.zeros(n), null_basis, outside

@@ -21,7 +21,7 @@ from .isometry import (
     fixed_point_set,
 )
 from .methods import IterationTrace
-from .numerics import DEFAULT_TOL, Tolerance, spectral_norm, sym_eigen_extremes
+from .numerics import CONSISTENCY_TOL, EQ_TOL, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace, intersect
 
 __all__ = [
@@ -85,14 +85,13 @@ class RateReport:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def _require_linear(subspaces: Sequence[AffineSubspace], tol: Tolerance) -> None:
+def _require_linear(subspaces: Sequence[AffineSubspace]) -> None:
     for s in subspaces:
-        if not s.is_linear(tol):
+        if not s.is_linear():
             raise ValueError("rate constants are defined for linear subspaces")
 
 
-def friedrichs_cos(first: AffineSubspace, second: AffineSubspace,
-                   tol: Tolerance = DEFAULT_TOL) -> float:
+def friedrichs_cos(first: AffineSubspace, second: AffineSubspace) -> float:
     """Cosine of the Friedrichs angle between two linear subspaces.
 
     The two-subspace case of :func:`tuple_angle_cos`: the spectral norm of
@@ -100,11 +99,10 @@ def friedrichs_cos(first: AffineSubspace, second: AffineSubspace,
     complement of the intersection. Always strictly below 1 in finite
     dimension, and 0 when one subspace contains the other.
     """
-    return tuple_angle_cos([first, second], tol)
+    return tuple_angle_cos([first, second])
 
 
 def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
-                    tol: Tolerance = DEFAULT_TOL,
                     fixed: Optional[AffineSubspace] = None) -> float:
     """Norm of the cyclic projection product restricted off the intersection.
 
@@ -113,9 +111,9 @@ def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
-    _require_linear(subspaces, tol)
+    _require_linear(subspaces)
     if fixed is None:
-        fixed = intersect(subspaces, tol).subspace
+        fixed = intersect(subspaces).subspace
     n = subspaces[0].ambient_dim
     product = np.eye(n) - fixed.projector_matrix()
     for s in subspaces:
@@ -123,8 +121,7 @@ def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
     return spectral_norm(product)
 
 
-def operator_rate(op: AffineMap, fixed: AffineSubspace,
-                  tol: Tolerance = DEFAULT_TOL) -> float:
+def operator_rate(op: AffineMap, fixed: AffineSubspace) -> float:
     """Spectral norm of a linear operator restricted off a fixed subspace.
 
     ``fixed`` must be a linear subspace of fixed points of the operator;
@@ -132,15 +129,15 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace,
     per fixed-subspace object and cached on the operator.
     """
     matrix = op.A
-    if not _zero_offset(op, tol):
+    if not _zero_offset(op):
         raise ValueError("operator rates are defined for linear operators")
-    if not fixed.is_linear(tol):
+    if not fixed.is_linear():
         raise ValueError("fixed subspace must be linear")
     if fixed.ambient_dim != matrix.shape[0]:
         raise ValueError("operator and subspace dimensions differ")
     for direction in fixed.basis:
         gap = float(np.linalg.norm(matrix @ direction - direction))
-        if gap > tol.consistency_tol:
+        if gap > CONSISTENCY_TOL:
             raise ValueError(
                 f"a basis direction of the subspace is not fixed, gap {gap:.3e}"
             )
@@ -169,7 +166,7 @@ class AccelConstants:
     cT: float
 
 
-def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
+def accel_constants(op: AffineMap,
                     fixed: Optional[AffineSubspace] = None) -> AccelConstants:
     """Acceleration constants of a monotone self-adjoint nonexpansive map.
 
@@ -180,28 +177,28 @@ def accel_constants(op: AffineMap, tol: Tolerance = DEFAULT_TOL,
     complement is trivial. ``fixed`` may pass the operator's fixed set;
     the fallback, ``fixed_point_set``, is ill-conditioned at small angles.
     """
-    _require_nonexpansive(op, tol, self_adjoint=True)
+    _require_nonexpansive(op, self_adjoint=True)
     eig_min, _ = _sym_extremes(op)
-    if eig_min < -tol.eq_tol:
+    if eig_min < -EQ_TOL:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")
     rng = np.random.default_rng(_MONOTONE_SEED)
     n = op.ambient_dim
     for _ in range(_MONOTONE_SAMPLES):
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        if float(v @ (op.A @ v)) < -tol.eq_tol:
+        if float(v @ (op.A @ v)) < -EQ_TOL:
             raise ValueError("operator is not monotone on sampled directions")
     if fixed is None:
-        fixed = fixed_point_set(op, tol)
+        fixed = fixed_point_set(op)
         if fixed is None:
             raise ValueError("operator has no fixed points")
-    complement = fixed.orthogonal_complement(tol)
+    complement = fixed.orthogonal_complement()
     if complement.dim == 0:
         c1, c2 = 0.0, 0.0
     else:
         compressed = complement.basis @ op.A @ complement.basis.T
         c1, c2 = sym_eigen_extremes(compressed)
-    cT = operator_rate(op, fixed, tol)
+    cT = operator_rate(op, fixed)
     denominator = 2.0 - c1 - c2
     if denominator <= 0:
         raise RuntimeError("degenerate spectral data, denominator of eta is nonpositive")
@@ -235,8 +232,11 @@ def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
 
     ``plain`` scales by the first recorded error; ``prefixed`` scales by
     prefactor * error_origin, where error_origin measures the original
-    start before the prefix was applied.
+    start before the prefix was applied. ``rate`` and ``prefactor`` are
+    taken as Python floats, so a numpy scalar writes the same bytes.
     """
+    rate = float(rate)
+    prefactor = None if prefactor is None else float(prefactor)
     if rate < 0:
         raise ValueError("rate must be nonnegative")
     if scale_mode == "plain":
@@ -244,7 +244,7 @@ def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
     elif scale_mode == "prefixed":
         if prefactor is None:
             raise ValueError("prefixed audits need a prefactor")
-        scale = float(prefactor) * trace.error_origin
+        scale = prefactor * trace.error_origin
     else:
         raise ValueError(f"unknown scale mode {scale_mode!r}")
     rows = []
@@ -256,10 +256,10 @@ def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
         slack_min = min(slack_min, _slack(observed, bound))
     full_ingredients = dict(ingredients or {})
     if scale_mode == "prefixed":
-        full_ingredients.setdefault("prefactor", float(prefactor))
+        full_ingredients.setdefault("prefactor", prefactor)
     return RateReport(
         constant_name=constant_name,
-        value=float(rate),
+        value=rate,
         ingredients=full_ingredients,
         per_iteration=tuple(rows),
         slack_min=float(slack_min),

@@ -14,8 +14,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
+    CONSISTENCY_TOL,
+    EQ_TOL,
+    _ORTHONORMALITY_TOL,
     _norm,
     as_vector,
     orthonormal_basis,
@@ -57,9 +58,10 @@ class AffineSubspace:
         if basis.shape[0] > 0:
             gram = basis @ basis.T
             defect = np.max(np.abs(gram - np.eye(basis.shape[0])))
-            if defect > 1e-10:
+            if defect > _ORTHONORMALITY_TOL:
                 raise ValueError(
-                    f"basis rows must be orthonormal to 1e-10, defect {defect:.3e}"
+                    f"basis rows must be orthonormal to {_ORTHONORMALITY_TOL:g}, "
+                    f"defect {defect:.3e}"
                 )
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "basis", np.ascontiguousarray(basis))
@@ -73,24 +75,23 @@ class AffineSubspace:
         return self.basis.shape[0]
 
     @classmethod
-    def from_span(cls, anchor, span, tol: Tolerance = DEFAULT_TOL) -> "AffineSubspace":
+    def from_span(cls, anchor, span) -> "AffineSubspace":
         """Build from a point and a raw, not necessarily orthonormal, span."""
         anchor = as_vector(anchor)
         span_arr = np.asarray(span, dtype=float)
         if span_arr.size == 0:
             return cls(anchor, np.zeros((0, anchor.shape[0])))
-        return cls(anchor, orthonormal_basis(span_arr, tol))
+        return cls(anchor, orthonormal_basis(span_arr))
 
     @classmethod
-    def linear(cls, span, ambient_dim: Optional[int] = None,
-               tol: Tolerance = DEFAULT_TOL) -> "AffineSubspace":
+    def linear(cls, span, ambient_dim: Optional[int] = None) -> "AffineSubspace":
         """Linear subspace spanned by the given vectors, anchored at 0."""
         span_arr = np.asarray(span, dtype=float)
         if span_arr.size == 0:
             if ambient_dim is None:
                 raise ValueError("ambient_dim is required for a trivial span")
             return cls(np.zeros(ambient_dim), np.zeros((0, ambient_dim)))
-        basis = orthonormal_basis(span_arr, tol)
+        basis = orthonormal_basis(span_arr)
         return cls(np.zeros(basis.shape[1]), basis)
 
     @classmethod
@@ -126,23 +127,23 @@ class AffineSubspace:
         x = as_vector(x)
         return 2.0 * self.project(x) - x
 
-    def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Membership up to tol.consistency_tol relative to ||x||."""
+    def contains(self, x) -> bool:
+        """Membership up to CONSISTENCY_TOL relative to ||x||."""
         x = as_vector(x)
         gap = float(np.linalg.norm(self.project(x) - x))
-        return gap <= tol.consistency_tol * (1.0 + float(np.linalg.norm(x)))
+        return gap <= CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(x)))
 
-    def is_linear(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_linear(self) -> bool:
         """True when the subspace passes through the origin."""
         zero = np.zeros(self.ambient_dim)
         gap = float(np.linalg.norm(self.project(zero)))
-        return gap <= tol.eq_tol * (1.0 + float(np.linalg.norm(self.anchor)))
+        return gap <= EQ_TOL * (1.0 + float(np.linalg.norm(self.anchor)))
 
-    def orthogonal_complement(self, tol: Tolerance = DEFAULT_TOL) -> "AffineSubspace":
+    def orthogonal_complement(self) -> "AffineSubspace":
         """Orthogonal complement; defined for linear subspaces only."""
-        if not self.is_linear(tol):
+        if not self.is_linear():
             raise ValueError("orthogonal complement is defined for linear subspaces only")
-        _, comp, _ = solution_set(self.basis, np.zeros(self.dim), tol)
+        _, comp, _ = solution_set(self.basis, np.zeros(self.dim))
         return AffineSubspace(np.zeros(self.ambient_dim), comp)
 
     def translate(self, z) -> "AffineSubspace":
@@ -166,8 +167,7 @@ class Intersection:
         return self.subspace is None
 
 
-def intersect(subspaces: Sequence[AffineSubspace],
-              tol: Tolerance = DEFAULT_TOL) -> Intersection:
+def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
     """Intersect finitely many affine subspaces.
 
     x lies in the subspace with anchor a and projector P exactly when
@@ -175,7 +175,7 @@ def intersect(subspaces: Sequence[AffineSubspace],
     stacked, gives the anchor of the intersection (the minimum-norm
     solution) and its direction (the null space). Summing the blocks instead
     would square their condition number. The intersection is empty when the
-    residual exceeds tol.consistency_tol relative to the data scale.
+    residual exceeds CONSISTENCY_TOL relative to the data scale.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace to intersect")
@@ -187,13 +187,13 @@ def intersect(subspaces: Sequence[AffineSubspace],
     for block, s in zip(blocks, subspaces):
         np.subtract(np.eye(n), s.projector_matrix(), out=block)
     rhs = np.concatenate([block @ s.anchor for block, s in zip(blocks, subspaces)])
-    anchor, direction, residual = solution_set(blocks.reshape(-1, n), rhs, tol)
-    if residual > tol.consistency_tol * (1.0 + _norm(rhs)):
+    anchor, direction, residual = solution_set(blocks.reshape(-1, n), rhs)
+    if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
         return Intersection(None, residual)
     return Intersection(AffineSubspace(anchor, direction), residual)
 
 
-def affine_hull(points, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
+def affine_hull(points) -> AffineSubspace:
     """Affine hull of a finite nonempty point set."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -201,10 +201,10 @@ def affine_hull(points, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
     anchor = pts[0]
     if pts.shape[0] == 1:
         return AffineSubspace.point(anchor)
-    return AffineSubspace(anchor, orthonormal_basis(pts[1:] - anchor, tol))
+    return AffineSubspace(anchor, orthonormal_basis(pts[1:] - anchor))
 
 
-def subspace_from_literal(obj, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
+def subspace_from_literal(obj) -> AffineSubspace:
     """Load a subspace from its literal form.
 
     The literal is a mapping with keys "anchor" (list of floats) and
@@ -226,4 +226,4 @@ def subspace_from_literal(obj, tol: Tolerance = DEFAULT_TOL) -> AffineSubspace:
         anchor = np.zeros(span_arr.shape[1])
     if span is None:
         return AffineSubspace.point(anchor)
-    return AffineSubspace.from_span(anchor, span, tol)
+    return AffineSubspace.from_span(anchor, span)

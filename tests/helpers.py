@@ -5,9 +5,11 @@ from itertools import combinations
 import numpy as np
 
 from circumproj import (
+    CONSISTENCY_TOL,
+    EQ_TOL,
+    RANK_TOL,
     AffineSubspace,
     CircumcenterResult,
-    Tolerance,
     as_vector,
     compose,
     identity,
@@ -54,11 +56,11 @@ def dense_product(ops, word):
 # wrappers: one temporary or wrapper call per formula. The library's step
 # must reproduce these bit for bit, so keep them as they are.
 
-def reference_distinct(points: np.ndarray, tol: Tolerance) -> tuple:
-    """Greedy first-occurrence representatives at eq_tol, and the diameter."""
+def reference_distinct(points: np.ndarray) -> tuple:
+    """Greedy first-occurrence representatives at EQ_TOL, and the diameter."""
     gram = points @ points.T
     norms_sq = np.diag(gram)
-    threshold = tol.eq_tol * (1.0 + float(np.sqrt(np.max(norms_sq))))
+    threshold = EQ_TOL * (1.0 + float(np.sqrt(np.max(norms_sq))))
     pair_sq = norms_sq[:, None] + norms_sq
     dist_sq = np.subtract(pair_sq, np.multiply(gram, 2.0, out=gram), out=gram)
     threshold_sq = threshold**2
@@ -74,12 +76,12 @@ def reference_distinct(points: np.ndarray, tol: Tolerance) -> tuple:
     return np.flatnonzero(keep), float(np.sqrt(max(float(np.max(dist_sq)), 0.0)))
 
 
-def reference_circumcenter(points, tol: Tolerance) -> CircumcenterResult:
+def reference_circumcenter(points) -> CircumcenterResult:
     """Circumcenter of a finite point set from one thin SVD of the offsets."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
-    kept, diameter = reference_distinct(pts, tol)
+    kept, diameter = reference_distinct(pts)
     rep = pts[kept]
     p0 = rep[0]
     offsets = rep[1:] - p0
@@ -89,14 +91,14 @@ def reference_circumcenter(points, tol: Tolerance) -> CircumcenterResult:
         return CircumcenterResult(p0.copy(), np.zeros(0), spread, 0.0)
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
     u, s, vt = np.linalg.svd(offsets, full_matrices=False)
-    rank = int(np.sum(s > s[0] * tol.rank_tol))
+    rank = int(np.sum(s > s[0] * RANK_TOL))
     u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     projected = u.T @ half
     coords = projected / s
     candidate = p0 + vt.T @ coords
     dists = np.linalg.norm(pts - candidate, axis=1)
     spread = float(np.max(dists) - np.min(dists))
-    center = candidate if spread <= tol.consistency_tol * (1.0 + diameter) else None
+    center = candidate if spread <= CONSISTENCY_TOL * (1.0 + diameter) else None
     residual = float(np.linalg.norm(half - u @ projected))
     return CircumcenterResult(center, u @ (coords / s), spread, residual)
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
-    DEFAULT_TOL,
+    EQ_TOL,
     AffineSubspace,
     NumericalPropernessError,
     OperatorSet,
@@ -250,14 +250,14 @@ def test_dedup_keeps_the_oracle_representatives(seed, exponent):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
     points = list(10.0 ** exponent * rng.standard_normal((int(rng.integers(1, 5)), dim)))
-    threshold = DEFAULT_TOL.eq_tol * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in points))
     for _ in range(int(rng.integers(1, 8))):
         source = points[int(rng.integers(len(points)))]
         factor = 0.5 if rng.integers(2) else 2.0
         points.append(source + factor * threshold * unit_vector(rng, dim))
     points = np.array(points)[rng.permutation(len(points))]
-    kept, diameter = _distinct(points, DEFAULT_TOL)
-    assert list(kept) == oracle_dedup(points, DEFAULT_TOL.eq_tol)
+    kept, diameter = _distinct(points)
+    assert list(kept) == oracle_dedup(points, EQ_TOL)
     exact = max(float(np.linalg.norm(p - q)) for p in points for q in points)
     # a distance read off the Gram matrix is exact to sqrt(eps) times the largest norm
     largest = float(np.max(np.linalg.norm(points, axis=1)))

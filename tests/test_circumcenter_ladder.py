@@ -46,8 +46,8 @@ def _assert_reaches(family, x0, projection):
     assert final <= 1e-6 * start, f"stopped at {final / start:.3e} of the starting error"
 
 
-# At scale 1e-6 the images of the two lines lie within eq_tol of each other
-# once theta <= 1e-5: the deduplication threshold eq_tol * (1 + largest norm)
+# At scale 1e-6 the images of the two lines lie within EQ_TOL of each other
+# once theta <= 1e-5: the deduplication threshold EQ_TOL * (1 + largest norm)
 # is absolute for data this small, so the step sees one line and the trace
 # stops at the projection onto it, about 0.26 of the starting error away.
 SMALL_SCALE_FREEZE = pytest.mark.xfail(

@@ -240,7 +240,7 @@ def _accepts(check) -> bool:
 @pytest.mark.parametrize("offset, linear", [(1e-9, False), (1e-11, True)])
 def test_one_linearity_verdict_for_every_check(offset, linear):
     """Every check that an operator is linear gives one verdict, also for an
-    offset between eq_tol and consistency_tol."""
+    offset between EQ_TOL and CONSISTENCY_TOL."""
     reflector = AffineIsometry(np.diag([1.0, -1.0]), np.array([offset, 0.0]))
     halving = AffineMap(np.diag([1.0, 0.5]), np.array([offset, 0.0]))
     verdicts = {

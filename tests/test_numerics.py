@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from circumproj import (
     AffineSubspace,
-    Tolerance,
     as_matrix,
     as_vector,
     intersect,
@@ -83,11 +82,6 @@ def test_sym_eigen_extremes_symmetrizes_input():
 def test_sym_eigen_extremes_rejects_nonsquare():
     with pytest.raises(ValueError):
         sym_eigen_extremes(np.zeros((2, 3)))
-
-
-def test_tolerance_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        Tolerance(rank_tol=-1e-10, consistency_tol=1e-8, eq_tol=1e-10)
 
 
 def test_as_vector_rejects_nonfinite_and_matrix_input():

@@ -4,7 +4,8 @@
 two modules would be shadowed silently. The module ``circumcenter`` shares
 its name with the function it exports, and the package must bind the
 function. Factorizations that decide a rank live in ``numerics`` and in the
-circumcenter step only.
+circumcenter step only. The numerical thresholds are three constants of
+``numerics``, not parameters.
 """
 
 import ast
@@ -80,3 +81,40 @@ def test_rank_deciding_factorizations_live_in_numerics_and_the_circumcenter():
         assert not stray, f"{path.name} factorizes outside numerics: {sorted(stray, key=str)}"
     sites = _factorization_sites(ast.parse((package / "circumcenter.py").read_text()))
     assert sites == {("_solve", "svd")}
+
+
+def _exported_signatures():
+    """(name, signature) of every exported function, constructor and public
+    method (classmethods and staticmethods included). An exception class
+    that keeps the builtin constructor has no signature to read."""
+    for name in circumproj.__all__:
+        obj = getattr(circumproj, name)
+        if inspect.isclass(obj):
+            if inspect.isfunction(obj.__init__):
+                yield f"{name}()", inspect.signature(obj)
+            for attr, raw in vars(obj).items():
+                if isinstance(raw, (classmethod, staticmethod)):
+                    raw = raw.__func__
+                if not attr.startswith("_") and inspect.isfunction(raw):
+                    yield f"{name}.{attr}", inspect.signature(raw)
+        elif inspect.isfunction(obj):
+            yield name, inspect.signature(obj)
+
+
+def test_no_exported_callable_takes_a_tolerance():
+    with_tol = [name for name, sig in _exported_signatures() if "tol" in sig.parameters]
+    assert not with_tol, f"thresholds are numerics constants, not parameters: {with_tol}"
+
+
+def test_defaulted_parameters_do_not_grow():
+    """Every defaulted parameter of the public API is an option a caller may
+    set; a new one must be wanted, and this figure raised with it."""
+    defaulted = [f"{name}:{p.name}" for name, sig in _exported_signatures()
+                 for p in sig.parameters.values() if p.default is not inspect.Parameter.empty]
+    assert len(defaulted) <= 27, defaulted
+
+
+def test_numerics_exports_the_three_thresholds():
+    numerics = importlib.import_module("circumproj.numerics")
+    assert {"RANK_TOL", "CONSISTENCY_TOL", "EQ_TOL"} <= set(numerics.__all__)
+    assert (numerics.RANK_TOL, numerics.CONSISTENCY_TOL, numerics.EQ_TOL) == (1e-10, 1e-8, 1e-10)

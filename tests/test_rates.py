@@ -179,6 +179,21 @@ def test_audit_bound_validates_inputs():
         audit_bound(_toy_trace([1.0, 0.5]), 0.5, scale_mode="prefixed")
 
 
+@pytest.mark.parametrize("scale_mode, prefactor", [("plain", None), ("prefixed", 0.9)])
+def test_audit_bound_writes_a_numpy_scalar_rate_as_its_float(scale_mode, prefactor):
+    """A numpy scalar rate or prefactor gives the bytes of the Python float,
+    not ``np.float64(...)`` reprs in the bound and slack columns."""
+    trace = run_map([LINE_X, LINE_DIAG], np.array([0.3, 0.9]), MethodConfig("map", max_iters=6))
+    reports = [
+        audit_bound(trace, to_scalar(0.7), scale_mode=scale_mode,
+                    prefactor=None if prefactor is None else to_scalar(prefactor))
+        for to_scalar in (float, np.float64)
+    ]
+    assert "np." not in reports[1].to_csv()
+    assert reports[1].to_csv() == reports[0].to_csv()
+    assert reports[1].to_json() == reports[0].to_json()
+
+
 def test_rate_report_serialization_round_trip():
     report = audit_bound(_toy_trace([1.0, 0.25]), 0.5, constant_name="demo_rate",
                          ingredients={"gamma": 0.5})

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
-    DEFAULT_TOL,
+    EQ_TOL,
     AffineIsometry,
     AffineSubspace,
     MethodConfig,
@@ -55,11 +55,11 @@ def test_psi_words_reduce_over_involutions():
                    for earlier, other in kept.items()), word
 
 
-def _distinct_eager(points, tol):
+def _distinct_eager(points):
     """``_distinct`` as written with one temporary per operation."""
     gram = points @ points.T
     norms_sq = np.diag(gram)
-    threshold = tol.eq_tol * (1.0 + float(np.sqrt(np.max(norms_sq))))
+    threshold = EQ_TOL * (1.0 + float(np.sqrt(np.max(norms_sq))))
     pair_sq = norms_sq[:, None] + norms_sq
     dist_sq = pair_sq - 2.0 * gram
     margin = 4.0 * (points.shape[1] + 2) * np.finfo(float).eps * (pair_sq + threshold**2)
@@ -78,7 +78,7 @@ def test_in_place_dedup_matches_the_eager_formula_bit_for_bit(seed, exponent):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 8))
     points = list(10.0 ** exponent * rng.standard_normal((int(rng.integers(1, 6)), dim)))
-    threshold = DEFAULT_TOL.eq_tol * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in points))
     for _ in range(int(rng.integers(0, 8))):
         source = points[int(rng.integers(len(points)))]
         if rng.integers(2):
@@ -86,8 +86,8 @@ def test_in_place_dedup_matches_the_eager_formula_bit_for_bit(seed, exponent):
         else:
             points.append(source + float(rng.uniform(0.5, 2.0)) * threshold * unit_vector(rng, dim))
     points = np.array(points)[rng.permutation(len(points))]
-    kept, diameter = _distinct(points, DEFAULT_TOL)
-    eager_kept, eager_diameter = _distinct_eager(points, DEFAULT_TOL)
+    kept, diameter = _distinct(points)
+    eager_kept, eager_diameter = _distinct_eager(points)
     assert list(kept) == list(eager_kept)
     assert diameter == eager_diameter
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from circumproj import (
-    DEFAULT_TOL,
     AffineMap,
     accelerated_apply,
     bench,
@@ -142,16 +141,13 @@ def _symmetric(eigenvalues) -> AffineMap:
 def test_self_adjoint_check_reads_both_ends_of_the_spectrum():
     """An eigenvalue of -1.5 makes the norm 1.5 although lambda_max is 0.5."""
     with pytest.raises(ValueError, match="nonexpansive"):
-        isometry._require_nonexpansive(_symmetric([-1.5, 0.5, 0.0]), DEFAULT_TOL,
-                                       self_adjoint=True)
+        isometry._require_nonexpansive(_symmetric([-1.5, 0.5, 0.0]), self_adjoint=True)
 
 
 def test_self_adjoint_check_has_the_eq_tol_margin():
     with pytest.raises(ValueError, match="nonexpansive"):
-        isometry._require_nonexpansive(_symmetric([1.0 + 1e-9, 0.5]), DEFAULT_TOL,
-                                       self_adjoint=True)
-    isometry._require_nonexpansive(_symmetric([1.0 + 1e-11, 0.5]), DEFAULT_TOL,
-                                   self_adjoint=True)
+        isometry._require_nonexpansive(_symmetric([1.0 + 1e-9, 0.5]), self_adjoint=True)
+    isometry._require_nonexpansive(_symmetric([1.0 + 1e-11, 0.5]), self_adjoint=True)
 
 
 def test_accelerated_apply_takes_one_norm_per_operator(monkeypatch):

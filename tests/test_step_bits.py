@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from circumproj import (
-    DEFAULT_TOL,
+    EQ_TOL,
     AffineIsometry,
     MethodConfig,
     OperatorSet,
@@ -57,7 +57,7 @@ def _points(rng, count: int, dim: int, scale: float, shape: str) -> np.ndarray:
             coords /= np.linalg.norm(coords, axis=1, keepdims=True)
         base = center + coords @ basis
     points = list(scale * base)
-    threshold = DEFAULT_TOL.eq_tol * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in points))
     for _ in range(count - distinct):
         source = points[int(rng.integers(len(points)))]
         kind = int(rng.integers(3))
@@ -79,12 +79,12 @@ def test_circumcenter_matches_the_reference_bit_for_bit(seed, count, exponent, s
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 9))
     points = _points(rng, count, dim, 10.0 ** exponent, shape)
-    kept, diameter = _distinct(points, DEFAULT_TOL)
-    ref_kept, ref_diameter = reference_distinct(points, DEFAULT_TOL)
+    kept, diameter = _distinct(points)
+    ref_kept, ref_diameter = reference_distinct(points)
     assert list(kept) == list(ref_kept)
     assert _bits(diameter) == _bits(ref_diameter)
     result = circumcenter(points)
-    expected = reference_circumcenter(points, DEFAULT_TOL)
+    expected = reference_circumcenter(points)
     assert (result.center is None) == (expected.center is None)
     if expected.center is not None:
         assert _bits(result.center) == _bits(expected.center)
@@ -96,12 +96,12 @@ def test_circumcenter_matches_the_reference_bit_for_bit(seed, count, exponent, s
 def _assert_step_matches_the_reference(points: np.ndarray) -> np.ndarray:
     """``_distinct`` and ``circumcenter`` against the reference, bit for
     bit; returns the kept indices."""
-    kept, diameter = _distinct(points, DEFAULT_TOL)
-    ref_kept, ref_diameter = reference_distinct(points, DEFAULT_TOL)
+    kept, diameter = _distinct(points)
+    ref_kept, ref_diameter = reference_distinct(points)
     assert list(kept) == list(ref_kept)
     assert _bits(diameter) == _bits(ref_diameter)
     result = circumcenter(points)
-    expected = reference_circumcenter(points, DEFAULT_TOL)
+    expected = reference_circumcenter(points)
     assert (result.center is None) == (expected.center is None)
     if expected.center is not None:
         assert _bits(result.center) == _bits(expected.center)
@@ -128,7 +128,7 @@ def _large_points(rng, count: int, dim: int, kind: str) -> np.ndarray:
         return points
     factor = 0.5 if kind == "chains at 0.5" else 2.0
     starts = points[:int(rng.integers(1, 6))]
-    threshold = DEFAULT_TOL.eq_tol * (1.0 + max(float(np.linalg.norm(p)) for p in starts))
+    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in starts))
     chain = []
     while len(chain) < count:
         point = starts[int(rng.integers(len(starts)))]
@@ -179,10 +179,10 @@ def test_overflowing_squared_norms_match_the_reference(points):
     the circumcenter still follow the reference."""
     points = np.array(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        kept, diameter = _distinct(points, DEFAULT_TOL)
-        ref_kept, ref_diameter = reference_distinct(points, DEFAULT_TOL)
+        kept, diameter = _distinct(points)
+        ref_kept, ref_diameter = reference_distinct(points)
         result = circumcenter(points)
-        expected = reference_circumcenter(points, DEFAULT_TOL)
+        expected = reference_circumcenter(points)
     assert list(kept) == list(ref_kept)
     assert math.isnan(diameter) and math.isnan(ref_diameter)
     assert (result.center is None) == (expected.center is None)
@@ -200,8 +200,8 @@ def test_a_nan_diameter_sends_the_step_past_the_screen():
     0 is within that threshold."""
     points = np.array([[1e160, 0.0], [0.0, 1e150], [1e160, 1e160]])
     with np.errstate(over="ignore", invalid="ignore"):
-        kept, diameter = _distinct(points, DEFAULT_TOL)
-        ref_kept, _ = reference_distinct(points, DEFAULT_TOL)
+        kept, diameter = _distinct(points)
+        ref_kept, _ = reference_distinct(points)
     assert list(ref_kept) == [0, 2]
     assert list(kept) == list(ref_kept)
     assert math.isnan(diameter)
@@ -214,8 +214,8 @@ def test_a_kept_point_drops_only_rows_the_reference_may_drop():
     lies within the infinite threshold."""
     points = np.array([[1.0, 0.0], [0.0, 1e150], [1e160, 1e160]])
     with np.errstate(over="ignore", invalid="ignore"):
-        kept, _ = _distinct(points, DEFAULT_TOL)
-        ref_kept, _ = reference_distinct(points, DEFAULT_TOL)
+        kept, _ = _distinct(points)
+        ref_kept, _ = reference_distinct(points)
     assert list(ref_kept) == [0, 2]
     assert list(kept) == list(ref_kept)
 
@@ -224,13 +224,13 @@ def test_the_reference_cases_include_absent_and_rank_deficient_circumcenters():
     """Three distinct collinear points have no circumcenter; six points on a
     circle in R^3 have one, with offsets of rank 2."""
     collinear = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
-    assert reference_circumcenter(collinear, DEFAULT_TOL).center is None
+    assert reference_circumcenter(collinear).center is None
     assert circumcenter(collinear).center is None
     angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
     circle = np.column_stack([np.cos(angles), np.sin(angles), np.full(6, 2.0)])
     result = circumcenter(circle)
     assert np.linalg.matrix_rank(circle[1:] - circle[0]) == 2
-    assert _bits(result.center) == _bits(reference_circumcenter(circle, DEFAULT_TOL).center)
+    assert _bits(result.center) == _bits(reference_circumcenter(circle).center)
 
 
 def _generators(rng, dim: int, count: int, fixed_point: np.ndarray) -> list:
