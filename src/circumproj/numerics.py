@@ -5,7 +5,9 @@ with the largest singular value so callers never tune absolute thresholds to
 the scale of their data. Every affine solution set of the package
 (intersections, fixed point sets, orthogonal complements) comes from
 :func:`solution_set`, so its rank rule, RANK_TOL * (1 + largest), is
-decided in one place. All functions are pure and never mutate inputs.
+decided in one place; a Gram eigensolve there may only certify that a tall
+homogeneous system has full column rank, with a cut derived from RANK_TOL,
+and never solves. All functions are pure and never mutate inputs.
 Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
 calls alternating between the two stall on each other's spinning threads.
 """
@@ -110,6 +112,22 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     the singular values and right singular vectors of A, its last column is
     Q^T b, and its corner is the part of b outside the range of A. A zero
     right-hand side has the zero solution without a solve.
+
+    A tall A with a zero right-hand side, the common case of intersecting
+    linear subspaces, first tries to certify full column rank from the
+    eigenvalues lam of its Gram matrix A^T A, which only decides and never
+    solves. When lam_min > sqrt(RANK_TOL) * (1 + lam_max), the solution set
+    is the origin alone, and it is returned as the factorization would
+    return it: the zero anchor, a (0, n) null basis, and residual 0, since
+    Householder reflections keep a zero column exactly zero. The
+    certificate cannot disagree with the cut s > RANK_TOL * (1 + s_1) on
+    the singular values s of A. Forming A^T A in float64 and eigvalsh move
+    its eigenvalues by at most about rows * n * eps * lam_max, and the QR's
+    backward error moves s by at most about rows * n * eps * s_1, the same
+    order. With lam = s^2 and 1 + s_1^2 >= (1 + s_1)^2 / 2, a certified
+    s_n is at least about sqrt(RANK_TOL / 2) * (1 + s_1), some
+    2e-3 * (1 + s_1), seven orders of magnitude above the cut while
+    rows * n is far below 1e10. Otherwise the factorization decides.
     """
     mat = as_matrix(A)
     rhs = as_vector(b)
@@ -118,6 +136,10 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError(f"matrix has {rows} rows but right-hand side has {rhs.shape[0]} entries")
     if rows == 0:
         return np.zeros(n), np.eye(n), 0.0
+    if rows > n and not np.any(rhs):
+        lam = np.linalg.eigvalsh(mat.T @ mat)
+        if lam[0] > math.sqrt(RANK_TOL) * (1.0 + lam[-1]):
+            return np.zeros(n), np.zeros((0, n)), 0.0
     outside = 0.0
     if rows > n:
         r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")

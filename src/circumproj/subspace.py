@@ -174,8 +174,10 @@ def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
     (I - P) x = (I - P) a. One :func:`solution_set` call on these blocks,
     stacked, gives the anchor of the intersection (the minimum-norm
     solution) and its direction (the null space). Summing the blocks instead
-    would square their condition number. The intersection is empty when the
-    residual exceeds CONSISTENCY_TOL relative to the data scale.
+    would square their condition number; for linear subspaces that sum, the
+    Gram matrix of the stack, only certifies inside :func:`solution_set`
+    that they meet at 0 alone, and never solves. The intersection is empty
+    when the residual exceeds CONSISTENCY_TOL relative to the data scale.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace to intersect")

@@ -1,5 +1,6 @@
 """Shared builders for seeded random test instances."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from circumproj import (
     RANK_TOL,
     AffineSubspace,
     CircumcenterResult,
+    as_matrix,
     as_vector,
     compose,
     identity,
@@ -112,6 +114,34 @@ def reference_images(operator_set, x) -> np.ndarray:
             gen = operator_set.generators[word[-1]]
             image[word] = gen.Q @ image[word[:-1]] + gen.b
     return np.array([image[word] for word in operator_set.words])
+
+
+# The affine solution set as the library computed it from the QR of the
+# stacked system and one SVD, with no rank certificate. The library's
+# solution_set must reproduce it bit for bit, so keep it as it is.
+
+def reference_solution_set(A, b) -> tuple:
+    """``(x, null_basis, residual)`` of A x = b, from QR and SVD only."""
+    mat = as_matrix(A)
+    rhs = as_vector(b)
+    rows, n = mat.shape
+    if rows != rhs.shape[0]:
+        raise ValueError(f"matrix has {rows} rows but right-hand side has {rhs.shape[0]} entries")
+    if rows == 0:
+        return np.zeros(n), np.eye(n), 0.0
+    outside = 0.0
+    if rows > n:
+        r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")
+        mat, rhs, outside = r[:n, :n], r[:n, n], abs(float(r[n, n]))
+    u, s, vt = np.linalg.svd(mat)
+    rank = int(np.count_nonzero(s > RANK_TOL * (1.0 + float(s[0]))))
+    null_basis = np.ascontiguousarray(vt[rank:])
+    if not np.any(rhs):
+        return np.zeros(n), null_basis, outside
+    coords = u[:, :rank].T @ rhs
+    solution = vt[:rank].T @ (coords / s[:rank])
+    residual = math.hypot(_norm(rhs - u[:, :rank] @ coords), outside)
+    return solution, null_basis, residual
 
 
 # The trace CSV as the library wrote it row by row, one float formatting

@@ -3,9 +3,9 @@
 ``circumproj/__init__.py`` star-imports each module, so a name listed by
 two modules would be shadowed silently. The module ``circumcenter`` shares
 its name with the function it exports, and the package must bind the
-function. Factorizations that decide a rank live in ``numerics`` and in the
-circumcenter step only. The numerical thresholds are three constants of
-``numerics``, not parameters.
+function. Factorizations that decide a rank, eigensolves and Cholesky
+included, live in ``numerics`` and in the circumcenter step only. The
+numerical thresholds are three constants of ``numerics``, not parameters.
 """
 
 import ast
@@ -46,7 +46,8 @@ def test_circumcenter_is_the_function_not_the_module():
     assert inspect.ismodule(importlib.import_module("circumproj.circumcenter"))
 
 
-FACTORIZATIONS = {"svd", "qr", "lstsq", "pinv", "matrix_rank"}
+FACTORIZATIONS = {"svd", "qr", "lstsq", "pinv", "matrix_rank",
+                  "eigvalsh", "eigh", "eig", "eigvals", "cholesky"}
 
 
 def _factorization_sites(tree) -> set:
