@@ -66,7 +66,6 @@ __all__ = [
     "generate_instance",
     "run_experiment",
     "compute_rates",
-    "demo_config",
 ]
 
 
@@ -155,9 +154,14 @@ def _as_int(value, path: str) -> int:
 
 
 def _as_number(value, path: str) -> float:
+    """``value`` as a finite float. Python's json reads ``NaN`` and
+    ``Infinity``, so they are refused here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _parse_x0(obj, path: str) -> X0Spec:
@@ -184,7 +188,7 @@ def _require_file_name(label: Optional[str], path: str) -> None:
         raise ConfigError(f"{path}.label: {label!r} may not contain '/', '\\' or NUL")
 
 
-def _parse_method(obj, index: int) -> MethodSpec:
+def _parse_method(obj, index: int, ambient_dim: int) -> MethodSpec:
     path = f"methods[{index}]"
     mapping = _expect_mapping(obj, path, METHOD_KEYS)
     method = _get(mapping, "method", path)
@@ -206,6 +210,14 @@ def _parse_method(obj, index: int) -> MethodSpec:
     operators = mapping.get("operators")
     if operator_set == "custom":
         operators = tuple(_expect_list(_get(mapping, "operators", path), f"{path}.operators"))
+        for j, literal in enumerate(operators):
+            try:
+                op = operator_from_literal(literal)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"{path}.operators[{j}]: {err}") from None
+            if op.ambient_dim != ambient_dim:
+                raise ConfigError(f"{path}.operators[{j}]: acts on R^{op.ambient_dim}, "
+                                  f"expected ambient_dim {ambient_dim}")
     elif operators is not None:
         raise ConfigError(f"{path}.operators: only allowed with operator_set 'custom'")
     label = mapping.get("label")
@@ -278,8 +290,8 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
                 if len(fixed_line) != ambient_dim:
                     raise ConfigError(f"{line_path}: expected {ambient_dim} entries, "
                                       f"got {len(fixed_line)}")
-                if not any(fixed_line) or not all(map(math.isfinite, fixed_line)):
-                    raise ConfigError(f"{line_path}: must be a finite nonzero direction")
+                if not any(fixed_line):
+                    raise ConfigError(f"{line_path}: must be a nonzero direction")
             items.append(InstanceItem(label=label, subspace_literals=tuple(subs),
                                       x0=item_x0, product_fixed_line=fixed_line))
         labels = [item.label for item in items]
@@ -312,7 +324,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     raw_methods = _expect_list(_get(root, "methods", source), f"{source}.methods")
     if not raw_methods:
         raise ConfigError(f"{source}.methods: must be nonempty")
-    methods = tuple(_parse_method(m, i) for i, m in enumerate(raw_methods))
+    methods = tuple(_parse_method(m, i, ambient_dim) for i, m in enumerate(raw_methods))
     labels = [m.label for m in methods if m.label is not None]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"{source}.methods: labels must be unique")
@@ -817,47 +829,3 @@ def compute_rates(config: ExperimentConfig) -> list:
                 "prefactor": plan.prefactor,
             })
     return rows
-
-
-def demo_config() -> dict:
-    """The canonical demo: a 45 degree pair of lines and three lines in the
-    plane whose reflector product fixes the diagonal."""
-    return {
-        "name": "demo",
-        "ambient_dim": 2,
-        "seed": 20240601,
-        "max_iters": 12,
-        "stop_tol": 0.0,
-        "x0": {"kind": "random_unit", "seed": 11},
-        "instances": {
-            "kind": "explicit",
-            "items": [
-                {
-                    "label": "lines_45deg",
-                    "subspaces": [
-                        {"anchor": [0.0, 0.0], "span": [[1.0, 0.0]]},
-                        {"anchor": [0.0, 0.0], "span": [[1.0, 1.0]]},
-                    ],
-                },
-                {
-                    "label": "three_lines_plane",
-                    "subspaces": [
-                        {"anchor": [0.0, 0.0], "span": [[1.0, 0.0]]},
-                        {"anchor": [0.0, 0.0], "span": [[1.0, 1.0]]},
-                        {"anchor": [0.0, 0.0], "span": [[0.0, 1.0]]},
-                    ],
-                    "product_fixed_line": [1.0, 1.0],
-                },
-            ],
-        },
-        "methods": [
-            {"method": "map"},
-            {"method": "cim", "operator_set": "psi"},
-            {"method": "sym_map"},
-            {"method": "accel_map"},
-            {"method": "dr"},
-            {"method": "cim", "operator_set": "psi", "symmetrized": True,
-             "prefix": "sym_map_product"},
-            {"method": "averaged_iter", "builder": "sum"},
-        ],
-    }

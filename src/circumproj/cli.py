@@ -4,7 +4,8 @@ Verbs:
   run     execute a config, write artifacts, print a summary table
   rates   print theoretical constants for a config without iterating
   verify  run a config and print one PASS or FAIL line per audited bound
-  demo    run the built-in two-instance demonstration config
+
+The shipped demonstration is ``circumproj run configs/demo.json``.
 
 Exit status is 0 when every audited bound and extra check holds, 2 on a
 config problem, 1 otherwise.
@@ -24,9 +25,7 @@ from .bench import (
     ExperimentConfig,
     ExperimentReport,
     compute_rates,
-    demo_config,
     load_config,
-    parse_config,
     run_experiment,
     _write_atomic,
 )
@@ -41,9 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
-        if needs_config:
-            p.add_argument("config", help="path to a JSON experiment config")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's top-level seed")
         p.add_argument("--max-iters", type=int, default=None,
@@ -53,9 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="trace artifacts as CSV files or embedded JSON rows")
 
-    add_common(sub.add_parser("run", help="run a config and write artifacts"), True)
-    add_common(sub.add_parser("verify", help="run a config and report PASS/FAIL per bound"), True)
-    add_common(sub.add_parser("demo", help="run the built-in demonstration"), False)
+    add_common(sub.add_parser("run", help="run a config and write artifacts"))
+    add_common(sub.add_parser("verify", help="run a config and report PASS/FAIL per bound"))
 
     rates = sub.add_parser("rates", help="print theoretical constants for a config")
     rates.add_argument("config", help="path to a JSON experiment config")
@@ -143,14 +140,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _write_atomic(target, json.dumps(rows, sort_keys=True, indent=1) + "\n")
             return 0
 
-        if args.verb == "demo":
-            config = parse_config(demo_config(), source="demo")
-        else:
-            config = load_config(args.config)
-        config = _apply_overrides(config, args)
-        out_dir = args.out if args.out is not None else (
-            "demo_out" if args.verb == "demo" else None)
-        report = run_experiment(config, out_dir=out_dir, fmt=args.format)
+        config = _apply_overrides(load_config(args.config), args)
+        report = run_experiment(config, out_dir=args.out, fmt=args.format)
 
         if args.verb == "verify":
             for line in _verify_lines(report):

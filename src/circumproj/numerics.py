@@ -105,7 +105,9 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     matters: when every entry of A is rounding noise, as in M - I for a
     product that collapses to the identity, a cutoff relative to the largest
     singular value alone would keep the noise as rank and report no null
-    directions at all. A with no rows has the identity as its null basis.
+    directions at all. A with no rows has the identity as its null basis;
+    A with no columns has the empty solution, a (0, 0) null basis and
+    residual ||b||.
 
     A tall A, with more rows than its n columns, is first reduced by the QR
     factorization of [A | b]: the leading n x n block of the triangle has
@@ -136,6 +138,8 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError(f"matrix has {rows} rows but right-hand side has {rhs.shape[0]} entries")
     if rows == 0:
         return np.zeros(n), np.eye(n), 0.0
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0)), _norm(rhs)
     if rows > n and not np.any(rhs):
         lam = np.linalg.eigvalsh(mat.T @ mat)
         if lam[0] > math.sqrt(RANK_TOL) * (1.0 + lam[-1]):

@@ -37,11 +37,6 @@ __all__ = [
 
 AUDIT_TOL = 1e-8
 
-# accel_constants samples the quadratic form at this many unit vectors,
-# drawn from default_rng(_MONOTONE_SEED).
-_MONOTONE_SAMPLES = 32
-_MONOTONE_SEED = 0
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -170,24 +165,17 @@ def accel_constants(op: AffineMap,
                     fixed: Optional[AffineSubspace] = None) -> AccelConstants:
     """Acceleration constants of a monotone self-adjoint nonexpansive map.
 
-    Monotonicity is verified both through the smallest symmetric eigenvalue
-    and by sampling the quadratic form at seeded random unit vectors. The
-    extreme values (c1, c2) come from the compression of the operator to
-    the orthogonal complement of its fixed set; both are 0 when that
-    complement is trivial. ``fixed`` may pass the operator's fixed set;
+    Monotonicity is verified through the smallest eigenvalue of the
+    symmetric part: when it is at least -EQ_TOL, so is v^T A v for every
+    unit vector v. The extreme values (c1, c2) come from the compression of
+    the operator to the orthogonal complement of its fixed set; both are 0
+    when that complement is trivial. ``fixed`` may pass the operator's fixed set;
     the fallback, ``fixed_point_set``, is ill-conditioned at small angles.
     """
     _require_nonexpansive(op, self_adjoint=True)
     eig_min, _ = _sym_extremes(op)
     if eig_min < -EQ_TOL:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")
-    rng = np.random.default_rng(_MONOTONE_SEED)
-    n = op.ambient_dim
-    for _ in range(_MONOTONE_SAMPLES):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        if float(v @ (op.A @ v)) < -EQ_TOL:
-            raise ValueError("operator is not monotone on sampled directions")
     if fixed is None:
         fixed = fixed_point_set(op)
         if fixed is None:

@@ -1,7 +1,9 @@
 """Shared builders for seeded random test instances."""
 
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,13 @@ from circumproj import (
 )
 from circumproj.numerics import _norm
 from circumproj.rates import _slack
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+
+
+def demo_config() -> dict:
+    """A fresh copy of the shipped demo config, for tests that mutate it."""
+    return json.loads(DEMO_CONFIG.read_text())
 
 
 def random_linear_subspace(rng: np.random.Generator, ambient_dim: int,

@@ -6,10 +6,10 @@ import os
 
 import pytest
 
-from circumproj import cli, compute_rates, demo_config, parse_config, run_experiment
+from circumproj import cli, compute_rates, parse_config, run_experiment
 from circumproj.bench import _write_atomic
 
-from helpers import reference_trace_csv
+from helpers import DEMO_CONFIG, demo_config, reference_trace_csv
 
 
 def _random_config(max_iters: int) -> dict:
@@ -90,16 +90,9 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _write_demo(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(demo_config(), indent=1, sort_keys=True) + "\n")
-    return path
-
-
 def test_cli_rates_out_is_written_atomically_with_indented_bytes(tmp_path, capsys):
-    config = _write_demo(tmp_path)
     dump = tmp_path / "dumps" / "rates.json"
-    assert cli.main(["rates", str(config), "--out", str(dump)]) == 0
+    assert cli.main(["rates", str(DEMO_CONFIG), "--out", str(dump)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in dump.parent.iterdir()) == ["rates.json"]
     rows = compute_rates(parse_config(demo_config()))
@@ -107,13 +100,12 @@ def test_cli_rates_out_is_written_atomically_with_indented_bytes(tmp_path, capsy
 
 
 def test_cli_rates_out_goes_through_the_atomic_writer(tmp_path, capsys, monkeypatch):
-    config = _write_demo(tmp_path)
     dump = tmp_path / "dumps" / "rates.json"
 
     def refuse(src, dst):
         raise OSError("replace refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    assert cli.main(["rates", str(config), "--out", str(dump)]) == 1
+    assert cli.main(["rates", str(DEMO_CONFIG), "--out", str(dump)]) == 1
     assert "error: replace refused" in capsys.readouterr().err
     assert list(dump.parent.iterdir()) == []

@@ -1,5 +1,6 @@
 """Config parsing, experiment harness, and command line behavior."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -7,17 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import circumproj
 from circumproj import (
     ConfigError,
     cli,
     compute_rates,
-    demo_config,
     generate_instance,
     intersect,
     load_config,
     parse_config,
     run_experiment,
 )
+
+from helpers import DEMO_CONFIG, demo_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -316,11 +319,6 @@ def test_compute_rates_builds_no_circumcentered_family(monkeypatch):
     assert all(row["value"] is not None for row in rows)
 
 
-def test_shipped_demo_config_matches_builtin():
-    shipped = (REPO_ROOT / "configs" / "demo.json").read_text()
-    assert shipped == json.dumps(demo_config(), indent=1, sort_keys=True) + "\n"
-
-
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -357,8 +355,19 @@ def test_artifact_digest_of_a_workload_operation_matches_its_config_file(tmp_pat
 # command line
 
 
+def test_cli_offers_three_verbs_and_no_demo():
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(verbs.choices) == ["rates", "run", "verify"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["demo"])
+    assert excinfo.value.code == 2
+    assert not hasattr(circumproj, "demo_config")
+    assert "demo_config" not in circumproj.__all__
+
+
 def test_cli_demo_exits_zero(tmp_path, capsys):
-    code = cli.main(["demo", "--out", str(tmp_path / "d")])
+    code = cli.main(["run", str(DEMO_CONFIG), "--out", str(tmp_path / "d")])
     out = capsys.readouterr().out
     assert code == 0
     assert "all bounds hold: True" in out
@@ -411,6 +420,73 @@ def test_cli_rejects_a_bad_product_fixed_line(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+def _set_stop_tol(obj, value):
+    obj["stop_tol"] = value
+
+
+def _set_top_x0(obj, value):
+    obj["x0"] = {"kind": "explicit", "point": [0.5, value]}
+
+
+def _set_item_x0(obj, value):
+    obj["instances"]["items"][0]["x0"] = {"kind": "explicit", "point": [value, 0.5]}
+
+
+def _set_fixed_line(obj, value):
+    obj["instances"]["items"][1]["product_fixed_line"] = [1.0, value]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mutate, key", [
+    (_set_stop_tol, ".stop_tol"),
+    (_set_top_x0, ".x0.point[1]"),
+    (_set_item_x0, ".instances.items[0].x0.point[0]"),
+    (_set_fixed_line, ".instances.items[1].product_fixed_line[1]"),
+], ids=["stop_tol", "x0", "item_x0", "product_fixed_line"])
+def test_cli_rejects_a_non_finite_config_number(tmp_path, capsys, mutate, key, value):
+    """json reads NaN and Infinity; a config number must still be finite."""
+    path = _write_demo(tmp_path, lambda obj: mutate(obj, value))
+    assert ("NaN" if value != value else "Infinity") in path.read_text()
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: {path}{key}: expected a finite number, got {value!r}" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+_BAD_OPERATORS = {
+    "not_orthogonal": {"kind": "orthogonal", "matrix": [[2.0, 0.0], [0.0, 1.0]]},
+    "wrong_dimension": {"kind": "translation", "offset": [1.0, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("operator", list(_BAD_OPERATORS.values()), ids=list(_BAD_OPERATORS))
+@pytest.mark.parametrize("verb", ["run", "rates"])
+def test_cli_rejects_a_bad_custom_operator(tmp_path, capsys, verb, operator):
+    """A custom operator is loaded with the config, before any method runs."""
+    def mutate(obj):
+        obj["methods"] = [{"method": "map"},
+                          {"method": "cim", "operator_set": "custom", "operators": [operator]}]
+
+    path = _write_demo(tmp_path, mutate)
+    code = cli.main([verb, str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: methods[1].operators[0]: ")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_custom_operators_keep_their_literals():
+    obj = demo_config()
+    rotation = {"kind": "orthogonal", "matrix": [[0.0, -1.0], [1.0, 0.0]]}
+    obj["methods"] = [{"method": "cim", "operator_set": "custom", "operators": [rotation]}]
+    config = parse_config(obj)
+    assert config.methods[0].operators == (rotation,)
+    assert config == parse_config(obj)
+
+
 def test_cli_config_error_exits_two(tmp_path, capsys):
     def mutate(obj):
         del obj["methods"]
@@ -443,15 +519,14 @@ def test_cli_rates_stdout_and_dump(tmp_path, capsys):
     assert len(rows) == 14
 
 
-@pytest.mark.parametrize("verb", ["run", "demo", "rates"])
+@pytest.mark.parametrize("verb", ["run", "rates"])
 def test_cli_unwritable_out_is_a_runtime_error(tmp_path, capsys, verb):
     """An --out under a regular file cannot be created: exit 1 with an
     error line, not a traceback."""
     path = _write_demo(tmp_path)
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n")
-    argv = {"run": ["run", str(path)], "demo": ["demo"], "rates": ["rates", str(path)]}[verb]
-    code = cli.main(argv + ["--out", str(blocker / "out")])
+    code = cli.main([verb, str(path), "--out", str(blocker / "out")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ")

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from circumproj import ConfigError, cli, demo_config, parse_config
+from circumproj import ConfigError, cli, parse_config
+
+from helpers import demo_config
 
 
 @pytest.mark.parametrize("label", ["run/1", "..\\escape", "a\0b", "../escape"])

@@ -212,9 +212,7 @@ def test_error_origin_uses_pre_prefix_start():
     assert abs(trace.error_origin - np.sqrt(0.9)) < 1e-12
 
 
-@given(st.integers(0, 10**6))
-def test_cim_errors_never_increase(seed):
-    """The circumcentered iteration is Fejer monotone toward the target."""
+def _assert_cim_errors_never_increase(seed):
     rng = np.random.default_rng(seed)
     family = random_family(rng, 5, int(rng.integers(2, 4)), 1, 4)
     operator_set = build_psi(reflectors_of(family))
@@ -222,6 +220,23 @@ def test_cim_errors_never_increase(seed):
                     MethodConfig(method="cim", max_iters=8))
     for k in range(len(trace.errors) - 1):
         assert trace.errors[k + 1] <= trace.errors[k] * (1.0 + 1e-9) + 1e-14
+
+
+@given(st.integers(0, 10**6))
+def test_cim_errors_never_increase(seed):
+    """The circumcentered iteration is Fejer monotone toward the target."""
+    _assert_cim_errors_never_increase(seed)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CIM stalls near 1e-7: the offsets' last singular values sit near "
+    "eps * |p|, and the solve's cut s > RANK_TOL * s_1 keeps them as rank"))
+@pytest.mark.parametrize("seed", [8140, 8663, 11284, 13180, 19294])
+def test_cim_stall_seeds_break_fejer_monotonicity(seed):
+    """Three subspaces of dimensions 3, 4, 4 in R^5: at seed 8140 the error
+    falls to 1.5e-6 at k = 5, then rises from 2.1107e-7 to 2.1129e-7 at
+    k = 8. These are 5 of seeds 0-19,999 of the Fejer test above."""
+    _assert_cim_errors_never_increase(seed)
 
 
 @given(st.integers(0, 10**6))

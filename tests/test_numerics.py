@@ -19,6 +19,8 @@ from circumproj import (
     sym_eigen_extremes,
 )
 
+from helpers import DEMO_CONFIG
+
 
 def test_solution_set_frozen_overdetermined():
     # rows x = 0 and x = 2: least squares lands on x = 1 with residual sqrt(2)
@@ -105,6 +107,17 @@ def test_solution_set_of_zero_rows_is_identity():
     assert np.array_equal(solution, np.zeros(3)) and residual == 0.0
 
 
+@pytest.mark.parametrize("rhs", [np.ones(2), np.zeros(2)], ids=["ones", "zeros"])
+def test_solution_set_of_zero_columns_is_the_empty_least_squares_answer(rhs):
+    solution, null, residual = solution_set(np.zeros((2, 0)), rhs)
+    assert solution.shape == (0,)
+    assert null.shape == (0, 0)
+    assert residual == np.linalg.norm(rhs)
+    solution, null, residual = solution_set(np.zeros((0, 0)), np.zeros(0))
+    assert solution.shape == (0,) and residual == 0.0
+    assert np.array_equal(null, np.eye(0))
+
+
 @pytest.mark.parametrize("copies", [1, 3])
 def test_intersect_of_full_spaces_is_everything(copies):
     """I - P of the whole space is zero or rounding noise, which the floor
@@ -180,7 +193,7 @@ def test_demo_run_loads_one_blas():
     # alternating between the two stall on each other's spinning threads,
     # so a run must not load scipy.linalg
     code = ("import sys, circumproj\n"
-            "config = circumproj.parse_config(circumproj.demo_config())\n"
+            f"config = circumproj.load_config({str(DEMO_CONFIG)!r})\n"
             "circumproj.run_experiment(config, write=False)\n"
             "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was loaded'\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
