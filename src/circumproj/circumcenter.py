@@ -32,9 +32,12 @@ __all__ = [
     "DEDUP_BUDGET_BYTES",
 ]
 
-# The most memory the deduplication of one step's images may take: its two
-# k x k float64 buffers (the Gram matrix and the pairwise sums) need 16 k^2
-# bytes for k words, so a family may have at most 8192 words.
+# The most memory the Gram routine of the dedup may take on one step's
+# images: its two k x k float64 buffers (the Gram matrix and the pairwise
+# sums) need 16 k^2 bytes for k words, so a family may have at most 8192
+# words. The routine runs only when squared norms overflow or a step's
+# spread needs the diameter; the sorted dedup of every other step needs
+# O(k) bytes.
 DEDUP_BUDGET_BYTES = 2**30
 
 _EPS = float(np.finfo(float).eps)
@@ -78,8 +81,90 @@ class CircumcenterResult:
     equidistance_residual: float
 
 
-def _distinct(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Greedy first-occurrence representatives at EQ_TOL, and the diameter.
+def _distinct(points: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
+    """Greedy first-occurrence representatives at EQ_TOL, from one sort.
+
+    Point i is dropped when it lies within the threshold t = EQ_TOL * (1 +
+    M) of an earlier kept point, M the largest norm, by the distance that
+    ``_norm`` measures. The points are projected onto the fixed unit vector
+    ``_direction(n)`` and sorted, and only pairs joined by a chain of
+    projected gaps within the window t + 4 (n + 2) eps (t + M) are measured;
+    each such run is resolved greedily in index order, its lowest undecided
+    point kept and measured against all its later undecided points at once,
+    so k coincident points take one vectorised pass. A run of two, the
+    common case of one image repeating another, takes one ``_norm``.
+
+    The window is safe. A measured distance within t means an exact
+    distance within t (1 + (n + 2) eps). Each projection is exact to about
+    n eps |p| <= n eps M, so the computed gap of such a pair is within
+    t + 2 (n + 2) eps (t + M) to first order, half the margin. A pair split
+    by a gap beyond the window has a larger computed gap still, since the
+    sorted values differ by at least that gap and rounding is monotone. So
+    the direction decides which pairs are measured, never which are kept.
+
+    M comes from row-wise sums of squares, not a Gram diagonal, so it may
+    differ from the Gram value of :func:`_gram_distinct` in its last bits.
+    When 4 M^2 is not finite, as any non-finite point makes it, the Gram
+    routine runs instead, with its NaN semantics, and its diameter is
+    returned; otherwise the diameter is None, for the caller to ask the
+    Gram routine when it needs it.
+    """
+    count, dim = points.shape
+    largest_sq = float(np.einsum("ij,ij->i", points, points).max())
+    if not math.isfinite(4.0 * largest_sq):
+        return _gram_distinct(points)
+    largest = math.sqrt(largest_sq)
+    threshold = EQ_TOL * (1.0 + largest)
+    window = threshold + 4.0 * (dim + 2) * _EPS * (threshold + largest)
+    proj = points @ _direction(dim)
+    # numpy's default sort maps about 0.3 MB more of its code into the
+    # process than the stable one, which shows in the peak RSS of small runs
+    order = proj.argsort(kind="stable")
+    ordered = proj[order]
+    near = (ordered[1:] - ordered[:-1] <= window).nonzero()[0].tolist()
+    if not near:
+        return np.arange(count), None
+    # each run of near gaps p, p + 1, .. joins sorted positions start..stop
+    runs = []
+    for gap in near:
+        if runs and runs[-1][1] == gap:
+            runs[-1][1] = gap + 1
+        else:
+            runs.append([gap, gap + 1])
+    keep = np.ones(count, dtype=bool)
+    for start, stop in runs:
+        members = sorted(order[start:stop + 1].tolist())
+        if len(members) == 2:
+            first, second = members
+            if _norm(points[second] - points[first]) <= threshold:
+                keep[second] = False
+            continue
+        members = np.array(members)
+        while members.shape[0] > 1:
+            later = members[1:]
+            # the dot product of _norm, as a stack of 1 x n by n x 1 products
+            diff = points[later] - points[members[0]]
+            far = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel()) > threshold
+            keep[later[~far]] = False
+            members = later[far]
+    return keep.nonzero()[0], None
+
+
+@lru_cache(maxsize=64)
+def _direction(dim: int) -> np.ndarray:
+    """The unit vector that :func:`_distinct` projects R^dim onto: drawn
+    from a generator seeded by a constant and ``dim`` alone, never by a
+    hash, so it is the same in every process and run."""
+    raw = np.random.default_rng((0xC1C, dim)).standard_normal(dim)
+    direction = raw / _norm(raw)
+    direction.flags.writeable = False
+    return direction
+
+
+def _gram_distinct(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Greedy first-occurrence representatives at EQ_TOL from the Gram
+    matrix, and the diameter; :func:`_distinct` when squared norms overflow,
+    and the diameter of the acceptance test of :func:`_solve`.
 
     Point i is dropped when it lies within EQ_TOL * (1 + largest norm) of
     an earlier kept point. Near the threshold t, a squared distance read off
@@ -90,7 +175,9 @@ def _distinct(points: np.ndarray) -> tuple[np.ndarray, float]:
     pair before the margins are formed. A kept point that drops a point and
     is near still others measures all later near points at once, so k
     coincident points take one vectorised pass, not k - 1 trips through the
-    loop. The diameter of the points comes from the Gram distances.
+    loop. The diameter of the points comes from the Gram distances. The
+    k x k Gram matrix and pair sums take the 16 k^2 bytes of
+    DEDUP_BUDGET_BYTES.
     """
     count = points.shape[0]
     gram = points @ points.T
@@ -183,10 +270,11 @@ def circumcenter(points) -> CircumcenterResult:
 def _solve(pts: np.ndarray) -> tuple:
     """The solve of :func:`circumcenter`, shared with the iteration step:
     (candidate, spread, accepted, system), ``system`` None for one distinct
-    point, else (half, u, projected, coords, s). Any non-finite point makes
-    the diameter NaN, so finite points pass without a test of their own."""
+    point, else (half, u, projected, coords, s). Any non-finite point sends
+    the dedup to the Gram routine, whose diameter it makes NaN, so finite
+    points pass without a test of their own."""
     kept, diameter = _distinct(pts)
-    if math.isnan(diameter) and not np.isfinite(pts).all():
+    if diameter is not None and math.isnan(diameter) and not np.isfinite(pts).all():
         raise ValueError("point entries must be finite")
     rep = pts if kept.shape[0] == pts.shape[0] else pts[kept]
     p0 = rep[0]
@@ -201,7 +289,10 @@ def _solve(pts: np.ndarray) -> tuple:
     coords = projected / s
     candidate = p0 + vt.T @ coords
     spread = _spread(pts, candidate)
-    accepted = spread <= CONSISTENCY_TOL * (1.0 + diameter)
+    # CONSISTENCY_TOL * (1 + diameter) is at least CONSISTENCY_TOL, so the
+    # diameter is needed only for a spread above that
+    accepted = spread <= CONSISTENCY_TOL or spread <= CONSISTENCY_TOL * (
+        1.0 + (_gram_distinct(pts)[1] if diameter is None else diameter))
     return candidate, spread, accepted, (half, u, projected, coords, s)
 
 
@@ -225,17 +316,22 @@ class OperatorSet:
     generator on its own. The words must be prefix-closed, in order: each
     nonempty word without its last letter is empty or an earlier word. Every
     generator must occur in some word. A family has at most 8192 words:
-    deduplicating the images of k words takes 16 k^2 bytes, and
-    DEDUP_BUDGET_BYTES allows 2^30.
+    the Gram routine that dedups a step whose squared norms overflow, or
+    takes the diameter a large spread needs, uses 16 k^2 bytes for the
+    images of k words, and DEDUP_BUDGET_BYTES allows 2^30; the sorted dedup
+    of every other step needs O(k) bytes.
 
     Letters are integer indices, bools excepted, and are stored as plain
     ints. Construction also lays out the step plan of :meth:`images`: per
     word, its last generator's ``Q`` and ``b`` (the generator's own arrays)
-    and the row it applies them to. The validated layout (the int words,
-    and which generator each step applies to which row) depends only on the
-    words and the number of generators, so it is built once per shape and
-    cached, and families of one shape share their ``words``; an instance
-    binds the steps to its own generators' arrays.
+    and the row it applies them to. ``b`` is left out when it is exactly
+    zero, as for linear reflectors: np.dot accumulates its sums from +0.0,
+    so they are never -0.0, and adding a zero to them moves no bit. The
+    validated layout (the int words, and which generator each step applies
+    to which row) depends only on the words and the number of generators,
+    so it is built once per shape and cached, and families of one shape
+    share their ``words``; an instance binds the steps to its own
+    generators' arrays.
 
     Construction solves the stacked systems (Q_i - I) x = -b_i of the
     distinct generator objects in one call for ``common_fixed``, which for
@@ -271,8 +367,9 @@ class OperatorSet:
         if not set(map(type, chain.from_iterable(words))) <= {int}:
             words = tuple(_letters(word, count) for word in words)
         words, steps = _layout(words, count)
+        offsets = [op.b if op.b.any() else None for op in generators]
         plan = tuple((None, None, source) if letter is None
-                     else (generators[letter].Q, generators[letter].b, source)
+                     else (generators[letter].Q, offsets[letter], source)
                      for letter, source in steps)
         distinct = {id(op): op for op in generators}.values()
         if fixed is None:
@@ -300,7 +397,8 @@ class OperatorSet:
                 row[...] = sources[source]
             else:
                 np.dot(Q, sources[source], out=row)
-                row += b
+                if b is not None:
+                    row += b
         return out
 
 
@@ -401,12 +499,14 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     list. The words depend only on which inputs are the same object, so
     they are built once per pattern of repeats, such as (0, 1, 2, 1, 0)
     for R_1 R_2 R_3 R_2 R_1, and then shared. Inputs must be reflectors of
-    linear subspaces, that is linear isometries with symmetric linear part. ``fixed`` is the common fixed
-    set of the reflectors when the caller already has it (see
-    :class:`OperatorSet`). The 2^m subsets must fit the word budget of
-    :class:`OperatorSet`, DEDUP_BUDGET_BYTES, which allows m <= 13; this
-    is checked before any subset is enumerated, so a longer list fails
-    at once even when its reduced words would fit.
+    linear subspaces, that is linear isometries with symmetric linear part.
+    ``fixed`` is the common fixed set of the reflectors when the caller
+    already has it (see :class:`OperatorSet`). The 2^m subsets must fit the
+    word budget of :class:`OperatorSet`, DEDUP_BUDGET_BYTES, which allows
+    m <= 13; the budget bounds the 16 k^2 bytes of the Gram routine, which
+    only the diameter and steps whose squared norms overflow need. It is
+    checked before any subset is enumerated, so a longer list fails at once
+    even when its reduced words would fit.
     """
     generators = tuple(reflectors)
     _require_word_budget(2 ** len(generators))

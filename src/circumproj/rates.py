@@ -169,11 +169,13 @@ def accel_constants(op: AffineMap,
     symmetric part: when it is at least -EQ_TOL, so is v^T A v for every
     unit vector v. The extreme values (c1, c2) come from the compression of
     the operator to the orthogonal complement of its fixed set; both are 0
-    when that complement is trivial. ``fixed`` may pass the operator's fixed set;
+    when that complement is trivial, and they are the extremes of the
+    monotonicity check when the fixed set is {0}, since the complement's
+    basis is then the identity. ``fixed`` may pass the operator's fixed set;
     the fallback, ``fixed_point_set``, is ill-conditioned at small angles.
     """
     _require_nonexpansive(op, self_adjoint=True)
-    eig_min, _ = _sym_extremes(op)
+    eig_min, eig_max = _sym_extremes(op)
     if eig_min < -EQ_TOL:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")
     if fixed is None:
@@ -183,6 +185,9 @@ def accel_constants(op: AffineMap,
     complement = fixed.orthogonal_complement()
     if complement.dim == 0:
         c1, c2 = 0.0, 0.0
+    elif fixed.dim == 0:
+        # the complement basis is eye(n), and I A I is A bit for bit
+        c1, c2 = eig_min, eig_max
     else:
         compressed = complement.basis @ op.A @ complement.basis.T
         c1, c2 = sym_eigen_extremes(compressed)

@@ -21,7 +21,7 @@ from circumproj import (
     make_reflector,
     make_translation,
 )
-from circumproj.circumcenter import _distinct
+from circumproj.circumcenter import _distinct, _gram_distinct
 from helpers import (
     random_family,
     reference_images,
@@ -256,8 +256,9 @@ def test_dedup_keeps_the_oracle_representatives(seed, exponent):
         factor = 0.5 if rng.integers(2) else 2.0
         points.append(source + factor * threshold * unit_vector(rng, dim))
     points = np.array(points)[rng.permutation(len(points))]
-    kept, diameter = _distinct(points)
-    assert list(kept) == oracle_dedup(points, EQ_TOL)
+    kept, _ = _distinct(points)
+    gram_kept, diameter = _gram_distinct(points)
+    assert list(kept) == list(gram_kept) == oracle_dedup(points, EQ_TOL)
     exact = max(float(np.linalg.norm(p - q)) for p in points for q in points)
     # a distance read off the Gram matrix is exact to sqrt(eps) times the largest norm
     largest = float(np.max(np.linalg.norm(points, axis=1)))

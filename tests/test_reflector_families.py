@@ -3,9 +3,10 @@
 An instance computes the common fixed set of its reflectors once and hands
 it to every reflector family through ``fixed=``. ``build_psi`` leaves out
 the words whose products cancel down to an earlier word's, since reflectors
-are involutions. ``_distinct`` works in place. None of this may change a
-result: a run over the reduced words and the shared fixed set must agree
-byte for byte with a run over every subset word and a self-computed set.
+are involutions. ``_gram_distinct`` works in place, and ``_distinct`` finds
+near pairs by a sort. None of this may change a result: a run over the
+reduced words and the shared fixed set must agree byte for byte with a run
+over every subset word and a self-computed set.
 """
 
 import sys
@@ -28,7 +29,7 @@ from circumproj import (
     run_cim,
     run_experiment,
 )
-from circumproj.circumcenter import _distinct
+from circumproj.circumcenter import _distinct, _gram_distinct
 from helpers import dense_product, random_family, reflectors_of, subsets, unit_vector
 
 
@@ -56,7 +57,7 @@ def test_psi_words_reduce_over_involutions():
 
 
 def _distinct_eager(points):
-    """``_distinct`` as written with one temporary per operation."""
+    """``_gram_distinct`` as written with one temporary per operation."""
     gram = points @ points.T
     norms_sq = np.diag(gram)
     threshold = EQ_TOL * (1.0 + float(np.sqrt(np.max(norms_sq))))
@@ -86,9 +87,10 @@ def test_in_place_dedup_matches_the_eager_formula_bit_for_bit(seed, exponent):
         else:
             points.append(source + float(rng.uniform(0.5, 2.0)) * threshold * unit_vector(rng, dim))
     points = np.array(points)[rng.permutation(len(points))]
-    kept, diameter = _distinct(points)
+    kept, _ = _distinct(points)
+    gram_kept, diameter = _gram_distinct(points)
     eager_kept, eager_diameter = _distinct_eager(points)
-    assert list(kept) == list(eager_kept)
+    assert list(kept) == list(gram_kept) == list(eager_kept)
     assert diameter == eager_diameter
 
 

@@ -18,6 +18,7 @@ from circumproj import (
     rates,
     run_experiment,
     spectral_norm,
+    sym_eigen_extremes,
 )
 
 # The six methods of the resolve-n200 benchmark workload, on a smaller draw.
@@ -53,7 +54,7 @@ def _recording_contexts(monkeypatch) -> list:
     return contexts
 
 
-def test_resolve_methods_take_five_norms_and_two_eigen_solves(monkeypatch):
+def test_resolve_methods_take_five_norms_and_one_eigen_solve(monkeypatch):
     config = parse_config({
         "name": "budget",
         "ambient_dim": 40,
@@ -66,11 +67,13 @@ def test_resolve_methods_take_five_norms_and_two_eigen_solves(monkeypatch):
     eigen = _count_calls(monkeypatch, "sym_eigen_extremes")
     contexts = _recording_contexts(monkeypatch)
     report = run_experiment(config, write=False)
-    # tuple_cos, the shared rate of sym_op, dr, sum and product; the
-    # eigen-solves are A of sym_op and its compression in accel_constants
-    assert (len(norms), len(eigen)) == (5, 2)
+    # tuple_cos, the shared rate of sym_op, dr, sum and product; the one
+    # eigen-solve is A of sym_op, whose compression to the complement of
+    # the trivial intersection is A itself
+    assert (len(norms), len(eigen)) == (5, 1)
 
     (ctx,) = contexts
+    assert ctx.inter.subspace.dim == 0
     outcomes = {o.method: o for o in report.instances[0].methods}
     assert ctx.accel.cT == outcomes["sym_map"].report.value
     op, fixed = ctx.sym_op, ctx.inter.subspace
@@ -132,6 +135,33 @@ def test_linear_part_is_a_read_only_view_of_the_input():
     assert matrix.flags.writeable
     matrix[1, 1] = 0.75
     assert op.A[1, 1] == 0.75
+
+
+def test_accel_constants_on_a_trivial_fixed_set_equal_the_compression_bit_for_bit():
+    """With the fixed set {0} the compression I A I is A, so (c1, c2) are
+    the extremes of A that the monotonicity check already took."""
+    rng = np.random.default_rng(7)
+    for n in (2, 9, 40):
+        config = parse_config({
+            "name": "trivial",
+            "ambient_dim": n,
+            "max_iters": 2,
+            "instances": {"kind": "random", "count": 1, "num_subspaces": 3,
+                          "dim_range": [1, n // 2], "seed": int(rng.integers(10**6))},
+            "methods": [{"method": "accel_map"}],
+        })
+        with pytest.MonkeyPatch.context() as patch:
+            contexts = _recording_contexts(patch)
+            run_experiment(config, write=False)
+        (ctx,) = contexts
+        fixed = ctx.inter.subspace
+        assert fixed.dim == 0
+        basis = fixed.orthogonal_complement().basis
+        compressed = basis @ ctx.sym_op.A @ basis.T
+        assert compressed.tobytes() == ctx.sym_op.A.tobytes()
+        constants = rates.accel_constants(ctx.sym_op, fixed)
+        c1, c2 = sym_eigen_extremes(compressed)
+        assert (constants.c1, constants.c2) == (c1, c2)
 
 
 def _symmetric(eigenvalues) -> AffineMap:

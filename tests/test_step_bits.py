@@ -1,9 +1,11 @@
 """The circumcenter step against its reference formulas, bit for bit.
 
-``circumcenter``, ``_distinct`` and ``OperatorSet.images`` avoid numpy's
-generic wrappers and repeated temporaries, but they must do the same
+``circumcenter``, ``_gram_distinct`` and ``OperatorSet.images`` avoid
+numpy's generic wrappers and repeated temporaries, but they must do the same
 floating-point operations in the same order as the reference formulas in
 ``helpers``, so every bit of every result, and every artifact byte, holds.
+``_distinct`` finds its near pairs by a sort, not the Gram matrix, and must
+keep the same points.
 """
 
 import math
@@ -23,7 +25,7 @@ from circumproj import (
     make_reflector,
     run_cim,
 )
-from circumproj.circumcenter import _distinct
+from circumproj.circumcenter import _distinct, _gram_distinct
 from helpers import (
     random_family,
     random_linear_subspace,
@@ -78,28 +80,26 @@ def _points(rng, count: int, dim: int, scale: float, shape: str) -> np.ndarray:
 def test_circumcenter_matches_the_reference_bit_for_bit(seed, count, exponent, shape):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 9))
-    points = _points(rng, count, dim, 10.0 ** exponent, shape)
+    _assert_step_matches_the_reference(_points(rng, count, dim, 10.0 ** exponent, shape))
+
+
+def _assert_dedup_matches_the_reference(points: np.ndarray) -> np.ndarray:
+    """``_distinct`` and ``_gram_distinct`` keep the reference's points, and
+    the Gram routine's diameter, which the acceptance test reads, has the
+    reference's bits; returns the kept indices."""
     kept, diameter = _distinct(points)
+    gram_kept, gram_diameter = _gram_distinct(points)
     ref_kept, ref_diameter = reference_distinct(points)
-    assert list(kept) == list(ref_kept)
-    assert _bits(diameter) == _bits(ref_diameter)
-    result = circumcenter(points)
-    expected = reference_circumcenter(points)
-    assert (result.center is None) == (expected.center is None)
-    if expected.center is not None:
-        assert _bits(result.center) == _bits(expected.center)
-    assert _bits(result.coefficients) == _bits(expected.coefficients)
-    assert _bits(result.equidistance_spread) == _bits(expected.equidistance_spread)
-    assert _bits(result.equidistance_residual) == _bits(expected.equidistance_residual)
+    assert diameter is None
+    assert list(kept) == list(gram_kept) == list(ref_kept)
+    assert _bits(gram_diameter) == _bits(ref_diameter)
+    return kept
 
 
 def _assert_step_matches_the_reference(points: np.ndarray) -> np.ndarray:
     """``_distinct`` and ``circumcenter`` against the reference, bit for
     bit; returns the kept indices."""
-    kept, diameter = _distinct(points)
-    ref_kept, ref_diameter = reference_distinct(points)
-    assert list(kept) == list(ref_kept)
-    assert _bits(diameter) == _bits(ref_diameter)
+    kept = _assert_dedup_matches_the_reference(points)
     result = circumcenter(points)
     expected = reference_circumcenter(points)
     assert (result.center is None) == (expected.center is None)
@@ -272,4 +272,22 @@ def test_images_match_the_dict_walk_bit_for_bit(seed, with_empty, with_repeat):
         x = scale * rng.standard_normal(dim)
         images = family.images(x)
         assert images.shape == (len(words), dim)
+        assert _bits(images) == _bits(reference_images(family, x))
+
+
+def test_exactly_zero_offsets_are_left_out_without_moving_a_zero_sign():
+    """The plan leaves out an offset that is exactly zero, +0.0 or -0.0.
+    Adding -0.0 moves no bit, and adding +0.0 would move only a -0.0 entry,
+    which np.dot never returns: here every product of the second and third
+    rows is -0.0, yet the images match the dict walk, zero signs included."""
+    reflector = AffineIsometry(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
+    negated = AffineIsometry(np.diag([-1.0, 1.0, -1.0]), np.full(3, -0.0))
+    rotation = AffineIsometry(np.eye(3)[[1, 2, 0]], np.array([0.0, 0.0, 1e-300]))
+    family = OperatorSet([reflector, negated, rotation],
+                         [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 0), (0, 1, 2)])
+    # the last letters are 0, 1, 2, 1, 2, 0, 2; the rotation's offset is not zero
+    left_out = [b is None for Q, b, _ in family._plan if Q is not None]
+    assert left_out == [True, True, False, True, False, True, False]
+    for x in ([-1.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [2.0, -3.0, 0.0]):
+        images = family.images(x)
         assert _bits(images) == _bits(reference_images(family, x))
