@@ -153,6 +153,14 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_seed(value, path: str) -> int:
+    """``value`` as a seed; numpy's generators take nonnegative integers only."""
+    seed = _as_int(value, path)
+    if seed < 0:
+        raise ConfigError(f"{path}: must be nonnegative")
+    return seed
+
+
 def _as_number(value, path: str) -> float:
     """``value`` as a finite float. Python's json reads ``NaN`` and
     ``Infinity``, so they are refused here."""
@@ -172,7 +180,7 @@ def _parse_x0(obj, path: str) -> X0Spec:
         return X0Spec(kind="explicit",
                       point=tuple(_as_number(v, f"{path}.point[{i}]") for i, v in enumerate(point)))
     if kind == "random_unit":
-        return X0Spec(kind="random_unit", seed=_as_int(_get(mapping, "seed", path), f"{path}.seed"))
+        return X0Spec(kind="random_unit", seed=_as_seed(_get(mapping, "seed", path), f"{path}.seed"))
     raise ConfigError(f"{path}.kind: expected 'explicit' or 'random_unit', got {kind!r}")
 
 
@@ -251,7 +259,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     ambient_dim = _as_int(_get(root, "ambient_dim", source), f"{source}.ambient_dim")
     if ambient_dim < 1:
         raise ConfigError(f"{source}.ambient_dim: must be at least 1")
-    seed = _as_int(root.get("seed", 0), f"{source}.seed")
+    seed = _as_seed(root.get("seed", 0), f"{source}.seed")
     max_iters = _as_int(root.get("max_iters", 50), f"{source}.max_iters")
     if max_iters < 0:
         raise ConfigError(f"{source}.max_iters: must be nonnegative")
@@ -309,7 +317,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{path}.dim_range: expected [low, high]")
         lo = _as_int(dim_range[0], f"{path}.dim_range[0]")
         hi = _as_int(dim_range[1], f"{path}.dim_range[1]")
-        rseed = _as_int(_get(instances, "seed", path), f"{path}.seed")
+        rseed = _as_seed(_get(instances, "seed", path), f"{path}.seed")
         if count < 1:
             raise ConfigError(f"{path}.count: must be positive")
         if num_subspaces < 1:

@@ -29,16 +29,13 @@ __all__ = [
     "circumcenter",
     "circumcenter_map",
     "build_psi",
-    "DEDUP_BUDGET_BYTES",
+    "WORD_LIMIT",
 ]
 
-# The most memory the Gram routine of the dedup may take on one step's
-# images: its two k x k float64 buffers (the Gram matrix and the pairwise
-# sums) need 16 k^2 bytes for k words, so a family may have at most 8192
-# words. The routine runs only when squared norms overflow or a step's
-# spread needs the diameter; the sorted dedup of every other step needs
-# O(k) bytes.
-DEDUP_BUDGET_BYTES = 2**30
+# The most words a family may have, 2^13, so build_psi takes at most 13
+# reflectors. It bounds the k x n images of one step and the 2^m index
+# subsets that build_psi enumerates.
+WORD_LIMIT = 8192
 
 _EPS = float(np.finfo(float).eps)
 
@@ -81,7 +78,7 @@ class CircumcenterResult:
     equidistance_residual: float
 
 
-def _distinct(points: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
+def _distinct(points: np.ndarray) -> np.ndarray:
     """Greedy first-occurrence representatives at EQ_TOL, from one sort.
 
     Point i is dropped when it lies within the threshold t = EQ_TOL * (1 +
@@ -102,17 +99,17 @@ def _distinct(points: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
     sorted values differ by at least that gap and rounding is monotone. So
     the direction decides which pairs are measured, never which are kept.
 
-    M comes from row-wise sums of squares, not a Gram diagonal, so it may
-    differ from the Gram value of :func:`_gram_distinct` in its last bits.
-    When 4 M^2 is not finite, as any non-finite point makes it, the Gram
-    routine runs instead, with its NaN semantics, and its diameter is
-    returned; otherwise the diameter is None, for the caller to ask the
-    Gram routine when it needs it.
+    M comes from row-wise sums of squares. When 4 M^2, the bound on every
+    squared offset, is not finite, a non-finite point raises ValueError;
+    otherwise every point is kept, and the squared offsets that overflow in
+    the equidistance system make the circumcenter absent.
     """
     count, dim = points.shape
     largest_sq = float(np.einsum("ij,ij->i", points, points).max())
     if not math.isfinite(4.0 * largest_sq):
-        return _gram_distinct(points)
+        if not np.isfinite(points).all():
+            raise ValueError("point entries must be finite")
+        return np.arange(count)
     largest = math.sqrt(largest_sq)
     threshold = EQ_TOL * (1.0 + largest)
     window = threshold + 4.0 * (dim + 2) * _EPS * (threshold + largest)
@@ -123,7 +120,7 @@ def _distinct(points: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
     ordered = proj[order]
     near = (ordered[1:] - ordered[:-1] <= window).nonzero()[0].tolist()
     if not near:
-        return np.arange(count), None
+        return np.arange(count)
     # each run of near gaps p, p + 1, .. joins sorted positions start..stop
     runs = []
     for gap in near:
@@ -147,7 +144,7 @@ def _distinct(points: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
             far = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel()) > threshold
             keep[later[~far]] = False
             members = later[far]
-    return keep.nonzero()[0], None
+    return keep.nonzero()[0]
 
 
 @lru_cache(maxsize=64)
@@ -161,71 +158,15 @@ def _direction(dim: int) -> np.ndarray:
     return direction
 
 
-def _gram_distinct(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Greedy first-occurrence representatives at EQ_TOL from the Gram
-    matrix, and the diameter; :func:`_distinct` when squared norms overflow,
-    and the diameter of the acceptance test of :func:`_solve`.
-
-    Point i is dropped when it lies within EQ_TOL * (1 + largest norm) of
-    an earlier kept point. Near the threshold t, a squared distance read off
-    the Gram matrix and a directly measured one differ by less than
-    2 (n + 2) eps (|p_i|^2 + |p_j|^2 + t^2), so the Gram distances rule out
-    the pairs beyond twice that margin and every other pair is measured
-    directly. One bound on every margin settles the common case of no near
-    pair before the margins are formed. A kept point that drops a point and
-    is near still others measures all later near points at once, so k
-    coincident points take one vectorised pass, not k - 1 trips through the
-    loop. The diameter of the points comes from the Gram distances. The
-    k x k Gram matrix and pair sums take the 16 k^2 bytes of
-    DEDUP_BUDGET_BYTES.
-    """
-    count = points.shape[0]
-    gram = points @ points.T
-    # a view: it is read before gram is overwritten below
-    norms_sq = gram.diagonal()
-    largest_sq = float(norms_sq.max())
-    threshold = EQ_TOL * (1.0 + math.sqrt(largest_sq))
-    # In place, in two n x n buffers: each step is an operation of the plain
-    # formulas dist_sq = pair_sq - 2 gram and margin = c (pair_sq + t^2), in
-    # their order, so the bits are theirs (doubling is exact).
-    pair_sq = norms_sq[:, None] + norms_sq
-    dist_sq = np.subtract(pair_sq, np.multiply(gram, 2.0, out=gram), out=gram)
-    diameter = math.sqrt(max(float(dist_sq.max()), 0.0))
-    threshold_sq = threshold**2
-    scale = 4.0 * (points.shape[1] + 2) * _EPS
-    # Every row is near on the diagonal, whose Gram distance is exactly 0,
-    # unless a squared norm overflows, which makes the diameter NaN. Rounding
-    # is monotone, so the margin at the largest squared norm bounds every
-    # margin, and k distances within that bound mean no near pair.
-    bound = (2.0 * largest_sq + threshold_sq) * scale + threshold_sq
-    if not math.isnan(diameter) and np.count_nonzero(dist_sq <= bound) == count:
-        return np.arange(count), diameter
-    margin = np.multiply(np.add(pair_sq, threshold_sq, out=pair_sq), scale, out=pair_sq)
-    near = dist_sq <= np.add(margin, threshold_sq, out=margin)
-    # free both n x n float buffers before the loop allocates
-    del gram, norms_sq, pair_sq, dist_sq, margin
-    # only a row near more than one point may be dropped; a NaN diagonal is
-    # near nothing, so a row with one near pair may have a count of 1
-    counts = near.sum(axis=1)
-    droppable = counts > 1
-    keep = np.ones(count, dtype=bool)
-    for i in droppable.nonzero()[0].tolist():
-        if not keep[i]:
-            continue
-        for j in (near[i, :i] & keep[:i]).nonzero()[0].tolist():
-            if _norm(points[i] - points[j]) <= threshold:
-                keep[i] = False
-                if counts[j] > 2:
-                    # j is near more than itself and i: measure the later
-                    # near points at once, each by the dot product of _norm
-                    # (a stack of 1 x n by n x 1 products)
-                    later = (near[i + 1:, j] & droppable[i + 1:]).nonzero()[0] + (i + 1)
-                    diff = points[later]
-                    diff -= points[j]
-                    norms = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel())
-                    keep[later[norms <= threshold]] = False
-                break
-    return keep.nonzero()[0], diameter
+def _diameter(points: np.ndarray) -> float:
+    """The largest distance between two of the points, each measured
+    directly, one point against all later ones at a time: O(k^2 n) time in
+    O(k n) memory, so it suits the rare step that needs it."""
+    largest_sq = 0.0
+    for i in range(points.shape[0] - 1):
+        diff = points[i + 1:] - points[i]
+        largest_sq = max(largest_sq, float(np.einsum("ij,ij->i", diff, diff).max()))
+    return math.sqrt(largest_sq)
 
 
 def _spread(points: np.ndarray, center: np.ndarray) -> float:
@@ -257,8 +198,6 @@ def circumcenter(points) -> CircumcenterResult:
         pts = pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
         raise ValueError("expected a nonempty 2-d array of points")
-    if not np.isfinite(pts).all():
-        raise ValueError("point entries must be finite")
     candidate, spread, accepted, system = _solve(pts)
     if system is None:
         return CircumcenterResult(candidate, np.zeros(0), spread, 0.0)
@@ -270,12 +209,10 @@ def circumcenter(points) -> CircumcenterResult:
 def _solve(pts: np.ndarray) -> tuple:
     """The solve of :func:`circumcenter`, shared with the iteration step:
     (candidate, spread, accepted, system), ``system`` None for one distinct
-    point, else (half, u, projected, coords, s). Any non-finite point sends
-    the dedup to the Gram routine, whose diameter it makes NaN, so finite
-    points pass without a test of their own."""
-    kept, diameter = _distinct(pts)
-    if diameter is not None and math.isnan(diameter) and not np.isfinite(pts).all():
-        raise ValueError("point entries must be finite")
+    point, else (half, u, projected, coords, s). The dedup raises ValueError
+    on a non-finite point, so finite points pass without a test of their
+    own."""
+    kept = _distinct(pts)
     rep = pts if kept.shape[0] == pts.shape[0] else pts[kept]
     p0 = rep[0]
     offsets = rep[1:] - p0
@@ -291,8 +228,7 @@ def _solve(pts: np.ndarray) -> tuple:
     spread = _spread(pts, candidate)
     # CONSISTENCY_TOL * (1 + diameter) is at least CONSISTENCY_TOL, so the
     # diameter is needed only for a spread above that
-    accepted = spread <= CONSISTENCY_TOL or spread <= CONSISTENCY_TOL * (
-        1.0 + (_gram_distinct(pts)[1] if diameter is None else diameter))
+    accepted = spread <= CONSISTENCY_TOL or spread <= CONSISTENCY_TOL * (1.0 + _diameter(pts))
     return candidate, spread, accepted, (half, u, projected, coords, s)
 
 
@@ -315,11 +251,8 @@ class OperatorSet:
     so on, and the empty word is the identity. ``words=None`` lists every
     generator on its own. The words must be prefix-closed, in order: each
     nonempty word without its last letter is empty or an earlier word. Every
-    generator must occur in some word. A family has at most 8192 words:
-    the Gram routine that dedups a step whose squared norms overflow, or
-    takes the diameter a large spread needs, uses 16 k^2 bytes for the
-    images of k words, and DEDUP_BUDGET_BYTES allows 2^30; the sorted dedup
-    of every other step needs O(k) bytes.
+    generator must occur in some word. A family has at most WORD_LIMIT
+    = 8192 words, which bounds the k x n array of one step's images.
 
     Letters are integer indices, bools excepted, and are stored as plain
     ints. Construction also lays out the step plan of :meth:`images`: per
@@ -361,7 +294,7 @@ class OperatorSet:
         count = len(generators)
         words = (tuple((i,) for i in range(count)) if self.words is None
                  else tuple(tuple(word) for word in self.words))
-        _require_word_budget(len(words))
+        _require_word_limit(len(words))
         # The layout cache is keyed by plain int letters only: 1.0, True
         # and np.bool_ compare and hash equal to 1, and must still raise.
         if not set(map(type, chain.from_iterable(words))) <= {int}:
@@ -446,14 +379,10 @@ def _layout(words: tuple, count: int) -> tuple:
     return words, tuple(steps)
 
 
-def _require_word_budget(count: int) -> None:
-    """Raise unless the images of ``count`` words dedup within DEDUP_BUDGET_BYTES."""
-    need = 16 * count**2
-    if need > DEDUP_BUDGET_BYTES:
-        raise ValueError(
-            f"{count} words need {need} bytes to deduplicate their images, "
-            f"budget is {DEDUP_BUDGET_BYTES}"
-        )
+def _require_word_limit(count: int) -> None:
+    """Raise unless a family of ``count`` words is within WORD_LIMIT."""
+    if count > WORD_LIMIT:
+        raise ValueError(f"{count} words exceed the limit of {WORD_LIMIT} words")
 
 
 def _require_fixed(generators, fixed: AffineSubspace) -> None:
@@ -501,15 +430,13 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     for R_1 R_2 R_3 R_2 R_1, and then shared. Inputs must be reflectors of
     linear subspaces, that is linear isometries with symmetric linear part.
     ``fixed`` is the common fixed set of the reflectors when the caller
-    already has it (see :class:`OperatorSet`). The 2^m subsets must fit the
-    word budget of :class:`OperatorSet`, DEDUP_BUDGET_BYTES, which allows
-    m <= 13; the budget bounds the 16 k^2 bytes of the Gram routine, which
-    only the diameter and steps whose squared norms overflow need. It is
-    checked before any subset is enumerated, so a longer list fails at once
-    even when its reduced words would fit.
+    already has it (see :class:`OperatorSet`). The 2^m subsets must fit
+    WORD_LIMIT, which allows m <= 13. This is checked before any subset is
+    enumerated, so a longer list fails at once even when its reduced words
+    would fit.
     """
     generators = tuple(reflectors)
-    _require_word_budget(2 ** len(generators))
+    _require_word_limit(2 ** len(generators))
     for op in generators:
         if not isinstance(op, AffineIsometry) or not op.is_linear():
             raise ValueError("inputs must be reflectors of linear subspaces")

@@ -66,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be nonnegative")
         updates["seed"] = args.seed
         if config.x0.kind == "random_unit":
             updates["x0"] = dataclasses.replace(config.x0, seed=args.seed)

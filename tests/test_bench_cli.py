@@ -455,6 +455,38 @@ def test_cli_rejects_a_non_finite_config_number(tmp_path, capsys, mutate, key, v
     assert not (tmp_path / "out").exists()
 
 
+def _set_seed(obj, value):
+    obj["seed"] = value
+
+
+def _set_x0_seed(obj, value):
+    obj["x0"]["seed"] = value
+
+
+def _set_instances_seed(obj, value):
+    obj["instances"] = {"kind": "random", "count": 1, "num_subspaces": 2,
+                        "dim_range": [1, 1], "seed": value}
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (_set_seed, ".seed"),
+    (_set_x0_seed, ".x0.seed"),
+    (_set_instances_seed, ".instances.seed"),
+    (None, "--seed"),
+], ids=["seed", "x0_seed", "instances_seed", "option"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, mutate, key):
+    """numpy's generators take nonnegative seeds only, so a negative one is a
+    config problem at its key, found before any instance is drawn."""
+    path = _write_demo(tmp_path, mutate and (lambda obj: mutate(obj, -1)))
+    override = ["--seed", "-1"] if mutate is None else []
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), *override])
+    captured = capsys.readouterr()
+    assert code == 2
+    source = "" if mutate is None else str(path)
+    assert f"config error: {source}{key}: must be nonnegative" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 _BAD_OPERATORS = {
     "not_orthogonal": {"kind": "orthogonal", "matrix": [[2.0, 0.0], [0.0, 1.0]]},
     "wrong_dimension": {"kind": "translation", "offset": [1.0, 0.0, 0.0]},

@@ -1,5 +1,7 @@
 import importlib
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from circumproj import (
     make_reflector,
     make_translation,
 )
-from circumproj.circumcenter import _distinct, _gram_distinct
+from circumproj.circumcenter import _diameter, _distinct
 from helpers import (
     random_family,
     reference_images,
@@ -246,7 +248,8 @@ def test_families_of_one_repeat_pattern_share_words_and_images_bits():
 @given(st.integers(0, 10**6), st.integers(-6, 6))
 def test_dedup_keeps_the_oracle_representatives(seed, exponent):
     """Pairs planted at half and twice the threshold, chains included, at
-    scales from 1e-6 to 1e6."""
+    scales from 1e-6 to 1e6. The diameter, measured directly, is the exact
+    one to a few rounding errors."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
     points = list(10.0 ** exponent * rng.standard_normal((int(rng.integers(1, 5)), dim)))
@@ -256,13 +259,10 @@ def test_dedup_keeps_the_oracle_representatives(seed, exponent):
         factor = 0.5 if rng.integers(2) else 2.0
         points.append(source + factor * threshold * unit_vector(rng, dim))
     points = np.array(points)[rng.permutation(len(points))]
-    kept, _ = _distinct(points)
-    gram_kept, diameter = _gram_distinct(points)
-    assert list(kept) == list(gram_kept) == oracle_dedup(points, EQ_TOL)
-    exact = max(float(np.linalg.norm(p - q)) for p in points for q in points)
-    # a distance read off the Gram matrix is exact to sqrt(eps) times the largest norm
-    largest = float(np.max(np.linalg.norm(points, axis=1)))
-    assert abs(diameter - exact) <= 1e-6 * (1.0 + largest)
+    assert list(_distinct(points)) == oracle_dedup(points, EQ_TOL)
+    exact = math.sqrt(max(sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q))
+                          for p in points for q in points))
+    assert abs(_diameter(points) - exact) <= 1e-12 * exact
 
 
 def test_operator_set_deduplicates_solver_entries():
@@ -299,15 +299,16 @@ def test_build_psi_rejects_bad_inputs():
 
 
 def test_word_budget_rejects_before_any_buffer_is_allocated(monkeypatch):
-    """Deduplicating k images takes two k x k float64 buffers, 16 k^2 bytes;
-    a family over budget fails at construction, before any image exists."""
+    """A family of more than WORD_LIMIT = 8192 words fails at construction,
+    and build_psi over more than 13 reflectors before it enumerates a subset,
+    so before any image exists."""
     assert len(build_psi(reflectors_of([LINE_X] * 13)).words) == 8192
     many = reflectors_of([LINE_X] * 14)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="16384 words need 4294967296 bytes"):
+        with pytest.raises(ValueError, match="16384 words exceed the limit of 8192 words"):
             build_psi(many)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match="limit"):
             OperatorSet(many, subsets(14))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -315,9 +316,9 @@ def test_word_budget_rejects_before_any_buffer_is_allocated(monkeypatch):
     assert peak < 16 * 16384**2 / 100
     # the package binds the name circumcenter to the function
     module = importlib.import_module("circumproj.circumcenter")
-    monkeypatch.setattr(module, "DEDUP_BUDGET_BYTES", 16 * 8**2)
+    monkeypatch.setattr(module, "WORD_LIMIT", 8)
     assert len(OperatorSet(many[:3], subsets(3)).words) == 8
-    with pytest.raises(ValueError, match="9 words need 1296 bytes"):
+    with pytest.raises(ValueError, match="9 words exceed the limit of 8 words"):
         OperatorSet(many[:3], subsets(3) + [(2, 1)])
 
 

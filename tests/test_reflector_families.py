@@ -3,10 +3,9 @@
 An instance computes the common fixed set of its reflectors once and hands
 it to every reflector family through ``fixed=``. ``build_psi`` leaves out
 the words whose products cancel down to an earlier word's, since reflectors
-are involutions. ``_gram_distinct`` works in place, and ``_distinct`` finds
-near pairs by a sort. None of this may change a result: a run over the
-reduced words and the shared fixed set must agree byte for byte with a run
-over every subset word and a self-computed set.
+are involutions. Neither may change a result: a run over the reduced words
+and the shared fixed set must agree byte for byte with a run over every
+subset word and a self-computed set.
 """
 
 import sys
@@ -17,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
-    EQ_TOL,
     AffineIsometry,
     AffineSubspace,
     MethodConfig,
@@ -29,8 +27,7 @@ from circumproj import (
     run_cim,
     run_experiment,
 )
-from circumproj.circumcenter import _distinct, _gram_distinct
-from helpers import dense_product, random_family, reflectors_of, subsets, unit_vector
+from helpers import dense_product, random_family, reflectors_of, subsets
 
 
 def _palindrome(reflectors):
@@ -54,44 +51,6 @@ def test_psi_words_reduce_over_involutions():
         assert any(order[earlier] < order[word]
                    and np.allclose(product.Q, other.Q, rtol=0.0, atol=1e-12)
                    for earlier, other in kept.items()), word
-
-
-def _distinct_eager(points):
-    """``_gram_distinct`` as written with one temporary per operation."""
-    gram = points @ points.T
-    norms_sq = np.diag(gram)
-    threshold = EQ_TOL * (1.0 + float(np.sqrt(np.max(norms_sq))))
-    pair_sq = norms_sq[:, None] + norms_sq
-    dist_sq = pair_sq - 2.0 * gram
-    margin = 4.0 * (points.shape[1] + 2) * np.finfo(float).eps * (pair_sq + threshold**2)
-    near = dist_sq <= threshold**2 + margin
-    keep = np.ones(points.shape[0], dtype=bool)
-    for i in np.flatnonzero(near.sum(axis=1) > 1):
-        for j in np.flatnonzero(near[i, :i] & keep[:i]):
-            if float(np.linalg.norm(points[i] - points[j])) <= threshold:
-                keep[i] = False
-                break
-    return np.flatnonzero(keep), float(np.sqrt(max(float(np.max(dist_sq)), 0.0)))
-
-
-@given(st.integers(0, 10**6), st.integers(-6, 6))
-def test_in_place_dedup_matches_the_eager_formula_bit_for_bit(seed, exponent):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 8))
-    points = list(10.0 ** exponent * rng.standard_normal((int(rng.integers(1, 6)), dim)))
-    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in points))
-    for _ in range(int(rng.integers(0, 8))):
-        source = points[int(rng.integers(len(points)))]
-        if rng.integers(2):
-            points.append(source.copy())
-        else:
-            points.append(source + float(rng.uniform(0.5, 2.0)) * threshold * unit_vector(rng, dim))
-    points = np.array(points)[rng.permutation(len(points))]
-    kept, _ = _distinct(points)
-    gram_kept, diameter = _gram_distinct(points)
-    eager_kept, eager_diameter = _distinct_eager(points)
-    assert list(kept) == list(gram_kept) == list(eager_kept)
-    assert diameter == eager_diameter
 
 
 @pytest.mark.parametrize("ambient_dim", [4, 7, 12, 20])

@@ -4,9 +4,9 @@
 projections and measures only pairs whose projected gaps chain within a
 window a little wider than the dedup threshold. The window must be wide
 enough for every pair within the threshold, the direction must decide only
-which pairs are measured, and the k x k Gram routine must stay off the
-iteration's path: it runs only when squared norms overflow or a step's
-spread needs the diameter.
+which pairs are measured, and the O(k^2 n) diameter must stay off the
+iteration's path: only a step whose spread exceeds CONSISTENCY_TOL needs
+it.
 """
 
 import importlib
@@ -50,8 +50,7 @@ def test_pairs_planted_along_the_sort_direction_match_the_reference(exponent):
     for dim in range(1, 61):
         points = _planted(rng, dim, 10.0 ** exponent, _direction(dim),
                           (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9, 0.5, 2.0))
-        kept, diameter = _distinct(points)
-        assert diameter is None
+        kept = _distinct(points)
         assert list(kept) == list(reference_distinct(points)[0]), dim
 
 
@@ -77,36 +76,36 @@ def test_the_kept_points_do_not_depend_on_the_sort_direction(seed, dim, exponent
     factors = rng.choice([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0], size=int(rng.integers(0, 10)))
     points = _planted(rng, dim, 10.0 ** exponent,
                       direction if along else _direction(dim), factors)
-    kept, _ = _distinct(points)
+    kept = _distinct(points)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_direction", lambda n: direction)
-        turned, _ = _distinct(points)
+        turned = _distinct(points)
     assert list(turned) == list(kept) == list(reference_distinct(points)[0])
 
 
-def _count_gram_calls(monkeypatch) -> list:
+def _count_diameter_calls(monkeypatch) -> list:
     calls = []
-    gram = module._gram_distinct
-    monkeypatch.setattr(module, "_gram_distinct",
-                        lambda points: calls.append(points.shape) or gram(points))
+    diameter = module._diameter
+    monkeypatch.setattr(module, "_diameter",
+                        lambda points: calls.append(points.shape) or diameter(points))
     return calls
 
 
-def test_the_gram_routine_stays_off_the_342_image_steps(monkeypatch):
+def test_the_diameter_stays_off_the_342_image_steps(monkeypatch):
     """The symmetrized psi family over 5 reflectors in R^60: its first step,
     342 distinct images, and its converged ones, where they coincide."""
     rng = np.random.default_rng(2024)
     reflectors = reflectors_of(random_family(rng, 60, 5, 1, 30))
     family = build_psi(reflectors + reflectors[-2::-1])
     assert len(family.words) == 342
-    calls = _count_gram_calls(monkeypatch)
+    calls = _count_diameter_calls(monkeypatch)
     trace = run_cim(family, unit_vector(rng, 60),
                     MethodConfig("cim", max_iters=60, stop_tol=1e-11))
     assert len(trace.iterates) >= 2
     assert calls == []
 
 
-def test_the_gram_routine_stays_off_the_small_families(monkeypatch):
+def test_the_diameter_stays_off_the_small_families(monkeypatch):
     """Three subspaces of dimension 21 in R^30: 50 steps of psi (8 images,
     one image equal to x), of Id with the reflectors, and of Id with the
     prefix products."""
@@ -118,7 +117,7 @@ def test_the_gram_routine_stays_off_the_small_families(monkeypatch):
         OperatorSet(reflectors, [(), (0,), (1,), (2,)]),
         OperatorSet(reflectors, [(), (0,), (0, 1), (0, 1, 2)]),
     )
-    calls = _count_gram_calls(monkeypatch)
+    calls = _count_diameter_calls(monkeypatch)
     for family in families:
         trace = run_cim(family, x0, MethodConfig("cim", max_iters=50, stop_tol=0.0))
         assert len(trace.iterates) == 51

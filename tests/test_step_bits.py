@@ -1,14 +1,13 @@
 """The circumcenter step against its reference formulas, bit for bit.
 
-``circumcenter``, ``_gram_distinct`` and ``OperatorSet.images`` avoid
+``circumcenter`` and ``OperatorSet.images`` avoid
 numpy's generic wrappers and repeated temporaries, but they must do the same
 floating-point operations in the same order as the reference formulas in
 ``helpers``, so every bit of every result, and every artifact byte, holds.
-``_distinct`` finds its near pairs by a sort, not the Gram matrix, and must
-keep the same points.
+``_distinct`` finds its near pairs by a sort, not the reference's Gram
+matrix, and must keep the same points; the acceptance test measures the
+diameter directly, and must decide as the reference's Gram diameter does.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -19,13 +18,14 @@ from circumproj import (
     EQ_TOL,
     AffineIsometry,
     MethodConfig,
+    NumericalPropernessError,
     OperatorSet,
     build_psi,
     circumcenter,
     make_reflector,
     run_cim,
 )
-from circumproj.circumcenter import _distinct, _gram_distinct
+from circumproj.circumcenter import _center, _distinct
 from helpers import (
     random_family,
     random_linear_subspace,
@@ -84,15 +84,9 @@ def test_circumcenter_matches_the_reference_bit_for_bit(seed, count, exponent, s
 
 
 def _assert_dedup_matches_the_reference(points: np.ndarray) -> np.ndarray:
-    """``_distinct`` and ``_gram_distinct`` keep the reference's points, and
-    the Gram routine's diameter, which the acceptance test reads, has the
-    reference's bits; returns the kept indices."""
-    kept, diameter = _distinct(points)
-    gram_kept, gram_diameter = _gram_distinct(points)
-    ref_kept, ref_diameter = reference_distinct(points)
-    assert diameter is None
-    assert list(kept) == list(gram_kept) == list(ref_kept)
-    assert _bits(gram_diameter) == _bits(ref_diameter)
+    """``_distinct`` keeps the reference's points; returns the kept indices."""
+    kept = _distinct(points)
+    assert list(kept) == list(reference_distinct(points)[0])
     return kept
 
 
@@ -167,57 +161,37 @@ def test_converged_symmetrized_psi_step_matches_the_reference():
     assert len(_assert_step_matches_the_reference(last)) == 1
 
 
-@pytest.mark.parametrize("points", [
-    [[1e160, 0.0], [0.0, 1e160]],
-    [[1e160, 0.0], [0.0, 1e160], [1e160, 1e-300]],
-    [[1e160, 0.0], [1.0, 0.0]],
-    [[1e200, 1.0], [1e200, 2.0], [3.0, 1e200]],
-])
-def test_overflowing_squared_norms_match_the_reference(points):
-    """Squared norms past the float range make Gram distances NaN, the
-    diagonal's included, so the dedup has no exact zeros to count on; it and
-    the circumcenter still follow the reference."""
+@pytest.mark.parametrize("points, error", [
+    ([[1e160, 0.0], [0.0, 1e160]], None),
+    ([[1e160, 0.0], [0.0, 1e160], [1e160, 1e-300]], None),
+    ([[1e160, 0.0], [1.0, 0.0]], None),
+    ([[1e200, 1.0], [1e200, 2.0], [3.0, 1e200]], None),
+    ([[1e160, 0.0], [0.0, 1e150], [1e160, 1e160]], None),
+    ([[1.0, 0.0], [0.0, 1e150], [1e160, 1e160]], None),
+    ([[np.nan, 0.0], [1.0, 0.0]], ValueError),
+    ([[1.0, 0.0], [np.inf, 1e160]], ValueError),
+    ([[1e160, -np.inf]], ValueError),
+], ids=["two_axes", "two_axes_and_a_near_one", "far_pair", "three_at_1e200",
+        "one_finite_square", "one_finite_pair", "nan", "inf", "minus_inf"])
+def test_overflowing_squared_norms_keep_every_point(points, error):
+    """Past the float range the squared offsets of the equidistance system
+    overflow, so the dedup keeps every point and the circumcenter is absent:
+    (1e160, 0) and (1, 0) have no center at (1e160, 0), 1e160 from one of
+    them. A NaN or infinite entry raises instead, in the iteration step
+    too."""
     points = np.array(points)
+    if error is not None:
+        for solve in (_distinct, circumcenter, _center):
+            with pytest.raises(error, match="point entries must be finite"):
+                solve(points)
+        return
     with np.errstate(over="ignore", invalid="ignore"):
-        kept, diameter = _distinct(points)
-        ref_kept, ref_diameter = reference_distinct(points)
+        kept = _distinct(points)
         result = circumcenter(points)
-        expected = reference_circumcenter(points)
-    assert list(kept) == list(ref_kept)
-    assert math.isnan(diameter) and math.isnan(ref_diameter)
-    assert (result.center is None) == (expected.center is None)
-    if expected.center is not None:
-        assert np.array_equal(result.center, expected.center)
-    assert np.array_equal(result.coefficients, expected.coefficients, equal_nan=True)
-    for field in ("equidistance_spread", "equidistance_residual"):
-        assert np.array_equal(getattr(result, field), getattr(expected, field), equal_nan=True)
-
-
-def test_a_nan_diameter_sends_the_step_past_the_screen():
-    """Point 1 has a finite squared norm and points 0 and 2 overflow, so the
-    threshold is infinite and exactly k Gram distances lie within the
-    screen's bound, yet the reference drops point 1, whose distance to point
-    0 is within that threshold."""
-    points = np.array([[1e160, 0.0], [0.0, 1e150], [1e160, 1e160]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        kept, diameter = _distinct(points)
-        ref_kept, _ = reference_distinct(points)
-    assert list(ref_kept) == [0, 2]
-    assert list(kept) == list(ref_kept)
-    assert math.isnan(diameter)
-
-
-def test_a_kept_point_drops_only_rows_the_reference_may_drop():
-    """Point 0 drops point 1 and is near point 2 as well, so it measures the
-    later near points at once. Point 2 overflows and is near point 0 alone,
-    its own diagonal being NaN: the reference never drops it, although it
-    lies within the infinite threshold."""
-    points = np.array([[1.0, 0.0], [0.0, 1e150], [1e160, 1e160]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        kept, _ = _distinct(points)
-        ref_kept, _ = reference_distinct(points)
-    assert list(ref_kept) == [0, 2]
-    assert list(kept) == list(ref_kept)
+        with pytest.raises(NumericalPropernessError):
+            _center(points)
+    assert list(kept) == list(range(len(points)))
+    assert result.center is None
 
 
 def test_the_reference_cases_include_absent_and_rank_deficient_circumcenters():
