@@ -27,7 +27,6 @@ from . import __version__
 from .circumcenter import OperatorSet, build_psi
 from .isometry import (
     AffineMap,
-    AveragedSpec,
     build_product_averaged,
     build_sum_averaged,
     compose,
@@ -333,9 +332,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     if not raw_methods:
         raise ConfigError(f"{source}.methods: must be nonempty")
     methods = tuple(_parse_method(m, i, ambient_dim) for i, m in enumerate(raw_methods))
-    labels = [m.label for m in methods if m.label is not None]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"{source}.methods: labels must be unique")
+    _require_unique_file_names(methods, explicit_items, source)
 
     out_dir = root.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -345,6 +342,35 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
                             max_iters=max_iters, stop_tol=stop_tol, x0=x0,
                             methods=methods, explicit_items=explicit_items,
                             random_instances=random_instances, out_dir=out_dir)
+
+
+def _require_unique_file_names(methods: tuple, explicit_items: Optional[tuple],
+                               source: str) -> None:
+    """Each method's label, its default included, and each artifact file
+    stem must be unique, or one run's files would overwrite another's.
+    Random instance labels ``random_NNN`` hold no ``__`` and are unique, so
+    their stems are unique once the method labels are."""
+    labels = {}
+    for i, spec in enumerate(methods):
+        label = _default_label(spec, i)
+        if label in labels:
+            raise ConfigError(f"{source}.methods[{i}].label: labels must be unique, "
+                              f"{label!r} is also the label of methods[{labels[label]}]")
+        labels[label] = i
+    stems = {}
+    for i, item in enumerate(explicit_items or ()):
+        for label in labels:
+            stem = _stem(item.label, label)
+            if stem in stems:
+                raise ConfigError(f"{source}.instances.items[{i}].label: artifact file stems "
+                                  f"must be unique, {stem!r} is also a stem of "
+                                  f"instances.items[{stems[stem]}]")
+            stems[stem] = i
+
+
+def _stem(instance_label: str, method_label: str) -> str:
+    """The name of a run's artifact files, less their suffixes."""
+    return f"{instance_label}__{method_label}"
 
 
 def load_config(path) -> ExperimentConfig:
@@ -439,9 +465,7 @@ class _Instance:
         object per (builder, family), so its spectral data is taken once."""
         key = builder, symmetrized
         if key not in self._averaged:
-            family = self.family(symmetrized)
-            self._averaged[key] = _AVERAGED_BUILDERS[builder](
-                AveragedSpec.uniform(len(family)), family)
+            self._averaged[key] = _AVERAGED_BUILDERS[builder](self.family(symmetrized))
         return self._averaged[key]
 
     @cached_property
@@ -751,8 +775,8 @@ def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
                                       stop_tol=config.stop_tol))
         report = None
         if plan.constant_name is not None:
-            report = audit_bound(trace, plan.rate, scale_mode=plan.scale_mode,
-                                 prefactor=plan.prefactor, constant_name=plan.constant_name,
+            report = audit_bound(trace, plan.rate, prefactor=plan.prefactor,
+                                 constant_name=plan.constant_name,
                                  ingredients=plan.ingredients)
         outcomes.append(MethodOutcome(_default_label(spec, m_index), spec.method, trace, report))
     return tuple(outcomes)
@@ -808,7 +832,7 @@ def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
     if fmt == "csv":
         for instance in report.instances:
             for outcome in instance.methods:
-                stem = f"{instance.label}__{outcome.label}"
+                stem = _stem(instance.label, outcome.label)
                 _write_atomic(out_dir / f"{stem}.trace.csv", outcome.trace.to_csv())
                 if outcome.report is not None:
                     _write_atomic(out_dir / f"{stem}.rate.csv", outcome.report.to_csv())

@@ -201,9 +201,9 @@ def circumcenter(points) -> CircumcenterResult:
     candidate, spread, accepted, system = _solve(pts)
     if system is None:
         return CircumcenterResult(candidate, np.zeros(0), spread, 0.0)
-    half, u, projected, coords, s = system
+    _, u, _, coords, s = system
     return CircumcenterResult(candidate if accepted else None, u @ (coords / s), spread,
-                              _norm(half - u @ projected))
+                              _residual(system))
 
 
 def _solve(pts: np.ndarray) -> tuple:
@@ -232,13 +232,18 @@ def _solve(pts: np.ndarray) -> tuple:
     return candidate, spread, accepted, (half, u, projected, coords, s)
 
 
+def _residual(system: tuple) -> float:
+    """||h/2 - D y|| of a solve's ``system``, the equidistance residual."""
+    half, u, projected, _, _ = system
+    return _norm(half - u @ projected)
+
+
 def _center(points: np.ndarray) -> np.ndarray:
-    """The step of :func:`circumcenter_map`. A rejection raises, so only then
-    is the full :func:`circumcenter` result computed, for the error."""
-    candidate, _, accepted, _ = _solve(points)
+    """The step of :func:`circumcenter_map`. A rejection raises with the
+    spread and residual of the same solve; only then is the residual taken."""
+    candidate, spread, accepted, system = _solve(points)
     if not accepted:
-        result = circumcenter(points)
-        raise NumericalPropernessError(result.equidistance_spread, result.equidistance_residual)
+        raise NumericalPropernessError(spread, _residual(system))
     return candidate
 
 

@@ -1,11 +1,12 @@
 """Command line front end for the experiment harness.
 
 Verbs:
-  run     execute a config, write artifacts, print a summary table
+  verify  run a config, write its artifacts and print one PASS, FAIL or
+          SKIP line per method and per extra check, read from the record
+          that report.json writes
   rates   print theoretical constants for a config without iterating
-  verify  run a config and print one PASS or FAIL line per audited bound
 
-The shipped demonstration is ``circumproj run configs/demo.json``.
+The shipped demonstration is ``circumproj verify configs/demo.json``.
 
 Exit status is 0 when every audited bound and extra check holds, 2 on a
 config problem, 1 otherwise.
@@ -23,7 +24,6 @@ from typing import Optional, Sequence
 from .bench import (
     ConfigError,
     ExperimentConfig,
-    ExperimentReport,
     compute_rates,
     load_config,
     run_experiment,
@@ -40,19 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("config", help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's top-level seed")
-        p.add_argument("--max-iters", type=int, default=None,
-                       help="override the config's iteration budget")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config out_dir or <name>_out)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="trace artifacts as CSV files or embedded JSON rows")
-
-    add_common(sub.add_parser("run", help="run a config and write artifacts"))
-    add_common(sub.add_parser("verify", help="run a config and report PASS/FAIL per bound"))
+    verify = sub.add_parser("verify", help="run a config, write its artifacts and "
+                                           "report PASS/FAIL/SKIP per method and check")
+    verify.add_argument("config", help="path to a JSON experiment config")
+    verify.add_argument("--seed", type=int, default=None,
+                        help="override the config's top-level seed")
+    verify.add_argument("--max-iters", type=int, default=None,
+                        help="override the config's iteration budget")
+    verify.add_argument("--out", default=None,
+                        help="output directory (default: config out_dir or <name>_out)")
+    verify.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="trace artifacts as CSV files or embedded JSON rows")
 
     rates = sub.add_parser("rates", help="print theoretical constants for a config")
     rates.add_argument("config", help="path to a JSON experiment config")
@@ -83,46 +81,27 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
-def _summary_lines(report: ExperimentReport) -> list:
+def _verify_lines(payload: dict) -> list:
+    """One line per method and per extra check, read from ``payload``, the
+    object that report.json holds, so the printed verdict is the written one."""
     lines = []
-    header = f"{'instance':<20} {'method':<28} {'final error':>12} {'k@1e-10':>8} {'rate':>10} {'audit':>6}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for instance in report.instances:
-        for outcome in instance.methods:
-            summary = outcome.summary_obj()
-            rate = summary["rate"]
-            rate_text = "-" if rate is None else f"{rate['value']:.6f}"
-            audit_text = "-" if rate is None else ("ok" if rate["all_satisfied"] else "FAIL")
-            reach = summary["iters_to_1e-10"]
-            reach_text = "-" if reach is None else str(reach)
-            lines.append(
-                f"{instance.label:<20} {outcome.label:<28} "
-                f"{summary['final_error']:>12.3e} {reach_text:>8} {rate_text:>10} {audit_text:>6}"
-            )
-        for name, passed, detail in instance.extra_checks:
-            status = "ok" if passed else "FAIL"
-            lines.append(f"{instance.label:<20} {name:<28} {'':>12} {'':>8} {'':>10} {status:>6}")
-    return lines
-
-
-def _verify_lines(report: ExperimentReport) -> list:
-    lines = []
-    for instance in report.instances:
-        for outcome in instance.methods:
-            if outcome.report is None:
-                lines.append(f"SKIP {instance.label}/{outcome.label}: no audited bound")
+    for instance in payload["instances"]:
+        for method in instance["methods"]:
+            rate = method["rate"]
+            reach = method["iters_to_1e-10"]
+            tail = (f"iterations={method['iterations']} "
+                    f"final_error={method['final_error']:.3e} "
+                    f"iters_to_1e-10={'-' if reach is None else reach}")
+            where = f"{instance['label']}/{method['label']}"
+            if rate is None:
+                lines.append(f"SKIP {where}: no audited bound, {tail}")
                 continue
-            audit = outcome.report
-            status = "PASS" if audit.all_satisfied else "FAIL"
-            lines.append(
-                f"{status} {instance.label}/{outcome.label}: "
-                f"{audit.constant_name}={audit.value:.6g} "
-                f"min_slack={audit.slack_min:.3e} over {len(audit.per_iteration)} iterations"
-            )
-        for name, passed, detail in instance.extra_checks:
-            status = "PASS" if passed else "FAIL"
-            lines.append(f"{status} {instance.label}/{name}: {detail}")
+            status = "PASS" if rate["all_satisfied"] else "FAIL"
+            lines.append(f"{status} {where}: {rate['constant_name']}={rate['value']:.6g} "
+                         f"slack_min={rate['slack_min']:.3e} {tail}")
+        for check in instance["extra_checks"]:
+            status = "PASS" if check["passed"] else "FAIL"
+            lines.append(f"{status} {instance['label']}/{check['name']}: {check['detail']}")
     return lines
 
 
@@ -145,14 +124,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _apply_overrides(load_config(args.config), args)
         report = run_experiment(config, out_dir=args.out, fmt=args.format)
 
-        if args.verb == "verify":
-            for line in _verify_lines(report):
-                print(line)
-        else:
-            for line in _summary_lines(report):
-                print(line)
-        print(f"all bounds hold: {report.all_ok}")
-        return 0 if report.all_ok else 1
+        payload = report.to_json_obj()
+        for line in _verify_lines(payload):
+            print(line)
+        print(f"all bounds hold: {payload['all_ok']}")
+        return 0 if payload["all_ok"] else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

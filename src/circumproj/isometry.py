@@ -30,7 +30,6 @@ from .subspace import AffineSubspace, subspace_from_literal
 __all__ = [
     "AffineIsometry",
     "AffineMap",
-    "AveragedSpec",
     "identity",
     "make_reflector",
     "make_translation",
@@ -44,7 +43,7 @@ __all__ = [
     "operator_from_literal",
 ]
 
-# The relaxation parameters alpha and lambda of AveragedSpec.uniform.
+# The relaxation parameters alpha and lambda of the averaged-map builders.
 _UNIFORM_ALPHA = 0.5
 _UNIFORM_LAMBDA = 0.5
 
@@ -209,55 +208,6 @@ def _common_fixed_points(ops: Sequence[AffineOperator]) -> Optional[AffineSubspa
     return AffineSubspace(anchor, direction)
 
 
-@dataclass(frozen=True)
-class AveragedSpec:
-    """Weights for the averaged-map builders.
-
-    ``weights`` must be positive and sum to 1 within 1e-12, ``alphas`` lie
-    in (0, 1). ``lambdas`` are the inner relaxation parameters of the
-    product-form builder; the first entry is unused there but kept so all
-    three tuples share one length.
-    """
-
-    weights: tuple
-    alphas: tuple
-    lambdas: Optional[tuple] = None
-
-    def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
-        alphas = tuple(float(a) for a in self.alphas)
-        lambdas = None if self.lambdas is None else tuple(float(l) for l in self.lambdas)
-        if len(weights) == 0:
-            raise ValueError("need at least one operator weight")
-        if len(alphas) != len(weights):
-            raise ValueError("weights and alphas must have equal length")
-        if lambdas is not None and len(lambdas) != len(weights):
-            raise ValueError("lambdas must match the other tuples in length")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
-        for w in weights:
-            if not 0.0 < w <= 1.0:
-                raise ValueError(f"weights must lie in (0, 1], got {w!r}")
-        for a in alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alphas must lie in (0, 1), got {a!r}")
-        if lambdas is not None:
-            for l in lambdas:
-                if not 0.0 < l < 1.0:
-                    raise ValueError(f"lambdas must lie in (0, 1), got {l!r}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "lambdas", lambdas)
-
-    @classmethod
-    def uniform(cls, count: int) -> "AveragedSpec":
-        """Equal weights 1/count, every alpha and lambda 1/2."""
-        if count < 1:
-            raise ValueError("count must be positive")
-        return cls((1.0 / count,) * count, (_UNIFORM_ALPHA,) * count,
-                   (_UNIFORM_LAMBDA,) * count)
-
-
 def _linear_isometry_parts(operators: Sequence[AffineIsometry]) -> list[np.ndarray]:
     if len(operators) == 0:
         raise ValueError("need at least one operator")
@@ -274,52 +224,47 @@ def _linear_isometry_parts(operators: Sequence[AffineIsometry]) -> list[np.ndarr
     return parts
 
 
-def build_sum_averaged(spec: AveragedSpec, operators: Sequence[AffineIsometry]) -> AffineMap:
-    """Weighted sum of relaxed operators.
+def build_sum_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
+    """Uniform sum of relaxed operators.
 
-    A = sum_i w_i ((1 - a_i) I + a_i F_i) for linear isometries F_i. The
-    result is averaged with constant sum_i w_i a_i and shares the common
-    fixed set of the F_i.
+    A = sum_i w ((1 - a) I + a F_i) for m linear isometries F_i, with
+    weight w = 1/m and alpha a = 1/2. The result is averaged with constant
+    sum_i w a and shares the common fixed set of the F_i.
     """
     parts = _linear_isometry_parts(operators)
-    if len(parts) != len(spec.weights):
-        raise ValueError("spec length does not match the number of operators")
     n = parts[0].shape[0]
+    w, a = 1.0 / len(parts), _UNIFORM_ALPHA
     A = np.zeros((n, n))
-    for w, a, Q in zip(spec.weights, spec.alphas, parts):
+    for Q in parts:
         A += w * ((1.0 - a) * np.eye(n) + a * Q)
-    certificate = sum(w * a for w, a in zip(spec.weights, spec.alphas))
+    certificate = sum(w * a for _ in parts)
     return AffineMap(A, np.zeros(n), averagedness=certificate)
 
 
-def build_product_averaged(spec: AveragedSpec,
-                           operators: Sequence[AffineIsometry]) -> AffineMap:
-    """Weighted sum of relaxed prefix products.
+def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
+    """Uniform sum of relaxed prefix products.
 
-    A_1 = (1 - a_1) I + a_1 F_1 and, for i >= 2,
-    A_i = (1 - a_i) I + a_i ((1 - l_i) I + l_i F_i) F_{i-1} ... F_1,
-    combined as A = sum_i w_i A_i. Also averaged with constant
-    sum_i w_i a_i and fixed set equal to the common fixed set of the F_i.
+    A_1 = (1 - a) I + a F_1 and, for i >= 2,
+    A_i = (1 - a) I + a ((1 - l) I + l F_i) F_{i-1} ... F_1,
+    combined as A = sum_i w A_i, with weight w = 1/m for m linear
+    isometries and a = l = 1/2. Also averaged with constant sum_i w a and
+    fixed set equal to the common fixed set of the F_i.
     """
     parts = _linear_isometry_parts(operators)
-    if len(parts) != len(spec.weights):
-        raise ValueError("spec length does not match the number of operators")
-    if len(parts) >= 2 and spec.lambdas is None:
-        raise ValueError("the product builder needs lambdas for two or more operators")
     n = parts[0].shape[0]
+    w, a, lam = 1.0 / len(parts), _UNIFORM_ALPHA, _UNIFORM_LAMBDA
     eye = np.eye(n)
     pieces = []
     prefix = parts[0]
-    pieces.append((1.0 - spec.alphas[0]) * eye + spec.alphas[0] * parts[0])
+    pieces.append((1.0 - a) * eye + a * parts[0])
     for i in range(1, len(parts)):
-        lam = spec.lambdas[i]
         inner = (1.0 - lam) * eye + lam * parts[i]
-        pieces.append((1.0 - spec.alphas[i]) * eye + spec.alphas[i] * (inner @ prefix))
+        pieces.append((1.0 - a) * eye + a * (inner @ prefix))
         prefix = parts[i] @ prefix
     A = np.zeros((n, n))
-    for w, piece in zip(spec.weights, pieces):
+    for piece in pieces:
         A += w * piece
-    certificate = sum(w * a for w, a in zip(spec.weights, spec.alphas))
+    certificate = sum(w * a for _ in parts)
     return AffineMap(A, np.zeros(n), averagedness=certificate)
 
 

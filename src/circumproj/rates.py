@@ -217,29 +217,27 @@ def _slack(observed: float, bound: float) -> float:
     return 1.0 if observed <= 0.0 else float("-inf")
 
 
-def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
+def audit_bound(trace: IterationTrace, rate: float,
                 prefactor: Optional[float] = None,
                 constant_name: str = "linear_rate",
                 ingredients: Optional[dict] = None) -> RateReport:
     """Audit a trace against the geometric bound rate^k * scale.
 
-    ``plain`` scales by the first recorded error; ``prefixed`` scales by
-    prefactor * error_origin, where error_origin measures the original
-    start before the prefix was applied. ``rate`` and ``prefactor`` are
-    taken as Python floats, so a numpy scalar writes the same bytes.
+    Without a prefactor the scale is the first recorded error. A prefixed
+    run passes its prefactor: the scale is then prefactor * error_origin,
+    where error_origin measures the original start before the prefix was
+    applied, and the prefactor joins the ingredients. ``rate`` and
+    ``prefactor`` are taken as Python floats, so a numpy scalar writes the
+    same bytes.
     """
     rate = float(rate)
-    prefactor = None if prefactor is None else float(prefactor)
     if rate < 0:
         raise ValueError("rate must be nonnegative")
-    if scale_mode == "plain":
+    if prefactor is None:
         scale = float(trace.errors[0])
-    elif scale_mode == "prefixed":
-        if prefactor is None:
-            raise ValueError("prefixed audits need a prefactor")
-        scale = prefactor * trace.error_origin
     else:
-        raise ValueError(f"unknown scale mode {scale_mode!r}")
+        prefactor = float(prefactor)
+        scale = prefactor * trace.error_origin
     rows = []
     slack_min = float("inf")
     for k, observed in enumerate(trace.errors.tolist()):
@@ -248,7 +246,7 @@ def audit_bound(trace: IterationTrace, rate: float, scale_mode: str = "plain",
         rows.append((k, observed, bound, satisfied))
         slack_min = min(slack_min, _slack(observed, bound))
     full_ingredients = dict(ingredients or {})
-    if scale_mode == "prefixed":
+    if prefactor is not None:
         full_ingredients.setdefault("prefactor", prefactor)
     return RateReport(
         constant_name=constant_name,

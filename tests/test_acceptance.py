@@ -15,7 +15,6 @@ import numpy as np
 
 from circumproj import (
     AffineSubspace,
-    AveragedSpec,
     MethodConfig,
     OperatorSet,
     accel_constants,
@@ -264,7 +263,7 @@ def test_criterion_08_acceleration_chain_and_bounds():
         palindrome = family + family[-2::-1]
         prefixed = run_cim(build_psi(reflectors_of(palindrome)), x0,
                            MethodConfig(method="cim", max_iters=12, prefix=op))
-        report = audit_bound(prefixed, consts.eta, scale_mode="prefixed",
+        report = audit_bound(prefixed, consts.eta,
                              prefactor=consts.cT, constant_name="prefixed_rate")
         assert report.all_satisfied, (
             f"case {case}: prefixed trace broke eta^k cT, slack {report.slack_min}"
@@ -286,11 +285,10 @@ def test_criterion_09_averaged_operator_rates():
         if np.linalg.norm(x0 - inter.project(x0)) < 0.1:
             continue
         reflectors = reflectors_of(family)
-        spec = AveragedSpec.uniform(len(reflectors))
         eye = identity(6)
 
         flat = OperatorSet([eye, *reflectors])
-        averaged = build_sum_averaged(spec, reflectors)
+        averaged = build_sum_averaged(reflectors)
         rate = operator_rate(averaged, flat.common_fixed)
         if 0.3 <= rate <= 0.9995:
             trace = run_cim(flat, x0, MethodConfig(method="cim", max_iters=20))
@@ -307,7 +305,7 @@ def test_criterion_09_averaged_operator_rates():
             running = compose(reflector, running)
             prefixes.append(running)
         nested = OperatorSet(prefixes)
-        averaged = build_product_averaged(spec, reflectors)
+        averaged = build_product_averaged(reflectors)
         rate = operator_rate(averaged, nested.common_fixed)
         if 0.3 <= rate <= 0.9995:
             trace = run_cim(nested, x0, MethodConfig(method="cim", max_iters=20))

@@ -125,7 +125,7 @@ def test_parse_config_rejects_unknown_top_level_key(tmp_path, capsys):
         parse_config(obj)
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(obj))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "max_iter: unknown key" in capsys.readouterr().err
 
 
@@ -355,32 +355,24 @@ def test_artifact_digest_of_a_workload_operation_matches_its_config_file(tmp_pat
 # command line
 
 
-def test_cli_offers_three_verbs_and_no_demo():
+def test_cli_offers_two_verbs_and_no_demo():
     parser = cli.build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(verbs.choices) == ["rates", "run", "verify"]
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["demo"])
-    assert excinfo.value.code == 2
+    assert sorted(verbs.choices) == ["rates", "verify"]
+    for gone in ("demo", "run"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([gone, str(DEMO_CONFIG)])
+        assert excinfo.value.code == 2
     assert not hasattr(circumproj, "demo_config")
     assert "demo_config" not in circumproj.__all__
 
 
 def test_cli_demo_exits_zero(tmp_path, capsys):
-    code = cli.main(["run", str(DEMO_CONFIG), "--out", str(tmp_path / "d")])
+    code = cli.main(["verify", str(DEMO_CONFIG), "--out", str(tmp_path / "d")])
     out = capsys.readouterr().out
     assert code == 0
     assert "all bounds hold: True" in out
     assert (tmp_path / "d" / "report.json").exists()
-
-
-def test_cli_run_prints_summary_table(tmp_path, capsys):
-    path = _write_demo(tmp_path)
-    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "instance" in out and "00_map" in out
-    assert "lines_45deg" in out and "three_lines_plane" in out
 
 
 def test_cli_verify_prints_pass_lines(tmp_path, capsys):
@@ -392,6 +384,47 @@ def test_cli_verify_prints_pass_lines(tmp_path, capsys):
     assert len(pass_lines) == 15, f"expected 14 audits plus 1 extra check: {out}"
     assert "PASS three_lines_plane/product_fixed_line:" in out
     assert "FAIL" not in out
+
+
+def _wrong_line_and_custom_family(obj):
+    obj["instances"]["items"][1]["product_fixed_line"] = [1.0, 0.0]
+    obj["methods"].append({"method": "cim", "operator_set": "custom", "operators": [
+        {"kind": "orthogonal", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        {"kind": "reflector", "subspace": {"span": [[1.0, 1.0]]}}]})
+
+
+@pytest.mark.parametrize("mutate, expected_code", [(None, 0),
+                                                   (_wrong_line_and_custom_family, 1)],
+                         ids=["demo", "failing"])
+def test_cli_verify_prints_the_verdicts_that_report_json_records(tmp_path, capsys,
+                                                                 mutate, expected_code):
+    """One line per method and per extra check, each with the status that
+    report.json records for that (instance, label): PASS or FAIL from
+    ``rate.all_satisfied`` or ``extra_checks[].passed``, SKIP when ``rate``
+    is null."""
+    path = _write_demo(tmp_path, mutate)
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    expected = {}
+    for instance in payload["instances"]:
+        for method in instance["methods"]:
+            rate = method["rate"]
+            status = "SKIP" if rate is None else ("PASS" if rate["all_satisfied"] else "FAIL")
+            expected[instance["label"], method["label"]] = status
+        for check in instance["extra_checks"]:
+            expected[instance["label"], check["name"]] = "PASS" if check["passed"] else "FAIL"
+    printed = {}
+    for line in lines[:-1]:
+        status, rest = line.split(" ", 1)
+        printed[tuple(rest.split(": ", 1)[0].split("/", 1))] = status
+    assert len(lines) - 1 == len(printed) == len(expected)
+    assert printed == expected
+    assert lines[-1] == f"all bounds hold: {payload['all_ok']}"
+    assert code == expected_code == (0 if payload["all_ok"] else 1)
+    if mutate is not None:
+        statuses = sorted(set(printed.values()))
+        assert statuses == ["FAIL", "PASS", "SKIP"], statuses
 
 
 def test_cli_verify_flags_wrong_fixed_line(tmp_path, capsys):
@@ -448,7 +481,7 @@ def test_cli_rejects_a_non_finite_config_number(tmp_path, capsys, mutate, key, v
     """json reads NaN and Infinity; a config number must still be finite."""
     path = _write_demo(tmp_path, lambda obj: mutate(obj, value))
     assert ("NaN" if value != value else "Infinity") in path.read_text()
-    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert f"config error: {path}{key}: expected a finite number, got {value!r}" in captured.err
@@ -479,7 +512,7 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, mutate, key):
     config problem at its key, found before any instance is drawn."""
     path = _write_demo(tmp_path, mutate and (lambda obj: mutate(obj, -1)))
     override = ["--seed", "-1"] if mutate is None else []
-    code = cli.main(["run", str(path), "--out", str(tmp_path / "out"), *override])
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "out"), *override])
     captured = capsys.readouterr()
     assert code == 2
     source = "" if mutate is None else str(path)
@@ -494,7 +527,7 @@ _BAD_OPERATORS = {
 
 
 @pytest.mark.parametrize("operator", list(_BAD_OPERATORS.values()), ids=list(_BAD_OPERATORS))
-@pytest.mark.parametrize("verb", ["run", "rates"])
+@pytest.mark.parametrize("verb", ["verify", "rates"])
 def test_cli_rejects_a_bad_custom_operator(tmp_path, capsys, verb, operator):
     """A custom operator is loaded with the config, before any method runs."""
     def mutate(obj):
@@ -524,7 +557,7 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
         del obj["methods"]
 
     path = _write_demo(tmp_path, mutate)
-    code = cli.main(["run", str(path)])
+    code = cli.main(["verify", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert "config error:" in captured.err
@@ -533,7 +566,7 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
 def test_cli_invalid_json_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json\n")
-    code = cli.main(["run", str(path)])
+    code = cli.main(["verify", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert "invalid JSON" in captured.err
@@ -551,7 +584,7 @@ def test_cli_rates_stdout_and_dump(tmp_path, capsys):
     assert len(rows) == 14
 
 
-@pytest.mark.parametrize("verb", ["run", "rates"])
+@pytest.mark.parametrize("verb", ["verify", "rates"])
 def test_cli_unwritable_out_is_a_runtime_error(tmp_path, capsys, verb):
     """An --out under a regular file cannot be created: exit 1 with an
     error line, not a traceback."""
@@ -567,8 +600,8 @@ def test_cli_unwritable_out_is_a_runtime_error(tmp_path, capsys, verb):
 
 def test_cli_seed_override_changes_start(tmp_path, capsys):
     path = _write_demo(tmp_path)
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "b"),
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "b"),
                      "--seed", "999"]) == 0
     capsys.readouterr()
     base = json.loads((tmp_path / "a" / "report.json").read_text())
@@ -580,7 +613,7 @@ def test_cli_seed_override_changes_start(tmp_path, capsys):
 
 def test_cli_max_iters_override(tmp_path, capsys):
     path = _write_demo(tmp_path)
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "short"),
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "short"),
                      "--max-iters", "3"]) == 0
     capsys.readouterr()
     payload = json.loads((tmp_path / "short" / "report.json").read_text())
@@ -593,7 +626,7 @@ def test_cli_max_iters_override(tmp_path, capsys):
 
 def test_cli_format_json_writes_single_artifact(tmp_path, capsys):
     path = _write_demo(tmp_path)
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "jout"),
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "jout"),
                      "--format", "json"]) == 0
     capsys.readouterr()
     assert {p.name for p in (tmp_path / "jout").iterdir()} == {"report.json"}

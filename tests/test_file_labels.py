@@ -1,6 +1,7 @@
 """Instance and method labels name artifact files, so a config whose label
-holds a path separator or NUL is a config error, raised before any method
-runs or any file is written."""
+holds a path separator or NUL, or whose labels would give two runs one file
+name, is a config error, raised before any method runs or any file is
+written."""
 
 import json
 
@@ -49,6 +50,43 @@ def test_the_cli_exits_two_and_writes_nothing(tmp_path, capsys, where):
     path = work / "config.json"
     path.write_text(json.dumps(obj))
     out = work / "out"
-    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    assert cli.main(["verify", str(path), "--out", str(out)]) == 2
     assert "may not contain" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]
+
+
+def test_a_method_label_that_repeats_a_default_label_is_a_config_error():
+    obj = demo_config()
+    obj["methods"] = [{"method": "map"}, {"method": "dr", "label": "00_map"}]
+    with pytest.raises(ConfigError, match=r"^config\.methods\[1\]\.label: labels must be "
+                                          r"unique, '00_map' is also the label of methods\[0\]$"):
+        parse_config(obj)
+
+
+def test_labels_that_join_to_one_file_stem_are_a_config_error():
+    obj = demo_config()
+    items = obj["instances"]["items"]
+    items[0]["label"], items[1]["label"] = "a", "a__b"
+    obj["methods"] = [{"method": "map", "label": "c"}, {"method": "dr", "label": "b__c"}]
+    with pytest.raises(ConfigError, match=r"^config\.instances\.items\[1\]\.label: artifact "
+                                          r"file stems must be unique, 'a__b__c' is also a stem "
+                                          r"of instances\.items\[0\]$"):
+        parse_config(obj)
+
+
+@pytest.mark.parametrize("where", ["method", "stem"])
+def test_the_cli_exits_two_on_colliding_file_names_and_writes_nothing(tmp_path, capsys, where):
+    obj = demo_config()
+    if where == "method":
+        obj["methods"].append({"method": "dr", "label": "00_map"})
+    else:
+        items = obj["instances"]["items"]
+        items[0]["label"], items[1]["label"] = "a", "a__b"
+        obj["methods"] = [{"method": "map", "label": "c"}, {"method": "dr", "label": "b__c"}]
+    work = tmp_path / "work"
+    work.mkdir()
+    path = work / "config.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify", str(path), "--out", str(work / "out")]) == 2
+    assert "must be unique" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]

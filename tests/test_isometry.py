@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from circumproj import (
     AffineIsometry,
     AffineMap,
-    AveragedSpec,
     AffineSubspace,
     MethodConfig,
     accelerated_apply,
@@ -114,19 +113,9 @@ def test_fixed_space_of_reflector_product_decomposes(seed):
     )
 
 
-def test_averaged_spec_validation():
-    with pytest.raises(ValueError):
-        AveragedSpec(weights=(0.5, 0.6), alphas=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        AveragedSpec(weights=(1.0,), alphas=(1.5,))
-    spec = AveragedSpec.uniform(4)
-    assert len(spec.weights) == 4
-    assert abs(sum(spec.weights) - 1.0) < 1e-12
-
-
 def test_build_sum_averaged_frozen_45_degrees():
     ops = reflectors_of([LINE_X, LINE_DIAG])
-    avg = build_sum_averaged(AveragedSpec.uniform(2), ops)
+    avg = build_sum_averaged(ops)
     assert np.allclose(avg.A, [[0.75, 0.25], [0.25, 0.25]], atol=1e-12)
     assert abs(avg.averagedness - 0.5) < 1e-12
     fixed = fixed_point_set(avg)
@@ -139,7 +128,7 @@ def test_build_product_averaged_frozen_45_degrees():
     # which is [[0.75, -0.25], [0.25, 0.25]], and their mean is the matrix
     # below.
     ops = reflectors_of([LINE_X, LINE_DIAG])
-    avg = build_product_averaged(AveragedSpec.uniform(2), ops)
+    avg = build_product_averaged(ops)
     assert np.allclose(avg.A, [[0.875, -0.125], [0.125, 0.125]], atol=1e-12)
     fixed = fixed_point_set(avg)
     assert fixed.dim == 0
@@ -152,7 +141,7 @@ def test_averaged_builders_fix_exactly_the_common_fixed_space(seed):
     ops = reflectors_of(family)
     common = intersect(family).subspace
     for builder in (build_sum_averaged, build_product_averaged):
-        avg = builder(AveragedSpec.uniform(len(ops)), ops)
+        avg = builder(ops)
         fixed = fixed_point_set(avg)
         assert fixed is not None
         assert np.allclose(fixed.projector_matrix(), common.projector_matrix(),

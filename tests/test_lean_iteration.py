@@ -146,10 +146,18 @@ def test_the_step_returns_the_circumcenter_bit_for_bit(name, seed):
 @pytest.mark.parametrize("name", ["psi", "identity_plus_reflectors",
                                   "identity_plus_prefix_products"])
 def test_a_rejected_step_reports_the_spread_and_residual_of_circumcenter(name):
+    """A rejected step raises with the spread and residual of its own one
+    solve, the bits that ``circumcenter`` of the same images reports."""
     x0, families = _iterate_long_families(2)
     family = families[name]
     # the package binds the name circumcenter to the function
     module = importlib.import_module("circumproj.circumcenter")
+    solve, solves = module._solve, []
+
+    def spy(points):
+        solves.append(points)
+        return solve(points)
+
     x, rejected = x0, 0
     for _ in range(50):
         with pytest.MonkeyPatch.context() as strict:
@@ -158,8 +166,11 @@ def test_a_rejected_step_reports_the_spread_and_residual_of_circumcenter(name):
             if result.center is not None:
                 assert _bits(circumcenter_map(family, x)) == _bits(result.center)
             else:
+                strict.setattr(module, "_solve", spy)
+                solves.clear()
                 with pytest.raises(NumericalPropernessError) as info:
                     circumcenter_map(family, x)
+                assert len(solves) == 1
                 assert _bits(info.value.spread) == _bits(result.equidistance_spread)
                 assert _bits(info.value.residual) == _bits(result.equidistance_residual)
                 rejected += 1
@@ -199,11 +210,11 @@ def _audits():
     falling = _trace([1.0, 0.5, 0.25, 1e-300, 0.0, 0.0])
     return [
         audit_bound(trace, 0.93),
-        audit_bound(trace, 0.71, scale_mode="prefixed", prefactor=1.7),
+        audit_bound(trace, 0.71, prefactor=1.7),
         audit_bound(falling, 0.0),
         audit_bound(falling, 0.5),
         audit_bound(_trace([0.0, 0.0, 0.0]), 0.9),
-        audit_bound(_trace([0.0, 0.0]), 0.5, scale_mode="prefixed", prefactor=0.0),
+        audit_bound(_trace([0.0, 0.0]), 0.5, prefactor=0.0),
         audit_bound(_trace([3.0, 4.0, 2.0]), 0.5),
     ]
 

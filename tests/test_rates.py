@@ -164,8 +164,7 @@ def test_audit_bound_all_zero_trace():
 def test_audit_bound_prefixed_scale():
     # error origin is 2, prefactor 0.25, rate 0.5: bounds 0.5, 0.25, 0.125
     trace = _toy_trace([0.4, 0.2, 0.1], x0=[2.0, 0.0], target=[0.0, 0.0])
-    report = audit_bound(trace, 0.5, scale_mode="prefixed", prefactor=0.25,
-                         constant_name="prefixed_rate")
+    report = audit_bound(trace, 0.5, prefactor=0.25, constant_name="prefixed_rate")
     assert report.all_satisfied
     bounds = [row[2] for row in report.per_iteration]
     assert np.allclose(bounds, [0.5, 0.25, 0.125], atol=1e-12)
@@ -175,17 +174,15 @@ def test_audit_bound_prefixed_scale():
 def test_audit_bound_validates_inputs():
     with pytest.raises(ValueError):
         audit_bound(_toy_trace([1.0, 0.5]), -0.1)
-    with pytest.raises(ValueError):
-        audit_bound(_toy_trace([1.0, 0.5]), 0.5, scale_mode="prefixed")
 
 
-@pytest.mark.parametrize("scale_mode, prefactor", [("plain", None), ("prefixed", 0.9)])
-def test_audit_bound_writes_a_numpy_scalar_rate_as_its_float(scale_mode, prefactor):
+@pytest.mark.parametrize("prefactor", [None, 0.9], ids=["plain-None", "prefixed-0.9"])
+def test_audit_bound_writes_a_numpy_scalar_rate_as_its_float(prefactor):
     """A numpy scalar rate or prefactor gives the bytes of the Python float,
     not ``np.float64(...)`` reprs in the bound and slack columns."""
     trace = run_map([LINE_X, LINE_DIAG], np.array([0.3, 0.9]), MethodConfig("map", max_iters=6))
     reports = [
-        audit_bound(trace, to_scalar(0.7), scale_mode=scale_mode,
+        audit_bound(trace, to_scalar(0.7),
                     prefactor=None if prefactor is None else to_scalar(prefactor))
         for to_scalar in (float, np.float64)
     ]

@@ -15,7 +15,6 @@ import pytest
 
 from circumproj import bench, isometry, methods
 from circumproj import (
-    AveragedSpec,
     OperatorSet,
     MethodConfig,
     accel_constants,
@@ -116,7 +115,7 @@ def _direct_cim_psi_prefixed(subspaces, x0):
 def _direct_cim_identity_plus_reflectors(subspaces, x0):
     reflectors = _family(subspaces, False)
     operator_set = OperatorSet([identity(4)] + reflectors)
-    avg = build_sum_averaged(AveragedSpec.uniform(len(reflectors)), reflectors)
+    avg = build_sum_averaged(reflectors)
     rate = operator_rate(avg, operator_set.common_fixed)
     return _cim(operator_set, x0), rate, {"operator_rate": rate}
 
@@ -127,7 +126,7 @@ def _direct_cim_identity_plus_prefix_products(subspaces, x0):
     for reflector in reflectors:
         ops.append(compose(reflector, ops[-1]))
     operator_set = OperatorSet(ops)
-    avg = build_product_averaged(AveragedSpec.uniform(len(reflectors)), reflectors)
+    avg = build_product_averaged(reflectors)
     rate = operator_rate(avg, operator_set.common_fixed)
     return _cim(operator_set, x0), rate, {"operator_rate": rate}
 
@@ -163,7 +162,7 @@ def _direct_dr(subspaces, x0):
 def _direct_averaged(builder):
     def direct(subspaces, x0):
         reflectors = _family(subspaces, False)
-        op = builder(AveragedSpec.uniform(len(reflectors)), reflectors)
+        op = builder(reflectors)
         fixed, target = _fixed_target(op, x0)
         rate = operator_rate(op, fixed)
         return _iterate(op.apply, x0, target), rate, {"operator_rate": rate}
