@@ -171,11 +171,13 @@ def _as_number(value, path: str) -> float:
     return number
 
 
-def _parse_x0(obj, path: str) -> X0Spec:
+def _parse_x0(obj, path: str, ambient_dim: int) -> X0Spec:
     mapping = _expect_mapping(obj, path, ("kind", "point", "seed"))
     kind = _get(mapping, "kind", path)
     if kind == "explicit":
         point = _expect_list(_get(mapping, "point", path), f"{path}.point")
+        if len(point) != ambient_dim:
+            raise ConfigError(f"{path}.point: expected {ambient_dim} entries, got {len(point)}")
         return X0Spec(kind="explicit",
                       point=tuple(_as_number(v, f"{path}.point[{i}]") for i, v in enumerate(point)))
     if kind == "random_unit":
@@ -195,27 +197,35 @@ def _require_file_name(label: Optional[str], path: str) -> None:
         raise ConfigError(f"{path}.label: {label!r} may not contain '/', '\\' or NUL")
 
 
-def _parse_method(obj, index: int, ambient_dim: int) -> MethodSpec:
-    path = f"methods[{index}]"
-    mapping = _expect_mapping(obj, path, METHOD_KEYS)
-    method = _get(mapping, "method", path)
+def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
+    """A methods entry, whose keys are checked against the ``_RECIPES`` row
+    that its tag and variant name, so a key that row does not read is an
+    error at that key."""
+    path = f"{source}.methods[{index}]"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
+    method = _get(obj, "method", path)
     if method not in METHOD_TAGS:
         raise ConfigError(f"{path}.method: unknown tag {method!r}, expected one of {METHOD_TAGS}")
-    operator_set = _choice(mapping, "operator_set", "psi", OPERATOR_SET_RECIPES, path)
+    variant_key = _VARIANT_KEYS.get(method)
+    variant = None
+    if variant_key is not None:
+        variants = tuple(v for m, v in _RECIPES if m == method)
+        variant = _choice(obj, variant_key, getattr(MethodSpec, variant_key), variants, path)
+    chosen = {} if variant_key is None else {variant_key: variant}
+    mapping = _expect_mapping(obj, path, ("method", "label", "max_iters", *chosen,
+                                          *_RECIPES[method, variant][1]))
     prefix = _choice(mapping, "prefix", "none", PREFIX_KINDS, path)
-    builder = _choice(mapping, "builder", "sum", BUILDER_KINDS, path)
     symmetrized = mapping.get("symmetrized", False)
     if not isinstance(symmetrized, bool):
         raise ConfigError(f"{path}.symmetrized: expected a boolean")
-    if prefix == "sym_map_product" and not (method == "cim" and symmetrized and operator_set == "psi"):
+    if prefix == "sym_map_product" and not symmetrized:
         raise ConfigError(
             f"{path}.prefix: 'sym_map_product' requires method 'cim' with "
             "operator_set 'psi' and symmetrized true"
         )
-    if method == "averaged_iter" and operator_set == "custom":
-        raise ConfigError(f"{path}.operator_set: 'custom' is not valid for averaged_iter")
-    operators = mapping.get("operators")
-    if operator_set == "custom":
+    operators = None
+    if variant == "custom":
         operators = tuple(_expect_list(_get(mapping, "operators", path), f"{path}.operators"))
         for j, literal in enumerate(operators):
             try:
@@ -225,24 +235,17 @@ def _parse_method(obj, index: int, ambient_dim: int) -> MethodSpec:
             if op.ambient_dim != ambient_dim:
                 raise ConfigError(f"{path}.operators[{j}]: acts on R^{op.ambient_dim}, "
                                   f"expected ambient_dim {ambient_dim}")
-    elif operators is not None:
-        raise ConfigError(f"{path}.operators: only allowed with operator_set 'custom'")
     label = mapping.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ConfigError(f"{path}.label: expected a string")
+    if label is not None and (not isinstance(label, str) or not label):
+        raise ConfigError(f"{path}.label: expected a nonempty string")
     _require_file_name(label, path)
     max_iters = mapping.get("max_iters")
     if max_iters is not None:
         max_iters = _as_int(max_iters, f"{path}.max_iters")
         if max_iters < 0:
             raise ConfigError(f"{path}.max_iters: must be nonnegative")
-    spec = MethodSpec(method=method, operator_set=operator_set, symmetrized=symmetrized,
-                      prefix=prefix, builder=builder, operators=operators,
-                      label=label, max_iters=max_iters)
-    variant_key = (_VARIANT_KEYS[method],) if method in _VARIANT_KEYS else ()
-    _expect_mapping(mapping, path, ("method", "label", "max_iters", *variant_key,
-                                    *_RECIPES[method, _variant(spec)][1]))
-    return spec
+    return MethodSpec(method=method, symmetrized=symmetrized, prefix=prefix,
+                      operators=operators, label=label, max_iters=max_iters, **chosen)
 
 
 def parse_config(obj, source: str = "config") -> ExperimentConfig:
@@ -265,11 +268,13 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     stop_tol = _as_number(root.get("stop_tol", 0.0), f"{source}.stop_tol")
     if stop_tol < 0:
         raise ConfigError(f"{source}.stop_tol: must be nonnegative")
-    x0 = _parse_x0(root.get("x0", {"kind": "random_unit", "seed": seed}), f"{source}.x0")
-
     instances = _expect_mapping(_get(root, "instances", source), f"{source}.instances",
                                 ("kind", "items", "count", "num_subspaces", "dim_range", "seed"))
     kind = _get(instances, "kind", f"{source}.instances")
+    raw_x0 = root.get("x0", {"kind": "random_unit", "seed": seed})
+    if kind == "random" and isinstance(raw_x0, dict) and raw_x0.get("kind") == "explicit":
+        raise ConfigError(f"{source}.x0: random instances draw their own start points")
+    x0 = _parse_x0(raw_x0, f"{source}.x0", ambient_dim)
     explicit_items = None
     random_instances = None
     if kind == "explicit":
@@ -288,7 +293,16 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             subs = _expect_list(_get(mapping, "subspaces", path), f"{path}.subspaces")
             if not subs:
                 raise ConfigError(f"{path}.subspaces: must be nonempty")
-            item_x0 = _parse_x0(mapping["x0"], f"{path}.x0") if "x0" in mapping else None
+            for j, literal in enumerate(subs):
+                try:
+                    sub = subspace_from_literal(literal)
+                except (TypeError, ValueError) as err:
+                    raise ConfigError(f"{path}.subspaces[{j}]: {err}") from None
+                if sub.ambient_dim != ambient_dim:
+                    raise ConfigError(f"{path}.subspaces[{j}]: dimension {sub.ambient_dim} "
+                                      f"does not match ambient_dim {ambient_dim}")
+            item_x0 = (_parse_x0(mapping["x0"], f"{path}.x0", ambient_dim)
+                       if "x0" in mapping else None)
             fixed_line = mapping.get("product_fixed_line")
             if fixed_line is not None:
                 line_path = f"{path}.product_fixed_line"
@@ -306,8 +320,6 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{source}.instances.items: labels must be unique")
         explicit_items = tuple(items)
     elif kind == "random":
-        if x0.kind == "explicit":
-            raise ConfigError(f"{source}.x0: random instances draw their own start points")
         path = f"{source}.instances"
         count = _as_int(_get(instances, "count", path), f"{path}.count")
         num_subspaces = _as_int(_get(instances, "num_subspaces", path), f"{path}.num_subspaces")
@@ -331,7 +343,13 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     raw_methods = _expect_list(_get(root, "methods", source), f"{source}.methods")
     if not raw_methods:
         raise ConfigError(f"{source}.methods: must be nonempty")
-    methods = tuple(_parse_method(m, i, ambient_dim) for i, m in enumerate(raw_methods))
+    methods = tuple(_parse_method(m, i, ambient_dim, source) for i, m in enumerate(raw_methods))
+    fewest = (random_instances.num_subspaces if explicit_items is None
+              else min(len(item.subspace_literals) for item in explicit_items))
+    for i, spec in enumerate(methods):
+        if spec.method == "dr" and fewest < 2:
+            raise ConfigError(f"{source}.methods[{i}]: method 'dr' needs at least two "
+                              f"subspaces, an instance has {fewest}")
     _require_unique_file_names(methods, explicit_items, source)
 
     out_dir = root.get("out_dir")
@@ -507,8 +525,6 @@ def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
 
 def _plan_dr(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    if len(ctx.subspaces) < 2:
-        raise ConfigError("method 'dr' needs at least two subspaces")
     op = dr_operator(ctx.subspaces[0], ctx.subspaces[1])
     # Fix(op) = (U ∩ V) ⊕ (U⊥ ∩ V⊥), not the intersection; the singular
     # values of A - I are of order theta here, so A - I decides it well.
@@ -578,11 +594,6 @@ _RECIPES = {
     ("averaged_iter", "sum"): (_plan_averaged_iter, ()),
     ("averaged_iter", "product"): (_plan_averaged_iter, ()),
 }
-
-OPERATOR_SET_RECIPES = tuple(variant for method, variant in _RECIPES if method == "cim")
-BUILDER_KINDS = tuple(variant for method, variant in _RECIPES if method == "averaged_iter")
-METHOD_KEYS = tuple(dict.fromkeys(("method", "label", "max_iters", *_VARIANT_KEYS.values(),
-                                   *(key for _, keys in _RECIPES.values() for key in keys))))
 
 
 def _variant(spec: MethodSpec) -> Optional[str]:
@@ -702,12 +713,7 @@ def _environment_stamp(config: ExperimentConfig) -> dict:
 
 def _resolve_x0(spec: X0Spec, ambient_dim: int, instance_index: int) -> np.ndarray:
     if spec.kind == "explicit":
-        x0 = as_vector(list(spec.point))
-        if x0.shape[0] != ambient_dim:
-            raise ConfigError(
-                f"x0 has dimension {x0.shape[0]}, instances live in R^{ambient_dim}"
-            )
-        return x0
+        return as_vector(list(spec.point))
     rng = np.random.default_rng((spec.seed, instance_index))
     raw = rng.standard_normal(ambient_dim)
     return raw / float(np.linalg.norm(raw))
@@ -718,20 +724,7 @@ def _resolve_instances(config: ExperimentConfig):
     resolved = []
     if config.explicit_items is not None:
         for i, item in enumerate(config.explicit_items):
-            subspaces = []
-            for j, literal in enumerate(item.subspace_literals):
-                try:
-                    s = subspace_from_literal(literal)
-                except ValueError as err:
-                    raise ConfigError(
-                        f"instances.items[{i}].subspaces[{j}]: {err}"
-                    ) from None
-                if s.ambient_dim != config.ambient_dim:
-                    raise ConfigError(
-                        f"instances.items[{i}].subspaces[{j}]: dimension "
-                        f"{s.ambient_dim} does not match ambient_dim {config.ambient_dim}"
-                    )
-                subspaces.append(s)
+            subspaces = [subspace_from_literal(literal) for literal in item.subspace_literals]
             x0 = _resolve_x0(item.x0 or config.x0, config.ambient_dim, i)
             resolved.append((item.label, subspaces, x0, intersect(subspaces),
                              item.product_fixed_line))

@@ -22,7 +22,6 @@ from .numerics import (
     as_matrix,
     as_vector,
     solution_set,
-    spectral_norm,
     sym_eigen_extremes,
 )
 from .subspace import AffineSubspace, subspace_from_literal
@@ -38,8 +37,6 @@ __all__ = [
     "fixed_point_set",
     "build_sum_averaged",
     "build_product_averaged",
-    "accelerated_apply",
-    "is_self_adjoint",
     "operator_from_literal",
 ]
 
@@ -82,9 +79,6 @@ class AffineIsometry:
         x = as_vector(x)
         return self.Q @ x + self.b
 
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
-
     def is_linear(self) -> bool:
         return _zero_offset(self)
 
@@ -97,9 +91,9 @@ class AffineMap:
     as their certificate; hand-built maps carry None there.
 
     ``A`` is a read-only view of the array passed in, not a copy, so the
-    spectral data of A (its norm, its symmetric eigenvalue extremes and its
-    rates off fixed subspaces) is computed once per operator and cached on
-    it as scalars. Changing the passed array afterwards is unsupported.
+    spectral data of A (its symmetric eigenvalue extremes and its rates off
+    fixed subspaces) is computed once per operator and cached on it as
+    scalars. Changing the passed array afterwards is unsupported.
     """
 
     A: np.ndarray
@@ -132,9 +126,6 @@ class AffineMap:
     def apply(self, x) -> np.ndarray:
         x = as_vector(x)
         return self.A @ x + self.b
-
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
 
 
 AffineOperator = Union[AffineIsometry, AffineMap]
@@ -271,24 +262,19 @@ def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
 _ACCEL_STATIONARY_FLOOR = 1e-13
 
 
-def accelerated_apply(op: AffineMap, x) -> np.ndarray:
-    """One step of the line-search acceleration of a nonexpansive map.
+def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step of the line-search acceleration of the linear map T = A.
 
     Moves from x to t * T x + (1 - t) * x with
     t = <x, x - Tx> / ||x - Tx||^2, which is the projection of the limit
-    point onto the line through x and T x. Requires a linear nonexpansive
-    map. Once the residual x - Tx is dominated by rounding noise in the
-    subtraction, the step length is meaningless and could throw the iterate
-    an O(||x||) distance away, so x is returned unchanged below a floor a
-    few orders above machine epsilon.
+    point onto the line through x and T x. The caller has checked once that
+    T is linear, self-adjoint and nonexpansive. Once the residual x - Tx is
+    dominated by rounding noise in the subtraction, the step length is
+    meaningless and could throw the iterate an O(||x||) distance away, so x
+    is returned unchanged while ||x - Tx|| is at most
+    ``_ACCEL_STATIONARY_FLOOR`` * (1 + ||x||), a floor a few orders above
+    machine epsilon.
     """
-    x = as_vector(x)
-    _require_nonexpansive(op)
-    return _accelerated_step(op.A, x)
-
-
-def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The step of :func:`accelerated_apply`, for callers that check once."""
     image = A @ x
     direction = x - image
     if _norm(direction) <= _ACCEL_STATIONARY_FLOOR * (1.0 + _norm(x)):
@@ -297,7 +283,7 @@ def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return t * image + (1.0 - t) * x
 
 
-def is_self_adjoint(op: AffineOperator) -> bool:
+def _is_self_adjoint(op: AffineOperator) -> bool:
     M = _linear_part(op)
     return float(np.max(np.abs(M - M.T))) <= EQ_TOL * (1.0 + float(np.max(np.abs(M))))
 
@@ -308,22 +294,18 @@ def _sym_extremes(op: AffineMap) -> tuple[float, float]:
     return op._spectral_datum("sym_extremes", lambda: sym_eigen_extremes(op.A))
 
 
-def _require_nonexpansive(op: AffineMap, self_adjoint: bool = False) -> None:
-    """Raise ValueError unless op is linear, nonexpansive and, if asked, self-adjoint.
+def _require_nonexpansive(op: AffineMap) -> None:
+    """Raise ValueError unless op is linear, self-adjoint and nonexpansive.
 
     The norm of a self-adjoint operator is max(-lambda_min, lambda_max), read
-    from :func:`_sym_extremes`; any other takes its spectral norm. Either is
-    computed once per operator.
+    from :func:`_sym_extremes`, which is computed once per operator.
     """
     if not _zero_offset(op):
         raise ValueError("expected a linear operator")
-    if self_adjoint:
-        if not is_self_adjoint(op):
-            raise ValueError("expected a self-adjoint operator")
-        eig_min, eig_max = _sym_extremes(op)
-        norm = max(-eig_min, eig_max)
-    else:
-        norm = op._spectral_datum("norm", lambda: spectral_norm(op.A))
+    if not _is_self_adjoint(op):
+        raise ValueError("expected a self-adjoint operator")
+    eig_min, eig_max = _sym_extremes(op)
+    norm = max(-eig_min, eig_max)
     if norm > 1.0 + EQ_TOL:
         raise ValueError(f"expected a nonexpansive operator, norm {norm:.12f}")
 

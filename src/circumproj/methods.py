@@ -7,7 +7,6 @@ relevant fixed set, also when a prefix operator was applied to the start.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -133,9 +132,6 @@ class IterationTrace:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
            config: MethodConfig, target: np.ndarray) -> IterationTrace:
@@ -205,11 +201,11 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
                fixed: Optional[AffineSubspace] = None) -> IterationTrace:
     """Iterate a linear operator toward the projection onto its fixed set.
 
-    ``config.method`` picks the step, the acceleration step of
-    :func:`accelerated_apply` for ``accel_map`` and the operator itself
-    otherwise, and the checks, made once per run: ``sym_map`` and
-    ``accel_map`` need a self-adjoint nonexpansive operator,
-    ``averaged_iter`` the averaged builders' certificate, all a fixed point.
+    ``config.method`` picks the step, the line-search acceleration step
+    for ``accel_map`` and the operator itself otherwise, and the checks,
+    made once per run: ``sym_map`` and ``accel_map`` need a self-adjoint
+    nonexpansive operator, ``averaged_iter`` the averaged builders'
+    certificate, all a fixed point.
     ``fixed`` is the operator's fixed set when the caller already has it.
     For ``dr`` that set strictly contains the intersection whenever the two
     orthogonal complements meet nontrivially. The fallback,
@@ -219,7 +215,7 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
         raise ValueError(f"run_linear iterates {LINEAR_METHODS}, not {config.method!r}")
     x0 = as_vector(x0)
     if config.method in ("sym_map", "accel_map"):
-        _require_nonexpansive(op, self_adjoint=True)
+        _require_nonexpansive(op)
     elif config.method == "averaged_iter" and op.averagedness is None:
         raise ValueError("operator carries no averagedness certificate; "
                          "use build_sum_averaged or build_product_averaged")

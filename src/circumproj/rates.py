@@ -7,7 +7,6 @@ the pre-prefix error for prefixed runs) and reports per-iteration slack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,9 +74,6 @@ class RateReport:
                 for k, o, b, s in self.per_iteration
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def _require_linear(subspaces: Sequence[AffineSubspace]) -> None:
@@ -174,7 +170,7 @@ def accel_constants(op: AffineMap,
     basis is then the identity. ``fixed`` may pass the operator's fixed set;
     the fallback, ``fixed_point_set``, is ill-conditioned at small angles.
     """
-    _require_nonexpansive(op, self_adjoint=True)
+    _require_nonexpansive(op)
     eig_min, eig_max = _sym_extremes(op)
     if eig_min < -EQ_TOL:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")

@@ -99,10 +99,6 @@ class AffineSubspace:
         anchor = as_vector(anchor)
         return cls(anchor, np.zeros((0, anchor.shape[0])))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "AffineSubspace":
-        return cls(np.zeros(ambient_dim), np.eye(ambient_dim))
-
     def _check_dim(self, x: np.ndarray) -> None:
         if x.shape[0] != self.ambient_dim:
             raise ValueError(
@@ -121,11 +117,6 @@ class AffineSubspace:
 
     def _project(self, x: np.ndarray) -> np.ndarray:  # x: finite, of this dimension
         return self.anchor + self.basis.T @ (self.basis @ (x - self.anchor))
-
-    def reflect(self, x) -> np.ndarray:
-        """Reflection through the subspace, 2 * project(x) - x."""
-        x = as_vector(x)
-        return 2.0 * self.project(x) - x
 
     def contains(self, x) -> bool:
         """Membership up to CONSISTENCY_TOL relative to ||x||."""
@@ -147,6 +138,9 @@ class AffineSubspace:
         return AffineSubspace(np.zeros(self.ambient_dim), comp)
 
     def translate(self, z) -> "AffineSubspace":
+        """The subspace shifted by z. No caller yet: it is kept for running an
+        affine instance as a linear one, translated through a common point
+        (see ROADMAP.md)."""
         return AffineSubspace(self.anchor + as_vector(z), self.basis)
 
 

@@ -30,6 +30,12 @@ def demo_config() -> dict:
     return json.loads(DEMO_CONFIG.read_text())
 
 
+def json_text(record) -> str:
+    """A trace's or a rate report's JSON record as sorted-key text, for
+    byte-for-byte comparisons."""
+    return json.dumps(record.to_json_obj(), sort_keys=True)
+
+
 def random_linear_subspace(rng: np.random.Generator, ambient_dim: int,
                            dim: int) -> AffineSubspace:
     return AffineSubspace.linear(rng.standard_normal((dim, ambient_dim)))

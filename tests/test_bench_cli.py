@@ -90,27 +90,15 @@ def test_parse_config_prefix_needs_symmetrized_psi():
         parse_config(obj)
 
 
-def test_parse_config_rejects_custom_operators_for_averaged_iter():
-    obj = demo_config()
-    obj["methods"] = [{"method": "averaged_iter", "operator_set": "custom",
-                       "operators": []}]
-    with pytest.raises(ConfigError, match="not valid for averaged_iter"):
-        parse_config(obj)
-
-
-def test_parse_config_rejects_operators_outside_custom():
-    obj = demo_config()
-    obj["methods"] = [{"method": "cim", "operators": [{"kind": "identity"}]}]
-    with pytest.raises(ConfigError, match="only allowed with operator_set 'custom'"):
-        parse_config(obj)
-
-
 @pytest.mark.parametrize("entry, key", [
     ({"method": "map", "builder": "product"}, "builder"),
     ({"method": "cim", "operator_set": "custom", "operators": [], "symmetrized": True},
      "symmetrized"),
     ({"method": "sym_map", "prefix": "none"}, "prefix"),
-], ids=["map_builder", "custom_symmetrized", "sym_map_prefix"])
+    ({"method": "averaged_iter", "operator_set": "custom", "operators": []}, "operator_set"),
+    ({"method": "cim", "operators": [{"kind": "identity"}]}, "operators"),
+], ids=["map_builder", "custom_symmetrized", "sym_map_prefix", "averaged_iter_custom",
+        "psi_operators"])
 def test_parse_config_rejects_keys_the_recipe_does_not_read(entry, key):
     obj = demo_config()
     obj["methods"] = [entry]
@@ -538,7 +526,61 @@ def test_cli_rejects_a_bad_custom_operator(tmp_path, capsys, verb, operator):
     code = cli.main([verb, str(path), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("config error: methods[1].operators[0]: ")
+    assert captured.err.startswith(f"config error: {path}.methods[1].operators[0]: ")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def _set_subspace(j, literal):
+    def mutate(obj):
+        obj["instances"]["items"][0]["subspaces"][j] = literal
+    return mutate
+
+
+def _set_top_x0_point(obj):
+    obj["x0"] = {"kind": "explicit", "point": [0.5, 0.5, 0.5]}
+
+
+def _set_item_x0_point(obj):
+    obj["instances"]["items"][1]["x0"] = {"kind": "explicit", "point": [1.0]}
+
+
+def _one_subspace_item(obj):
+    del obj["instances"]["items"][0]["subspaces"][1]
+
+
+def _one_subspace_random(obj):
+    obj["instances"] = {"kind": "random", "count": 1, "num_subspaces": 1,
+                        "dim_range": [1, 1], "seed": 3}
+    obj["methods"] = [{"method": "map"}, {"method": "dr"}]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_subspace(0, {"span": [[1.0, 0.0, 0.0]]}),
+     ".instances.items[0].subspaces[0]: dimension 3 does not match ambient_dim 2"),
+    (_set_subspace(1, {"anchor": {"x": 1.0}}), ".instances.items[0].subspaces[1]: "),
+    (_set_top_x0_point, ".x0.point: expected 2 entries, got 3"),
+    (_set_item_x0_point, ".instances.items[1].x0.point: expected 2 entries, got 1"),
+    (_one_subspace_item, ".methods[4]: method 'dr' needs at least two subspaces, "
+                         "an instance has 1"),
+    (_one_subspace_random, ".methods[1]: method 'dr' needs at least two subspaces, "
+                           "an instance has 1"),
+], ids=["subspace_dimension", "subspace_literal", "x0_length", "item_x0_length",
+        "dr_item", "dr_random"])
+@pytest.mark.parametrize("verb", ["verify", "rates"])
+def test_cli_finds_an_instance_error_at_load_and_names_the_file(tmp_path, capsys, verb,
+                                                                 mutate, message):
+    """Subspace literals, start points and the subspaces ``dr`` needs are
+    checked with the config, before any method runs, at a key path that
+    starts with the file."""
+    path = _write_demo(tmp_path, mutate)
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value).startswith(f"{path}{message}")
+    code = cli.main([verb, str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: {path}{message}")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

@@ -414,7 +414,7 @@ def test_shifted_family_images_equal_dense_products():
             product = compose(reflectors[i], product)
         dense.append(product)
     y = 2.0 * rng.standard_normal(4)
-    assert np.allclose(family.images(y), [op(y) for op in dense], rtol=0.0, atol=1e-12)
+    assert np.allclose(family.images(y), [op.apply(y) for op in dense], rtol=0.0, atol=1e-12)
 
 
 @given(st.integers(0, 10**6))

@@ -16,7 +16,7 @@ from helpers import demo_config
 def test_a_method_label_that_is_not_a_file_name_is_a_config_error(label):
     obj = demo_config()
     obj["methods"][1]["label"] = label
-    with pytest.raises(ConfigError, match=r"^methods\[1\]\.label: .* may not contain"):
+    with pytest.raises(ConfigError, match=r"^config\.methods\[1\]\.label: .* may not contain"):
         parse_config(obj)
 
 
@@ -26,6 +26,22 @@ def test_an_instance_label_that_is_not_a_file_name_is_a_config_error(label):
     obj["instances"]["items"][0]["label"] = label
     with pytest.raises(ConfigError,
                        match=r"^config\.instances\.items\[0\]\.label: .* may not contain"):
+        parse_config(obj)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_an_empty_label_is_a_config_error(index):
+    """An empty method label would name files ``<instance>__.*``, as an
+    empty instance label would name them ``__<label>.*``."""
+    obj = demo_config()
+    obj["methods"][index]["label"] = ""
+    with pytest.raises(ConfigError, match=rf"^config\.methods\[{index}\]\.label: "
+                                          "expected a nonempty string"):
+        parse_config(obj)
+    obj = demo_config()
+    obj["instances"]["items"][index]["label"] = ""
+    with pytest.raises(ConfigError, match=rf"^config\.instances\.items\[{index}\]\.label: "
+                                          "expected a nonempty string"):
         parse_config(obj)
 
 

@@ -8,7 +8,6 @@ from circumproj import (
     AffineMap,
     AffineSubspace,
     MethodConfig,
-    accelerated_apply,
     build_product_averaged,
     build_psi,
     build_sum_averaged,
@@ -16,7 +15,6 @@ from circumproj import (
     fixed_point_set,
     identity,
     intersect,
-    is_self_adjoint,
     make_orthogonal,
     make_reflector,
     make_translation,
@@ -25,6 +23,7 @@ from circumproj import (
     run_linear,
     symmetric_map_operator,
 )
+from circumproj.isometry import _is_self_adjoint
 from helpers import random_family, random_linear_subspace, reflectors_of
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
@@ -38,7 +37,7 @@ def test_make_reflector_frozen_horizontal_line():
     reflector = make_reflector(line)
     assert np.allclose(reflector.Q, np.diag([1.0, -1.0]), atol=1e-12)
     assert np.allclose(reflector.b, [0.0, 2.0], atol=1e-12)
-    assert np.allclose(reflector([3.0, 5.0]), [3.0, -3.0], atol=1e-12)
+    assert np.allclose(reflector.apply([3.0, 5.0]), [3.0, -3.0], atol=1e-12)
 
 
 def test_compose_frozen_two_axis_reflectors_give_point_reflection():
@@ -51,9 +50,9 @@ def test_compose_applies_first_argument_last():
     shift = make_translation([1.0, 0.0])
     flip = make_reflector(LINE_Y)
     # flip after shift: (0,0) -> (1,0) -> (-1,0)
-    assert np.allclose(compose(flip, shift)([0.0, 0.0]), [-1.0, 0.0])
+    assert np.allclose(compose(flip, shift).apply([0.0, 0.0]), [-1.0, 0.0])
     # shift after flip: (0,0) -> (0,0) -> (1,0)
-    assert np.allclose(compose(shift, flip)([0.0, 0.0]), [1.0, 0.0])
+    assert np.allclose(compose(shift, flip).apply([0.0, 0.0]), [1.0, 0.0])
 
 
 def test_affine_isometry_rejects_non_orthogonal_linear_part():
@@ -90,7 +89,7 @@ def test_projector_is_half_identity_plus_reflector(seed):
     sub = random_linear_subspace(rng, ambient, int(rng.integers(1, ambient)))
     reflector = make_reflector(sub)
     x = rng.standard_normal(ambient) * 2.0
-    assert np.allclose(0.5 * (x + reflector(x)), sub.project(x), atol=1e-10)
+    assert np.allclose(0.5 * (x + reflector.apply(x)), sub.project(x), atol=1e-10)
 
 
 @given(st.integers(0, 10**6))
@@ -149,32 +148,37 @@ def test_averaged_builders_fix_exactly_the_common_fixed_space(seed):
         assert np.linalg.norm(avg.A, 2) <= 1.0 + 1e-10, f"{builder.__name__} expands"
 
 
+def _accel_step(op, x):
+    """One ``accel_map`` step of ``run_linear``, behind its checks."""
+    return run_linear(op, x, MethodConfig(method="accel_map", max_iters=1)).iterates[1]
+
+
 def test_accelerated_apply_exact_after_one_product_step():
     """From a point of a single eigenline the accelerated step lands exactly."""
     op = symmetric_map_operator([LINE_X, LINE_DIAG])
     x0 = np.array([0.3, 0.9])
     y = op.A @ x0
-    landed = accelerated_apply(op, y)
+    landed = _accel_step(op, y)
     assert np.linalg.norm(landed) < 1e-14, f"expected the origin, got {landed}"
 
 
 def test_accelerated_apply_requires_linear_nonexpansive():
     with pytest.raises(ValueError):
-        accelerated_apply(AffineMap(A=np.eye(2), b=np.array([1.0, 0.0])), np.zeros(2))
+        _accel_step(AffineMap(A=np.eye(2), b=np.array([1.0, 0.0])), np.zeros(2))
     with pytest.raises(ValueError):
-        accelerated_apply(AffineMap(A=2.0 * np.eye(2), b=np.zeros(2)), np.ones(2))
+        _accel_step(AffineMap(A=2.0 * np.eye(2), b=np.zeros(2)), np.ones(2))
 
 
 def test_accelerated_apply_returns_fixed_points_unchanged():
     op = symmetric_map_operator([LINE_X, LINE_DIAG])
-    assert np.allclose(accelerated_apply(op, np.zeros(2)), np.zeros(2))
+    assert np.allclose(_accel_step(op, np.zeros(2)), np.zeros(2))
 
 
 def test_predicates():
     reflector = make_reflector(LINE_DIAG)
-    assert is_self_adjoint(reflector)
+    assert _is_self_adjoint(reflector)
     rotation = make_orthogonal([[0.0, -1.0], [1.0, 0.0]])
-    assert not is_self_adjoint(rotation)
+    assert not _is_self_adjoint(rotation)
 
 
 def test_operator_from_literal_kinds():
@@ -185,10 +189,10 @@ def test_operator_from_literal_kinds():
     assert np.allclose(reflector.b, [0.0, 2.0], atol=1e-12)
 
     shift = operator_from_literal({"kind": "translation", "offset": [1.0, 2.0]})
-    assert np.allclose(shift([0.0, 0.0]), [1.0, 2.0])
+    assert np.allclose(shift.apply([0.0, 0.0]), [1.0, 2.0])
 
     rot = operator_from_literal({"kind": "orthogonal", "matrix": [[0.0, -1.0], [1.0, 0.0]]})
-    assert np.allclose(rot([1.0, 0.0]), [0.0, 1.0])
+    assert np.allclose(rot.apply([1.0, 0.0]), [0.0, 1.0])
 
     # first factor acts first
     composed = operator_from_literal({
@@ -198,7 +202,7 @@ def test_operator_from_literal_kinds():
             {"kind": "orthogonal", "matrix": [[-1.0, 0.0], [0.0, 1.0]]},
         ],
     })
-    assert np.allclose(composed([0.0, 0.0]), [-1.0, 0.0])
+    assert np.allclose(composed.apply([0.0, 0.0]), [-1.0, 0.0])
 
     with pytest.raises(ValueError):
         operator_from_literal({"kind": "mystery"})
@@ -214,7 +218,7 @@ def test_isometries_preserve_distances(seed):
     iso = compose(make_reflector(sub), make_translation(rng.standard_normal(ambient)))
     x = rng.standard_normal(ambient)
     y = rng.standard_normal(ambient)
-    assert abs(np.linalg.norm(iso(x) - iso(y)) - np.linalg.norm(x - y)) < 1e-10
+    assert abs(np.linalg.norm(iso.apply(x) - iso.apply(y)) - np.linalg.norm(x - y)) < 1e-10
 
 
 

@@ -18,7 +18,7 @@ from circumproj import (
     run_map,
     symmetric_map_operator,
 )
-from helpers import random_family, reflectors_of, unit_vector
+from helpers import json_text, random_family, reflectors_of, unit_vector
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
 LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
@@ -103,10 +103,9 @@ def test_run_linear_checks_the_operator_once_per_run(monkeypatch):
     import circumproj.isometry as isometry
 
     calls = []
-    for name in ("spectral_norm", "sym_eigen_extremes"):
-        kernel = getattr(isometry, name)
-        monkeypatch.setattr(isometry, name,
-                            lambda A, name=name, kernel=kernel: calls.append(name) or kernel(A))
+    kernel = isometry.sym_eigen_extremes
+    monkeypatch.setattr(isometry, "sym_eigen_extremes",
+                        lambda A: calls.append("sym_eigen_extremes") or kernel(A))
     op = symmetric_map_operator([LINE_X, LINE_DIAG, LINE_Y])
     trace = run_linear(op, X0, MethodConfig(method="accel_map", max_iters=40))
     assert trace.stopped_at == 40
@@ -187,8 +186,8 @@ def test_trace_csv_round_trips_at_full_precision():
 
 def test_trace_json_is_deterministic_and_time_free():
     trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3))
-    blob = trace.to_json()
-    again = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3)).to_json()
+    blob = json_text(trace)
+    again = json_text(run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3)))
     assert blob == again
     obj = json.loads(blob)
     assert "wall_time" not in obj

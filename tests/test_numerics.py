@@ -123,7 +123,7 @@ def test_intersect_of_full_spaces_is_everything(copies):
     """I - P of the whole space is zero or rounding noise, which the floor
     of the rank cutoff must keep at rank 0."""
     rng = np.random.default_rng(copies)
-    full = AffineSubspace.full(6)
+    full = AffineSubspace(np.zeros(6), np.eye(6))
     noisy = AffineSubspace.linear(rng.standard_normal((6, 6)))
     for family in ([full] * copies, [noisy] * copies):
         inter = intersect(family)

@@ -6,11 +6,14 @@ its name with the function it exports, and the package must bind the
 function. Factorizations that decide a rank, eigensolves and Cholesky
 included, live in ``numerics`` and in the circumcenter step only. The
 numerical thresholds are three constants of ``numerics``, not parameters.
+Every public name has a caller outside the tests.
 """
 
 import ast
 import importlib
 import inspect
+import re
+from functools import cached_property
 from pathlib import Path
 
 import circumproj
@@ -119,3 +122,72 @@ def test_numerics_exports_the_three_thresholds():
     numerics = importlib.import_module("circumproj.numerics")
     assert {"RANK_TOL", "CONSISTENCY_TOL", "EQ_TOL"} <= set(numerics.__all__)
     assert (numerics.RANK_TOL, numerics.CONSISTENCY_TOL, numerics.EQ_TOL) == (1e-10, 1e-8, 1e-10)
+
+
+PACKAGE = Path(circumproj.__file__).parent
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# Public names kept for a caller that does not exist yet, each with its reason.
+NOT_YET_CALLED = {
+    # for running an affine instance as a linear one, by translation (ROADMAP.md)
+    "AffineSubspace.translate",
+}
+
+
+def _public_members(cls):
+    """The public methods and properties a class defines itself."""
+    for attr, raw in vars(cls).items():
+        if isinstance(raw, (classmethod, staticmethod)):
+            raw = raw.__func__
+        if not attr.startswith("_") and (inspect.isfunction(raw)
+                                          or isinstance(raw, (property, cached_property))):
+            yield attr
+
+
+def _references(tree) -> tuple:
+    """(names, attributes): each name loaded and each attribute read in
+    ``tree``, except inside a definition of that same name, so that a
+    definition never calls itself."""
+    names, attributes = set(), set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and node.id not in enclosing:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            attributes.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return names, attributes
+
+
+def _readme_code_references() -> tuple:
+    """(names, attributes) of the README's fenced code blocks, by their words."""
+    text = (REPO_ROOT / "README.md").read_text()
+    code = "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL))
+    return set(re.findall(r"[A-Za-z_]\w*", code)), set(re.findall(r"\.([A-Za-z_]\w*)", code))
+
+
+def test_every_public_name_has_a_caller():
+    """Each exported name, and each public method or property of an exported
+    class, is used by the package outside its own definition and
+    ``__all__``, shown in a README code block, or used by the acceptance
+    gate. A name that only other tests call is a second way to do one thing.
+    A method counts as used where any attribute of its name is read."""
+    names, attributes = _readme_code_references()
+    for path in [*sorted(PACKAGE.glob("*.py")), REPO_ROOT / "tests" / "test_acceptance.py"]:
+        more_names, more_attributes = _references(ast.parse(path.read_text()))
+        names |= more_names
+        attributes |= more_attributes
+    uncalled = []
+    for name in circumproj.__all__:
+        if name not in names | attributes:
+            uncalled.append(name)
+        obj = getattr(circumproj, name)
+        if inspect.isclass(obj):
+            uncalled += [f"{name}.{attr}" for attr in _public_members(obj)
+                         if attr not in attributes and f"{name}.{attr}" not in NOT_YET_CALLED]
+    assert not uncalled, f"public names that no program path calls: {uncalled}"

@@ -18,7 +18,6 @@ from circumproj import (
     OperatorSet,
     MethodConfig,
     accel_constants,
-    accelerated_apply,
     build_product_averaged,
     build_psi,
     build_sum_averaged,
@@ -148,7 +147,7 @@ def _direct_accel_map(subspaces, x0):
     op = symmetric_map_operator(subspaces)
     _, target = _fixed_target(op, x0)
     c = accel_constants(op)
-    return (_iterate(lambda x: accelerated_apply(op, x), x0, target), c.eta,
+    return (_iterate(lambda x: isometry._accelerated_step(op.A, x), x0, target), c.eta,
             {"c1": c.c1, "c2": c.c2, "eta": c.eta, "cT": c.cT})
 
 
@@ -260,7 +259,7 @@ def test_recipe_family_images_equal_dense_products(monkeypatch, entry, symmetriz
     reflectors = _family(subspaces, symmetrized)
     dense = [dense_product(reflectors, indices) for indices in index_lists(reflectors)]
     x = 2.0 * np.random.default_rng(SEED).standard_normal(4)
-    assert np.allclose(families[0].images(x), [op(x) for op in dense], rtol=0.0, atol=1e-12)
+    assert np.allclose(families[0].images(x), [op.apply(x) for op in dense], rtol=0.0, atol=1e-12)
 
 
 def _count_calls(monkeypatch, names) -> dict:
