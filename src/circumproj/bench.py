@@ -26,6 +26,7 @@ import scipy
 from . import __version__
 from .circumcenter import OperatorSet, build_psi
 from .isometry import (
+    AffineIsometry,
     AffineMap,
     build_product_averaged,
     build_sum_averaged,
@@ -39,7 +40,7 @@ from .methods import (
     METHOD_TAGS,
     IterationTrace,
     MethodConfig,
-    dr_operator,
+    _dr_map,
     run_cim,
     run_linear,
     run_map,
@@ -468,11 +469,19 @@ class _Instance:
     subspaces: list
     x0: np.ndarray
     inter: Intersection
+    _reflectors: dict = field(default_factory=dict, init=False, repr=False)
     _averaged: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    def reflector(self, index: int) -> AffineIsometry:
+        """The reflector through subspace ``index``, made on first use, so a
+        recipe that needs two of them makes only those two."""
+        if index not in self._reflectors:
+            self._reflectors[index] = make_reflector(self.subspaces[index])
+        return self._reflectors[index]
+
+    @property
     def reflectors(self) -> list:
-        return [make_reflector(s) for s in self.subspaces]
+        return [self.reflector(i) for i in range(len(self.subspaces))]
 
     def family(self, symmetrized: bool) -> list:
         """The reflectors, as the palindrome R1..Rm..R1 when symmetrized."""
@@ -525,7 +534,7 @@ def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
 
 def _plan_dr(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    op = dr_operator(ctx.subspaces[0], ctx.subspaces[1])
+    op = _dr_map(ctx.subspaces[0], ctx.subspaces[1], ctx.reflector(0), ctx.reflector(1))
     # Fix(op) = (U ∩ V) ⊕ (U⊥ ∩ V⊥), not the intersection; the singular
     # values of A - I are of order theta here, so A - I decides it well.
     return _linear_plan("douglas_rachford_rate", op, fixed_point_set(op), ctx)

@@ -18,6 +18,7 @@ from .numerics import (
     CONSISTENCY_TOL,
     EQ_TOL,
     _ORTHONORMALITY_TOL,
+    _certifies_full_rank,
     _norm,
     as_matrix,
     as_vector,
@@ -189,9 +190,17 @@ def fixed_point_set(op: AffineOperator) -> Optional[AffineSubspace]:
 def _common_fixed_points(ops: Sequence[AffineOperator]) -> Optional[AffineSubspace]:
     """Points fixed by every operator, or None when there are none: the
     solution set of the stacked systems (M_i - I) x = -b_i, empty when the
-    residual exceeds CONSISTENCY_TOL relative to the stacked offsets."""
-    eye = np.eye(ops[0].ambient_dim)
+    residual exceeds CONSISTENCY_TOL relative to the stacked offsets. For
+    two or more linear operators the Gram certificate of
+    :func:`_certifies_full_rank` first tries, one block at a time, to show
+    that only the origin is fixed; the blocks are stacked only when it
+    fails or some offset is nonzero."""
+    n = ops[0].ambient_dim
+    eye = np.eye(n)
     rhs = -np.concatenate([op.b for op in ops])
+    if len(ops) * n > n and not np.any(rhs) and _certifies_full_rank(
+            _linear_part(op) - eye for op in ops):
+        return AffineSubspace.point(np.zeros(n))
     anchor, direction, residual = solution_set(
         np.vstack([_linear_part(op) - eye for op in ops]), rhs)
     if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
@@ -245,16 +254,15 @@ def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
     n = parts[0].shape[0]
     w, a, lam = 1.0 / len(parts), _UNIFORM_ALPHA, _UNIFORM_LAMBDA
     eye = np.eye(n)
-    pieces = []
+    # each A_i is added to A as it is formed, so one prefix product is held
+    # at a time, not the m pieces
+    A = np.zeros((n, n))
+    A += w * ((1.0 - a) * eye + a * parts[0])
     prefix = parts[0]
-    pieces.append((1.0 - a) * eye + a * parts[0])
     for i in range(1, len(parts)):
         inner = (1.0 - lam) * eye + lam * parts[i]
-        pieces.append((1.0 - a) * eye + a * (inner @ prefix))
+        A += w * ((1.0 - a) * eye + a * (inner @ prefix))
         prefix = parts[i] @ prefix
-    A = np.zeros((n, n))
-    for piece in pieces:
-        A += w * piece
     certificate = sum(w * a for _ in parts)
     return AffineMap(A, np.zeros(n), averagedness=certificate)
 

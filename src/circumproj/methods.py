@@ -233,38 +233,52 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
 
 def dr_operator(first: AffineSubspace, second: AffineSubspace) -> AffineMap:
     """The averaged reflector composition (I + R_second R_first) / 2."""
+    return _dr_map(first, second, make_reflector(first), make_reflector(second))
+
+
+def _dr_map(first: AffineSubspace, second: AffineSubspace,
+            first_reflector: AffineIsometry, second_reflector: AffineIsometry) -> AffineMap:
+    """:func:`dr_operator` from the reflectors of its two subspaces, for a
+    caller that already holds them."""
     for s in (first, second):
         if not s.is_linear():
             raise ValueError("expected linear subspaces")
-    q1 = make_reflector(first).Q
-    q2 = make_reflector(second).Q
     n = first.ambient_dim
-    return AffineMap(0.5 * (np.eye(n) + q2 @ q1), np.zeros(n))
-
-
-def _projector_map(subspace: AffineSubspace) -> AffineMap:
-    P = subspace.projector_matrix()
-    return AffineMap(P, subspace.anchor - P @ subspace.anchor)
-
-
-def _compose_maps(outer: AffineMap, inner: AffineMap) -> AffineMap:
-    return AffineMap(outer.A @ inner.A, outer.A @ inner.b + outer.b)
+    return AffineMap(0.5 * (np.eye(n) + second_reflector.Q @ first_reflector.Q), np.zeros(n))
 
 
 def map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
-    """The single-sweep cyclic projection operator P_m .. P_1."""
+    """The single-sweep cyclic projection operator P_m .. P_1.
+
+    A subspace listed more than once has its projector formed once and kept
+    until its last factor. Through the origin alone the offset is 0, and
+    none is computed; otherwise the offset is carried along,
+    b <- P b + (a - P a), factor by factor.
+    """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
-    product = _projector_map(subspaces[0])
-    for s in subspaces[1:]:
-        product = _compose_maps(_projector_map(s), product)
-    return product
+    last_use = {id(s): k for k, s in enumerate(subspaces)}
+    held = {}
+    affine = any(np.any(s.anchor) for s in subspaces)
+    A = b = None
+    for k, s in enumerate(subspaces):
+        P = held.pop(id(s), None)
+        if P is None:
+            P = s.projector_matrix()
+        if last_use[id(s)] > k:
+            held[id(s)] = P
+        A = P if A is None else P @ A
+        if affine:
+            offset = s.anchor - P @ s.anchor
+            b = offset if b is None else P @ b + offset
+    return AffineMap(A, b if affine else np.zeros(A.shape[0]))
 
 
 def symmetric_map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
     """The palindromic sweep P_1 .. P_n .. P_1 over the given half list.
 
     The result is self-adjoint positive semidefinite for linear subspaces.
+    Each of the n projectors is formed once, by :func:`map_operator`.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")

@@ -5,9 +5,10 @@ with the largest singular value so callers never tune absolute thresholds to
 the scale of their data. Every affine solution set of the package
 (intersections, fixed point sets, orthogonal complements) comes from
 :func:`solution_set`, so its rank rule, RANK_TOL * (1 + largest), is
-decided in one place; a Gram eigensolve there may only certify that a tall
-homogeneous system has full column rank, with a cut derived from RANK_TOL,
-and never solves. All functions are pure and never mutate inputs.
+decided in one place; a Gram eigensolve in :func:`_certifies_full_rank`
+may only certify that a tall homogeneous system, given block by block, has
+full column rank, with a cut derived from RANK_TOL, and never solves. All
+functions are pure and never mutate inputs.
 Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
 calls alternating between the two stall on each other's spinning threads.
 """
@@ -15,6 +16,7 @@ calls alternating between the two stall on each other's spinning threads.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -115,21 +117,10 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     Q^T b, and its corner is the part of b outside the range of A. A zero
     right-hand side has the zero solution without a solve.
 
-    A tall A with a zero right-hand side, the common case of intersecting
-    linear subspaces, first tries to certify full column rank from the
-    eigenvalues lam of its Gram matrix A^T A, which only decides and never
-    solves. When lam_min > sqrt(RANK_TOL) * (1 + lam_max), the solution set
-    is the origin alone, and it is returned as the factorization would
-    return it: the zero anchor, a (0, n) null basis, and residual 0, since
-    Householder reflections keep a zero column exactly zero. The
-    certificate cannot disagree with the cut s > RANK_TOL * (1 + s_1) on
-    the singular values s of A. Forming A^T A in float64 and eigvalsh move
-    its eigenvalues by at most about rows * n * eps * lam_max, and the QR's
-    backward error moves s by at most about rows * n * eps * s_1, the same
-    order. With lam = s^2 and 1 + s_1^2 >= (1 + s_1)^2 / 2, a certified
-    s_n is at least about sqrt(RANK_TOL / 2) * (1 + s_1), some
-    2e-3 * (1 + s_1), seven orders of magnitude above the cut while
-    rows * n is far below 1e10. Otherwise the factorization decides.
+    The solution set of a stacked homogeneous system with full column
+    rank is the origin alone; :func:`_certifies_full_rank` decides that
+    case before the blocks are stacked, so callers that stack blocks ask it
+    first.
     """
     mat = as_matrix(A)
     rhs = as_vector(b)
@@ -140,10 +131,6 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
         return np.zeros(n), np.eye(n), 0.0
     if n == 0:
         return np.zeros(0), np.zeros((0, 0)), _norm(rhs)
-    if rows > n and not np.any(rhs):
-        lam = np.linalg.eigvalsh(mat.T @ mat)
-        if lam[0] > math.sqrt(RANK_TOL) * (1.0 + lam[-1]):
-            return np.zeros(n), np.zeros((0, n)), 0.0
     outside = 0.0
     if rows > n:
         r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")
@@ -157,6 +144,40 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     solution = vt[:rank].T @ (coords / s[:rank])
     residual = math.hypot(_norm(rhs - u[:, :rank] @ coords), outside)
     return solution, null_basis, residual
+
+
+def _certifies_full_rank(blocks: Iterable[np.ndarray]) -> bool:
+    """Whether the stacked blocks, each with the same n columns and
+    together more rows than columns, provably have full column rank.
+
+    The Gram matrix G = A^T A of the stack A is summed block by block,
+    G = sum_i B_i^T B_i, so no more than one block, G and one product are
+    held at once. The eigenvalues lam of G only decide and never solve.
+    When lam_min > sqrt(RANK_TOL) * (1 + lam_max), the homogeneous system
+    A x = 0 has the origin alone as its solution set, and the caller returns
+    it as :func:`solution_set` would on the stack: the zero anchor, a
+    (0, n) null basis, and residual 0, since Householder reflections keep a
+    zero column exactly zero.
+
+    The certificate cannot disagree with the cut s > RANK_TOL * (1 + s_1)
+    on the singular values s of A. Each product B_i^T B_i and each of the
+    sums moves G by at most about rows_i * eps * lam_max entrywise, so G
+    summed block by block is off by at most about rows * n * eps * lam_max
+    in norm, the same order as A^T A formed in one product, and eigvalsh
+    adds about n * eps * lam_max. The QR's backward error moves s by at most
+    about rows * n * eps * s_1, the same order. With lam = s^2 and
+    1 + s_1^2 >= (1 + s_1)^2 / 2, a certified s_n is at least about
+    sqrt(RANK_TOL / 2) * (1 + s_1), some 2e-3 * (1 + s_1), seven orders of
+    magnitude above the cut while rows * n is far below 1e10.
+    """
+    gram = None
+    for block in blocks:
+        if gram is None:
+            gram = block.T @ block
+        else:
+            gram += block.T @ block
+    lam = np.linalg.eigvalsh(gram)
+    return bool(lam[0] > math.sqrt(RANK_TOL) * (1.0 + lam[-1]))
 
 
 def spectral_norm(A) -> float:

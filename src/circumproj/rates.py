@@ -98,17 +98,21 @@ def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
     """Norm of the cyclic projection product restricted off the intersection.
 
     For a single subspace this is 0; for two it is the Friedrichs cosine.
-    ``fixed`` may pass the intersection of the subspaces.
+    ``fixed`` may pass the intersection of the subspaces. When it is {0},
+    I - P_fixed is the identity and the chain starts at P_1, which equals
+    P_1 (I - P_fixed) bit for bit.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
     _require_linear(subspaces)
     if fixed is None:
         fixed = intersect(subspaces).subspace
-    n = subspaces[0].ambient_dim
-    product = np.eye(n) - fixed.projector_matrix()
+    product = None
+    if fixed.dim > 0:
+        product = np.eye(fixed.ambient_dim) - fixed.projector_matrix()
     for s in subspaces:
-        product = s.projector_matrix() @ product
+        P = s.projector_matrix()
+        product = P if product is None else P @ product
     return spectral_norm(product)
 
 
@@ -116,8 +120,10 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace) -> float:
     """Spectral norm of a linear operator restricted off a fixed subspace.
 
     ``fixed`` must be a linear subspace of fixed points of the operator;
-    each basis direction is checked on every call. The norm is taken once
-    per fixed-subspace object and cached on the operator.
+    every basis direction is checked on every call, all by one product. The
+    norm is taken once per fixed-subspace object and cached on the
+    operator. Off a fixed set {0} it is the norm of the operator itself,
+    since A (I - 0) equals A bit for bit.
     """
     matrix = op.A
     if not _zero_offset(op):
@@ -126,14 +132,14 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace) -> float:
         raise ValueError("fixed subspace must be linear")
     if fixed.ambient_dim != matrix.shape[0]:
         raise ValueError("operator and subspace dimensions differ")
-    for direction in fixed.basis:
-        gap = float(np.linalg.norm(matrix @ direction - direction))
-        if gap > CONSISTENCY_TOL:
-            raise ValueError(
-                f"a basis direction of the subspace is not fixed, gap {gap:.3e}"
-            )
+    gaps = np.linalg.norm(fixed.basis @ matrix.T - fixed.basis, axis=1)
+    gap = float(np.max(gaps, initial=0.0))
+    if gap > CONSISTENCY_TOL:
+        raise ValueError(f"a basis direction of the subspace is not fixed, gap {gap:.3e}")
 
     def rate() -> float:
+        if fixed.dim == 0:
+            return spectral_norm(matrix)
         perp = np.eye(matrix.shape[0]) - fixed.projector_matrix()
         return spectral_norm(matrix @ perp)
 
@@ -178,15 +184,16 @@ def accel_constants(op: AffineMap,
         fixed = fixed_point_set(op)
         if fixed is None:
             raise ValueError("operator has no fixed points")
-    complement = fixed.orthogonal_complement()
-    if complement.dim == 0:
-        c1, c2 = 0.0, 0.0
-    elif fixed.dim == 0:
+    if fixed.dim == 0:
         # the complement basis is eye(n), and I A I is A bit for bit
         c1, c2 = eig_min, eig_max
     else:
-        compressed = complement.basis @ op.A @ complement.basis.T
-        c1, c2 = sym_eigen_extremes(compressed)
+        complement = fixed.orthogonal_complement()
+        if complement.dim == 0:
+            c1, c2 = 0.0, 0.0
+        else:
+            compressed = complement.basis @ op.A @ complement.basis.T
+            c1, c2 = sym_eigen_extremes(compressed)
     cT = operator_rate(op, fixed)
     denominator = 2.0 - c1 - c2
     if denominator <= 0:

@@ -17,6 +17,7 @@ from .numerics import (
     CONSISTENCY_TOL,
     EQ_TOL,
     _ORTHONORMALITY_TOL,
+    _certifies_full_rank,
     _norm,
     as_vector,
     orthonormal_basis,
@@ -168,10 +169,13 @@ def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
     (I - P) x = (I - P) a. One :func:`solution_set` call on these blocks,
     stacked, gives the anchor of the intersection (the minimum-norm
     solution) and its direction (the null space). Summing the blocks instead
-    would square their condition number; for linear subspaces that sum, the
-    Gram matrix of the stack, only certifies inside :func:`solution_set`
-    that they meet at 0 alone, and never solves. The intersection is empty
-    when the residual exceeds CONSISTENCY_TOL relative to the data scale.
+    would square their condition number. For two or more subspaces through
+    the origin, the Gram matrix of the stack, summed one block at a time by
+    :func:`_certifies_full_rank`, first tries to certify that they meet at
+    0 alone, and never solves; the blocks are stacked only when it fails or
+    some anchor is not the origin, so a certified intersection holds O(n^2)
+    memory, not the m n x n blocks. The intersection is empty when the
+    residual exceeds CONSISTENCY_TOL relative to the data scale.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace to intersect")
@@ -179,9 +183,14 @@ def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
     for s in subspaces[1:]:
         if s.ambient_dim != n:
             raise ValueError("subspaces live in different ambient dimensions")
+    eye = np.eye(n)
+    linear = not any(np.any(s.anchor) for s in subspaces)
+    if linear and len(subspaces) * n > n and _certifies_full_rank(
+            eye - s.projector_matrix() for s in subspaces):
+        return Intersection(AffineSubspace.point(np.zeros(n)), 0.0)
     blocks = np.empty((len(subspaces), n, n))
     for block, s in zip(blocks, subspaces):
-        np.subtract(np.eye(n), s.projector_matrix(), out=block)
+        np.subtract(eye, s.projector_matrix(), out=block)
     rhs = np.concatenate([block @ s.anchor for block, s in zip(blocks, subspaces)])
     anchor, direction, residual = solution_set(blocks.reshape(-1, n), rhs)
     if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):

@@ -11,13 +11,17 @@ from circumproj import (
     CONSISTENCY_TOL,
     EQ_TOL,
     RANK_TOL,
+    AffineIsometry,
+    AffineMap,
     AffineSubspace,
     CircumcenterResult,
+    Intersection,
     as_matrix,
     as_vector,
     compose,
     identity,
     make_reflector,
+    spectral_norm,
 )
 from circumproj.numerics import _norm
 from circumproj.rates import _slack
@@ -189,3 +193,101 @@ def reference_rate_csv(report) -> str:
         slack = _slack(observed, bound)
         lines.append(f"{k},{observed!r},{bound!r},{slack!r}")
     return "\n".join(lines) + "\n"
+
+
+# Resolution and planning as the library computed them with every n x n
+# block held at once: the stacked intersection and common fixed set, the
+# list of relaxed prefix products, a projector and an offset per factor of
+# a projection product, and the identity multiplied into the rates. The
+# library must reproduce them bit for bit, so keep them as they are.
+
+def reference_intersect(subspaces) -> Intersection:
+    """The stacked blocks I - P_i with right-hand sides (I - P_i) a_i, solved
+    by the QR+SVD reference."""
+    n = subspaces[0].ambient_dim
+    blocks = np.empty((len(subspaces), n, n))
+    for block, s in zip(blocks, subspaces):
+        np.subtract(np.eye(n), s.projector_matrix(), out=block)
+    rhs = np.concatenate([block @ s.anchor for block, s in zip(blocks, subspaces)])
+    anchor, direction, residual = reference_solution_set(blocks.reshape(-1, n), rhs)
+    if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
+        return Intersection(None, residual)
+    return Intersection(AffineSubspace(anchor, direction), residual)
+
+
+def _reference_linear_part(op):
+    return op.Q if isinstance(op, AffineIsometry) else op.A
+
+
+def reference_common_fixed_points(ops):
+    """The stacked systems (M_i - I) x = -b_i, solved by the QR+SVD
+    reference, or None when inconsistent."""
+    eye = np.eye(ops[0].ambient_dim)
+    rhs = -np.concatenate([op.b for op in ops])
+    anchor, direction, residual = reference_solution_set(
+        np.vstack([_reference_linear_part(op) - eye for op in ops]), rhs)
+    if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
+        return None
+    return AffineSubspace(anchor, direction)
+
+
+def reference_build_product_averaged(operators) -> AffineMap:
+    """The m relaxed prefix products, listed, then summed with weight 1/m."""
+    parts = [op.Q for op in operators]
+    n = parts[0].shape[0]
+    w, a, lam = 1.0 / len(parts), 0.5, 0.5
+    eye = np.eye(n)
+    pieces = []
+    prefix = parts[0]
+    pieces.append((1.0 - a) * eye + a * parts[0])
+    for i in range(1, len(parts)):
+        inner = (1.0 - lam) * eye + lam * parts[i]
+        pieces.append((1.0 - a) * eye + a * (inner @ prefix))
+        prefix = parts[i] @ prefix
+    A = np.zeros((n, n))
+    for piece in pieces:
+        A += w * piece
+    certificate = sum(w * a for _ in parts)
+    return AffineMap(A, np.zeros(n), averagedness=certificate)
+
+
+def _reference_projector_map(subspace) -> AffineMap:
+    P = subspace.projector_matrix()
+    return AffineMap(P, subspace.anchor - P @ subspace.anchor)
+
+
+def _reference_compose_maps(outer, inner) -> AffineMap:
+    return AffineMap(outer.A @ inner.A, outer.A @ inner.b + outer.b)
+
+
+def reference_map_operator(subspaces) -> AffineMap:
+    """P_m .. P_1 as a chain of affine maps, one projector per factor."""
+    product = _reference_projector_map(subspaces[0])
+    for s in subspaces[1:]:
+        product = _reference_compose_maps(_reference_projector_map(s), product)
+    return product
+
+
+def reference_symmetric_map_operator(subspaces) -> AffineMap:
+    """P_1 .. P_m .. P_1 through :func:`reference_map_operator`."""
+    return reference_map_operator(list(subspaces) + list(subspaces[-2::-1]))
+
+
+def reference_operator_rate(op, fixed) -> float:
+    """||A (I - P_fixed)||, each basis direction checked by its own product."""
+    matrix = op.A
+    for direction in fixed.basis:
+        gap = float(np.linalg.norm(matrix @ direction - direction))
+        if gap > CONSISTENCY_TOL:
+            raise ValueError(f"a basis direction of the subspace is not fixed, gap {gap:.3e}")
+    perp = np.eye(matrix.shape[0]) - fixed.projector_matrix()
+    return spectral_norm(matrix @ perp)
+
+
+def reference_tuple_angle_cos(subspaces, fixed) -> float:
+    """||P_m .. P_1 (I - P_fixed)||, the chain started at I - P_fixed."""
+    n = subspaces[0].ambient_dim
+    product = np.eye(n) - fixed.projector_matrix()
+    for s in subspaces:
+        product = s.projector_matrix() @ product
+    return spectral_norm(product)
