@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .circumcenter import OperatorSet, build_psi
@@ -572,10 +571,13 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
     with the rate of the averaged map the builder makes of the same reflectors."""
     family = ctx.family(spec.symmetrized)
     words = [tuple(range(i + 1)) if builder == "product" else (i,) for i in range(len(family))]
-    operator_set = OperatorSet(family, [()] + words, fixed=ctx.inter.subspace)
+
+    def run(config: MethodConfig) -> IterationTrace:
+        operator_set = OperatorSet(family, [()] + words, fixed=ctx.inter.subspace)
+        return run_cim(operator_set, ctx.x0, config)
+
     rate = operator_rate(ctx.averaged(builder, spec.symmetrized), ctx.inter.subspace)
-    return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate},
-                       lambda config: run_cim(operator_set, ctx.x0, config))
+    return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate}, run)
 
 
 def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -714,7 +716,6 @@ def _environment_stamp(config: ExperimentConfig) -> dict:
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": sys.platform,
         "seed": config.seed,
     }

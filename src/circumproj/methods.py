@@ -66,6 +66,11 @@ class MethodConfig:
             raise ValueError("stop_tol must be nonnegative")
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``_norm`` of each row, from one stack of 1 x n by n x 1 products."""
+    return np.sqrt(np.matmul(rows[:, None], rows[:, :, None]).ravel())
+
+
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Recorded iterates of one run.
@@ -100,25 +105,23 @@ class IterationTrace:
         return float(np.linalg.norm(self.x0_original - self.target))
 
     def step_norms(self) -> np.ndarray:
+        """0, then ``_norm(iterates[k] - iterates[k - 1])``, the figure that
+        the stop rule compares when stop_tol > 0."""
         steps = np.zeros(self.iterates.shape[0])
-        if self.iterates.shape[0] > 1:
-            steps[1:] = np.linalg.norm(np.diff(self.iterates, axis=0), axis=1)
+        steps[1:] = _row_norms(np.diff(self.iterates, axis=0))
         return steps
-
-    def _x_norms(self) -> list:
-        """``_norm`` of each iterate, from one stack of 1 x n by n x 1 products."""
-        it = self.iterates
-        return np.sqrt(np.matmul(it[:, None], it[:, :, None]).ravel()).tolist()
 
     def to_csv(self) -> str:
         """One row per iterate at 17 significant digits, formatted from
         whole columns."""
         rows = map("{},{:.17g},{:.17g},{:.17g}".format, range(self.iterates.shape[0]),
-                   self._x_norms(), self.errors.tolist(), self.step_norms().tolist())
+                   _row_norms(self.iterates).tolist(), self.errors.tolist(),
+                   self.step_norms().tolist())
         return "k,x_norm,error,step_norm\n" + "\n".join(rows) + "\n"
 
     def to_json_obj(self) -> dict:
-        columns = zip(self._x_norms(), self.errors.tolist(), self.step_norms().tolist())
+        columns = zip(_row_norms(self.iterates).tolist(), self.errors.tolist(),
+                      self.step_norms().tolist())
         return {
             "method": self.method,
             "ambient_dim": int(self.ambient_dim),

@@ -299,11 +299,17 @@ def test_compute_rates_frozen_demo_values():
 
 def test_compute_rates_builds_no_circumcentered_family(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the rates of the psi recipes need no family")
+        raise AssertionError("the rates of the circumcentered recipes need no family")
 
     monkeypatch.setattr("circumproj.bench.build_psi", refuse)
-    rows = compute_rates(parse_config(demo_config()))
-    assert len(rows) == 14
+    monkeypatch.setattr("circumproj.bench.OperatorSet", refuse)
+    obj = demo_config()
+    obj["methods"] += [
+        {"method": "cim", "operator_set": "identity_plus_reflectors"},
+        {"method": "cim", "operator_set": "identity_plus_prefix_products", "symmetrized": True},
+    ]
+    rows = compute_rates(parse_config(obj))
+    assert len(rows) == 18
     assert all(row["value"] is not None for row in rows)
 
 

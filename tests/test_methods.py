@@ -18,6 +18,7 @@ from circumproj import (
     run_map,
     symmetric_map_operator,
 )
+from circumproj.numerics import _norm
 from helpers import json_text, random_family, reflectors_of, unit_vector
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
@@ -201,6 +202,16 @@ def test_step_norms_start_at_zero():
     steps = trace.step_norms()
     assert steps[0] == 0.0
     assert abs(steps[1] - np.linalg.norm(trace.iterates[1] - trace.iterates[0])) < 1e-15
+
+
+def test_step_norms_are_the_norms_the_stop_rule_compares():
+    rng = np.random.default_rng(7)
+    subspaces = random_family(rng, 30, 3, 20, 24)
+    trace = run_map(subspaces, unit_vector(rng, 30),
+                    MethodConfig(method="map", max_iters=100, stop_tol=1e-12))
+    steps = trace.step_norms()
+    for k in range(1, trace.iterates.shape[0]):
+        assert steps[k] == _norm(trace.iterates[k] - trace.iterates[k - 1]), k
 
 
 def test_error_origin_uses_pre_prefix_start():

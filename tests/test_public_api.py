@@ -4,8 +4,9 @@
 two modules would be shadowed silently. The module ``circumcenter`` shares
 its name with the function it exports, and the package must bind the
 function. Factorizations that decide a rank, eigensolves and Cholesky
-included, live in ``numerics`` and in the circumcenter step only. The
-numerical thresholds are three constants of ``numerics``, not parameters.
+included, live in ``numerics`` and in the circumcenter step only. numpy
+is the one import from outside the standard library. The numerical
+thresholds are three constants of ``numerics``, not parameters.
 Every public name has a caller outside the tests.
 """
 
@@ -13,6 +14,7 @@ import ast
 import importlib
 import inspect
 import re
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -85,6 +87,26 @@ def test_rank_deciding_factorizations_live_in_numerics_and_the_circumcenter():
         assert not stray, f"{path.name} factorizes outside numerics: {sorted(stray, key=str)}"
     sites = _factorization_sites(ast.parse((package / "circumcenter.py").read_text()))
     assert sites == {("_solve", "svd")}
+
+
+def _imported_top_level_modules(tree) -> set:
+    """The top-level module of every absolute ``import`` and ``from ...
+    import`` in a module, function bodies included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    package = Path(circumproj.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "circumproj"}
+    for path in sorted(package.glob("*.py")):
+        stray = _imported_top_level_modules(ast.parse(path.read_text())) - allowed
+        assert not stray, f"{path.name} imports a runtime dependency: {sorted(stray)}"
 
 
 def _exported_signatures():
