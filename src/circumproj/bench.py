@@ -39,13 +39,13 @@ from .methods import (
     METHOD_TAGS,
     IterationTrace,
     MethodConfig,
-    _dr_map,
+    dr_operator,
     run_cim,
     run_linear,
     run_map,
     symmetric_map_operator,
 )
-from .numerics import as_vector
+from .numerics import EQ_TOL, as_vector
 from .rates import (
     AccelConstants,
     RateReport,
@@ -73,6 +73,8 @@ class ConfigError(ValueError):
 
 
 PREFIX_KINDS = ("none", "sym_map_product")
+# The error whose first reach a method summary records as "iters_to_1e-10".
+_REACH_ERROR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -452,10 +454,6 @@ class _MethodPlan:
     run: Callable[[MethodConfig], IterationTrace]
     prefactor: Optional[float] = None
 
-    @property
-    def scale_mode(self) -> str:
-        return "plain" if self.prefactor is None else "prefixed"
-
 
 @dataclass(eq=False)
 class _Instance:
@@ -533,7 +531,7 @@ def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
 
 def _plan_dr(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    op = _dr_map(ctx.subspaces[0], ctx.subspaces[1], ctx.reflector(0), ctx.reflector(1))
+    op = dr_operator(ctx.reflector(0), ctx.reflector(1))
     # Fix(op) = (U ∩ V) ⊕ (U⊥ ∩ V⊥), not the intersection; the singular
     # values of A - I are of order theta here, so A - I decides it well.
     return _linear_plan("douglas_rachford_rate", op, fixed_point_set(op), ctx)
@@ -626,6 +624,12 @@ def _plan_method(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     return recipe(spec, ctx)
 
 
+def _plans(config: ExperimentConfig, ctx: _Instance):
+    """(spec, label, plan) per method of the config, planned when asked for."""
+    for m_index, spec in enumerate(config.methods):
+        yield spec, _default_label(spec, m_index), _plan_method(spec, ctx)
+
+
 @dataclass(frozen=True)
 class MethodOutcome:
     label: str
@@ -635,7 +639,7 @@ class MethodOutcome:
 
     def summary_obj(self) -> dict:
         errors = self.trace.errors
-        to_target = next((k for k, error in enumerate(errors) if error <= 1e-10), None)
+        to_target = next((k for k, error in enumerate(errors) if error <= _REACH_ERROR), None)
         return {
             "label": self.label,
             "method": self.method,
@@ -748,10 +752,11 @@ def _resolve_instances(config: ExperimentConfig):
     return resolved
 
 
-def _product_fixed_line_check(subspaces: Sequence[AffineSubspace], direction):
-    product = identity(subspaces[0].ambient_dim)
-    for s in subspaces:
-        product = compose(make_reflector(s), product)
+def _product_fixed_line_check(ctx: _Instance, direction):
+    """Whether R_m .. R_1 fixes exactly the line through the origin along ``direction``."""
+    product = identity(ctx.subspaces[0].ambient_dim)
+    for reflector in ctx.reflectors:
+        product = compose(reflector, product)
     fixed = fixed_point_set(product)
     if fixed is None:
         return ("product_fixed_line", False, "product has no fixed points")
@@ -762,17 +767,15 @@ def _product_fixed_line_check(subspaces: Sequence[AffineSubspace], direction):
     basis_vec = fixed.basis[0]
     residual = float(np.linalg.norm(basis_vec - (basis_vec @ unit) * unit))
     through_origin = fixed.contains(np.zeros(fixed.ambient_dim))
-    passed = residual <= 1e-10 and through_origin
+    passed = residual <= EQ_TOL and through_origin
     return ("product_fixed_line", passed,
             f"dimension {fixed.dim}, direction residual {residual:.3e}")
 
 
 def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
-    """Plan, run and audit every method of the config on one instance. The
-    instance's shared parts are freed when this returns."""
+    """Plan, run and audit every method of the config on one instance."""
     outcomes = []
-    for m_index, spec in enumerate(config.methods):
-        plan = _plan_method(spec, ctx)
+    for spec, label, plan in _plans(config, ctx):
         max_iters = spec.max_iters if spec.max_iters is not None else config.max_iters
         trace = plan.run(MethodConfig(method=spec.method, max_iters=max_iters,
                                       stop_tol=config.stop_tol))
@@ -781,7 +784,7 @@ def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
             report = audit_bound(trace, plan.rate, prefactor=plan.prefactor,
                                  constant_name=plan.constant_name,
                                  ingredients=plan.ingredients)
-        outcomes.append(MethodOutcome(_default_label(spec, m_index), spec.method, trace, report))
+        outcomes.append(MethodOutcome(label, spec.method, trace, report))
     return tuple(outcomes)
 
 
@@ -798,8 +801,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
         raise ValueError(f"unknown format {fmt!r}")
     outcomes = []
     for label, subspaces, x0, inter, fixed_line in _resolve_instances(config):
-        method_outcomes = _run_methods(config, _Instance(subspaces, x0, inter))
-        checks = [] if fixed_line is None else [_product_fixed_line_check(subspaces, fixed_line)]
+        ctx = _Instance(subspaces, x0, inter)
+        method_outcomes = _run_methods(config, ctx)
+        checks = [] if fixed_line is None else [_product_fixed_line_check(ctx, fixed_line)]
+        del ctx  # its shared parts are freed before the next instance and the artifacts
         outcomes.append(InstanceOutcome(
             label=label,
             ambient_dim=config.ambient_dim,
@@ -852,15 +857,14 @@ def compute_rates(config: ExperimentConfig) -> list:
     rows = []
     for label, subspaces, x0, inter, _ in _resolve_instances(config):
         ctx = _Instance(subspaces, x0, inter)
-        for m_index, spec in enumerate(config.methods):
-            plan = _plan_method(spec, ctx)
+        for _, method_label, plan in _plans(config, ctx):
             rows.append({
                 "instance": label,
-                "method": _default_label(spec, m_index),
+                "method": method_label,
                 "constant_name": plan.constant_name,
                 "value": plan.rate,
                 "ingredients": {k: float(v) for k, v in sorted(plan.ingredients.items())},
-                "scale_mode": plan.scale_mode,
+                "scale_mode": "plain" if plan.prefactor is None else "prefixed",
                 "prefactor": plan.prefactor,
             })
     return rows

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineIsometry, _common_fixed_points
+from .isometry import AffineIsometry, _common_fixed_points, _is_self_adjoint
 from .numerics import CONSISTENCY_TOL, EQ_TOL, RANK_TOL, _norm, as_vector
 from .subspace import AffineSubspace
 
@@ -433,7 +433,7 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     list. The words depend only on which inputs are the same object, so
     they are built once per pattern of repeats, such as (0, 1, 2, 1, 0)
     for R_1 R_2 R_3 R_2 R_1, and then shared. Inputs must be reflectors of
-    linear subspaces, that is linear isometries with symmetric linear part.
+    linear subspaces: linear isometries that pass :func:`_is_self_adjoint`.
     ``fixed`` is the common fixed set of the reflectors when the caller
     already has it (see :class:`OperatorSet`). The 2^m subsets must fit
     WORD_LIMIT, which allows m <= 13. This is checked before any subset is
@@ -443,10 +443,9 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     generators = tuple(reflectors)
     _require_word_limit(2 ** len(generators))
     for op in generators:
-        if not isinstance(op, AffineIsometry) or not op.is_linear():
-            raise ValueError("inputs must be reflectors of linear subspaces")
-        if float(np.max(np.abs(op.Q - op.Q.T))) > EQ_TOL:
-            raise ValueError("inputs must have symmetric linear part")
+        if not isinstance(op, AffineIsometry) or not op.is_linear() or not _is_self_adjoint(op):
+            raise ValueError("inputs must be reflectors of linear subspaces: linear "
+                             "isometries with a self-adjoint linear part")
     first = {}
     repeats = tuple(first.setdefault(id(op), i) for i, op in enumerate(generators))
     return OperatorSet(generators, _psi_words(repeats), fixed=fixed)

@@ -18,7 +18,6 @@ from .numerics import (
     CONSISTENCY_TOL,
     EQ_TOL,
     _ORTHONORMALITY_TOL,
-    _certifies_full_rank,
     _norm,
     as_matrix,
     as_vector,
@@ -32,8 +31,6 @@ __all__ = [
     "AffineMap",
     "identity",
     "make_reflector",
-    "make_translation",
-    "make_orthogonal",
     "compose",
     "fixed_point_set",
     "build_sum_averaged",
@@ -148,18 +145,6 @@ def make_reflector(subspace: AffineSubspace) -> AffineIsometry:
     return AffineIsometry(Q, b)
 
 
-def make_translation(offset) -> AffineIsometry:
-    offset = as_vector(offset)
-    return AffineIsometry(np.eye(offset.shape[0]), offset)
-
-
-def make_orthogonal(Q, offset=None) -> AffineIsometry:
-    Q = as_matrix(Q)
-    if offset is None:
-        offset = np.zeros(Q.shape[0])
-    return AffineIsometry(Q, as_vector(offset))
-
-
 def compose(second: AffineIsometry, first: AffineIsometry) -> AffineIsometry:
     """The isometry 'second after first'."""
     if second.ambient_dim != first.ambient_dim:
@@ -189,18 +174,14 @@ def fixed_point_set(op: AffineOperator) -> Optional[AffineSubspace]:
 
 def _common_fixed_points(ops: Sequence[AffineOperator]) -> Optional[AffineSubspace]:
     """Points fixed by every operator, or None when there are none: the
-    solution set of the stacked systems (M_i - I) x = -b_i, empty when the
-    residual exceeds CONSISTENCY_TOL relative to the stacked offsets. For
-    two or more linear operators the Gram certificate of
-    :func:`_certifies_full_rank` first tries, one block at a time, to show
-    that only the origin is fixed; the blocks are stacked only when it
-    fails or some offset is nonzero."""
-    n = ops[0].ambient_dim
-    eye = np.eye(n)
+    solution set of the stacked systems (M_i - I) x = -b_i, from one
+    :func:`solution_set` call, empty when the residual exceeds
+    CONSISTENCY_TOL relative to the stacked offsets. Unlike :func:`intersect`
+    it asks no Gram certificate first: the runner gives its psi and averaged
+    families their fixed set, so it comes here for one operator or a custom
+    family."""
+    eye = np.eye(ops[0].ambient_dim)
     rhs = -np.concatenate([op.b for op in ops])
-    if len(ops) * n > n and not np.any(rhs) and _certifies_full_rank(
-            _linear_part(op) - eye for op in ops):
-        return AffineSubspace.point(np.zeros(n))
     anchor, direction, residual = solution_set(
         np.vstack([_linear_part(op) - eye for op in ops]), rhs)
     if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
@@ -339,11 +320,14 @@ def operator_from_literal(obj) -> AffineIsometry:
     if kind == "translation":
         if "offset" not in obj:
             raise ValueError("translation literal needs an 'offset' key")
-        return make_translation(obj["offset"])
+        offset = as_vector(obj["offset"])
+        return AffineIsometry(np.eye(offset.shape[0]), offset)
     if kind == "orthogonal":
         if "matrix" not in obj:
             raise ValueError("orthogonal literal needs a 'matrix' key")
-        return make_orthogonal(obj["matrix"], obj.get("offset"))
+        Q = as_matrix(obj["matrix"])
+        offset = obj.get("offset")
+        return AffineIsometry(Q, np.zeros(Q.shape[0]) if offset is None else offset)
     if kind == "compose":
         factors = obj.get("factors")
         if not isinstance(factors, list) or len(factors) == 0:

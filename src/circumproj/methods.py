@@ -18,9 +18,9 @@ from .isometry import (
     AffineIsometry,
     AffineMap,
     _accelerated_step,
+    _linear_isometry_parts,
     _require_nonexpansive,
     fixed_point_set,
-    make_reflector,
 )
 from .numerics import _norm, as_vector
 from .subspace import AffineSubspace, intersect
@@ -234,20 +234,12 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
     return _drive(config.method, step, x0, config, target)
 
 
-def dr_operator(first: AffineSubspace, second: AffineSubspace) -> AffineMap:
-    """The averaged reflector composition (I + R_second R_first) / 2."""
-    return _dr_map(first, second, make_reflector(first), make_reflector(second))
-
-
-def _dr_map(first: AffineSubspace, second: AffineSubspace,
-            first_reflector: AffineIsometry, second_reflector: AffineIsometry) -> AffineMap:
-    """:func:`dr_operator` from the reflectors of its two subspaces, for a
-    caller that already holds them."""
-    for s in (first, second):
-        if not s.is_linear():
-            raise ValueError("expected linear subspaces")
-    n = first.ambient_dim
-    return AffineMap(0.5 * (np.eye(n) + second_reflector.Q @ first_reflector.Q), np.zeros(n))
+def dr_operator(first: AffineIsometry, second: AffineIsometry) -> AffineMap:
+    """The averaged reflector composition (I + R_second R_first) / 2 of the
+    reflectors of two linear subspaces."""
+    first_q, second_q = _linear_isometry_parts((first, second))
+    n = first_q.shape[0]
+    return AffineMap(0.5 * (np.eye(n) + second_q @ first_q), np.zeros(n))
 
 
 def map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:

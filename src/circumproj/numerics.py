@@ -6,8 +6,9 @@ the scale of their data. Every affine solution set of the package
 (intersections, fixed point sets, orthogonal complements) comes from
 :func:`solution_set`, so its rank rule, RANK_TOL * (1 + largest), is
 decided in one place; a Gram eigensolve in :func:`_certifies_full_rank`
-may only certify that a tall homogeneous system, given block by block, has
-full column rank, with a cut derived from RANK_TOL, and never solves. All
+may only certify, for ``intersect`` alone, that a tall homogeneous system,
+given block by block, has full column rank, with a cut derived from
+RANK_TOL, and never solves. All
 functions are pure and never mutate inputs.
 Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
 calls alternating between the two stall on each other's spinning threads.
@@ -118,9 +119,8 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     right-hand side has the zero solution without a solve.
 
     The solution set of a stacked homogeneous system with full column
-    rank is the origin alone; :func:`_certifies_full_rank` decides that
-    case before the blocks are stacked, so callers that stack blocks ask it
-    first.
+    rank is the origin alone; ``intersect`` asks
+    :func:`_certifies_full_rank` for that case before it stacks its blocks.
     """
     mat = as_matrix(A)
     rhs = as_vector(b)
@@ -154,8 +154,8 @@ def _certifies_full_rank(blocks: Iterable[np.ndarray]) -> bool:
     G = sum_i B_i^T B_i, so no more than one block, G and one product are
     held at once. The eigenvalues lam of G only decide and never solve.
     When lam_min > sqrt(RANK_TOL) * (1 + lam_max), the homogeneous system
-    A x = 0 has the origin alone as its solution set, and the caller returns
-    it as :func:`solution_set` would on the stack: the zero anchor, a
+    A x = 0 has the origin alone as its solution set, and ``intersect``
+    returns it as :func:`solution_set` would on the stack: the zero anchor, a
     (0, n) null basis, and residual 0, since Householder reflections keep a
     zero column exactly zero.
 

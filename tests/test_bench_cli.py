@@ -313,6 +313,56 @@ def test_compute_rates_builds_no_circumcentered_family(monkeypatch):
     assert all(row["value"] is not None for row in rows)
 
 
+def test_run_experiment_makes_each_reflector_once(monkeypatch):
+    """The demo's five subspaces give five reflectors: the fixed-line check
+    of ``three_lines_plane`` composes the ones its methods made."""
+    made = []
+    original = circumproj.bench.make_reflector
+    monkeypatch.setattr("circumproj.bench.make_reflector",
+                        lambda subspace: made.append(subspace) or original(subspace))
+    report = run_experiment(load_config(DEMO_CONFIG), write=False)
+    assert len(made) == 5
+    assert [name for name, passed, _ in report.instances[1].extra_checks if passed] == [
+        "product_fixed_line"]
+
+
+RANDOM_ALL_RECIPES = {
+    "name": "random_rates", "ambient_dim": 6, "max_iters": 5,
+    "instances": {"kind": "random", "count": 2, "num_subspaces": 3,
+                  "dim_range": [2, 4], "seed": 31},
+    "methods": [
+        {"method": "map"}, {"method": "sym_map"}, {"method": "accel_map"}, {"method": "dr"},
+        {"method": "averaged_iter", "builder": "sum"},
+        {"method": "averaged_iter", "builder": "product"},
+        {"method": "cim", "operator_set": "psi"},
+        {"method": "cim", "operator_set": "psi", "symmetrized": True,
+         "prefix": "sym_map_product"},
+        {"method": "cim", "operator_set": "identity_plus_reflectors"},
+        {"method": "cim", "operator_set": "identity_plus_prefix_products", "symmetrized": True},
+    ],
+}
+
+
+@pytest.mark.parametrize("obj", [demo_config(), RANDOM_ALL_RECIPES], ids=["demo", "random"])
+def test_compute_rates_rows_are_the_rates_report_json_records(obj, tmp_path):
+    """Each rates row names the constant, value and ingredients that the
+    audit of the same label records; the audit adds a prefixed run's
+    prefactor to its ingredients."""
+    config = parse_config(obj)
+    run_experiment(config, out_dir=tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    records = {(instance["label"], method["label"]): method["rate"]
+               for instance in report["instances"] for method in instance["methods"]}
+    rows = compute_rates(config)
+    assert [(row["instance"], row["method"]) for row in rows] == list(records)
+    for row in rows:
+        rate = records[row["instance"], row["method"]]
+        prefactor = {} if row["prefactor"] is None else {"prefactor": row["prefactor"]}
+        assert row["constant_name"] == rate["constant_name"]
+        assert row["value"] == rate["value"]
+        assert {**row["ingredients"], **prefactor} == rate["ingredients"]
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

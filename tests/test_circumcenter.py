@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
+    AffineIsometry,
     EQ_TOL,
     AffineSubspace,
     NumericalPropernessError,
@@ -19,11 +20,10 @@ from circumproj import (
     compose,
     identity,
     intersect,
-    make_orthogonal,
     make_reflector,
-    make_translation,
 )
 from circumproj.circumcenter import _diameter, _distinct
+from circumproj.isometry import _is_self_adjoint
 from helpers import (
     random_family,
     reference_images,
@@ -121,7 +121,7 @@ def test_circumcenter_map_frozen_pair_gives_projection():
 
 def test_operator_set_rejects_fixed_point_free_and_disjoint_families():
     with pytest.raises(ValueError):
-        OperatorSet([make_translation([1.0, 0.0])])
+        OperatorSet([AffineIsometry(np.eye(2), np.array([1.0, 0.0]))])
     shifted_up = make_reflector(AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]]))
     shifted_down = make_reflector(AffineSubspace.from_span([0.0, -1.0], [[1.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -287,7 +287,7 @@ def test_build_psi_frozen_order_and_size():
 
 
 def test_build_psi_rejects_bad_inputs():
-    rotation = make_orthogonal([[0.0, -1.0], [1.0, 0.0]])
+    rotation = AffineIsometry(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         build_psi([rotation])  # not symmetric
     anchored = make_reflector(AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]]))
@@ -296,6 +296,18 @@ def test_build_psi_rejects_bad_inputs():
     many = reflectors_of([LINE_X] * 17)
     with pytest.raises(ValueError):
         build_psi(many)
+
+
+def test_build_psi_decides_symmetry_by_the_rule_of_sym_map():
+    """A reflection turned by theta = 6e-11 is asymmetric by 1.2e-10, above
+    EQ_TOL but within EQ_TOL * (1 + max|Q|), the rule that ``sym_map`` and
+    ``accel_map`` apply; build_psi accepts it by the same rule."""
+    c, s = math.cos(6e-11), math.sin(6e-11)
+    turned = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.diag([1.0, 1.0, -1.0])
+    op = AffineIsometry(turned, np.zeros(3))
+    assert float(np.max(np.abs(turned - turned.T))) > EQ_TOL
+    assert _is_self_adjoint(op)
+    assert build_psi([op]).words == ((), (0,))
 
 
 def test_word_budget_rejects_before_any_buffer_is_allocated(monkeypatch):

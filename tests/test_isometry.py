@@ -15,9 +15,7 @@ from circumproj import (
     fixed_point_set,
     identity,
     intersect,
-    make_orthogonal,
     make_reflector,
-    make_translation,
     operator_from_literal,
     operator_rate,
     run_linear,
@@ -47,7 +45,7 @@ def test_compose_frozen_two_axis_reflectors_give_point_reflection():
 
 
 def test_compose_applies_first_argument_last():
-    shift = make_translation([1.0, 0.0])
+    shift = AffineIsometry(np.eye(2), np.array([1.0, 0.0]))
     flip = make_reflector(LINE_Y)
     # flip after shift: (0,0) -> (1,0) -> (-1,0)
     assert np.allclose(compose(flip, shift).apply([0.0, 0.0]), [-1.0, 0.0])
@@ -61,12 +59,12 @@ def test_affine_isometry_rejects_non_orthogonal_linear_part():
 
 
 def test_fixed_point_set_frozen_cases():
-    rotation = make_orthogonal([[0.0, -1.0], [1.0, 0.0]])
+    rotation = AffineIsometry(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     fixed = fixed_point_set(rotation)
     assert fixed is not None and fixed.dim == 0
     assert np.allclose(fixed.anchor, [0.0, 0.0], atol=1e-10)
 
-    assert fixed_point_set(make_translation([1.0, 0.0])) is None
+    assert fixed_point_set(AffineIsometry(np.eye(2), np.array([1.0, 0.0]))) is None
 
     everything = fixed_point_set(identity(3))
     assert everything.dim == 3
@@ -177,7 +175,7 @@ def test_accelerated_apply_returns_fixed_points_unchanged():
 def test_predicates():
     reflector = make_reflector(LINE_DIAG)
     assert _is_self_adjoint(reflector)
-    rotation = make_orthogonal([[0.0, -1.0], [1.0, 0.0]])
+    rotation = AffineIsometry(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     assert not _is_self_adjoint(rotation)
 
 
@@ -215,7 +213,8 @@ def test_isometries_preserve_distances(seed):
     rng = np.random.default_rng(seed)
     ambient = int(rng.integers(2, 6))
     sub = random_linear_subspace(rng, ambient, int(rng.integers(1, ambient)))
-    iso = compose(make_reflector(sub), make_translation(rng.standard_normal(ambient)))
+    shift = AffineIsometry(np.eye(ambient), rng.standard_normal(ambient))
+    iso = compose(make_reflector(sub), shift)
     x = rng.standard_normal(ambient)
     y = rng.standard_normal(ambient)
     assert abs(np.linalg.norm(iso.apply(x) - iso.apply(y)) - np.linalg.norm(x - y)) < 1e-10

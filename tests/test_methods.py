@@ -124,7 +124,7 @@ def test_run_linear_rejects_methods_that_are_not_one_linear_map():
 
 def test_run_dr_frozen_orthogonal_axes_in_one_step():
     """For perpendicular lines the splitting operator is the zero map."""
-    op = dr_operator(LINE_X, LINE_Y)
+    op = dr_operator(*reflectors_of([LINE_X, LINE_Y]))
     assert np.allclose(op.A, np.zeros((2, 2)), atol=1e-12)
     trace = run_linear(op, X0, MethodConfig(method="dr", max_iters=3))
     assert abs(trace.errors[0] - np.linalg.norm(X0)) < 1e-12
@@ -132,7 +132,7 @@ def test_run_dr_frozen_orthogonal_axes_in_one_step():
 
 
 def test_run_dr_frozen_45_degrees_contracts_by_cos():
-    trace = run_linear(dr_operator(LINE_X, LINE_DIAG), X0,
+    trace = run_linear(dr_operator(*reflectors_of([LINE_X, LINE_DIAG])), X0,
                        MethodConfig(method="dr", max_iters=8))
     ratios = trace.errors[1:] / trace.errors[:-1]
     assert np.allclose(ratios, np.sqrt(0.5), atol=1e-10), (
@@ -143,7 +143,7 @@ def test_run_dr_frozen_45_degrees_contracts_by_cos():
 def test_dr_operator_rejects_anchored_subspace():
     shifted = AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])
     with pytest.raises(ValueError):
-        dr_operator(shifted, LINE_DIAG)
+        dr_operator(*reflectors_of([shifted, LINE_DIAG]))
 
 
 def test_run_averaged_iter_requires_certificate():

@@ -137,7 +137,7 @@ def test_defaulted_parameters_do_not_grow():
     set; a new one must be wanted, and this figure raised with it."""
     defaulted = [f"{name}:{p.name}" for name, sig in _exported_signatures()
                  for p in sig.parameters.values() if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) <= 25, defaulted
+    assert len(defaulted) <= 24, defaulted
 
 
 def test_numerics_exports_the_three_thresholds():
@@ -147,6 +147,20 @@ def test_numerics_exports_the_three_thresholds():
 
 
 PACKAGE = Path(circumproj.__file__).parent
+
+
+def test_no_comparison_reads_an_unnamed_threshold():
+    """A float in (0, 1) that a comparison reads is a threshold, and a
+    threshold is named once: RANK_TOL, CONSISTENCY_TOL, EQ_TOL or a module
+    constant beside its reason."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                found += [f"{path.name}:{sub.lineno} {sub.value!r}" for sub in ast.walk(node)
+                          if isinstance(sub, ast.Constant) and isinstance(sub.value, float)
+                          and 0.0 < sub.value < 1.0]
+    assert not found, found
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Public names kept for a caller that does not exist yet, each with its reason.

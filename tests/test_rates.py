@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
+    AffineIsometry,
     AffineMap,
     AffineSubspace,
     IterationTrace,
@@ -14,7 +15,6 @@ from circumproj import (
     audit_bound,
     fixed_point_set,
     friedrichs_cos,
-    make_orthogonal,
     operator_rate,
     run_map,
     symmetric_map_operator,
@@ -114,7 +114,7 @@ def test_accel_constants_frozen_three_lines():
 
 
 def test_accel_constants_reject_unsuitable_operators():
-    rotation = make_orthogonal([[0.0, -1.0], [1.0, 0.0]])
+    rotation = AffineIsometry(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     with pytest.raises((ValueError, RuntimeError)):
         accel_constants(AffineMap(A=rotation.Q, b=np.zeros(2)))
     with pytest.raises((ValueError, RuntimeError)):

@@ -152,7 +152,7 @@ def _direct_accel_map(subspaces, x0):
 
 
 def _direct_dr(subspaces, x0):
-    op = dr_operator(subspaces[0], subspaces[1])
+    op = dr_operator(make_reflector(subspaces[0]), make_reflector(subspaces[1]))
     fixed, target = _fixed_target(op, x0)
     rate = operator_rate(op, fixed)
     return _iterate(op.apply, x0, target), rate, {"operator_rate": rate}
@@ -311,7 +311,7 @@ def test_only_dr_computes_a_fixed_point_set(monkeypatch):
     assert len(ops) == len(report.instances) == 2
     for index, op in enumerate(ops):
         subspaces, _, _ = generate_instance(6, 3, (2, 4), np.random.default_rng((SEED, index)))
-        assert np.array_equal(op.A, dr_operator(subspaces[0], subspaces[1]).A)
+        assert np.array_equal(op.A, dr_operator(*_family(subspaces[:2], False)).A)
 
 
 def test_method_tags_have_one_source():

@@ -1,9 +1,9 @@
 """Resolution and planning in O(n^2) transient memory, bit for bit.
 
-``intersect`` and the common fixed set certify a trivial answer from a Gram
-matrix summed one block at a time, ``build_product_averaged`` adds each
-relaxed prefix product as it is formed, the projection products form each
-distinct projector once, and the rates multiply by no identity. Every
+``intersect`` certifies a trivial answer from a Gram matrix summed one
+block at a time, ``build_product_averaged`` adds each relaxed prefix
+product as it is formed, the projection products form each distinct
+projector once, and the rates multiply by no identity. Every
 result must equal the stacked, listed and identity-multiplied formulas of
 ``helpers.reference_*`` bit for bit, and the transient heap of resolution
 and of the product builder must not grow with the number of subspaces.
@@ -120,7 +120,7 @@ def _check_planning(family) -> None:
     assert product.averagedness == want.averagedness
     operators = [(sym, fixed), (product, fixed)]
     if len(family) > 1:
-        dr = dr_operator(family[0], family[1])
+        dr = dr_operator(reflectors[0], reflectors[1])
         operators.append((dr, fixed_point_set(dr)))
     for op, op_fixed in operators:
         try:
