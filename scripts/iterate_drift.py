@@ -34,7 +34,9 @@ import workloads  # noqa: E402
 def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
     """Run the operations with the circumproj on the import path and write,
     per operation, each method's iterates, errors, stop step, audited
-    constant and audit verdict."""
+    constant and audit verdict. The last two are read from the record a
+    method writes to report.json, so trees that name the report's
+    attributes differently still compare."""
     from circumproj import parse_config, run_experiment
 
     workload = workloads.WORKLOADS[workload_name]
@@ -46,17 +48,19 @@ def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
         except (RuntimeError, ValueError) as error:
             results.append({"error": f"{type(error).__name__}: {error}"})
             continue
-        results.append({"methods": [
-            {
-                "label": f"{instance.label}/{m.label}",
-                "iterates": m.trace.iterates.tolist(),
-                "errors": m.trace.errors.tolist(),
-                "stopped_at": int(m.trace.stopped_at),
-                "constant": None if m.report is None else m.report.value,
-                "verdict": None if m.report is None else m.report.all_satisfied,
-            }
-            for instance in report.instances for m in instance.methods
-        ]})
+        methods = []
+        for instance in report.instances:
+            for m in instance.methods:
+                rate = m.summary_obj()["rate"]
+                methods.append({
+                    "label": f"{instance.label}/{m.label}",
+                    "iterates": m.trace.iterates.tolist(),
+                    "errors": m.trace.errors.tolist(),
+                    "stopped_at": int(m.trace.stopped_at),
+                    "constant": None if rate is None else rate["value"],
+                    "verdict": None if rate is None else rate["all_satisfied"],
+                })
+        results.append({"methods": methods})
     Path(path).write_text(json.dumps(results))
 
 

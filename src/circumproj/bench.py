@@ -48,6 +48,7 @@ from .methods import (
 from .numerics import EQ_TOL, as_vector
 from .rates import (
     AccelConstants,
+    RateConstant,
     RateReport,
     accel_constants,
     audit_bound,
@@ -445,14 +446,10 @@ def generate_instance(ambient_dim: int, num_subspaces: int, dim_range,
 
 @dataclass(frozen=True)
 class _MethodPlan:
-    """A method's audited constant, if any, and the run it bounds. Only a
-    prefixed run has a ``prefactor``: its bound scales the pre-prefix error."""
+    """A method's audited constant, if any, and the run it bounds."""
 
-    constant_name: Optional[str]
-    rate: Optional[float]
-    ingredients: dict
+    constant: Optional[RateConstant]
     run: Callable[[MethodConfig], IterationTrace]
-    prefactor: Optional[float] = None
 
 
 @dataclass(eq=False)
@@ -508,13 +505,14 @@ class _Instance:
 def _linear_plan(constant_name: str, op: AffineMap, fixed: AffineSubspace,
                  ctx: _Instance, **ingredients) -> _MethodPlan:
     rate = operator_rate(op, fixed)
-    return _MethodPlan(constant_name, rate, {"operator_rate": rate, **ingredients},
+    return _MethodPlan(RateConstant(constant_name, rate, {"operator_rate": rate, **ingredients}),
                        lambda config: run_linear(op, ctx.x0, config, fixed=fixed))
 
 
 def _plan_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     gamma = ctx.tuple_cos
-    return _MethodPlan("cyclic_projection_tuple_rate", gamma, {"tuple_angle_cos": gamma},
+    return _MethodPlan(RateConstant("cyclic_projection_tuple_rate", gamma,
+                                    {"tuple_angle_cos": gamma}),
                        lambda config: run_map(ctx.subspaces, ctx.x0, config,
                                               fixed=ctx.inter.subspace))
 
@@ -525,7 +523,8 @@ def _plan_sym_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
 
 def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    return _MethodPlan("acceleration_rate", ctx.accel.eta, dataclasses.asdict(ctx.accel),
+    return _MethodPlan(RateConstant("acceleration_rate", ctx.accel.eta,
+                                    dataclasses.asdict(ctx.accel)),
                        lambda config: run_linear(ctx.sym_op, ctx.x0, config,
                                                  fixed=ctx.inter.subspace))
 
@@ -555,13 +554,14 @@ def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
         return run_cim(operator_set, ctx.x0, config)
 
     if prefix is not None:
-        return _MethodPlan("accelerated_prefixed_rate", ctx.accel.eta,
-                           dataclasses.asdict(ctx.accel), run, prefactor=ctx.accel.cT)
+        return _MethodPlan(RateConstant("accelerated_prefixed_rate", ctx.accel.eta,
+                                        {**dataclasses.asdict(ctx.accel),
+                                         "prefactor": ctx.accel.cT}), run)
     gamma = ctx.tuple_cos
     if spec.symmetrized:
-        return _MethodPlan("symmetric_tuple_rate", gamma * gamma,
-                           {"tuple_angle_cos_half": gamma}, run)
-    return _MethodPlan("tuple_rate", gamma, {"tuple_angle_cos": gamma}, run)
+        return _MethodPlan(RateConstant("symmetric_tuple_rate", gamma * gamma,
+                                        {"tuple_angle_cos_half": gamma}), run)
+    return _MethodPlan(RateConstant("tuple_rate", gamma, {"tuple_angle_cos": gamma}), run)
 
 
 def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -575,7 +575,8 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
         return run_cim(operator_set, ctx.x0, config)
 
     rate = operator_rate(ctx.averaged(builder, spec.symmetrized), ctx.inter.subspace)
-    return _MethodPlan(f"{builder}_averaged_rate", rate, {"operator_rate": rate}, run)
+    constant = RateConstant(f"{builder}_averaged_rate", rate, {"operator_rate": rate})
+    return _MethodPlan(constant, run)
 
 
 def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -583,7 +584,7 @@ def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
         ops = [operator_from_literal(lit) for lit in spec.operators]
         return run_cim(OperatorSet(ops), ctx.x0, config)
 
-    return _MethodPlan(None, None, {}, run)
+    return _MethodPlan(None, run)
 
 
 # The key of a methods entry that names the variant of its method tag.
@@ -779,11 +780,7 @@ def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
         max_iters = spec.max_iters if spec.max_iters is not None else config.max_iters
         trace = plan.run(MethodConfig(method=spec.method, max_iters=max_iters,
                                       stop_tol=config.stop_tol))
-        report = None
-        if plan.constant_name is not None:
-            report = audit_bound(trace, plan.rate, prefactor=plan.prefactor,
-                                 constant_name=plan.constant_name,
-                                 ingredients=plan.ingredients)
+        report = None if plan.constant is None else audit_bound(trace, plan.constant)
         outcomes.append(MethodOutcome(label, spec.method, trace, report))
     return tuple(outcomes)
 
@@ -851,6 +848,7 @@ def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
 def compute_rates(config: ExperimentConfig) -> list:
     """Theoretical constants for every instance/method pair, without tracing.
 
+    Each row's ``rate`` is the method's report.json ``rate`` less the audit keys.
     Nothing is iterated, and no operator family is built that only the
     iteration needs.
     """
@@ -861,10 +859,6 @@ def compute_rates(config: ExperimentConfig) -> list:
             rows.append({
                 "instance": label,
                 "method": method_label,
-                "constant_name": plan.constant_name,
-                "value": plan.rate,
-                "ingredients": {k: float(v) for k, v in sorted(plan.ingredients.items())},
-                "scale_mode": "plain" if plan.prefactor is None else "prefixed",
-                "prefactor": plan.prefactor,
+                "rate": None if plan.constant is None else plan.constant.to_json_obj(),
             })
     return rows

@@ -113,8 +113,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = _apply_overrides(load_config(args.config), args)
             rows = compute_rates(config)
             for row in rows:
-                value = "-" if row["value"] is None else f"{row['value']:.12g}"
-                print(f"{row['instance']}/{row['method']}: {row['constant_name']} = {value}")
+                rate = row["rate"]
+                name, value = (rate["constant_name"], f"{rate['value']:.12g}") if rate else (None, "-")
+                print(f"{row['instance']}/{row['method']}: {name} = {value}")
             if args.out is not None:
                 target = Path(args.out)
                 target.parent.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,9 @@
 """Theoretical linear-convergence constants and audits of observed traces.
 
-Each audit compares the recorded error column of a trace against a
-geometric bound rate^k scaled by the initial error (or by a prefactor times
-the pre-prefix error for prefixed runs) and reports per-iteration slack.
+A constant is one record, :class:`RateConstant`. Each audit compares the
+error column of a trace against the bound value^k times the initial error,
+or times prefactor * pre-prefix error when the constant's ingredients hold
+a ``prefactor``, and reports per-iteration slack.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .subspace import AffineSubspace, intersect
 
 __all__ = [
     "AUDIT_TOL",
+    "RateConstant",
     "RateReport",
     "AccelConstants",
     "friedrichs_cos",
@@ -38,8 +40,30 @@ AUDIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
+class RateConstant:
+    """A linear rate constant: its name, its value and the ingredients it
+    was computed from. A prefixed run's constant holds its ``prefactor``
+    among the ingredients; the audit scales its bound by it."""
+
+    name: str
+    value: float
+    ingredients: dict
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise ValueError("rate must be nonnegative")
+
+    def to_json_obj(self) -> dict:
+        return {
+            "constant_name": self.name,
+            "value": float(self.value),
+            "ingredients": {k: float(v) for k, v in sorted(self.ingredients.items())},
+        }
+
+
+@dataclass(frozen=True)
 class RateReport:
-    """A theoretical constant audited against one trace.
+    """A rate constant audited against one trace.
 
     ``per_iteration`` rows are (k, observed_error, bound_value, satisfied)
     with satisfied meaning observed <= bound * (1 + AUDIT_TOL).
@@ -47,15 +71,16 @@ class RateReport:
     anything negative beyond the audit tolerance marks a violation.
     """
 
-    constant_name: str
-    value: float
-    ingredients: dict
+    constant: RateConstant
     per_iteration: tuple
-    slack_min: float
 
     @property
     def all_satisfied(self) -> bool:
         return all(row[3] for row in self.per_iteration)
+
+    @property
+    def slack_min(self) -> float:
+        return min([float("inf"), *(_slack(o, b) for _, o, b, _ in self.per_iteration)])
 
     def to_csv(self) -> str:
         """One row per audited iterate, each float by its repr, in one pass."""
@@ -64,9 +89,7 @@ class RateReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "constant_name": self.constant_name,
-            "value": float(self.value),
-            "ingredients": {k: float(v) for k, v in sorted(self.ingredients.items())},
+            **self.constant.to_json_obj(),
             "slack_min": float(self.slack_min),
             "all_satisfied": self.all_satisfied,
             "per_iteration": [
@@ -220,41 +243,20 @@ def _slack(observed: float, bound: float) -> float:
     return 1.0 if observed <= 0.0 else float("-inf")
 
 
-def audit_bound(trace: IterationTrace, rate: float,
-                prefactor: Optional[float] = None,
-                constant_name: str = "linear_rate",
-                ingredients: Optional[dict] = None) -> RateReport:
-    """Audit a trace against the geometric bound rate^k * scale.
+def audit_bound(trace: IterationTrace, constant: RateConstant) -> RateReport:
+    """Audit a trace against the geometric bound value^k * scale.
 
-    Without a prefactor the scale is the first recorded error. A prefixed
-    run passes its prefactor: the scale is then prefactor * error_origin,
-    where error_origin measures the original start before the prefix was
-    applied, and the prefactor joins the ingredients. ``rate`` and
-    ``prefactor`` are taken as Python floats, so a numpy scalar writes the
-    same bytes.
+    The scale is the first recorded error, unless the constant's
+    ingredients hold a ``prefactor``: the scale of a prefixed run is then
+    prefactor * error_origin, where error_origin measures the original
+    start before the prefix was applied. The value and the prefactor are
+    taken as Python floats, so a numpy scalar writes the same bytes.
     """
-    rate = float(rate)
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    if prefactor is None:
-        scale = float(trace.errors[0])
-    else:
-        prefactor = float(prefactor)
-        scale = prefactor * trace.error_origin
+    rate = float(constant.value)
+    prefactor = constant.ingredients.get("prefactor")
+    scale = float(trace.errors[0]) if prefactor is None else float(prefactor) * trace.error_origin
     rows = []
-    slack_min = float("inf")
     for k, observed in enumerate(trace.errors.tolist()):
         bound = (rate ** k) * scale
-        satisfied = observed <= bound * (1.0 + AUDIT_TOL)
-        rows.append((k, observed, bound, satisfied))
-        slack_min = min(slack_min, _slack(observed, bound))
-    full_ingredients = dict(ingredients or {})
-    if prefactor is not None:
-        full_ingredients.setdefault("prefactor", prefactor)
-    return RateReport(
-        constant_name=constant_name,
-        value=rate,
-        ingredients=full_ingredients,
-        per_iteration=tuple(rows),
-        slack_min=float(slack_min),
-    )
+        rows.append((k, observed, bound, observed <= bound * (1.0 + AUDIT_TOL)))
+    return RateReport(constant, tuple(rows))

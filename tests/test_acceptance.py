@@ -17,6 +17,7 @@ from circumproj import (
     AffineSubspace,
     MethodConfig,
     OperatorSet,
+    RateConstant,
     accel_constants,
     affine_hull,
     audit_bound,
@@ -159,20 +160,20 @@ def test_criterion_04_map_and_crm_rate_bounds():
     instances = _filtered_triples(404, 100)
     for family, x0, gamma in instances:
         sweeps = run_map(family, x0, MethodConfig(method="map", max_iters=30))
-        report = audit_bound(sweeps, gamma, constant_name="tuple_rate")
+        report = audit_bound(sweeps, RateConstant("tuple_rate", gamma, {}))
         assert report.all_satisfied, (
             f"MAP exceeded gamma^k, slack {report.slack_min} at gamma {gamma}"
         )
         crm = run_cim(build_psi(reflectors_of(family)), x0,
                       MethodConfig(method="cim", max_iters=30))
-        report = audit_bound(crm, gamma, constant_name="tuple_rate")
+        report = audit_bound(crm, RateConstant("tuple_rate", gamma, {}))
         assert report.all_satisfied, (
             f"CRM exceeded gamma^k, slack {report.slack_min} at gamma {gamma}"
         )
         palindrome = family + family[-2::-1]
         sym = run_cim(build_psi(reflectors_of(palindrome)), x0,
                       MethodConfig(method="cim", max_iters=14))
-        report = audit_bound(sym, gamma * gamma, constant_name="symmetric_tuple_rate")
+        report = audit_bound(sym, RateConstant("symmetric_tuple_rate", gamma * gamma, {}))
         assert report.all_satisfied, (
             f"symmetric CRM exceeded (gamma^2)^k, slack {report.slack_min}"
         )
@@ -255,7 +256,7 @@ def test_criterion_08_acceleration_chain_and_bounds():
             continue
 
         accel = run_linear(op, x0, MethodConfig(method="accel_map", max_iters=12))
-        report = audit_bound(accel, consts.eta, constant_name="acceleration_rate")
+        report = audit_bound(accel, RateConstant("acceleration_rate", consts.eta, {}))
         assert report.all_satisfied, (
             f"case {case}: accelerated trace broke eta^k, slack {report.slack_min}"
         )
@@ -263,8 +264,8 @@ def test_criterion_08_acceleration_chain_and_bounds():
         palindrome = family + family[-2::-1]
         prefixed = run_cim(build_psi(reflectors_of(palindrome)), x0,
                            MethodConfig(method="cim", max_iters=12, prefix=op))
-        report = audit_bound(prefixed, consts.eta,
-                             prefactor=consts.cT, constant_name="prefixed_rate")
+        report = audit_bound(prefixed, RateConstant("prefixed_rate", consts.eta,
+                                                     {"prefactor": consts.cT}))
         assert report.all_satisfied, (
             f"case {case}: prefixed trace broke eta^k cT, slack {report.slack_min}"
         )
@@ -292,7 +293,7 @@ def test_criterion_09_averaged_operator_rates():
         rate = operator_rate(averaged, flat.common_fixed)
         if 0.3 <= rate <= 0.9995:
             trace = run_cim(flat, x0, MethodConfig(method="cim", max_iters=20))
-            report = audit_bound(trace, rate, constant_name="sum_averaged_rate")
+            report = audit_bound(trace, RateConstant("sum_averaged_rate", rate, {}))
             assert report.all_satisfied, (
                 f"case {case}: CIM over identity plus reflectors broke its rate, "
                 f"slack {report.slack_min}"
@@ -309,7 +310,7 @@ def test_criterion_09_averaged_operator_rates():
         rate = operator_rate(averaged, nested.common_fixed)
         if 0.3 <= rate <= 0.9995:
             trace = run_cim(nested, x0, MethodConfig(method="cim", max_iters=20))
-            report = audit_bound(trace, rate, constant_name="product_averaged_rate")
+            report = audit_bound(trace, RateConstant("product_averaged_rate", rate, {}))
             assert report.all_satisfied, (
                 f"case {case}: CIM over prefix products broke its rate, "
                 f"slack {report.slack_min}"

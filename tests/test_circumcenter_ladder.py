@@ -149,7 +149,7 @@ def test_linear_recipes_target_the_intersection_at_small_angles(theta, recipe):
     assert instance.intersection_dim == 0
     assert np.array_equal(outcome.trace.target, wanted)
     assert outcome.report.all_satisfied
-    assert 1.0 - 3 * theta**2 <= outcome.report.value <= 1.0
+    assert 1.0 - 3 * theta**2 <= outcome.report.constant.value <= 1.0
 
 
 def _random_config(seed, entries):
@@ -175,5 +175,5 @@ def test_averaged_map_and_its_family_report_one_constant(make_config, arg, build
     averaged, family = compute_rates(make_config(arg, [
         {"method": "averaged_iter", "builder": builder},
         {"method": "cim", "operator_set": operator_set}]))
-    assert family["constant_name"] == averaged["constant_name"]
-    assert family["value"] == averaged["value"]
+    assert family["rate"]["constant_name"] == averaged["rate"]["constant_name"]
+    assert family["rate"]["value"] == averaged["rate"]["value"]

@@ -20,6 +20,7 @@ from circumproj import (
     MethodConfig,
     NumericalPropernessError,
     OperatorSet,
+    RateConstant,
     audit_bound,
     build_psi,
     circumcenter,
@@ -209,13 +210,13 @@ def _audits():
     trace = run_map(subspaces, rng.standard_normal(12), MethodConfig("map", max_iters=40))
     falling = _trace([1.0, 0.5, 0.25, 1e-300, 0.0, 0.0])
     return [
-        audit_bound(trace, 0.93),
-        audit_bound(trace, 0.71, prefactor=1.7),
-        audit_bound(falling, 0.0),
-        audit_bound(falling, 0.5),
-        audit_bound(_trace([0.0, 0.0, 0.0]), 0.9),
-        audit_bound(_trace([0.0, 0.0]), 0.5, prefactor=0.0),
-        audit_bound(_trace([3.0, 4.0, 2.0]), 0.5),
+        audit_bound(trace, RateConstant("linear_rate", 0.93, {})),
+        audit_bound(trace, RateConstant("linear_rate", 0.71, {"prefactor": 1.7})),
+        audit_bound(falling, RateConstant("linear_rate", 0.0, {})),
+        audit_bound(falling, RateConstant("linear_rate", 0.5, {})),
+        audit_bound(_trace([0.0, 0.0, 0.0]), RateConstant("linear_rate", 0.9, {})),
+        audit_bound(_trace([0.0, 0.0]), RateConstant("linear_rate", 0.5, {"prefactor": 0.0})),
+        audit_bound(_trace([3.0, 4.0, 2.0]), RateConstant("linear_rate", 0.5, {})),
     ]
 
 
@@ -228,8 +229,8 @@ def test_the_rate_csv_equals_the_row_by_row_writer():
 
 
 def test_an_empty_audit_writes_the_header_only():
-    audit = audit_bound(_trace([1.0]), 0.5)
-    empty = type(audit)("linear_rate", 0.5, {}, (), 1.0)
+    audit = audit_bound(_trace([1.0]), RateConstant("linear_rate", 0.5, {}))
+    empty = type(audit)(audit.constant, ())
     assert empty.to_csv() == reference_rate_csv(empty) == "k,error,bound,slack\n"
 
 

@@ -11,6 +11,7 @@ from circumproj import (
     AffineSubspace,
     IterationTrace,
     MethodConfig,
+    RateConstant,
     accel_constants,
     audit_bound,
     fixed_point_set,
@@ -140,7 +141,7 @@ def test_accel_constants_chain_inequality(seed):
 
 
 def test_audit_bound_frozen_synthetic_pass():
-    report = audit_bound(_toy_trace([1.0, 0.25, 0.0625]), 0.5)
+    report = audit_bound(_toy_trace([1.0, 0.25, 0.0625]), RateConstant("linear_rate", 0.5, {}))
     assert report.all_satisfied
     bounds = [row[2] for row in report.per_iteration]
     assert np.allclose(bounds, [1.0, 0.5, 0.25], atol=1e-15)
@@ -150,13 +151,13 @@ def test_audit_bound_frozen_synthetic_pass():
 
 
 def test_audit_bound_frozen_synthetic_violation():
-    report = audit_bound(_toy_trace([1.0, 0.6]), 0.5)
+    report = audit_bound(_toy_trace([1.0, 0.6]), RateConstant("linear_rate", 0.5, {}))
     assert not report.all_satisfied
     assert report.slack_min < -0.19
 
 
 def test_audit_bound_all_zero_trace():
-    report = audit_bound(_toy_trace([0.0, 0.0, 0.0]), 0.0)
+    report = audit_bound(_toy_trace([0.0, 0.0, 0.0]), RateConstant("linear_rate", 0.0, {}))
     assert report.all_satisfied
     assert report.slack_min == 1.0
 
@@ -164,16 +165,16 @@ def test_audit_bound_all_zero_trace():
 def test_audit_bound_prefixed_scale():
     # error origin is 2, prefactor 0.25, rate 0.5: bounds 0.5, 0.25, 0.125
     trace = _toy_trace([0.4, 0.2, 0.1], x0=[2.0, 0.0], target=[0.0, 0.0])
-    report = audit_bound(trace, 0.5, prefactor=0.25, constant_name="prefixed_rate")
+    report = audit_bound(trace, RateConstant("prefixed_rate", 0.5, {"prefactor": 0.25}))
     assert report.all_satisfied
     bounds = [row[2] for row in report.per_iteration]
     assert np.allclose(bounds, [0.5, 0.25, 0.125], atol=1e-12)
-    assert report.ingredients["prefactor"] == 0.25
+    assert report.constant.ingredients["prefactor"] == 0.25
 
 
 def test_audit_bound_validates_inputs():
     with pytest.raises(ValueError):
-        audit_bound(_toy_trace([1.0, 0.5]), -0.1)
+        RateConstant("linear_rate", -0.1, {})
 
 
 @pytest.mark.parametrize("prefactor", [None, 0.9], ids=["plain-None", "prefixed-0.9"])
@@ -182,8 +183,9 @@ def test_audit_bound_writes_a_numpy_scalar_rate_as_its_float(prefactor):
     not ``np.float64(...)`` reprs in the bound and slack columns."""
     trace = run_map([LINE_X, LINE_DIAG], np.array([0.3, 0.9]), MethodConfig("map", max_iters=6))
     reports = [
-        audit_bound(trace, to_scalar(0.7),
-                    prefactor=None if prefactor is None else to_scalar(prefactor))
+        audit_bound(trace, RateConstant("linear_rate", to_scalar(0.7),
+                                        {} if prefactor is None
+                                        else {"prefactor": to_scalar(prefactor)}))
         for to_scalar in (float, np.float64)
     ]
     assert "np." not in reports[1].to_csv()
@@ -192,8 +194,7 @@ def test_audit_bound_writes_a_numpy_scalar_rate_as_its_float(prefactor):
 
 
 def test_rate_report_serialization_round_trip():
-    report = audit_bound(_toy_trace([1.0, 0.25]), 0.5, constant_name="demo_rate",
-                         ingredients={"gamma": 0.5})
+    report = audit_bound(_toy_trace([1.0, 0.25]), RateConstant("demo_rate", 0.5, {"gamma": 0.5}))
     lines = report.to_csv().splitlines()
     assert lines[0] == "k,error,bound,slack"
     assert len(lines) == 3
@@ -203,6 +204,5 @@ def test_rate_report_serialization_round_trip():
     assert obj["all_satisfied"] is True
     assert obj["ingredients"]["gamma"] == 0.5
     assert json_text(report) == json_text(audit_bound(
-        _toy_trace([1.0, 0.25]), 0.5, constant_name="demo_rate",
-        ingredients={"gamma": 0.5}
+        _toy_trace([1.0, 0.25]), RateConstant("demo_rate", 0.5, {"gamma": 0.5})
     ))

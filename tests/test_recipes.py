@@ -207,12 +207,12 @@ def test_recipe_matches_direct_library_calls(entry, label, constant_name, direct
     if constant_name is None:
         assert outcome.report is None
         return
-    report = outcome.report
-    assert report.constant_name == constant_name
-    assert abs(report.value - rate) <= 1e-12
-    assert sorted(report.ingredients) == sorted(ingredients)
+    constant = outcome.report.constant
+    assert constant.name == constant_name
+    assert abs(constant.value - rate) <= 1e-12
+    assert sorted(constant.ingredients) == sorted(ingredients)
     for key, value in ingredients.items():
-        assert abs(report.ingredients[key] - value) <= 1e-12, key
+        assert abs(constant.ingredients[key] - value) <= 1e-12, key
 
 
 def _distinct_subsets(reflectors):

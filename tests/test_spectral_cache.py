@@ -76,7 +76,7 @@ def test_resolve_methods_take_five_norms_and_one_eigen_solve(monkeypatch):
     (ctx,) = contexts
     assert ctx.inter.subspace.dim == 0
     outcomes = {o.method: o for o in report.instances[0].methods}
-    assert ctx.accel.cT == outcomes["sym_map"].report.value
+    assert ctx.accel.cT == outcomes["sym_map"].report.constant.value
     op, fixed = ctx.sym_op, ctx.inter.subspace
     memoized = operator_rate(op, fixed)
     assert len(norms) == 5
@@ -120,7 +120,7 @@ def test_each_averaged_map_is_built_once_per_instance(monkeypatch):
 
     (ctx,) = contexts
     assert ctx.averaged("sum", False) is ctx.averaged("sum", False)
-    constants = {o.label: o.report.value for o in report.instances[0].methods}
+    constants = {o.label: o.report.constant.value for o in report.instances[0].methods}
     assert constants["02_cim_identity_plus_reflectors"] == constants["07_averaged_iter_sum"]
     assert (constants["03_cim_identity_plus_prefix_products"]
             == constants["08_averaged_iter_product"])
