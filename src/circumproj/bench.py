@@ -456,9 +456,11 @@ class _MethodPlan:
 class _Instance:
     """One instance and the parts its recipes share, each computed once.
     ``inter`` is the intersection of the subspaces, computed on resolution.
-    Its subspace is the fixed set of every recipe but ``dr``. Deriving it
-    from A - I, as ``fixed_point_set`` does, is ill-conditioned at small
-    angles theta: the smallest singular values of A - I are of order theta^2."""
+    Its subspace is the fixed set of every recipe but ``dr``, and the
+    drivers and rate functions take it as a required argument, so it is
+    decided here. Deriving it from A - I, as ``fixed_point_set`` does, is
+    ill-conditioned at small angles theta: the smallest singular values of
+    A - I are of order theta^2."""
 
     subspaces: list
     x0: np.ndarray

@@ -114,8 +114,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows = compute_rates(config)
             for row in rows:
                 rate = row["rate"]
-                name, value = (rate["constant_name"], f"{rate['value']:.12g}") if rate else (None, "-")
-                print(f"{row['instance']}/{row['method']}: {name} = {value}")
+                value = (f"{rate['constant_name']} = {rate['value']:.12g}" if rate
+                         else "no audited bound")
+                print(f"{row['instance']}/{row['method']}: {value}")
             if args.out is not None:
                 target = Path(args.out)
                 target.parent.mkdir(parents=True, exist_ok=True)

@@ -20,10 +20,9 @@ from .isometry import (
     _accelerated_step,
     _linear_isometry_parts,
     _require_nonexpansive,
-    fixed_point_set,
 )
 from .numerics import _norm, as_vector
-from .subspace import AffineSubspace, intersect
+from .subspace import AffineSubspace
 
 __all__ = [
     "METHOD_TAGS",
@@ -173,23 +172,19 @@ def run_cim(operator_set: OperatorSet, x0, config: MethodConfig) -> IterationTra
 
 
 def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
-            fixed: Optional[AffineSubspace] = None) -> IterationTrace:
+            fixed: Optional[AffineSubspace]) -> IterationTrace:
     """Cyclic projections; one trace step is one full sweep through the list.
 
-    ``fixed`` is the intersection of the subspaces when the caller already
-    has it; without it the intersection is computed here. The start's
-    dimension is checked here, once, so the sweep trusts the driver's iterates.
+    ``fixed`` is the intersection of the subspaces, as ``intersect`` gives
+    it; None, the subspace of an empty intersection, raises ValueError. The
+    start's dimension is checked here, once, so the sweep trusts the
+    driver's iterates.
     """
     x0 = as_vector(x0)
     for s in subspaces:
         s._check_dim(x0)
     if fixed is None:
-        inter = intersect(subspaces)
-        if inter.is_empty:
-            raise ValueError(
-                f"subspaces have empty intersection, residual {inter.residual:.3e}"
-            )
-        fixed = inter.subspace
+        raise ValueError("subspaces have empty intersection")
     target = fixed.project(x0)
 
     def sweep(x: np.ndarray) -> np.ndarray:
@@ -201,7 +196,7 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
 
 
 def run_linear(op: AffineMap, x0, config: MethodConfig,
-               fixed: Optional[AffineSubspace] = None) -> IterationTrace:
+               fixed: Optional[AffineSubspace]) -> IterationTrace:
     """Iterate a linear operator toward the projection onto its fixed set.
 
     ``config.method`` picks the step, the line-search acceleration step
@@ -209,10 +204,11 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
     made once per run: ``sym_map`` and ``accel_map`` need a self-adjoint
     nonexpansive operator, ``averaged_iter`` the averaged builders'
     certificate, all a fixed point.
-    ``fixed`` is the operator's fixed set when the caller already has it.
-    For ``dr`` that set strictly contains the intersection whenever the two
-    orthogonal complements meet nontrivially. The fallback,
-    ``fixed_point_set``, is ill-conditioned at small angles.
+    ``fixed`` is the operator's fixed set; None raises ValueError. For
+    ``sym_map``, ``accel_map`` and ``averaged_iter`` it is the intersection
+    of the subspaces. For ``dr`` it is ``fixed_point_set`` of the operator,
+    which strictly contains the intersection whenever the two orthogonal
+    complements meet nontrivially.
     """
     if config.method not in LINEAR_METHODS:
         raise ValueError(f"run_linear iterates {LINEAR_METHODS}, not {config.method!r}")
@@ -223,9 +219,7 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
         raise ValueError("operator carries no averagedness certificate; "
                          "use build_sum_averaged or build_product_averaged")
     if fixed is None:
-        fixed = fixed_point_set(op)
-        if fixed is None:
-            raise ValueError("operator has no fixed points")
+        raise ValueError("operator has no fixed points")
     target = fixed.project(x0)
     A, b = op.A, op.b
     # iterates are finite vectors, checked by _drive, so op.apply's check of x is skipped

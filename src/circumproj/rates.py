@@ -18,18 +18,16 @@ from .isometry import (
     _require_nonexpansive,
     _sym_extremes,
     _zero_offset,
-    fixed_point_set,
 )
 from .methods import IterationTrace
 from .numerics import CONSISTENCY_TOL, EQ_TOL, spectral_norm, sym_eigen_extremes
-from .subspace import AffineSubspace, intersect
+from .subspace import AffineSubspace
 
 __all__ = [
     "AUDIT_TOL",
     "RateConstant",
     "RateReport",
     "AccelConstants",
-    "friedrichs_cos",
     "tuple_angle_cos",
     "operator_rate",
     "accel_constants",
@@ -105,31 +103,22 @@ def _require_linear(subspaces: Sequence[AffineSubspace]) -> None:
             raise ValueError("rate constants are defined for linear subspaces")
 
 
-def friedrichs_cos(first: AffineSubspace, second: AffineSubspace) -> float:
-    """Cosine of the Friedrichs angle between two linear subspaces.
-
-    The two-subspace case of :func:`tuple_angle_cos`: the spectral norm of
-    P_second P_first P_perp where P_perp projects onto the orthogonal
-    complement of the intersection. Always strictly below 1 in finite
-    dimension, and 0 when one subspace contains the other.
-    """
-    return tuple_angle_cos([first, second])
-
-
 def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
-                    fixed: Optional[AffineSubspace] = None) -> float:
+                    fixed: Optional[AffineSubspace]) -> float:
     """Norm of the cyclic projection product restricted off the intersection.
 
-    For a single subspace this is 0; for two it is the Friedrichs cosine.
-    ``fixed`` may pass the intersection of the subspaces. When it is {0},
-    I - P_fixed is the identity and the chain starts at P_1, which equals
-    P_1 (I - P_fixed) bit for bit.
+    ``fixed`` is the intersection of the subspaces, as ``intersect`` gives
+    it; None raises ValueError. For a single subspace this is 0; for two it
+    is the cosine of their Friedrichs angle, strictly below 1 in finite
+    dimension and 0 when one subspace contains the other. When ``fixed`` is
+    {0}, I - P_fixed is the identity and the chain starts at P_1, which
+    equals P_1 (I - P_fixed) bit for bit.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
     _require_linear(subspaces)
     if fixed is None:
-        fixed = intersect(subspaces).subspace
+        raise ValueError("subspaces have empty intersection")
     product = None
     if fixed.dim > 0:
         product = np.eye(fixed.ambient_dim) - fixed.projector_matrix()
@@ -186,8 +175,7 @@ class AccelConstants:
     cT: float
 
 
-def accel_constants(op: AffineMap,
-                    fixed: Optional[AffineSubspace] = None) -> AccelConstants:
+def accel_constants(op: AffineMap, fixed: Optional[AffineSubspace]) -> AccelConstants:
     """Acceleration constants of a monotone self-adjoint nonexpansive map.
 
     Monotonicity is verified through the smallest eigenvalue of the
@@ -196,17 +184,16 @@ def accel_constants(op: AffineMap,
     the operator to the orthogonal complement of its fixed set; both are 0
     when that complement is trivial, and they are the extremes of the
     monotonicity check when the fixed set is {0}, since the complement's
-    basis is then the identity. ``fixed`` may pass the operator's fixed set;
-    the fallback, ``fixed_point_set``, is ill-conditioned at small angles.
+    basis is then the identity. ``fixed`` is the operator's fixed set, for
+    the symmetric product the intersection of its subspaces; None raises
+    ValueError.
     """
     _require_nonexpansive(op)
     eig_min, eig_max = _sym_extremes(op)
     if eig_min < -EQ_TOL:
         raise ValueError(f"operator is not monotone, smallest eigenvalue {eig_min:.3e}")
     if fixed is None:
-        fixed = fixed_point_set(op)
-        if fixed is None:
-            raise ValueError("operator has no fixed points")
+        raise ValueError("operator has no fixed points")
     if fixed.dim == 0:
         # the complement basis is eye(n), and I A I is A bit for bit
         c1, c2 = eig_min, eig_max

@@ -85,14 +85,10 @@ class AffineSubspace:
         return cls(anchor, orthonormal_basis(span_arr))
 
     @classmethod
-    def linear(cls, span, ambient_dim: Optional[int] = None) -> "AffineSubspace":
-        """Linear subspace spanned by the given vectors, anchored at 0."""
-        span_arr = np.asarray(span, dtype=float)
-        if span_arr.size == 0:
-            if ambient_dim is None:
-                raise ValueError("ambient_dim is required for a trivial span")
-            return cls(np.zeros(ambient_dim), np.zeros((0, ambient_dim)))
-        basis = orthonormal_basis(span_arr)
+    def linear(cls, span) -> "AffineSubspace":
+        """Linear subspace spanned by the given vectors, anchored at 0; {0}
+        is ``point(np.zeros(n))``."""
+        basis = orthonormal_basis(np.asarray(span, dtype=float))
         return cls(np.zeros(basis.shape[1]), basis)
 
     @classmethod

@@ -28,7 +28,6 @@ from circumproj import (
     circumcenter_map,
     compose,
     fixed_point_set,
-    friedrichs_cos,
     identity,
     intersect,
     make_reflector,
@@ -145,10 +144,10 @@ def _filtered_triples(seed, count, low=0.45, high=0.995, attempts=4000):
             break
         family = random_family(rng, 10, 3, 2, 5)
         x0 = 2.0 * unit_vector(rng, 10)
-        gamma = tuple_angle_cos(family)
+        inter = intersect(family).subspace
+        gamma = tuple_angle_cos(family, inter)
         if not low <= gamma <= high:
             continue
-        inter = intersect(family).subspace
         if np.linalg.norm(x0 - inter.project(x0)) < 0.1:
             continue
         instances.append((family, x0, gamma))
@@ -159,7 +158,8 @@ def _filtered_triples(seed, count, low=0.45, high=0.995, attempts=4000):
 def test_criterion_04_map_and_crm_rate_bounds():
     instances = _filtered_triples(404, 100)
     for family, x0, gamma in instances:
-        sweeps = run_map(family, x0, MethodConfig(method="map", max_iters=30))
+        sweeps = run_map(family, x0, MethodConfig(method="map", max_iters=30),
+                         intersect(family).subspace)
         report = audit_bound(sweeps, RateConstant("tuple_rate", gamma, {}))
         assert report.all_satisfied, (
             f"MAP exceeded gamma^k, slack {report.slack_min} at gamma {gamma}"
@@ -182,7 +182,8 @@ def test_criterion_04_map_and_crm_rate_bounds():
 
 
 def test_criterion_05_pinned_45_degree_instance():
-    assert abs(friedrichs_cos(LINE_X, LINE_DIAG) - np.sqrt(0.5)) <= 1e-10
+    fixed = intersect([LINE_X, LINE_DIAG]).subspace
+    assert abs(tuple_angle_cos([LINE_X, LINE_DIAG], fixed) - np.sqrt(0.5)) <= 1e-10
     x0 = np.array([0.3, 0.9])
 
     crm = run_cim(build_psi(reflectors_of([LINE_X, LINE_DIAG])), x0,
@@ -194,7 +195,7 @@ def test_criterion_05_pinned_45_degree_instance():
         ratio = crm.errors[k + 1] / crm.errors[k]
         assert ratio <= 0.5 + 1e-8, f"CRM step {k} contracted only by {ratio}"
 
-    sweeps = run_map([LINE_X, LINE_DIAG], x0, MethodConfig(method="map", max_iters=30))
+    sweeps = run_map([LINE_X, LINE_DIAG], x0, MethodConfig(method="map", max_iters=30), fixed)
     for k in range(sweeps.errors.shape[0] - 1):
         if sweeps.errors[k] <= floor:
             break
@@ -239,8 +240,9 @@ def test_criterion_08_acceleration_chain_and_bounds():
         family = random_family(rng, 6, int(rng.integers(2, 4)), 1, 4)
         x0 = 2.0 * unit_vector(rng, 6)
         op = symmetric_map_operator(family)
-        consts = accel_constants(op)
-        gamma = tuple_angle_cos(family)
+        inter = intersect(family).subspace
+        consts = accel_constants(op, inter)
+        gamma = tuple_angle_cos(family, inter)
         half = consts.cT / (2.0 - consts.cT)
         assert -1e-8 <= consts.eta <= half + 1e-8 <= consts.cT + 2e-8, (
             f"case {case}: chain 0 <= eta <= cT/(2-cT) <= cT broke: {consts}"
@@ -251,11 +253,10 @@ def test_criterion_08_acceleration_chain_and_bounds():
         )
         if not 0.2 <= consts.eta <= 0.9:
             continue
-        inter = intersect(family).subspace
         if np.linalg.norm(x0 - inter.project(x0)) < 0.1:
             continue
 
-        accel = run_linear(op, x0, MethodConfig(method="accel_map", max_iters=12))
+        accel = run_linear(op, x0, MethodConfig(method="accel_map", max_iters=12), inter)
         report = audit_bound(accel, RateConstant("acceleration_rate", consts.eta, {}))
         assert report.all_satisfied, (
             f"case {case}: accelerated trace broke eta^k, slack {report.slack_min}"

@@ -680,6 +680,24 @@ def test_cli_rates_stdout_and_dump(tmp_path, capsys):
     assert len(rows) == 14
 
 
+def test_cli_rates_prints_a_method_without_a_constant_as_verify_does(tmp_path, capsys):
+    """A custom family has no constant: its line reads ``no audited bound``,
+    the words of verify's SKIP line, and every other line is unchanged."""
+    def add_custom(obj):
+        obj["methods"].append({"method": "cim", "operator_set": "custom", "label": "custom",
+                               "operators": [{"kind": "orthogonal",
+                                              "matrix": [[1.0, 0.0], [0.0, 1.0]]}]})
+
+    assert cli.main(["rates", str(_write_demo(tmp_path))]) == 0
+    demo_lines = capsys.readouterr().out.splitlines()
+    assert cli.main(["rates", str(_write_demo(tmp_path, add_custom))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    custom = [line for line in lines if line not in demo_lines]
+    assert custom == ["lines_45deg/custom: no audited bound",
+                      "three_lines_plane/custom: no audited bound"]
+    assert [line for line in lines if line not in custom] == demo_lines
+
+
 @pytest.mark.parametrize("verb", ["verify", "rates"])
 def test_cli_unwritable_out_is_a_runtime_error(tmp_path, capsys, verb):
     """An --out under a regular file cannot be created: exit 1 with an

@@ -148,7 +148,8 @@ def test_averaged_builders_fix_exactly_the_common_fixed_space(seed):
 
 def _accel_step(op, x):
     """One ``accel_map`` step of ``run_linear``, behind its checks."""
-    return run_linear(op, x, MethodConfig(method="accel_map", max_iters=1)).iterates[1]
+    config = MethodConfig(method="accel_map", max_iters=1)
+    return run_linear(op, x, config, fixed_point_set(op)).iterates[1]
 
 
 def test_accelerated_apply_exact_after_one_product_step():
@@ -239,7 +240,8 @@ def test_one_linearity_verdict_for_every_check(offset, linear):
         "is_linear": reflector.is_linear(),
         "build_psi": _accepts(lambda: build_psi([reflector])),
         "run_linear": _accepts(lambda: run_linear(halving, np.array([1.0, 1.0]),
-                                                  MethodConfig(method="sym_map", max_iters=2))),
+                                                  MethodConfig(method="sym_map", max_iters=2),
+                                                  LINE_X)),
         "operator_rate": _accepts(lambda: operator_rate(halving, LINE_X)),
     }
     assert verdicts == dict.fromkeys(verdicts, linear)

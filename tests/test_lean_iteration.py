@@ -207,7 +207,8 @@ def _trace(errors) -> IterationTrace:
 def _audits():
     rng = np.random.default_rng(5)
     subspaces = random_family(rng, 12, 3, 4, 9)
-    trace = run_map(subspaces, rng.standard_normal(12), MethodConfig("map", max_iters=40))
+    trace = run_map(subspaces, rng.standard_normal(12), MethodConfig("map", max_iters=40),
+                    intersect(subspaces).subspace)
     falling = _trace([1.0, 0.5, 0.25, 1e-300, 0.0, 0.0])
     return [
         audit_bound(trace, RateConstant("linear_rate", 0.93, {})),

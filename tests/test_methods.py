@@ -12,6 +12,8 @@ from circumproj import (
     MethodConfig,
     build_psi,
     dr_operator,
+    fixed_point_set,
+    intersect,
     map_operator,
     run_cim,
     run_linear,
@@ -25,6 +27,9 @@ LINE_X = AffineSubspace.linear([[1.0, 0.0]])
 LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
 LINE_Y = AffineSubspace.linear([[0.0, 1.0]])
 X0 = np.array([0.3, 0.9])
+# {0}, the intersection of any two of the lines and the fixed set of each
+# operator made from them
+ORIGIN = AffineSubspace.point(np.zeros(2))
 
 
 def test_method_config_validation():
@@ -38,7 +43,7 @@ def test_method_config_validation():
 
 def test_run_map_frozen_45_degree_sweeps():
     """First sweep lands on (0.15, 0.15); afterwards errors halve exactly."""
-    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=6))
+    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=6), ORIGIN)
     assert np.allclose(trace.iterates[1], [0.15, 0.15], atol=1e-12)
     assert abs(trace.errors[0] - np.sqrt(0.9)) < 1e-12
     assert abs(trace.errors[1] - 0.15 * np.sqrt(2.0)) < 1e-12
@@ -50,7 +55,7 @@ def test_run_map_rejects_empty_intersection():
     up = AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])
     down = AffineSubspace.from_span([0.0, -1.0], [[1.0, 0.0]])
     with pytest.raises(ValueError):
-        run_map([up, down], X0, MethodConfig(method="map"))
+        run_map([up, down], X0, MethodConfig(method="map"), intersect([up, down]).subspace)
 
 
 def test_map_operator_equals_reflector_average():
@@ -75,7 +80,7 @@ def test_run_cim_frozen_one_step_exact():
 def test_run_sym_map_frozen_45_degrees():
     op = symmetric_map_operator([LINE_X, LINE_DIAG])
     assert np.allclose(op.A, [[0.5, 0.0], [0.0, 0.0]], atol=1e-12)
-    trace = run_linear(op, X0, MethodConfig(method="sym_map", max_iters=5))
+    trace = run_linear(op, X0, MethodConfig(method="sym_map", max_iters=5), ORIGIN)
     assert np.allclose(trace.iterates[1], [0.15, 0.0], atol=1e-12)
     ratios = trace.errors[2:] / trace.errors[1:-1]
     assert np.allclose(ratios, 0.5, atol=1e-9)
@@ -84,12 +89,12 @@ def test_run_sym_map_frozen_45_degrees():
 def test_run_sym_map_rejects_asymmetric_operator():
     lopsided = AffineMap(A=np.array([[0.5, 0.2], [0.0, 0.1]]), b=np.zeros(2))
     with pytest.raises(ValueError):
-        run_linear(lopsided, X0, MethodConfig(method="sym_map"))
+        run_linear(lopsided, X0, MethodConfig(method="sym_map"), ORIGIN)
 
 
 def test_run_accel_reaches_machine_floor():
     op = symmetric_map_operator([LINE_X, LINE_DIAG])
-    trace = run_linear(op, X0, MethodConfig(method="accel_map", max_iters=16))
+    trace = run_linear(op, X0, MethodConfig(method="accel_map", max_iters=16), ORIGIN)
     assert trace.errors[-1] < 1e-12
     # every step contracts at least as fast as the worst-case constant 1/3
     for k in range(len(trace.errors) - 1):
@@ -108,10 +113,10 @@ def test_run_linear_checks_the_operator_once_per_run(monkeypatch):
     monkeypatch.setattr(isometry, "sym_eigen_extremes",
                         lambda A: calls.append("sym_eigen_extremes") or kernel(A))
     op = symmetric_map_operator([LINE_X, LINE_DIAG, LINE_Y])
-    trace = run_linear(op, X0, MethodConfig(method="accel_map", max_iters=40))
+    trace = run_linear(op, X0, MethodConfig(method="accel_map", max_iters=40), ORIGIN)
     assert trace.stopped_at == 40
     assert calls == ["sym_eigen_extremes"], f"{calls} for one run of 40 steps"
-    run_linear(op, X0, MethodConfig(method="sym_map", max_iters=40))
+    run_linear(op, X0, MethodConfig(method="sym_map", max_iters=40), ORIGIN)
     assert calls == ["sym_eigen_extremes"], f"{calls} after a second run"
 
 
@@ -119,21 +124,21 @@ def test_run_linear_rejects_methods_that_are_not_one_linear_map():
     op = symmetric_map_operator([LINE_X, LINE_DIAG])
     for method in ("map", "cim"):
         with pytest.raises(ValueError, match="run_linear iterates"):
-            run_linear(op, X0, MethodConfig(method=method))
+            run_linear(op, X0, MethodConfig(method=method), ORIGIN)
 
 
 def test_run_dr_frozen_orthogonal_axes_in_one_step():
     """For perpendicular lines the splitting operator is the zero map."""
     op = dr_operator(*reflectors_of([LINE_X, LINE_Y]))
     assert np.allclose(op.A, np.zeros((2, 2)), atol=1e-12)
-    trace = run_linear(op, X0, MethodConfig(method="dr", max_iters=3))
+    trace = run_linear(op, X0, MethodConfig(method="dr", max_iters=3), fixed_point_set(op))
     assert abs(trace.errors[0] - np.linalg.norm(X0)) < 1e-12
     assert trace.errors[1] < 1e-15
 
 
 def test_run_dr_frozen_45_degrees_contracts_by_cos():
-    trace = run_linear(dr_operator(*reflectors_of([LINE_X, LINE_DIAG])), X0,
-                       MethodConfig(method="dr", max_iters=8))
+    op = dr_operator(*reflectors_of([LINE_X, LINE_DIAG]))
+    trace = run_linear(op, X0, MethodConfig(method="dr", max_iters=8), fixed_point_set(op))
     ratios = trace.errors[1:] / trace.errors[:-1]
     assert np.allclose(ratios, np.sqrt(0.5), atol=1e-10), (
         f"the splitting on lines at 45 degrees scales by cos(45) each step, got {ratios}"
@@ -149,12 +154,12 @@ def test_dr_operator_rejects_anchored_subspace():
 def test_run_averaged_iter_requires_certificate():
     bare = AffineMap(A=0.5 * np.eye(2), b=np.zeros(2))
     with pytest.raises(ValueError):
-        run_linear(bare, X0, MethodConfig(method="averaged_iter"))
+        run_linear(bare, X0, MethodConfig(method="averaged_iter"), ORIGIN)
 
 
 def test_stop_tol_halts_early():
     trace = run_map([LINE_X, LINE_DIAG], X0,
-                    MethodConfig(method="map", max_iters=50, stop_tol=1e-3))
+                    MethodConfig(method="map", max_iters=50, stop_tol=1e-3), ORIGIN)
     assert trace.stopped_at < 50
     assert trace.iterates.shape[0] == trace.stopped_at + 1
     assert trace.errors.shape[0] == trace.stopped_at + 1
@@ -172,7 +177,7 @@ def test_prefix_is_applied_before_the_first_iterate():
 
 
 def test_trace_csv_round_trips_at_full_precision():
-    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=4))
+    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=4), ORIGIN)
     lines = trace.to_csv().splitlines()
     assert lines[0] == "k,x_norm,error,step_norm"
     assert len(lines) == trace.errors.shape[0] + 1
@@ -186,9 +191,10 @@ def test_trace_csv_round_trips_at_full_precision():
 
 
 def test_trace_json_is_deterministic_and_time_free():
-    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3))
+    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3), ORIGIN)
     blob = json_text(trace)
-    again = json_text(run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3)))
+    again = json_text(run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3),
+                              ORIGIN))
     assert blob == again
     obj = json.loads(blob)
     assert "wall_time" not in obj
@@ -198,7 +204,7 @@ def test_trace_json_is_deterministic_and_time_free():
 
 
 def test_step_norms_start_at_zero():
-    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=2))
+    trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=2), ORIGIN)
     steps = trace.step_norms()
     assert steps[0] == 0.0
     assert abs(steps[1] - np.linalg.norm(trace.iterates[1] - trace.iterates[0])) < 1e-15
@@ -208,7 +214,8 @@ def test_step_norms_are_the_norms_the_stop_rule_compares():
     rng = np.random.default_rng(7)
     subspaces = random_family(rng, 30, 3, 20, 24)
     trace = run_map(subspaces, unit_vector(rng, 30),
-                    MethodConfig(method="map", max_iters=100, stop_tol=1e-12))
+                    MethodConfig(method="map", max_iters=100, stop_tol=1e-12),
+                    intersect(subspaces).subspace)
     steps = trace.step_norms()
     for k in range(1, trace.iterates.shape[0]):
         assert steps[k] == _norm(trace.iterates[k] - trace.iterates[k - 1]), k
@@ -259,8 +266,9 @@ def test_map_obeys_its_tuple_rate_bound(seed):
     rng = np.random.default_rng(seed)
     family = random_family(rng, 4, 2, 1, 3)
     x0 = 2.0 * unit_vector(rng, 4)
-    trace = run_map(family, x0, MethodConfig(method="map", max_iters=60))
-    gamma = tuple_angle_cos(family)
+    fixed = intersect(family).subspace
+    trace = run_map(family, x0, MethodConfig(method="map", max_iters=60), fixed)
+    gamma = tuple_angle_cos(family, fixed)
     bound = gamma ** 60 * trace.errors[0] * (1.0 + 1e-6)
     floor = 1e-12 * (1.0 + trace.errors[0])
     assert trace.errors[-1] <= max(bound, floor), (

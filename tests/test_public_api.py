@@ -7,7 +7,8 @@ function. Factorizations that decide a rank, eigensolves and Cholesky
 included, live in ``numerics`` and in the circumcenter step only. numpy
 is the one import from outside the standard library. The numerical
 thresholds are three constants of ``numerics``, not parameters.
-Every public name has a caller outside the tests.
+Every public name has a caller outside the tests. The drivers and the rate
+functions take the fixed set they target and compute none of their own.
 """
 
 import ast
@@ -137,7 +138,7 @@ def test_defaulted_parameters_do_not_grow():
     set; a new one must be wanted, and this figure raised with it."""
     defaulted = [f"{name}:{p.name}" for name, sig in _exported_signatures()
                  for p in sig.parameters.values() if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) <= 21, defaulted
+    assert len(defaulted) <= 16, defaulted
 
 
 def test_numerics_exports_the_three_thresholds():
@@ -227,3 +228,21 @@ def test_every_public_name_has_a_caller():
             uncalled += [f"{name}.{attr}" for attr in _public_members(obj)
                          if attr not in attributes and f"{name}.{attr}" not in NOT_YET_CALLED]
     assert not uncalled, f"public names that no program path calls: {uncalled}"
+
+
+# The calls that decide a fixed set, the subspace solver beneath them included.
+FIXED_SET_DECIDERS = {"intersect", "fixed_point_set", "_common_fixed_points", "solution_set"}
+
+
+def test_drivers_and_rates_decide_no_fixed_set():
+    """A fixed set is decided where the data enter: once per instance by
+    ``intersect``, by ``fixed_point_set`` for one operator, or by an
+    ``OperatorSet`` for its family. ``methods`` and ``rates`` only take it,
+    and neither imports nor reads one of the calls that decide it."""
+    for name in ("methods.py", "rates.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        names, attributes = _references(tree)
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        found = (names | attributes | imported) & FIXED_SET_DECIDERS
+        assert not found, f"{name} decides a fixed set through {sorted(found)}"

@@ -15,7 +15,7 @@ from circumproj import (
     accel_constants,
     audit_bound,
     fixed_point_set,
-    friedrichs_cos,
+    intersect,
     operator_rate,
     run_map,
     symmetric_map_operator,
@@ -27,6 +27,8 @@ from oracles import oracle_friedrichs, oracle_operator_rate
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
 LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
 LINE_Y = AffineSubspace.linear([[0.0, 1.0]])
+# {0}, the intersection of any two distinct lines of the plane through it
+ORIGIN = AffineSubspace.point(np.zeros(2))
 
 
 def _toy_trace(errors, x0=None, target=None):
@@ -45,13 +47,13 @@ def _toy_trace(errors, x0=None, target=None):
 
 
 def test_friedrichs_frozen_values():
-    assert abs(friedrichs_cos(LINE_X, LINE_DIAG) - np.sqrt(0.5)) < 1e-10
-    assert friedrichs_cos(LINE_X, LINE_Y) < 1e-10
-    assert friedrichs_cos(LINE_X, LINE_X) < 1e-10
+    assert abs(tuple_angle_cos([LINE_X, LINE_DIAG], ORIGIN) - np.sqrt(0.5)) < 1e-10
+    assert tuple_angle_cos([LINE_X, LINE_Y], ORIGIN) < 1e-10
+    assert tuple_angle_cos([LINE_X, LINE_X], LINE_X) < 1e-10
 
 
 def test_tuple_angle_frozen_three_lines():
-    gamma = tuple_angle_cos([LINE_X, LINE_DIAG, LINE_Y])
+    gamma = tuple_angle_cos([LINE_X, LINE_DIAG, LINE_Y], ORIGIN)
     assert abs(gamma - 0.5) < 1e-10, f"three coordinate lines give 1/2, got {gamma}"
 
 
@@ -60,7 +62,7 @@ def test_friedrichs_matches_principal_angle_oracle(seed):
     rng = np.random.default_rng(seed)
     u = random_linear_subspace(rng, 6, int(rng.integers(1, 5)))
     v = random_linear_subspace(rng, 6, int(rng.integers(1, 5)))
-    ours = friedrichs_cos(u, v)
+    ours = tuple_angle_cos([u, v], intersect([u, v]).subspace)
     reference = oracle_friedrichs(u.basis, v.basis)
     assert abs(ours - reference) < 1e-8, f"{ours} vs principal angles {reference}"
 
@@ -69,7 +71,7 @@ def test_friedrichs_matches_principal_angle_oracle(seed):
 def test_tuple_angle_is_strictly_below_one(seed):
     rng = np.random.default_rng(seed)
     family = random_family(rng, 6, int(rng.integers(2, 5)), 1, 5)
-    gamma = tuple_angle_cos(family)
+    gamma = tuple_angle_cos(family, intersect(family).subspace)
     assert 0.0 <= gamma < 1.0, f"tuple angle cosine must be in [0, 1), got {gamma}"
 
 
@@ -100,7 +102,7 @@ def test_operator_rate_matches_power_iteration(seed):
 
 
 def test_accel_constants_frozen_45_degrees():
-    consts = accel_constants(symmetric_map_operator([LINE_X, LINE_DIAG]))
+    consts = accel_constants(symmetric_map_operator([LINE_X, LINE_DIAG]), ORIGIN)
     assert abs(consts.c1 - 0.0) < 1e-10
     assert abs(consts.c2 - 0.5) < 1e-10
     assert abs(consts.eta - 1.0 / 3.0) < 1e-10
@@ -108,20 +110,37 @@ def test_accel_constants_frozen_45_degrees():
 
 
 def test_accel_constants_frozen_three_lines():
-    consts = accel_constants(symmetric_map_operator([LINE_X, LINE_DIAG, LINE_Y]))
+    consts = accel_constants(symmetric_map_operator([LINE_X, LINE_DIAG, LINE_Y]), ORIGIN)
     assert abs(consts.c2 - 0.25) < 1e-10
     assert abs(consts.eta - 1.0 / 7.0) < 1e-10
     assert abs(consts.cT - 0.25) < 1e-10
 
 
+def test_accel_constants_take_the_intersection_at_a_small_angle():
+    """Two lines through 0 in R^3 at angle 1e-5 meet only at 0, and the
+    symmetric product's rate is cos^2 = 1 - theta^2 off {0}. Its A - I has
+    singular values of order theta^2, where a rank cut finds a line, so the
+    fixed set comes from the subspaces and has no default."""
+    theta = 1e-5
+    lines = [AffineSubspace.linear([[1.0, 0.0, 0.0]]),
+             AffineSubspace.linear([[np.cos(theta), np.sin(theta), 0.0]])]
+    op = symmetric_map_operator(lines)
+    with pytest.raises(TypeError):
+        accel_constants(op)
+    fixed = intersect(lines).subspace
+    assert fixed.dim == 0
+    consts = accel_constants(op, fixed)
+    assert abs(consts.cT - (1.0 - theta ** 2)) < 1e-12, consts.cT
+
+
 def test_accel_constants_reject_unsuitable_operators():
     rotation = AffineIsometry(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     with pytest.raises((ValueError, RuntimeError)):
-        accel_constants(AffineMap(A=rotation.Q, b=np.zeros(2)))
+        accel_constants(AffineMap(A=rotation.Q, b=np.zeros(2)), ORIGIN)
     with pytest.raises((ValueError, RuntimeError)):
-        accel_constants(AffineMap(A=2.0 * np.eye(2), b=np.zeros(2)))
+        accel_constants(AffineMap(A=2.0 * np.eye(2), b=np.zeros(2)), ORIGIN)
     with pytest.raises((ValueError, RuntimeError)):
-        accel_constants(AffineMap(A=-np.eye(2), b=np.zeros(2)))
+        accel_constants(AffineMap(A=-np.eye(2), b=np.zeros(2)), ORIGIN)
 
 
 @given(st.integers(0, 10**6))
@@ -129,12 +148,13 @@ def test_accel_constants_chain_inequality(seed):
     """0 <= eta <= cT / (2 - cT) <= cT < 1 for symmetric projection products."""
     rng = np.random.default_rng(seed)
     family = random_family(rng, 6, int(rng.integers(2, 4)), 1, 5)
-    consts = accel_constants(symmetric_map_operator(family))
+    fixed = intersect(family).subspace
+    consts = accel_constants(symmetric_map_operator(family), fixed)
     assert -1e-10 <= consts.eta
     assert consts.eta <= consts.cT / (2.0 - consts.cT) + 1e-10
     assert consts.cT / (2.0 - consts.cT) <= consts.cT + 1e-10
     assert consts.cT < 1.0
-    gamma = tuple_angle_cos(family)
+    gamma = tuple_angle_cos(family, fixed)
     assert abs(consts.cT - gamma * gamma) < 1e-8, (
         f"cT should equal the squared tuple angle: {consts.cT} vs {gamma ** 2}"
     )
@@ -181,7 +201,8 @@ def test_audit_bound_validates_inputs():
 def test_audit_bound_writes_a_numpy_scalar_rate_as_its_float(prefactor):
     """A numpy scalar rate or prefactor gives the bytes of the Python float,
     not ``np.float64(...)`` reprs in the bound and slack columns."""
-    trace = run_map([LINE_X, LINE_DIAG], np.array([0.3, 0.9]), MethodConfig("map", max_iters=6))
+    trace = run_map([LINE_X, LINE_DIAG], np.array([0.3, 0.9]), MethodConfig("map", max_iters=6),
+                    ORIGIN)
     reports = [
         audit_bound(trace, RateConstant("linear_rate", to_scalar(0.7),
                                         {} if prefactor is None

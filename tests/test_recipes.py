@@ -26,6 +26,7 @@ from circumproj import (
     fixed_point_set,
     generate_instance,
     identity,
+    intersect,
     make_reflector,
     operator_from_literal,
     operator_rate,
@@ -87,26 +88,27 @@ def _family(subspaces, symmetrized):
 
 
 def _direct_map(subspaces, x0):
-    trace = run_map(subspaces, x0, MethodConfig(method="map", max_iters=MAX_ITERS))
-    gamma = tuple_angle_cos(subspaces)
+    fixed = intersect(subspaces).subspace
+    trace = run_map(subspaces, x0, MethodConfig(method="map", max_iters=MAX_ITERS), fixed)
+    gamma = tuple_angle_cos(subspaces, fixed)
     return (trace.iterates, trace.errors), gamma, {"tuple_angle_cos": gamma}
 
 
 def _direct_cim_psi(subspaces, x0):
-    gamma = tuple_angle_cos(subspaces)
+    gamma = tuple_angle_cos(subspaces, intersect(subspaces).subspace)
     return (_cim(build_psi(_family(subspaces, False)), x0), gamma,
             {"tuple_angle_cos": gamma})
 
 
 def _direct_cim_psi_sym(subspaces, x0):
-    half = tuple_angle_cos(subspaces)
+    half = tuple_angle_cos(subspaces, intersect(subspaces).subspace)
     return (_cim(build_psi(_family(subspaces, True)), x0), half * half,
             {"tuple_angle_cos_half": half})
 
 
 def _direct_cim_psi_prefixed(subspaces, x0):
     op = symmetric_map_operator(subspaces)
-    c = accel_constants(op)
+    c = accel_constants(op, fixed_point_set(op))
     return (_cim(build_psi(_family(subspaces, True)), x0, prefix=op), c.eta,
             {"c1": c.c1, "c2": c.c2, "eta": c.eta, "cT": c.cT, "prefactor": c.cT})
 
@@ -140,13 +142,14 @@ def _direct_sym_map(subspaces, x0):
     fixed, target = _fixed_target(op, x0)
     rate = operator_rate(op, fixed)
     return (_iterate(op.apply, x0, target), rate,
-            {"operator_rate": rate, "tuple_angle_cos_half": tuple_angle_cos(subspaces)})
+            {"operator_rate": rate,
+             "tuple_angle_cos_half": tuple_angle_cos(subspaces, intersect(subspaces).subspace)})
 
 
 def _direct_accel_map(subspaces, x0):
     op = symmetric_map_operator(subspaces)
-    _, target = _fixed_target(op, x0)
-    c = accel_constants(op)
+    fixed, target = _fixed_target(op, x0)
+    c = accel_constants(op, fixed)
     return (_iterate(lambda x: isometry._accelerated_step(op.A, x), x0, target), c.eta,
             {"c1": c.c1, "c2": c.c2, "eta": c.eta, "cT": c.cT})
 

@@ -4,8 +4,10 @@ The resolver computes ``intersect`` of an instance's subspaces; the cyclic
 projection driver, the tuple rate and the report reuse it. The counting
 tests rebind ``intersect`` in every circumproj module that imports it. The
 sharing must not move a byte: ``run_map`` and ``tuple_angle_cos`` given the
-intersection agree exactly with the calls that compute it themselves, and
-their error paths are unchanged.
+intersection that ``generate_instance`` returns agree exactly with the
+calls given one intersected afresh. No driver or rate function computes a
+fixed set of its own: each takes it as a required argument and refuses
+None, the subspace of an empty intersection, with a ValueError.
 """
 
 import sys
@@ -16,13 +18,16 @@ import pytest
 from circumproj import (
     AffineSubspace,
     MethodConfig,
+    accel_constants,
     compute_rates,
     generate_instance,
     intersect,
     parse_config,
     run_experiment,
+    run_linear,
     run_map,
     subspace,
+    symmetric_map_operator,
     tuple_angle_cos,
 )
 from helpers import json_text
@@ -110,30 +115,50 @@ def test_compute_rates_intersects_once_per_instance(monkeypatch, make_config):
     assert len(calls) == instances
 
 
-def _shifted(subspaces, z):
-    return [s.translate(z) for s in subspaces]
-
-
 @pytest.mark.parametrize("ambient_dim", [4, 7, 12, 20, 30])
 def test_shared_intersection_changes_no_byte(ambient_dim):
+    """The intersection ``generate_instance`` returns, which every recipe of
+    the instance shares, gives the bytes of one intersected afresh."""
     rng = np.random.default_rng((ambient_dim, 17))
     config = MethodConfig(method="map", max_iters=25)
     for num_subspaces in (2, 3, 5):
         subspaces, x0, inter = generate_instance(ambient_dim, num_subspaces,
                                                  (ambient_dim // 2, ambient_dim - 1), rng)
-        assert tuple_angle_cos(subspaces, fixed=inter.subspace) == tuple_angle_cos(subspaces)
-        z = rng.standard_normal(ambient_dim)
-        for family in (subspaces, _shifted(subspaces, z)):
-            fixed = intersect(family).subspace
-            shared = run_map(family, x0, config, fixed=fixed)
-            assert json_text(shared) == json_text(run_map(family, x0, config))
+        fresh = intersect(subspaces).subspace
+        assert fresh is not inter.subspace
+        assert tuple_angle_cos(subspaces, inter.subspace) == tuple_angle_cos(subspaces, fresh)
+        shared = run_map(subspaces, x0, config, inter.subspace)
+        assert json_text(shared) == json_text(run_map(subspaces, x0, config, fresh))
 
 
 def test_run_map_without_intersection_still_raises():
     lines = [AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]]),
              AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])]
+    inter = intersect(lines)
+    assert inter.is_empty and inter.subspace is None
     with pytest.raises(ValueError, match="subspaces have empty intersection"):
-        run_map(lines, [0.5, 2.0], MethodConfig(method="map", max_iters=3))
+        run_map(lines, [0.5, 2.0], MethodConfig(method="map", max_iters=3), inter.subspace)
+
+
+LINE_X = AffineSubspace.linear([[1.0, 0.0]])
+LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
+SYM_OP = symmetric_map_operator([LINE_X, LINE_DIAG])
+
+# each function with every argument but the fixed set, which is None
+WITHOUT_FIXED_SET = {
+    "run_map": lambda: run_map([LINE_X, LINE_DIAG], [0.3, 0.9], MethodConfig("map"), None),
+    "run_linear": lambda: run_linear(SYM_OP, [0.3, 0.9], MethodConfig("sym_map"), None),
+    "tuple_angle_cos": lambda: tuple_angle_cos([LINE_X, LINE_DIAG], None),
+    "accel_constants": lambda: accel_constants(SYM_OP, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_FIXED_SET))
+def test_a_fixed_set_of_none_raises_value_error(name):
+    """None, the subspace of an empty intersection, is refused with a
+    ValueError before any attribute of the fixed set is read."""
+    with pytest.raises(ValueError, match="empty intersection|no fixed points"):
+        WITHOUT_FIXED_SET[name]()
 
 
 def test_affine_instance_still_rejected_by_rate_constants():

@@ -65,7 +65,9 @@ def _assert_same_map(got, want) -> None:
 
 
 def _linear(rng, n: int, d: int) -> AffineSubspace:
-    return AffineSubspace.linear(rng.standard_normal((d, n)), ambient_dim=n)
+    if d == 0:
+        return AffineSubspace.point(np.zeros(n))
+    return AffineSubspace.linear(rng.standard_normal((d, n)))
 
 
 KINDS = ("trivial", "nontrivial", "near_parallel", "translated")
