@@ -6,13 +6,14 @@
 Each operation 0..OPS-1 of a perfbench workload runs in a fresh process,
 through ``run_experiment`` with its artifacts written in the workload's
 format, as the benchmark runs it. The process prints ``ru_maxrss`` (the
-high-water mark of its resident memory, imports included) before and after
-the operation. It then runs the operation once more under ``tracemalloc``
-and prints, per layer, the traced heap peak above the heap at the layer's
-start: resolution (the instances and their intersections), each method's
-plan and run, and writing the artifacts. Operations are generated by this
-checkout's ``perfbench/workloads.py``, so two checkouts measure the same
-configs.
+high-water mark of its resident memory, imports included) before the
+operation, when it starts writing its artifacts and after it, so the output
+shows which phase sets the high-water mark. It then runs the operation once
+more under ``tracemalloc`` and prints, per layer, the traced heap peak
+above the heap at the layer's start: resolution (the instances and their
+intersections), each method's plan and run, and writing the artifacts.
+Operations are generated by this checkout's ``perfbench/workloads.py``, so
+two checkouts measure the same configs.
 """
 
 import argparse
@@ -81,12 +82,23 @@ def measure(workload_name: str, seed: int, index: int) -> dict:
     """Run one operation untraced, then traced, in this process."""
     workload = workloads.WORKLOADS[workload_name]
     config = parse_config(workloads.op_config(workload, seed, index))
+    writing = []
+    write_report = bench._write_report
+
+    def noted(*args, **kwargs):
+        writing.append(_maxrss_mb())
+        return write_report(*args, **kwargs)
+
     with tempfile.TemporaryDirectory() as tmp:
         before = _maxrss_mb()
-        run_experiment(config, out_dir=Path(tmp) / "untraced", fmt=workload.fmt)
+        bench._write_report = noted
+        try:
+            run_experiment(config, out_dir=Path(tmp) / "untraced", fmt=workload.fmt)
+        finally:
+            bench._write_report = write_report
         after = _maxrss_mb()
         layers = _traced_layers(config, Path(tmp) / "traced", workload.fmt)
-    return {"before": before, "after": after, "layers": layers}
+    return {"before": before, "writing": writing[0], "after": after, "layers": layers}
 
 
 def main(argv=None) -> int:
@@ -101,7 +113,8 @@ def main(argv=None) -> int:
         with spawn.Pool(1) as pool:
             result = pool.apply(measure, (args.workload, args.seed, index))
         print(f"{args.workload} seed {args.seed} op {index}: ru_maxrss "
-              f"{result['before']:.1f} MB before, {result['after']:.1f} MB after")
+              f"{result['before']:.1f} MB before, {result['writing']:.1f} MB when "
+              f"writing starts, {result['after']:.1f} MB after")
         for name, peak in result["layers"]:
             print(f"  {name:<32} {peak / MB:8.3f} MB traced peak")
     return 0

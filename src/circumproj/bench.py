@@ -653,6 +653,13 @@ class MethodOutcome:
             "rate": None if self.report is None else self.report.to_json_obj(),
         }
 
+    def _record(self, include_traces: bool) -> dict:
+        """The method's record in report.json: its summary, and its trace rows
+        when they are embedded."""
+        if include_traces:
+            return {**self.summary_obj(), "trace": self.trace.to_json_obj()}
+        return self.summary_obj()
+
 
 @dataclass(frozen=True)
 class InstanceOutcome:
@@ -681,7 +688,9 @@ class ExperimentReport:
     def all_ok(self) -> bool:
         return all(instance.all_ok for instance in self.instances)
 
-    def to_json_obj(self, include_traces: bool = False) -> dict:
+    def _document(self, methods: Callable) -> dict:
+        """The report.json object, with ``methods(instance)`` as each
+        instance's list of method records."""
         return {
             "name": self.name,
             "environment": self.environment,
@@ -697,24 +706,34 @@ class ExperimentReport:
                         {"name": name, "passed": passed, "detail": detail}
                         for name, passed, detail in instance.extra_checks
                     ],
-                    "methods": [
-                        (
-                            {**m.summary_obj(), "trace": m.trace.to_json_obj()}
-                            if include_traces
-                            else m.summary_obj()
-                        )
-                        for m in instance.methods
-                    ],
+                    "methods": methods(instance),
                 }
                 for instance in self.instances
             ],
         }
 
+    def to_json_obj(self, include_traces: bool = False) -> dict:
+        return self._document(
+            lambda instance: [m._record(include_traces) for m in instance.methods])
+
     def to_json(self, include_traces: bool = False) -> str:
-        """Compact sorted-key JSON on one line; without an indent ``json``
-        keeps its C encoder."""
-        return json.dumps(self.to_json_obj(include_traces=include_traces),
-                          sort_keys=True, separators=(",", ":"))
+        """Compact sorted-key JSON on one line, the bytes of one ``json.dumps``
+        over ``to_json_obj``, encoded one method record at a time.
+
+        The document is encoded with every method list empty and split at
+        each ``"methods":[]``. Only an instance's key can form that text:
+        every other key is fixed by the schema, and a quote inside a string
+        is escaped. Each record is encoded on its own and spliced in.
+        Without an indent ``json`` keeps its C encoder, whose fragments
+        then hold one record at a time, not the whole report.
+        """
+        encode = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+        heads = encode(self._document(lambda instance: [])).split('"methods":[]')
+        pieces = [heads[0]]
+        for instance, tail in zip(self.instances, heads[1:]):
+            records = (encode(m._record(include_traces)) for m in instance.methods)
+            pieces += ['"methods":[', ",".join(records), "]", tail]
+        return "".join(pieces)
 
 
 def _environment_stamp(config: ExperimentConfig) -> dict:

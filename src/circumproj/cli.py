@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .bench import (
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
     compute_rates,
     load_config,
     run_experiment,
@@ -81,27 +82,28 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
-def _verify_lines(payload: dict) -> list:
-    """One line per method and per extra check, read from ``payload``, the
-    object that report.json holds, so the printed verdict is the written one."""
+def _verify_lines(report: ExperimentReport) -> list:
+    """One line per method and per extra check. A method line reads the
+    method's ``summary_obj()``, the record that report.json holds, one
+    method at a time, so the printed verdict is the written one."""
     lines = []
-    for instance in payload["instances"]:
-        for method in instance["methods"]:
+    for instance in report.instances:
+        for outcome in instance.methods:
+            method = outcome.summary_obj()
             rate = method["rate"]
             reach = method["iters_to_1e-10"]
             tail = (f"iterations={method['iterations']} "
                     f"final_error={method['final_error']:.3e} "
                     f"iters_to_1e-10={'-' if reach is None else reach}")
-            where = f"{instance['label']}/{method['label']}"
+            where = f"{instance.label}/{method['label']}"
             if rate is None:
                 lines.append(f"SKIP {where}: no audited bound, {tail}")
                 continue
             status = "PASS" if rate["all_satisfied"] else "FAIL"
             lines.append(f"{status} {where}: {rate['constant_name']}={rate['value']:.6g} "
                          f"slack_min={rate['slack_min']:.3e} {tail}")
-        for check in instance["extra_checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            lines.append(f"{status} {instance['label']}/{check['name']}: {check['detail']}")
+        for name, passed, detail in instance.extra_checks:
+            lines.append(f"{'PASS' if passed else 'FAIL'} {instance.label}/{name}: {detail}")
     return lines
 
 
@@ -126,11 +128,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _apply_overrides(load_config(args.config), args)
         report = run_experiment(config, out_dir=args.out, fmt=args.format)
 
-        payload = report.to_json_obj()
-        for line in _verify_lines(payload):
+        for line in _verify_lines(report):
             print(line)
-        print(f"all bounds hold: {payload['all_ok']}")
-        return 0 if payload["all_ok"] else 1
+        print(f"all bounds hold: {report.all_ok}")
+        return 0 if report.all_ok else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

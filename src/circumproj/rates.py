@@ -59,39 +59,55 @@ class RateConstant:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateReport:
-    """A rate constant audited against one trace.
+    """A rate constant audited against one trace, held as two columns.
 
-    ``per_iteration`` rows are (k, observed_error, bound_value, satisfied)
-    with satisfied meaning observed <= bound * (1 + AUDIT_TOL).
-    ``slack_min`` is the minimum over k of (bound - observed) / bound, so
-    anything negative beyond the audit tolerance marks a violation.
+    ``errors`` is the trace's own error array and ``bounds`` the float64
+    bound value at each k. ``per_iteration`` rows are (k, observed_error,
+    bound_value, satisfied) with satisfied meaning observed <= bound *
+    (1 + AUDIT_TOL). ``slack_min`` is the minimum over k of (bound -
+    observed) / bound, so anything negative beyond the audit tolerance
+    marks a violation.
     """
 
     constant: RateConstant
-    per_iteration: tuple
+    errors: np.ndarray
+    bounds: np.ndarray
+
+    def _pairs(self):
+        """(observed, bound) per k, as Python floats."""
+        return zip(self.errors.tolist(), self.bounds.tolist())
+
+    def _satisfied(self) -> np.ndarray:
+        """observed <= bound * (1 + AUDIT_TOL) per k, in one comparison."""
+        return self.errors <= self.bounds * (1.0 + AUDIT_TOL)
+
+    @property
+    def per_iteration(self) -> tuple:
+        return tuple(zip(range(len(self.errors)), self.errors.tolist(), self.bounds.tolist(),
+                         self._satisfied().tolist()))
 
     @property
     def all_satisfied(self) -> bool:
-        return all(row[3] for row in self.per_iteration)
+        return bool(self._satisfied().all())
 
     @property
     def slack_min(self) -> float:
-        return min([float("inf"), *(_slack(o, b) for _, o, b, _ in self.per_iteration)])
+        return min([float("inf"), *(_slack(o, b) for o, b in self._pairs())])
 
     def to_csv(self) -> str:
         """One row per audited iterate, each float by its repr, in one pass."""
-        fields = [v for k, o, b, _ in self.per_iteration for v in (k, o, b, _slack(o, b))]
-        return "k,error,bound,slack\n" + "%s,%r,%r,%r\n" * len(self.per_iteration) % tuple(fields)
+        fields = [v for k, (o, b) in enumerate(self._pairs()) for v in (k, o, b, _slack(o, b))]
+        return "k,error,bound,slack\n" + "%s,%r,%r,%r\n" * len(self.errors) % tuple(fields)
 
     def to_json_obj(self) -> dict:
         return {
             **self.constant.to_json_obj(),
-            "slack_min": float(self.slack_min),
+            "slack_min": self.slack_min,
             "all_satisfied": self.all_satisfied,
             "per_iteration": [
-                {"k": int(k), "error": float(o), "bound": float(b), "satisfied": bool(s)}
+                {"k": k, "error": o, "bound": b, "satisfied": s}
                 for k, o, b, s in self.per_iteration
             ],
         }
@@ -237,13 +253,14 @@ def audit_bound(trace: IterationTrace, constant: RateConstant) -> RateReport:
     ingredients hold a ``prefactor``: the scale of a prefixed run is then
     prefactor * error_origin, where error_origin measures the original
     start before the prefix was applied. The value and the prefactor are
-    taken as Python floats, so a numpy scalar writes the same bytes.
+    taken as Python floats, so a numpy scalar writes the same bytes. Each
+    bound is the Python product (value ** k) * scale, stored as a float64;
+    the report keeps the trace's error array itself, not a copy.
     """
     rate = float(constant.value)
     prefactor = constant.ingredients.get("prefactor")
     scale = float(trace.errors[0]) if prefactor is None else float(prefactor) * trace.error_origin
-    rows = []
-    for k, observed in enumerate(trace.errors.tolist()):
-        bound = (rate ** k) * scale
-        rows.append((k, observed, bound, observed <= bound * (1.0 + AUDIT_TOL)))
-    return RateReport(constant, tuple(rows))
+    count = len(trace.errors)
+    bounds = np.fromiter(((rate ** k) * scale for k in range(count)), dtype=np.float64,
+                         count=count)
+    return RateReport(constant, trace.errors, bounds)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from circumproj import (
+    AUDIT_TOL,
     CONSISTENCY_TOL,
     EQ_TOL,
     RANK_TOL,
@@ -193,6 +194,49 @@ def reference_rate_csv(report) -> str:
         slack = _slack(observed, bound)
         lines.append(f"{k},{observed!r},{bound!r},{slack!r}")
     return "\n".join(lines) + "\n"
+
+
+# The audit rows as the library computed and stored them, one tuple per row
+# from one Python loop. The rows the library now derives from its two
+# columns must reproduce them bit for bit, so keep it as it is.
+
+def reference_audit_rows(trace, constant) -> tuple:
+    """(k, observed, bound, satisfied) with bound = (value ** k) * scale."""
+    rate = float(constant.value)
+    prefactor = constant.ingredients.get("prefactor")
+    scale = float(trace.errors[0]) if prefactor is None else float(prefactor) * trace.error_origin
+    rows = []
+    for k, observed in enumerate(trace.errors.tolist()):
+        bound = (rate ** k) * scale
+        rows.append((k, observed, bound, observed <= bound * (1.0 + AUDIT_TOL)))
+    return tuple(rows)
+
+
+# verify's printout as the CLI formatted it from the report.json object. The
+# lines the CLI now reads from each method's summary must reproduce it byte
+# for byte, so keep it as it is.
+
+def reference_verify_lines(payload: dict) -> list:
+    """One line per method and per extra check of a report.json object."""
+    lines = []
+    for instance in payload["instances"]:
+        for method in instance["methods"]:
+            rate = method["rate"]
+            reach = method["iters_to_1e-10"]
+            tail = (f"iterations={method['iterations']} "
+                    f"final_error={method['final_error']:.3e} "
+                    f"iters_to_1e-10={'-' if reach is None else reach}")
+            where = f"{instance['label']}/{method['label']}"
+            if rate is None:
+                lines.append(f"SKIP {where}: no audited bound, {tail}")
+                continue
+            status = "PASS" if rate["all_satisfied"] else "FAIL"
+            lines.append(f"{status} {where}: {rate['constant_name']}={rate['value']:.6g} "
+                         f"slack_min={rate['slack_min']:.3e} {tail}")
+        for check in instance["extra_checks"]:
+            status = "PASS" if check["passed"] else "FAIL"
+            lines.append(f"{status} {instance['label']}/{check['name']}: {check['detail']}")
+    return lines
 
 
 # Resolution and planning as the library computed them with every n x n

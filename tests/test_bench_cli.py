@@ -20,7 +20,7 @@ from circumproj import (
     run_experiment,
 )
 
-from helpers import DEMO_CONFIG, demo_config
+from helpers import DEMO_CONFIG, demo_config, reference_verify_lines
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -467,6 +467,19 @@ def test_cli_verify_prints_the_verdicts_that_report_json_records(tmp_path, capsy
     if mutate is not None:
         statuses = sorted(set(printed.values()))
         assert statuses == ["FAIL", "PASS", "SKIP"], statuses
+
+
+@pytest.mark.parametrize("mutate", [None, _wrong_line_and_custom_family],
+                         ids=["demo", "failing"])
+def test_cli_verify_prints_the_lines_read_back_from_report_json(tmp_path, capsys, mutate):
+    """verify's stdout, byte for byte, is the lines formatted from the
+    report.json it wrote, read back from the file."""
+    path = _write_demo(tmp_path, mutate)
+    cli.main(["verify", str(path), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    lines = [*reference_verify_lines(payload), f"all bounds hold: {payload['all_ok']}"]
+    assert out == "".join(f"{line}\n" for line in lines)
 
 
 def test_cli_verify_flags_wrong_fixed_line(tmp_path, capsys):

@@ -32,7 +32,13 @@ from circumproj import (
 )
 from circumproj.methods import _drive
 from circumproj.numerics import _norm
-from helpers import random_family, reference_rate_csv, reference_trace_csv, reflectors_of
+from helpers import (
+    random_family,
+    reference_audit_rows,
+    reference_rate_csv,
+    reference_trace_csv,
+    reflectors_of,
+)
 
 
 def _bits(value) -> bytes:
@@ -204,21 +210,26 @@ def _trace(errors) -> IterationTrace:
                           np.array([1.0, 2.0]), np.zeros(2))
 
 
-def _audits():
+def _audited():
+    """(trace, constant) pairs, bound-0 and prefactor-0 rows among them."""
     rng = np.random.default_rng(5)
     subspaces = random_family(rng, 12, 3, 4, 9)
     trace = run_map(subspaces, rng.standard_normal(12), MethodConfig("map", max_iters=40),
                     intersect(subspaces).subspace)
     falling = _trace([1.0, 0.5, 0.25, 1e-300, 0.0, 0.0])
     return [
-        audit_bound(trace, RateConstant("linear_rate", 0.93, {})),
-        audit_bound(trace, RateConstant("linear_rate", 0.71, {"prefactor": 1.7})),
-        audit_bound(falling, RateConstant("linear_rate", 0.0, {})),
-        audit_bound(falling, RateConstant("linear_rate", 0.5, {})),
-        audit_bound(_trace([0.0, 0.0, 0.0]), RateConstant("linear_rate", 0.9, {})),
-        audit_bound(_trace([0.0, 0.0]), RateConstant("linear_rate", 0.5, {"prefactor": 0.0})),
-        audit_bound(_trace([3.0, 4.0, 2.0]), RateConstant("linear_rate", 0.5, {})),
+        (trace, RateConstant("linear_rate", 0.93, {})),
+        (trace, RateConstant("linear_rate", 0.71, {"prefactor": 1.7})),
+        (falling, RateConstant("linear_rate", 0.0, {})),
+        (falling, RateConstant("linear_rate", 0.5, {})),
+        (_trace([0.0, 0.0, 0.0]), RateConstant("linear_rate", 0.9, {})),
+        (_trace([0.0, 0.0]), RateConstant("linear_rate", 0.5, {"prefactor": 0.0})),
+        (_trace([3.0, 4.0, 2.0]), RateConstant("linear_rate", 0.5, {})),
     ]
+
+
+def _audits():
+    return [audit_bound(trace, constant) for trace, constant in _audited()]
 
 
 def test_the_rate_csv_equals_the_row_by_row_writer():
@@ -229,9 +240,29 @@ def test_the_rate_csv_equals_the_row_by_row_writer():
         assert audit.to_csv() == reference_rate_csv(audit)
 
 
+def _row_bits(rows) -> list:
+    return [(type(k), k, o.hex(), b.hex(), type(s), s) for k, o, b, s in rows]
+
+
+def test_an_audit_holds_the_trace_errors_and_one_bound_column():
+    for trace, constant in _audited():
+        audit = audit_bound(trace, constant)
+        assert audit.errors is trace.errors
+        assert audit.bounds.dtype == np.float64
+        assert audit.bounds.shape == trace.errors.shape
+
+
+def test_the_audit_rows_equal_the_row_by_row_loop_bit_for_bit():
+    for trace, constant in _audited():
+        audit = audit_bound(trace, constant)
+        rows = audit.per_iteration
+        assert _row_bits(rows) == _row_bits(reference_audit_rows(trace, constant))
+        assert audit.all_satisfied == all(row[3] for row in rows)
+
+
 def test_an_empty_audit_writes_the_header_only():
     audit = audit_bound(_trace([1.0]), RateConstant("linear_rate", 0.5, {}))
-    empty = type(audit)(audit.constant, ())
+    empty = type(audit)(audit.constant, np.zeros(0), np.zeros(0))
     assert empty.to_csv() == reference_rate_csv(empty) == "k,error,bound,slack\n"
 
 
