@@ -54,11 +54,11 @@ def main(argv=None) -> int:
     parser.add_argument("--max-iters", type=int, default=60)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--out", default=None,
-                        help="artifact directory (default: keep everything in memory)")
+                        help="artifact directory (default: write nothing)")
     args = parser.parse_args(argv)
 
     config = parse_config(build_config(args), source="compare")
-    report = run_experiment(config, out_dir=args.out, write=args.out is not None)
+    report = run_experiment(config, out_dir=args.out)
 
     rows = {}
     for instance in report.instances:

@@ -44,7 +44,10 @@ def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
     for index in range(ops):
         config = parse_config(workloads.op_config(workload, seed, index))
         try:
-            report = run_experiment(config, write=False)
+            # an out_dir is the one way to place a run's artifacts that every
+            # tree accepts; older trees write a default directory without it
+            with tempfile.TemporaryDirectory() as out_dir:
+                report = run_experiment(config, out_dir=out_dir)
         except (RuntimeError, ValueError) as error:
             results.append({"error": f"{type(error).__name__}: {error}"})
             continue

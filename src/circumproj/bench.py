@@ -31,7 +31,6 @@ from .isometry import (
     build_sum_averaged,
     compose,
     fixed_point_set,
-    identity,
     make_reflector,
     operator_from_literal,
 )
@@ -716,25 +715,6 @@ class ExperimentReport:
         return self._document(
             lambda instance: [m._record(include_traces) for m in instance.methods])
 
-    def to_json(self, include_traces: bool = False) -> str:
-        """Compact sorted-key JSON on one line, the bytes of one ``json.dumps``
-        over ``to_json_obj``, encoded one method record at a time.
-
-        The document is encoded with every method list empty and split at
-        each ``"methods":[]``. Only an instance's key can form that text:
-        every other key is fixed by the schema, and a quote inside a string
-        is escaped. Each record is encoded on its own and spliced in.
-        Without an indent ``json`` keeps its C encoder, whose fragments
-        then hold one record at a time, not the whole report.
-        """
-        encode = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-        heads = encode(self._document(lambda instance: [])).split('"methods":[]')
-        pieces = [heads[0]]
-        for instance, tail in zip(self.instances, heads[1:]):
-            records = (encode(m._record(include_traces)) for m in instance.methods)
-            pieces += ['"methods":[', ",".join(records), "]", tail]
-        return "".join(pieces)
-
 
 def _environment_stamp(config: ExperimentConfig) -> dict:
     return {
@@ -776,8 +756,8 @@ def _resolve_instances(config: ExperimentConfig):
 
 def _product_fixed_line_check(ctx: _Instance, direction):
     """Whether R_m .. R_1 fixes exactly the line through the origin along ``direction``."""
-    product = identity(ctx.subspaces[0].ambient_dim)
-    for reflector in ctx.reflectors:
+    product, *rest = ctx.reflectors
+    for reflector in rest:
         product = compose(reflector, product)
     fixed = fixed_point_set(product)
     if fixed is None:
@@ -806,9 +786,9 @@ def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
     return tuple(outcomes)
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
-                   write: bool = True) -> ExperimentReport:
-    """Run every method on every instance, audit the bounds, write artifacts.
+def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv") -> ExperimentReport:
+    """Run every method on every instance and audit the bounds; write the
+    artifacts into ``out_dir`` when one is given, and nothing otherwise.
 
     With fmt 'csv' each instance/method pair gets a trace CSV and, when a
     bound was audited, a rate CSV next to report.json; with fmt 'json' the
@@ -835,22 +815,49 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv",
     report = ExperimentReport(name=config.name,
                               environment=_environment_stamp(config),
                               instances=tuple(outcomes))
-    if write:
-        target = Path(out_dir) if out_dir is not None else Path(config.out_dir or f"{config.name}_out")
-        _write_report(report, target, fmt)
+    if out_dir is not None:
+        _write_report(report, Path(out_dir), fmt)
     return report
 
 
-def _write_atomic(path: Path, data: str) -> None:
-    """Write through ``<name>.tmp`` and a rename, so readers see the old
-    file or the whole new one. A failed write removes the temp file."""
+def _write_atomic(path: Path, pieces) -> None:
+    """Write the text ``pieces`` in turn through ``<name>.tmp`` and a rename,
+    so readers see the old file or the whole new one. A failed write, an
+    iterator that raises included, removes the temp file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(data)
+        with open(tmp, "w") as handle:
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _report_json_pieces(report: ExperimentReport, include_traces: bool):
+    """report.json as text pieces: the bytes of one compact sorted-key
+    ``json.dumps`` over ``to_json_obj``, and a newline, encoded one method
+    record at a time.
+
+    The document is encoded with every method list empty and split at
+    each ``"methods":[]``. Only an instance's key can form that text:
+    every other key is fixed by the schema, and a quote inside a string
+    is escaped. Each record is encoded on its own and yielded in its
+    place. Without an indent ``json`` keeps its C encoder, whose fragments
+    then hold one record at a time, not the whole report.
+    """
+    encode = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    heads = encode(report._document(lambda instance: [])).split('"methods":[]')
+    yield heads[0]
+    for instance, tail in zip(report.instances, heads[1:]):
+        yield '"methods":['
+        for index, outcome in enumerate(instance.methods):
+            if index:
+                yield ","
+            yield encode(outcome._record(include_traces))
+        yield "]"
+        yield tail
+    yield "\n"
 
 
 def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
@@ -859,11 +866,10 @@ def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
         for instance in report.instances:
             for outcome in instance.methods:
                 stem = _stem(instance.label, outcome.label)
-                _write_atomic(out_dir / f"{stem}.trace.csv", outcome.trace.to_csv())
+                _write_atomic(out_dir / f"{stem}.trace.csv", (outcome.trace.to_csv(),))
                 if outcome.report is not None:
-                    _write_atomic(out_dir / f"{stem}.rate.csv", outcome.report.to_csv())
-    _write_atomic(out_dir / "report.json",
-                  report.to_json(include_traces=(fmt == "json")) + "\n")
+                    _write_atomic(out_dir / f"{stem}.rate.csv", (outcome.report.to_csv(),))
+    _write_atomic(out_dir / "report.json", _report_json_pieces(report, fmt == "json"))
 
 
 def compute_rates(config: ExperimentConfig) -> list:

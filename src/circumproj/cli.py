@@ -1,9 +1,10 @@
 """Command line front end for the experiment harness.
 
 Verbs:
-  verify  run a config, write its artifacts and print one PASS, FAIL or
-          SKIP line per method and per extra check, read from the record
-          that report.json writes
+  verify  run a config, write its artifacts into --out, else the config's
+          out_dir, else <name>_out, and print one PASS, FAIL or SKIP line
+          per method and per extra check, read from the record that
+          report.json writes
   rates   print theoretical constants for a config without iterating
 
 The shipped demonstration is ``circumproj verify configs/demo.json``.
@@ -122,11 +123,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.out is not None:
                 target = Path(args.out)
                 target.parent.mkdir(parents=True, exist_ok=True)
-                _write_atomic(target, json.dumps(rows, sort_keys=True, indent=1) + "\n")
+                _write_atomic(target, (json.dumps(rows, sort_keys=True, indent=1), "\n"))
             return 0
 
         config = _apply_overrides(load_config(args.config), args)
-        report = run_experiment(config, out_dir=args.out, fmt=args.format)
+        out_dir = args.out if args.out is not None else (config.out_dir or f"{config.name}_out")
+        report = run_experiment(config, out_dir=out_dir, fmt=args.format)
 
         for line in _verify_lines(report):
             print(line)

@@ -236,9 +236,10 @@ def test_generate_instance_raises_when_degenerate():
 def test_run_experiment_demo_all_ok_and_deterministic(tmp_path):
     config = parse_config(demo_config())
     first = run_experiment(config, out_dir=tmp_path / "a")
-    second = run_experiment(config, write=False)
+    second = run_experiment(config)
     assert first.all_ok, "the shipped demo must satisfy every audited bound"
-    assert first.to_json(include_traces=True) == second.to_json(include_traces=True)
+    assert (json.dumps(first.to_json_obj(include_traces=True), sort_keys=True)
+            == json.dumps(second.to_json_obj(include_traces=True), sort_keys=True))
 
     expected = {"report.json"}
     for instance in ("lines_45deg", "three_lines_plane"):
@@ -260,9 +261,28 @@ def test_run_experiment_json_format_embeds_traces(tmp_path):
     assert "wall_time" not in trace
 
 
-def test_run_experiment_rejects_unknown_format():
+def test_run_experiment_rejects_unknown_format(tmp_path, monkeypatch):
+    """The format is checked before anything runs, also without an out_dir,
+    when the run would write nothing."""
+    def refuse(config):
+        raise AssertionError("an unknown format must be refused before any instance")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("circumproj.bench._resolve_instances", refuse)
     with pytest.raises(ValueError, match="unknown format"):
-        run_experiment(parse_config(demo_config()), fmt="yaml", write=False)
+        run_experiment(parse_config(demo_config()), fmt="yaml")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_experiment_without_out_dir_writes_nothing(tmp_path, monkeypatch):
+    """Only a given out_dir is written; the library names no default."""
+    obj = demo_config()
+    obj["out_dir"] = "configured_out"
+    monkeypatch.chdir(tmp_path)
+    for config_obj in (demo_config(), obj):
+        for fmt in ("csv", "json"):
+            assert run_experiment(parse_config(config_obj), fmt=fmt).all_ok
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compute_rates_frozen_demo_values():
@@ -321,7 +341,7 @@ def test_run_experiment_makes_each_reflector_once(monkeypatch):
     original = circumproj.bench.make_reflector
     monkeypatch.setattr("circumproj.bench.make_reflector",
                         lambda subspace: made.append(subspace) or original(subspace))
-    report = run_experiment(load_config(DEMO_CONFIG), write=False)
+    report = run_experiment(load_config(DEMO_CONFIG))
     assert len(made) == 5
     assert [name for name, passed, _ in report.instances[1].extra_checks if passed] == [
         "product_fixed_line"]
@@ -415,6 +435,26 @@ def test_cli_demo_exits_zero(tmp_path, capsys):
     assert code == 0
     assert "all bounds hold: True" in out
     assert (tmp_path / "d" / "report.json").exists()
+
+
+@pytest.mark.parametrize("out_dir, written", [(None, "demo_out"),
+                                               ("configured", "configured"),
+                                               ("nested/dir", "nested/dir")])
+def test_cli_verify_without_out_writes_the_config_out_dir_else_name_out(
+        tmp_path, capsys, monkeypatch, out_dir, written):
+    """With no --out, verify writes into the config's out_dir when it sets
+    one, else into <name>_out, each relative to the working directory and
+    not to the config file."""
+    mutate = None if out_dir is None else (lambda obj: obj.update(out_dir=out_dir))
+    path = _write_demo(tmp_path, mutate)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli.main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert (work / written / "report.json").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "work"]
+    assert [p.name for p in work.iterdir()] == [written.split("/")[0]]
 
 
 def test_cli_verify_prints_pass_lines(tmp_path, capsys):

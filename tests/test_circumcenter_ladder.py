@@ -141,9 +141,9 @@ def test_linear_recipes_target_the_intersection_at_small_angles(theta, recipe):
     config = _lines_config(theta, [FIXED_SET_RECIPES[recipe]])
     if theta < 1e-7 and recipe in CHAIN_LIMIT:
         with pytest.raises(RuntimeError, match="rate chain violated"):
-            run_experiment(config, write=False)
+            run_experiment(config)
         return
-    (instance,) = run_experiment(config, write=False).instances
+    (instance,) = run_experiment(config).instances
     (outcome,) = instance.methods
     wanted = [0.0, 0.0, X0[2]] if recipe == "dr" else [0.0, 0.0, 0.0]
     assert instance.intersection_dim == 0

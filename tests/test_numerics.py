@@ -196,7 +196,7 @@ def test_demo_run_loads_one_blas():
             "sys.modules['scipy'] = None\n"
             "import circumproj\n"
             f"config = circumproj.load_config({str(DEMO_CONFIG)!r})\n"
-            "circumproj.run_experiment(config, write=False)\n"
+            "circumproj.run_experiment(config)\n"
             "loaded = [name for name, module in sys.modules.items()\n"
             "          if name.split('.')[0] == 'scipy' and module is not None]\n"
             "assert not loaded, f'scipy was loaded: {loaded}'\n")

@@ -200,7 +200,7 @@ ROWS = [
 @pytest.mark.parametrize("entry, label, constant_name, direct", ROWS,
                          ids=[row[1][3:] for row in ROWS])
 def test_recipe_matches_direct_library_calls(entry, label, constant_name, direct):
-    outcome = run_experiment(_config(entry), write=False).instances[0].methods[0]
+    outcome = run_experiment(_config(entry)).instances[0].methods[0]
     subspaces, x0, _ = _instance()
     (iterates, errors), rate, ingredients = direct(subspaces, x0)
 
@@ -257,7 +257,7 @@ def test_recipe_family_images_equal_dense_products(monkeypatch, entry, symmetriz
         return run_cim(operator_set, *args, **kwargs)
 
     monkeypatch.setattr("circumproj.bench.run_cim", capture)
-    run_experiment(_config(entry), write=False)
+    run_experiment(_config(entry))
     subspaces, _, _ = _instance()
     reflectors = _family(subspaces, symmetrized)
     dense = [dense_product(reflectors, indices) for indices in index_lists(reflectors)]
@@ -290,7 +290,7 @@ def test_symmetrized_psi_recipe_forms_no_products(monkeypatch):
     family's, and forms no composition."""
     calls = _count_calls(monkeypatch, ("fixed_point_set", "compose"))
     entry = {"method": "cim", "operator_set": "psi", "symmetrized": True}
-    run_experiment(_config(entry, num_subspaces=5, ambient_dim=8), write=False)
+    run_experiment(_config(entry, num_subspaces=5, ambient_dim=8))
     assert calls["fixed_point_set"] == []
     assert calls["compose"] == []
 
@@ -309,7 +309,7 @@ def test_only_dr_computes_a_fixed_point_set(monkeypatch):
                       "dim_range": [2, 4], "seed": SEED},
         "methods": entries,
     })
-    report = run_experiment(config, write=False)
+    report = run_experiment(config)
     ops = calls["fixed_point_set"]
     assert len(ops) == len(report.instances) == 2
     for index, op in enumerate(ops):

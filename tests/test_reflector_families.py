@@ -117,7 +117,7 @@ def test_reflector_families_share_one_fixed_set_per_reflector(monkeypatch):
                       "dim_range": [2, 5], "seed": 3},
         "methods": methods,
     })
-    report = run_experiment(config, write=False)
+    report = run_experiment(config)
     assert [len(instance.methods) for instance in report.instances] == [4, 4]
     assert len({id(op) for op in calls}) == len(calls) <= 2 * 4, (
         f"{len(calls)} fixed point sets for 2 instances of 4 reflectors")

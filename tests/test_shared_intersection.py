@@ -97,7 +97,7 @@ def _explicit_config():
 def test_run_experiment_intersects_once_per_instance(monkeypatch, make_config):
     config = make_config()
     calls = _count_intersect(monkeypatch)
-    report = run_experiment(config, write=False)
+    report = run_experiment(config)
     assert len(report.instances) in (2, 3)
     assert len(calls) == len(report.instances), (
         f"{len(calls)} intersections for {len(report.instances)} instances")
@@ -173,4 +173,4 @@ def test_affine_instance_still_rejected_by_rate_constants():
         "methods": [{"method": "map"}],
     })
     with pytest.raises(ValueError, match="rate constants are defined for linear subspaces"):
-        run_experiment(config, write=False)
+        run_experiment(config)

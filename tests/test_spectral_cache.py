@@ -67,7 +67,7 @@ def test_resolve_methods_take_five_norms_and_one_eigen_solve(monkeypatch):
     norms = _count_calls(monkeypatch, "spectral_norm")
     eigen = _count_calls(monkeypatch, "sym_eigen_extremes")
     contexts = _recording_contexts(monkeypatch)
-    report = run_experiment(config, write=False)
+    report = run_experiment(config)
     # tuple_cos, the shared rate of sym_op, dr, sum and product; the one
     # eigen-solve is A of sym_op, whose compression to the complement of
     # the trivial intersection is A itself
@@ -114,7 +114,7 @@ def test_each_averaged_map_is_built_once_per_instance(monkeypatch):
     monkeypatch.setattr(rates, "spectral_norm",
                         lambda M: values.append(kernel(M)) or values[-1])
     contexts = _recording_contexts(monkeypatch)
-    report = run_experiment(config, write=False)
+    report = run_experiment(config)
     # tuple_cos, the shared rate of sym_op, dr, sum and product
     assert len(values) == len(set(values)) == 5
 
@@ -152,7 +152,7 @@ def test_accel_constants_on_a_trivial_fixed_set_equal_the_compression_bit_for_bi
         })
         with pytest.MonkeyPatch.context() as patch:
             contexts = _recording_contexts(patch)
-            run_experiment(config, write=False)
+            run_experiment(config)
         (ctx,) = contexts
         fixed = ctx.inter.subspace
         assert fixed.dim == 0
