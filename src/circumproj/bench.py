@@ -38,6 +38,8 @@ from .methods import (
     METHOD_TAGS,
     IterationTrace,
     MethodConfig,
+    _float_texts,
+    _json_texts,
     dr_operator,
     run_cim,
     run_linear,
@@ -640,24 +642,30 @@ class MethodOutcome:
     report: Optional[RateReport]
 
     def summary_obj(self) -> dict:
+        return self._record(False, rows=True)
+
+    def _record(self, include_traces: bool, rows: bool) -> dict:
+        """The method's record in report.json: its summary, and its trace
+        when the trace is embedded. Without ``rows`` every row list is
+        empty, the record that verify reads and the writer fills with text."""
         errors = self.trace.errors
-        to_target = next((k for k, error in enumerate(errors) if error <= _REACH_ERROR), None)
-        return {
+        reached = errors <= _REACH_ERROR
+        first = int(np.argmax(reached))
+        rate = None
+        if self.report is not None:
+            rate = self.report.to_json_obj() if rows else self.report._record([])
+        record = {
             "label": self.label,
             "method": self.method,
             "final_error": float(errors[-1]),
             "error_origin": self.trace.error_origin,
             "iterations": int(self.trace.stopped_at),
-            "iters_to_1e-10": to_target,
-            "rate": None if self.report is None else self.report.to_json_obj(),
+            "iters_to_1e-10": first if reached[first] else None,
+            "rate": rate,
         }
-
-    def _record(self, include_traces: bool) -> dict:
-        """The method's record in report.json: its summary, and its trace rows
-        when they are embedded."""
         if include_traces:
-            return {**self.summary_obj(), "trace": self.trace.to_json_obj()}
-        return self.summary_obj()
+            record["trace"] = self.trace.to_json_obj() if rows else self.trace._record([])
+        return record
 
 
 @dataclass(frozen=True)
@@ -713,7 +721,7 @@ class ExperimentReport:
 
     def to_json_obj(self, include_traces: bool = False) -> dict:
         return self._document(
-            lambda instance: [m._record(include_traces) for m in instance.methods])
+            lambda instance: [m._record(include_traces, rows=True) for m in instance.methods])
 
 
 def _environment_stamp(config: ExperimentConfig) -> dict:
@@ -834,42 +842,77 @@ def _write_atomic(path: Path, pieces) -> None:
         raise
 
 
-def _report_json_pieces(report: ExperimentReport, include_traces: bool):
+_encode = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _method_pieces(outcome: MethodOutcome, out_dir: Path, stem: str, fmt: str):
+    """Write one method's CSVs in csv mode, then yield its report.json record.
+
+    Each float column is formatted once for each format it appears in: the
+    audit's error and bound ``repr`` texts fill both its rate CSV and its
+    ``per_iteration`` rows, and the trace's embedded rows share the error
+    text, since an audit holds its trace's own error array. The record is
+    encoded once with every row list empty, and each row text is spliced
+    in at its list. "rate" sorts before "trace", and a quote inside a
+    string is escaped, so the first ``"per_iteration":[]``, and after it
+    the first ``"rows":[]``, is the list itself.
+    """
+    trace, audit = outcome.trace, outcome.report
+    embedded = fmt == "json"
+    if not embedded:
+        _write_atomic(out_dir / f"{stem}.trace.csv", (trace.to_csv(),))
+    splices = []
+    error = None
+    if audit is not None:
+        error_text, bound_text = _float_texts(audit.errors), _float_texts(audit.bounds)
+        if not embedded:
+            _write_atomic(out_dir / f"{stem}.rate.csv", (audit._csv(error_text, bound_text),))
+        error = _json_texts(audit.errors, error_text)
+        splices.append(('"per_iteration":[', audit._json_rows(
+            error, _json_texts(audit.bounds, bound_text))))
+    if embedded:
+        if error is None:
+            error = _json_texts(trace.errors, _float_texts(trace.errors))
+        splices.append(('"rows":[', trace._json_rows(error)))
+    rest = _encode(outcome._record(embedded, rows=False))
+    for opening, rows in splices:
+        head, _, rest = rest.partition(opening + "]")
+        yield from (head, opening, rows, "]")
+    yield rest
+
+
+def _report_json_pieces(report: ExperimentReport, out_dir: Path, fmt: str):
     """report.json as text pieces: the bytes of one compact sorted-key
     ``json.dumps`` over ``to_json_obj``, and a newline, encoded one method
-    record at a time.
+    record at a time; in csv mode each method's CSVs are written as its
+    record is reached.
 
     The document is encoded with every method list empty and split at
     each ``"methods":[]``. Only an instance's key can form that text:
     every other key is fixed by the schema, and a quote inside a string
-    is escaped. Each record is encoded on its own and yielded in its
-    place. Without an indent ``json`` keeps its C encoder, whose fragments
-    then hold one record at a time, not the whole report.
+    is escaped. Each record is yielded in its place by
+    :func:`_method_pieces`. Without an indent ``json`` keeps its C
+    encoder, whose fragments then hold one record at a time, not the
+    whole report.
     """
-    encode = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    heads = encode(report._document(lambda instance: [])).split('"methods":[]')
+    heads = _encode(report._document(lambda instance: [])).split('"methods":[]')
     yield heads[0]
     for instance, tail in zip(report.instances, heads[1:]):
         yield '"methods":['
         for index, outcome in enumerate(instance.methods):
             if index:
                 yield ","
-            yield encode(outcome._record(include_traces))
+            yield from _method_pieces(outcome, out_dir, _stem(instance.label, outcome.label), fmt)
         yield "]"
         yield tail
     yield "\n"
 
 
 def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
+    """Every artifact in one pass over the methods. report.json is written
+    last by its rename, so a CSV write that fails leaves the old one."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        for instance in report.instances:
-            for outcome in instance.methods:
-                stem = _stem(instance.label, outcome.label)
-                _write_atomic(out_dir / f"{stem}.trace.csv", (outcome.trace.to_csv(),))
-                if outcome.report is not None:
-                    _write_atomic(out_dir / f"{stem}.rate.csv", (outcome.report.to_csv(),))
-    _write_atomic(out_dir / "report.json", _report_json_pieces(report, fmt == "json"))
+    _write_atomic(out_dir / "report.json", _report_json_pieces(report, out_dir, fmt))
 
 
 def compute_rates(config: ExperimentConfig) -> list:

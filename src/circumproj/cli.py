@@ -85,12 +85,12 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _verify_lines(report: ExperimentReport) -> list:
     """One line per method and per extra check. A method line reads the
-    method's ``summary_obj()``, the record that report.json holds, one
-    method at a time, so the printed verdict is the written one."""
+    method's record in report.json without its rows, the part the writer
+    encodes, so the printed verdict is the written one."""
     lines = []
     for instance in report.instances:
         for outcome in instance.methods:
-            method = outcome.summary_obj()
+            method = outcome._record(False, rows=False)
             rate = method["rate"]
             reach = method["iters_to_1e-10"]
             tail = (f"iterations={method['iterations']} "

@@ -19,7 +19,7 @@ from .isometry import (
     _sym_extremes,
     _zero_offset,
 )
-from .methods import IterationTrace
+from .methods import IterationTrace, _float_texts, _rows_text
 from .numerics import CONSISTENCY_TOL, EQ_TOL, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace
 
@@ -75,10 +75,6 @@ class RateReport:
     errors: np.ndarray
     bounds: np.ndarray
 
-    def _pairs(self):
-        """(observed, bound) per k, as Python floats."""
-        return zip(self.errors.tolist(), self.bounds.tolist())
-
     def _satisfied(self) -> np.ndarray:
         """observed <= bound * (1 + AUDIT_TOL) per k, in one comparison."""
         return self.errors <= self.bounds * (1.0 + AUDIT_TOL)
@@ -94,23 +90,39 @@ class RateReport:
 
     @property
     def slack_min(self) -> float:
-        return min([float("inf"), *(_slack(o, b) for o, b in self._pairs())])
+        return min([float("inf"), *_slacks(self.errors, self.bounds).tolist()])
+
+    def _csv(self, error: list, bound: list) -> str:
+        """The CSV from the ``repr`` texts of the error and bound columns."""
+        return "k,error,bound,slack\n" + _rows_text(
+            "%d,%s,%s,%s\n", "", range(len(error)), error, bound,
+            _float_texts(_slacks(self.errors, self.bounds)))
 
     def to_csv(self) -> str:
-        """One row per audited iterate, each float by its repr, in one pass."""
-        fields = [v for k, (o, b) in enumerate(self._pairs()) for v in (k, o, b, _slack(o, b))]
-        return "k,error,bound,slack\n" + "%s,%r,%r,%r\n" * len(self.errors) % tuple(fields)
+        """One row per audited iterate, each float by its repr."""
+        return self._csv(_float_texts(self.errors), _float_texts(self.bounds))
 
-    def to_json_obj(self) -> dict:
+    def _json_rows(self, error: list, bound: list) -> str:
+        """``per_iteration`` as ``json`` writes its records, without the
+        brackets, from the json texts of the error and bound columns."""
+        satisfied = map(("false", "true").__getitem__, self._satisfied().tolist())
+        return _rows_text('{"bound":%s,"error":%s,"k":%d,"satisfied":%s}', ",",
+                          bound, error, range(len(error)), list(satisfied))
+
+    def _record(self, rows: list) -> dict:
+        """The JSON record with ``rows`` as its ``per_iteration``."""
         return {
             **self.constant.to_json_obj(),
             "slack_min": self.slack_min,
             "all_satisfied": self.all_satisfied,
-            "per_iteration": [
-                {"k": k, "error": o, "bound": b, "satisfied": s}
-                for k, o, b, s in self.per_iteration
-            ],
+            "per_iteration": rows,
         }
+
+    def to_json_obj(self) -> dict:
+        return self._record([
+            {"k": k, "error": o, "bound": b, "satisfied": s}
+            for k, o, b, s in self.per_iteration
+        ])
 
 
 def _require_linear(subspaces: Sequence[AffineSubspace]) -> None:
@@ -240,10 +252,14 @@ def accel_constants(op: AffineMap, fixed: Optional[AffineSubspace]) -> AccelCons
     return AccelConstants(c1=float(c1), c2=float(c2), eta=float(eta), cT=float(cT))
 
 
-def _slack(observed: float, bound: float) -> float:
-    if bound > 0.0:
-        return (bound - observed) / bound
-    return 1.0 if observed <= 0.0 else float("-inf")
+def _slacks(observed: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(bound - observed) / bound per k, the same IEEE result as the Python
+    expression; where the bound is not positive, 1.0 if observed <= 0.0 and
+    -inf otherwise."""
+    slacks = np.where(observed <= 0.0, 1.0, -np.inf)
+    with np.errstate(all="ignore"):
+        np.divide(bounds - observed, bounds, out=slacks, where=bounds > 0.0)
+    return slacks
 
 
 def audit_bound(trace: IterationTrace, constant: RateConstant) -> RateReport:

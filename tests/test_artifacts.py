@@ -5,14 +5,28 @@ and the CLI write."""
 import gc
 import json
 import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from circumproj import bench, cli, compute_rates, parse_config, run_experiment
+from circumproj import (
+    IterationTrace,
+    RateConstant,
+    RateReport,
+    bench,
+    cli,
+    compute_rates,
+    parse_config,
+    run_experiment,
+)
 from circumproj.bench import _write_atomic
 
-from helpers import DEMO_CONFIG, demo_config, reference_trace_csv
+from helpers import DEMO_CONFIG, demo_config, reference_rate_csv, reference_trace_csv
 
 
 def _random_config(max_iters: int) -> dict:
@@ -81,14 +95,28 @@ def _custom_family() -> dict:
     return obj
 
 
+# The text at which the writer splices a method's row lists into its record.
+ROW_LIST_TEXT = '"per_iteration":[] "rows":[]'
+
+
+def _row_list_text_label() -> dict:
+    """The demo with a method label holding the row lists' own text, which
+    the JSON string escapes."""
+    obj = demo_config()
+    obj["methods"][1]["label"] = f"cim {ROW_LIST_TEXT}"
+    return obj
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_json_is_one_compact_line_with_the_indented_schema(tmp_path, fmt):
     """report.json holds the bytes of one json.dumps over the report object,
-    although it is written one method record at a time: across
-    instances, with extra checks, with a null rate and with one-row traces."""
+    although it is written one method record at a time with its rows
+    spliced in as text: across instances, with extra checks, with a null
+    rate, with one-row traces and with a label that holds the row lists'
+    text."""
     configs = {"demo": demo_config(), "random_3": _three_random_instances(),
                "fixed_line": _fixed_line_instance(), "custom": _custom_family(),
-               "max_iters_0": _random_config(0)}
+               "max_iters_0": _random_config(0), "row_list_label": _row_list_text_label()}
     for name, config_obj in configs.items():
         report = run_experiment(parse_config(config_obj), out_dir=tmp_path / name, fmt=fmt)
         text = (tmp_path / name / "report.json").read_text()
@@ -107,6 +135,104 @@ def test_report_json_is_one_compact_line_with_the_indented_schema(tmp_path, fmt)
     assert [m["rate"] for i in written["custom"] for m in i["methods"] if m["label"] == "custom"] \
         == [None, None]
     assert {m["iterations"] for m in written["max_iters_0"][0]["methods"]} == {0}
+    assert f"cim {ROW_LIST_TEXT}" in [m["label"] for m in written["row_list_label"][0]["methods"]]
+
+
+# Floats whose text is hard to get right: signed zeros, subnormals, the
+# exponents at which repr switches notation (1e16, 1e-4, 1e-5), extremes
+# and the values json spells NaN, Infinity and -Infinity.
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05,
+                  1e-5, 9.999999999999999e-06, 0.1, 1.0, 1.7976931348623157e308,
+                  float("inf"), float("-inf"), float("nan"))
+_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+
+
+def _column(count: int):
+    return st.lists(_floats, min_size=count, max_size=count).map(np.array)
+
+
+@st.composite
+def _audited_outcomes(draw):
+    """A method outcome with drawn iterates, error and bound columns, as
+    one report."""
+    count = draw(st.integers(1, 8))
+    iterates = draw(_column(count)).reshape(count, 1)
+    trace = IterationTrace("map", iterates, draw(_column(count)), count - 1,
+                           np.ones(1), np.zeros(1))
+    audit = RateReport(RateConstant("gamma", 0.5, {}), trace.errors, draw(_column(count)))
+    label = draw(st.sampled_from(["map", f"map {ROW_LIST_TEXT}"]))
+    instance = bench.InstanceOutcome("drawn", 1, (0,), 0, np.zeros(1),
+                                     (bench.MethodOutcome(label, "map", trace, audit),), ())
+    return bench.ExperimentReport("drawn", {}, (instance,))
+
+
+@given(_audited_outcomes())
+def test_row_texts_are_the_reference_rows(report):
+    """The CSVs equal the row-by-row reference writers, and report.json the
+    json.dumps of its records, rows included, for any float64 columns."""
+    outcome = report.instances[0].methods[0]
+    stem = f"drawn__{outcome.label}"
+    with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            bench._write_report(report, Path(tmp) / fmt, fmt)
+            obj = report.to_json_obj(include_traces=(fmt == "json"))
+            assert (Path(tmp) / fmt / "report.json").read_text() == json.dumps(
+                obj, sort_keys=True, separators=(",", ":")) + "\n"
+        csv_dir = Path(tmp) / "csv"
+        assert (csv_dir / f"{stem}.trace.csv").read_text() == reference_trace_csv(outcome.trace)
+        assert (csv_dir / f"{stem}.rate.csv").read_text() == reference_rate_csv(outcome.report)
+        assert [p.name for p in (Path(tmp) / "json").iterdir()] == ["report.json"]
+
+
+def _artifacts(out_dir: Path) -> dict:
+    return {path.name: path.read_text() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("config_obj", [demo_config(), _three_random_instances()],
+                         ids=["demo", "random_3"])
+def test_writing_builds_no_per_row_dicts(tmp_path, monkeypatch, config_obj, fmt):
+    """The writer formats the rows from the columns: with the row-dict
+    shapes unreadable it writes the reference bytes."""
+    report = run_experiment(parse_config(config_obj))
+    expected = {"report.json": json.dumps(report.to_json_obj(include_traces=(fmt == "json")),
+                                          sort_keys=True, separators=(",", ":")) + "\n"}
+    for instance in report.instances:
+        for outcome in instance.methods:
+            stem = f"{instance.label}__{outcome.label}"
+            if fmt == "csv":
+                expected[f"{stem}.trace.csv"] = reference_trace_csv(outcome.trace)
+                if outcome.report is not None:
+                    expected[f"{stem}.rate.csv"] = reference_rate_csv(outcome.report)
+
+    def unreadable(*args):
+        raise AssertionError("the writer built per-row dicts")
+
+    monkeypatch.setattr(RateReport, "to_json_obj", unreadable)
+    monkeypatch.setattr(RateReport, "per_iteration", property(unreadable))
+    monkeypatch.setattr(IterationTrace, "to_json_obj", unreadable)
+    bench._write_report(report, tmp_path, fmt)
+    assert _artifacts(tmp_path) == dict(sorted(expected.items()))
+
+
+def test_a_failed_csv_write_keeps_the_old_report_json(tmp_path, monkeypatch):
+    """The CSVs are written while report.json streams; a CSV write that
+    fails removes report.json's temp file, so the old report.json stays."""
+    (tmp_path / "report.json").write_text("old\n")
+    report = run_experiment(parse_config(demo_config()))
+    write_atomic = bench._write_atomic
+
+    def refuse_rate_csv(path, pieces):
+        if path.name.endswith(".rate.csv"):
+            raise OSError("rate csv refused")
+        write_atomic(path, pieces)
+
+    monkeypatch.setattr(bench, "_write_atomic", refuse_rate_csv)
+    with pytest.raises(OSError, match="rate csv refused"):
+        bench._write_report(report, tmp_path, "csv")
+    assert (tmp_path / "report.json").read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def _nine_methods_500_steps() -> dict:

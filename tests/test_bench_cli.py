@@ -522,6 +522,45 @@ def test_cli_verify_prints_the_lines_read_back_from_report_json(tmp_path, capsys
     assert out == "".join(f"{line}\n" for line in lines)
 
 
+@pytest.mark.parametrize("mutate", [None, _wrong_line_and_custom_family],
+                         ids=["demo", "failing"])
+def test_cli_verify_lines_read_no_audit_rows(monkeypatch, mutate):
+    """verify's lines read each method's record without its rows: they are
+    the same with ``RateReport.per_iteration`` unreadable."""
+    obj = demo_config()
+    if mutate is not None:
+        mutate(obj)
+    report = run_experiment(parse_config(obj))
+    expected = reference_verify_lines(report.to_json_obj())
+
+    def unreadable(self):
+        raise AssertionError("verify built the audit rows")
+
+    monkeypatch.setattr(circumproj.RateReport, "per_iteration", property(unreadable))
+    assert cli._verify_lines(report) == expected
+
+
+def _outcome_with_errors(errors) -> "circumproj.bench.MethodOutcome":
+    errors = np.array(errors)
+    trace = circumproj.IterationTrace("map", errors.reshape(-1, 1), errors, len(errors) - 1,
+                                      np.ones(1), np.zeros(1))
+    return circumproj.bench.MethodOutcome("map", "map", trace, None)
+
+
+@pytest.mark.parametrize("errors, reached", [
+    ([1e-12, 1.0, 1e-11], 0),
+    ([1.0, 0.5, 1e-10, 1e-12], 2),
+    ([float("nan"), 1.0, 1e-11], 2),
+    ([1.0, 0.5, 2e-10], None),
+    ([1.0], None),
+], ids=["first_at_0", "exactly_1e-10", "after_nan", "no_hit", "one_row"])
+def test_iters_to_1e_10_is_the_first_k_at_or_below_1e_10(errors, reached):
+    outcome = _outcome_with_errors(errors)
+    walked = next((k for k, error in enumerate(outcome.trace.errors) if error <= 1e-10), None)
+    assert outcome.summary_obj()["iters_to_1e-10"] == walked == reached
+    assert type(outcome.summary_obj()["iters_to_1e-10"]) is type(reached)
+
+
 def test_cli_verify_flags_wrong_fixed_line(tmp_path, capsys):
     def mutate(obj):
         obj["instances"]["items"][1]["product_fixed_line"] = [1.0, 0.0]
