@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from circumproj import parse_config, run_experiment
+from circumproj.bench import _method_record
 
 
 def build_config(args) -> dict:
@@ -63,7 +64,7 @@ def main(argv=None) -> int:
     rows = {}
     for instance in report.instances:
         for outcome in instance.methods:
-            summary = outcome.summary_obj()
+            summary = _method_record(outcome, False)
             entry = rows.setdefault(
                 outcome.label, {"reach": [], "slack": [], "audits": 0, "ok": 0})
             if summary["iters_to_1e-10"] is not None:
@@ -82,7 +83,9 @@ def main(argv=None) -> int:
     print("-" * len(header))
     for label, entry in rows.items():
         reached = f"{len(entry['reach'])}/{args.count}"
-        median = "-" if not entry["reach"] else str(int(np.median(entry["reach"])))
+        median = "-"
+        if entry["reach"]:  # the median of an even count of steps may end in .5
+            median = f"{np.median(entry['reach']):.1f}".removesuffix(".0")
         audits = f"{entry['ok']}/{entry['audits']}"
         slack = "-" if not entry["slack"] else f"{min(entry['slack']):.3e}"
         print(f"{label:<24} {reached:>14} {median:>9} {audits:>10} {slack:>12}")

@@ -34,9 +34,9 @@ import workloads  # noqa: E402
 def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
     """Run the operations with the circumproj on the import path and write,
     per operation, each method's iterates, errors, stop step, audited
-    constant and audit verdict. The last two are read from the record a
-    method writes to report.json, so trees that name the report's
-    attributes differently still compare."""
+    constant and audit verdict. The last two are read from the report.json
+    that the run writes in the workload's format, so trees that name the
+    report's attributes differently still compare."""
     from circumproj import parse_config, run_experiment
 
     workload = workloads.WORKLOADS[workload_name]
@@ -47,14 +47,15 @@ def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
             # an out_dir is the one way to place a run's artifacts that every
             # tree accepts; older trees write a default directory without it
             with tempfile.TemporaryDirectory() as out_dir:
-                report = run_experiment(config, out_dir=out_dir)
+                report = run_experiment(config, out_dir=out_dir, fmt=workload.fmt)
+                written = json.loads((Path(out_dir) / "report.json").read_text())
         except (RuntimeError, ValueError) as error:
             results.append({"error": f"{type(error).__name__}: {error}"})
             continue
         methods = []
-        for instance in report.instances:
-            for m in instance.methods:
-                rate = m.summary_obj()["rate"]
+        for instance, instance_record in zip(report.instances, written["instances"], strict=True):
+            for m, record in zip(instance.methods, instance_record["methods"], strict=True):
+                rate = record["rate"]
                 methods.append({
                     "label": f"{instance.label}/{m.label}",
                     "iterates": m.trace.iterates.tolist(),

@@ -38,8 +38,7 @@ from .methods import (
     METHOD_TAGS,
     IterationTrace,
     MethodConfig,
-    _float_texts,
-    _json_texts,
+    _row_norms,
     dr_operator,
     run_cim,
     run_linear,
@@ -51,6 +50,7 @@ from .rates import (
     AccelConstants,
     RateConstant,
     RateReport,
+    _slacks,
     accel_constants,
     audit_bound,
     operator_rate,
@@ -75,8 +75,6 @@ class ConfigError(ValueError):
 
 
 PREFIX_KINDS = ("none", "sym_map_product")
-# The error whose first reach a method summary records as "iters_to_1e-10".
-_REACH_ERROR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -641,32 +639,6 @@ class MethodOutcome:
     trace: IterationTrace
     report: Optional[RateReport]
 
-    def summary_obj(self) -> dict:
-        return self._record(False, rows=True)
-
-    def _record(self, include_traces: bool, rows: bool) -> dict:
-        """The method's record in report.json: its summary, and its trace
-        when the trace is embedded. Without ``rows`` every row list is
-        empty, the record that verify reads and the writer fills with text."""
-        errors = self.trace.errors
-        reached = errors <= _REACH_ERROR
-        first = int(np.argmax(reached))
-        rate = None
-        if self.report is not None:
-            rate = self.report.to_json_obj() if rows else self.report._record([])
-        record = {
-            "label": self.label,
-            "method": self.method,
-            "final_error": float(errors[-1]),
-            "error_origin": self.trace.error_origin,
-            "iterations": int(self.trace.stopped_at),
-            "iters_to_1e-10": first if reached[first] else None,
-            "rate": rate,
-        }
-        if include_traces:
-            record["trace"] = self.trace.to_json_obj() if rows else self.trace._record([])
-        return record
-
 
 @dataclass(frozen=True)
 class InstanceOutcome:
@@ -694,34 +666,6 @@ class ExperimentReport:
     @property
     def all_ok(self) -> bool:
         return all(instance.all_ok for instance in self.instances)
-
-    def _document(self, methods: Callable) -> dict:
-        """The report.json object, with ``methods(instance)`` as each
-        instance's list of method records."""
-        return {
-            "name": self.name,
-            "environment": self.environment,
-            "all_ok": self.all_ok,
-            "instances": [
-                {
-                    "label": instance.label,
-                    "ambient_dim": instance.ambient_dim,
-                    "subspace_dims": list(instance.subspace_dims),
-                    "intersection_dim": instance.intersection_dim,
-                    "x0": [float(v) for v in instance.x0],
-                    "extra_checks": [
-                        {"name": name, "passed": passed, "detail": detail}
-                        for name, passed, detail in instance.extra_checks
-                    ],
-                    "methods": methods(instance),
-                }
-                for instance in self.instances
-            ],
-        }
-
-    def to_json_obj(self, include_traces: bool = False) -> dict:
-        return self._document(
-            lambda instance: [m._record(include_traces, rows=True) for m in instance.methods])
 
 
 def _environment_stamp(config: ExperimentConfig) -> dict:
@@ -844,6 +788,131 @@ def _write_atomic(path: Path, pieces) -> None:
 
 _encode = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
+# json's spelling of the floats that repr spells nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The error whose first reach a method record holds as "iters_to_1e-10".
+_REACH_ERROR = 1e-10
+
+
+def _float_texts(column: np.ndarray) -> list:
+    """``repr`` of each float of a column."""
+    return list(map(repr, column.tolist()))
+
+
+def _json_texts(column: np.ndarray, texts: list) -> list:
+    """A column's ``repr`` texts as ``json`` writes its floats: the same
+    texts, unless a float is not finite and spelled NaN, Infinity or -Infinity."""
+    if np.isfinite(column).all():
+        return texts
+    return [_JSON_NONFINITE.get(text, text) for text in texts]
+
+
+def _rows_text(template: str, separator: str, *columns) -> str:
+    """``template`` filled with each row's items of ``columns``, the rows
+    joined by ``separator``, by one ``%`` over every field."""
+    width, count = len(columns), len(columns[0])
+    fields = [None] * (width * count)
+    for index, column in enumerate(columns):
+        fields[index::width] = column
+    return separator.join([template] * count) % tuple(fields)
+
+
+def _trace_csv(trace: IterationTrace) -> str:
+    """One row per iterate at 17 significant digits, by one template."""
+    return "k,x_norm,error,step_norm\n" + _rows_text(
+        "%d,%.17g,%.17g,%.17g\n", "", range(trace.iterates.shape[0]),
+        _row_norms(trace.iterates).tolist(), trace.errors.tolist(), trace.step_norms().tolist())
+
+
+def _trace_rows(trace: IterationTrace, error: list) -> str:
+    """A trace record's ``rows`` as ``json`` writes them, without their
+    brackets. ``error`` is the json text of the error column."""
+    x_norm, step = _row_norms(trace.iterates), trace.step_norms()
+    return _rows_text('{"error":%s,"k":%d,"step_norm":%s,"x_norm":%s}', ",",
+                      error, range(len(error)), _json_texts(step, _float_texts(step)),
+                      _json_texts(x_norm, _float_texts(x_norm)))
+
+
+def _rate_csv(audit: RateReport, error: list, bound: list) -> str:
+    """One row per audited iterate, each float by its ``repr``."""
+    return "k,error,bound,slack\n" + _rows_text(
+        "%d,%s,%s,%s\n", "", range(len(error)), error, bound,
+        _float_texts(_slacks(audit.errors, audit.bounds)))
+
+
+def _audit_rows(audit: RateReport, error: list, bound: list) -> str:
+    """An audit record's ``per_iteration`` as ``json`` writes it, without
+    the brackets, from the json texts of the error and bound columns."""
+    satisfied = map(("false", "true").__getitem__, audit._satisfied().tolist())
+    return _rows_text('{"bound":%s,"error":%s,"k":%d,"satisfied":%s}', ",",
+                      bound, error, range(len(error)), list(satisfied))
+
+
+def _constant_record(constant: RateConstant) -> dict:
+    return {
+        "constant_name": constant.name,
+        "value": float(constant.value),
+        "ingredients": {k: float(v) for k, v in sorted(constant.ingredients.items())},
+    }
+
+
+def _method_record(outcome: MethodOutcome, embedded: bool) -> dict:
+    """A method's report.json record with every row list empty: its summary,
+    its audit and, when ``embedded``, its trace. verify prints it, and the
+    writer fills the row lists with text."""
+    trace, audit = outcome.trace, outcome.report
+    reached = trace.errors <= _REACH_ERROR
+    first = int(np.argmax(reached))
+    record = {
+        "label": outcome.label,
+        "method": outcome.method,
+        "final_error": float(trace.errors[-1]),
+        "error_origin": trace.error_origin,
+        "iterations": int(trace.stopped_at),
+        "iters_to_1e-10": first if reached[first] else None,
+        "rate": None if audit is None else {
+            **_constant_record(audit.constant),
+            "slack_min": audit.slack_min,
+            "all_satisfied": audit.all_satisfied,
+            "per_iteration": [],
+        },
+    }
+    if embedded:
+        record["trace"] = {
+            "method": trace.method,
+            "ambient_dim": int(trace.ambient_dim),
+            "stopped_at": int(trace.stopped_at),
+            "x0_original": [float(v) for v in trace.x0_original],
+            "target": [float(v) for v in trace.target],
+            "error_origin": trace.error_origin,
+            "rows": [],
+        }
+    return record
+
+
+def _document(report: ExperimentReport) -> dict:
+    """The report.json object with every instance's method list empty."""
+    return {
+        "name": report.name,
+        "environment": report.environment,
+        "all_ok": report.all_ok,
+        "instances": [
+            {
+                "label": instance.label,
+                "ambient_dim": instance.ambient_dim,
+                "subspace_dims": list(instance.subspace_dims),
+                "intersection_dim": instance.intersection_dim,
+                "x0": [float(v) for v in instance.x0],
+                "extra_checks": [
+                    {"name": name, "passed": passed, "detail": detail}
+                    for name, passed, detail in instance.extra_checks
+                ],
+                "methods": [],
+            }
+            for instance in report.instances
+        ],
+    }
+
 
 def _method_pieces(outcome: MethodOutcome, out_dir: Path, stem: str, fmt: str):
     """Write one method's CSVs in csv mode, then yield its report.json record.
@@ -860,21 +929,21 @@ def _method_pieces(outcome: MethodOutcome, out_dir: Path, stem: str, fmt: str):
     trace, audit = outcome.trace, outcome.report
     embedded = fmt == "json"
     if not embedded:
-        _write_atomic(out_dir / f"{stem}.trace.csv", (trace.to_csv(),))
+        _write_atomic(out_dir / f"{stem}.trace.csv", (_trace_csv(trace),))
     splices = []
     error = None
     if audit is not None:
         error_text, bound_text = _float_texts(audit.errors), _float_texts(audit.bounds)
         if not embedded:
-            _write_atomic(out_dir / f"{stem}.rate.csv", (audit._csv(error_text, bound_text),))
+            _write_atomic(out_dir / f"{stem}.rate.csv", (_rate_csv(audit, error_text, bound_text),))
         error = _json_texts(audit.errors, error_text)
-        splices.append(('"per_iteration":[', audit._json_rows(
-            error, _json_texts(audit.bounds, bound_text))))
+        splices.append(('"per_iteration":[', _audit_rows(
+            audit, error, _json_texts(audit.bounds, bound_text))))
     if embedded:
         if error is None:
             error = _json_texts(trace.errors, _float_texts(trace.errors))
-        splices.append(('"rows":[', trace._json_rows(error)))
-    rest = _encode(outcome._record(embedded, rows=False))
+        splices.append(('"rows":[', _trace_rows(trace, error)))
+    rest = _encode(_method_record(outcome, embedded))
     for opening, rows in splices:
         head, _, rest = rest.partition(opening + "]")
         yield from (head, opening, rows, "]")
@@ -882,10 +951,9 @@ def _method_pieces(outcome: MethodOutcome, out_dir: Path, stem: str, fmt: str):
 
 
 def _report_json_pieces(report: ExperimentReport, out_dir: Path, fmt: str):
-    """report.json as text pieces: the bytes of one compact sorted-key
-    ``json.dumps`` over ``to_json_obj``, and a newline, encoded one method
-    record at a time; in csv mode each method's CSVs are written as its
-    record is reached.
+    """report.json as text pieces, a compact sorted-key ``json`` document
+    and a newline, encoded one method record at a time; in csv mode each
+    method's CSVs are written as its record is reached.
 
     The document is encoded with every method list empty and split at
     each ``"methods":[]``. Only an instance's key can form that text:
@@ -895,7 +963,7 @@ def _report_json_pieces(report: ExperimentReport, out_dir: Path, fmt: str):
     encoder, whose fragments then hold one record at a time, not the
     whole report.
     """
-    heads = _encode(report._document(lambda instance: [])).split('"methods":[]')
+    heads = _encode(_document(report)).split('"methods":[]')
     yield heads[0]
     for instance, tail in zip(report.instances, heads[1:]):
         yield '"methods":['
@@ -929,6 +997,6 @@ def compute_rates(config: ExperimentConfig) -> list:
             rows.append({
                 "instance": label,
                 "method": method_label,
-                "rate": None if plan.constant is None else plan.constant.to_json_obj(),
+                "rate": None if plan.constant is None else _constant_record(plan.constant),
             })
     return rows

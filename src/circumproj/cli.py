@@ -29,6 +29,7 @@ from .bench import (
     compute_rates,
     load_config,
     run_experiment,
+    _method_record,
     _write_atomic,
 )
 
@@ -90,7 +91,7 @@ def _verify_lines(report: ExperimentReport) -> list:
     lines = []
     for instance in report.instances:
         for outcome in instance.methods:
-            method = outcome._record(False, rows=False)
+            method = _method_record(outcome, False)
             rate = method["rate"]
             reach = method["iters_to_1e-10"]
             tail = (f"iterations={method['iterations']} "

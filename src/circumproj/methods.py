@@ -70,33 +70,6 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None], rows[:, :, None]).ravel())
 
 
-# json's spelling of the floats that repr spells nan, inf and -inf
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_texts(column: np.ndarray) -> list:
-    """``repr`` of each float of a column."""
-    return list(map(repr, column.tolist()))
-
-
-def _json_texts(column: np.ndarray, texts: list) -> list:
-    """A column's ``repr`` texts as ``json`` writes its floats: the same
-    texts, unless a float is not finite and spelled NaN, Infinity or -Infinity."""
-    if np.isfinite(column).all():
-        return texts
-    return [_JSON_NONFINITE.get(text, text) for text in texts]
-
-
-def _rows_text(template: str, separator: str, *columns) -> str:
-    """``template`` filled with each row's items of ``columns``, the rows
-    joined by ``separator``, by one ``%`` over every field."""
-    width, count = len(columns), len(columns[0])
-    fields = [None] * (width * count)
-    for index, column in enumerate(columns):
-        fields[index::width] = column
-    return separator.join([template] * count) % tuple(fields)
-
-
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Recorded iterates of one run.
@@ -136,41 +109,6 @@ class IterationTrace:
         steps = np.zeros(self.iterates.shape[0])
         steps[1:] = _row_norms(np.diff(self.iterates, axis=0))
         return steps
-
-    def to_csv(self) -> str:
-        """One row per iterate at 17 significant digits, by one template
-        over whole columns."""
-        return "k,x_norm,error,step_norm\n" + _rows_text(
-            "%d,%.17g,%.17g,%.17g\n", "", range(self.iterates.shape[0]),
-            _row_norms(self.iterates).tolist(), self.errors.tolist(), self.step_norms().tolist())
-
-    def _json_rows(self, error: list) -> str:
-        """The ``rows`` of the JSON record as ``json`` writes them, without
-        their brackets. ``error`` is the json text of the error column."""
-        x_norm, step = _row_norms(self.iterates), self.step_norms()
-        return _rows_text('{"error":%s,"k":%d,"step_norm":%s,"x_norm":%s}', ",",
-                          error, range(len(error)), _json_texts(step, _float_texts(step)),
-                          _json_texts(x_norm, _float_texts(x_norm)))
-
-    def _record(self, rows: list) -> dict:
-        """The JSON record with ``rows`` as its rows."""
-        return {
-            "method": self.method,
-            "ambient_dim": int(self.ambient_dim),
-            "stopped_at": int(self.stopped_at),
-            "x0_original": [float(v) for v in self.x0_original],
-            "target": [float(v) for v in self.target],
-            "error_origin": self.error_origin,
-            "rows": rows,
-        }
-
-    def to_json_obj(self) -> dict:
-        columns = zip(_row_norms(self.iterates).tolist(), self.errors.tolist(),
-                      self.step_norms().tolist())
-        return self._record([
-            {"k": k, "x_norm": x_norm, "error": error, "step_norm": step}
-            for k, (x_norm, error, step) in enumerate(columns)
-        ])
 
 
 def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,

@@ -19,7 +19,7 @@ from .isometry import (
     _sym_extremes,
     _zero_offset,
 )
-from .methods import IterationTrace, _float_texts, _rows_text
+from .methods import IterationTrace
 from .numerics import CONSISTENCY_TOL, EQ_TOL, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace
 
@@ -50,13 +50,6 @@ class RateConstant:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("rate must be nonnegative")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "constant_name": self.name,
-            "value": float(self.value),
-            "ingredients": {k: float(v) for k, v in sorted(self.ingredients.items())},
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,38 +84,6 @@ class RateReport:
     @property
     def slack_min(self) -> float:
         return min([float("inf"), *_slacks(self.errors, self.bounds).tolist()])
-
-    def _csv(self, error: list, bound: list) -> str:
-        """The CSV from the ``repr`` texts of the error and bound columns."""
-        return "k,error,bound,slack\n" + _rows_text(
-            "%d,%s,%s,%s\n", "", range(len(error)), error, bound,
-            _float_texts(_slacks(self.errors, self.bounds)))
-
-    def to_csv(self) -> str:
-        """One row per audited iterate, each float by its repr."""
-        return self._csv(_float_texts(self.errors), _float_texts(self.bounds))
-
-    def _json_rows(self, error: list, bound: list) -> str:
-        """``per_iteration`` as ``json`` writes its records, without the
-        brackets, from the json texts of the error and bound columns."""
-        satisfied = map(("false", "true").__getitem__, self._satisfied().tolist())
-        return _rows_text('{"bound":%s,"error":%s,"k":%d,"satisfied":%s}', ",",
-                          bound, error, range(len(error)), list(satisfied))
-
-    def _record(self, rows: list) -> dict:
-        """The JSON record with ``rows`` as its ``per_iteration``."""
-        return {
-            **self.constant.to_json_obj(),
-            "slack_min": self.slack_min,
-            "all_satisfied": self.all_satisfied,
-            "per_iteration": rows,
-        }
-
-    def to_json_obj(self) -> dict:
-        return self._record([
-            {"k": k, "error": o, "bound": b, "satisfied": s}
-            for k, o, b, s in self.per_iteration
-        ])
 
 
 def _require_linear(subspaces: Sequence[AffineSubspace]) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from circumproj import (
     Intersection,
     as_matrix,
     as_vector,
+    bench,
     compose,
     identity,
     make_reflector,
@@ -34,10 +36,31 @@ def demo_config() -> dict:
     return json.loads(DEMO_CONFIG.read_text())
 
 
-def json_text(record) -> str:
-    """A trace's or a rate report's JSON record as sorted-key text, for
-    byte-for-byte comparisons."""
-    return json.dumps(record.to_json_obj(), sort_keys=True)
+def one_method_report(trace, audit=None, label: str = "m"):
+    """An experiment report of one instance, ``one``, with one method, so
+    that a lone trace and its audit reach the artifact writer."""
+    outcome = bench.MethodOutcome(label, trace.method, trace, audit)
+    instance = bench.InstanceOutcome("one", trace.ambient_dim, (), 0, trace.x0_original,
+                                     (outcome,), ())
+    return bench.ExperimentReport("one", {}, (instance,))
+
+
+def written_artifacts(report, fmt: str = "csv") -> dict:
+    """The text of each artifact the writer writes for ``report``, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bench._write_report(report, Path(tmp), fmt)
+        return {path.name: path.read_text() for path in sorted(Path(tmp).iterdir())}
+
+
+def json_text(trace, audit=None) -> str:
+    """report.json as the writer writes it in json mode for one method,
+    ``trace`` with ``audit``, for byte-for-byte comparisons."""
+    return written_artifacts(one_method_report(trace, audit), "json")["report.json"]
+
+
+def written_record(trace, audit=None) -> dict:
+    """The method's record in the report.json of :func:`json_text`."""
+    return json.loads(json_text(trace, audit))["instances"][0]["methods"][0]
 
 
 def random_linear_subspace(rng: np.random.Generator, ambient_dim: int,
@@ -200,6 +223,86 @@ def reference_rate_csv(report) -> str:
         slack = reference_slack(observed, bound)
         lines.append(f"{k},{observed!r},{bound!r},{slack!r}")
     return "\n".join(lines) + "\n"
+
+
+# report.json as the library built it before it wrote it: one dict per
+# record and per row, from the arrays and the audit's rows. The writer's
+# text must be the compact sorted-key json.dumps of this object, so keep it
+# as it is.
+
+def _reference_trace_obj(trace) -> dict:
+    """The embedded trace, one ``k, x_norm, error, step_norm`` dict per iterate."""
+    steps = trace.step_norms()
+    return {
+        "method": trace.method,
+        "ambient_dim": int(trace.iterates.shape[1]),
+        "stopped_at": int(trace.stopped_at),
+        "x0_original": [float(v) for v in trace.x0_original],
+        "target": [float(v) for v in trace.target],
+        "error_origin": float(np.linalg.norm(trace.x0_original - trace.target)),
+        "rows": [{"k": k, "x_norm": _norm(row), "error": float(trace.errors[k]),
+                  "step_norm": float(steps[k])} for k, row in enumerate(trace.iterates)],
+    }
+
+
+def _reference_audit_obj(report) -> dict:
+    """The audited constant, its slack_min and verdict, one dict per audit row."""
+    constant = report.constant
+    rows = report.per_iteration
+    return {
+        "constant_name": constant.name,
+        "value": float(constant.value),
+        "ingredients": {k: float(v) for k, v in sorted(constant.ingredients.items())},
+        "slack_min": min([float("inf"), *(reference_slack(o, b) for _, o, b, _ in rows)]),
+        "all_satisfied": all(s for _, _, _, s in rows),
+        "per_iteration": [{"k": k, "error": o, "bound": b, "satisfied": s}
+                          for k, o, b, s in rows],
+    }
+
+
+def _reference_method_obj(outcome, include_traces: bool) -> dict:
+    errors = outcome.trace.errors.tolist()
+    record = {
+        "label": outcome.label,
+        "method": outcome.method,
+        "final_error": errors[-1],
+        "error_origin": float(np.linalg.norm(outcome.trace.x0_original - outcome.trace.target)),
+        "iterations": int(outcome.trace.stopped_at),
+        "iters_to_1e-10": next((k for k, e in enumerate(errors) if e <= 1e-10), None),
+        "rate": None if outcome.report is None else _reference_audit_obj(outcome.report),
+    }
+    if include_traces:
+        record["trace"] = _reference_trace_obj(outcome.trace)
+    return record
+
+
+def reference_report_obj(report, include_traces: bool) -> dict:
+    """The report.json object of an experiment report, with each method's
+    trace embedded when ``include_traces``."""
+    return {
+        "name": report.name,
+        "environment": report.environment,
+        "all_ok": report.all_ok,
+        "instances": [
+            {
+                "label": instance.label,
+                "ambient_dim": instance.ambient_dim,
+                "subspace_dims": list(instance.subspace_dims),
+                "intersection_dim": instance.intersection_dim,
+                "x0": [float(v) for v in instance.x0],
+                "extra_checks": [{"name": name, "passed": passed, "detail": detail}
+                                 for name, passed, detail in instance.extra_checks],
+                "methods": [_reference_method_obj(m, include_traces) for m in instance.methods],
+            }
+            for instance in report.instances
+        ],
+    }
+
+
+def reference_report_json(report, include_traces: bool) -> str:
+    """The bytes of report.json: compact sorted-key JSON and a newline."""
+    return json.dumps(reference_report_obj(report, include_traces), sort_keys=True,
+                      separators=(",", ":")) + "\n"
 
 
 # The audit rows as the library computed and stored them, one tuple per row

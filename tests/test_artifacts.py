@@ -26,7 +26,14 @@ from circumproj import (
 )
 from circumproj.bench import _write_atomic
 
-from helpers import DEMO_CONFIG, demo_config, reference_rate_csv, reference_trace_csv
+from helpers import (
+    DEMO_CONFIG,
+    demo_config,
+    reference_rate_csv,
+    reference_report_json,
+    reference_report_obj,
+    reference_trace_csv,
+)
 
 
 def _random_config(max_iters: int) -> dict:
@@ -51,23 +58,25 @@ def _random_config(max_iters: int) -> dict:
     }
 
 
-def _traces(config_obj: dict) -> list:
-    report = run_experiment(parse_config(config_obj))
-    return [m.trace for instance in report.instances for m in instance.methods]
+def _written_traces(config_obj: dict, out_dir: Path) -> list:
+    """(trace, its written trace CSV) per method of a run written into ``out_dir``."""
+    report = run_experiment(parse_config(config_obj), out_dir=out_dir)
+    return [(m.trace, (out_dir / f"{instance.label}__{m.label}.trace.csv").read_text())
+            for instance in report.instances for m in instance.methods]
 
 
 @pytest.mark.parametrize("config_obj", [demo_config(), _random_config(60), _random_config(0)],
                          ids=["demo", "random_r30", "max_iters_0"])
-def test_trace_csv_is_the_row_by_row_bytes(config_obj):
-    traces = _traces(config_obj)
-    assert traces
-    for trace in traces:
-        assert trace.to_csv() == reference_trace_csv(trace)
+def test_trace_csv_is_the_row_by_row_bytes(tmp_path, config_obj):
+    written = _written_traces(config_obj, tmp_path)
+    assert written
+    for trace, text in written:
+        assert text == reference_trace_csv(trace)
 
 
-def test_max_iters_0_trace_csv_has_one_row():
-    for trace in _traces(_random_config(0)):
-        assert trace.to_csv().count("\n") == 2
+def test_max_iters_0_trace_csv_has_one_row(tmp_path):
+    for _, text in _written_traces(_random_config(0), tmp_path):
+        assert text.count("\n") == 2
 
 
 def _three_random_instances() -> dict:
@@ -109,8 +118,8 @@ def _row_list_text_label() -> dict:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_json_is_one_compact_line_with_the_indented_schema(tmp_path, fmt):
-    """report.json holds the bytes of one json.dumps over the report object,
-    although it is written one method record at a time with its rows
+    """report.json holds the bytes of one json.dumps over the reference
+    report object, although it is written one method record at a time with its rows
     spliced in as text: across instances, with extra checks, with a null
     rate, with one-row traces and with a label that holds the row lists'
     text."""
@@ -121,7 +130,7 @@ def test_report_json_is_one_compact_line_with_the_indented_schema(tmp_path, fmt)
         report = run_experiment(parse_config(config_obj), out_dir=tmp_path / name, fmt=fmt)
         text = (tmp_path / name / "report.json").read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        obj = report.to_json_obj(include_traces=(fmt == "json"))
+        obj = reference_report_obj(report, include_traces=(fmt == "json"))
         payload = json.loads(text)
         assert payload == json.loads(json.dumps(obj, sort_keys=True, indent=1))
         assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -176,9 +185,8 @@ def test_row_texts_are_the_reference_rows(report):
     with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "json"):
             bench._write_report(report, Path(tmp) / fmt, fmt)
-            obj = report.to_json_obj(include_traces=(fmt == "json"))
-            assert (Path(tmp) / fmt / "report.json").read_text() == json.dumps(
-                obj, sort_keys=True, separators=(",", ":")) + "\n"
+            assert (Path(tmp) / fmt / "report.json").read_text() == reference_report_json(
+                report, include_traces=(fmt == "json"))
         csv_dir = Path(tmp) / "csv"
         assert (csv_dir / f"{stem}.trace.csv").read_text() == reference_trace_csv(outcome.trace)
         assert (csv_dir / f"{stem}.rate.csv").read_text() == reference_rate_csv(outcome.report)
@@ -193,11 +201,10 @@ def _artifacts(out_dir: Path) -> dict:
 @pytest.mark.parametrize("config_obj", [demo_config(), _three_random_instances()],
                          ids=["demo", "random_3"])
 def test_writing_builds_no_per_row_dicts(tmp_path, monkeypatch, config_obj, fmt):
-    """The writer formats the rows from the columns: with the row-dict
-    shapes unreadable it writes the reference bytes."""
+    """The writer formats the rows from the columns: with the audit's rows
+    unreadable it writes the reference bytes."""
     report = run_experiment(parse_config(config_obj))
-    expected = {"report.json": json.dumps(report.to_json_obj(include_traces=(fmt == "json")),
-                                          sort_keys=True, separators=(",", ":")) + "\n"}
+    expected = {"report.json": reference_report_json(report, include_traces=(fmt == "json"))}
     for instance in report.instances:
         for outcome in instance.methods:
             stem = f"{instance.label}__{outcome.label}"
@@ -209,9 +216,7 @@ def test_writing_builds_no_per_row_dicts(tmp_path, monkeypatch, config_obj, fmt)
     def unreadable(*args):
         raise AssertionError("the writer built per-row dicts")
 
-    monkeypatch.setattr(RateReport, "to_json_obj", unreadable)
     monkeypatch.setattr(RateReport, "per_iteration", property(unreadable))
-    monkeypatch.setattr(IterationTrace, "to_json_obj", unreadable)
     bench._write_report(report, tmp_path, fmt)
     assert _artifacts(tmp_path) == dict(sorted(expected.items()))
 

@@ -20,7 +20,14 @@ from circumproj import (
     run_experiment,
 )
 
-from helpers import DEMO_CONFIG, demo_config, reference_verify_lines
+from helpers import (
+    DEMO_CONFIG,
+    demo_config,
+    one_method_report,
+    reference_report_obj,
+    reference_verify_lines,
+    written_artifacts,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -238,8 +245,8 @@ def test_run_experiment_demo_all_ok_and_deterministic(tmp_path):
     first = run_experiment(config, out_dir=tmp_path / "a")
     second = run_experiment(config)
     assert first.all_ok, "the shipped demo must satisfy every audited bound"
-    assert (json.dumps(first.to_json_obj(include_traces=True), sort_keys=True)
-            == json.dumps(second.to_json_obj(include_traces=True), sort_keys=True))
+    assert (json.dumps(reference_report_obj(first, include_traces=True), sort_keys=True)
+            == json.dumps(reference_report_obj(second, include_traces=True), sort_keys=True))
 
     expected = {"report.json"}
     for instance in ("lines_45deg", "three_lines_plane"):
@@ -414,6 +421,31 @@ def test_artifact_digest_of_a_workload_operation_matches_its_config_file(tmp_pat
             script.main(argv)
 
 
+def test_compare_methods_reads_no_audit_rows_and_prints_the_exact_median(monkeypatch, capsys):
+    """The comparison reads each method's record without its rows, and its
+    median of an even count of steps keeps the .5 that int() dropped."""
+    script = _load_script("compare_methods")
+    argv = ["--count", "2", "--seed", "2"]
+    report = run_experiment(parse_config(script.build_config(script.argparse.Namespace(
+        count=2, dim=8, subspaces=3, max_iters=60, seed=2))))
+    reach = {}
+    for instance in report.instances:
+        for outcome in instance.methods:
+            walked = [k for k, error in enumerate(outcome.trace.errors) if error <= 1e-10]
+            reach.setdefault(outcome.label, []).extend(walked[:1])
+
+    def unreadable(self):
+        raise AssertionError("the comparison built the audit rows")
+
+    monkeypatch.setattr(circumproj.RateReport, "per_iteration", property(unreadable))
+    assert script.main(argv) == 0
+    printed = {line.split()[0]: line.split()[2]
+               for line in capsys.readouterr().out.splitlines() if line[:2].isdigit()}
+    assert printed == {label: "-" if not steps else repr(float(np.median(steps))).removesuffix(".0")
+                       for label, steps in reach.items()}
+    assert printed["03_sym_map"] == "10.5"
+
+
 # command line
 
 
@@ -531,7 +563,7 @@ def test_cli_verify_lines_read_no_audit_rows(monkeypatch, mutate):
     if mutate is not None:
         mutate(obj)
     report = run_experiment(parse_config(obj))
-    expected = reference_verify_lines(report.to_json_obj())
+    expected = reference_verify_lines(reference_report_obj(report, include_traces=False))
 
     def unreadable(self):
         raise AssertionError("verify built the audit rows")
@@ -540,11 +572,10 @@ def test_cli_verify_lines_read_no_audit_rows(monkeypatch, mutate):
     assert cli._verify_lines(report) == expected
 
 
-def _outcome_with_errors(errors) -> "circumproj.bench.MethodOutcome":
+def _trace_with_errors(errors) -> circumproj.IterationTrace:
     errors = np.array(errors)
-    trace = circumproj.IterationTrace("map", errors.reshape(-1, 1), errors, len(errors) - 1,
-                                      np.ones(1), np.zeros(1))
-    return circumproj.bench.MethodOutcome("map", "map", trace, None)
+    return circumproj.IterationTrace("map", errors.reshape(-1, 1), errors, len(errors) - 1,
+                                     np.ones(1), np.zeros(1))
 
 
 @pytest.mark.parametrize("errors, reached", [
@@ -555,10 +586,12 @@ def _outcome_with_errors(errors) -> "circumproj.bench.MethodOutcome":
     ([1.0], None),
 ], ids=["first_at_0", "exactly_1e-10", "after_nan", "no_hit", "one_row"])
 def test_iters_to_1e_10_is_the_first_k_at_or_below_1e_10(errors, reached):
-    outcome = _outcome_with_errors(errors)
-    walked = next((k for k, error in enumerate(outcome.trace.errors) if error <= 1e-10), None)
-    assert outcome.summary_obj()["iters_to_1e-10"] == walked == reached
-    assert type(outcome.summary_obj()["iters_to_1e-10"]) is type(reached)
+    trace = _trace_with_errors(errors)
+    walked = next((k for k, error in enumerate(trace.errors) if error <= 1e-10), None)
+    report_json = written_artifacts(one_method_report(trace))["report.json"]
+    written = json.loads(report_json)["instances"][0]["methods"][0]["iters_to_1e-10"]
+    assert written == walked == reached
+    assert type(written) is type(reached)
 
 
 def test_cli_verify_flags_wrong_fixed_line(tmp_path, capsys):

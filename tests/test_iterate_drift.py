@@ -10,15 +10,18 @@ SCRIPT = ROOT / "scripts" / "iterate_drift.py"
 
 
 def test_a_tree_against_itself_has_zero_drift():
+    """Both artifact formats are read back: family-psi writes json,
+    iterate-long csv."""
     result = subprocess.run(
         [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--workload", "family-psi",
-         "--seed", "4242", "--ops", "1"],
+         "--workload", "iterate-long", "--seed", "4242", "--ops", "1"],
         capture_output=True, text=True, timeout=300, check=True)
-    header, row = result.stdout.strip().splitlines()
+    header, *rows = result.stdout.strip().splitlines()
     assert header.split() == ["workload", "ops", "methods", "max_abs_diff", "max_error_diff",
                               "max_constant_diff", "changed_verdicts", "changed_stops"]
-    assert row.split() == ["family-psi", "1", "6", "0.000e+00", "0.000e+00", "0.000e+00",
-                           "0", "0"]
+    assert [row.split() for row in rows] == [
+        [name, "1", methods, "0.000e+00", "0.000e+00", "0.000e+00", "0", "0"]
+        for name, methods in (("family-psi", "6"), ("iterate-long", "9"))]
 
 
 def test_compare_counts_each_kind_of_change():

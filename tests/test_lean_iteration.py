@@ -33,11 +33,14 @@ from circumproj import (
 from circumproj.methods import _drive
 from circumproj.numerics import _norm
 from helpers import (
+    one_method_report,
     random_family,
     reference_audit_rows,
     reference_rate_csv,
     reference_trace_csv,
     reflectors_of,
+    written_artifacts,
+    written_record,
 )
 
 
@@ -228,16 +231,13 @@ def _audited():
     ]
 
 
-def _audits():
-    return [audit_bound(trace, constant) for trace, constant in _audited()]
-
-
 def test_the_rate_csv_equals_the_row_by_row_writer():
-    audits = _audits()
-    assert any(row[2] == 0.0 for audit in audits for row in audit.per_iteration)
-    assert any(row[1] == 0.0 < row[2] for audit in audits for row in audit.per_iteration)
-    for audit in audits:
-        assert audit.to_csv() == reference_rate_csv(audit)
+    audited = [(trace, audit_bound(trace, constant)) for trace, constant in _audited()]
+    assert any(row[2] == 0.0 for _, audit in audited for row in audit.per_iteration)
+    assert any(row[1] == 0.0 < row[2] for _, audit in audited for row in audit.per_iteration)
+    for trace, audit in audited:
+        written = written_artifacts(one_method_report(trace, audit))["one__m.rate.csv"]
+        assert written == reference_rate_csv(audit)
 
 
 def _row_bits(rows) -> list:
@@ -261,9 +261,11 @@ def test_the_audit_rows_equal_the_row_by_row_loop_bit_for_bit():
 
 
 def test_an_empty_audit_writes_the_header_only():
-    audit = audit_bound(_trace([1.0]), RateConstant("linear_rate", 0.5, {}))
+    trace = _trace([1.0])
+    audit = audit_bound(trace, RateConstant("linear_rate", 0.5, {}))
     empty = type(audit)(audit.constant, np.zeros(0), np.zeros(0))
-    assert empty.to_csv() == reference_rate_csv(empty) == "k,error,bound,slack\n"
+    written = written_artifacts(one_method_report(trace, empty))["one__m.rate.csv"]
+    assert written == reference_rate_csv(empty) == "k,error,bound,slack\n"
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 30, 60, 200])
@@ -273,7 +275,8 @@ def test_x_norms_have_the_bits_of_norm(dim):
     iterates = rng.standard_normal((25, dim)) * scales
     trace = IterationTrace("map", iterates, np.linalg.norm(iterates, axis=1), 24,
                            iterates[0], np.zeros(dim))
-    rows = trace.to_json_obj()["rows"]
+    rows = written_record(trace)["trace"]["rows"]
     for k, row in enumerate(iterates):
         assert _bits(rows[k]["x_norm"]) == _bits(_norm(row))
-    assert trace.to_csv() == reference_trace_csv(trace)
+    assert written_artifacts(one_method_report(trace))["one__m.trace.csv"] == \
+        reference_trace_csv(trace)

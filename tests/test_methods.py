@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +19,15 @@ from circumproj import (
     symmetric_map_operator,
 )
 from circumproj.numerics import _norm
-from helpers import json_text, random_family, reflectors_of, unit_vector
+from helpers import (
+    json_text,
+    one_method_report,
+    random_family,
+    reflectors_of,
+    unit_vector,
+    written_artifacts,
+    written_record,
+)
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
 LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
@@ -178,7 +184,7 @@ def test_prefix_is_applied_before_the_first_iterate():
 
 def test_trace_csv_round_trips_at_full_precision():
     trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=4), ORIGIN)
-    lines = trace.to_csv().splitlines()
+    lines = written_artifacts(one_method_report(trace))["one__m.trace.csv"].splitlines()
     assert lines[0] == "k,x_norm,error,step_norm"
     assert len(lines) == trace.errors.shape[0] + 1
     for k, line in enumerate(lines[1:]):
@@ -196,8 +202,8 @@ def test_trace_json_is_deterministic_and_time_free():
     again = json_text(run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=3),
                               ORIGIN))
     assert blob == again
-    obj = json.loads(blob)
-    assert "wall_time" not in obj
+    assert "wall_time" not in blob
+    obj = written_record(trace)["trace"]
     assert obj["method"] == "map"
     assert len(obj["rows"]) == 4
     assert set(obj["rows"][0]) == {"k", "x_norm", "error", "step_norm"}

@@ -138,7 +138,7 @@ def test_defaulted_parameters_do_not_grow():
     set; a new one must be wanted, and this figure raised with it."""
     defaulted = [f"{name}:{p.name}" for name, sig in _exported_signatures()
                  for p in sig.parameters.values() if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) <= 14, defaulted
+    assert len(defaulted) <= 13, defaulted
 
 
 def test_numerics_exports_the_three_thresholds():
@@ -246,3 +246,23 @@ def test_drivers_and_rates_decide_no_fixed_set():
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         found = (names | attributes | imported) & FIXED_SET_DECIDERS
         assert not found, f"{name} decides a fixed set through {sorted(found)}"
+
+
+# The artifact format's names, which the writer in ``bench`` alone defines and reads.
+FORMAT_NAMES = {"to_csv", "to_json_obj", "_rows_text", "_float_texts", "_json_texts",
+                "_json_rows"}
+
+
+def test_methods_and_rates_hold_no_artifact_format():
+    """Traces and audits are math: ``methods`` and ``rates`` import no
+    ``json`` and neither define nor read a name of the artifact format."""
+    for name in ("methods.py", "rates.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        names, attributes = _references(tree)
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "json" not in _imported_top_level_modules(tree), f"{name} imports json"
+        found = (names | attributes | defined | imported) & FORMAT_NAMES
+        assert not found, f"{name} holds the artifact format through {sorted(found)}"

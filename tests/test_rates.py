@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +19,14 @@ from circumproj import (
     symmetric_map_operator,
     tuple_angle_cos,
 )
-from helpers import json_text, random_family, random_linear_subspace
+from helpers import (
+    json_text,
+    one_method_report,
+    random_family,
+    random_linear_subspace,
+    written_artifacts,
+    written_record,
+)
 from oracles import oracle_friedrichs, oracle_operator_rate
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
@@ -209,21 +214,24 @@ def test_audit_bound_writes_a_numpy_scalar_rate_as_its_float(prefactor):
                                         else {"prefactor": to_scalar(prefactor)}))
         for to_scalar in (float, np.float64)
     ]
-    assert "np." not in reports[1].to_csv()
-    assert reports[1].to_csv() == reports[0].to_csv()
-    assert json_text(reports[1]) == json_text(reports[0])
+    written = [written_artifacts(one_method_report(trace, report)) for report in reports]
+    assert "np." not in written[1]["one__m.rate.csv"]
+    assert written[1] == written[0]
+    assert json_text(trace, reports[1]) == json_text(trace, reports[0])
 
 
 def test_rate_report_serialization_round_trip():
-    report = audit_bound(_toy_trace([1.0, 0.25]), RateConstant("demo_rate", 0.5, {"gamma": 0.5}))
-    lines = report.to_csv().splitlines()
+    trace = _toy_trace([1.0, 0.25])
+    report = audit_bound(trace, RateConstant("demo_rate", 0.5, {"gamma": 0.5}))
+    lines = written_artifacts(one_method_report(trace, report))["one__m.rate.csv"].splitlines()
     assert lines[0] == "k,error,bound,slack"
     assert len(lines) == 3
-    obj = json.loads(json_text(report))
+    obj = written_record(trace, report)["rate"]
     assert obj["constant_name"] == "demo_rate"
     assert obj["value"] == 0.5
     assert obj["all_satisfied"] is True
     assert obj["ingredients"]["gamma"] == 0.5
-    assert json_text(report) == json_text(audit_bound(
-        _toy_trace([1.0, 0.25]), RateConstant("demo_rate", 0.5, {"gamma": 0.5})
+    again = _toy_trace([1.0, 0.25])
+    assert json_text(trace, report) == json_text(again, audit_bound(
+        again, RateConstant("demo_rate", 0.5, {"gamma": 0.5})
     ))
