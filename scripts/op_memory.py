@@ -54,19 +54,16 @@ def _traced_layers(config, out_dir: Path, fmt: str) -> list:
                 peaks.append((name, tracemalloc.get_traced_memory()[1] - start))
         return measured
 
-    planned = []
     plan_method = bench._plan_method
 
-    def plan_and_label(spec, ctx):
-        label = bench._default_label(spec, len(planned) % len(config.methods))
-        planned.append(label)
-        plan = layer(f"plan {label}", plan_method)(spec, ctx)
-        return dataclasses.replace(plan, run=layer(f"run {label}", plan.run))
+    def plan_in_layers(spec, ctx):
+        plan = layer(f"plan {spec.label}", plan_method)(spec, ctx)
+        return dataclasses.replace(plan, run=layer(f"run {spec.label}", plan.run))
 
     originals = {name: getattr(bench, name)
                  for name in ("_resolve_instances", "_plan_method", "_write_report")}
     bench._resolve_instances = layer("resolution", originals["_resolve_instances"])
-    bench._plan_method = plan_and_label
+    bench._plan_method = plan_in_layers
     bench._write_report = layer("writing", originals["_write_report"])
     tracemalloc.start()
     try:

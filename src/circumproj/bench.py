@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -103,12 +103,12 @@ class RandomInstances:
 @dataclass(frozen=True)
 class MethodSpec:
     method: str
+    label: str
     operator_set: str = "psi"
     symmetrized: bool = False
     prefix: str = "none"
     builder: str = "sum"
     operators: Optional[tuple] = None
-    label: Optional[str] = None
     max_iters: Optional[int] = None
 
 
@@ -121,8 +121,7 @@ class ExperimentConfig:
     stop_tol: float
     x0: X0Spec
     methods: tuple
-    explicit_items: Optional[tuple] = None
-    random_instances: Optional[RandomInstances] = None
+    instances: Union[tuple, RandomInstances]  # the InstanceItems, or their random source
     out_dir: Optional[str] = None
 
 
@@ -148,18 +147,27 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _as_int(value, path: str) -> int:
+def _nonempty_list(mapping: dict, key: str, path: str) -> list:
+    """The required ``key`` of ``mapping`` as a nonempty list."""
+    items = _expect_list(_get(mapping, key, path), f"{path}.{key}")
+    if not items:
+        raise ConfigError(f"{path}.{key}: must be nonempty")
+    return items
+
+
+# Lower bounds of config integers, each with the words of its error.
+_NONNEGATIVE = (0, "must be nonnegative")
+_POSITIVE = (1, "must be positive")
+
+
+def _as_int(value, path: str, bound: Optional[tuple] = None) -> int:
+    """``value`` as an integer, and at least ``bound``'s least value when
+    given. A seed is nonnegative: numpy's generators take no other."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if bound is not None and value < bound[0]:
+        raise ConfigError(f"{path}: {bound[1]}")
     return value
-
-
-def _as_seed(value, path: str) -> int:
-    """``value`` as a seed; numpy's generators take nonnegative integers only."""
-    seed = _as_int(value, path)
-    if seed < 0:
-        raise ConfigError(f"{path}: must be nonnegative")
-    return seed
 
 
 def _as_number(value, path: str) -> float:
@@ -173,17 +181,37 @@ def _as_number(value, path: str) -> float:
     return number
 
 
+def _vector(value, path: str, ambient_dim: int) -> tuple:
+    """``value`` as a list of ``ambient_dim`` finite numbers."""
+    entries = _expect_list(value, path)
+    if len(entries) != ambient_dim:
+        raise ConfigError(f"{path}: expected {ambient_dim} entries, got {len(entries)}")
+    return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(entries))
+
+
+def _nonempty_string(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a nonempty string")
+    return value
+
+
+def _file_label(value, path: str) -> str:
+    """``value`` as a label, which names artifact files."""
+    label = _nonempty_string(value, path)
+    if any(c in label for c in "/\\\0"):
+        raise ConfigError(f"{path}: {label!r} may not contain '/', '\\' or NUL")
+    return label
+
+
 def _parse_x0(obj, path: str, ambient_dim: int) -> X0Spec:
     mapping = _expect_mapping(obj, path, ("kind", "point", "seed"))
     kind = _get(mapping, "kind", path)
     if kind == "explicit":
-        point = _expect_list(_get(mapping, "point", path), f"{path}.point")
-        if len(point) != ambient_dim:
-            raise ConfigError(f"{path}.point: expected {ambient_dim} entries, got {len(point)}")
         return X0Spec(kind="explicit",
-                      point=tuple(_as_number(v, f"{path}.point[{i}]") for i, v in enumerate(point)))
+                      point=_vector(_get(mapping, "point", path), f"{path}.point", ambient_dim))
     if kind == "random_unit":
-        return X0Spec(kind="random_unit", seed=_as_seed(_get(mapping, "seed", path), f"{path}.seed"))
+        return X0Spec(kind="random_unit",
+                      seed=_as_int(_get(mapping, "seed", path), f"{path}.seed", _NONNEGATIVE))
     raise ConfigError(f"{path}.kind: expected 'explicit' or 'random_unit', got {kind!r}")
 
 
@@ -194,9 +222,32 @@ def _choice(mapping: dict, key: str, default, choices: tuple, path: str):
     return value
 
 
-def _require_file_name(label: Optional[str], path: str) -> None:
-    if label is not None and any(c in label for c in "/\\\0"):
-        raise ConfigError(f"{path}.label: {label!r} may not contain '/', '\\' or NUL")
+def _default_label(index: int, method: str, variant: Optional[str], symmetrized: bool,
+                   prefix: str) -> str:
+    """The label of a methods entry that sets none, like ``01_cim_psi``."""
+    parts = [f"{index:02d}", method, variant, "sym" if symmetrized else None,
+             None if prefix == "none" else "prefixed"]
+    return "_".join(part for part in parts if part is not None)
+
+
+def _custom_family(literals: tuple, path: str, ambient_dim: int) -> OperatorSet:
+    """The family of a custom set's operator literals. A literal that is no
+    isometry of R^ambient_dim, or a family with no common fixed point, is a
+    config error at ``path``, found when the config is parsed."""
+    loaded = []
+    for j, literal in enumerate(literals):
+        try:
+            op = operator_from_literal(literal)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{path}[{j}]: {err}") from None
+        if op.ambient_dim != ambient_dim:
+            raise ConfigError(f"{path}[{j}]: acts on R^{op.ambient_dim}, "
+                              f"expected ambient_dim {ambient_dim}")
+        loaded.append(op)
+    try:
+        return OperatorSet(loaded)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
@@ -228,26 +279,16 @@ def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
         )
     operators = None
     if variant == "custom":
-        operators = tuple(_expect_list(_get(mapping, "operators", path), f"{path}.operators"))
-        for j, literal in enumerate(operators):
-            try:
-                op = operator_from_literal(literal)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"{path}.operators[{j}]: {err}") from None
-            if op.ambient_dim != ambient_dim:
-                raise ConfigError(f"{path}.operators[{j}]: acts on R^{op.ambient_dim}, "
-                                  f"expected ambient_dim {ambient_dim}")
+        operators = tuple(_nonempty_list(mapping, "operators", path))
+        _custom_family(operators, f"{path}.operators", ambient_dim)
     label = mapping.get("label")
-    if label is not None and (not isinstance(label, str) or not label):
-        raise ConfigError(f"{path}.label: expected a nonempty string")
-    _require_file_name(label, path)
+    label = (_default_label(index, method, variant, symmetrized, prefix) if label is None
+             else _file_label(label, f"{path}.label"))
     max_iters = mapping.get("max_iters")
     if max_iters is not None:
-        max_iters = _as_int(max_iters, f"{path}.max_iters")
-        if max_iters < 0:
-            raise ConfigError(f"{path}.max_iters: must be nonnegative")
-    return MethodSpec(method=method, symmetrized=symmetrized, prefix=prefix,
-                      operators=operators, label=label, max_iters=max_iters, **chosen)
+        max_iters = _as_int(max_iters, f"{path}.max_iters", _NONNEGATIVE)
+    return MethodSpec(method=method, label=label, symmetrized=symmetrized, prefix=prefix,
+                      operators=operators, max_iters=max_iters, **chosen)
 
 
 def parse_config(obj, source: str = "config") -> ExperimentConfig:
@@ -257,44 +298,29 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     """
     root = _expect_mapping(obj, source, ("name", "ambient_dim", "seed", "max_iters", "stop_tol",
                                          "x0", "instances", "methods", "out_dir"))
-    name = _get(root, "name", source)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{source}.name: expected a nonempty string")
-    ambient_dim = _as_int(_get(root, "ambient_dim", source), f"{source}.ambient_dim")
-    if ambient_dim < 1:
-        raise ConfigError(f"{source}.ambient_dim: must be at least 1")
-    seed = _as_seed(root.get("seed", 0), f"{source}.seed")
-    max_iters = _as_int(root.get("max_iters", 50), f"{source}.max_iters")
-    if max_iters < 0:
-        raise ConfigError(f"{source}.max_iters: must be nonnegative")
+    name = _nonempty_string(_get(root, "name", source), f"{source}.name")
+    ambient_dim = _as_int(_get(root, "ambient_dim", source), f"{source}.ambient_dim",
+                          (1, "must be at least 1"))
+    seed = _as_int(root.get("seed", 0), f"{source}.seed", _NONNEGATIVE)
+    max_iters = _as_int(root.get("max_iters", 50), f"{source}.max_iters", _NONNEGATIVE)
     stop_tol = _as_number(root.get("stop_tol", 0.0), f"{source}.stop_tol")
     if stop_tol < 0:
         raise ConfigError(f"{source}.stop_tol: must be nonnegative")
-    instances = _expect_mapping(_get(root, "instances", source), f"{source}.instances",
-                                ("kind", "items", "count", "num_subspaces", "dim_range", "seed"))
-    kind = _get(instances, "kind", f"{source}.instances")
+    raw_instances = _expect_mapping(_get(root, "instances", source), f"{source}.instances",
+                                    ("kind", "items", "count", "num_subspaces", "dim_range",
+                                     "seed"))
+    kind = _get(raw_instances, "kind", f"{source}.instances")
     raw_x0 = root.get("x0", {"kind": "random_unit", "seed": seed})
     if kind == "random" and isinstance(raw_x0, dict) and raw_x0.get("kind") == "explicit":
         raise ConfigError(f"{source}.x0: random instances draw their own start points")
     x0 = _parse_x0(raw_x0, f"{source}.x0", ambient_dim)
-    explicit_items = None
-    random_instances = None
     if kind == "explicit":
-        raw_items = _expect_list(_get(instances, "items", f"{source}.instances"),
-                                 f"{source}.instances.items")
-        if not raw_items:
-            raise ConfigError(f"{source}.instances.items: must be nonempty")
         items = []
-        for i, raw in enumerate(raw_items):
+        for i, raw in enumerate(_nonempty_list(raw_instances, "items", f"{source}.instances")):
             path = f"{source}.instances.items[{i}]"
             mapping = _expect_mapping(raw, path, ("label", "subspaces", "x0", "product_fixed_line"))
-            label = mapping.get("label", f"instance_{i:02d}")
-            if not isinstance(label, str) or not label:
-                raise ConfigError(f"{path}.label: expected a nonempty string")
-            _require_file_name(label, path)
-            subs = _expect_list(_get(mapping, "subspaces", path), f"{path}.subspaces")
-            if not subs:
-                raise ConfigError(f"{path}.subspaces: must be nonempty")
+            label = _file_label(mapping.get("label", f"instance_{i:02d}"), f"{path}.label")
+            subs = _nonempty_list(mapping, "subspaces", path)
             for j, literal in enumerate(subs):
                 try:
                     sub = subspace_from_literal(literal)
@@ -308,51 +334,41 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             fixed_line = mapping.get("product_fixed_line")
             if fixed_line is not None:
                 line_path = f"{path}.product_fixed_line"
-                fixed_line = tuple(_as_number(v, f"{line_path}[{j}]")
-                                   for j, v in enumerate(_expect_list(fixed_line, line_path)))
-                if len(fixed_line) != ambient_dim:
-                    raise ConfigError(f"{line_path}: expected {ambient_dim} entries, "
-                                      f"got {len(fixed_line)}")
+                fixed_line = _vector(fixed_line, line_path, ambient_dim)
                 if not any(fixed_line):
                     raise ConfigError(f"{line_path}: must be a nonzero direction")
             items.append(InstanceItem(label=label, subspace_literals=tuple(subs),
                                       x0=item_x0, product_fixed_line=fixed_line))
-        labels = [item.label for item in items]
-        if len(set(labels)) != len(labels):
+        if len({item.label for item in items}) != len(items):
             raise ConfigError(f"{source}.instances.items: labels must be unique")
-        explicit_items = tuple(items)
+        instances = tuple(items)
     elif kind == "random":
         path = f"{source}.instances"
-        count = _as_int(_get(instances, "count", path), f"{path}.count")
-        num_subspaces = _as_int(_get(instances, "num_subspaces", path), f"{path}.num_subspaces")
-        dim_range = _expect_list(_get(instances, "dim_range", path), f"{path}.dim_range")
+        count = _as_int(_get(raw_instances, "count", path), f"{path}.count", _POSITIVE)
+        num_subspaces = _as_int(_get(raw_instances, "num_subspaces", path),
+                                f"{path}.num_subspaces", _POSITIVE)
+        dim_range = _expect_list(_get(raw_instances, "dim_range", path), f"{path}.dim_range")
         if len(dim_range) != 2:
             raise ConfigError(f"{path}.dim_range: expected [low, high]")
         lo = _as_int(dim_range[0], f"{path}.dim_range[0]")
         hi = _as_int(dim_range[1], f"{path}.dim_range[1]")
-        rseed = _as_seed(_get(instances, "seed", path), f"{path}.seed")
-        if count < 1:
-            raise ConfigError(f"{path}.count: must be positive")
-        if num_subspaces < 1:
-            raise ConfigError(f"{path}.num_subspaces: must be positive")
+        rseed = _as_int(_get(raw_instances, "seed", path), f"{path}.seed", _NONNEGATIVE)
         if not 1 <= lo <= hi <= ambient_dim:
             raise ConfigError(f"{path}.dim_range: need 1 <= low <= high <= ambient_dim")
-        random_instances = RandomInstances(count=count, num_subspaces=num_subspaces,
-                                           dim_range=(lo, hi), seed=rseed)
+        instances = RandomInstances(count=count, num_subspaces=num_subspaces,
+                                    dim_range=(lo, hi), seed=rseed)
     else:
         raise ConfigError(f"{source}.instances.kind: expected 'explicit' or 'random', got {kind!r}")
 
-    raw_methods = _expect_list(_get(root, "methods", source), f"{source}.methods")
-    if not raw_methods:
-        raise ConfigError(f"{source}.methods: must be nonempty")
-    methods = tuple(_parse_method(m, i, ambient_dim, source) for i, m in enumerate(raw_methods))
-    fewest = (random_instances.num_subspaces if explicit_items is None
-              else min(len(item.subspace_literals) for item in explicit_items))
+    methods = tuple(_parse_method(m, i, ambient_dim, source)
+                    for i, m in enumerate(_nonempty_list(root, "methods", source)))
+    fewest = (instances.num_subspaces if isinstance(instances, RandomInstances)
+              else min(len(item.subspace_literals) for item in instances))
     for i, spec in enumerate(methods):
         if spec.method == "dr" and fewest < 2:
             raise ConfigError(f"{source}.methods[{i}]: method 'dr' needs at least two "
                               f"subspaces, an instance has {fewest}")
-    _require_unique_file_names(methods, explicit_items, source)
+    _require_unique_file_names(methods, instances, source)
 
     out_dir = root.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -360,25 +376,22 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
 
     return ExperimentConfig(name=name, ambient_dim=ambient_dim, seed=seed,
                             max_iters=max_iters, stop_tol=stop_tol, x0=x0,
-                            methods=methods, explicit_items=explicit_items,
-                            random_instances=random_instances, out_dir=out_dir)
+                            methods=methods, instances=instances, out_dir=out_dir)
 
 
-def _require_unique_file_names(methods: tuple, explicit_items: Optional[tuple],
-                               source: str) -> None:
+def _require_unique_file_names(methods: tuple, instances, source: str) -> None:
     """Each method's label, its default included, and each artifact file
     stem must be unique, or one run's files would overwrite another's.
     Random instance labels ``random_NNN`` hold no ``__`` and are unique, so
     their stems are unique once the method labels are."""
     labels = {}
     for i, spec in enumerate(methods):
-        label = _default_label(spec, i)
-        if label in labels:
+        if spec.label in labels:
             raise ConfigError(f"{source}.methods[{i}].label: labels must be unique, "
-                              f"{label!r} is also the label of methods[{labels[label]}]")
-        labels[label] = i
+                              f"{spec.label!r} is also the label of methods[{labels[spec.label]}]")
+        labels[spec.label] = i
     stems = {}
-    for i, item in enumerate(explicit_items or ()):
+    for i, item in enumerate(() if isinstance(instances, RandomInstances) else instances):
         for label in labels:
             stem = _stem(item.label, label)
             if stem in stems:
@@ -581,11 +594,8 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
 
 
 def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    def run(config: MethodConfig) -> IterationTrace:
-        ops = [operator_from_literal(lit) for lit in spec.operators]
-        return run_cim(OperatorSet(ops), ctx.x0, config)
-
-    return _MethodPlan(None, run)
+    return _MethodPlan(None, lambda config: run_cim(
+        _custom_family(spec.operators, "operators", len(ctx.x0)), ctx.x0, config))
 
 
 # The key of a methods entry that names the variant of its method tag.
@@ -607,35 +617,15 @@ _RECIPES = {
 }
 
 
-def _variant(spec: MethodSpec) -> Optional[str]:
-    key = _VARIANT_KEYS.get(spec.method)
-    return None if key is None else getattr(spec, key)
-
-
-def _default_label(spec: MethodSpec, index: int) -> str:
-    if spec.label is not None:
-        return spec.label
-    parts = [f"{index:02d}", spec.method, _variant(spec),
-             "sym" if spec.method == "cim" and spec.symmetrized else None,
-             None if spec.prefix == "none" else "prefixed"]
-    return "_".join(part for part in parts if part is not None)
-
-
 def _plan_method(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    recipe, _ = _RECIPES[spec.method, _variant(spec)]
+    key = _VARIANT_KEYS.get(spec.method)
+    recipe, _ = _RECIPES[spec.method, None if key is None else getattr(spec, key)]
     return recipe(spec, ctx)
-
-
-def _plans(config: ExperimentConfig, ctx: _Instance):
-    """(spec, label, plan) per method of the config, planned when asked for."""
-    for m_index, spec in enumerate(config.methods):
-        yield spec, _default_label(spec, m_index), _plan_method(spec, ctx)
 
 
 @dataclass(frozen=True)
 class MethodOutcome:
     label: str
-    method: str
     trace: IterationTrace
     report: Optional[RateReport]
 
@@ -690,19 +680,19 @@ def _resolve_x0(spec: X0Spec, ambient_dim: int, instance_index: int) -> np.ndarr
 def _resolve_instances(config: ExperimentConfig):
     """(label, subspaces, x0, intersection, product_fixed_line) per instance."""
     resolved = []
-    if config.explicit_items is not None:
-        for i, item in enumerate(config.explicit_items):
-            subspaces = [subspace_from_literal(literal) for literal in item.subspace_literals]
-            x0 = _resolve_x0(item.x0 or config.x0, config.ambient_dim, i)
-            resolved.append((item.label, subspaces, x0, intersect(subspaces),
-                             item.product_fixed_line))
-    else:
-        spec = config.random_instances
+    spec = config.instances
+    if isinstance(spec, RandomInstances):
         for i in range(spec.count):
             rng = np.random.default_rng((spec.seed, i))
             subspaces, x0, inter = generate_instance(config.ambient_dim, spec.num_subspaces,
                                                      spec.dim_range, rng)
             resolved.append((f"random_{i:03d}", subspaces, x0, inter, None))
+        return resolved
+    for i, item in enumerate(spec):
+        subspaces = [subspace_from_literal(literal) for literal in item.subspace_literals]
+        x0 = _resolve_x0(item.x0 or config.x0, config.ambient_dim, i)
+        resolved.append((item.label, subspaces, x0, intersect(subspaces),
+                         item.product_fixed_line))
     return resolved
 
 
@@ -729,12 +719,13 @@ def _product_fixed_line_check(ctx: _Instance, direction):
 def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
     """Plan, run and audit every method of the config on one instance."""
     outcomes = []
-    for spec, label, plan in _plans(config, ctx):
+    for spec in config.methods:
+        plan = _plan_method(spec, ctx)
         max_iters = spec.max_iters if spec.max_iters is not None else config.max_iters
         trace = plan.run(MethodConfig(method=spec.method, max_iters=max_iters,
                                       stop_tol=config.stop_tol))
         report = None if plan.constant is None else audit_bound(trace, plan.constant)
-        outcomes.append(MethodOutcome(label, spec.method, trace, report))
+        outcomes.append(MethodOutcome(spec.label, trace, report))
     return tuple(outcomes)
 
 
@@ -865,10 +856,10 @@ def _method_record(outcome: MethodOutcome, embedded: bool) -> dict:
     first = int(np.argmax(reached))
     record = {
         "label": outcome.label,
-        "method": outcome.method,
+        "method": trace.method,
         "final_error": float(trace.errors[-1]),
         "error_origin": trace.error_origin,
-        "iterations": int(trace.stopped_at),
+        "iterations": trace.stopped_at,
         "iters_to_1e-10": first if reached[first] else None,
         "rate": None if audit is None else {
             **_constant_record(audit.constant),
@@ -881,7 +872,7 @@ def _method_record(outcome: MethodOutcome, embedded: bool) -> dict:
         record["trace"] = {
             "method": trace.method,
             "ambient_dim": int(trace.ambient_dim),
-            "stopped_at": int(trace.stopped_at),
+            "stopped_at": trace.stopped_at,
             "x0_original": [float(v) for v in trace.x0_original],
             "target": [float(v) for v in trace.target],
             "error_origin": trace.error_origin,
@@ -993,10 +984,11 @@ def compute_rates(config: ExperimentConfig) -> list:
     rows = []
     for label, subspaces, x0, inter, _ in _resolve_instances(config):
         ctx = _Instance(subspaces, x0, inter)
-        for _, method_label, plan in _plans(config, ctx):
+        for spec in config.methods:
+            constant = _plan_method(spec, ctx).constant
             rows.append({
                 "instance": label,
-                "method": method_label,
-                "rate": None if plan.constant is None else _constant_record(plan.constant),
+                "method": spec.label,
+                "rate": None if constant is None else _constant_record(constant),
             })
     return rows

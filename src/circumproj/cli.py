@@ -26,6 +26,7 @@ from .bench import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    RandomInstances,
     compute_rates,
     load_config,
     run_experiment,
@@ -72,9 +73,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["seed"] = args.seed
         if config.x0.kind == "random_unit":
             updates["x0"] = dataclasses.replace(config.x0, seed=args.seed)
-        if config.random_instances is not None:
-            updates["random_instances"] = dataclasses.replace(
-                config.random_instances, seed=args.seed)
+        if isinstance(config.instances, RandomInstances):
+            updates["instances"] = dataclasses.replace(config.instances, seed=args.seed)
     if getattr(args, "max_iters", None) is not None:
         if args.max_iters < 0:
             raise ConfigError("--max-iters: must be nonnegative")

@@ -84,7 +84,6 @@ class IterationTrace:
     method: str
     iterates: np.ndarray
     errors: np.ndarray
-    stopped_at: int
     x0_original: np.ndarray
     target: np.ndarray
 
@@ -97,6 +96,11 @@ class IterationTrace:
     @property
     def ambient_dim(self) -> int:
         return self.iterates.shape[1]
+
+    @property
+    def stopped_at(self) -> int:
+        """The number of steps taken, one fewer than the iterates."""
+        return self.iterates.shape[0] - 1
 
     @property
     def error_origin(self) -> float:
@@ -133,7 +137,6 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
         method=method,
         iterates=stacked,
         errors=errors,
-        stopped_at=len(iterates) - 1,
         x0_original=x0_original,
         target=target,
     )

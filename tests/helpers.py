@@ -39,7 +39,7 @@ def demo_config() -> dict:
 def one_method_report(trace, audit=None, label: str = "m"):
     """An experiment report of one instance, ``one``, with one method, so
     that a lone trace and its audit reach the artifact writer."""
-    outcome = bench.MethodOutcome(label, trace.method, trace, audit)
+    outcome = bench.MethodOutcome(label, trace, audit)
     instance = bench.InstanceOutcome("one", trace.ambient_dim, (), 0, trace.x0_original,
                                      (outcome,), ())
     return bench.ExperimentReport("one", {}, (instance,))
@@ -264,7 +264,7 @@ def _reference_method_obj(outcome, include_traces: bool) -> dict:
     errors = outcome.trace.errors.tolist()
     record = {
         "label": outcome.label,
-        "method": outcome.method,
+        "method": outcome.trace.method,
         "final_error": errors[-1],
         "error_origin": float(np.linalg.norm(outcome.trace.x0_original - outcome.trace.target)),
         "iterations": int(outcome.trace.stopped_at),

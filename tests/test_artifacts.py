@@ -167,12 +167,11 @@ def _audited_outcomes(draw):
     one report."""
     count = draw(st.integers(1, 8))
     iterates = draw(_column(count)).reshape(count, 1)
-    trace = IterationTrace("map", iterates, draw(_column(count)), count - 1,
-                           np.ones(1), np.zeros(1))
+    trace = IterationTrace("map", iterates, draw(_column(count)), np.ones(1), np.zeros(1))
     audit = RateReport(RateConstant("gamma", 0.5, {}), trace.errors, draw(_column(count)))
     label = draw(st.sampled_from(["map", f"map {ROW_LIST_TEXT}"]))
     instance = bench.InstanceOutcome("drawn", 1, (0,), 0, np.zeros(1),
-                                     (bench.MethodOutcome(label, "map", trace, audit),), ())
+                                     (bench.MethodOutcome(label, trace, audit),), ())
     return bench.ExperimentReport("drawn", {}, (instance,))
 
 

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,8 @@ def test_parse_demo_config_roundtrip():
     assert len(config.methods) == 7
     assert config.methods[5].prefix == "sym_map_product"
     assert config.methods[5].symmetrized
-    assert [item.label for item in config.explicit_items] == [
-        "lines_45deg", "three_lines_plane"]
-    assert config.explicit_items[1].product_fixed_line == (1.0, 1.0)
+    assert [item.label for item in config.instances] == ["lines_45deg", "three_lines_plane"]
+    assert config.instances[1].product_fixed_line == (1.0, 1.0)
     assert config.x0.kind == "random_unit" and config.x0.seed == 11
 
 
@@ -161,8 +161,8 @@ def test_parse_config_random_instances_validation():
         "methods": [{"method": "map"}],
     }
     config = parse_config(base)
-    assert config.random_instances.count == 3
-    assert config.explicit_items is None
+    assert config.instances == circumproj.bench.RandomInstances(
+        count=3, num_subspaces=2, dim_range=(1, 2), seed=5)
 
     bad = json.loads(json.dumps(base))
     bad["instances"]["dim_range"] = [3, 9]
@@ -196,6 +196,255 @@ def test_parse_config_bad_x0_kind():
     obj["x0"] = {"kind": "weird"}
     with pytest.raises(ConfigError, match="expected 'explicit' or 'random_unit'"):
         parse_config(obj)
+
+
+_DROP = object()
+_ITEMS = ("instances", "items")
+_CUSTOM = {"method": "cim", "operator_set": "custom"}
+_TRANSLATION = {"kind": "translation", "offset": [1.0, 0.0]}
+
+
+def _random(**change):
+    """One random instance of two lines in R^2, with ``change`` applied."""
+    spec = {"kind": "random", "count": 1, "num_subspaces": 2, "dim_range": [1, 1], "seed": 3}
+    spec.update(change)
+    return {key: value for key, value in spec.items() if value is not _DROP}
+
+
+def _edited(edits):
+    """The demo config with each (key path, value) of ``edits`` set, or
+    deleted where the value is ``_DROP``; the empty path replaces the whole."""
+    obj = demo_config()
+    for path, value in edits:
+        if not path:
+            obj = value
+            continue
+        *parents, key = path
+        target = obj
+        for step in parents:
+            target = target[step]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return obj
+
+
+# id -> (edits of the demo config, the whole ConfigError text), one case per
+# check of parse_config, so a check shared between keys keeps each key's text.
+_GOLDEN_ERRORS = {
+    "root_type": ([((), [])], "config: expected a mapping, got list"),
+    "root_unknown_key": ([(("max_iter",), 3)],
+                         "config.max_iter: unknown key, expected one of ('name', 'ambient_dim', "
+                         "'seed', 'max_iters', 'stop_tol', 'x0', 'instances', 'methods', "
+                         "'out_dir')"),
+    "name_missing": ([(("name",), _DROP)], "config: missing required key 'name'"),
+    "name_type": ([(("name",), 3)], "config.name: expected a nonempty string"),
+    "name_empty": ([(("name",), "")], "config.name: expected a nonempty string"),
+    "ambient_dim_missing": ([(("ambient_dim",), _DROP)],
+                            "config: missing required key 'ambient_dim'"),
+    "ambient_dim_type": ([(("ambient_dim",), 2.0)],
+                         "config.ambient_dim: expected an integer, got 2.0"),
+    "ambient_dim_low": ([(("ambient_dim",), 0)], "config.ambient_dim: must be at least 1"),
+    "seed_type": ([(("seed",), "1")], "config.seed: expected an integer, got '1'"),
+    "seed_negative": ([(("seed",), -1)], "config.seed: must be nonnegative"),
+    "max_iters_type": ([(("max_iters",), True)], "config.max_iters: expected an integer, got True"),
+    "max_iters_negative": ([(("max_iters",), -1)], "config.max_iters: must be nonnegative"),
+    "stop_tol_type": ([(("stop_tol",), "0")], "config.stop_tol: expected a number, got '0'"),
+    "stop_tol_nonfinite": ([(("stop_tol",), math.inf)],
+                           "config.stop_tol: expected a finite number, got inf"),
+    "stop_tol_negative": ([(("stop_tol",), -1.0)], "config.stop_tol: must be nonnegative"),
+    "instances_missing": ([(("instances",), _DROP)], "config: missing required key 'instances'"),
+    "instances_type": ([(("instances",), [])], "config.instances: expected a mapping, got list"),
+    "instances_unknown_key": ([(("instances", "itemz"), [])],
+                              "config.instances.itemz: unknown key, expected one of ('kind', "
+                              "'items', 'count', 'num_subspaces', 'dim_range', 'seed')"),
+    "instances_kind_missing": ([(("instances", "kind"), _DROP)],
+                               "config.instances: missing required key 'kind'"),
+    "instances_kind_unknown": ([(("instances", "kind"), "grid")],
+                               "config.instances.kind: expected 'explicit' or 'random', "
+                               "got 'grid'"),
+    "x0_type": ([(("x0",), "random")], "config.x0: expected a mapping, got str"),
+    "x0_unknown_key": ([(("x0", "sead"), 4)],
+                       "config.x0.sead: unknown key, expected one of ('kind', 'point', 'seed')"),
+    "x0_kind_missing": ([(("x0",), {"seed": 4})], "config.x0: missing required key 'kind'"),
+    "x0_kind_unknown": ([(("x0", "kind"), "weird")],
+                        "config.x0.kind: expected 'explicit' or 'random_unit', got 'weird'"),
+    "x0_point_missing": ([(("x0",), {"kind": "explicit"})],
+                         "config.x0: missing required key 'point'"),
+    "x0_point_type": ([(("x0",), {"kind": "explicit", "point": "0.5 0.5"})],
+                      "config.x0.point: expected a list, got str"),
+    "x0_point_length": ([(("x0",), {"kind": "explicit", "point": [0.5, 0.5, 0.5]})],
+                        "config.x0.point: expected 2 entries, got 3"),
+    "x0_point_entry": ([(("x0",), {"kind": "explicit", "point": [0.5, "a"]})],
+                       "config.x0.point[1]: expected a number, got 'a'"),
+    "x0_point_nonfinite": ([(("x0",), {"kind": "explicit", "point": [0.5, math.nan]})],
+                           "config.x0.point[1]: expected a finite number, got nan"),
+    "x0_seed_missing": ([(("x0",), {"kind": "random_unit"})],
+                        "config.x0: missing required key 'seed'"),
+    "x0_seed_type": ([(("x0", "seed"), 1.5)], "config.x0.seed: expected an integer, got 1.5"),
+    "x0_seed_negative": ([(("x0", "seed"), -1)], "config.x0.seed: must be nonnegative"),
+    "x0_with_random_instances": ([(("instances",), _random()),
+                                  (("x0",), {"kind": "explicit", "point": [0.5, 0.5]})],
+                                 "config.x0: random instances draw their own start points"),
+    "items_missing": ([(_ITEMS, _DROP)], "config.instances: missing required key 'items'"),
+    "items_type": ([(_ITEMS, {})], "config.instances.items: expected a list, got dict"),
+    "items_empty": ([(_ITEMS, [])], "config.instances.items: must be nonempty"),
+    "item_type": ([((*_ITEMS, 0), "lines")],
+                  "config.instances.items[0]: expected a mapping, got str"),
+    "item_unknown_key": ([((*_ITEMS, 1, "fixed_line"), [1.0, 1.0])],
+                         "config.instances.items[1].fixed_line: unknown key, expected one of "
+                         "('label', 'subspaces', 'x0', 'product_fixed_line')"),
+    "item_label_type": ([((*_ITEMS, 0, "label"), 3)],
+                        "config.instances.items[0].label: expected a nonempty string"),
+    "item_label_empty": ([((*_ITEMS, 0, "label"), "")],
+                         "config.instances.items[0].label: expected a nonempty string"),
+    "item_label_file_name": ([((*_ITEMS, 0, "label"), "../escape")],
+                             "config.instances.items[0].label: '../escape' may not contain "
+                             "'/', '\\' or NUL"),
+    "item_subspaces_missing": ([((*_ITEMS, 0, "subspaces"), _DROP)],
+                               "config.instances.items[0]: missing required key 'subspaces'"),
+    "item_subspaces_type": ([((*_ITEMS, 0, "subspaces"), {})],
+                            "config.instances.items[0].subspaces: expected a list, got dict"),
+    "item_subspaces_empty": ([((*_ITEMS, 0, "subspaces"), [])],
+                             "config.instances.items[0].subspaces: must be nonempty"),
+    "item_subspace_literal": ([((*_ITEMS, 0, "subspaces", 1), "line")],
+                              "config.instances.items[0].subspaces[1]: subspace literal must "
+                              "be a mapping, got str"),
+    "item_subspace_dimension": ([((*_ITEMS, 0, "subspaces", 0), {"span": [[1.0, 0.0, 0.0]]})],
+                                "config.instances.items[0].subspaces[0]: dimension 3 does not "
+                                "match ambient_dim 2"),
+    "item_x0_point_length": ([((*_ITEMS, 1, "x0"), {"kind": "explicit", "point": [1.0]})],
+                             "config.instances.items[1].x0.point: expected 2 entries, got 1"),
+    "item_x0_seed_negative": ([((*_ITEMS, 1, "x0"), {"kind": "random_unit", "seed": -2})],
+                              "config.instances.items[1].x0.seed: must be nonnegative"),
+    "fixed_line_type": ([((*_ITEMS, 1, "product_fixed_line"), "diagonal")],
+                        "config.instances.items[1].product_fixed_line: expected a list, got str"),
+    "fixed_line_entry": ([((*_ITEMS, 1, "product_fixed_line"), [1.0, "a"])],
+                         "config.instances.items[1].product_fixed_line[1]: expected a number, "
+                         "got 'a'"),
+    "fixed_line_nonfinite": ([((*_ITEMS, 1, "product_fixed_line"), [1.0, -math.inf])],
+                             "config.instances.items[1].product_fixed_line[1]: expected a "
+                             "finite number, got -inf"),
+    "fixed_line_length": ([((*_ITEMS, 1, "product_fixed_line"), [1.0, 1.0, 1.0])],
+                          "config.instances.items[1].product_fixed_line: expected 2 entries, "
+                          "got 3"),
+    "fixed_line_zero": ([((*_ITEMS, 1, "product_fixed_line"), [0.0, 0.0])],
+                        "config.instances.items[1].product_fixed_line: must be a nonzero "
+                        "direction"),
+    "item_labels_repeat": ([((*_ITEMS, 1, "label"), "lines_45deg")],
+                           "config.instances.items: labels must be unique"),
+    "random_count_missing": ([(("instances",), _random(count=_DROP))],
+                             "config.instances: missing required key 'count'"),
+    "random_count_type": ([(("instances",), _random(count="1"))],
+                          "config.instances.count: expected an integer, got '1'"),
+    "random_count_low": ([(("instances",), _random(count=0))],
+                         "config.instances.count: must be positive"),
+    "random_num_subspaces_missing": ([(("instances",), _random(num_subspaces=_DROP))],
+                                     "config.instances: missing required key 'num_subspaces'"),
+    "random_num_subspaces_type": ([(("instances",), _random(num_subspaces=2.0))],
+                                  "config.instances.num_subspaces: expected an integer, got 2.0"),
+    "random_num_subspaces_low": ([(("instances",), _random(num_subspaces=0))],
+                                 "config.instances.num_subspaces: must be positive"),
+    "random_dim_range_missing": ([(("instances",), _random(dim_range=_DROP))],
+                                 "config.instances: missing required key 'dim_range'"),
+    "random_dim_range_type": ([(("instances",), _random(dim_range="1-1"))],
+                              "config.instances.dim_range: expected a list, got str"),
+    "random_dim_range_length": ([(("instances",), _random(dim_range=[1]))],
+                                "config.instances.dim_range: expected [low, high]"),
+    "random_dim_range_low_type": ([(("instances",), _random(dim_range=[None, 1]))],
+                                  "config.instances.dim_range[0]: expected an integer, got None"),
+    "random_dim_range_high_type": ([(("instances",), _random(dim_range=[1, 1.5]))],
+                                   "config.instances.dim_range[1]: expected an integer, got 1.5"),
+    "random_dim_range_bounds": ([(("instances",), _random(dim_range=[1, 3]))],
+                                "config.instances.dim_range: need 1 <= low <= high <= "
+                                "ambient_dim"),
+    "random_seed_missing": ([(("instances",), _random(seed=_DROP))],
+                            "config.instances: missing required key 'seed'"),
+    "random_seed_type": ([(("instances",), _random(seed=False))],
+                         "config.instances.seed: expected an integer, got False"),
+    "random_seed_negative": ([(("instances",), _random(seed=-1))],
+                             "config.instances.seed: must be nonnegative"),
+    "methods_missing": ([(("methods",), _DROP)], "config: missing required key 'methods'"),
+    "methods_type": ([(("methods",), {"method": "map"})],
+                     "config.methods: expected a list, got dict"),
+    "methods_empty": ([(("methods",), [])], "config.methods: must be nonempty"),
+    "method_type": ([(("methods", 0), "map")], "config.methods[0]: expected a mapping, got str"),
+    "method_tag_missing": ([(("methods", 0), {})],
+                           "config.methods[0]: missing required key 'method'"),
+    "method_tag_unknown": ([(("methods", 0), {"method": "newton"})],
+                           "config.methods[0].method: unknown tag 'newton', expected one of "
+                           "('cim', 'map', 'sym_map', 'accel_map', 'dr', 'averaged_iter')"),
+    "method_unknown_key": ([(("methods", 1, "operatorset"), "psi")],
+                           "config.methods[1].operatorset: unknown key, expected one of "
+                           "('method', 'label', 'max_iters', 'operator_set', 'symmetrized', "
+                           "'prefix')"),
+    "method_variant_unknown": ([(("methods", 1, "operator_set"), "bogus")],
+                               "config.methods[1].operator_set: unknown value 'bogus', expected "
+                               "one of ('psi', 'identity_plus_reflectors', "
+                               "'identity_plus_prefix_products', 'custom')"),
+    "method_prefix_unknown": ([(("methods", 5, "prefix"), "bogus")],
+                              "config.methods[5].prefix: unknown value 'bogus', expected one of "
+                              "('none', 'sym_map_product')"),
+    "method_symmetrized_type": ([(("methods", 5, "symmetrized"), "yes")],
+                                "config.methods[5].symmetrized: expected a boolean"),
+    "method_prefix_unsymmetrized": ([(("methods", 5, "symmetrized"), False)],
+                                    "config.methods[5].prefix: 'sym_map_product' requires "
+                                    "method 'cim' with operator_set 'psi' and symmetrized true"),
+    "operators_missing": ([(("methods", 1), _CUSTOM)],
+                          "config.methods[1]: missing required key 'operators'"),
+    "operators_type": ([(("methods", 1), {**_CUSTOM, "operators": {}})],
+                       "config.methods[1].operators: expected a list, got dict"),
+    "operators_empty": ([(("methods", 1), {**_CUSTOM, "operators": []})],
+                        "config.methods[1].operators: must be nonempty"),
+    "operator_literal": ([(("methods", 1), {**_CUSTOM, "operators": [
+                             {"kind": "orthogonal", "matrix": [[2.0, 0.0], [0.0, 1.0]]}]})],
+                         "config.methods[1].operators[0]: linear part is not orthogonal, "
+                         "defect 3.000e+00"),
+    "operator_dimension": ([(("methods", 1), {**_CUSTOM, "operators": [
+                               {"kind": "translation", "offset": [1.0, 0.0, 0.0]}]})],
+                           "config.methods[1].operators[0]: acts on R^3, expected "
+                           "ambient_dim 2"),
+    "operators_without_common_fixed_point": (
+        [(("methods", 1), {**_CUSTOM, "operators": [_TRANSLATION]})],
+        "config.methods[1].operators: operators share no common fixed point"),
+    "method_label_type": ([(("methods", 1, "label"), 3)],
+                          "config.methods[1].label: expected a nonempty string"),
+    "method_label_empty": ([(("methods", 1, "label"), "")],
+                           "config.methods[1].label: expected a nonempty string"),
+    "method_label_file_name": ([(("methods", 1, "label"), "run/1")],
+                               "config.methods[1].label: 'run/1' may not contain '/', '\\' "
+                               "or NUL"),
+    "method_max_iters_type": ([(("methods", 1, "max_iters"), 1.5)],
+                              "config.methods[1].max_iters: expected an integer, got 1.5"),
+    "method_max_iters_negative": ([(("methods", 1, "max_iters"), -1)],
+                                  "config.methods[1].max_iters: must be nonnegative"),
+    "method_dr_item": ([((*_ITEMS, 0, "subspaces", 1), _DROP)],
+                       "config.methods[4]: method 'dr' needs at least two subspaces, an "
+                       "instance has 1"),
+    "method_dr_random": ([(("instances",), _random(num_subspaces=1))],
+                         "config.methods[4]: method 'dr' needs at least two subspaces, an "
+                         "instance has 1"),
+    "method_labels_repeat": ([(("methods", 4, "label"), "00_map")],
+                             "config.methods[4].label: labels must be unique, '00_map' is also "
+                             "the label of methods[0]"),
+    "file_stems_repeat": ([((*_ITEMS, 0, "label"), "a"), ((*_ITEMS, 1, "label"), "a__b"),
+                           (("methods",), [{"method": "map", "label": "c"},
+                                           {"method": "dr", "label": "b__c"}])],
+                          "config.instances.items[1].label: artifact file stems must be "
+                          "unique, 'a__b__c' is also a stem of instances.items[0]"),
+    "out_dir_type": ([(("out_dir",), 3)], "config.out_dir: expected a string"),
+}
+
+
+@pytest.mark.parametrize("edits, message", list(_GOLDEN_ERRORS.values()),
+                         ids=list(_GOLDEN_ERRORS))
+def test_each_config_check_gives_its_exact_text(edits, message):
+    """One malformed config per check of ``parse_config``, and the whole text
+    of the error it raises."""
+    with pytest.raises(ConfigError) as raised:
+        parse_config(_edited(edits))
+    assert str(raised.value) == message
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -574,8 +823,8 @@ def test_cli_verify_lines_read_no_audit_rows(monkeypatch, mutate):
 
 def _trace_with_errors(errors) -> circumproj.IterationTrace:
     errors = np.array(errors)
-    return circumproj.IterationTrace("map", errors.reshape(-1, 1), errors, len(errors) - 1,
-                                     np.ones(1), np.zeros(1))
+    return circumproj.IterationTrace("map", errors.reshape(-1, 1), errors, np.ones(1),
+                                     np.zeros(1))
 
 
 @pytest.mark.parametrize("errors, reached", [
@@ -687,25 +936,31 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, mutate, key):
     assert not (tmp_path / "out").exists()
 
 
-_BAD_OPERATORS = {
-    "not_orthogonal": {"kind": "orthogonal", "matrix": [[2.0, 0.0], [0.0, 1.0]]},
-    "wrong_dimension": {"kind": "translation", "offset": [1.0, 0.0, 0.0]},
+# id -> (a custom family, the key its config error names)
+_BAD_FAMILIES = {
+    "not_orthogonal": ([{"kind": "orthogonal", "matrix": [[2.0, 0.0], [0.0, 1.0]]}],
+                       "operators[0]: "),
+    "wrong_dimension": ([{"kind": "translation", "offset": [1.0, 0.0, 0.0]}], "operators[0]: "),
+    "empty": ([], "operators: must be nonempty"),
+    "no_common_fixed_point": ([_TRANSLATION],
+                              "operators: operators share no common fixed point"),
 }
 
 
-@pytest.mark.parametrize("operator", list(_BAD_OPERATORS.values()), ids=list(_BAD_OPERATORS))
+@pytest.mark.parametrize("operators, key", list(_BAD_FAMILIES.values()), ids=list(_BAD_FAMILIES))
 @pytest.mark.parametrize("verb", ["verify", "rates"])
-def test_cli_rejects_a_bad_custom_operator(tmp_path, capsys, verb, operator):
-    """A custom operator is loaded with the config, before any method runs."""
+def test_cli_rejects_a_bad_custom_operator(tmp_path, capsys, verb, operators, key):
+    """A custom family and each of its operators are loaded with the
+    config, before any method runs."""
     def mutate(obj):
         obj["methods"] = [{"method": "map"},
-                          {"method": "cim", "operator_set": "custom", "operators": [operator]}]
+                          {"method": "cim", "operator_set": "custom", "operators": operators}]
 
     path = _write_demo(tmp_path, mutate)
     code = cli.main([verb, str(path), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith(f"config error: {path}.methods[1].operators[0]: ")
+    assert captured.err.startswith(f"config error: {path}.methods[1].{key}")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

@@ -50,7 +50,7 @@ def test_labels_with_dots_and_spaces_still_parse():
     obj["instances"]["items"][0]["label"] = ".. two lines"
     obj["methods"][0]["label"] = "map.v1 (plain)"
     config = parse_config(obj)
-    assert config.explicit_items[0].label == ".. two lines"
+    assert config.instances[0].label == ".. two lines"
     assert config.methods[0].label == "map.v1 (plain)"
 
 

@@ -45,7 +45,6 @@ def _toy_trace(errors, x0=None, target=None):
         method="map",
         iterates=iterates,
         errors=errors,
-        stopped_at=count - 1,
         x0_original=np.array([1.0, 0.0]) if x0 is None else np.asarray(x0, dtype=float),
         target=np.zeros(2) if target is None else np.asarray(target, dtype=float),
     )

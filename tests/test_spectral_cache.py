@@ -75,7 +75,7 @@ def test_resolve_methods_take_five_norms_and_one_eigen_solve(monkeypatch):
 
     (ctx,) = contexts
     assert ctx.inter.subspace.dim == 0
-    outcomes = {o.method: o for o in report.instances[0].methods}
+    outcomes = {o.trace.method: o for o in report.instances[0].methods}
     assert ctx.accel.cT == outcomes["sym_map"].report.constant.value
     op, fixed = ctx.sym_op, ctx.inter.subspace
     memoized = operator_rate(op, fixed)
