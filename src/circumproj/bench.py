@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .circumcenter import OperatorSet, build_psi
+from .circumcenter import OperatorSet, _require_word_limit, build_psi
 from .isometry import (
     AffineIsometry,
     AffineMap,
@@ -32,7 +32,6 @@ from .isometry import (
     compose,
     fixed_point_set,
     make_reflector,
-    operator_from_literal,
 )
 from .methods import (
     METHOD_TAGS,
@@ -56,7 +55,7 @@ from .rates import (
     operator_rate,
     tuple_angle_cos,
 )
-from .subspace import AffineSubspace, Intersection, intersect, subspace_from_literal
+from .subspace import AffineSubspace, Intersection, intersect
 
 __all__ = [
     "ConfigError",
@@ -172,21 +171,26 @@ def _as_int(value, path: str, bound: Optional[tuple] = None) -> int:
 
 def _as_number(value, path: str) -> float:
     """``value`` as a finite float. Python's json reads ``NaN`` and
-    ``Infinity``, so they are refused here."""
+    ``Infinity``, so they are refused here, and so is an integer that
+    rounds to infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number, got {number!r}")
     return number
 
 
-def _vector(value, path: str, ambient_dim: int) -> tuple:
-    """``value`` as a list of ``ambient_dim`` finite numbers."""
+def _vector(value, path: str, ambient_dim: int, entry=_as_number) -> tuple:
+    """``value`` as a list of ``ambient_dim`` entries, each read by
+    ``entry``: finite numbers, or the rows of a matrix."""
     entries = _expect_list(value, path)
     if len(entries) != ambient_dim:
         raise ConfigError(f"{path}: expected {ambient_dim} entries, got {len(entries)}")
-    return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(entries))
+    return tuple(entry(v, f"{path}[{i}]") for i, v in enumerate(entries))
 
 
 def _nonempty_string(value, path: str) -> str:
@@ -230,24 +234,70 @@ def _default_label(index: int, method: str, variant: Optional[str], symmetrized:
     return "_".join(part for part in parts if part is not None)
 
 
+def _built(path: str, constructor, *args):
+    """``constructor(*args)``, its ValueError a config error at ``path``:
+    the library's own checks, such as orthogonality, name the literal."""
+    try:
+        return constructor(*args)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
+def _subspace(obj, path: str, ambient_dim: int) -> AffineSubspace:
+    """A subspace literal: an ``anchor`` point, a ``span`` of raw vectors
+    attached at the anchor or at the origin, or both."""
+    mapping = _expect_mapping(obj, path, ("anchor", "span"))
+    if not mapping:
+        raise ConfigError(f"{path}: needs an 'anchor' or a 'span' key")
+    anchor = (_vector(mapping["anchor"], f"{path}.anchor", ambient_dim) if "anchor" in mapping
+              else np.zeros(ambient_dim))
+    if "span" not in mapping:
+        return AffineSubspace.point(anchor)
+    span = [_vector(v, f"{path}.span[{k}]", ambient_dim)
+            for k, v in enumerate(_nonempty_list(mapping, "span", path))]
+    return _built(path, AffineSubspace.from_span, anchor, span)
+
+
+# The keys of an operator literal of each kind, besides "kind"; an
+# orthogonal map's offset is optional.
+_OPERATOR_KEYS = {"reflector": ("subspace",), "translation": ("offset",),
+                  "orthogonal": ("matrix", "offset"), "compose": ("factors",)}
+
+
+def _operator(obj, path: str, ambient_dim: int) -> AffineIsometry:
+    """An operator literal as an isometry of R^ambient_dim. The factors of
+    a ``compose`` literal act in turn, the first one first."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
+    _get(obj, "kind", path)
+    kind = _choice(obj, "kind", None, tuple(_OPERATOR_KEYS), path)
+    mapping = _expect_mapping(obj, path, ("kind", *_OPERATOR_KEYS[kind]))
+    if kind == "reflector":
+        subspace = _subspace(_get(mapping, "subspace", path), f"{path}.subspace", ambient_dim)
+        return _built(path, make_reflector, subspace)
+    if kind == "compose":
+        factors = [_operator(factor, f"{path}.factors[{k}]", ambient_dim)
+                   for k, factor in enumerate(_nonempty_list(mapping, "factors", path))]
+        product = factors[0]
+        for factor in factors[1:]:
+            product = _built(path, compose, factor, product)
+        return product
+    if kind == "translation":
+        offset = _vector(_get(mapping, "offset", path), f"{path}.offset", ambient_dim)
+        return _built(path, AffineIsometry, np.eye(ambient_dim), offset)
+    matrix = _vector(_get(mapping, "matrix", path), f"{path}.matrix", ambient_dim,
+                     partial(_vector, ambient_dim=ambient_dim))
+    offset = (_vector(mapping["offset"], f"{path}.offset", ambient_dim) if "offset" in mapping
+              else np.zeros(ambient_dim))
+    return _built(path, AffineIsometry, matrix, offset)
+
+
 def _custom_family(literals: tuple, path: str, ambient_dim: int) -> OperatorSet:
     """The family of a custom set's operator literals. A literal that is no
     isometry of R^ambient_dim, or a family with no common fixed point, is a
     config error at ``path``, found when the config is parsed."""
-    loaded = []
-    for j, literal in enumerate(literals):
-        try:
-            op = operator_from_literal(literal)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{path}[{j}]: {err}") from None
-        if op.ambient_dim != ambient_dim:
-            raise ConfigError(f"{path}[{j}]: acts on R^{op.ambient_dim}, "
-                              f"expected ambient_dim {ambient_dim}")
-        loaded.append(op)
-    try:
-        return OperatorSet(loaded)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
+    return _built(path, OperatorSet, [_operator(literal, f"{path}[{j}]", ambient_dim)
+                                      for j, literal in enumerate(literals)])
 
 
 def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
@@ -295,6 +345,8 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     """Validate a parsed JSON object into an :class:`ExperimentConfig`.
 
     Raises :class:`ConfigError` with the offending key path on any problem.
+    Subspace and operator literals are read by the helpers that read every
+    other key, and built once to check them; the config keeps them raw.
     """
     root = _expect_mapping(obj, source, ("name", "ambient_dim", "seed", "max_iters", "stop_tol",
                                          "x0", "instances", "methods", "out_dir"))
@@ -322,13 +374,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             label = _file_label(mapping.get("label", f"instance_{i:02d}"), f"{path}.label")
             subs = _nonempty_list(mapping, "subspaces", path)
             for j, literal in enumerate(subs):
-                try:
-                    sub = subspace_from_literal(literal)
-                except (TypeError, ValueError) as err:
-                    raise ConfigError(f"{path}.subspaces[{j}]: {err}") from None
-                if sub.ambient_dim != ambient_dim:
-                    raise ConfigError(f"{path}.subspaces[{j}]: dimension {sub.ambient_dim} "
-                                      f"does not match ambient_dim {ambient_dim}")
+                _subspace(literal, f"{path}.subspaces[{j}]", ambient_dim)
             item_x0 = (_parse_x0(mapping["x0"], f"{path}.x0", ambient_dim)
                        if "x0" in mapping else None)
             fixed_line = mapping.get("product_fixed_line")
@@ -362,12 +408,20 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
 
     methods = tuple(_parse_method(m, i, ambient_dim, source)
                     for i, m in enumerate(_nonempty_list(root, "methods", source)))
-    fewest = (instances.num_subspaces if isinstance(instances, RandomInstances)
-              else min(len(item.subspace_literals) for item in instances))
+    counts = ((instances.num_subspaces,) if isinstance(instances, RandomInstances)
+              else tuple(len(item.subspace_literals) for item in instances))
     for i, spec in enumerate(methods):
-        if spec.method == "dr" and fewest < 2:
+        if spec.method == "dr" and min(counts) < 2:
             raise ConfigError(f"{source}.methods[{i}]: method 'dr' needs at least two "
-                              f"subspaces, an instance has {fewest}")
+                              f"subspaces, an instance has {min(counts)}")
+        if spec.method == "cim" and spec.operator_set == "psi":
+            # build_psi's own rule, on the palindrome's 2m - 1 reflectors when symmetrized
+            reflectors = 2 * max(counts) - 1 if spec.symmetrized else max(counts)
+            try:
+                _require_word_limit(2 ** reflectors)
+            except ValueError as err:
+                raise ConfigError(f"{source}.methods[{i}]: operator_set 'psi' over "
+                                  f"{reflectors} reflectors: {err}") from None
     _require_unique_file_names(methods, instances, source)
 
     out_dir = root.get("out_dir")
@@ -689,7 +743,8 @@ def _resolve_instances(config: ExperimentConfig):
             resolved.append((f"random_{i:03d}", subspaces, x0, inter, None))
         return resolved
     for i, item in enumerate(spec):
-        subspaces = [subspace_from_literal(literal) for literal in item.subspace_literals]
+        subspaces = [_subspace(literal, "subspaces", config.ambient_dim)
+                     for literal in item.subspace_literals]
         x0 = _resolve_x0(item.x0 or config.x0, config.ambient_dim, i)
         resolved.append((item.label, subspaces, x0, intersect(subspaces),
                          item.product_fixed_line))

@@ -24,7 +24,7 @@ from .numerics import (
     solution_set,
     sym_eigen_extremes,
 )
-from .subspace import AffineSubspace, subspace_from_literal
+from .subspace import AffineSubspace
 
 __all__ = [
     "AffineIsometry",
@@ -35,7 +35,6 @@ __all__ = [
     "fixed_point_set",
     "build_sum_averaged",
     "build_product_averaged",
-    "operator_from_literal",
 ]
 
 # The relaxation parameters alpha and lambda of the averaged-map builders.
@@ -298,43 +297,3 @@ def _require_nonexpansive(op: AffineMap) -> None:
     if norm > 1.0 + EQ_TOL:
         raise ValueError(f"expected a nonexpansive operator, norm {norm:.12f}")
 
-
-def operator_from_literal(obj) -> AffineIsometry:
-    """Load an affine isometry from its literal form.
-
-    Supported kinds:
-
-    - {"kind": "reflector", "subspace": <subspace literal>}
-    - {"kind": "translation", "offset": [..]}
-    - {"kind": "orthogonal", "matrix": [[..]], "offset": [..]?}
-    - {"kind": "compose", "factors": [<literal>, ..]} where the first
-      factor acts first.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"operator literal must be a mapping, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind == "reflector":
-        if "subspace" not in obj:
-            raise ValueError("reflector literal needs a 'subspace' key")
-        return make_reflector(subspace_from_literal(obj["subspace"]))
-    if kind == "translation":
-        if "offset" not in obj:
-            raise ValueError("translation literal needs an 'offset' key")
-        offset = as_vector(obj["offset"])
-        return AffineIsometry(np.eye(offset.shape[0]), offset)
-    if kind == "orthogonal":
-        if "matrix" not in obj:
-            raise ValueError("orthogonal literal needs a 'matrix' key")
-        Q = as_matrix(obj["matrix"])
-        offset = obj.get("offset")
-        return AffineIsometry(Q, np.zeros(Q.shape[0]) if offset is None else offset)
-    if kind == "compose":
-        factors = obj.get("factors")
-        if not isinstance(factors, list) or len(factors) == 0:
-            raise ValueError("compose literal needs a nonempty 'factors' list")
-        ops = [operator_from_literal(f) for f in factors]
-        product = ops[0]
-        for op in ops[1:]:
-            product = compose(op, product)
-        return product
-    raise ValueError(f"unknown operator kind {kind!r}")

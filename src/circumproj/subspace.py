@@ -29,7 +29,6 @@ __all__ = [
     "Intersection",
     "intersect",
     "affine_hull",
-    "subspace_from_literal",
 ]
 
 
@@ -204,27 +203,3 @@ def affine_hull(points) -> AffineSubspace:
         return AffineSubspace.point(anchor)
     return AffineSubspace(anchor, orthonormal_basis(pts[1:] - anchor))
 
-
-def subspace_from_literal(obj) -> AffineSubspace:
-    """Load a subspace from its literal form.
-
-    The literal is a mapping with keys "anchor" (list of floats) and
-    "span" (list of raw span vectors, orthonormalized on load). Either key
-    may be omitted: a missing anchor means the origin, a missing span means
-    a single point. At least one key must be present.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"subspace literal must be a mapping, got {type(obj).__name__}")
-    if "anchor" not in obj and "span" not in obj:
-        raise ValueError("subspace literal needs an 'anchor' or a 'span' key")
-    span = obj.get("span")
-    if "anchor" in obj:
-        anchor = as_vector(obj["anchor"])
-    else:
-        span_arr = np.asarray(span, dtype=float)
-        if span_arr.ndim != 2:
-            raise ValueError("subspace literal 'span' must be a list of vectors")
-        anchor = np.zeros(span_arr.shape[1])
-    if span is None:
-        return AffineSubspace.point(anchor)
-    return AffineSubspace.from_span(anchor, span)

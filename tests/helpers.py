@@ -11,7 +11,6 @@ import numpy as np
 from circumproj import (
     AUDIT_TOL,
     CONSISTENCY_TOL,
-    EQ_TOL,
     RANK_TOL,
     AffineIsometry,
     AffineMap,
@@ -27,6 +26,7 @@ from circumproj import (
     spectral_norm,
 )
 from circumproj.numerics import _norm
+from oracles import merge_threshold
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 
@@ -101,10 +101,11 @@ def dense_product(ops, word):
 # must reproduce these bit for bit, so keep them as they are.
 
 def reference_distinct(points: np.ndarray) -> tuple:
-    """Greedy first-occurrence representatives at EQ_TOL, and the diameter."""
+    """Greedy first-occurrence representatives within the merge threshold,
+    and the diameter."""
     gram = points @ points.T
     norms_sq = np.diag(gram)
-    threshold = EQ_TOL * (1.0 + float(np.sqrt(np.max(norms_sq))))
+    threshold = merge_threshold(float(np.sqrt(np.max(norms_sq))))
     pair_sq = norms_sq[:, None] + norms_sq
     dist_sq = np.subtract(pair_sq, np.multiply(gram, 2.0, out=gram), out=gram)
     threshold_sq = threshold**2

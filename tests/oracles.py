@@ -81,14 +81,24 @@ def oracle_operator_rate(matrix: np.ndarray, fixed_projector: np.ndarray,
     return float(np.sqrt(v @ normal @ v))
 
 
-def oracle_dedup(points, eq_tol: float = 1e-10) -> list:
+def merge_threshold(largest_norm: float) -> float:
+    """The distance within which the CIM step merges two images,
+    1e-10 * (1 + M) for M the largest image norm.
+
+    This is the tests' one statement of the merge rule. It restates the
+    rule rather than importing the library's, so the tests judge it.
+    """
+    return 1e-10 * (1.0 + largest_norm)
+
+
+def oracle_dedup(points) -> list:
     """Indices of the greedy first-occurrence representatives of a point set.
 
-    Point i is dropped when it lies within eq_tol * (1 + largest norm) of an
+    Point i is dropped when it lies within :func:`merge_threshold` of an
     earlier kept point, judged by a plain double loop over direct distances.
     """
     pts = np.asarray(points, dtype=float)
-    threshold = eq_tol * (1.0 + float(np.max(np.linalg.norm(pts, axis=1))))
+    threshold = merge_threshold(float(np.max(np.linalg.norm(pts, axis=1))))
     kept = []
     for i in range(pts.shape[0]):
         if not any(float(np.linalg.norm(pts[i] - pts[j])) <= threshold for j in kept):

@@ -309,11 +309,27 @@ _GOLDEN_ERRORS = {
     "item_subspaces_empty": ([((*_ITEMS, 0, "subspaces"), [])],
                              "config.instances.items[0].subspaces: must be nonempty"),
     "item_subspace_literal": ([((*_ITEMS, 0, "subspaces", 1), "line")],
-                              "config.instances.items[0].subspaces[1]: subspace literal must "
-                              "be a mapping, got str"),
+                              "config.instances.items[0].subspaces[1]: expected a mapping, "
+                              "got str"),
+    "item_subspace_unknown_key": ([((*_ITEMS, 0, "subspaces", 1, "spna"), [[1.0, 1.0]])],
+                                  "config.instances.items[0].subspaces[1].spna: unknown key, "
+                                  "expected one of ('anchor', 'span')"),
+    "item_subspace_no_key": ([((*_ITEMS, 0, "subspaces", 1), {})],
+                             "config.instances.items[0].subspaces[1]: needs an 'anchor' or a "
+                             "'span' key"),
+    "item_subspace_anchor_type": ([((*_ITEMS, 0, "subspaces", 1, "anchor"), {"x": 1.0})],
+                                  "config.instances.items[0].subspaces[1].anchor: expected a "
+                                  "list, got dict"),
+    "item_subspace_anchor_overflow": ([((*_ITEMS, 0, "subspaces", 1, "anchor"),
+                                        [10**400, 0.0])],
+                                      "config.instances.items[0].subspaces[1].anchor[0]: "
+                                      "expected a finite number, got inf"),
+    "item_subspace_span_empty": ([((*_ITEMS, 0, "subspaces", 1), {"span": []})],
+                                 "config.instances.items[0].subspaces[1].span: must be "
+                                 "nonempty"),
     "item_subspace_dimension": ([((*_ITEMS, 0, "subspaces", 0), {"span": [[1.0, 0.0, 0.0]]})],
-                                "config.instances.items[0].subspaces[0]: dimension 3 does not "
-                                "match ambient_dim 2"),
+                                "config.instances.items[0].subspaces[0].span[0]: expected 2 "
+                                "entries, got 3"),
     "item_x0_point_length": ([((*_ITEMS, 1, "x0"), {"kind": "explicit", "point": [1.0]})],
                              "config.instances.items[1].x0.point: expected 2 entries, got 1"),
     "item_x0_seed_negative": ([((*_ITEMS, 1, "x0"), {"kind": "random_unit", "seed": -2})],
@@ -403,8 +419,34 @@ _GOLDEN_ERRORS = {
                          "defect 3.000e+00"),
     "operator_dimension": ([(("methods", 1), {**_CUSTOM, "operators": [
                                {"kind": "translation", "offset": [1.0, 0.0, 0.0]}]})],
-                           "config.methods[1].operators[0]: acts on R^3, expected "
-                           "ambient_dim 2"),
+                           "config.methods[1].operators[0].offset: expected 2 entries, got 3"),
+    "operator_unknown_key": ([(("methods", 1), {**_CUSTOM, "operators": [
+                                 {"kind": "orthogonal", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                  "ofset": [1.0, 0.0]}]})],
+                             "config.methods[1].operators[0].ofset: unknown key, expected one "
+                             "of ('kind', 'matrix', 'offset')"),
+    "operator_kind_missing": ([(("methods", 1), {**_CUSTOM, "operators": [
+                                  {"offset": [1.0, 0.0]}]})],
+                              "config.methods[1].operators[0]: missing required key 'kind'"),
+    "operator_kind_unknown": ([(("methods", 1), {**_CUSTOM, "operators": [{"kind": "shear"}]})],
+                              "config.methods[1].operators[0].kind: unknown value 'shear', "
+                              "expected one of ('reflector', 'translation', 'orthogonal', "
+                              "'compose')"),
+    "operator_factors_empty": ([(("methods", 1), {**_CUSTOM, "operators": [
+                                   {"kind": "compose", "factors": []}]})],
+                               "config.methods[1].operators[0].factors: must be nonempty"),
+    "operator_factor_literal": ([(("methods", 1), {**_CUSTOM, "operators": [
+                                    {"kind": "compose", "factors": [
+                                        _TRANSLATION,
+                                        {"kind": "orthogonal",
+                                         "matrix": [[2.0, 0.0], [0.0, 1.0]]}]}]})],
+                                "config.methods[1].operators[0].factors[1]: linear part is not "
+                                "orthogonal, defect 3.000e+00"),
+    "operator_reflector_subspace": ([(("methods", 1), {**_CUSTOM, "operators": [
+                                        {"kind": "reflector",
+                                         "subspace": {"span": [[1.0, "a"]]}}]})],
+                                    "config.methods[1].operators[0].subspace.span[0][1]: "
+                                    "expected a number, got 'a'"),
     "operators_without_common_fixed_point": (
         [(("methods", 1), {**_CUSTOM, "operators": [_TRANSLATION]})],
         "config.methods[1].operators: operators share no common fixed point"),
@@ -425,6 +467,9 @@ _GOLDEN_ERRORS = {
     "method_dr_random": ([(("instances",), _random(num_subspaces=1))],
                          "config.methods[4]: method 'dr' needs at least two subspaces, an "
                          "instance has 1"),
+    "method_psi_word_limit": ([(("instances",), _random(num_subspaces=8))],
+                              "config.methods[5]: operator_set 'psi' over 15 reflectors: 32768 "
+                              "words exceed the limit of 8192 words"),
     "method_labels_repeat": ([(("methods", 4, "label"), "00_map")],
                              "config.methods[4].label: labels must be unique, '00_map' is also "
                              "the label of methods[0]"),
@@ -940,7 +985,10 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, mutate, key):
 _BAD_FAMILIES = {
     "not_orthogonal": ([{"kind": "orthogonal", "matrix": [[2.0, 0.0], [0.0, 1.0]]}],
                        "operators[0]: "),
-    "wrong_dimension": ([{"kind": "translation", "offset": [1.0, 0.0, 0.0]}], "operators[0]: "),
+    "wrong_dimension": ([{"kind": "translation", "offset": [1.0, 0.0, 0.0]}],
+                        "operators[0].offset: expected 2 entries, got 3"),
+    "misspelt_offset": ([{"kind": "orthogonal", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                         "ofset": [1.0, 0.0]}], "operators[0].ofset: unknown key"),
     "empty": ([], "operators: must be nonempty"),
     "no_common_fixed_point": ([_TRANSLATION],
                               "operators: operators share no common fixed point"),
@@ -989,24 +1037,38 @@ def _one_subspace_random(obj):
     obj["methods"] = [{"method": "map"}, {"method": "dr"}]
 
 
+def _psi_over_eight_random(obj):
+    """The symmetrized psi family of eight subspaces in R^10: 15 reflectors."""
+    obj["ambient_dim"] = 10
+    del obj["x0"]
+    obj["instances"] = {"kind": "random", "count": 1, "num_subspaces": 8,
+                        "dim_range": [1, 9], "seed": 3}
+    obj["methods"] = [{"method": "cim", "operator_set": "psi", "symmetrized": True}]
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_set_subspace(0, {"span": [[1.0, 0.0, 0.0]]}),
-     ".instances.items[0].subspaces[0]: dimension 3 does not match ambient_dim 2"),
-    (_set_subspace(1, {"anchor": {"x": 1.0}}), ".instances.items[0].subspaces[1]: "),
+     ".instances.items[0].subspaces[0].span[0]: expected 2 entries, got 3"),
+    (_set_subspace(1, {"anchor": {"x": 1.0}}),
+     ".instances.items[0].subspaces[1].anchor: expected a list, got dict"),
+    (_set_subspace(1, {"anchor": [0.0, 0.0], "spna": [[1.0, 1.0]]}),
+     ".instances.items[0].subspaces[1].spna: unknown key"),
     (_set_top_x0_point, ".x0.point: expected 2 entries, got 3"),
     (_set_item_x0_point, ".instances.items[1].x0.point: expected 2 entries, got 1"),
     (_one_subspace_item, ".methods[4]: method 'dr' needs at least two subspaces, "
                          "an instance has 1"),
     (_one_subspace_random, ".methods[1]: method 'dr' needs at least two subspaces, "
                            "an instance has 1"),
-], ids=["subspace_dimension", "subspace_literal", "x0_length", "item_x0_length",
-        "dr_item", "dr_random"])
+    (_psi_over_eight_random, ".methods[0]: operator_set 'psi' over 15 reflectors: 32768 words "
+                             "exceed the limit of 8192 words"),
+], ids=["subspace_dimension", "subspace_literal", "subspace_key", "x0_length", "item_x0_length",
+        "dr_item", "dr_random", "psi_word_limit"])
 @pytest.mark.parametrize("verb", ["verify", "rates"])
 def test_cli_finds_an_instance_error_at_load_and_names_the_file(tmp_path, capsys, verb,
                                                                  mutate, message):
-    """Subspace literals, start points and the subspaces ``dr`` needs are
-    checked with the config, before any method runs, at a key path that
-    starts with the file."""
+    """Subspace literals, start points, the subspaces ``dr`` needs and the
+    words of a ``psi`` family are checked with the config, before any
+    method runs, at a key path that starts with the file."""
     path = _write_demo(tmp_path, mutate)
     with pytest.raises(ConfigError) as raised:
         load_config(path)

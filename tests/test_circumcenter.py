@@ -31,7 +31,7 @@ from helpers import (
     subsets,
     unit_vector,
 )
-from oracles import oracle_circumcenter, oracle_dedup
+from oracles import merge_threshold, oracle_circumcenter, oracle_dedup
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
 LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
@@ -253,13 +253,13 @@ def test_dedup_keeps_the_oracle_representatives(seed, exponent):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
     points = list(10.0 ** exponent * rng.standard_normal((int(rng.integers(1, 5)), dim)))
-    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    threshold = merge_threshold(max(float(np.linalg.norm(p)) for p in points))
     for _ in range(int(rng.integers(1, 8))):
         source = points[int(rng.integers(len(points)))]
         factor = 0.5 if rng.integers(2) else 2.0
         points.append(source + factor * threshold * unit_vector(rng, dim))
     points = np.array(points)[rng.permutation(len(points))]
-    assert list(_distinct(points)) == oracle_dedup(points, EQ_TOL)
+    assert list(_distinct(points)) == oracle_dedup(points)
     exact = math.sqrt(max(sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q))
                           for p in points for q in points))
     assert abs(_diameter(points) - exact) <= 1e-12 * exact

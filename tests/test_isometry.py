@@ -16,11 +16,11 @@ from circumproj import (
     identity,
     intersect,
     make_reflector,
-    operator_from_literal,
     operator_rate,
     run_linear,
     symmetric_map_operator,
 )
+from circumproj.bench import _operator
 from circumproj.isometry import _is_self_adjoint
 from helpers import random_family, random_linear_subspace, reflectors_of
 
@@ -180,33 +180,34 @@ def test_predicates():
     assert not _is_self_adjoint(rotation)
 
 
-def test_operator_from_literal_kinds():
-    reflector = operator_from_literal(
-        {"kind": "reflector", "subspace": {"anchor": [0.0, 1.0], "span": [[1.0, 0.0]]}}
+def test_operator_literal_kinds():
+    """The config reader of each operator literal kind, in R^2."""
+    reflector = _operator(
+        {"kind": "reflector", "subspace": {"anchor": [0.0, 1.0], "span": [[1.0, 0.0]]}}, "o", 2
     )
     assert np.allclose(reflector.Q, np.diag([1.0, -1.0]), atol=1e-12)
     assert np.allclose(reflector.b, [0.0, 2.0], atol=1e-12)
 
-    shift = operator_from_literal({"kind": "translation", "offset": [1.0, 2.0]})
+    shift = _operator({"kind": "translation", "offset": [1.0, 2.0]}, "o", 2)
     assert np.allclose(shift.apply([0.0, 0.0]), [1.0, 2.0])
 
-    rot = operator_from_literal({"kind": "orthogonal", "matrix": [[0.0, -1.0], [1.0, 0.0]]})
+    rot = _operator({"kind": "orthogonal", "matrix": [[0.0, -1.0], [1.0, 0.0]]}, "o", 2)
     assert np.allclose(rot.apply([1.0, 0.0]), [0.0, 1.0])
 
     # first factor acts first
-    composed = operator_from_literal({
+    composed = _operator({
         "kind": "compose",
         "factors": [
             {"kind": "translation", "offset": [1.0, 0.0]},
             {"kind": "orthogonal", "matrix": [[-1.0, 0.0], [0.0, 1.0]]},
         ],
-    })
+    }, "o", 2)
     assert np.allclose(composed.apply([0.0, 0.0]), [-1.0, 0.0])
 
     with pytest.raises(ValueError):
-        operator_from_literal({"kind": "mystery"})
+        _operator({"kind": "mystery"}, "o", 2)
     with pytest.raises(ValueError):
-        operator_from_literal({"kind": "compose", "factors": []})
+        _operator({"kind": "compose", "factors": []}, "o", 2)
 
 
 @given(st.integers(0, 10**6))

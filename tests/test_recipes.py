@@ -28,7 +28,6 @@ from circumproj import (
     identity,
     intersect,
     make_reflector,
-    operator_from_literal,
     operator_rate,
     parse_config,
     run_cim,
@@ -133,7 +132,7 @@ def _direct_cim_identity_plus_prefix_products(subspaces, x0):
 
 
 def _direct_cim_custom(subspaces, x0):
-    ops = [operator_from_literal(lit) for lit in CUSTOM_OPERATORS]
+    ops = [bench._operator(lit, "operators", 4) for lit in CUSTOM_OPERATORS]
     return _cim(OperatorSet(ops), x0), None, None
 
 

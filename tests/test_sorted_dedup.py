@@ -17,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circumproj import (
-    EQ_TOL,
     MethodConfig,
     OperatorSet,
     build_psi,
@@ -26,6 +25,7 @@ from circumproj import (
 )
 from circumproj.circumcenter import _direction, _distinct
 from helpers import random_family, reference_distinct, reflectors_of, unit_vector
+from oracles import merge_threshold
 
 module = importlib.import_module("circumproj.circumcenter")
 
@@ -34,7 +34,7 @@ def _planted(rng, dim: int, scale: float, direction: np.ndarray, factors) -> np.
     """A few points at ``scale``, then copies of them moved by each factor
     times the dedup threshold along ``direction`` or its negative."""
     points = list(scale * rng.standard_normal((int(rng.integers(1, 5)), dim)))
-    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    threshold = merge_threshold(max(float(np.linalg.norm(p)) for p in points))
     for factor in factors:
         source = points[int(rng.integers(len(points)))]
         sign = 1.0 if rng.integers(2) else -1.0

@@ -15,7 +15,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from circumproj import (
-    EQ_TOL,
     AffineIsometry,
     MethodConfig,
     NumericalPropernessError,
@@ -35,6 +34,7 @@ from helpers import (
     reference_images,
     unit_vector,
 )
+from oracles import merge_threshold
 
 
 def _bits(value) -> bytes:
@@ -59,7 +59,7 @@ def _points(rng, count: int, dim: int, scale: float, shape: str) -> np.ndarray:
             coords /= np.linalg.norm(coords, axis=1, keepdims=True)
         base = center + coords @ basis
     points = list(scale * base)
-    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in points))
+    threshold = merge_threshold(max(float(np.linalg.norm(p)) for p in points))
     for _ in range(count - distinct):
         source = points[int(rng.integers(len(points)))]
         kind = int(rng.integers(3))
@@ -122,7 +122,7 @@ def _large_points(rng, count: int, dim: int, kind: str) -> np.ndarray:
         return points
     factor = 0.5 if kind == "chains at 0.5" else 2.0
     starts = points[:int(rng.integers(1, 6))]
-    threshold = EQ_TOL * (1.0 + max(float(np.linalg.norm(p)) for p in starts))
+    threshold = merge_threshold(max(float(np.linalg.norm(p)) for p in starts))
     chain = []
     while len(chain) < count:
         point = starts[int(rng.integers(len(starts)))]

@@ -8,8 +8,8 @@ from circumproj import (
     affine_hull,
     intersect,
     make_reflector,
-    subspace_from_literal,
 )
+from circumproj.bench import _subspace
 from helpers import random_family, random_linear_subspace
 
 
@@ -97,17 +97,18 @@ def test_affine_hull_frozen():
     assert line.contains([2.0, 2.0])
 
 
-def test_subspace_from_literal_branches():
-    pt = subspace_from_literal({"anchor": [1.0, 2.0]})
+def test_subspace_literal_branches():
+    """The config reader of a subspace literal, in R^2."""
+    pt = _subspace({"anchor": [1.0, 2.0]}, "s", 2)
     assert pt.dim == 0
-    lin = subspace_from_literal({"span": [[1.0, 0.0]]})
+    lin = _subspace({"span": [[1.0, 0.0]]}, "s", 2)
     assert lin.dim == 1 and lin.is_linear()
-    both = subspace_from_literal({"anchor": [0.0, 1.0], "span": [[1.0, 0.0]]})
+    both = _subspace({"anchor": [0.0, 1.0], "span": [[1.0, 0.0]]}, "s", 2)
     assert both.dim == 1 and not both.is_linear()
     with pytest.raises(ValueError):
-        subspace_from_literal({})
+        _subspace({}, "s", 2)
     with pytest.raises(ValueError):
-        subspace_from_literal([1.0, 2.0])
+        _subspace([1.0, 2.0], "s", 2)
 
 
 @given(st.integers(0, 10**6))
