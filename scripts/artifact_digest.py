@@ -14,13 +14,29 @@ Their configs come from this checkout's ``perfbench/workloads.py``, so two
 checkouts digest the same operations:
 
     python3 scripts/artifact_digest.py --workload iterate-long --seed 4242 --ops 3
+
+With ``--expect FILE`` the runs are those FILE records, each digest is
+compared with the recorded one, and the exit status is 1 when one
+differs. Digests depend on the numpy version, the BLAS build that numpy
+links and the BLAS thread count, so FILE records those too; where one of
+them differs here, the script prints "not comparable" and the reason,
+runs nothing and exits 0:
+
+    OPENBLAS_NUM_THREADS=2 python3 scripts/artifact_digest.py --expect tests/golden/digests.json
+
+To record new digests, print them with the two forms above under the
+file's environment and copy them into the file.
 """
 
 import argparse
 import hashlib
+import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from circumproj import load_config, parse_config, run_experiment
 
@@ -58,6 +74,42 @@ def workload_digests(name: str, seed: int = 4242, ops: int = 3) -> list:
             for index in range(ops)]
 
 
+def environment() -> dict:
+    """What the digests depend on besides the source: the numpy version, the
+    BLAS build that numpy links, and OPENBLAS_NUM_THREADS, "unset" when it
+    is not set."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = " ".join(str(blas.get(key, "")) for key in ("name", "version",
+                                                        "openblas configuration"))
+    return {"numpy": np.__version__, "blas": build.strip(),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
+
+
+def expect(path) -> int:
+    """Compare the digests recorded in ``path`` with this checkout's: 0 when
+    all are equal or the environment differs, 1 when a digest differs."""
+    recorded = json.loads(Path(path).read_text())
+    here = environment()
+    differ = [f"{key} is {here.get(key)!r} here, {value!r} in {path}"
+              for key, value in recorded["environment"].items() if here.get(key) != value]
+    if differ:
+        print("not comparable: " + "; ".join(differ))
+        return 0
+    failed = 0
+    for run in recorded["runs"]:
+        if "config" in run:
+            names = [f"{run['config']} {run['format']}"]
+            digests = [artifact_digest(ROOT / run["config"], run["format"])]
+        else:
+            names = [f"{run['workload']} seed {run['seed']} op {index}"
+                     for index in range(len(run["digests"]))]
+            digests = workload_digests(run["workload"], run["seed"], len(run["digests"]))
+        for name, digest, wanted in zip(names, digests, run["digests"]):
+            print(f"{digest}  {name}  " + ("ok" if digest == wanted else f"DIFFERS from {wanted}"))
+            failed += digest != wanted
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="sha256 of the artifacts each config's run writes")
@@ -68,9 +120,15 @@ def main(argv=None) -> int:
                         help="digest benchmark operations of this workload instead")
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--ops", type=int, default=3, help="operations 0..OPS-1")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="compare with the digests and environment recorded in FILE")
     args = parser.parse_args(argv)
+    if args.expect:
+        if args.configs or args.workload or args.format:
+            parser.error("--expect takes its runs from FILE")
+        return expect(args.expect)
     if bool(args.configs) == bool(args.workload):
-        parser.error("give CONFIG files or --workload")
+        parser.error("give CONFIG files, --workload or --expect")
     if args.workload:
         if args.format:
             parser.error("--format applies to CONFIG files; a workload has its own format")

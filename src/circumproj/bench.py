@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .circumcenter import OperatorSet, _require_word_limit, build_psi
+from .circumcenter import OperatorSet, _require_subset_limit, build_psi
 from .isometry import (
     AffineIsometry,
     AffineMap,
@@ -418,7 +418,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             # build_psi's own rule, on the palindrome's 2m - 1 reflectors when symmetrized
             reflectors = 2 * max(counts) - 1 if spec.symmetrized else max(counts)
             try:
-                _require_word_limit(2 ** reflectors)
+                _require_subset_limit(reflectors)
             except ValueError as err:
                 raise ConfigError(f"{source}.methods[{i}]: operator_set 'psi' over "
                                   f"{reflectors} reflectors: {err}") from None

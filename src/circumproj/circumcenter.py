@@ -78,18 +78,20 @@ class CircumcenterResult:
     equidistance_residual: float
 
 
-def _distinct(points: np.ndarray) -> np.ndarray:
-    """Greedy first-occurrence representatives at EQ_TOL, from one sort.
+def _merge(points: np.ndarray) -> tuple:
+    """(kept, M): the greedy first-occurrence representatives at EQ_TOL, from
+    one sort, and M, the largest norm of the points. ``kept`` is None when
+    no point merges into another, else the kept row indices in order.
 
     Point i is dropped when it lies within the threshold t = EQ_TOL * (1 +
-    M) of an earlier kept point, M the largest norm, by the distance that
-    ``_norm`` measures. The points are projected onto the fixed unit vector
-    ``_direction(n)`` and sorted, and only pairs joined by a chain of
-    projected gaps within the window t + 4 (n + 2) eps (t + M) are measured;
-    each such run is resolved greedily in index order, its lowest undecided
-    point kept and measured against all its later undecided points at once,
-    so k coincident points take one vectorised pass. A run of two, the
-    common case of one image repeating another, takes one ``_norm``.
+    M) of an earlier kept point, by the distance that ``_norm`` measures.
+    The points are projected onto the fixed unit vector ``_direction(n)``
+    and sorted, and only pairs joined by a chain of projected gaps within
+    the window t + 4 (n + 2) eps (t + M) are measured; each such run is
+    resolved greedily in index order, its lowest undecided point kept and
+    measured against all its later undecided points at once, so k
+    coincident points take one vectorised pass. A run of two, the common
+    case of one image repeating another, takes one ``_norm``.
 
     The window is safe. A measured distance within t means an exact
     distance within t (1 + (n + 2) eps). Each projection is exact to about
@@ -105,22 +107,22 @@ def _distinct(points: np.ndarray) -> np.ndarray:
     the equidistance system make the circumcenter absent.
     """
     count, dim = points.shape
-    largest_sq = float(np.einsum("ij,ij->i", points, points).max())
+    largest_sq = float(np.maximum.reduce(np.einsum("ij,ij->i", points, points)))
+    largest = math.sqrt(largest_sq)
     if not math.isfinite(4.0 * largest_sq):
         if not np.isfinite(points).all():
             raise ValueError("point entries must be finite")
-        return np.arange(count)
-    largest = math.sqrt(largest_sq)
+        return None, largest
     threshold = EQ_TOL * (1.0 + largest)
     window = threshold + 4.0 * (dim + 2) * _EPS * (threshold + largest)
     proj = points @ _direction(dim)
     # numpy's default sort maps about 0.3 MB more of its code into the
     # process than the stable one, which shows in the peak RSS of small runs
     order = proj.argsort(kind="stable")
-    ordered = proj[order]
+    ordered = proj.take(order)
     near = (ordered[1:] - ordered[:-1] <= window).nonzero()[0].tolist()
     if not near:
-        return np.arange(count)
+        return None, largest
     # each run of near gaps p, p + 1, .. joins sorted positions start..stop
     runs = []
     for gap in near:
@@ -128,13 +130,14 @@ def _distinct(points: np.ndarray) -> np.ndarray:
             runs[-1][1] = gap + 1
         else:
             runs.append([gap, gap + 1])
-    keep = np.ones(count, dtype=bool)
+    order = order.tolist()
+    dropped = set()
     for start, stop in runs:
-        members = sorted(order[start:stop + 1].tolist())
+        members = sorted(order[start:stop + 1])
         if len(members) == 2:
             first, second = members
             if _norm(points[second] - points[first]) <= threshold:
-                keep[second] = False
+                dropped.add(second)
             continue
         members = np.array(members)
         while members.shape[0] > 1:
@@ -142,9 +145,17 @@ def _distinct(points: np.ndarray) -> np.ndarray:
             # the dot product of _norm, as a stack of 1 x n by n x 1 products
             diff = points[later] - points[members[0]]
             far = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel()) > threshold
-            keep[later[~far]] = False
+            dropped.update(later[~far].tolist())
             members = later[far]
-    return keep.nonzero()[0]
+    if not dropped:
+        return None, largest
+    return [i for i in range(count) if i not in dropped], largest
+
+
+def _distinct(points: np.ndarray) -> np.ndarray:
+    """The row indices that :func:`_merge` keeps, all of them when none merge."""
+    kept, _ = _merge(points)
+    return np.arange(points.shape[0]) if kept is None else np.array(kept)
 
 
 @lru_cache(maxsize=64)
@@ -171,10 +182,12 @@ def _diameter(points: np.ndarray) -> float:
 
 def _spread(points: np.ndarray, center: np.ndarray) -> float:
     """Largest minus smallest distance from ``center`` to the points, with
-    the reductions of ``np.linalg.norm(points - center, axis=1)``."""
+    the reductions of ``np.linalg.norm(points - center, axis=1)``. The
+    square root is monotone and correctly rounded, so the root of the
+    largest sum of squares is the largest distance, bit for bit."""
     diff = points - center
-    dists = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
-    return float(dists.max() - dists.min())
+    sums = np.add.reduce(np.multiply(diff, diff, out=diff), axis=1)
+    return math.sqrt(np.maximum.reduce(sums)) - math.sqrt(np.minimum.reduce(sums))
 
 
 def circumcenter(points) -> CircumcenterResult:
@@ -207,21 +220,28 @@ def circumcenter(points) -> CircumcenterResult:
 
 
 def _solve(pts: np.ndarray) -> tuple:
-    """The solve of :func:`circumcenter`, shared with the iteration step:
-    (candidate, spread, accepted, system), ``system`` None for one distinct
-    point, else (half, u, projected, coords, s). The dedup raises ValueError
-    on a non-finite point, so finite points pass without a test of their
-    own."""
-    kept = _distinct(pts)
-    rep = pts if kept.shape[0] == pts.shape[0] else pts[kept]
-    p0 = rep[0]
-    offsets = rep[1:] - p0
-    if offsets.shape[0] == 0:
+    """The one solve of :func:`circumcenter`, :func:`circumcenter_map` and
+    the iteration step: (candidate, spread, accepted, system), ``system``
+    None for one distinct point, else (half, u, projected, coords, s). The
+    merge raises ValueError on a non-finite point, so finite points pass
+    without a test of their own. The candidate never shares memory with
+    ``pts``, which may be a buffer that the next step refills."""
+    kept, largest = _merge(pts)
+    # the merge keeps the first point always
+    p0 = pts[0]
+    others = pts[1:] if kept is None else pts.take(kept[1:], 0)
+    if others.shape[0] == 0:
         return p0.copy(), _spread(pts, p0), True, None
+    offsets = others - p0
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
     u, s, vt = np.linalg.svd(offsets, full_matrices=False)
-    rank = np.count_nonzero(s > s[0] * RANK_TOL)
-    u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+    # the rank cut; M = largest is at hand for a cut relative to the data.
+    # The singular values come in descending order, so when the last one
+    # passes the cut they all do, and nothing is sliced.
+    cut = s[0] * RANK_TOL
+    if not s[-1] > cut:
+        rank = np.count_nonzero(s > cut)
+        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     projected = u.T @ half
     coords = projected / s
     candidate = p0 + vt.T @ coords
@@ -325,19 +345,48 @@ class OperatorSet:
         """The images of x under the words, one row per word in order; each
         is one generator applied to the image of the word's prefix, and a
         repeated word copies its first image."""
-        return self._images(as_vector(x))
+        x = as_vector(x)
+        return _Stepper(self, x.shape[0]).images(x)
 
-    def _images(self, x: np.ndarray) -> np.ndarray:  # x: a finite vector, unchecked
-        out = np.empty((len(self._plan), x.shape[0]))
-        sources = [x, *out]
-        for row, (Q, b, source) in zip(sources[1:], self._plan):
+
+class _Stepper:
+    """The circumcenter step of one run over a family.
+
+    It owns the k x n array that the images of every step fill, and the
+    family's step plan bound to the rows of that array, so a step allocates
+    no image buffer and builds no row view. The array belongs to the run,
+    never to the frozen, shared family, so runs on one family may
+    interleave; no iterate shares memory with it, since the solve copies
+    the one point it could return. Each call looks up ``_center``, and so
+    ``_solve`` and ``_diameter``, when it runs.
+    """
+
+    __slots__ = ("_out", "_sources", "_steps")
+
+    def __init__(self, operator_set: OperatorSet, dim: int) -> None:
+        out = np.empty((len(operator_set._plan), dim))
+        rows = list(out)
+        self._out = out
+        # source 0 is the step's x, source r + 1 is row r
+        self._sources = [None, *rows]
+        self._steps = [(Q, b, source, row)
+                       for (Q, b, source), row in zip(operator_set._plan, rows)]
+
+    def images(self, x: np.ndarray) -> np.ndarray:  # x: a finite vector, unchecked
+        """The images of x, in the run's array."""
+        sources = self._sources
+        sources[0] = x
+        for Q, b, source, row in self._steps:
             if Q is None:
                 row[...] = sources[source]
             else:
-                np.dot(Q, sources[source], out=row)
+                np.dot(Q, sources[source], row)
                 if b is not None:
                     row += b
-        return out
+        return self._out
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _center(self.images(x))
 
 
 def _letters(word: tuple, count: int) -> tuple:
@@ -387,6 +436,16 @@ def _layout(words: tuple, count: int) -> tuple:
 def _require_word_limit(count: int) -> None:
     """Raise unless a family of ``count`` words is within WORD_LIMIT."""
     if count > WORD_LIMIT:
+        raise ValueError(f"{count} words exceed the limit of {WORD_LIMIT} words")
+
+
+def _require_subset_limit(reflectors: int) -> None:
+    """Raise unless the 2^reflectors index subsets that :func:`build_psi`
+    enumerates are within WORD_LIMIT. The exponent is compared, 2^g <=
+    WORD_LIMIT exactly when g < WORD_LIMIT.bit_length(), so a long list forms
+    no large power; a count past 64 bits is written as a power of two."""
+    if reflectors > WORD_LIMIT.bit_length() - 1:
+        count = 2 ** reflectors if reflectors < 64 else f"2^{reflectors}"
         raise ValueError(f"{count} words exceed the limit of {WORD_LIMIT} words")
 
 
@@ -441,7 +500,7 @@ def build_psi(reflectors: Sequence[AffineIsometry],
     would fit.
     """
     generators = tuple(reflectors)
-    _require_word_limit(2 ** len(generators))
+    _require_subset_limit(len(generators))
     for op in generators:
         if not isinstance(op, AffineIsometry) or not op.is_linear() or not _is_self_adjoint(op):
             raise ValueError("inputs must be reflectors of linear subspaces: linear "

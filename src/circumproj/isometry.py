@@ -9,6 +9,7 @@ keeping the types apart keeps the isometry invariant meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Sequence, TypeVar, Union
 
@@ -265,9 +266,11 @@ def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     image = A @ x
     direction = x - image
-    if _norm(direction) <= _ACCEL_STATIONARY_FLOOR * (1.0 + _norm(x)):
+    # ||x - Tx||^2 once, for the floor test and for t
+    direction_sq = float(direction @ direction)
+    if math.sqrt(direction_sq) <= _ACCEL_STATIONARY_FLOOR * (1.0 + _norm(x)):
         return x.copy()
-    t = float(x @ direction) / float(direction @ direction)
+    t = float(x @ direction) / direction_sq
     return t * image + (1.0 - t) * x
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .circumcenter import OperatorSet, _center
+from .circumcenter import OperatorSet, _Stepper
 from .isometry import (
     AffineIsometry,
     AffineMap,
@@ -143,11 +143,11 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
 
 
 def run_cim(operator_set: OperatorSet, x0, config: MethodConfig) -> IterationTrace:
-    """Iterate the circumcenter map of the family."""
+    """Iterate the circumcenter map of the family, with one stepper, and so
+    one image array, for the run."""
     x0 = as_vector(x0)
     target = operator_set.common_fixed.project(x0)
-    return _drive(config.method, lambda x: _center(operator_set._images(x)),
-                  x0, config, target)
+    return _drive(config.method, _Stepper(operator_set, x0.shape[0]), x0, config, target)
 
 
 def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
@@ -165,10 +165,17 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
     if fixed is None:
         raise ValueError("subspaces have empty intersection")
     target = fixed.project(x0)
+    # Each projection is AffineSubspace._project's formula on the subspace's
+    # arrays. x - (+0.0) is x bit for bit, so an anchor whose entries are all
+    # +0.0 is not subtracted; a -0.0 entry would turn a -0.0 of x into +0.0,
+    # so such an anchor is.
+    steps = [(s.anchor, s.basis, s.basis.T,
+              s.anchor if s.anchor.any() or np.signbit(s.anchor).any() else None)
+             for s in subspaces]
 
     def sweep(x: np.ndarray) -> np.ndarray:
-        for s in subspaces:
-            x = s._project(x)
+        for anchor, basis, basis_t, shift in steps:
+            x = anchor + basis_t @ (basis @ (x if shift is None else x - shift))
         return x
 
     return _drive(config.method, sweep, x0, config, target)

@@ -470,6 +470,10 @@ _GOLDEN_ERRORS = {
     "method_psi_word_limit": ([(("instances",), _random(num_subspaces=8))],
                               "config.methods[5]: operator_set 'psi' over 15 reflectors: 32768 "
                               "words exceed the limit of 8192 words"),
+    "method_psi_word_limit_long": ([(("instances",), _random(num_subspaces=10000)),
+                                    (("methods", 1, "symmetrized"), True)],
+                                   "config.methods[1]: operator_set 'psi' over 19999 reflectors: "
+                                   "2^19999 words exceed the limit of 8192 words"),
     "method_labels_repeat": ([(("methods", 4, "label"), "00_map")],
                              "config.methods[4].label: labels must be unique, '00_map' is also "
                              "the label of methods[0]"),

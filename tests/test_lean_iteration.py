@@ -29,16 +29,20 @@ from circumproj import (
     run_cim,
     run_linear,
     run_map,
+    symmetric_map_operator,
 )
 from circumproj.methods import _drive
-from circumproj.numerics import _norm
+from circumproj.numerics import RANK_TOL, _norm
 from helpers import (
     one_method_report,
     random_family,
     reference_audit_rows,
+    reference_circumcenter,
+    reference_distinct,
     reference_rate_csv,
     reference_trace_csv,
     reflectors_of,
+    unit_vector,
     written_artifacts,
     written_record,
 )
@@ -135,22 +139,124 @@ def _iterate_long_families(seed: int):
     }
 
 
+def _assert_the_run_is_the_chain_of_circumcenters(family, x0, steps: int) -> int:
+    """run_cim equals the chain of ``circumcenter(images)``, and each step
+    the reference solve of ``helpers``, bit for bit; returns how many steps
+    cut the rank of their offsets below their row count."""
+    x = x0
+    chain = [x0]
+    cut = 0
+    for _ in range(steps):
+        images = family.images(x)
+        center = circumcenter(images).center
+        step = circumcenter_map(family, x)
+        assert _bits(step) == _bits(center) == _bits(reference_circumcenter(images).center)
+        kept = reference_distinct(images)[0]
+        offsets = images[kept[1:]] - images[kept[0]]
+        if offsets.shape[0]:
+            s = np.linalg.svd(offsets, compute_uv=False)
+            cut += int(np.count_nonzero(s > s[0] * RANK_TOL) < s.shape[0])
+        chain.append(step)
+        x = step
+    trace = run_cim(family, x0, MethodConfig("cim", max_iters=steps))
+    assert _bits(trace.iterates) == _bits(np.array(chain))
+    return cut
+
+
 @pytest.mark.parametrize("name", ["psi", "identity_plus_reflectors",
                                   "identity_plus_prefix_products"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_the_step_returns_the_circumcenter_bit_for_bit(name, seed):
     x0, families = _iterate_long_families(seed)
-    family = families[name]
-    x = x0
-    chain = [x0]
-    for _ in range(50):
-        center = circumcenter(family.images(x)).center
-        step = circumcenter_map(family, x)
-        assert _bits(step) == _bits(center)
-        chain.append(step)
-        x = step
-    trace = run_cim(family, x0, MethodConfig("cim", max_iters=50))
-    assert _bits(trace.iterates) == _bits(np.array(chain))
+    _assert_the_run_is_the_chain_of_circumcenters(families[name], x0, 50)
+
+
+@pytest.mark.parametrize("seed", [8140, 8663, 11284, 13180, 19294, 26415])
+def test_rank_deficient_steps_keep_the_order_of_the_solve(seed):
+    """The stall seeds of ``test_methods.py``: psi families in R^5 whose
+    offsets lose rank, so the solve slices its SVD factors before
+    ``u.T @ half`` and ``vt.T @ coords``. The run, the step and the
+    reference agree bit for bit on the eight steps of the stall test."""
+    rng = np.random.default_rng(seed)
+    family = build_psi(reflectors_of(random_family(rng, 5, int(rng.integers(2, 4)), 1, 4)))
+    x0 = 2.0 * unit_vector(rng, 5)
+    assert _assert_the_run_is_the_chain_of_circumcenters(family, x0, 8) > 0
+
+
+# the stepper: one image array per run, never returned, never shared
+
+
+def _one_line_family():
+    """Id and the reflectors of two planes in R^4 that meet in a line, and
+    a start on that line and one off it."""
+    rng = np.random.default_rng(17)
+    line = unit_vector(rng, 4)
+    planes = [AffineSubspace.linear([line, unit_vector(rng, 4)]) for _ in range(2)]
+    reflectors = reflectors_of(planes)
+    family = OperatorSet(reflectors, [(), (0,), (1,), (0, 1)])
+    return family, 1.5 * line, unit_vector(rng, 4)
+
+
+def test_no_iterate_shares_memory_with_the_image_array(monkeypatch):
+    """A start on the common line has one distinct image, the start itself,
+    so the step returns a copy of an image row; the run then goes on from
+    there. No step returns the run's image array or a view of it, and no
+    iterate changes when later steps refill it."""
+    family, on_line, off_line = _one_line_family()
+    module = importlib.import_module("circumproj.circumcenter")
+    arrays, centers = [], []
+    images, center = module._Stepper.images, module._center
+    monkeypatch.setattr(module._Stepper, "images",
+                        lambda self, x: arrays.append(images(self, x)) or arrays[-1])
+    monkeypatch.setattr(module, "_center",
+                        lambda points: centers.append(center(points)) or centers[-1])
+    for x0 in (on_line, off_line):
+        arrays.clear()
+        centers.clear()
+        trace = run_cim(family, x0, MethodConfig("cim", max_iters=6))
+        assert len(centers) == 6
+        assert len({id(array) for array in arrays}) == 1
+        for k, x in enumerate(centers, start=1):
+            assert not np.shares_memory(x, arrays[0])
+            assert _bits(x) == _bits(trace.iterates[k])
+    assert _bits(trace.iterates[0]) == _bits(off_line)
+    on_trace = run_cim(family, on_line, MethodConfig("cim", max_iters=6))
+    assert np.all(on_trace.iterates == on_line)
+
+
+def test_runs_interleaved_on_one_family_equal_sequential_runs():
+    x0, families = _iterate_long_families(3)
+    family = families["psi"]
+    other = 0.5 * x0[::-1].copy()
+    module = importlib.import_module("circumproj.circumcenter")
+    first, second = module._Stepper(family, 30), module._Stepper(family, 30)
+    xs, ys = [x0], [other]
+    for _ in range(25):
+        xs.append(first(xs[-1]))
+        ys.append(second(ys[-1]))
+    config = MethodConfig("cim", max_iters=25)
+    assert _bits(np.array(xs)) == _bits(run_cim(family, x0, config).iterates)
+    assert _bits(np.array(ys)) == _bits(run_cim(family, other, config).iterates)
+
+
+def test_the_stepper_looks_up_the_solve_and_the_diameter_at_each_step():
+    """Spies set after a run's stepper is built still see its calls: the
+    stepper binds neither name when the run starts."""
+    x0, families = _iterate_long_families(4)
+    module = importlib.import_module("circumproj.circumcenter")
+    step = module._Stepper(families["identity_plus_reflectors"], 30)
+    x = step(x0)
+    calls = []
+    solve, diameter = module._solve, module._diameter
+    with pytest.MonkeyPatch.context() as patch:
+        # every spread exceeds a zero tolerance, so each step takes the diameter
+        patch.setattr(module, "CONSISTENCY_TOL", 0.0)
+        patch.setattr(module, "_solve", lambda points: calls.append("solve") or solve(points))
+        patch.setattr(module, "_diameter",
+                      lambda points: calls.append("diameter") or diameter(points))
+        with pytest.raises(NumericalPropernessError):
+            step(x)
+    assert calls == ["solve", "diameter"]
 
 
 @pytest.mark.parametrize("name", ["psi", "identity_plus_reflectors",
@@ -201,6 +307,69 @@ def test_images_that_overflow_fail_as_in_circumcenter(words):
         circumcenter(family.images(x0))
     with pytest.raises(ValueError, match="point entries must be finite"):
         run_cim(family, x0, MethodConfig("cim", max_iters=3, stop_tol=1e-11))
+
+
+# the linear sweeps: the projection and acceleration formulas, bit for bit
+
+
+def _signed_zero_starts(rng, dim: int) -> list:
+    """Starts with exact +0.0 and -0.0 entries, one of them all -0.0."""
+    start = rng.standard_normal(dim)
+    start[::3] = 0.0
+    start[1::3] = -0.0
+    return [start, np.full(dim, -0.0), -start]
+
+
+def test_the_map_sweep_equals_a_loop_of_project():
+    """Linear subspaces anchored at +0.0, at -0.0 entries and off the
+    origin: each sweep is the projections in order, as ``project`` forms
+    them, bit for bit, zero signs included."""
+    rng = np.random.default_rng(23)
+    linear = random_family(rng, 6, 3, 1, 5)
+    signed = AffineSubspace(np.array([-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]), linear[1].basis)
+    shifted = AffineSubspace.from_span(rng.standard_normal(6), linear[2].basis)
+    for subspaces in (linear, [linear[0], signed, linear[2]], [signed, shifted, signed],
+                      [AffineSubspace.point(np.zeros(6)), linear[0]]):
+        fixed = intersect(subspaces).subspace
+        if fixed is None:
+            continue
+        for x0 in _signed_zero_starts(rng, 6):
+            trace = run_map(subspaces, x0, MethodConfig("map", max_iters=12), fixed)
+            chain = [x0]
+            for _ in range(12):
+                x = chain[-1]
+                for s in subspaces:
+                    x = s.project(x)
+                chain.append(x)
+            assert _bits(trace.iterates) == _bits(np.array(chain))
+
+
+def _accelerated_reference(A, x):
+    """The line-search acceleration step, formula by formula."""
+    image = A @ x
+    direction = x - image
+    if np.linalg.norm(direction) <= 1e-13 * (1.0 + np.linalg.norm(x)):
+        return x.copy()
+    t = float(x @ direction) / float(direction @ direction)
+    return t * image + (1.0 - t) * x
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_accelerated_step_equals_its_formula(seed):
+    """The symmetric MAP operator of three subspaces, from a generic start,
+    from signed zeros and from a start in the intersection, where the step
+    stops at the floor."""
+    rng = np.random.default_rng(seed)
+    subspaces = random_family(rng, 7, 3, 3, 6)
+    fixed = intersect(subspaces).subspace
+    op = symmetric_map_operator(subspaces)
+    starts = _signed_zero_starts(rng, 7) + [fixed.project(rng.standard_normal(7))]
+    for x0 in starts:
+        trace = run_linear(op, x0, MethodConfig("accel_map", max_iters=30), fixed)
+        chain = [x0]
+        for _ in range(30):
+            chain.append(_accelerated_reference(op.A, chain[-1]))
+        assert _bits(trace.iterates) == _bits(np.array(chain))
 
 
 # the writers: the bytes of the row-by-row writers
