@@ -17,10 +17,11 @@ checkouts digest the same operations:
 
 With ``--expect FILE`` the runs are those FILE records, each digest is
 compared with the recorded one, and the exit status is 1 when one
-differs. Digests depend on the numpy version, the BLAS build that numpy
-links and the BLAS thread count, so FILE records those too; where one of
-them differs here, the script prints "not comparable" and the reason,
-runs nothing and exits 0:
+differs. Digests depend on the numpy version and the SIMD extensions it
+found on the CPU, on the BLAS build that numpy links, the kernel set that
+BLAS chose for the CPU at run time and its thread count, so FILE records
+those too; where one of them differs here, the script prints "not
+comparable" and the reason, runs nothing and exits 0:
 
     OPENBLAS_NUM_THREADS=2 python3 scripts/artifact_digest.py --expect tests/golden/digests.json
 
@@ -29,6 +30,7 @@ file's environment and copy them into the file.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -74,14 +76,44 @@ def workload_digests(name: str, seed: int = 4242, ops: int = 3) -> list:
             for index in range(ops)]
 
 
+def _blas_core() -> str:
+    """The kernel set that the OpenBLAS loaded with numpy chose for this CPU
+    at run time, as its get_corename reports it; "unknown" where no loaded
+    OpenBLAS reports one. A DYNAMIC_ARCH build names only its build target
+    in its configuration string, not the kernels it runs."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return "unknown"
+    fields = (line.split(None, 5) for line in maps.splitlines())
+    libraries = sorted({f[5] for f in fields
+                        if len(f) == 6 and "openblas" in Path(f[5]).name.lower()})
+    for library in libraries:
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                corename = getattr(handle, f"{prefix}openblas_get_corename{suffix}", None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
-    """What the digests depend on besides the source: the numpy version, the
-    BLAS build that numpy links, and OPENBLAS_NUM_THREADS, "unset" when it
-    is not set."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What the digests depend on besides the source: the numpy version and
+    the SIMD extensions it found on this CPU, the BLAS build that numpy
+    links, the kernel set that BLAS chose for this CPU, and
+    OPENBLAS_NUM_THREADS, "unset" when it is not set."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     build = " ".join(str(blas.get(key, "")) for key in ("name", "version",
                                                         "openblas configuration"))
-    return {"numpy": np.__version__, "blas": build.strip(),
+    return {"numpy": np.__version__,
+            "numpy_simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
+            "blas": build.strip(), "blas_core": _blas_core(),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
 
 

@@ -78,13 +78,14 @@ class CircumcenterResult:
     equidistance_residual: float
 
 
-def _merge(points: np.ndarray) -> tuple:
-    """(kept, M): the greedy first-occurrence representatives at EQ_TOL, from
-    one sort, and M, the largest norm of the points. ``kept`` is None when
-    no point merges into another, else the kept row indices in order.
+def _merge(points: np.ndarray) -> Optional[list]:
+    """The greedy first-occurrence representatives at EQ_TOL, from one sort:
+    None when no point merges into another, else the kept row indices in
+    order.
 
     Point i is dropped when it lies within the threshold t = EQ_TOL * (1 +
-    M) of an earlier kept point, by the distance that ``_norm`` measures.
+    M) of an earlier kept point, M the largest norm of the points, by the
+    distance that ``_norm`` measures.
     The points are projected onto the fixed unit vector ``_direction(n)``
     and sorted, and only pairs joined by a chain of projected gaps within
     the window t + 4 (n + 2) eps (t + M) are measured; each such run is
@@ -108,11 +109,11 @@ def _merge(points: np.ndarray) -> tuple:
     """
     count, dim = points.shape
     largest_sq = float(np.maximum.reduce(np.einsum("ij,ij->i", points, points)))
-    largest = math.sqrt(largest_sq)
     if not math.isfinite(4.0 * largest_sq):
         if not np.isfinite(points).all():
             raise ValueError("point entries must be finite")
-        return None, largest
+        return None
+    largest = math.sqrt(largest_sq)
     threshold = EQ_TOL * (1.0 + largest)
     window = threshold + 4.0 * (dim + 2) * _EPS * (threshold + largest)
     proj = points @ _direction(dim)
@@ -122,7 +123,7 @@ def _merge(points: np.ndarray) -> tuple:
     ordered = proj.take(order)
     near = (ordered[1:] - ordered[:-1] <= window).nonzero()[0].tolist()
     if not near:
-        return None, largest
+        return None
     # each run of near gaps p, p + 1, .. joins sorted positions start..stop
     runs = []
     for gap in near:
@@ -148,19 +149,13 @@ def _merge(points: np.ndarray) -> tuple:
             dropped.update(later[~far].tolist())
             members = later[far]
     if not dropped:
-        return None, largest
-    return [i for i in range(count) if i not in dropped], largest
-
-
-def _distinct(points: np.ndarray) -> np.ndarray:
-    """The row indices that :func:`_merge` keeps, all of them when none merge."""
-    kept, _ = _merge(points)
-    return np.arange(points.shape[0]) if kept is None else np.array(kept)
+        return None
+    return [i for i in range(count) if i not in dropped]
 
 
 @lru_cache(maxsize=64)
 def _direction(dim: int) -> np.ndarray:
-    """The unit vector that :func:`_distinct` projects R^dim onto: drawn
+    """The unit vector that :func:`_merge` projects R^dim onto: drawn
     from a generator seeded by a constant and ``dim`` alone, never by a
     hash, so it is the same in every process and run."""
     raw = np.random.default_rng((0xC1C, dim)).standard_normal(dim)
@@ -226,7 +221,7 @@ def _solve(pts: np.ndarray) -> tuple:
     merge raises ValueError on a non-finite point, so finite points pass
     without a test of their own. The candidate never shares memory with
     ``pts``, which may be a buffer that the next step refills."""
-    kept, largest = _merge(pts)
+    kept = _merge(pts)
     # the merge keeps the first point always
     p0 = pts[0]
     others = pts[1:] if kept is None else pts.take(kept[1:], 0)
@@ -235,9 +230,8 @@ def _solve(pts: np.ndarray) -> tuple:
     offsets = others - p0
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
     u, s, vt = np.linalg.svd(offsets, full_matrices=False)
-    # the rank cut; M = largest is at hand for a cut relative to the data.
-    # The singular values come in descending order, so when the last one
-    # passes the cut they all do, and nothing is sliced.
+    # the rank cut. The singular values come in descending order, so when
+    # the last one passes the cut they all do, and nothing is sliced.
     cut = s[0] * RANK_TOL
     if not s[-1] > cut:
         rank = np.count_nonzero(s > cut)

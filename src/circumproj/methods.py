@@ -165,17 +165,10 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
     if fixed is None:
         raise ValueError("subspaces have empty intersection")
     target = fixed.project(x0)
-    # Each projection is AffineSubspace._project's formula on the subspace's
-    # arrays. x - (+0.0) is x bit for bit, so an anchor whose entries are all
-    # +0.0 is not subtracted; a -0.0 entry would turn a -0.0 of x into +0.0,
-    # so such an anchor is.
-    steps = [(s.anchor, s.basis, s.basis.T,
-              s.anchor if s.anchor.any() or np.signbit(s.anchor).any() else None)
-             for s in subspaces]
 
     def sweep(x: np.ndarray) -> np.ndarray:
-        for anchor, basis, basis_t, shift in steps:
-            x = anchor + basis_t @ (basis @ (x if shift is None else x - shift))
+        for s in subspaces:
+            x = s._project(x)
         return x
 
     return _drive(config.method, sweep, x0, config, target)

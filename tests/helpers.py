@@ -25,6 +25,7 @@ from circumproj import (
     make_reflector,
     spectral_norm,
 )
+from circumproj.circumcenter import _merge
 from circumproj.numerics import _norm
 from oracles import merge_threshold
 
@@ -99,6 +100,13 @@ def dense_product(ops, word):
 # The circumcenter step as the library wrote it with numpy's generic
 # wrappers: one temporary or wrapper call per formula. The library's step
 # must reproduce these bit for bit, so keep them as they are.
+
+def merged_rows(points: np.ndarray) -> list:
+    """The row indices that the circumcenter step's merge keeps: its list,
+    or every row when it returns None because no point merges."""
+    kept = _merge(points)
+    return list(range(points.shape[0])) if kept is None else kept
+
 
 def reference_distinct(points: np.ndarray) -> tuple:
     """Greedy first-occurrence representatives within the merge threshold,

@@ -22,9 +22,10 @@ from circumproj import (
     intersect,
     make_reflector,
 )
-from circumproj.circumcenter import _diameter, _distinct
+from circumproj.circumcenter import _diameter
 from circumproj.isometry import _is_self_adjoint
 from helpers import (
+    merged_rows,
     random_family,
     reference_images,
     reflectors_of,
@@ -259,7 +260,7 @@ def test_dedup_keeps_the_oracle_representatives(seed, exponent):
         factor = 0.5 if rng.integers(2) else 2.0
         points.append(source + factor * threshold * unit_vector(rng, dim))
     points = np.array(points)[rng.permutation(len(points))]
-    assert list(_distinct(points)) == oracle_dedup(points)
+    assert merged_rows(points) == oracle_dedup(points)
     exact = math.sqrt(max(sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q))
                           for p in points for q in points))
     assert abs(_diameter(points) - exact) <= 1e-12 * exact

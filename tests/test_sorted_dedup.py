@@ -1,6 +1,6 @@
 """The circumcenter step's dedup finds its near pairs by one sort.
 
-``_distinct`` projects the points onto a fixed unit vector, sorts the
+``_merge`` projects the points onto a fixed unit vector, sorts the
 projections and measures only pairs whose projected gaps chain within a
 window a little wider than the dedup threshold. The window must be wide
 enough for every pair within the threshold, the direction must decide only
@@ -23,8 +23,14 @@ from circumproj import (
     generate_instance,
     run_cim,
 )
-from circumproj.circumcenter import _direction, _distinct
-from helpers import random_family, reference_distinct, reflectors_of, unit_vector
+from circumproj.circumcenter import _direction
+from helpers import (
+    merged_rows,
+    random_family,
+    reference_distinct,
+    reflectors_of,
+    unit_vector,
+)
 from oracles import merge_threshold
 
 module = importlib.import_module("circumproj.circumcenter")
@@ -50,7 +56,7 @@ def test_pairs_planted_along_the_sort_direction_match_the_reference(exponent):
     for dim in range(1, 61):
         points = _planted(rng, dim, 10.0 ** exponent, _direction(dim),
                           (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9, 0.5, 2.0))
-        kept = _distinct(points)
+        kept = merged_rows(points)
         assert list(kept) == list(reference_distinct(points)[0]), dim
 
 
@@ -76,10 +82,10 @@ def test_the_kept_points_do_not_depend_on_the_sort_direction(seed, dim, exponent
     factors = rng.choice([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0], size=int(rng.integers(0, 10)))
     points = _planted(rng, dim, 10.0 ** exponent,
                       direction if along else _direction(dim), factors)
-    kept = _distinct(points)
+    kept = merged_rows(points)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_direction", lambda n: direction)
-        turned = _distinct(points)
+        turned = merged_rows(points)
     assert list(turned) == list(kept) == list(reference_distinct(points)[0])
 
 

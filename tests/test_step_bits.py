@@ -4,7 +4,7 @@
 numpy's generic wrappers and repeated temporaries, but they must do the same
 floating-point operations in the same order as the reference formulas in
 ``helpers``, so every bit of every result, and every artifact byte, holds.
-``_distinct`` finds its near pairs by a sort, not the reference's Gram
+The merge finds its near pairs by a sort, not the reference's Gram
 matrix, and must keep the same points; the acceptance test measures the
 diameter directly, and must decide as the reference's Gram diameter does.
 """
@@ -24,8 +24,9 @@ from circumproj import (
     make_reflector,
     run_cim,
 )
-from circumproj.circumcenter import _center, _distinct
+from circumproj.circumcenter import _center, _merge
 from helpers import (
+    merged_rows,
     random_family,
     random_linear_subspace,
     reflectors_of,
@@ -84,14 +85,14 @@ def test_circumcenter_matches_the_reference_bit_for_bit(seed, count, exponent, s
 
 
 def _assert_dedup_matches_the_reference(points: np.ndarray) -> np.ndarray:
-    """``_distinct`` keeps the reference's points; returns the kept indices."""
-    kept = _distinct(points)
+    """The merge keeps the reference's points; returns the kept indices."""
+    kept = merged_rows(points)
     assert list(kept) == list(reference_distinct(points)[0])
     return kept
 
 
 def _assert_step_matches_the_reference(points: np.ndarray) -> np.ndarray:
-    """``_distinct`` and ``circumcenter`` against the reference, bit for
+    """The merge and ``circumcenter`` against the reference, bit for
     bit; returns the kept indices."""
     kept = _assert_dedup_matches_the_reference(points)
     result = circumcenter(points)
@@ -181,12 +182,12 @@ def test_overflowing_squared_norms_keep_every_point(points, error):
     too."""
     points = np.array(points)
     if error is not None:
-        for solve in (_distinct, circumcenter, _center):
+        for solve in (_merge, circumcenter, _center):
             with pytest.raises(error, match="point entries must be finite"):
                 solve(points)
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        kept = _distinct(points)
+        kept = merged_rows(points)
         result = circumcenter(points)
         with pytest.raises(NumericalPropernessError):
             _center(points)
