@@ -150,13 +150,13 @@ def main(argv=None) -> int:
                         help="artifact format of the CONFIG runs, csv when absent")
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
                         help="digest benchmark operations of this workload instead")
-    parser.add_argument("--seed", type=int, default=4242)
-    parser.add_argument("--ops", type=int, default=3, help="operations 0..OPS-1")
+    parser.add_argument("--seed", type=int, help="seed of the workload, 4242 when absent")
+    parser.add_argument("--ops", type=int, help="operations 0..OPS-1, 3 when absent")
     parser.add_argument("--expect", metavar="FILE",
                         help="compare with the digests and environment recorded in FILE")
     args = parser.parse_args(argv)
     if args.expect:
-        if args.configs or args.workload or args.format:
+        if args.configs or args.workload or args.format or (args.seed, args.ops) != (None, None):
             parser.error("--expect takes its runs from FILE")
         return expect(args.expect)
     if bool(args.configs) == bool(args.workload):
@@ -164,9 +164,13 @@ def main(argv=None) -> int:
     if args.workload:
         if args.format:
             parser.error("--format applies to CONFIG files; a workload has its own format")
-        for index, digest in enumerate(workload_digests(args.workload, args.seed, args.ops)):
-            print(f"{digest}  {args.workload} seed {args.seed} op {index}")
+        seed = 4242 if args.seed is None else args.seed
+        ops = 3 if args.ops is None else args.ops
+        for index, digest in enumerate(workload_digests(args.workload, seed, ops)):
+            print(f"{digest}  {args.workload} seed {seed} op {index}")
         return 0
+    if (args.seed, args.ops) != (None, None):
+        parser.error("--seed and --ops apply to --workload")
     for config_path in args.configs:
         print(f"{artifact_digest(config_path, args.format or 'csv')}  {config_path}")
     return 0

@@ -6,7 +6,8 @@ and prints one row per method with the median iteration count to reach an
 error of 1e-10 and the worst bound slack seen in the batch, each read from
 the per-method record that report.json holds. A negative
 slack means an observed error exceeded its theoretical bound, which the
-exit code then reports as 1.
+exit code then reports as 1. Arguments that make no valid config, such as
+one subspace for the two that ``dr`` needs, exit 2 with the config error.
 
     python3 scripts/compare_methods.py --count 12 --dim 10 --seed 3
 """
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from circumproj import parse_config, run_experiment
+from circumproj import ConfigError, parse_config, run_experiment
 from circumproj.bench import _method_record
 
 
@@ -58,7 +59,11 @@ def main(argv=None) -> int:
                         help="artifact directory (default: write nothing)")
     args = parser.parse_args(argv)
 
-    config = parse_config(build_config(args), source="compare")
+    try:
+        config = parse_config(build_config(args), source="compare")
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     report = run_experiment(config, out_dir=args.out)
 
     rows = {}

@@ -86,7 +86,7 @@ class X0Spec:
 @dataclass(frozen=True)
 class InstanceItem:
     label: str
-    subspace_literals: tuple
+    subspaces: tuple  # the AffineSubspaces of its literals
     x0: Optional[X0Spec] = None
     product_fixed_line: Optional[tuple] = None
 
@@ -107,7 +107,7 @@ class MethodSpec:
     symmetrized: bool = False
     prefix: str = "none"
     builder: str = "sum"
-    operators: Optional[tuple] = None
+    family: Optional[OperatorSet] = None  # a custom set's, shared by every instance
     max_iters: Optional[int] = None
 
 
@@ -292,10 +292,10 @@ def _operator(obj, path: str, ambient_dim: int) -> AffineIsometry:
     return _built(path, AffineIsometry, matrix, offset)
 
 
-def _custom_family(literals: tuple, path: str, ambient_dim: int) -> OperatorSet:
-    """The family of a custom set's operator literals. A literal that is no
-    isometry of R^ambient_dim, or a family with no common fixed point, is a
-    config error at ``path``, found when the config is parsed."""
+def _custom_family(literals: list, path: str, ambient_dim: int) -> OperatorSet:
+    """The family of a custom set's operator literals, built once, when the
+    config is parsed. A literal that is no isometry of R^ambient_dim, or a
+    family with no common fixed point, is a config error at ``path``."""
     return _built(path, OperatorSet, [_operator(literal, f"{path}[{j}]", ambient_dim)
                                       for j, literal in enumerate(literals)])
 
@@ -327,10 +327,8 @@ def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
             f"{path}.prefix: 'sym_map_product' requires method 'cim' with "
             "operator_set 'psi' and symmetrized true"
         )
-    operators = None
-    if variant == "custom":
-        operators = tuple(_nonempty_list(mapping, "operators", path))
-        _custom_family(operators, f"{path}.operators", ambient_dim)
+    family = (_custom_family(_nonempty_list(mapping, "operators", path), f"{path}.operators",
+                             ambient_dim) if variant == "custom" else None)
     label = mapping.get("label")
     label = (_default_label(index, method, variant, symmetrized, prefix) if label is None
              else _file_label(label, f"{path}.label"))
@@ -338,7 +336,7 @@ def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
     if max_iters is not None:
         max_iters = _as_int(max_iters, f"{path}.max_iters", _NONNEGATIVE)
     return MethodSpec(method=method, label=label, symmetrized=symmetrized, prefix=prefix,
-                      operators=operators, max_iters=max_iters, **chosen)
+                      family=family, max_iters=max_iters, **chosen)
 
 
 def parse_config(obj, source: str = "config") -> ExperimentConfig:
@@ -346,7 +344,8 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
 
     Raises :class:`ConfigError` with the offending key path on any problem.
     Subspace and operator literals are read by the helpers that read every
-    other key, and built once to check them; the config keeps them raw.
+    other key, and each is built once, here: the config holds the subspaces
+    and custom families it built, and every run shares them.
     """
     root = _expect_mapping(obj, source, ("name", "ambient_dim", "seed", "max_iters", "stop_tol",
                                          "x0", "instances", "methods", "out_dir"))
@@ -372,9 +371,9 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
             path = f"{source}.instances.items[{i}]"
             mapping = _expect_mapping(raw, path, ("label", "subspaces", "x0", "product_fixed_line"))
             label = _file_label(mapping.get("label", f"instance_{i:02d}"), f"{path}.label")
-            subs = _nonempty_list(mapping, "subspaces", path)
-            for j, literal in enumerate(subs):
-                _subspace(literal, f"{path}.subspaces[{j}]", ambient_dim)
+            literals = _nonempty_list(mapping, "subspaces", path)
+            subspaces = tuple(_subspace(literal, f"{path}.subspaces[{j}]", ambient_dim)
+                              for j, literal in enumerate(literals))
             item_x0 = (_parse_x0(mapping["x0"], f"{path}.x0", ambient_dim)
                        if "x0" in mapping else None)
             fixed_line = mapping.get("product_fixed_line")
@@ -383,7 +382,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
                 fixed_line = _vector(fixed_line, line_path, ambient_dim)
                 if not any(fixed_line):
                     raise ConfigError(f"{line_path}: must be a nonzero direction")
-            items.append(InstanceItem(label=label, subspace_literals=tuple(subs),
+            items.append(InstanceItem(label=label, subspaces=subspaces,
                                       x0=item_x0, product_fixed_line=fixed_line))
         if len({item.label for item in items}) != len(items):
             raise ConfigError(f"{source}.instances.items: labels must be unique")
@@ -409,7 +408,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     methods = tuple(_parse_method(m, i, ambient_dim, source)
                     for i, m in enumerate(_nonempty_list(root, "methods", source)))
     counts = ((instances.num_subspaces,) if isinstance(instances, RandomInstances)
-              else tuple(len(item.subspace_literals) for item in instances))
+              else tuple(len(item.subspaces) for item in instances))
     for i, spec in enumerate(methods):
         if spec.method == "dr" and min(counts) < 2:
             raise ConfigError(f"{source}.methods[{i}]: method 'dr' needs at least two "
@@ -427,6 +426,8 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
     out_dir = root.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"{source}.out_dir: expected a string")
+    if out_dir == "":
+        raise ConfigError(f"{source}.out_dir: must be nonempty")
 
     return ExperimentConfig(name=name, ambient_dim=ambient_dim, seed=seed,
                             max_iters=max_iters, stop_tol=stop_tol, x0=x0,
@@ -528,7 +529,7 @@ class _Instance:
     ill-conditioned at small angles theta: the smallest singular values of
     A - I are of order theta^2."""
 
-    subspaces: list
+    subspaces: Sequence
     x0: np.ndarray
     inter: Intersection
     _reflectors: dict = field(default_factory=dict, init=False, repr=False)
@@ -648,8 +649,7 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
 
 
 def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    return _MethodPlan(None, lambda config: run_cim(
-        _custom_family(spec.operators, "operators", len(ctx.x0)), ctx.x0, config))
+    return _MethodPlan(None, lambda config: run_cim(spec.family, ctx.x0, config))
 
 
 # The key of a methods entry that names the variant of its method tag.
@@ -743,10 +743,8 @@ def _resolve_instances(config: ExperimentConfig):
             resolved.append((f"random_{i:03d}", subspaces, x0, inter, None))
         return resolved
     for i, item in enumerate(spec):
-        subspaces = [_subspace(literal, "subspaces", config.ambient_dim)
-                     for literal in item.subspace_literals]
         x0 = _resolve_x0(item.x0 or config.x0, config.ambient_dim, i)
-        resolved.append((item.label, subspaces, x0, intersect(subspaces),
+        resolved.append((item.label, item.subspaces, x0, intersect(item.subspaces),
                          item.product_fixed_line))
     return resolved
 

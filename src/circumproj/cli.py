@@ -75,6 +75,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
             updates["x0"] = dataclasses.replace(config.x0, seed=args.seed)
         if isinstance(config.instances, RandomInstances):
             updates["instances"] = dataclasses.replace(config.instances, seed=args.seed)
+    if args.out == "":
+        raise ConfigError("--out: must be nonempty")
     if getattr(args, "max_iters", None) is not None:
         if args.max_iters < 0:
             raise ConfigError("--max-iters: must be nonnegative")

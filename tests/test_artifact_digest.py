@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "artifact_digest.py"
 RECORDED = ROOT / "tests" / "golden" / "digests.json"
@@ -45,3 +47,20 @@ def test_a_differing_digest_fails_and_another_environment_is_not_comparable(tmp_
         assert script.main(["--expect", str(path)]) == 0
         assert capsys.readouterr().out == (
             f"not comparable: {key} is {script.environment()[key]!r} here, 'other' in {path}\n")
+
+
+def test_seed_and_ops_are_refused_where_the_runs_come_from_elsewhere(capsys):
+    """``--seed`` and ``--ops`` choose workload operations: with ``--expect``
+    the runs come from FILE, and a CONFIG run has its own seed, so either
+    flag there is a usage error, not a flag silently ignored."""
+    script = _script()
+    demo = str(ROOT / "configs" / "demo.json")
+    for argv, message in [(["--expect", str(RECORDED), "--seed", "5"], "--expect takes"),
+                          (["--expect", str(RECORDED), "--ops", "1"], "--expect takes"),
+                          ([demo, "--seed", "5"], "--seed and --ops apply to --workload"),
+                          ([demo, "--ops", "1"], "--seed and --ops apply to --workload")]:
+        with pytest.raises(SystemExit) as exited:
+            script.main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""

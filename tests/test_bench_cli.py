@@ -1,6 +1,7 @@
 """Config parsing, experiment harness, and command line behavior."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import math
@@ -483,6 +484,7 @@ _GOLDEN_ERRORS = {
                           "config.instances.items[1].label: artifact file stems must be "
                           "unique, 'a__b__c' is also a stem of instances.items[0]"),
     "out_dir_type": ([(("out_dir",), 3)], "config.out_dir: expected a string"),
+    "out_dir_empty": ([(("out_dir",), "")], "config.out_dir: must be nonempty"),
 }
 
 
@@ -507,8 +509,17 @@ def test_load_config_reports_json_position(tmp_path):
 
 
 def test_load_config_matches_parse_config(tmp_path):
+    """A file loads as its object parses: the same fields, subspaces with
+    the same anchor and basis bytes, and the same rates."""
     path = _write_demo(tmp_path)
-    assert load_config(path) == parse_config(demo_config())
+    loaded, parsed = load_config(path), parse_config(demo_config())
+    assert dataclasses.replace(loaded, instances=()) == dataclasses.replace(parsed, instances=())
+    assert len(loaded.instances) == len(parsed.instances) == 2
+    for item, want in zip(loaded.instances, parsed.instances):
+        assert dataclasses.replace(item, subspaces=()) == dataclasses.replace(want, subspaces=())
+        assert [(s.anchor.tobytes(), s.basis.tobytes()) for s in item.subspaces] == [
+            (s.anchor.tobytes(), s.basis.tobytes()) for s in want.subspaces]
+    assert compute_rates(loaded) == compute_rates(parsed)
 
 
 # instance generation
@@ -744,6 +755,22 @@ def test_compare_methods_reads_no_audit_rows_and_prints_the_exact_median(monkeyp
     assert printed["03_sym_map"] == "10.5"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--subspaces", "1"], "compare.methods[5]: method 'dr' needs at least two subspaces, "
+                           "an instance has 1"),
+    (["--count", "0"], "compare.instances.count: must be positive"),
+    (["--subspaces", "8"], "compare.methods[2]: operator_set 'psi' over 15 reflectors: 32768 "
+                           "words exceed the limit of 8192 words"),
+], ids=["dr_one_subspace", "no_instances", "psi_word_limit"])
+def test_compare_methods_reports_a_config_error_and_exits_two(capsys, argv, message):
+    """Arguments that make no valid config end as verify's config errors
+    do: one line on stderr, nothing on stdout, exit 2."""
+    assert _load_script("compare_methods").main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 # command line
 
 
@@ -785,6 +812,19 @@ def test_cli_verify_without_out_writes_the_config_out_dir_else_name_out(
     assert (work / written / "report.json").is_file()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "work"]
     assert [p.name for p in work.iterdir()] == [written.split("/")[0]]
+
+
+@pytest.mark.parametrize("verb", ["verify", "rates"])
+def test_cli_refuses_an_empty_out_and_writes_nothing(tmp_path, capsys, monkeypatch, verb):
+    """An empty --out names no directory or file: it is a config error, and
+    nothing is written into the working directory."""
+    path = _write_demo(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([verb, str(path), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --out: must be nonempty\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_cli_verify_prints_pass_lines(tmp_path, capsys):
@@ -1085,13 +1125,18 @@ def test_cli_finds_an_instance_error_at_load_and_names_the_file(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_custom_operators_keep_their_literals():
+def test_a_custom_family_is_loaded_from_its_literals():
+    """The config holds the family its literals make: one generator per
+    literal, each the isometry the literal spells."""
     obj = demo_config()
     rotation = {"kind": "orthogonal", "matrix": [[0.0, -1.0], [1.0, 0.0]]}
     obj["methods"] = [{"method": "cim", "operator_set": "custom", "operators": [rotation]}]
-    config = parse_config(obj)
-    assert config.methods[0].operators == (rotation,)
-    assert config == parse_config(obj)
+    family = parse_config(obj).methods[0].family
+    assert isinstance(family, circumproj.OperatorSet)
+    (generator,) = family.generators
+    assert np.array_equal(generator.Q, rotation["matrix"])
+    assert np.array_equal(generator.b, np.zeros(2))
+    assert family.common_fixed.dim == 0
 
 
 def test_cli_config_error_exits_two(tmp_path, capsys):
