@@ -9,9 +9,8 @@ byte-identical artifacts for it:
     python3 scripts/artifact_digest.py configs/demo.json --format json
 
 With ``--workload`` the runs are benchmark operations 0..OPS-1 of that
-perfbench workload at one seed, each in the workload's artifact format.
-Their configs come from this checkout's ``perfbench/workloads.py``, so two
-checkouts digest the same operations:
+perfbench workload at one seed, each in the workload's artifact format
+(see ``pinned.py``); OPS is at least 1:
 
     python3 scripts/artifact_digest.py --workload iterate-long --seed 4242 --ops 3
 
@@ -35,24 +34,19 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from circumproj import load_config, parse_config, run_experiment
+from circumproj import load_config
+from pinned import WORKLOADS, op_count, operation, written
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import workloads  # noqa: E402
 
 
 def _digest(config, fmt: str) -> str:
     """sha256 over the names and bytes of the artifacts of one run."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out_dir = Path(tmp)
-        run_experiment(config, out_dir=out_dir, fmt=fmt)
+    with written(config, fmt) as (_, out_dir):
         digest = hashlib.sha256()
         for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
             name = path.relative_to(out_dir).as_posix().encode()
@@ -69,11 +63,13 @@ def artifact_digest(config_path, fmt: str = "csv") -> str:
 
 
 def workload_digests(name: str, seed: int = 4242, ops: int = 3) -> list:
-    """The artifact digest of each benchmark operation 0..ops-1 of a
+    """``(label, digest)`` of each benchmark operation 0..ops-1 of a
     workload at one seed, in the workload's artifact format."""
-    workload = workloads.WORKLOADS[name]
-    return [_digest(parse_config(workloads.op_config(workload, seed, index)), workload.fmt)
-            for index in range(ops)]
+    digests = []
+    for index in range(ops):
+        label, config, fmt = operation(name, seed, index)
+        digests.append((label, _digest(config, fmt)))
+    return digests
 
 
 def _blas_core() -> str:
@@ -130,13 +126,11 @@ def expect(path) -> int:
     failed = 0
     for run in recorded["runs"]:
         if "config" in run:
-            names = [f"{run['config']} {run['format']}"]
-            digests = [artifact_digest(ROOT / run["config"], run["format"])]
+            digests = [(f"{run['config']} {run['format']}",
+                        artifact_digest(ROOT / run["config"], run["format"]))]
         else:
-            names = [f"{run['workload']} seed {run['seed']} op {index}"
-                     for index in range(len(run["digests"]))]
             digests = workload_digests(run["workload"], run["seed"], len(run["digests"]))
-        for name, digest, wanted in zip(names, digests, run["digests"]):
+        for (name, digest), wanted in zip(digests, run["digests"]):
             print(f"{digest}  {name}  " + ("ok" if digest == wanted else f"DIFFERS from {wanted}"))
             failed += digest != wanted
     return 1 if failed else 0
@@ -148,10 +142,10 @@ def main(argv=None) -> int:
     parser.add_argument("configs", nargs="*", metavar="CONFIG")
     parser.add_argument("--format", choices=("csv", "json"),
                         help="artifact format of the CONFIG runs, csv when absent")
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+    parser.add_argument("--workload", choices=sorted(WORKLOADS),
                         help="digest benchmark operations of this workload instead")
     parser.add_argument("--seed", type=int, help="seed of the workload, 4242 when absent")
-    parser.add_argument("--ops", type=int, help="operations 0..OPS-1, 3 when absent")
+    parser.add_argument("--ops", type=op_count, help="operations 0..OPS-1, 3 when absent")
     parser.add_argument("--expect", metavar="FILE",
                         help="compare with the digests and environment recorded in FILE")
     args = parser.parse_args(argv)
@@ -166,8 +160,8 @@ def main(argv=None) -> int:
             parser.error("--format applies to CONFIG files; a workload has its own format")
         seed = 4242 if args.seed is None else args.seed
         ops = 3 if args.ops is None else args.ops
-        for index, digest in enumerate(workload_digests(args.workload, seed, ops)):
-            print(f"{digest}  {args.workload} seed {seed} op {index}")
+        for label, digest in workload_digests(args.workload, seed, ops):
+            print(f"{digest}  {label}")
         return 0
     if (args.seed, args.ops) != (None, None):
         parser.error("--seed and --ops apply to --workload")

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """How far the iterates of two source trees drift apart on benchmark operations.
 
-Runs operations 0..N-1 of each perfbench workload at one seed under two
-checkouts, each in its own subprocess with that checkout's ``src`` first on
-the import path, and prints one row per workload: the largest absolute
-differences between corresponding iterates, between corresponding entries
-of the error columns and between the audited constants, and how many audit
-verdicts and stop steps changed. A change of fixed set moves the errors and
-the constants but no iterate, so the iterates alone would read 0 for it.
-Operations are generated by this checkout's ``perfbench/workloads.py``, so
-both trees run the same configs:
+Runs operations 0..OPS-1 (OPS at least 1) of each perfbench workload at
+one seed (see ``pinned.py``) under two checkouts, each in its own spawned
+process with that checkout's ``src`` first on the import path; the script
+stops with exit status 1 when the circumproj that process imports does not
+lie under that ``src``. It prints one row per workload: the largest
+absolute differences between corresponding iterates, between corresponding
+entries of the error columns and between the audited constants, and how
+many audit verdicts and stop steps changed. A change of fixed set moves
+the errors and the constants but no iterate, so the iterates alone would
+read 0 for it:
 
     python3 scripts/iterate_drift.py /path/to/parent /path/to/change --seed 4242
 
@@ -19,41 +20,32 @@ does not raise the same error.
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import workloads  # noqa: E402
+from pinned import WORKLOADS, fresh, op_count, operation, written
 
 
-def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
-    """Run the operations with the circumproj on the import path and write,
+def dump(workload_name: str, seed: int, ops: int) -> list:
+    """Run the operations with the circumproj on the import path and list,
     per operation, each method's iterates, errors, stop step, audited
     constant and audit verdict. The last two are read from the report.json
     that the run writes in the workload's format, so trees that name the
     report's attributes differently still compare."""
-    from circumproj import parse_config, run_experiment
-
-    workload = workloads.WORKLOADS[workload_name]
     results = []
     for index in range(ops):
-        config = parse_config(workloads.op_config(workload, seed, index))
+        _, config, fmt = operation(workload_name, seed, index)
         try:
             # an out_dir is the one way to place a run's artifacts that every
             # tree accepts; older trees write a default directory without it
-            with tempfile.TemporaryDirectory() as out_dir:
-                report = run_experiment(config, out_dir=out_dir, fmt=workload.fmt)
-                written = json.loads((Path(out_dir) / "report.json").read_text())
+            with written(config, fmt) as (report, out_dir):
+                written_report = json.loads((out_dir / "report.json").read_text())
         except (RuntimeError, ValueError) as error:
             results.append({"error": f"{type(error).__name__}: {error}"})
             continue
         methods = []
-        for instance, instance_record in zip(report.instances, written["instances"], strict=True):
+        for instance, instance_record in zip(report.instances, written_report["instances"],
+                                             strict=True):
             for m, record in zip(instance.methods, instance_record["methods"], strict=True):
                 rate = record["rate"]
                 methods.append({
@@ -65,16 +57,7 @@ def dump(workload_name: str, seed: int, ops: int, path: str) -> None:
                     "verdict": None if rate is None else rate["all_satisfied"],
                 })
         results.append({"methods": methods})
-    Path(path).write_text(json.dumps(results))
-
-
-def run_tree(tree: Path, workload: str, seed: int, ops: int) -> list:
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "dump.json"
-        env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-        subprocess.run([sys.executable, __file__, "--dump", str(out), "--workload", workload,
-                        "--seed", str(seed), "--ops", str(ops)], env=env, check=True)
-        return json.loads(out.read_text())
+    return results
 
 
 def compare(first: list, second: list) -> dict:
@@ -110,22 +93,22 @@ def main(argv=None) -> int:
         description="iterate drift between two source trees on benchmark operations")
     parser.add_argument("trees", nargs="*", type=Path, metavar="TREE",
                         help="the two checkouts to compare, each with a src/ directory")
-    parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
                         help="repeatable; every workload when absent")
     parser.add_argument("--seed", type=int, default=4242)
-    parser.add_argument("--ops", type=int, default=3, help="operations 0..OPS-1")
-    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    parser.add_argument("--ops", type=op_count, default=3, help="operations 0..OPS-1")
     args = parser.parse_args(argv)
-    if args.dump:
-        dump(args.workload[0], args.seed, args.ops, args.dump)
-        return 0
     if len(args.trees) != 2:
         parser.error("give exactly two source trees")
     print(f"{'workload':<14}{'ops':>4}{'methods':>9}{'max_abs_diff':>14}"
           f"{'max_error_diff':>16}{'max_constant_diff':>19}"
           f"{'changed_verdicts':>18}{'changed_stops':>15}")
-    for name in args.workload or list(workloads.WORKLOADS):
-        first, second = (run_tree(tree, name, args.seed, args.ops) for tree in args.trees)
+    for name in args.workload or WORKLOADS:
+        try:
+            first, second = (fresh(dump, name, args.seed, args.ops, src=tree.resolve() / "src")
+                             for tree in args.trees)
+        except ImportError as error:
+            parser.exit(1, f"{parser.prog}: {error}\n")
         drift = compare(first, second)
         print(f"{name:<14}{args.ops:>4}{drift['methods']:>9}{drift['max_abs_diff']:>14.3e}"
               f"{drift['max_error_diff']:>16.3e}{drift['max_constant_diff']:>19.3e}"

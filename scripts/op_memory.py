@@ -3,34 +3,26 @@
 
     python3 scripts/op_memory.py --workload resolve-n200 --seed 4242 --ops 3
 
-Each operation 0..OPS-1 of a perfbench workload runs in a fresh process,
-through ``run_experiment`` with its artifacts written in the workload's
-format, as the benchmark runs it. The process prints ``ru_maxrss`` (the
-high-water mark of its resident memory, imports included) before the
-operation, when it starts writing its artifacts and after it, so the output
-shows which phase sets the high-water mark. It then runs the operation once
-more under ``tracemalloc`` and prints, per layer, the traced heap peak
-above the heap at the layer's start: resolution (the instances and their
-intersections), each method's plan and run, and writing the artifacts.
-Operations are generated by this checkout's ``perfbench/workloads.py``, so
-two checkouts measure the same configs.
+Each operation 0..OPS-1 (OPS at least 1) of a perfbench workload (see
+``pinned.py``) runs in a fresh process, through ``run_experiment`` with its
+artifacts written in the workload's format, as the benchmark runs it. The
+process prints ``ru_maxrss`` (the high-water mark of its resident memory,
+imports included) before the operation, when it starts writing its
+artifacts and after it, so the output shows which phase sets the
+high-water mark. It then runs the operation once more under
+``tracemalloc`` and prints, per layer, the traced heap peak above the heap
+at the layer's start: resolution (the instances and their intersections),
+each method's plan and run, and writing the artifacts.
 """
 
 import argparse
 import dataclasses
-import multiprocessing
 import resource
 import sys
-import tempfile
 import tracemalloc
-from pathlib import Path
 
-from circumproj import bench, parse_config, run_experiment
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import workloads  # noqa: E402
+from circumproj import bench
+from pinned import WORKLOADS, fresh, op_count, operation, written
 
 MB = 1024.0 * 1024.0
 
@@ -39,7 +31,7 @@ def _maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _traced_layers(config, out_dir: Path, fmt: str) -> list:
+def _traced_layers(config, fmt: str) -> list:
     """(layer, traced peak in bytes above the layer's starting heap) for one
     run, in the order the layers ran."""
     peaks = []
@@ -67,7 +59,8 @@ def _traced_layers(config, out_dir: Path, fmt: str) -> list:
     bench._write_report = layer("writing", originals["_write_report"])
     tracemalloc.start()
     try:
-        run_experiment(config, out_dir=out_dir, fmt=fmt)
+        with written(config, fmt):
+            pass
     finally:
         tracemalloc.stop()
         for name, fn in originals.items():
@@ -77,8 +70,7 @@ def _traced_layers(config, out_dir: Path, fmt: str) -> list:
 
 def measure(workload_name: str, seed: int, index: int) -> dict:
     """Run one operation untraced, then traced, in this process."""
-    workload = workloads.WORKLOADS[workload_name]
-    config = parse_config(workloads.op_config(workload, seed, index))
+    label, config, fmt = operation(workload_name, seed, index)
     writing = []
     write_report = bench._write_report
 
@@ -86,30 +78,28 @@ def measure(workload_name: str, seed: int, index: int) -> dict:
         writing.append(_maxrss_mb())
         return write_report(*args, **kwargs)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        before = _maxrss_mb()
-        bench._write_report = noted
-        try:
-            run_experiment(config, out_dir=Path(tmp) / "untraced", fmt=workload.fmt)
-        finally:
-            bench._write_report = write_report
-        after = _maxrss_mb()
-        layers = _traced_layers(config, Path(tmp) / "traced", workload.fmt)
-    return {"before": before, "writing": writing[0], "after": after, "layers": layers}
+    before = _maxrss_mb()
+    bench._write_report = noted
+    try:
+        with written(config, fmt):
+            pass
+    finally:
+        bench._write_report = write_report
+    after = _maxrss_mb()
+    return {"label": label, "before": before, "writing": writing[0], "after": after,
+            "layers": _traced_layers(config, fmt)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="ru_maxrss and per-layer traced heap peaks of benchmark operations")
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=4242)
-    parser.add_argument("--ops", type=int, default=1, help="operations 0..OPS-1")
+    parser.add_argument("--ops", type=op_count, default=1, help="operations 0..OPS-1")
     args = parser.parse_args(argv)
-    spawn = multiprocessing.get_context("spawn")
     for index in range(args.ops):
-        with spawn.Pool(1) as pool:
-            result = pool.apply(measure, (args.workload, args.seed, index))
-        print(f"{args.workload} seed {args.seed} op {index}: ru_maxrss "
+        result = fresh(measure, args.workload, args.seed, index)
+        print(f"{result['label']}: ru_maxrss "
               f"{result['before']:.1f} MB before, {result['writing']:.1f} MB when "
               f"writing starts, {result['after']:.1f} MB after")
         for name, peak in result["layers"]:

@@ -103,10 +103,9 @@ class RandomInstances:
 class MethodSpec:
     method: str
     label: str
-    operator_set: str = "psi"
+    variant: Optional[str] = None  # a cim entry's operator_set, an averaged_iter one's builder
     symmetrized: bool = False
     prefix: str = "none"
-    builder: str = "sum"
     family: Optional[OperatorSet] = None  # a custom set's, shared by every instance
     max_iters: Optional[int] = None
 
@@ -310,14 +309,14 @@ def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
     method = _get(obj, "method", path)
     if method not in METHOD_TAGS:
         raise ConfigError(f"{path}.method: unknown tag {method!r}, expected one of {METHOD_TAGS}")
-    variant_key = _VARIANT_KEYS.get(method)
     variant = None
-    if variant_key is not None:
+    keys = ("method", "label", "max_iters")
+    if method in _VARIANT_KEYS:
+        key, default = _VARIANT_KEYS[method]
         variants = tuple(v for m, v in _RECIPES if m == method)
-        variant = _choice(obj, variant_key, getattr(MethodSpec, variant_key), variants, path)
-    chosen = {} if variant_key is None else {variant_key: variant}
-    mapping = _expect_mapping(obj, path, ("method", "label", "max_iters", *chosen,
-                                          *_RECIPES[method, variant][1]))
+        variant = _choice(obj, key, default, variants, path)
+        keys += (key,)
+    mapping = _expect_mapping(obj, path, (*keys, *_RECIPES[method, variant][1]))
     prefix = _choice(mapping, "prefix", "none", PREFIX_KINDS, path)
     symmetrized = mapping.get("symmetrized", False)
     if not isinstance(symmetrized, bool):
@@ -335,8 +334,8 @@ def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
     max_iters = mapping.get("max_iters")
     if max_iters is not None:
         max_iters = _as_int(max_iters, f"{path}.max_iters", _NONNEGATIVE)
-    return MethodSpec(method=method, label=label, symmetrized=symmetrized, prefix=prefix,
-                      family=family, max_iters=max_iters, **chosen)
+    return MethodSpec(method=method, label=label, variant=variant, symmetrized=symmetrized,
+                      prefix=prefix, family=family, max_iters=max_iters)
 
 
 def parse_config(obj, source: str = "config") -> ExperimentConfig:
@@ -413,7 +412,7 @@ def parse_config(obj, source: str = "config") -> ExperimentConfig:
         if spec.method == "dr" and min(counts) < 2:
             raise ConfigError(f"{source}.methods[{i}]: method 'dr' needs at least two "
                               f"subspaces, an instance has {min(counts)}")
-        if spec.method == "cim" and spec.operator_set == "psi":
+        if spec.variant == "psi":
             # build_psi's own rule, on the palindrome's 2m - 1 reflectors when symmetrized
             reflectors = 2 * max(counts) - 1 if spec.symmetrized else max(counts)
             try:
@@ -609,8 +608,8 @@ _AVERAGED_BUILDERS = {"sum": build_sum_averaged, "product": build_product_averag
 
 
 def _plan_averaged_iter(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    op = ctx.averaged(spec.builder, symmetrized=False)
-    return _linear_plan(f"{spec.builder}_averaged_rate", op, ctx.inter.subspace, ctx)
+    op = ctx.averaged(spec.variant, symmetrized=False)
+    return _linear_plan(f"{spec.variant}_averaged_rate", op, ctx.inter.subspace, ctx)
 
 
 def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -652,8 +651,9 @@ def _plan_cim_custom(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     return _MethodPlan(None, lambda config: run_cim(spec.family, ctx.x0, config))
 
 
-# The key of a methods entry that names the variant of its method tag.
-_VARIANT_KEYS = {"cim": "operator_set", "averaged_iter": "builder"}
+# The key of a methods entry that names the variant of its method tag, and
+# the variant when the entry omits it.
+_VARIANT_KEYS = {"cim": ("operator_set", "psi"), "averaged_iter": ("builder", "sum")}
 
 # (method tag, variant) -> (recipe, the other keys of a methods entry it reads)
 _RECIPES = {
@@ -672,8 +672,7 @@ _RECIPES = {
 
 
 def _plan_method(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    key = _VARIANT_KEYS.get(spec.method)
-    recipe, _ = _RECIPES[spec.method, None if key is None else getattr(spec, key)]
+    recipe, _ = _RECIPES[spec.method, spec.variant]
     return recipe(spec, ctx)
 
 

@@ -1,7 +1,9 @@
 """Shared builders for seeded random test instances."""
 
+import importlib
 import json
 import math
+import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -30,6 +32,15 @@ from circumproj.numerics import _norm
 from oracles import merge_threshold
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """The module of ``scripts/NAME.py``, imported with ``scripts/`` on the
+    import path, as the scripts find each other when run."""
+    if str(SCRIPTS) not in sys.path:
+        sys.path.insert(0, str(SCRIPTS))
+    return importlib.import_module(name)
 
 
 def demo_config() -> dict:

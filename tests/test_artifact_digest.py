@@ -1,22 +1,15 @@
 """scripts/artifact_digest.py --expect: the recorded digests, and when they
 can be compared."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from helpers import load_script
+
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "artifact_digest.py"
 RECORDED = ROOT / "tests" / "golden" / "digests.json"
-
-
-def _script():
-    spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_the_recorded_file_holds_eleven_digests_and_the_whole_environment():
@@ -25,12 +18,12 @@ def test_the_recorded_file_holds_eleven_digests_and_the_whole_environment():
     unchecked. The CI workflow runs the comparison itself."""
     recorded = json.loads(RECORDED.read_text())
     assert sum(len(run["digests"]) for run in recorded["runs"]) == 11
-    assert list(recorded["environment"]) == list(_script().environment())
+    assert list(recorded["environment"]) == list(load_script("artifact_digest").environment())
 
 
 def test_a_differing_digest_fails_and_another_environment_is_not_comparable(tmp_path,
                                                                              capsys):
-    script = _script()
+    script = load_script("artifact_digest")
     demo = script.artifact_digest(ROOT / "configs" / "demo.json", "csv")
     runs = [{"config": "configs/demo.json", "format": "csv", "digests": [demo]}]
     path = tmp_path / "digests.json"
@@ -53,7 +46,7 @@ def test_seed_and_ops_are_refused_where_the_runs_come_from_elsewhere(capsys):
     """``--seed`` and ``--ops`` choose workload operations: with ``--expect``
     the runs come from FILE, and a CONFIG run has its own seed, so either
     flag there is a usage error, not a flag silently ignored."""
-    script = _script()
+    script = load_script("artifact_digest")
     demo = str(ROOT / "configs" / "demo.json")
     for argv, message in [(["--expect", str(RECORDED), "--seed", "5"], "--expect takes"),
                           (["--expect", str(RECORDED), "--ops", "1"], "--expect takes"),

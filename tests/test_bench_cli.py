@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -25,6 +24,7 @@ from circumproj import (
 from helpers import (
     DEMO_CONFIG,
     demo_config,
+    load_script,
     one_method_report,
     reference_report_obj,
     reference_verify_lines,
@@ -697,16 +697,9 @@ def test_compute_rates_rows_are_the_rates_report_json_records(obj, tmp_path):
                                if k not in ("slack_min", "all_satisfied", "per_iteration")}
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_artifact_digest_of_demo_is_stable(fmt, capsys):
-    script = _load_script("artifact_digest")
+    script = load_script("artifact_digest")
     demo = REPO_ROOT / "configs" / "demo.json"
     first = script.artifact_digest(demo, fmt)
     assert script.main([str(demo), "--format", fmt]) == 0
@@ -717,10 +710,11 @@ def test_artifact_digest_of_demo_is_stable(fmt, capsys):
 
 
 def test_artifact_digest_of_a_workload_operation_matches_its_config_file(tmp_path, capsys):
-    script = _load_script("artifact_digest")
-    workload = script.workloads.WORKLOADS["family-psi"]
+    script = load_script("artifact_digest")
+    workloads = load_script("pinned").workloads
+    workload = workloads.WORKLOADS["family-psi"]
     config = tmp_path / "op_0000.json"
-    config.write_text(json.dumps(script.workloads.op_config(workload, 4242, 0), indent=1) + "\n")
+    config.write_text(json.dumps(workloads.op_config(workload, 4242, 0), indent=1) + "\n")
     assert script.main(["--workload", "family-psi", "--ops", "1"]) == 0
     digest = script.artifact_digest(config, workload.fmt)
     assert capsys.readouterr().out == f"{digest}  family-psi seed 4242 op 0\n"
@@ -733,7 +727,7 @@ def test_artifact_digest_of_a_workload_operation_matches_its_config_file(tmp_pat
 def test_compare_methods_reads_no_audit_rows_and_prints_the_exact_median(monkeypatch, capsys):
     """The comparison reads each method's record without its rows, and its
     median of an even count of steps keeps the .5 that int() dropped."""
-    script = _load_script("compare_methods")
+    script = load_script("compare_methods")
     argv = ["--count", "2", "--seed", "2"]
     report = run_experiment(parse_config(script.build_config(script.argparse.Namespace(
         count=2, dim=8, subspaces=3, max_iters=60, seed=2))))
@@ -765,7 +759,7 @@ def test_compare_methods_reads_no_audit_rows_and_prints_the_exact_median(monkeyp
 def test_compare_methods_reports_a_config_error_and_exits_two(capsys, argv, message):
     """Arguments that make no valid config end as verify's config errors
     do: one line on stderr, nothing on stdout, exit 2."""
-    assert _load_script("compare_methods").main(argv) == 2
+    assert load_script("compare_methods").main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n"
     assert captured.out == ""

@@ -1,9 +1,12 @@
-"""scripts/iterate_drift.py: a tree compared with itself does not drift."""
+"""scripts/iterate_drift.py: a tree compared with itself does not drift,
+and a tree is run with its own circumproj or not at all."""
 
-import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "iterate_drift.py"
@@ -24,10 +27,22 @@ def test_a_tree_against_itself_has_zero_drift():
         for name, methods in (("family-psi", "6"), ("iterate-long", "9"))]
 
 
+def test_a_tree_without_circumproj_is_refused_not_replaced(tmp_path):
+    """With a circumproj importable from elsewhere, as an installed package
+    is, a tree path that holds none would run that one instead and read as
+    zero drift; the script stops instead and names the tree."""
+    tree = tmp_path.resolve() / "no_tree"
+    tree.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(SCRIPT), str(ROOT), str(tree), "--ops", "1"],
+                            capture_output=True, text=True, timeout=300, env=env)
+    assert result.returncode != 0
+    assert str(tree) in result.stderr
+    assert result.stdout.splitlines()[1:] == []
+
+
 def test_compare_counts_each_kind_of_change():
-    spec = importlib.util.spec_from_file_location("iterate_drift", SCRIPT)
-    drift = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(drift)
+    drift = load_script("iterate_drift")
 
     def method(label, iterates, errors, stopped_at, constant, verdict):
         return {"label": label, "iterates": iterates, "errors": errors,

@@ -298,7 +298,7 @@ def test_only_dr_computes_a_fixed_point_set(monkeypatch):
     """Every recipe with an instance fixed set runs on the intersection,
     except dr, whose fixed set also holds the complements' intersection."""
     calls = _count_calls(monkeypatch, ("fixed_point_set",))
-    entries = [{"method": method, bench._VARIANT_KEYS[method]: variant} if variant else
+    entries = [{"method": method, bench._VARIANT_KEYS[method][0]: variant} if variant else
                {"method": method} for method, variant in bench._RECIPES if variant != "custom"]
     entries.append({"method": "cim", "operator_set": "psi", "symmetrized": True,
                     "prefix": "sym_map_product"})
