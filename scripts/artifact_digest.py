@@ -18,27 +18,27 @@ With ``--expect FILE`` the runs are those FILE records, each digest is
 compared with the recorded one, and the exit status is 1 when one
 differs. Digests depend on the numpy version and the SIMD extensions it
 found on the CPU, on the BLAS build that numpy links, the kernel set that
-BLAS chose for the CPU at run time and its thread count, so FILE records
-those too; where one of them differs here, the script prints "not
-comparable" and the reason, runs nothing and exits 0:
+BLAS chose for the CPU at run time, and on whether a run could pin that
+BLAS to one thread, so FILE records those too; where one of them differs
+here, the script prints "not comparable" and the reason, runs nothing and
+exits 0. A pinned run's digests do not depend on OPENBLAS_NUM_THREADS:
 
-    OPENBLAS_NUM_THREADS=2 python3 scripts/artifact_digest.py --expect tests/golden/digests.json
+    python3 scripts/artifact_digest.py --expect tests/golden/digests.json
 
 To record new digests, print them with the two forms above under the
 file's environment and copy them into the file.
 """
 
 import argparse
-import ctypes
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from circumproj import load_config
+from circumproj.numerics import _openblas
 from pinned import WORKLOADS, op_count, operation, written
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,36 +73,19 @@ def workload_digests(name: str, seed: int = 4242, ops: int = 3) -> list:
 
 
 def _blas_core() -> str:
-    """The kernel set that the OpenBLAS loaded with numpy chose for this CPU
-    at run time, as its get_corename reports it; "unknown" where no loaded
-    OpenBLAS reports one. A DYNAMIC_ARCH build names only its build target
-    in its configuration string, not the kernels it runs."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return "unknown"
-    fields = (line.split(None, 5) for line in maps.splitlines())
-    libraries = sorted({f[5] for f in fields
-                        if len(f) == 6 and "openblas" in Path(f[5]).name.lower()})
-    for library in libraries:
-        try:
-            handle = ctypes.CDLL(library)
-        except OSError:
-            continue
-        for prefix in ("scipy_", ""):
-            for suffix in ("64_", ""):
-                corename = getattr(handle, f"{prefix}openblas_get_corename{suffix}", None)
-                if corename is not None:
-                    corename.restype = ctypes.c_char_p
-                    return corename().decode()
-    return "unknown"
+    """The kernel set that numpy's OpenBLAS chose for this CPU at run time,
+    as its get_corename reports it; "unknown" where numpy links no OpenBLAS
+    that circumproj can pin. A DYNAMIC_ARCH build names only its build
+    target in its configuration string, not the kernels it runs."""
+    blas = _openblas()
+    return "unknown" if blas is None else blas.get_corename().decode()
 
 
 def environment() -> dict:
     """What the digests depend on besides the source: the numpy version and
     the SIMD extensions it found on this CPU, the BLAS build that numpy
-    links, the kernel set that BLAS chose for this CPU, and
-    OPENBLAS_NUM_THREADS, "unset" when it is not set."""
+    links, the kernel set that BLAS chose for this CPU, and whether a run
+    pins that BLAS to one thread."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     build = " ".join(str(blas.get(key, "")) for key in ("name", "version",
@@ -110,7 +93,7 @@ def environment() -> dict:
     return {"numpy": np.__version__,
             "numpy_simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
             "blas": build.strip(), "blas_core": _blas_core(),
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
+            "blas_pinned": _openblas() is not None}
 
 
 def expect(path) -> int:

@@ -44,12 +44,13 @@ from .methods import (
     run_map,
     symmetric_map_operator,
 )
-from .numerics import EQ_TOL, as_vector
+from .numerics import EQ_TOL, _one_blas_thread, as_vector
 from .rates import (
     AccelConstants,
     RateConstant,
     RateReport,
     _slacks,
+    _tuple_cos_and_symmetric_map,
     accel_constants,
     audit_bound,
     operator_rate,
@@ -338,6 +339,7 @@ def _parse_method(obj, index: int, ambient_dim: int, source: str) -> MethodSpec:
                       prefix=prefix, family=family, max_iters=max_iters)
 
 
+@_one_blas_thread()
 def parse_config(obj, source: str = "config") -> ExperimentConfig:
     """Validate a parsed JSON object into an :class:`ExperimentConfig`.
 
@@ -531,6 +533,7 @@ class _Instance:
     subspaces: Sequence
     x0: np.ndarray
     inter: Intersection
+    reads_both: bool = False  # whether the config's recipes read tuple_cos and sym_op
     _reflectors: dict = field(default_factory=dict, init=False, repr=False)
     _averaged: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -558,11 +561,28 @@ class _Instance:
         return self._averaged[key]
 
     @cached_property
+    def _chain(self) -> Optional[tuple]:
+        """``(tuple_cos, sym_op)`` from one sweep, where the config reads
+        both, every anchor is zero and the intersection is {0}. Elsewhere
+        None, and each is computed on its own: the tuple chain then starts
+        at I - P_fixed, the sweep carries an offset, or the other half
+        would be computed for nothing."""
+        inter = self.inter.subspace
+        if (self.reads_both and inter is not None and inter.dim == 0
+                and not any(np.any(s.anchor) for s in self.subspaces)):
+            return _tuple_cos_and_symmetric_map(self.subspaces)
+        return None
+
+    @cached_property
     def tuple_cos(self) -> float:
+        if self._chain is not None:
+            return self._chain[0]
         return tuple_angle_cos(self.subspaces, fixed=self.inter.subspace)
 
     @cached_property
     def sym_op(self) -> AffineMap:
+        if self._chain is not None:
+            return self._chain[1]
         return symmetric_map_operator(self.subspaces)
 
     @cached_property
@@ -669,6 +689,22 @@ _RECIPES = {
     ("averaged_iter", "sum"): (_plan_averaged_iter, ()),
     ("averaged_iter", "product"): (_plan_averaged_iter, ()),
 }
+
+
+def _chain_reads(spec: MethodSpec) -> set:
+    """Which of an instance's ``tuple_cos`` and ``sym_op`` the recipe of
+    ``spec`` reads."""
+    if spec.method == "sym_map":
+        return {"tuple_cos", "sym_op"}
+    if spec.method == "accel_map" or spec.prefix == "sym_map_product":
+        return {"sym_op"}
+    if spec.method == "map" or spec.variant == "psi":
+        return {"tuple_cos"}
+    return set()
+
+
+def _reads_both(config: ExperimentConfig) -> bool:
+    return set().union(*map(_chain_reads, config.methods)) == {"tuple_cos", "sym_op"}
 
 
 def _plan_method(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -781,6 +817,7 @@ def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
     return tuple(outcomes)
 
 
+@_one_blas_thread()
 def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv") -> ExperimentReport:
     """Run every method on every instance and audit the bounds; write the
     artifacts into ``out_dir`` when one is given, and nothing otherwise.
@@ -793,8 +830,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv") -> 
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     outcomes = []
+    reads_both = _reads_both(config)
     for label, subspaces, x0, inter, fixed_line in _resolve_instances(config):
-        ctx = _Instance(subspaces, x0, inter)
+        ctx = _Instance(subspaces, x0, inter, reads_both)
         method_outcomes = _run_methods(config, ctx)
         checks = [] if fixed_line is None else [_product_fixed_line_check(ctx, fixed_line)]
         del ctx  # its shared parts are freed before the next instance and the artifacts
@@ -1026,6 +1064,7 @@ def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:
     _write_atomic(out_dir / "report.json", _report_json_pieces(report, out_dir, fmt))
 
 
+@_one_blas_thread()
 def compute_rates(config: ExperimentConfig) -> list:
     """Theoretical constants for every instance/method pair, without tracing.
 
@@ -1034,8 +1073,9 @@ def compute_rates(config: ExperimentConfig) -> list:
     iteration needs.
     """
     rows = []
+    reads_both = _reads_both(config)
     for label, subspaces, x0, inter, _ in _resolve_instances(config):
-        ctx = _Instance(subspaces, x0, inter)
+        ctx = _Instance(subspaces, x0, inter, reads_both)
         for spec in config.methods:
             constant = _plan_method(spec, ctx).constant
             rows.append({

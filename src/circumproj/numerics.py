@@ -12,12 +12,24 @@ RANK_TOL, and never solves. All
 functions are pure and never mutate inputs.
 Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
 calls alternating between the two stall on each other's spinning threads.
+
+The package runs on one BLAS thread. :func:`_one_blas_thread` sets the
+OpenBLAS that numpy loaded to one thread for the duration of
+``parse_config``, ``run_experiment`` and ``compute_rates``, and gives the
+caller's thread count back however they exit. LAPACK's factorizations
+return different bits on one thread and on two, so this makes every
+artifact byte independent of the caller's thread count; the matrices here
+are too small for a second thread to pay for its synchronization. Where
+numpy links no OpenBLAS that exports a thread setter, nothing is pinned.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from typing import Iterable
+from contextlib import contextmanager
+from functools import cache
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,6 +59,62 @@ EQ_TOL = 1e-10
 # The largest entry of Q^T Q - I (of B B^T - I for orthonormal rows B) that
 # construction accepts as orthogonal.
 _ORTHONORMALITY_TOL = 1e-10
+
+
+class _OpenBLAS(NamedTuple):
+    """Three functions of the OpenBLAS that numpy's linear algebra runs on."""
+
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+    get_corename: Callable[[], bytes]
+
+
+@cache
+def _openblas() -> Optional[_OpenBLAS]:
+    """The OpenBLAS that numpy itself loaded, or None where numpy links no
+    OpenBLAS that exports a thread setter.
+
+    The symbols are looked up through numpy.linalg's own extension module:
+    a library handle finds symbols in that library and its dependencies
+    only, so the lookup reaches numpy's OpenBLAS even where another package,
+    scipy for one, loaded a second OpenBLAS into the process. numpy's wheels
+    name the functions with a ``scipy_`` prefix and a ``64_`` suffix; other
+    builds of OpenBLAS have either or neither.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        handle = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            names = [f"{prefix}openblas_{name}{suffix}"
+                     for name in ("get_num_threads", "set_num_threads", "get_corename")]
+            if all(hasattr(handle, name) for name in names):
+                get, set_, corename = (getattr(handle, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return _OpenBLAS(get, set_, corename)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the caller's count
+    when it returns or raises; a body on one thread already, a nested one
+    included, changes nothing. The count is process-wide: a run in another
+    Python thread at the same time may find it restored before it ends."""
+    blas = _openblas()
+    threads = 1 if blas is None else blas.get_num_threads()
+    if threads == 1:
+        yield
+        return
+    blas.set_num_threads(1)
+    try:
+        yield
+    finally:
+        blas.set_num_threads(threads)
 
 
 def _norm(v: np.ndarray) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from circumproj import (
     AffineMap,
+    AffineSubspace,
     bench,
     isometry,
     operator_rate,
@@ -18,7 +19,10 @@ from circumproj import (
     run_experiment,
     spectral_norm,
     sym_eigen_extremes,
+    symmetric_map_operator,
+    tuple_angle_cos,
 )
+from helpers import demo_config
 
 # The six methods of the resolve-n200 benchmark workload, on a smaller draw.
 RESOLVE_METHODS = [
@@ -82,6 +86,75 @@ def test_resolve_methods_take_five_norms_and_one_eigen_solve(monkeypatch):
     assert len(norms) == 5
     fresh = spectral_norm(op.A @ (np.eye(op.ambient_dim) - fixed.projector_matrix()))
     assert memoized == fresh
+
+
+def _projector_calls(monkeypatch) -> list:
+    calls = []
+    projector = AffineSubspace.projector_matrix
+    monkeypatch.setattr(AffineSubspace, "projector_matrix",
+                        lambda self: calls.append(1) or projector(self))
+    return calls
+
+
+@pytest.mark.parametrize("ambient_dim, dims, shared", [(40, [1, 20], True),
+                                                     (10, [8, 8], False)],
+                         ids=["trivial_intersection", "nontrivial_intersection"])
+def test_a_trivial_intersection_forms_the_projector_chain_once(monkeypatch, ambient_dim,
+                                                               dims, shared):
+    """With the intersection {0}, tuple_cos is the norm of the first half of
+    sym_op's palindromic sweep: each projector is formed once, not twice,
+    and both equal the functions that compute them apart bit for bit.
+    Elsewhere the instance computes them apart."""
+    config = parse_config({
+        "name": "chain",
+        "ambient_dim": ambient_dim,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 4,
+                      "dim_range": dims, "seed": 2024},
+        "methods": RESOLVE_METHODS,
+    })
+    ((_, subspaces, x0, inter, _),) = bench._resolve_instances(config)
+    assert (inter.subspace.dim == 0) == shared
+    calls = _projector_calls(monkeypatch)
+    ctx = bench._Instance(subspaces, x0, inter, bench._reads_both(config))
+    together = (ctx.tuple_cos, ctx.sym_op)
+    together_calls = len(calls)
+    apart = (tuple_angle_cos(subspaces, inter.subspace), symmetric_map_operator(subspaces))
+    apart_calls = len(calls) - together_calls
+    m = len(subspaces)
+    # the nontrivial chain starts at I - P_fixed, one projector more
+    assert apart_calls == 2 * m + (not shared)
+    assert together_calls == (apart_calls - m if shared else apart_calls)
+    assert together[0] == apart[0]
+    assert together[1].A.tobytes() == apart[1].A.tobytes()
+    assert together[1].b.tobytes() == apart[1].b.tobytes()
+
+
+def test_each_recipe_reads_the_chain_products_the_instance_expects():
+    """``bench._chain_reads`` says which of tuple_cos and sym_op each recipe
+    reads, so the chain is shared only where both are read."""
+    obj = demo_config()
+    obj["methods"] = [
+        {"method": "map"}, {"method": "sym_map"}, {"method": "accel_map"}, {"method": "dr"},
+        {"method": "averaged_iter", "builder": "sum"},
+        {"method": "averaged_iter", "builder": "product"},
+        {"method": "cim", "operator_set": "psi"},
+        {"method": "cim", "operator_set": "psi", "symmetrized": True},
+        {"method": "cim", "operator_set": "psi", "symmetrized": True,
+         "prefix": "sym_map_product"},
+        {"method": "cim", "operator_set": "identity_plus_reflectors"},
+        {"method": "cim", "operator_set": "identity_plus_prefix_products"},
+        {"method": "cim", "operator_set": "custom",
+         "operators": [{"kind": "reflector", "subspace": {"span": [[1.0, 1.0]]}}]},
+    ]
+    config = parse_config(obj)
+    assert {(spec.method, spec.variant) for spec in config.methods} == set(bench._RECIPES)
+    (_, subspaces, x0, inter, _), *_ = bench._resolve_instances(config)
+    for spec in config.methods:
+        ctx = bench._Instance(subspaces, x0, inter)
+        bench._plan_method(spec, ctx)
+        assert {"tuple_cos", "sym_op"} & set(vars(ctx)) == bench._chain_reads(spec), spec.label
+    assert bench._reads_both(config)
+    assert not bench._reads_both(parse_config({**obj, "methods": [{"method": "map"}]}))
 
 
 # The nine method variants of the iterate-long benchmark workload.
