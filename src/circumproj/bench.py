@@ -533,7 +533,7 @@ class _Instance:
     subspaces: Sequence
     x0: np.ndarray
     inter: Intersection
-    reads_both: bool = False  # whether the config's recipes read tuple_cos and sym_op
+    reads_both: bool  # whether the config's recipes read tuple_cos and sym_op
     _reflectors: dict = field(default_factory=dict, init=False, repr=False)
     _averaged: dict = field(default_factory=dict, init=False, repr=False)
 

@@ -150,7 +150,7 @@ def test_each_recipe_reads_the_chain_products_the_instance_expects():
     assert {(spec.method, spec.variant) for spec in config.methods} == set(bench._RECIPES)
     (_, subspaces, x0, inter, _), *_ = bench._resolve_instances(config)
     for spec in config.methods:
-        ctx = bench._Instance(subspaces, x0, inter)
+        ctx = bench._Instance(subspaces, x0, inter, False)
         bench._plan_method(spec, ctx)
         assert {"tuple_cos", "sym_op"} & set(vars(ctx)) == bench._chain_reads(spec), spec.label
     assert bench._reads_both(config)
