@@ -38,19 +38,18 @@ from .methods import (
     IterationTrace,
     MethodConfig,
     _row_norms,
+    _sweep,
     dr_operator,
     run_cim,
     run_linear,
     run_map,
-    symmetric_map_operator,
 )
-from .numerics import EQ_TOL, _one_blas_thread, as_vector
+from .numerics import EQ_TOL, _one_blas_thread, as_vector, spectral_norm
 from .rates import (
     AccelConstants,
     RateConstant,
     RateReport,
     _slacks,
-    _tuple_cos_and_symmetric_map,
     accel_constants,
     audit_bound,
     operator_rate,
@@ -463,10 +462,24 @@ def _stem(instance_label: str, method_label: str) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
-    text = Path(path).read_text()
+    """Read and validate a JSON config file, as UTF-8 text (RFC 8259); a
+    byte that is not UTF-8 and a key given twice in one object are config
+    errors."""
     try:
-        obj = json.loads(text)
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {err.start}") from None
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        obj = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}") from None
     return parse_config(obj, source=str(path))
@@ -528,12 +541,18 @@ class _Instance:
     drivers and rate functions take it as a required argument, so it is
     decided here. Deriving it from A - I, as ``fixed_point_set`` does, is
     ill-conditioned at small angles theta: the smallest singular values of
-    A - I are of order theta^2."""
+    A - I are of order theta^2.
+
+    ``sym_op`` is the palindromic sweep P_1 .. P_m .. P_1. On a linear
+    instance that meets in {0}, the tuple chain P_m .. P_1 is that sweep's
+    first half, so ``tuple_cos`` is the norm of the half, taken once, and
+    each projector is formed once for both; reading either computes both.
+    Elsewhere ``tuple_cos`` comes from ``tuple_angle_cos``, whose chain
+    starts at I - P_fixed."""
 
     subspaces: Sequence
     x0: np.ndarray
     inter: Intersection
-    reads_both: bool  # whether the config's recipes read tuple_cos and sym_op
     _reflectors: dict = field(default_factory=dict, init=False, repr=False)
     _averaged: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -560,30 +579,30 @@ class _Instance:
             self._averaged[key] = _AVERAGED_BUILDERS[builder](self.family(symmetrized))
         return self._averaged[key]
 
-    @cached_property
-    def _chain(self) -> Optional[tuple]:
-        """``(tuple_cos, sym_op)`` from one sweep, where the config reads
-        both, every anchor is zero and the intersection is {0}. Elsewhere
-        None, and each is computed on its own: the tuple chain then starts
-        at I - P_fixed, the sweep carries an offset, or the other half
-        would be computed for nothing."""
+    @property
+    def _chain_is_half(self) -> bool:
         inter = self.inter.subspace
-        if (self.reads_both and inter is not None and inter.dim == 0
-                and not any(np.any(s.anchor) for s in self.subspaces)):
-            return _tuple_cos_and_symmetric_map(self.subspaces)
-        return None
+        return (inter is not None and inter.dim == 0
+                and all(s.is_linear() for s in self.subspaces))
+
+    @cached_property
+    def _palindrome(self) -> tuple:
+        """``sym_op`` and, where the tuple chain is its first half, the
+        half's norm, else None."""
+        subspaces = list(self.subspaces)
+        half = len(subspaces) if self._chain_is_half else None
+        op, first = _sweep(subspaces + subspaces[-2::-1], half)
+        return op, None if first is None else spectral_norm(first)
+
+    @property
+    def sym_op(self) -> AffineMap:
+        return self._palindrome[0]
 
     @cached_property
     def tuple_cos(self) -> float:
-        if self._chain is not None:
-            return self._chain[0]
+        if self._chain_is_half:
+            return self._palindrome[1]
         return tuple_angle_cos(self.subspaces, fixed=self.inter.subspace)
-
-    @cached_property
-    def sym_op(self) -> AffineMap:
-        if self._chain is not None:
-            return self._chain[1]
-        return symmetric_map_operator(self.subspaces)
 
     @cached_property
     def accel(self) -> AccelConstants:
@@ -689,22 +708,6 @@ _RECIPES = {
     ("averaged_iter", "sum"): (_plan_averaged_iter, ()),
     ("averaged_iter", "product"): (_plan_averaged_iter, ()),
 }
-
-
-def _chain_reads(spec: MethodSpec) -> set:
-    """Which of an instance's ``tuple_cos`` and ``sym_op`` the recipe of
-    ``spec`` reads."""
-    if spec.method == "sym_map":
-        return {"tuple_cos", "sym_op"}
-    if spec.method == "accel_map" or spec.prefix == "sym_map_product":
-        return {"sym_op"}
-    if spec.method == "map" or spec.variant == "psi":
-        return {"tuple_cos"}
-    return set()
-
-
-def _reads_both(config: ExperimentConfig) -> bool:
-    return set().union(*map(_chain_reads, config.methods)) == {"tuple_cos", "sym_op"}
 
 
 def _plan_method(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
@@ -830,9 +833,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv") -> 
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     outcomes = []
-    reads_both = _reads_both(config)
     for label, subspaces, x0, inter, fixed_line in _resolve_instances(config):
-        ctx = _Instance(subspaces, x0, inter, reads_both)
+        ctx = _Instance(subspaces, x0, inter)
         method_outcomes = _run_methods(config, ctx)
         checks = [] if fixed_line is None else [_product_fixed_line_check(ctx, fixed_line)]
         del ctx  # its shared parts are freed before the next instance and the artifacts
@@ -1073,9 +1075,8 @@ def compute_rates(config: ExperimentConfig) -> list:
     iteration needs.
     """
     rows = []
-    reads_both = _reads_both(config)
     for label, subspaces, x0, inter, _ in _resolve_instances(config):
-        ctx = _Instance(subspaces, x0, inter, reads_both)
+        ctx = _Instance(subspaces, x0, inter)
         for spec in config.methods:
             constant = _plan_method(spec, ctx).constant
             rows.append({

@@ -215,8 +215,9 @@ def dr_operator(first: AffineIsometry, second: AffineIsometry) -> AffineMap:
     return AffineMap(0.5 * (np.eye(n) + second_q @ first_q), np.zeros(n))
 
 
-def map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
-    """The single-sweep cyclic projection operator P_m .. P_1.
+def _sweep(subspaces: Sequence[AffineSubspace], half: Optional[int]) -> tuple:
+    """The sweep P_m .. P_1 and, when ``half`` is given, its linear part
+    after the first ``half`` factors, else None.
 
     A subspace listed more than once has its projector formed once and kept
     until its last factor. Through the origin alone the offset is 0, and
@@ -228,7 +229,7 @@ def map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
     last_use = {id(s): k for k, s in enumerate(subspaces)}
     held = {}
     affine = any(np.any(s.anchor) for s in subspaces)
-    A = b = None
+    A = b = first = None
     for k, s in enumerate(subspaces):
         P = held.pop(id(s), None)
         if P is None:
@@ -236,19 +237,25 @@ def map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
         if last_use[id(s)] > k:
             held[id(s)] = P
         A = P if A is None else P @ A
+        if k + 1 == half:
+            first = A
         if affine:
             offset = s.anchor - P @ s.anchor
             b = offset if b is None else P @ b + offset
-    return AffineMap(A, b if affine else np.zeros(A.shape[0]))
+    return AffineMap(A, b if affine else np.zeros(A.shape[0])), first
+
+
+def map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
+    """The single-sweep cyclic projection operator P_m .. P_1, each
+    projector formed once (see ``_sweep``)."""
+    return _sweep(subspaces, None)[0]
 
 
 def symmetric_map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
     """The palindromic sweep P_1 .. P_n .. P_1 over the given half list.
 
     The result is self-adjoint positive semidefinite for linear subspaces.
-    Each of the n projectors is formed once, by :func:`map_operator`.
+    Each of the n projectors is formed once, by the one sweep ``_sweep``;
+    ``bench._Instance`` reads the same sweep's first half P_n .. P_1.
     """
-    if len(subspaces) == 0:
-        raise ValueError("need at least one subspace")
-    full = list(subspaces) + list(subspaces[-2::-1])
-    return map_operator(full)
+    return _sweep(list(subspaces) + list(subspaces[-2::-1]), None)[0]

@@ -101,7 +101,9 @@ def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
     is the cosine of their Friedrichs angle, strictly below 1 in finite
     dimension and 0 when one subspace contains the other. When ``fixed`` is
     {0}, I - P_fixed is the identity and the chain starts at P_1, which
-    equals P_1 (I - P_fixed) bit for bit.
+    equals P_1 (I - P_fixed) bit for bit; the chain is then the first half
+    of ``symmetric_map_operator``'s sweep, and ``bench._Instance`` takes its
+    norm there instead of forming it twice.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace")
@@ -115,26 +117,6 @@ def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
         P = s.projector_matrix()
         product = P if product is None else P @ product
     return spectral_norm(product)
-
-
-def _tuple_cos_and_symmetric_map(subspaces: Sequence[AffineSubspace]) -> tuple:
-    """``tuple_angle_cos`` and ``symmetric_map_operator`` of subspaces with
-    zero anchors that meet in {0}, bit for bit, from one sweep.
-
-    There the tuple chain starts at P_1, so P_m .. P_1 is, product for
-    product, the forward half of the palindrome P_1 .. P_m .. P_1. Its norm
-    is taken on that half, and the sweep goes on through P_{m-1}, .., P_1
-    with the projectors it formed, held as ``map_operator`` holds them.
-    """
-    projectors = [s.projector_matrix() for s in subspaces]
-    product = projectors[0]
-    for k in range(1, len(projectors)):
-        product = projectors[k] @ product
-    cos = spectral_norm(product)
-    projectors.pop()
-    while projectors:
-        product = projectors.pop() @ product
-    return cos, AffineMap(product, np.zeros(product.shape[0]))
 
 
 def operator_rate(op: AffineMap, fixed: AffineSubspace) -> float:

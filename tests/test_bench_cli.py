@@ -508,6 +508,42 @@ def test_load_config_reports_json_position(tmp_path):
     assert ":2:" in message, f"expected a line number in {message!r}"
 
 
+def _demo_text() -> str:
+    return DEMO_CONFIG.read_text(encoding="utf-8")
+
+
+def _with_duplicate_key(text: str) -> str:
+    """The demo text with ``max_iters`` given three times."""
+    return text.replace('{', '{\n "max_iters": 3,\n "max_iters": 4,\n "max_iters": 40,', 1)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_with_duplicate_key, "max_iters"),
+    (lambda text: text.replace('"label": "lines_45deg"', '"label": "a", "label": "b"'), "label"),
+], ids=["top_level", "nested"])
+def test_load_config_refuses_a_repeated_key(tmp_path, edit, key):
+    """A repeated key is an error that names the file and the key, not a
+    silent choice of its last value."""
+    path = tmp_path / "repeated.json"
+    path.write_text(edit(_demo_text()), encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value) == f"{path}: duplicate key {key!r}"
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff" + _demo_text().encode(), 0),
+    (_demo_text().encode().replace(b"lines_45deg", b"lines_\xe945deg"),
+     _demo_text().encode().index(b"_45deg") + 1),
+], ids=["first_byte", "inside_a_string"])
+def test_load_config_reads_utf8_and_names_the_first_bad_byte(tmp_path, data, offset):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value) == f"{path}: not UTF-8 text at byte {offset}"
+
+
 def test_load_config_matches_parse_config(tmp_path):
     """A file loads as its object parses: the same fields, subspaces with
     the same anchor and basis bytes, and the same rates."""
@@ -1151,6 +1187,24 @@ def test_cli_invalid_json_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "invalid JSON" in captured.err
+
+
+@pytest.mark.parametrize("verb", ["verify", "rates"])
+@pytest.mark.parametrize("data, message", [
+    (_with_duplicate_key(_demo_text()).encode(), "duplicate key 'max_iters'"),
+    (b"\xff" + _demo_text().encode(), "not UTF-8 text at byte 0"),
+], ids=["duplicate_key", "not_utf8"])
+def test_cli_a_repeated_key_or_a_non_utf8_file_exits_two_and_writes_nothing(
+        tmp_path, capsys, verb, data, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    code = cli.main([verb, str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"config error: {path}: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_rates_stdout_and_dump(tmp_path, capsys):

@@ -5,6 +5,8 @@ fresh ones bit for bit, and the guards that keep a cached value from going
 stale or from hiding a failed check.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from circumproj import (
     symmetric_map_operator,
     tuple_angle_cos,
 )
-from helpers import demo_config
 
 # The six methods of the resolve-n200 benchmark workload, on a smaller draw.
 RESOLVE_METHODS = [
@@ -37,9 +38,10 @@ RESOLVE_METHODS = [
 
 def _count_calls(monkeypatch, name: str) -> list:
     """Count the calls of the numerics kernel ``name`` from the modules
-    that take spectral data and import it."""
+    that take spectral data and import it; ``bench`` takes the norm of the
+    tuple chain where it is the first half of sym_op's sweep."""
     calls = []
-    for module in (isometry, rates):
+    for module in (bench, isometry, rates):
         kernel = getattr(module, name, None)
         if kernel is not None:
             monkeypatch.setattr(module, name,
@@ -115,7 +117,7 @@ def test_a_trivial_intersection_forms_the_projector_chain_once(monkeypatch, ambi
     ((_, subspaces, x0, inter, _),) = bench._resolve_instances(config)
     assert (inter.subspace.dim == 0) == shared
     calls = _projector_calls(monkeypatch)
-    ctx = bench._Instance(subspaces, x0, inter, bench._reads_both(config))
+    ctx = bench._Instance(subspaces, x0, inter)
     together = (ctx.tuple_cos, ctx.sym_op)
     together_calls = len(calls)
     apart = (tuple_angle_cos(subspaces, inter.subspace), symmetric_map_operator(subspaces))
@@ -129,32 +131,54 @@ def test_a_trivial_intersection_forms_the_projector_chain_once(monkeypatch, ambi
     assert together[1].b.tobytes() == apart[1].b.tobytes()
 
 
-def test_each_recipe_reads_the_chain_products_the_instance_expects():
-    """``bench._chain_reads`` says which of tuple_cos and sym_op each recipe
-    reads, so the chain is shared only where both are read."""
-    obj = demo_config()
-    obj["methods"] = [
-        {"method": "map"}, {"method": "sym_map"}, {"method": "accel_map"}, {"method": "dr"},
-        {"method": "averaged_iter", "builder": "sum"},
-        {"method": "averaged_iter", "builder": "product"},
-        {"method": "cim", "operator_set": "psi"},
-        {"method": "cim", "operator_set": "psi", "symmetrized": True},
-        {"method": "cim", "operator_set": "psi", "symmetrized": True,
-         "prefix": "sym_map_product"},
-        {"method": "cim", "operator_set": "identity_plus_reflectors"},
-        {"method": "cim", "operator_set": "identity_plus_prefix_products"},
-        {"method": "cim", "operator_set": "custom",
-         "operators": [{"kind": "reflector", "subspace": {"span": [[1.0, 1.0]]}}]},
-    ]
-    config = parse_config(obj)
-    assert {(spec.method, spec.variant) for spec in config.methods} == set(bench._RECIPES)
-    (_, subspaces, x0, inter, _), *_ = bench._resolve_instances(config)
-    for spec in config.methods:
-        ctx = bench._Instance(subspaces, x0, inter, False)
-        bench._plan_method(spec, ctx)
-        assert {"tuple_cos", "sym_op"} & set(vars(ctx)) == bench._chain_reads(spec), spec.label
-    assert bench._reads_both(config)
-    assert not bench._reads_both(parse_config({**obj, "methods": [{"method": "map"}]}))
+def _trivial_instance(methods) -> tuple:
+    """The config and the first resolved instance of a draw that meets in {0}."""
+    config = parse_config({
+        "name": "order",
+        "ambient_dim": 40,
+        "max_iters": 5,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 4,
+                      "dim_range": [1, 20], "seed": 2024},
+        "methods": methods,
+    })
+    ((_, subspaces, x0, inter, _),) = bench._resolve_instances(config)
+    assert inter.subspace.dim == 0
+    return config, subspaces, x0, inter
+
+
+@pytest.mark.parametrize("first", ["tuple_cos", "sym_op"])
+def test_either_chain_product_read_first_forms_each_projector_once(monkeypatch, first):
+    """On a {0} instance one sweep gives both tuple_cos and sym_op,
+    whichever of them a recipe reads first, and both equal the functions
+    that compute them apart bit for bit."""
+    _, subspaces, x0, inter = _trivial_instance(RESOLVE_METHODS)
+    calls = _projector_calls(monkeypatch)
+    ctx = bench._Instance(subspaces, x0, inter)
+    getattr(ctx, first)
+    cos, op = ctx.tuple_cos, ctx.sym_op
+    assert len(calls) == len(subspaces)
+    assert cos == tuple_angle_cos(subspaces, inter.subspace)
+    apart = symmetric_map_operator(subspaces)
+    assert op.A.tobytes() == apart.A.tobytes()
+    assert op.b.tobytes() == apart.b.tobytes()
+
+
+@pytest.mark.parametrize("method", ["map", "accel_map"])
+def test_a_config_that_reads_one_chain_product_gets_the_separate_constants(method):
+    """A config of ``map`` alone reads only tuple_cos, one of ``accel_map``
+    alone only sym_op; each constant equals the one the separate functions
+    give."""
+    config, subspaces, _, inter = _trivial_instance([{"method": method}])
+    (row,) = bench.compute_rates(config)
+    fixed = inter.subspace
+    if method == "map":
+        gamma = tuple_angle_cos(subspaces, fixed)
+        expected = ("cyclic_projection_tuple_rate", gamma, {"tuple_angle_cos": gamma})
+    else:
+        accel = rates.accel_constants(symmetric_map_operator(subspaces), fixed)
+        expected = ("acceleration_rate", accel.eta, dataclasses.asdict(accel))
+    rate = row["rate"]
+    assert (rate["constant_name"], rate["value"], rate["ingredients"]) == expected
 
 
 # The nine method variants of the iterate-long benchmark workload.
@@ -241,7 +265,7 @@ def _symmetric(eigenvalues) -> AffineMap:
     return AffineMap(np.diag(eigenvalues), np.zeros(len(eigenvalues)))
 
 
-def test_self_adjoint_check_reads_both_ends_of_the_spectrum():
+def test_self_adjoint_check_sees_both_ends_of_the_spectrum():
     """An eigenvalue of -1.5 makes the norm 1.5 although lambda_max is 0.5."""
     with pytest.raises(ValueError, match="nonexpansive"):
         isometry._require_nonexpansive(_symmetric([-1.5, 0.5, 0.0]))
