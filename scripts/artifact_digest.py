@@ -30,7 +30,6 @@ file's environment and copy them into the file.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -39,7 +38,7 @@ import numpy as np
 
 from circumproj import load_config
 from circumproj.numerics import _openblas
-from pinned import WORKLOADS, op_count, operation, written
+from pinned import WORKLOADS, digest, op_count, operation, written
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,14 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def _digest(config, fmt: str) -> str:
     """sha256 over the names and bytes of the artifacts of one run."""
     with written(config, fmt) as (_, out_dir):
-        digest = hashlib.sha256()
-        for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-            name = path.relative_to(out_dir).as_posix().encode()
-            data = path.read_bytes()
-            for part in (name, data):
-                digest.update(len(part).to_bytes(8, "big"))
-                digest.update(part)
-    return digest.hexdigest()
+        return digest(out_dir)
 
 
 def artifact_digest(config_path, fmt: str = "csv") -> str:

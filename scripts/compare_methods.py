@@ -7,7 +7,9 @@ error of 1e-10 and the worst bound slack seen in the batch, each read from
 the per-method record that report.json holds. A negative
 slack means an observed error exceeded its theoretical bound, which the
 exit code then reports as 1. Arguments that make no valid config, such as
-one subspace for the two that ``dr`` needs, exit 2 with the config error.
+one subspace for the two that ``dr`` needs, exit 2 with the config error;
+a run that fails, such as a draw with no room between start and
+intersection in R^1, exits 1 with an ``error:`` line, as ``verify`` does.
 
     python3 scripts/compare_methods.py --count 12 --dim 10 --seed 3
 """
@@ -64,7 +66,11 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = run_experiment(config, out_dir=args.out)
+    try:
+        report = run_experiment(config, out_dir=args.out)
+    except (ValueError, RuntimeError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     rows = {}
     for instance in report.instances:

@@ -7,10 +7,12 @@ process with that checkout's ``src`` first on the import path; the script
 stops with exit status 1 when the circumproj that process imports does not
 lie under that ``src``. It prints one row per workload: the largest
 absolute differences between corresponding iterates, between corresponding
-entries of the error columns and between the audited constants, and how
-many audit verdicts and stop steps changed. A change of fixed set moves
-the errors and the constants but no iterate, so the iterates alone would
-read 0 for it:
+entries of the error columns and between the audited constants, how many
+audit verdicts and stop steps changed, and on how many operations the
+artifacts differ in a byte (``pinned.digest``). A change of fixed set
+moves the errors and the constants but no iterate, so the iterates alone
+would read 0 for it. The artifact count compares the two trees on one
+machine, so it needs no recorded digest:
 
     python3 scripts/iterate_drift.py /path/to/parent /path/to/change --seed 4242
 
@@ -23,15 +25,15 @@ import json
 import sys
 from pathlib import Path
 
-from pinned import WORKLOADS, fresh, op_count, operation, written
+from pinned import WORKLOADS, digest, fresh, op_count, operation, written
 
 
 def dump(workload_name: str, seed: int, ops: int) -> list:
     """Run the operations with the circumproj on the import path and list,
-    per operation, each method's iterates, errors, stop step, audited
-    constant and audit verdict. The last two are read from the report.json
-    that the run writes in the workload's format, so trees that name the
-    report's attributes differently still compare."""
+    per operation, the digest of its artifacts and each method's iterates,
+    errors, stop step, audited constant and audit verdict. The last two are
+    read from the report.json that the run writes in the workload's format,
+    so trees that name the report's attributes differently still compare."""
     results = []
     for index in range(ops):
         _, config, fmt = operation(workload_name, seed, index)
@@ -40,6 +42,7 @@ def dump(workload_name: str, seed: int, ops: int) -> list:
             # tree accepts; older trees write a default directory without it
             with written(config, fmt) as (report, out_dir):
                 written_report = json.loads((out_dir / "report.json").read_text())
+                artifacts = digest(out_dir)
         except (RuntimeError, ValueError) as error:
             results.append({"error": f"{type(error).__name__}: {error}"})
             continue
@@ -56,20 +59,23 @@ def dump(workload_name: str, seed: int, ops: int) -> list:
                     "constant": None if rate is None else rate["value"],
                     "verdict": None if rate is None else rate["all_satisfied"],
                 })
-        results.append({"methods": methods})
+        results.append({"artifacts": artifacts, "methods": methods})
     return results
 
 
 def compare(first: list, second: list) -> dict:
-    """Largest iterate, error and constant differences, changed verdicts and
-    changed stop steps; iterates and errors are compared over the steps both
-    runs took, constants where both runs audited one."""
+    """Largest iterate, error and constant differences, changed verdicts,
+    changed stop steps and operations with changed artifacts; iterates and
+    errors are compared over the steps both runs took, constants where both
+    runs audited one."""
     drift = {"methods": 0, "max_abs_diff": 0.0, "max_error_diff": 0.0,
-             "max_constant_diff": 0.0, "changed_verdicts": 0, "changed_stops": 0}
+             "max_constant_diff": 0.0, "changed_verdicts": 0, "changed_stops": 0,
+             "changed_artifacts": 0}
     for op_first, op_second in zip(first, second):
         if "error" in op_first or "error" in op_second:
             drift["changed_verdicts"] += op_first.get("error") != op_second.get("error")
             continue
+        drift["changed_artifacts"] += op_first["artifacts"] != op_second["artifacts"]
         for a, b in zip(op_first["methods"], op_second["methods"], strict=True):
             if a["label"] != b["label"]:
                 raise ValueError(f"method {a['label']} against {b['label']}")
@@ -102,7 +108,7 @@ def main(argv=None) -> int:
         parser.error("give exactly two source trees")
     print(f"{'workload':<14}{'ops':>4}{'methods':>9}{'max_abs_diff':>14}"
           f"{'max_error_diff':>16}{'max_constant_diff':>19}"
-          f"{'changed_verdicts':>18}{'changed_stops':>15}")
+          f"{'changed_verdicts':>18}{'changed_stops':>15}{'changed_artifacts':>19}")
     for name in args.workload or WORKLOADS:
         try:
             first, second = (fresh(dump, name, args.seed, args.ops, src=tree.resolve() / "src")
@@ -112,7 +118,8 @@ def main(argv=None) -> int:
         drift = compare(first, second)
         print(f"{name:<14}{args.ops:>4}{drift['methods']:>9}{drift['max_abs_diff']:>14.3e}"
               f"{drift['max_error_diff']:>16.3e}{drift['max_constant_diff']:>19.3e}"
-              f"{drift['changed_verdicts']:>18}{drift['changed_stops']:>15}")
+              f"{drift['changed_verdicts']:>18}{drift['changed_stops']:>15}"
+              f"{drift['changed_artifacts']:>19}")
     return 0
 
 

@@ -10,6 +10,7 @@ that :func:`fresh` can put another tree's ``src`` first before it is.
 
 import argparse
 import contextlib
+import hashlib
 import multiprocessing
 import sys
 import tempfile
@@ -45,6 +46,18 @@ def written(config, fmt: str):
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         yield run_experiment(config, out_dir=out_dir, fmt=fmt), out_dir
+
+
+def digest(out_dir: Path) -> str:
+    """sha256 over the sorted names and the bytes of every file under
+    ``out_dir``, each part preceded by its length, so equal digests mean
+    byte-identical artifacts."""
+    total = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        for part in (path.relative_to(out_dir).as_posix().encode(), path.read_bytes()):
+            total.update(len(part).to_bytes(8, "big"))
+            total.update(part)
+    return total.hexdigest()
 
 
 def _call(fn, args: tuple, src):

@@ -49,11 +49,12 @@ from .rates import (
     AccelConstants,
     RateConstant,
     RateReport,
+    _chain_start,
+    _require_chain,
     _slacks,
     accel_constants,
     audit_bound,
     operator_rate,
-    tuple_angle_cos,
 )
 from .subspace import AffineSubspace, Intersection, intersect
 
@@ -543,12 +544,11 @@ class _Instance:
     ill-conditioned at small angles theta: the smallest singular values of
     A - I are of order theta^2.
 
-    ``sym_op`` is the palindromic sweep P_1 .. P_m .. P_1. On a linear
-    instance that meets in {0}, the tuple chain P_m .. P_1 is that sweep's
-    first half, so ``tuple_cos`` is the norm of the half, taken once, and
-    each projector is formed once for both; reading either computes both.
-    Elsewhere ``tuple_cos`` comes from ``tuple_angle_cos``, whose chain
-    starts at I - P_fixed."""
+    ``sym_op`` is the palindromic sweep P_1 .. P_m .. P_1, and ``tuple_cos``
+    the norm of its first half applied to I - P_fixed, the chain of
+    ``tuple_angle_cos``: each projector is formed once for both, and
+    reading either computes both. On an affine or empty instance
+    ``tuple_cos`` raises ``tuple_angle_cos``'s error."""
 
     subspaces: Sequence
     x0: np.ndarray
@@ -579,20 +579,13 @@ class _Instance:
             self._averaged[key] = _AVERAGED_BUILDERS[builder](self.family(symmetrized))
         return self._averaged[key]
 
-    @property
-    def _chain_is_half(self) -> bool:
-        inter = self.inter.subspace
-        return (inter is not None and inter.dim == 0
-                and all(s.is_linear() for s in self.subspaces))
-
     @cached_property
     def _palindrome(self) -> tuple:
-        """``sym_op`` and, where the tuple chain is its first half, the
-        half's norm, else None."""
-        subspaces = list(self.subspaces)
-        half = len(subspaces) if self._chain_is_half else None
-        op, first = _sweep(subspaces + subspaces[-2::-1], half)
-        return op, None if first is None else spectral_norm(first)
+        """``sym_op`` and the norm of its sweep's first half applied to
+        I - P_fixed, the tuple chain."""
+        half = list(self.subspaces)
+        op, chain = _sweep(half + half[-2::-1], len(half), _chain_start(self.inter.subspace))
+        return op, spectral_norm(chain)
 
     @property
     def sym_op(self) -> AffineMap:
@@ -600,9 +593,8 @@ class _Instance:
 
     @cached_property
     def tuple_cos(self) -> float:
-        if self._chain_is_half:
-            return self._palindrome[1]
-        return tuple_angle_cos(self.subspaces, fixed=self.inter.subspace)
+        _require_chain(self.subspaces, self.inter.subspace)
+        return self._palindrome[1]
 
     @cached_property
     def accel(self) -> AccelConstants:
@@ -897,7 +889,13 @@ def _rows_text(template: str, separator: str, *columns) -> str:
     fields = [None] * (width * count)
     for index, column in enumerate(columns):
         fields[index::width] = column
-    return separator.join([template] * count) % tuple(fields)
+    fields = tuple(fields)  # the list is freed before the text is formatted
+    return separator.join([template] * count) % fields
+
+
+def _vector_text(vector: np.ndarray) -> str:
+    """A vector as ``json`` writes it in a list, without the brackets."""
+    return ",".join(_json_texts(vector, _float_texts(vector)))
 
 
 def _trace_csv(trace: IterationTrace) -> str:
@@ -940,9 +938,9 @@ def _constant_record(constant: RateConstant) -> dict:
 
 
 def _method_record(outcome: MethodOutcome, embedded: bool) -> dict:
-    """A method's report.json record with every row list empty: its summary,
-    its audit and, when ``embedded``, its trace. verify prints it, and the
-    writer fills the row lists with text."""
+    """A method's report.json record with its rows and vectors as empty
+    lists: its summary, its audit and, when ``embedded``, its trace. verify
+    prints it, and the writer fills the lists with text."""
     trace, audit = outcome.trace, outcome.report
     reached = trace.errors <= _REACH_ERROR
     first = int(np.argmax(reached))
@@ -965,16 +963,16 @@ def _method_record(outcome: MethodOutcome, embedded: bool) -> dict:
             "method": trace.method,
             "ambient_dim": int(trace.ambient_dim),
             "stopped_at": trace.stopped_at,
-            "x0_original": [float(v) for v in trace.x0_original],
-            "target": [float(v) for v in trace.target],
+            "x0_original": [],
+            "target": [],
             "error_origin": trace.error_origin,
             "rows": [],
         }
     return record
 
 
-def _document(report: ExperimentReport) -> dict:
-    """The report.json object with every instance's method list empty."""
+def _document(report: ExperimentReport, embedded: bool) -> dict:
+    """The report.json object, its rows and vectors as empty lists."""
     return {
         "name": report.name,
         "environment": report.environment,
@@ -985,12 +983,12 @@ def _document(report: ExperimentReport) -> dict:
                 "ambient_dim": instance.ambient_dim,
                 "subspace_dims": list(instance.subspace_dims),
                 "intersection_dim": instance.intersection_dim,
-                "x0": [float(v) for v in instance.x0],
+                "x0": [],
                 "extra_checks": [
                     {"name": name, "passed": passed, "detail": detail}
                     for name, passed, detail in instance.extra_checks
                 ],
-                "methods": [],
+                "methods": [_method_record(outcome, embedded) for outcome in instance.methods],
             }
             for instance in report.instances
         ],
@@ -998,65 +996,60 @@ def _document(report: ExperimentReport) -> dict:
 
 
 def _method_pieces(outcome: MethodOutcome, out_dir: Path, stem: str, fmt: str):
-    """Write one method's CSVs in csv mode, then yield its report.json record.
+    """Write one method's CSVs in csv mode, then yield ``(opening, items)``
+    for each list of its report.json record that the writer fills, in the
+    record's order: the list's opening text and the text of its items.
 
     Each float column is formatted once for each format it appears in: the
     audit's error and bound ``repr`` texts fill both its rate CSV and its
     ``per_iteration`` rows, and the trace's embedded rows share the error
-    text, since an audit holds its trace's own error array. The record is
-    encoded once with every row list empty, and each row text is spliced
-    in at its list. "rate" sorts before "trace", and a quote inside a
-    string is escaped, so the first ``"per_iteration":[]``, and after it
-    the first ``"rows":[]``, is the list itself.
+    text, since an audit holds its trace's own error array.
     """
     trace, audit = outcome.trace, outcome.report
     embedded = fmt == "json"
     if not embedded:
         _write_atomic(out_dir / f"{stem}.trace.csv", (_trace_csv(trace),))
-    splices = []
     error = None
     if audit is not None:
         error_text, bound_text = _float_texts(audit.errors), _float_texts(audit.bounds)
         if not embedded:
             _write_atomic(out_dir / f"{stem}.rate.csv", (_rate_csv(audit, error_text, bound_text),))
         error = _json_texts(audit.errors, error_text)
-        splices.append(('"per_iteration":[', _audit_rows(
-            audit, error, _json_texts(audit.bounds, bound_text))))
+        yield '"per_iteration":[', _audit_rows(audit, error, _json_texts(audit.bounds, bound_text))
     if embedded:
         if error is None:
             error = _json_texts(trace.errors, _float_texts(trace.errors))
-        splices.append(('"rows":[', _trace_rows(trace, error)))
-    rest = _encode(_method_record(outcome, embedded))
-    for opening, rows in splices:
-        head, _, rest = rest.partition(opening + "]")
-        yield from (head, opening, rows, "]")
-    yield rest
+        yield '"rows":[', _trace_rows(trace, error)
+        yield '"target":[', _vector_text(trace.target)
+        yield '"x0_original":[', _vector_text(trace.x0_original)
+
+
+def _lists(report: ExperimentReport, out_dir: Path, fmt: str):
+    """Each ``(opening, items)`` pair of report.json in document order: an
+    instance's methods' (see ``_method_pieces``), then its ``"x0"``."""
+    for instance in report.instances:
+        for outcome in instance.methods:
+            yield from _method_pieces(outcome, out_dir, _stem(instance.label, outcome.label), fmt)
+        yield '"x0":[', _vector_text(instance.x0)
 
 
 def _report_json_pieces(report: ExperimentReport, out_dir: Path, fmt: str):
-    """report.json as text pieces, a compact sorted-key ``json`` document
-    and a newline, encoded one method record at a time; in csv mode each
-    method's CSVs are written as its record is reached.
+    """report.json as text pieces, a compact sorted-key ``json`` document and
+    a newline; in csv mode each method's CSVs are written as it is reached.
 
-    The document is encoded with every method list empty and split at
-    each ``"methods":[]``. Only an instance's key can form that text:
-    every other key is fixed by the schema, and a quote inside a string
-    is escaped. Each record is yielded in its place by
-    :func:`_method_pieces`. Without an indent ``json`` keeps its C
-    encoder, whose fragments then hold one record at a time, not the
-    whole report.
+    The document is encoded once with its rows and vectors as empty lists.
+    Each list's text is spliced in at the first ``"rows":[]``, ``"x0":[]``
+    and so on after the last splice, in the order of :func:`_lists`: only
+    the schema's keys form that text, as a quote in a string is escaped.
     """
-    heads = _encode(_document(report)).split('"methods":[]')
-    yield heads[0]
-    for instance, tail in zip(report.instances, heads[1:]):
-        yield '"methods":['
-        for index, outcome in enumerate(instance.methods):
-            if index:
-                yield ","
-            yield from _method_pieces(outcome, out_dir, _stem(instance.label, outcome.label), fmt)
-        yield "]"
-        yield tail
-    yield "\n"
+    text = _encode(_document(report, fmt == "json"))
+    done = 0
+    for opening, items in _lists(report, out_dir, fmt):
+        at = text.index(opening + "]", done) + len(opening)
+        yield from (text[done:at], items)
+        done = at
+        del items  # freed before the next list is formatted
+    yield text[done:] + "\n"
 
 
 def _write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> None:

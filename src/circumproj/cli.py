@@ -27,6 +27,7 @@ from .bench import (
     ExperimentConfig,
     ExperimentReport,
     RandomInstances,
+    X0Spec,
     compute_rates,
     load_config,
     run_experiment,
@@ -65,16 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reseeded(x0: Optional[X0Spec], seed: int) -> Optional[X0Spec]:
+    """``x0`` drawing from ``seed`` when it is a ``random_unit`` start."""
+    drawn = x0 is not None and x0.kind == "random_unit"
+    return dataclasses.replace(x0, seed=seed) if drawn else x0
+
+
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ConfigError("--seed: must be nonnegative")
         updates["seed"] = args.seed
-        if config.x0.kind == "random_unit":
-            updates["x0"] = dataclasses.replace(config.x0, seed=args.seed)
-        if isinstance(config.instances, RandomInstances):
-            updates["instances"] = dataclasses.replace(config.instances, seed=args.seed)
+        updates["x0"] = _reseeded(config.x0, args.seed)
+        updates["instances"] = (
+            dataclasses.replace(config.instances, seed=args.seed)
+            if isinstance(config.instances, RandomInstances) else
+            tuple(dataclasses.replace(i, x0=_reseeded(i.x0, args.seed)) for i in config.instances))
     if args.out == "":
         raise ConfigError("--out: must be nonempty")
     if getattr(args, "max_iters", None) is not None:

@@ -215,9 +215,9 @@ def dr_operator(first: AffineIsometry, second: AffineIsometry) -> AffineMap:
     return AffineMap(0.5 * (np.eye(n) + second_q @ first_q), np.zeros(n))
 
 
-def _sweep(subspaces: Sequence[AffineSubspace], half: Optional[int]) -> tuple:
-    """The sweep P_m .. P_1 and, when ``half`` is given, its linear part
-    after the first ``half`` factors, else None.
+def _sweep(subspaces: Sequence[AffineSubspace], half: int, start=None) -> tuple:
+    """The sweep P_m .. P_1, and its first ``half`` factors applied to the
+    array ``start``, or to the identity when ``start`` is None.
 
     A subspace listed more than once has its projector formed once and kept
     until its last factor. Through the origin alone the offset is 0, and
@@ -229,7 +229,7 @@ def _sweep(subspaces: Sequence[AffineSubspace], half: Optional[int]) -> tuple:
     last_use = {id(s): k for k, s in enumerate(subspaces)}
     held = {}
     affine = any(np.any(s.anchor) for s in subspaces)
-    A = b = first = None
+    A, b, first = None, None, start
     for k, s in enumerate(subspaces):
         P = held.pop(id(s), None)
         if P is None:
@@ -237,8 +237,8 @@ def _sweep(subspaces: Sequence[AffineSubspace], half: Optional[int]) -> tuple:
         if last_use[id(s)] > k:
             held[id(s)] = P
         A = P if A is None else P @ A
-        if k + 1 == half:
-            first = A
+        if k < half:
+            first = A if start is None else P @ first
         if affine:
             offset = s.anchor - P @ s.anchor
             b = offset if b is None else P @ b + offset
@@ -248,14 +248,14 @@ def _sweep(subspaces: Sequence[AffineSubspace], half: Optional[int]) -> tuple:
 def map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
     """The single-sweep cyclic projection operator P_m .. P_1, each
     projector formed once (see ``_sweep``)."""
-    return _sweep(subspaces, None)[0]
+    return _sweep(subspaces, 0)[0]
 
 
 def symmetric_map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
     """The palindromic sweep P_1 .. P_n .. P_1 over the given half list.
 
     The result is self-adjoint positive semidefinite for linear subspaces.
-    Each of the n projectors is formed once, by the one sweep ``_sweep``;
-    ``bench._Instance`` reads the same sweep's first half P_n .. P_1.
+    Each of the n projectors is formed once, by the one sweep ``_sweep``,
+    whose first half ``bench._Instance`` applies to I - P_fixed.
     """
-    return _sweep(list(subspaces) + list(subspaces[-2::-1]), None)[0]
+    return _sweep(list(subspaces) + list(subspaces[-2::-1]), 0)[0]

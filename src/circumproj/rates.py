@@ -19,7 +19,7 @@ from .isometry import (
     _sym_extremes,
     _zero_offset,
 )
-from .methods import IterationTrace
+from .methods import IterationTrace, _sweep
 from .numerics import CONSISTENCY_TOL, EQ_TOL, spectral_norm, sym_eigen_extremes
 from .subspace import AffineSubspace
 
@@ -86,37 +86,35 @@ class RateReport:
         return min([float("inf"), *_slacks(self.errors, self.bounds).tolist()])
 
 
-def _require_linear(subspaces: Sequence[AffineSubspace]) -> None:
-    for s in subspaces:
-        if not s.is_linear():
-            raise ValueError("rate constants are defined for linear subspaces")
+def _require_chain(subspaces: Sequence[AffineSubspace], fixed: Optional[AffineSubspace]) -> None:
+    """Refuse what has no tuple chain: no subspace, an affine one or ``fixed`` None."""
+    if len(subspaces) == 0:
+        raise ValueError("need at least one subspace")
+    if not all(s.is_linear() for s in subspaces):
+        raise ValueError("rate constants are defined for linear subspaces")
+    if fixed is None:
+        raise ValueError("subspaces have empty intersection")
 
 
-def tuple_angle_cos(subspaces: Sequence[AffineSubspace],
-                    fixed: Optional[AffineSubspace]) -> float:
+def _chain_start(fixed: Optional[AffineSubspace]) -> Optional[np.ndarray]:
+    """I - P_fixed, where the tuple chain starts; None, the identity, on {0} or None."""
+    if fixed is None or fixed.dim == 0:
+        return None
+    return np.eye(fixed.ambient_dim) - fixed.projector_matrix()
+
+
+def tuple_angle_cos(subspaces: Sequence[AffineSubspace], fixed: Optional[AffineSubspace]) -> float:
     """Norm of the cyclic projection product restricted off the intersection.
 
     ``fixed`` is the intersection of the subspaces, as ``intersect`` gives
     it; None raises ValueError. For a single subspace this is 0; for two it
     is the cosine of their Friedrichs angle, strictly below 1 in finite
-    dimension and 0 when one subspace contains the other. When ``fixed`` is
-    {0}, I - P_fixed is the identity and the chain starts at P_1, which
-    equals P_1 (I - P_fixed) bit for bit; the chain is then the first half
-    of ``symmetric_map_operator``'s sweep, and ``bench._Instance`` takes its
-    norm there instead of forming it twice.
+    dimension and 0 when one subspace contains the other. The chain
+    P_m .. P_1 (I - P_fixed) comes from the one sweep ``methods._sweep``;
+    ``bench._Instance`` reads it off ``symmetric_map_operator``'s sweep.
     """
-    if len(subspaces) == 0:
-        raise ValueError("need at least one subspace")
-    _require_linear(subspaces)
-    if fixed is None:
-        raise ValueError("subspaces have empty intersection")
-    product = None
-    if fixed.dim > 0:
-        product = np.eye(fixed.ambient_dim) - fixed.projector_matrix()
-    for s in subspaces:
-        P = s.projector_matrix()
-        product = P if product is None else P @ product
-    return spectral_norm(product)
+    _require_chain(subspaces, fixed)
+    return spectral_norm(_sweep(subspaces, len(subspaces), _chain_start(fixed))[1])
 
 
 def operator_rate(op: AffineMap, fixed: AffineSubspace) -> float:

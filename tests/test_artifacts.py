@@ -116,16 +116,31 @@ def _row_list_text_label() -> dict:
     return obj
 
 
+# The text of every list the writer splices in, rows and vectors.
+SPLICED_LIST_TEXT = ROW_LIST_TEXT + ' "target":[] "x0":[] "x0_original":[]'
+
+
+def _row_list_text_name() -> dict:
+    """The demo with the config name and an instance label holding the
+    spliced lists' text: the splice scans the whole encoded document, and
+    both come before the first method's lists."""
+    obj = demo_config()
+    obj["name"] = SPLICED_LIST_TEXT
+    obj["instances"]["items"][1]["label"] = f"plane {SPLICED_LIST_TEXT}"
+    return obj
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_json_is_one_compact_line_with_the_indented_schema(tmp_path, fmt):
     """report.json holds the bytes of one json.dumps over the reference
     report object, although it is written one method record at a time with its rows
     spliced in as text: across instances, with extra checks, with a null
-    rate, with one-row traces and with a label that holds the row lists'
-    text."""
+    rate, with one-row traces and with a name and labels that hold the row
+    lists' text."""
     configs = {"demo": demo_config(), "random_3": _three_random_instances(),
                "fixed_line": _fixed_line_instance(), "custom": _custom_family(),
-               "max_iters_0": _random_config(0), "row_list_label": _row_list_text_label()}
+               "max_iters_0": _random_config(0), "row_list_label": _row_list_text_label(),
+               "row_list_name": _row_list_text_name()}
     for name, config_obj in configs.items():
         report = run_experiment(parse_config(config_obj), out_dir=tmp_path / name, fmt=fmt)
         text = (tmp_path / name / "report.json").read_text()
@@ -145,6 +160,7 @@ def test_report_json_is_one_compact_line_with_the_indented_schema(tmp_path, fmt)
         == [None, None]
     assert {m["iterations"] for m in written["max_iters_0"][0]["methods"]} == {0}
     assert f"cim {ROW_LIST_TEXT}" in [m["label"] for m in written["row_list_label"][0]["methods"]]
+    assert [i["label"] for i in written["row_list_name"]][1] == f"plane {SPLICED_LIST_TEXT}"
 
 
 # Floats whose text is hard to get right: signed zeros, subnormals, the

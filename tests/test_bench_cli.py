@@ -801,6 +801,18 @@ def test_compare_methods_reports_a_config_error_and_exits_two(capsys, argv, mess
     assert captured.out == ""
 
 
+def test_compare_methods_reports_a_failed_run_and_exits_one(capsys):
+    """A draw that cannot succeed in R^1 ends as verify's runtime errors
+    do: one error line on stderr, no traceback, exit 1."""
+    assert load_script("compare_methods").main(["--dim", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: failed to draw a nondegenerate instance in 100 tries; "
+                            "the requested dimensions leave no room between start and "
+                            "intersection\n")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # command line
 
 
@@ -1262,6 +1274,19 @@ def test_cli_seed_override_changes_start(tmp_path, capsys):
     assert base["environment"]["seed"] == 20240601
     assert moved["environment"]["seed"] == 999
     assert base["instances"][0]["x0"] != moved["instances"][0]["x0"]
+
+    # an item's own random_unit start draws from the flag's seed as well
+    def item_start(obj):
+        obj["instances"]["items"][0]["x0"] = {"kind": "random_unit", "seed": 5}
+
+    path = _write_demo(tmp_path, item_start)
+    starts = []
+    for name, flags in (("c", []), ("d", ["--seed", "7"]), ("e", ["--seed", "8"])):
+        assert cli.main(["verify", str(path), "--out", str(tmp_path / name), *flags]) == 0
+        payload = json.loads((tmp_path / name / "report.json").read_text())
+        starts.append(tuple(payload["instances"][0]["x0"]))
+    capsys.readouterr()
+    assert len(set(starts)) == 3
 
 
 def test_cli_max_iters_override(tmp_path, capsys):

@@ -21,9 +21,10 @@ def test_a_tree_against_itself_has_zero_drift():
         capture_output=True, text=True, timeout=300, check=True)
     header, *rows = result.stdout.strip().splitlines()
     assert header.split() == ["workload", "ops", "methods", "max_abs_diff", "max_error_diff",
-                              "max_constant_diff", "changed_verdicts", "changed_stops"]
+                              "max_constant_diff", "changed_verdicts", "changed_stops",
+                              "changed_artifacts"]
     assert [row.split() for row in rows] == [
-        [name, "1", methods, "0.000e+00", "0.000e+00", "0.000e+00", "0", "0"]
+        [name, "1", methods, "0.000e+00", "0.000e+00", "0.000e+00", "0", "0", "0"]
         for name, methods in (("family-psi", "6"), ("iterate-long", "9"))]
 
 
@@ -48,15 +49,20 @@ def test_compare_counts_each_kind_of_change():
         return {"label": label, "iterates": iterates, "errors": errors,
                 "stopped_at": stopped_at, "constant": constant, "verdict": verdict}
 
-    first = [{"methods": [method("a", [[0.0, 1.0], [0.5, 0.5]], [1.0, 0.5], 1, 0.5, True),
+    first = [{"artifacts": "d0",
+              "methods": [method("a", [[0.0, 1.0], [0.5, 0.5]], [1.0, 0.5], 1, 0.5, True),
                           method("b", [[1.0], [0.0], [0.0]], [2.0, 1.0, 1.0], 2, None, None),
                           method("c", [[1.0]], [0.0], 0, 0.25, True)]},
-             {"error": "NumericalPropernessError: spread"}]
-    second = [{"methods": [method("a", [[0.0, 1.0], [0.5, 0.25]], [1.0, 0.375], 1, 0.75,
+             {"error": "NumericalPropernessError: spread"},
+             {"artifacts": "d3", "methods": []}]
+    second = [{"artifacts": "d1",
+               "methods": [method("a", [[0.0, 1.0], [0.5, 0.25]], [1.0, 0.375], 1, 0.75,
                                   False),
                            method("b", [[1.0], [1e-3]], [2.0, 1.0], 1, None, None),
                            method("c", [[1.0]], [0.0], 0, None, None)]},
-              {"methods": []}]
+              {"artifacts": "d2", "methods": []},
+              {"artifacts": "d3", "methods": []}]
     assert drift.compare(first, second) == {
         "methods": 3, "max_abs_diff": 0.25, "max_error_diff": 0.125,
-        "max_constant_diff": 0.25, "changed_verdicts": 3, "changed_stops": 1}
+        "max_constant_diff": 0.25, "changed_verdicts": 3, "changed_stops": 1,
+        "changed_artifacts": 1}

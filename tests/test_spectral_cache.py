@@ -39,7 +39,7 @@ RESOLVE_METHODS = [
 def _count_calls(monkeypatch, name: str) -> list:
     """Count the calls of the numerics kernel ``name`` from the modules
     that take spectral data and import it; ``bench`` takes the norm of the
-    tuple chain where it is the first half of sym_op's sweep."""
+    tuple chain, the first half of sym_op's sweep."""
     calls = []
     for module in (bench, isometry, rates):
         kernel = getattr(module, name, None)
@@ -103,10 +103,10 @@ def _projector_calls(monkeypatch) -> list:
                          ids=["trivial_intersection", "nontrivial_intersection"])
 def test_a_trivial_intersection_forms_the_projector_chain_once(monkeypatch, ambient_dim,
                                                                dims, shared):
-    """With the intersection {0}, tuple_cos is the norm of the first half of
-    sym_op's palindromic sweep: each projector is formed once, not twice,
-    and both equal the functions that compute them apart bit for bit.
-    Elsewhere the instance computes them apart."""
+    """tuple_cos is the norm of the first half of sym_op's palindromic
+    sweep, applied to I - P_fixed where the intersection is not {0}: each
+    projector is formed once, not twice, and both equal the functions that
+    compute them apart bit for bit."""
     config = parse_config({
         "name": "chain",
         "ambient_dim": ambient_dim,
@@ -125,7 +125,7 @@ def test_a_trivial_intersection_forms_the_projector_chain_once(monkeypatch, ambi
     m = len(subspaces)
     # the nontrivial chain starts at I - P_fixed, one projector more
     assert apart_calls == 2 * m + (not shared)
-    assert together_calls == (apart_calls - m if shared else apart_calls)
+    assert together_calls == apart_calls - m
     assert together[0] == apart[0]
     assert together[1].A.tobytes() == apart[1].A.tobytes()
     assert together[1].b.tobytes() == apart[1].b.tobytes()
@@ -146,21 +146,54 @@ def _trivial_instance(methods) -> tuple:
     return config, subspaces, x0, inter
 
 
+def _nontrivial_instance() -> tuple:
+    """The subspaces, start and intersection of a draw of three
+    21-dimensional subspaces of R^30, which meet in dimension 3."""
+    config = parse_config({
+        "name": "order",
+        "ambient_dim": 30,
+        "instances": {"kind": "random", "count": 1, "num_subspaces": 3,
+                      "dim_range": [21, 21], "seed": 4242},
+        "methods": RESOLVE_METHODS,
+    })
+    ((_, subspaces, x0, inter, _),) = bench._resolve_instances(config)
+    assert inter.subspace.dim == 3
+    return subspaces, x0, inter
+
+
+def _read_both(monkeypatch, first: str, subspaces, x0, inter, formed: int) -> None:
+    """Read ``first`` of tuple_cos and sym_op, then both: ``formed``
+    projectors in all, and both equal the functions that compute them
+    apart bit for bit."""
+    calls = _projector_calls(monkeypatch)
+    ctx = bench._Instance(subspaces, x0, inter)
+    getattr(ctx, first)
+    cos, op = ctx.tuple_cos, ctx.sym_op
+    assert len(calls) == formed
+    assert cos == tuple_angle_cos(subspaces, inter.subspace)
+    apart = symmetric_map_operator(subspaces)
+    assert op.A.tobytes() == apart.A.tobytes()
+    assert op.b.tobytes() == apart.b.tobytes()
+
+
 @pytest.mark.parametrize("first", ["tuple_cos", "sym_op"])
 def test_either_chain_product_read_first_forms_each_projector_once(monkeypatch, first):
     """On a {0} instance one sweep gives both tuple_cos and sym_op,
     whichever of them a recipe reads first, and both equal the functions
     that compute them apart bit for bit."""
     _, subspaces, x0, inter = _trivial_instance(RESOLVE_METHODS)
-    calls = _projector_calls(monkeypatch)
-    ctx = bench._Instance(subspaces, x0, inter)
-    getattr(ctx, first)
-    cos, op = ctx.tuple_cos, ctx.sym_op
-    assert len(calls) == len(subspaces)
-    assert cos == tuple_angle_cos(subspaces, inter.subspace)
-    apart = symmetric_map_operator(subspaces)
-    assert op.A.tobytes() == apart.A.tobytes()
-    assert op.b.tobytes() == apart.b.tobytes()
+    _read_both(monkeypatch, first, subspaces, x0, inter, formed=len(subspaces))
+
+
+@pytest.mark.parametrize("first", ["tuple_cos", "sym_op"])
+def test_a_nontrivial_intersection_takes_both_chain_products_from_one_sweep(monkeypatch,
+                                                                           first):
+    """Off {0} the tuple chain starts at I - P_fixed and is still the first
+    half of sym_op's sweep: whichever is read first, the m projectors and
+    P_fixed are formed once each, m + 1 in all, and both equal the
+    functions that compute them apart bit for bit."""
+    subspaces, x0, inter = _nontrivial_instance()
+    _read_both(monkeypatch, first, subspaces, x0, inter, formed=len(subspaces) + 1)
 
 
 @pytest.mark.parametrize("method", ["map", "accel_map"])
@@ -208,8 +241,9 @@ def test_each_averaged_map_is_built_once_per_instance(monkeypatch):
     })
     values = []
     kernel = rates.spectral_norm
-    monkeypatch.setattr(rates, "spectral_norm",
-                        lambda M: values.append(kernel(M)) or values[-1])
+    for module in (bench, rates):
+        monkeypatch.setattr(module, "spectral_norm",
+                            lambda M: values.append(kernel(M)) or values[-1])
     contexts = _recording_contexts(monkeypatch)
     report = run_experiment(config)
     # tuple_cos, the shared rate of sym_op, dr, sum and product
