@@ -9,10 +9,16 @@ artifacts written in the workload's format, as the benchmark runs it. The
 process prints ``ru_maxrss`` (the high-water mark of its resident memory,
 imports included) before the operation, when it starts writing its
 artifacts and after it, so the output shows which phase sets the
-high-water mark. It then runs the operation once more under
-``tracemalloc`` and prints, per layer, the traced heap peak above the heap
-at the layer's start: resolution (the instances and their intersections),
-each method's plan and run, and writing the artifacts.
+high-water mark. Next to it, it prints the minor page faults of the
+operation, the ``ru_minflt`` delta of the process. A minor fault is the
+first touch of a page newly mapped to the process: memory it grew, or
+memory the allocator gave back to the system and took again. So the count
+shows the cost of the allocator's trim-and-regrow cycle, which glibc's
+``MALLOC_TOP_PAD_`` and ``MALLOC_TRIM_THRESHOLD_`` in the environment
+change. It then runs the operation once more under ``tracemalloc`` and
+prints, per layer, the traced heap peak above the heap at the layer's
+start: resolution (the instances and their intersections), each method's
+plan and run, and writing the artifacts.
 """
 
 import argparse
@@ -78,21 +84,23 @@ def measure(workload_name: str, seed: int, index: int) -> dict:
         writing.append(_maxrss_mb())
         return write_report(*args, **kwargs)
 
-    before = _maxrss_mb()
+    start = resource.getrusage(resource.RUSAGE_SELF)
     bench._write_report = noted
     try:
         with written(config, fmt):
             pass
     finally:
         bench._write_report = write_report
-    after = _maxrss_mb()
-    return {"label": label, "before": before, "writing": writing[0], "after": after,
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    return {"label": label, "before": start.ru_maxrss / 1024.0, "writing": writing[0],
+            "after": end.ru_maxrss / 1024.0, "minor_faults": end.ru_minflt - start.ru_minflt,
             "layers": _traced_layers(config, fmt)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="ru_maxrss and per-layer traced heap peaks of benchmark operations")
+        description="ru_maxrss, minor page faults and per-layer traced heap peaks "
+                    "of benchmark operations")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--ops", type=op_count, default=1, help="operations 0..OPS-1")
@@ -101,7 +109,8 @@ def main(argv=None) -> int:
         result = fresh(measure, args.workload, args.seed, index)
         print(f"{result['label']}: ru_maxrss "
               f"{result['before']:.1f} MB before, {result['writing']:.1f} MB when "
-              f"writing starts, {result['after']:.1f} MB after")
+              f"writing starts, {result['after']:.1f} MB after; "
+              f"{result['minor_faults']} minor page faults")
         for name, peak in result["layers"]:
             print(f"  {name:<32} {peak / MB:8.3f} MB traced peak")
     return 0

@@ -109,9 +109,14 @@ class IterationTrace:
 
     def step_norms(self) -> np.ndarray:
         """0, then ``_norm(iterates[k] - iterates[k - 1])``, the figure that
-        the stop rule compares when stop_tol > 0."""
-        steps = np.zeros(self.iterates.shape[0])
-        steps[1:] = _row_norms(np.diff(self.iterates, axis=0))
+        the stop rule compares when stop_tol > 0. The differences are taken
+        64 rows at a time, so the transient is at most 64 x n, not k x n; a
+        row's norm does not depend on its block."""
+        k, rows = self.iterates.shape[0], 64
+        steps = np.zeros(k)
+        for start in range(1, k, rows):
+            block = np.diff(self.iterates[start - 1:start + rows], axis=0)
+            steps[start:start + rows] = _row_norms(block)
         return steps
 
 

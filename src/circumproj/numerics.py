@@ -5,11 +5,11 @@ with the largest singular value so callers never tune absolute thresholds to
 the scale of their data. Every affine solution set of the package
 (intersections, fixed point sets, orthogonal complements) comes from
 :func:`solution_set`, so its rank rule, RANK_TOL * (1 + largest), is
-decided in one place; a Gram eigensolve in :func:`_certifies_full_rank`
-may only certify, for ``intersect`` alone, that a tall homogeneous system,
-given block by block, has full column rank, with a cut derived from
-RANK_TOL, and never solves. All
-functions are pure and never mutate inputs.
+decided in one place. One Cholesky factorization in
+:func:`_certifies_full_rank` may only certify, for ``intersect`` alone,
+that linear subspaces given by their projectors meet at the origin alone,
+with a cut derived from RANK_TOL, and never solves. All functions are pure
+and never mutate inputs.
 Factorizations use numpy.linalg only: scipy.linalg links a second BLAS, and
 calls alternating between the two stall on each other's spinning threads.
 
@@ -188,7 +188,8 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
 
     The solution set of a stacked homogeneous system with full column
     rank is the origin alone; ``intersect`` asks
-    :func:`_certifies_full_rank` for that case before it stacks its blocks.
+    :func:`_certifies_full_rank`, which reads the projectors and forms no
+    block, for that case before it stacks its blocks.
     """
     mat = as_matrix(A)
     rhs = as_vector(b)
@@ -214,38 +215,57 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     return solution, null_basis, residual
 
 
-def _certifies_full_rank(blocks: Iterable[np.ndarray]) -> bool:
-    """Whether the stacked blocks, each with the same n columns and
-    together more rows than columns, provably have full column rank.
+def _certifies_full_rank(projectors: Iterable[np.ndarray]) -> bool:
+    """Whether m >= 2 orthogonal projectors P_i of R^n have subspaces that
+    provably meet at the origin alone: whether the stack A of the blocks
+    I - P_i has full column rank.
 
-    The Gram matrix G = A^T A of the stack A is summed block by block,
-    G = sum_i B_i^T B_i, so no more than one block, G and one product are
-    held at once. The eigenvalues lam of G only decide and never solve.
-    When lam_min > sqrt(RANK_TOL) * (1 + lam_max), the homogeneous system
-    A x = 0 has the origin alone as its solution set, and ``intersect``
-    returns it as :func:`solution_set` would on the stack: the zero anchor, a
-    (0, n) null basis, and residual 0, since Householder reflections keep a
-    zero column exactly zero.
+    The projectors are added one at a time into S = sum_i P_i, so no more
+    than the sum, one projector and the factorization's copy are held at
+    once, whatever m is. The test certifies exactly when
+    ``np.linalg.cholesky`` succeeds on (m - tau) I - S, with
+    tau = sqrt(RANK_TOL) * (1 + m); it only decides and never solves. Then
+    the homogeneous system A x = 0 has the origin alone as its solution
+    set, and ``intersect`` returns it as :func:`solution_set` would on the
+    stack: the zero anchor, a (0, n) null basis, and residual 0, since
+    Householder reflections keep a zero column exactly zero.
 
-    The certificate cannot disagree with the cut s > RANK_TOL * (1 + s_1)
-    on the singular values s of A. Each product B_i^T B_i and each of the
-    sums moves G by at most about rows_i * eps * lam_max entrywise, so G
-    summed block by block is off by at most about rows * n * eps * lam_max
-    in norm, the same order as A^T A formed in one product, and eigvalsh
-    adds about n * eps * lam_max. The QR's backward error moves s by at most
-    about rows * n * eps * s_1, the same order. With lam = s^2 and
-    1 + s_1^2 >= (1 + s_1)^2 / 2, a certified s_n is at least about
-    sqrt(RANK_TOL / 2) * (1 + s_1), some 2e-3 * (1 + s_1), seven orders of
-    magnitude above the cut while rows * n is far below 1e10.
+    Why the test is the Gram test of A. Each block is a projector, so
+    (I - P_i)^T (I - P_i) = I - P_i, and A^T A = m I - S + E. For P = B^T B
+    with orthonormality defect D = B B^T - I, the error of one term is
+    B^T D B, whose norm is at most about r * 1e-10 for r basis rows, so
+    ||E|| is at most about (sum_i r_i) * 1e-10 <= m n 1e-10. Forming the
+    projectors and S adds about m n eps. When the Cholesky factorization of
+    C = (m - tau) I - S succeeds, L L^T = C + F with ||F|| at most about
+    n^2 eps ||C||, so lam_min(m I - S) >= tau - n^2 eps m. The smallest
+    eigenvalue of A^T A is therefore at least tau less a delta of about
+    m n 1e-10, about 2e-3 * tau at m = 8, n = 200.
+
+    The test never certifies what the Gram eigen test, lam_min(A^T A) >
+    sqrt(RANK_TOL) * (1 + lam_max(A^T A)), refuses outside that delta: each
+    block has norm at most 1 up to the defect, so lam_max(A^T A) <= m and
+    the Gram cut is at most tau. It may refuse a little more often, when
+    lam_max < m; ``intersect`` then stacks the blocks, and on a trivial
+    intersection their QR and SVD return the same bits. Nor can a certified
+    answer disagree with the cut s > RANK_TOL * (1 + s_1) on the singular
+    values s of A: s_1 <= sqrt(m) and s_n^2 >= tau - delta, so a certified
+    s_n is at least about 3e-3 * sqrt(1 + m), seven orders of magnitude
+    above the cut, while the QR's backward error moves s by at most about
+    m n^2 eps s_1.
     """
-    gram = None
-    for block in blocks:
-        if gram is None:
-            gram = block.T @ block
+    total, m = None, 0
+    for projector in projectors:
+        if total is None:
+            total = np.negative(projector)
         else:
-            gram += block.T @ block
-    lam = np.linalg.eigvalsh(gram)
-    return bool(lam[0] > math.sqrt(RANK_TOL) * (1.0 + lam[-1]))
+            total -= projector
+        m += 1
+    total.flat[::total.shape[0] + 1] += m - math.sqrt(RANK_TOL) * (1.0 + m)
+    try:
+        np.linalg.cholesky(total)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spectral_norm(A) -> float:

@@ -165,12 +165,14 @@ def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
     stacked, gives the anchor of the intersection (the minimum-norm
     solution) and its direction (the null space). Summing the blocks instead
     would square their condition number. For two or more subspaces through
-    the origin, the Gram matrix of the stack, summed one block at a time by
-    :func:`_certifies_full_rank`, first tries to certify that they meet at
-    0 alone, and never solves; the blocks are stacked only when it fails or
-    some anchor is not the origin, so a certified intersection holds O(n^2)
-    memory, not the m n x n blocks. The intersection is empty when the
-    residual exceeds CONSISTENCY_TOL relative to the data scale.
+    the origin, :func:`_certifies_full_rank` first tries to certify that
+    they meet at 0 alone, from one Cholesky factorization of
+    (m - tau) I - sum_i P_i, the Gram matrix of the stack shifted by its
+    cut; it sums the projectors one at a time and never solves. The blocks
+    I - P_i are formed and stacked only when it fails or some anchor is not
+    the origin, so a certified intersection holds O(n^2) memory, not the
+    m n x n blocks, and takes no n x n product. The intersection is empty
+    when the residual exceeds CONSISTENCY_TOL relative to the data scale.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace to intersect")
@@ -178,11 +180,11 @@ def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
     for s in subspaces[1:]:
         if s.ambient_dim != n:
             raise ValueError("subspaces live in different ambient dimensions")
-    eye = np.eye(n)
     linear = not any(np.any(s.anchor) for s in subspaces)
     if linear and len(subspaces) * n > n and _certifies_full_rank(
-            eye - s.projector_matrix() for s in subspaces):
+            s.projector_matrix() for s in subspaces):
         return Intersection(AffineSubspace.point(np.zeros(n)), 0.0)
+    eye = np.eye(n)
     blocks = np.empty((len(subspaces), n, n))
     for block, s in zip(blocks, subspaces):
         np.subtract(eye, s.projector_matrix(), out=block)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from circumproj import (
     run_map,
     symmetric_map_operator,
 )
+from circumproj.methods import _row_norms
 from circumproj.numerics import _norm
 from helpers import (
     json_text,
@@ -225,6 +228,31 @@ def test_step_norms_are_the_norms_the_stop_rule_compares():
     steps = trace.step_norms()
     for k in range(1, trace.iterates.shape[0]):
         assert steps[k] == _norm(trace.iterates[k] - trace.iterates[k - 1]), k
+
+
+def _random_trace(rng, k: int, n: int) -> IterationTrace:
+    iterates = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-12, 2, size=(k, 1))
+    return IterationTrace("map", iterates, np.zeros(k), np.zeros(n), np.zeros(n))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 300), st.integers(1, 60))
+def test_step_norms_equal_the_whole_difference_bit_for_bit(seed, k, n):
+    trace = _random_trace(np.random.default_rng(seed), k, n)
+    want = np.zeros(k)
+    want[1:] = _row_norms(np.diff(trace.iterates, axis=0))
+    assert trace.step_norms().tobytes() == want.tobytes()
+
+
+def test_step_norms_hold_less_than_one_difference_of_the_trace():
+    trace = _random_trace(np.random.default_rng(3), 501, 200)
+    tracemalloc.start()
+    try:
+        trace.step_norms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole np.diff is 500 x 200 floats, 800 KB
+    assert peak < 500 * 200 * 8, peak
 
 
 def test_error_origin_uses_pre_prefix_start():

@@ -1,14 +1,19 @@
-"""The full-column-rank certificate of ``solution_set``, bit for bit.
+"""The full-column-rank certificate of ``intersect``, bit for bit.
 
-A tall homogeneous system whose Gram matrix certifies full column rank
-returns the origin without a QR or an SVD. Every caller must see the same
-bits as the QR+SVD path in ``helpers.reference_solution_set``: the anchor,
+Linear subspaces whose projectors certify, by one Cholesky factorization of
+(m - tau) I - sum_i P_i, that they meet at the origin alone give the origin
+without a stack, a QR or an SVD. The certificate certifies only what the
+eigen test of the stacked blocks' Gram matrix certifies. Every caller must
+see the same bits as the QR+SVD path in ``helpers.reference_solution_set``: the anchor,
 the null basis, the dimension and the residual of ``solution_set``, of
 ``intersect`` and of the common fixed set an ``OperatorSet`` computes from
 its generators.
 """
 
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from circumproj import (
     intersect,
     solution_set,
 )
+from circumproj.numerics import _certifies_full_rank
 from helpers import random_family, random_linear_subspace, reference_solution_set, reflectors_of
 
 
@@ -100,25 +106,6 @@ def _family(rng, kind: str) -> list:
     return [family[i] for i in rng.permutation(len(family))]
 
 
-@given(st.integers(0, 10**6), st.sampled_from(("trivial", "nontrivial", "nested")))
-@example(seed=0, kind="trivial")
-@example(seed=1, kind="nontrivial")
-@example(seed=2, kind="nested")
-def test_every_caller_matches_the_reference_bit_for_bit(seed, kind):
-    family = _family(np.random.default_rng(seed), kind)
-    _check_every_caller(family)
-    if kind != "nested":
-        assert (intersect(family).subspace.dim == 0) == (kind == "trivial")
-
-
-@pytest.mark.parametrize("seed", [11, 4242])
-def test_the_iterate_long_shape_matches_the_reference(seed):
-    # three subspaces of dimension 21 in R^30 meet in dimension 3
-    family = random_family(np.random.default_rng(seed), 30, 3, 21, 21)
-    _check_every_caller(family)
-    assert intersect(family).subspace.dim == 3
-
-
 def _two_planes(theta: float) -> list:
     """Two planes of R^4 meeting only at 0, both principal angles theta, in
     a fixed random orientation: the Gram matrix of the stacked blocks has
@@ -128,6 +115,47 @@ def _two_planes(theta: float) -> list:
     first = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     second = np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, s]])
     return [AffineSubspace.linear(first @ rotation), AffineSubspace.linear(second @ rotation)]
+
+
+def _gram_certifies(subspaces) -> bool:
+    """The oracle: the eigenvalues of the stacked blocks' Gram matrix clear
+    sqrt(RANK_TOL) * (1 + their largest)."""
+    n = subspaces[0].ambient_dim
+    blocks = np.concatenate([np.eye(n) - s.projector_matrix() for s in subspaces])
+    lam = np.linalg.eigvalsh(blocks.T @ blocks)
+    return bool(lam[0] > math.sqrt(RANK_TOL) * (1.0 + lam[-1]))
+
+
+@given(st.integers(0, 10**6), st.sampled_from(("trivial", "nontrivial", "nested", "ladder")),
+       st.floats(0.0, 8.0))
+@example(seed=0, kind="trivial", exponent=0.0)
+@example(seed=1, kind="nontrivial", exponent=0.0)
+@example(seed=2, kind="nested", exponent=0.0)
+# theta = 10^-2.2 puts theta^2 / 2, 2e-5, between sqrt(RANK_TOL) and the
+# cut sqrt(RANK_TOL) * (1 + lam_max), about 3e-5: a certificate without tau
+# or with 1 in place of 1 + m certifies it, and the oracle refuses
+@example(seed=0, kind="ladder", exponent=2.2)
+def test_every_caller_matches_the_reference_bit_for_bit(seed, kind, exponent):
+    """A family of ``_family``'s kinds, or two planes at angle
+    10^-exponent: the certificate certifies only where the oracle does, and
+    every caller matches the reference."""
+    if kind == "ladder":
+        family = _two_planes(10.0 ** -exponent)
+    else:
+        family = _family(np.random.default_rng(seed), kind)
+    if _certifies_full_rank(s.projector_matrix() for s in family):
+        assert _gram_certifies(family)
+    _check_every_caller(family)
+    if kind != "nested":
+        assert (intersect(family).subspace.dim == 0) == (kind != "nontrivial")
+
+
+@pytest.mark.parametrize("seed", [11, 4242])
+def test_the_iterate_long_shape_matches_the_reference(seed):
+    # three subspaces of dimension 21 in R^30 meet in dimension 3
+    family = random_family(np.random.default_rng(seed), 30, 3, 21, 21)
+    _check_every_caller(family)
+    assert intersect(family).subspace.dim == 3
 
 
 # sqrt(RANK_TOL) * (1 + lam_max) is about 3e-5 here, so theta^2 / 2 crosses
@@ -155,6 +183,22 @@ def test_a_resolve_n200_draw_needs_no_qr_and_no_square_svd(monkeypatch):
     assert inter.subspace.dim == 0
     assert qr_calls == []
     assert svd_calls and all(shape[0] != shape[1] for shape in svd_calls)
+
+
+def test_a_resolve_n200_draw_is_certified_by_one_cholesky(monkeypatch):
+    subspaces, _, _ = generate_instance(200, 8, (1, 100), np.random.default_rng(11))
+    cholesky_calls, eigvalsh_calls = _spy(monkeypatch, "cholesky"), _spy(monkeypatch, "eigvalsh")
+    projected = []
+    original = AffineSubspace.projector_matrix
+    monkeypatch.setattr(AffineSubspace, "projector_matrix",
+                        lambda self: projected.append(self) or original(self))
+    assert intersect(subspaces).subspace.dim == 0
+    assert cholesky_calls == [(200, 200)]
+    assert eigvalsh_calls == []
+    assert sorted(map(id, projected)) == sorted(map(id, subspaces))
+    # and the certificate multiplies no two matrices
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_certifies_full_rank)))
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
 
 def test_an_iterate_long_draw_still_factorizes_once(monkeypatch):

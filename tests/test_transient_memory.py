@@ -1,7 +1,7 @@
 """Resolution and planning in O(n^2) transient memory, bit for bit.
 
-``intersect`` certifies a trivial answer from a Gram matrix summed one
-block at a time, ``build_product_averaged`` adds each relaxed prefix
+``intersect`` certifies a trivial answer from a sum of projectors added
+one at a time, ``build_product_averaged`` adds each relaxed prefix
 product as it is formed, the projection products form each distinct
 projector once, and the rates multiply by no identity. Every
 result must equal the stacked, listed and identity-multiplied formulas of
