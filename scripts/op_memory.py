@@ -33,8 +33,9 @@ from pinned import WORKLOADS, fresh, op_count, operation, written
 MB = 1024.0 * 1024.0
 
 
-def _maxrss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _maxrss_mb(usage) -> float:
+    """``ru_maxrss`` of a ``getrusage`` result, in MB."""
+    return usage.ru_maxrss / 1024.0
 
 
 def _traced_layers(config, fmt: str) -> list:
@@ -81,7 +82,7 @@ def measure(workload_name: str, seed: int, index: int) -> dict:
     write_report = bench._write_report
 
     def noted(*args, **kwargs):
-        writing.append(_maxrss_mb())
+        writing.append(resource.getrusage(resource.RUSAGE_SELF))
         return write_report(*args, **kwargs)
 
     start = resource.getrusage(resource.RUSAGE_SELF)
@@ -92,8 +93,8 @@ def measure(workload_name: str, seed: int, index: int) -> dict:
     finally:
         bench._write_report = write_report
     end = resource.getrusage(resource.RUSAGE_SELF)
-    return {"label": label, "before": start.ru_maxrss / 1024.0, "writing": writing[0],
-            "after": end.ru_maxrss / 1024.0, "minor_faults": end.ru_minflt - start.ru_minflt,
+    return {"label": label, "before": _maxrss_mb(start), "writing": _maxrss_mb(writing[0]),
+            "after": _maxrss_mb(end), "minor_faults": end.ru_minflt - start.ru_minflt,
             "layers": _traced_layers(config, fmt)}
 
 

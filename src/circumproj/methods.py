@@ -110,10 +110,11 @@ class IterationTrace:
     def step_norms(self) -> np.ndarray:
         """0, then ``_norm(iterates[k] - iterates[k - 1])``, the figure that
         the stop rule compares when stop_tol > 0. The differences are taken
-        64 rows at a time, so the transient is at most 64 x n, not k x n; a
-        row's norm does not depend on its block."""
-        k, rows = self.iterates.shape[0], 64
-        steps = np.zeros(k)
+        1024 // n rows at a time (one at least), so the transient holds at
+        most max(1024, n) floats, not k x n; a row's norm does not depend on
+        its block."""
+        k, n = self.iterates.shape
+        rows, steps = max(1, 1024 // n), np.zeros(k)
         for start in range(1, k, rows):
             block = np.diff(self.iterates[start - 1:start + rows], axis=0)
             steps[start:start + rows] = _row_norms(block)

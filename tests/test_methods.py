@@ -243,16 +243,19 @@ def test_step_norms_equal_the_whole_difference_bit_for_bit(seed, k, n):
     assert trace.step_norms().tobytes() == want.tobytes()
 
 
-def test_step_norms_hold_less_than_one_difference_of_the_trace():
-    trace = _random_trace(np.random.default_rng(3), 501, 200)
+# a long trace, and the trace shapes of resolve-n200 (20 steps in R^200)
+# and family-psi (up to 60 steps in R^60)
+@pytest.mark.parametrize("k,n", [(501, 200), (21, 200), (61, 60)])
+def test_step_norms_hold_less_than_one_difference_of_the_trace(k, n):
+    trace = _random_trace(np.random.default_rng(3), k, n)
     tracemalloc.start()
     try:
         trace.step_norms()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the whole np.diff is 500 x 200 floats, 800 KB
-    assert peak < 500 * 200 * 8, peak
+    # the whole np.diff is (k - 1) x n floats
+    assert peak < (k - 1) * n * 8, peak
 
 
 def test_error_origin_uses_pre_prefix_start():
