@@ -8,20 +8,27 @@ Each operation 0..OPS-1 (OPS at least 1) of a perfbench workload (see
 artifacts written in the workload's format, as the benchmark runs it. The
 process prints ``ru_maxrss`` (the high-water mark of its resident memory,
 imports included) before the operation, when it starts writing its
-artifacts and after it, so the output shows which phase sets the
-high-water mark. Next to it, it prints the minor page faults of the
+artifacts and after it. Next to it, it prints the minor page faults of the
 operation, the ``ru_minflt`` delta of the process. A minor fault is the
 first touch of a page newly mapped to the process: memory it grew, or
 memory the allocator gave back to the system and took again. So the count
 shows the cost of the allocator's trim-and-regrow cycle, which glibc's
 ``MALLOC_TOP_PAD_`` and ``MALLOC_TRIM_THRESHOLD_`` in the environment
-change. It then runs the operation once more under ``tracemalloc`` and
-prints, per layer, the traced heap peak above the heap at the layer's
-start: resolution (the instances and their intersections), each method's
-plan and run, and writing the artifacts.
+change.
+
+It then runs the operation once more under ``tracemalloc`` and prints one
+line per layer: resolution (the instances and their intersections), each
+method's plan and run, and writing the artifacts. A line holds the traced
+heap held when the layer starts, the traced peak above it, and
+``ru_maxrss`` after the layer in the untraced run. The last line names
+the layer during which ``ru_maxrss`` reached its final value. tracemalloc
+sees numpy's arrays but not LAPACK's workspaces, so the traced columns can
+miss the layer that sets the high-water mark; the ``ru_maxrss`` column
+does not.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import resource
 import sys
@@ -33,25 +40,18 @@ from pinned import WORKLOADS, fresh, op_count, operation, written
 MB = 1024.0 * 1024.0
 
 
-def _maxrss_mb(usage) -> float:
-    """``ru_maxrss`` of a ``getrusage`` result, in MB."""
-    return usage.ru_maxrss / 1024.0
+def _maxrss_mb() -> float:
+    """This process's ``ru_maxrss``, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _traced_layers(config, fmt: str) -> list:
-    """(layer, traced peak in bytes above the layer's starting heap) for one
-    run, in the order the layers ran."""
-    peaks = []
-
+@contextlib.contextmanager
+def _layers(around):
+    """Run each layer of ``run_experiment`` as ``around(name, fn, args,
+    kwargs)`` while the block runs; ``around`` calls ``fn(*args, **kwargs)``
+    and returns its result."""
     def layer(name, fn):
-        def measured(*args, **kwargs):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                peaks.append((name, tracemalloc.get_traced_memory()[1] - start))
-        return measured
+        return lambda *args, **kwargs: around(name, fn, args, kwargs)
 
     plan_method = bench._plan_method
 
@@ -64,44 +64,83 @@ def _traced_layers(config, fmt: str) -> list:
     bench._resolve_instances = layer("resolution", originals["_resolve_instances"])
     bench._plan_method = plan_in_layers
     bench._write_report = layer("writing", originals["_write_report"])
+    try:
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(bench, name, fn)
+
+
+def _untraced_layers(config, fmt: str) -> list:
+    """(layer, ``ru_maxrss`` in MB at its start, and after it) for one run,
+    in the order the layers ran."""
+    rows = []
+
+    def around(name, fn, args, kwargs):
+        start = _maxrss_mb()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            rows.append((name, start, _maxrss_mb()))
+
+    with _layers(around), written(config, fmt):
+        pass
+    return rows
+
+
+def _traced_layers(config, fmt: str) -> list:
+    """(layer, traced heap in bytes held at its start, traced peak in bytes
+    above that) for one run, in the order the layers ran."""
+    rows = []
+
+    def around(name, fn, args, kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            rows.append((name, start, tracemalloc.get_traced_memory()[1] - start))
+
     tracemalloc.start()
     try:
-        with written(config, fmt):
+        with _layers(around), written(config, fmt):
             pass
     finally:
         tracemalloc.stop()
-        for name, fn in originals.items():
-            setattr(bench, name, fn)
-    return peaks
+    return rows
+
+
+def _high_water_layer(untraced: list, before: float, after: float) -> str:
+    """The layer during which ``ru_maxrss`` rose to ``after``, or where else
+    it got there."""
+    if after <= before:
+        return "before the operation"
+    for name, start, end in untraced:
+        if end >= after:
+            return name if start < after else "between layers"
+    return "after the last layer"
 
 
 def measure(workload_name: str, seed: int, index: int) -> dict:
     """Run one operation untraced, then traced, in this process."""
     label, config, fmt = operation(workload_name, seed, index)
-    writing = []
-    write_report = bench._write_report
-
-    def noted(*args, **kwargs):
-        writing.append(resource.getrusage(resource.RUSAGE_SELF))
-        return write_report(*args, **kwargs)
-
     start = resource.getrusage(resource.RUSAGE_SELF)
-    bench._write_report = noted
-    try:
-        with written(config, fmt):
-            pass
-    finally:
-        bench._write_report = write_report
+    untraced = _untraced_layers(config, fmt)
     end = resource.getrusage(resource.RUSAGE_SELF)
-    return {"label": label, "before": _maxrss_mb(start), "writing": _maxrss_mb(writing[0]),
-            "after": _maxrss_mb(end), "minor_faults": end.ru_minflt - start.ru_minflt,
-            "layers": _traced_layers(config, fmt)}
+    before, after = start.ru_maxrss / 1024.0, end.ru_maxrss / 1024.0
+    traced = _traced_layers(config, fmt)
+    layers = [(name, held, peak, rss_after)
+              for (name, held, peak), (_, _, rss_after) in zip(traced, untraced)]
+    writing = next(rss for name, rss, _ in untraced if name == "writing")
+    return {"label": label, "before": before, "writing": writing, "after": after,
+            "minor_faults": end.ru_minflt - start.ru_minflt, "layers": layers,
+            "high_water": _high_water_layer(untraced, before, after)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="ru_maxrss, minor page faults and per-layer traced heap peaks "
-                    "of benchmark operations")
+        description="ru_maxrss, minor page faults, and per layer the traced heap "
+                    "and ru_maxrss of benchmark operations")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--ops", type=op_count, default=1, help="operations 0..OPS-1")
@@ -112,8 +151,10 @@ def main(argv=None) -> int:
               f"{result['before']:.1f} MB before, {result['writing']:.1f} MB when "
               f"writing starts, {result['after']:.1f} MB after; "
               f"{result['minor_faults']} minor page faults")
-        for name, peak in result["layers"]:
-            print(f"  {name:<32} {peak / MB:8.3f} MB traced peak")
+        for name, held, peak, rss_after in result["layers"]:
+            print(f"  {name:<32} {held / MB:8.3f} MB held, {peak / MB:8.3f} MB traced peak "
+                  f"above it, ru_maxrss {rss_after:.1f} MB after")
+        print(f"  ru_maxrss set in: {result['high_water']}")
     return 0
 
 

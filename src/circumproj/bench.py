@@ -15,6 +15,7 @@ import math
 import os
 import platform
 import sys
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -548,7 +549,13 @@ class _Instance:
     the norm of its first half applied to I - P_fixed, the chain of
     ``tuple_angle_cos``: each projector is formed once for both, and
     reading either computes both. On an affine or empty instance
-    ``tuple_cos`` raises ``tuple_angle_cos``'s error."""
+    ``tuple_cos`` raises ``tuple_angle_cos``'s error.
+
+    The instance holds the reflectors that ``dr``, a circumcentered family
+    or the ``product_fixed_line`` check asked for, each made on first use.
+    The averaged builders read each operator once, in order, and hold none,
+    so they read the family through :class:`_ReflectorsOnRead`: a reflector
+    the instance holds, or one made for that read and dropped after it."""
 
     subspaces: Sequence
     x0: np.ndarray
@@ -557,26 +564,28 @@ class _Instance:
     _averaged: dict = field(default_factory=dict, init=False, repr=False)
 
     def reflector(self, index: int) -> AffineIsometry:
-        """The reflector through subspace ``index``, made on first use, so a
-        recipe that needs two of them makes only those two."""
+        """The reflector through subspace ``index``, made on first use and
+        held, so a recipe that needs two of them makes only those two."""
         if index not in self._reflectors:
             self._reflectors[index] = make_reflector(self.subspaces[index])
         return self._reflectors[index]
 
-    @property
-    def reflectors(self) -> list:
-        return [self.reflector(i) for i in range(len(self.subspaces))]
+    def _family_indices(self, symmetrized: bool) -> list:
+        """Subspace indices 0..m-1, as the palindrome 0..m-1..0 when symmetrized."""
+        indices = list(range(len(self.subspaces)))
+        return indices + indices[-2::-1] if symmetrized else indices
 
     def family(self, symmetrized: bool) -> list:
         """The reflectors, as the palindrome R1..Rm..R1 when symmetrized."""
-        return self.reflectors + self.reflectors[-2::-1] if symmetrized else self.reflectors
+        return [self.reflector(i) for i in self._family_indices(symmetrized)]
 
     def averaged(self, builder: str, symmetrized: bool) -> AffineMap:
         """The uniform averaged map ``builder`` makes of the family, one
         object per (builder, family), so its spectral data is taken once."""
         key = builder, symmetrized
         if key not in self._averaged:
-            self._averaged[key] = _AVERAGED_BUILDERS[builder](self.family(symmetrized))
+            family = _ReflectorsOnRead(self, self._family_indices(symmetrized))
+            self._averaged[key] = _AVERAGED_BUILDERS[builder](family)
         return self._averaged[key]
 
     @cached_property
@@ -599,6 +608,22 @@ class _Instance:
     @cached_property
     def accel(self) -> AccelConstants:
         return accel_constants(self.sym_op, fixed=self.inter.subspace)
+
+
+class _ReflectorsOnRead(abc.Sequence):
+    """The reflectors through an instance's subspaces at ``indices``, made
+    on each read unless the instance holds them, and never kept here."""
+
+    def __init__(self, ctx: _Instance, indices: list):
+        self._ctx, self._indices = ctx, indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, position: int) -> AffineIsometry:
+        index = self._indices[position]
+        held = self._ctx._reflectors.get(index)
+        return held if held is not None else make_reflector(self._ctx.subspaces[index])
 
 
 def _linear_plan(constant_name: str, op: AffineMap, fixed: AffineSubspace,
@@ -781,7 +806,7 @@ def _resolve_instances(config: ExperimentConfig):
 
 def _product_fixed_line_check(ctx: _Instance, direction):
     """Whether R_m .. R_1 fixes exactly the line through the origin along ``direction``."""
-    product, *rest = ctx.reflectors
+    product, *rest = ctx.family(symmetrized=False)
     for reflector in rest:
         product = compose(reflector, product)
     fixed = fixed_point_set(product)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Hashable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -45,12 +45,21 @@ _UNIFORM_LAMBDA = 0.5
 _T = TypeVar("_T")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; the array itself stays as it was."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class AffineIsometry:
     """x -> Q x + b with Q orthogonal.
 
     Construction rejects any Q with ||Q^T Q - I||_max above 1e-10, so every
-    value of this type is an isometry by construction.
+    value of this type is an isometry by construction. ``Q`` and ``b`` are
+    read-only views of the arrays passed in, as :class:`AffineMap` holds its
+    parts, so the isometry cannot be forged through them afterwards.
     """
 
     Q: np.ndarray
@@ -63,11 +72,14 @@ class AffineIsometry:
             raise ValueError(f"linear part must be square, got shape {Q.shape}")
         if Q.shape[0] != b.shape[0]:
             raise ValueError("linear part and offset dimensions differ")
-        defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
+        # Q^T Q - I in the one Gram buffer: x - 0.0 is x off the diagonal
+        gram = Q.T @ Q
+        gram.flat[::Q.shape[0] + 1] -= 1.0
+        defect = np.max(np.abs(gram, out=gram))
         if defect > _ORTHONORMALITY_TOL:
             raise ValueError(f"linear part is not orthogonal, defect {defect:.3e}")
-        object.__setattr__(self, "Q", np.ascontiguousarray(Q))
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "Q", _read_only(np.ascontiguousarray(Q)))
+        object.__setattr__(self, "b", _read_only(b))
 
     @property
     def ambient_dim(self) -> int:
@@ -88,10 +100,10 @@ class AffineMap:
     ``averagedness`` is set only by the averaged builders below and serves
     as their certificate; hand-built maps carry None there.
 
-    ``A`` is a read-only view of the array passed in, not a copy, so the
-    spectral data of A (its symmetric eigenvalue extremes and its rates off
-    fixed subspaces) is computed once per operator and cached on it as
-    scalars. Changing the passed array afterwards is unsupported.
+    ``A`` and ``b`` are read-only views of the arrays passed in, not
+    copies, so the spectral data of A (its symmetric eigenvalue extremes and
+    its rates off fixed subspaces) is computed once per operator and cached
+    on it as scalars. Changing the passed array afterwards is unsupported.
     """
 
     A: np.ndarray
@@ -106,10 +118,8 @@ class AffineMap:
             raise ValueError(f"linear part must be square, got shape {A.shape}")
         if A.shape[0] != b.shape[0]:
             raise ValueError("linear part and offset dimensions differ")
-        A = np.ascontiguousarray(A).view()
-        A.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "A", _read_only(np.ascontiguousarray(A)))
+        object.__setattr__(self, "b", _read_only(b))
 
     def _spectral_datum(self, key: Hashable, compute: Callable[[], _T]) -> _T:
         """``compute()``, a scalar function of A, evaluated once per key."""
@@ -137,12 +147,15 @@ def make_reflector(subspace: AffineSubspace) -> AffineIsometry:
     """Reflector through an affine subspace, x -> 2 project(x) - x.
 
     For a linear subspace the offset is exactly zero and the linear part is
-    symmetric orthogonal.
+    symmetric orthogonal. The linear part 2P - I is formed in the
+    projector's own array: off the diagonal 2p - 0.0 is 2p, signed zeros
+    included.
     """
     P = subspace.projector_matrix()
-    Q = 2.0 * P - np.eye(subspace.ambient_dim)
     b = 2.0 * (subspace.anchor - P @ subspace.anchor)
-    return AffineIsometry(Q, b)
+    P *= 2.0
+    P.flat[::subspace.ambient_dim + 1] -= 1.0
+    return AffineIsometry(P, b)
 
 
 def compose(second: AffineIsometry, first: AffineIsometry) -> AffineIsometry:
@@ -179,30 +192,52 @@ def _common_fixed_points(ops: Sequence[AffineOperator]) -> Optional[AffineSubspa
     CONSISTENCY_TOL relative to the stacked offsets. Unlike :func:`intersect`
     it asks no Gram certificate first: the runner gives its psi and averaged
     families their fixed set, so it comes here for one operator or a custom
-    family."""
-    eye = np.eye(ops[0].ambient_dim)
+    family. The blocks M_i - I are written into the one stacked array, and
+    no identity is formed: off the diagonal m - 0.0 is m."""
+    n = ops[0].ambient_dim
     rhs = -np.concatenate([op.b for op in ops])
-    anchor, direction, residual = solution_set(
-        np.vstack([_linear_part(op) - eye for op in ops]), rhs)
+    system = np.empty((len(ops) * n, n))
+    for block, op in zip(system.reshape(len(ops), n, n), ops):
+        block[...] = _linear_part(op)
+        block.flat[::n + 1] -= 1.0
+    anchor, direction, residual = solution_set(system, rhs)
     if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
         return None
     return AffineSubspace(anchor, direction)
 
 
-def _linear_isometry_parts(operators: Sequence[AffineIsometry]) -> list[np.ndarray]:
+def _linear_isometry_parts(operators: Sequence[AffineIsometry]) -> Iterator[np.ndarray]:
+    """The linear parts of ``operators``, read once each and in order.
+
+    Each operator is checked as it is read, against the dimension of the
+    first, so a builder fed a lazy sequence holds no list of them."""
     if len(operators) == 0:
         raise ValueError("need at least one operator")
-    n = operators[0].ambient_dim
-    parts = []
-    for op in operators:
-        if not isinstance(op, AffineIsometry):
-            raise ValueError("averaged builders take affine isometries")
-        if op.ambient_dim != n:
-            raise ValueError("operators live in different dimensions")
-        if not op.is_linear():
-            raise ValueError("averaged builders require linear isometries")
-        parts.append(op.Q)
-    return parts
+
+    def parts() -> Iterator[np.ndarray]:
+        n = None
+        for op in operators:
+            if not isinstance(op, AffineIsometry):
+                raise ValueError("averaged builders take affine isometries")
+            n = op.ambient_dim if n is None else n
+            if op.ambient_dim != n:
+                raise ValueError("operators live in different dimensions")
+            if not op.is_linear():
+                raise ValueError("averaged builders require linear isometries")
+            yield op.Q
+
+    return parts()
+
+
+def _relaxed(X: np.ndarray, c: float, out: Optional[np.ndarray]) -> np.ndarray:
+    """(1 - c) I + c X, formed in ``out`` (which may be X itself), or in a
+    new array when ``out`` is None. Adding 0.0 after c X turns -0.0 into
+    +0.0 off the diagonal, as 0.0 + c x does, so the bits are those of the
+    expression."""
+    out = np.multiply(X, c, out=out)
+    out += 0.0
+    out.flat[::out.shape[0] + 1] += 1.0 - c
+    return out
 
 
 def build_sum_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
@@ -210,16 +245,21 @@ def build_sum_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
 
     A = sum_i w ((1 - a) I + a F_i) for m linear isometries F_i, with
     weight w = 1/m and alpha a = 1/2. The result is averaged with constant
-    sum_i w a and shares the common fixed set of the F_i.
+    sum_i w a and shares the common fixed set of the F_i. The operators are
+    read once, in order, and each term is formed in one reused buffer.
     """
     parts = _linear_isometry_parts(operators)
-    n = parts[0].shape[0]
-    w, a = 1.0 / len(parts), _UNIFORM_ALPHA
-    A = np.zeros((n, n))
+    m = len(operators)
+    w, a = 1.0 / m, _UNIFORM_ALPHA
+    # the first A += term is 0.0 + term, which makes A's array with the bits
+    # of a zero start
+    A, term = 0.0, None
     for Q in parts:
-        A += w * ((1.0 - a) * np.eye(n) + a * Q)
-    certificate = sum(w * a for _ in parts)
-    return AffineMap(A, np.zeros(n), averagedness=certificate)
+        term = _relaxed(Q, a, out=term)
+        term *= w
+        A += term
+    certificate = sum(w * a for _ in range(m))
+    return AffineMap(A, np.zeros(A.shape[0]), averagedness=certificate)
 
 
 def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
@@ -229,23 +269,29 @@ def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
     A_i = (1 - a) I + a ((1 - l) I + l F_i) F_{i-1} ... F_1,
     combined as A = sum_i w A_i, with weight w = 1/m for m linear
     isometries and a = l = 1/2. Also averaged with constant sum_i w a and
-    fixed set equal to the common fixed set of the F_i.
+    fixed set equal to the common fixed set of the F_i. The operators are
+    read once, in order; each A_i is added to A as it is formed, in one
+    term buffer, and the prefix product and the inner factor take turns in
+    two more.
     """
     parts = _linear_isometry_parts(operators)
-    n = parts[0].shape[0]
-    w, a, lam = 1.0 / len(parts), _UNIFORM_ALPHA, _UNIFORM_LAMBDA
-    eye = np.eye(n)
-    # each A_i is added to A as it is formed, so one prefix product is held
-    # at a time, not the m pieces
-    A = np.zeros((n, n))
-    A += w * ((1.0 - a) * eye + a * parts[0])
-    prefix = parts[0]
-    for i in range(1, len(parts)):
-        inner = (1.0 - lam) * eye + lam * parts[i]
-        A += w * ((1.0 - a) * eye + a * (inner @ prefix))
-        prefix = parts[i] @ prefix
-    certificate = sum(w * a for _ in parts)
-    return AffineMap(A, np.zeros(n), averagedness=certificate)
+    m = len(operators)
+    w, a, lam = 1.0 / m, _UNIFORM_ALPHA, _UNIFORM_LAMBDA
+    prefix = next(parts).copy()  # F_{i-1} .. F_1 when A_i is formed
+    term = _relaxed(prefix, a, out=None)
+    term *= w
+    A = 0.0 + term
+    spare = None
+    for i, Q in enumerate(parts, start=2):
+        inner = _relaxed(Q, lam, out=spare)
+        term = _relaxed(np.matmul(inner, prefix, out=term), a, out=term)
+        term *= w
+        A += term
+        if i < m:
+            # the inner factor is read; its buffer takes the next prefix
+            prefix, spare = np.matmul(Q, prefix, out=inner), prefix
+    certificate = sum(w * a for _ in range(m))
+    return AffineMap(A, np.zeros(A.shape[0]), averagedness=certificate)
 
 
 _ACCEL_STATIONARY_FLOOR = 1e-13

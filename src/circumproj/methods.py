@@ -215,10 +215,15 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
 
 def dr_operator(first: AffineIsometry, second: AffineIsometry) -> AffineMap:
     """The averaged reflector composition (I + R_second R_first) / 2 of the
-    reflectors of two linear subspaces."""
+    reflectors of two linear subspaces, formed in the product's array:
+    adding 0.0 first turns -0.0 into +0.0 off the diagonal, as 0.0 + x
+    does, so the bits are those of the expression."""
     first_q, second_q = _linear_isometry_parts((first, second))
-    n = first_q.shape[0]
-    return AffineMap(0.5 * (np.eye(n) + second_q @ first_q), np.zeros(n))
+    A = second_q @ first_q
+    A += 0.0
+    A.flat[::A.shape[0] + 1] += 1.0
+    A *= 0.5
+    return AffineMap(A, np.zeros(A.shape[0]))
 
 
 def _sweep(subspaces: Sequence[AffineSubspace], half: int, start=None) -> tuple:

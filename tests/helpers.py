@@ -370,9 +370,11 @@ def reference_verify_lines(payload: dict) -> list:
 
 # Resolution and planning as the library computed them with every n x n
 # block held at once: the stacked intersection and common fixed set, the
-# list of relaxed prefix products, a projector and an offset per factor of
-# a projection product, and the identity multiplied into the rates. The
-# library must reproduce them bit for bit, so keep them as they are.
+# reflector, the averaged maps and the Douglas-Rachford map formed with an
+# identity, the list of relaxed prefix products, a projector and an offset
+# per factor of a projection product, and the identity multiplied into the
+# rates. The library must reproduce them bit for bit, so keep them as they
+# are.
 
 def reference_intersect(subspaces) -> Intersection:
     """The stacked blocks I - P_i with right-hand sides (I - P_i) a_i, solved
@@ -402,6 +404,32 @@ def reference_common_fixed_points(ops):
     if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
         return None
     return AffineSubspace(anchor, direction)
+
+
+def reference_make_reflector(subspace) -> AffineIsometry:
+    """2P - I from the projector and an identity, and 2(a - P a)."""
+    P = subspace.projector_matrix()
+    Q = 2.0 * P - np.eye(subspace.ambient_dim)
+    b = 2.0 * (subspace.anchor - P @ subspace.anchor)
+    return AffineIsometry(Q, b)
+
+
+def reference_build_sum_averaged(operators) -> AffineMap:
+    """Each relaxed operator formed with an identity, weighted and summed."""
+    parts = [op.Q for op in operators]
+    n = parts[0].shape[0]
+    w, a = 1.0 / len(parts), 0.5
+    A = np.zeros((n, n))
+    for Q in parts:
+        A += w * ((1.0 - a) * np.eye(n) + a * Q)
+    certificate = sum(w * a for _ in parts)
+    return AffineMap(A, np.zeros(n), averagedness=certificate)
+
+
+def reference_dr_operator(first, second) -> AffineMap:
+    """(I + R_second R_first) / 2 with an identity added to the product."""
+    n = first.ambient_dim
+    return AffineMap(0.5 * (np.eye(n) + second.Q @ first.Q), np.zeros(n))
 
 
 def reference_build_product_averaged(operators) -> AffineMap:

@@ -58,6 +58,22 @@ def test_affine_isometry_rejects_non_orthogonal_linear_part():
         AffineIsometry(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), b=np.zeros(2))
 
 
+def test_isometry_parts_and_map_offsets_are_read_only():
+    R = AffineIsometry(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        R.Q[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        R.b[0] = 1.0
+    # a reflector is formed in its projector's buffer, which it then holds
+    reflector = make_reflector(LINE_X)
+    with pytest.raises(ValueError):
+        reflector.Q[1, 1] = 1.0
+    op = AffineMap(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        op.b[0] = 1.0
+    assert R.Q[0, 0] == 1.0 and not np.any(R.b) and not np.any(op.b)
+
+
 def test_fixed_point_set_frozen_cases():
     rotation = AffineIsometry(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     fixed = fixed_point_set(rotation)

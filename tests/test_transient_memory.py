@@ -1,16 +1,19 @@
 """Resolution and planning in O(n^2) transient memory, bit for bit.
 
 ``intersect`` certifies a trivial answer from a sum of projectors added
-one at a time, ``build_product_averaged`` adds each relaxed prefix
-product as it is formed, the projection products form each distinct
-projector once, and the rates multiply by no identity. Every
-result must equal the stacked, listed and identity-multiplied formulas of
-``helpers.reference_*`` bit for bit, and the transient heap of resolution
-and of the product builder must not grow with the number of subspaces.
+one at a time, the averaged builders read their operators once, in order,
+and form each term in one reused buffer, the reflector, the common fixed
+set's blocks and the Douglas-Rachford map are formed in place, the
+projection products form each distinct projector once, and the rates
+multiply by no identity. Every result must equal the stacked, listed and
+identity-multiplied formulas of ``helpers.reference_*`` bit for bit, and
+the transient heap of resolution, of the averaged builders and of a
+planning run must not grow with the number of subspaces.
 """
 
 import gc
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -21,21 +24,26 @@ from circumproj import (
     AffineIsometry,
     AffineSubspace,
     build_product_averaged,
+    build_sum_averaged,
     compute_rates,
     dr_operator,
     fixed_point_set,
     intersect,
+    make_reflector,
     map_operator,
     operator_rate,
     parse_config,
     symmetric_map_operator,
     tuple_angle_cos,
 )
-from circumproj.isometry import _common_fixed_points
+from circumproj.isometry import _common_fixed_points, _relaxed
 from helpers import (
     reference_build_product_averaged,
+    reference_build_sum_averaged,
     reference_common_fixed_points,
+    reference_dr_operator,
     reference_intersect,
+    reference_make_reflector,
     reference_map_operator,
     reference_operator_rate,
     reference_symmetric_map_operator,
@@ -70,21 +78,31 @@ def _linear(rng, n: int, d: int) -> AffineSubspace:
     return AffineSubspace.linear(rng.standard_normal((d, n)))
 
 
-KINDS = ("trivial", "nontrivial", "near_parallel", "translated")
+KINDS = ("trivial", "nontrivial", "near_parallel", "translated", "coordinate")
+
+
+def _coordinate(rng, n: int, d: int) -> AffineSubspace:
+    """The span of d coordinate axes of R^n, each given as a signed,
+    scaled axis vector: its projector holds exact zeros."""
+    axes = np.eye(n)[rng.permutation(n)[:d]]
+    return AffineSubspace.linear(axes * rng.choice([-3.0, -1.0, 2.0], size=(d, 1)))
 
 
 def _family(rng, m: int, n: int, kind: str) -> list:
     """m subspaces of R^n: meeting at 0 alone (codimensions summing to at
     least n), meeting in a nontrivial subspace, with two nearly parallel
-    ones, or all translated off the origin, one of them maybe off the
-    others' common point."""
+    ones, all translated off the origin, one of them maybe off the
+    others' common point, or spanned by coordinate axes. Dense draws hold
+    no exact zero, so only the coordinate kind can show a form that turns
+    +0.0 into -0.0."""
     if kind == "trivial":
         dims = rng.integers(0, n - -(-n // m) + 1, size=m)
     elif kind == "nontrivial":
         dims = rng.integers(n - (n - 1) // m, n + 1, size=m)
     else:
         dims = rng.integers(1, n + 1, size=m)
-    family = [_linear(rng, n, int(d)) for d in dims]
+    draw = _coordinate if kind == "coordinate" else _linear
+    family = [draw(rng, n, int(d)) for d in dims]
     if kind == "near_parallel":
         theta = 10.0 ** -int(rng.integers(1, 9))
         base = family[0].basis
@@ -116,13 +134,19 @@ def _check_planning(family) -> None:
     assert _bits(tuple_angle_cos(family, fixed=fixed)) == _bits(
         reference_tuple_angle_cos(family, fixed))
     reflectors = reflectors_of(family)
-    product = build_product_averaged(reflectors)
-    want = reference_build_product_averaged(reflectors)
-    _assert_same_map(product, want)
-    assert product.averagedness == want.averagedness
-    operators = [(sym, fixed), (product, fixed)]
+    for reflector, s in zip(reflectors, family):
+        want = reference_make_reflector(s)
+        assert _bits(reflector.Q) == _bits(want.Q) and _bits(reflector.b) == _bits(want.b)
+    operators = [(sym, fixed)]
+    for build, reference in ((build_sum_averaged, reference_build_sum_averaged),
+                             (build_product_averaged, reference_build_product_averaged)):
+        averaged, want = build(reflectors), reference(reflectors)
+        _assert_same_map(averaged, want)
+        assert averaged.averagedness == want.averagedness
+        operators.append((averaged, fixed))
     if len(family) > 1:
         dr = dr_operator(reflectors[0], reflectors[1])
+        _assert_same_map(dr, reference_dr_operator(reflectors[0], reflectors[1]))
         operators.append((dr, fixed_point_set(dr)))
     for op, op_fixed in operators:
         try:
@@ -140,6 +164,7 @@ def _check_planning(family) -> None:
 @example(seed=2, m=4, n=12, kind="near_parallel")
 @example(seed=3, m=5, n=20, kind="translated")
 @example(seed=4, m=1, n=1, kind="trivial")
+@example(seed=5, m=4, n=9, kind="coordinate")
 def test_resolution_and_planning_match_the_references_bit_for_bit(seed, m, n, kind):
     family = _family(np.random.default_rng(seed), m, n, kind)
     _check_resolution(family)
@@ -152,6 +177,20 @@ def test_the_kinds_reach_both_branches_of_the_certificate():
     assert intersect(_family(rng, 3, 30, "nontrivial")).subspace.dim > 0
     assert not any(np.any(s.anchor) for s in _family(rng, 4, 12, "near_parallel"))
     assert all(np.any(s.anchor) for s in _family(rng, 5, 20, "translated"))
+    coordinate = _family(rng, 4, 9, "coordinate")
+    assert all(np.any(s.projector_matrix() == 0.0) for s in coordinate)
+    assert not any(np.any(s.anchor) for s in coordinate)
+
+
+def test_the_relaxed_term_keeps_the_signed_zeros_of_its_expression():
+    # -I holds -0.0 off the diagonal, where 0.0 + c x gives +0.0
+    X = -np.eye(4)
+    for c in (0.5, 0.25):
+        want = (1.0 - c) * np.eye(4) + c * X
+        assert _bits(_relaxed(X, c, out=None)) == _bits(want)
+        assert _bits(_relaxed(X, c, out=np.empty((4, 4)))) == _bits(want)
+        Y = X.copy()
+        assert _bits(_relaxed(Y, c, out=Y)) == _bits(want)
 
 
 def test_operator_rate_rejects_a_fixed_set_the_operator_moves():
@@ -210,6 +249,22 @@ def test_dr_makes_two_reflectors_and_shares_them(monkeypatch):
     assert len(made) == 6
 
 
+def test_planning_makes_reflectors_on_read_unless_the_instance_holds_them(monkeypatch):
+    # dr's two reflectors are held; each builder makes the other m - 2 for
+    # its read and drops them
+    made = _count_isometries(monkeypatch)
+    m = 6
+    dr_and_builders = [{"method": "dr"}, {"method": "averaged_iter", "builder": "sum"},
+                       {"method": "averaged_iter", "builder": "product"}]
+    compute_rates(parse_config(_rates_config(dr_and_builders)))
+    assert len(made) == 2 + 2 * (m - 2)
+    made.clear()
+    # a circumcentered family holds all m, and the builders read those
+    compute_rates(parse_config(_rates_config(
+        [{"method": "cim", "operator_set": "identity_plus_reflectors"}] + dr_and_builders)))
+    assert len(made) == m
+
+
 def _traced_peak(fn, *args) -> int:
     gc.collect()
     tracemalloc.start()
@@ -238,4 +293,45 @@ def test_product_averaged_builder_holds_no_list_of_pieces():
     few, many = reflectors_of(_half_dim_family(4)), reflectors_of(_half_dim_family(16))
     peak_few = _traced_peak(build_product_averaged, few)
     peak_many = _traced_peak(build_product_averaged, many)
+    assert peak_many <= 1.1 * peak_few, (peak_few, peak_many)
+
+
+class _MadeOnRead(Sequence):
+    """The reflectors through ``subspaces``, each made when it is read and
+    held by no one else."""
+
+    def __init__(self, subspaces):
+        self.subspaces = subspaces
+
+    def __len__(self) -> int:
+        return len(self.subspaces)
+
+    def __getitem__(self, index: int):
+        return make_reflector(self.subspaces[index])
+
+
+def test_sum_averaged_builder_holds_no_list_of_pieces():
+    few, many = _MadeOnRead(_half_dim_family(4)), _MadeOnRead(_half_dim_family(16))
+    peak_few = _traced_peak(build_sum_averaged, few)
+    peak_many = _traced_peak(build_sum_averaged, many)
+    assert peak_many <= 1.1 * peak_few, (peak_few, peak_many)
+
+
+def _planning_config(m: int):
+    """dr and both averaged_iter builders on m subspaces of dimension 60 in
+    R^120 meeting only at 0, loaded before any tracing."""
+    return parse_config({
+        "name": "planning-memory", "ambient_dim": 120, "max_iters": 1,
+        "instances": {"kind": "explicit", "items": [
+            {"label": f"m{m}", "subspaces": [{"span": s.basis.tolist()}
+                                            for s in _half_dim_family(m)]}]},
+        "methods": [{"method": "dr"}, {"method": "averaged_iter", "builder": "sum"},
+                    {"method": "averaged_iter", "builder": "product"}],
+    })
+
+
+def test_planning_holds_no_reflector_per_subspace():
+    few, many = _planning_config(4), _planning_config(16)
+    peak_few, peak_many = _traced_peak(compute_rates, few), _traced_peak(compute_rates, many)
+    # the 16 reflectors alone are 16 * 120^2 * 8 bytes, 1.8 MB
     assert peak_many <= 1.1 * peak_few, (peak_few, peak_many)
