@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineIsometry, _common_fixed_points, _is_self_adjoint
+from .isometry import AffineIsometry, _common_fixed_points, _direction_gap, _is_self_adjoint
 from .numerics import CONSISTENCY_TOL, EQ_TOL, RANK_TOL, _norm, as_vector
 from .subspace import AffineSubspace
 
@@ -450,8 +450,7 @@ def _require_fixed(generators, fixed: AffineSubspace) -> None:
         if fixed.ambient_dim != op.ambient_dim:
             raise ValueError("fixed set and operators live in different dimensions")
         anchor_gap = float(np.linalg.norm(op.Q @ fixed.anchor + op.b - fixed.anchor))
-        direction_gap = float(np.max(np.linalg.norm(fixed.basis @ op.Q.T - fixed.basis, axis=1),
-                                     initial=0.0))
+        direction_gap = _direction_gap(op, fixed)
         if anchor_gap > anchor_tol or direction_gap > CONSISTENCY_TOL:
             raise ValueError(
                 f"a generator moves the given fixed set, anchor gap {anchor_gap:.3e}, "

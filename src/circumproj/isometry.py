@@ -20,6 +20,7 @@ from .numerics import (
     EQ_TOL,
     _ORTHONORMALITY_TOL,
     _norm,
+    _orthonormality_defect,
     as_matrix,
     as_vector,
     solution_set,
@@ -72,10 +73,7 @@ class AffineIsometry:
             raise ValueError(f"linear part must be square, got shape {Q.shape}")
         if Q.shape[0] != b.shape[0]:
             raise ValueError("linear part and offset dimensions differ")
-        # Q^T Q - I in the one Gram buffer: x - 0.0 is x off the diagonal
-        gram = Q.T @ Q
-        gram.flat[::Q.shape[0] + 1] -= 1.0
-        defect = np.max(np.abs(gram, out=gram))
+        defect = _orthonormality_defect(Q.T)
         if defect > _ORTHONORMALITY_TOL:
             raise ValueError(f"linear part is not orthogonal, defect {defect:.3e}")
         object.__setattr__(self, "Q", _read_only(np.ascontiguousarray(Q)))
@@ -173,6 +171,13 @@ def _zero_offset(op: AffineOperator) -> bool:
 
 def _linear_part(op: AffineOperator) -> np.ndarray:
     return op.Q if isinstance(op, AffineIsometry) else op.A
+
+
+def _direction_gap(op: AffineOperator, fixed: AffineSubspace) -> float:
+    """The largest distance that op's linear part moves a basis direction of
+    ``fixed``, every direction by one product; 0.0 when ``fixed`` is a point."""
+    M = _linear_part(op)
+    return float(np.max(np.linalg.norm(fixed.basis @ M.T - fixed.basis, axis=1), initial=0.0))
 
 
 def fixed_point_set(op: AffineOperator) -> Optional[AffineSubspace]:
@@ -321,8 +326,11 @@ def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _is_self_adjoint(op: AffineOperator) -> bool:
+    """max |M - M^T| <= EQ_TOL (1 + max |M|), in one n x n buffer."""
     M = _linear_part(op)
-    return float(np.max(np.abs(M - M.T))) <= EQ_TOL * (1.0 + float(np.max(np.abs(M))))
+    skew = M - M.T
+    largest = max(float(M.max()), -float(M.min()))
+    return float(np.abs(skew, out=skew).max()) <= EQ_TOL * (1.0 + largest)
 
 
 def _sym_extremes(op: AffineMap) -> tuple[float, float]:

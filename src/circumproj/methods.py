@@ -65,33 +65,30 @@ class MethodConfig:
             raise ValueError("stop_tol must be nonnegative")
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """``_norm`` of each row, from one stack of 1 x n by n x 1 products."""
-    return np.sqrt(np.matmul(rows[:, None], rows[:, :, None]).ravel())
-
-
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Recorded iterates of one run.
 
     ``iterates[0]`` is the start point after any prefix; ``errors[k]`` is
     the distance from ``iterates[k]`` to ``target``, the projection of the
-    original, pre-prefix start onto the fixed set of the method. Nothing
-    time-dependent is recorded, so reruns of a seeded experiment are
-    byte-identical.
+    original, pre-prefix start onto the fixed set of the method, and
+    ``step_norms[k]`` the driver's ``_norm(iterates[k] - iterates[k - 1])``, 0
+    at k = 0. Nothing time-dependent is recorded, so reruns of a seeded
+    experiment are byte-identical.
     """
 
     method: str
     iterates: np.ndarray
     errors: np.ndarray
+    step_norms: np.ndarray
     x0_original: np.ndarray
     target: np.ndarray
 
     def __post_init__(self) -> None:
         if self.iterates.ndim != 2:
             raise ValueError("iterates must be a 2-d array, one row per iterate")
-        if self.errors.shape[0] != self.iterates.shape[0]:
-            raise ValueError("errors must have one entry per iterate")
+        if not self.errors.shape[0] == self.step_norms.shape[0] == self.iterates.shape[0]:
+            raise ValueError("errors and step_norms must have one entry per iterate")
 
     @property
     def ambient_dim(self) -> int:
@@ -107,35 +104,23 @@ class IterationTrace:
         """Distance from the original start to the target."""
         return float(np.linalg.norm(self.x0_original - self.target))
 
-    def step_norms(self) -> np.ndarray:
-        """0, then ``_norm(iterates[k] - iterates[k - 1])``, the figure that
-        the stop rule compares when stop_tol > 0. The differences are taken
-        1024 // n rows at a time (one at least), so the transient holds at
-        most max(1024, n) floats, not k x n; a row's norm does not depend on
-        its block."""
-        k, n = self.iterates.shape
-        rows, steps = max(1, 1024 // n), np.zeros(k)
-        for start in range(1, k, rows):
-            block = np.diff(self.iterates[start - 1:start + rows], axis=0)
-            steps[start:start + rows] = _row_norms(block)
-        return steps
-
 
 def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
            config: MethodConfig, target: np.ndarray) -> IterationTrace:
     """Iterate ``step``, which may trust its argument to be a finite vector. A finite
-    step norm proves an iterate finite; only stop_tol == 0 or a non-finite one tests it."""
+    step norm proves an iterate finite; only a non-finite one tests it."""
     x0_original = as_vector(x0)
     current = x0_original if config.prefix is None else as_vector(config.prefix.apply(x0_original))
-    iterates = [current]
+    iterates, step_norms = [current], [0.0]
     for steps_taken in range(1, config.max_iters + 1):
         nxt = step(current)
-        step_norm = _norm(nxt - current) if config.stop_tol > 0 else math.nan
+        step_norm = _norm(nxt - current)
         if not math.isfinite(step_norm) and not np.isfinite(nxt).all():
             raise RuntimeError(f"{method} produced a non-finite iterate at step {steps_taken}")
         iterates.append(nxt)
+        step_norms.append(step_norm)
         current = nxt
-        if step_norm <= config.stop_tol:
+        if config.stop_tol > 0 and step_norm <= config.stop_tol:
             break
     stacked = np.array(iterates)
     errors = np.linalg.norm(stacked - target, axis=1)
@@ -143,6 +128,7 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
         method=method,
         iterates=stacked,
         errors=errors,
+        step_norms=np.array(step_norms),
         x0_original=x0_original,
         target=target,
     )

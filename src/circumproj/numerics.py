@@ -123,6 +123,14 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _orthonormality_defect(rows: np.ndarray) -> float:
+    """The largest entry of |rows rows^T - I|, formed in the one Gram buffer:
+    x - 0.0 is x off the diagonal, so it has the bits of the expression."""
+    gram = rows @ rows.T
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return float(np.max(np.abs(gram, out=gram)))
+
+
 def as_vector(x) -> np.ndarray:
     """Convert to a finite 1-d float array, validating shape and entries."""
     arr = np.asarray(x, dtype=float)

@@ -8,13 +8,14 @@ a ``prefactor``, and reports per-iteration slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .isometry import (
     AffineMap,
+    _direction_gap,
     _require_nonexpansive,
     _sym_extremes,
     _zero_offset,
@@ -54,36 +55,39 @@ class RateConstant:
 
 @dataclass(frozen=True, eq=False)
 class RateReport:
-    """A rate constant audited against one trace, held as two columns.
+    """A rate constant audited against one trace, held as columns.
 
     ``errors`` is the trace's own error array and ``bounds`` the float64
-    bound value at each k. ``per_iteration`` rows are (k, observed_error,
-    bound_value, satisfied) with satisfied meaning observed <= bound *
-    (1 + AUDIT_TOL). ``slack_min`` is the minimum over k of (bound -
-    observed) / bound, so anything negative beyond the audit tolerance
-    marks a violation.
+    bound value at each k. Construction computes, once, the two columns that
+    everything else reads: ``satisfied``, observed <= bound * (1 + AUDIT_TOL)
+    per k, and ``slacks``, (bound - observed) / bound per k. ``per_iteration``
+    rows are (k, observed_error, bound_value, satisfied). ``slack_min`` is
+    the minimum slack, so anything negative beyond the audit tolerance marks
+    a violation.
     """
 
     constant: RateConstant
     errors: np.ndarray
     bounds: np.ndarray
+    satisfied: np.ndarray = field(init=False, repr=False)
+    slacks: np.ndarray = field(init=False, repr=False)
 
-    def _satisfied(self) -> np.ndarray:
-        """observed <= bound * (1 + AUDIT_TOL) per k, in one comparison."""
-        return self.errors <= self.bounds * (1.0 + AUDIT_TOL)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "satisfied", self.errors <= self.bounds * (1.0 + AUDIT_TOL))
+        object.__setattr__(self, "slacks", _slacks(self.errors, self.bounds))
 
     @property
     def per_iteration(self) -> tuple:
         return tuple(zip(range(len(self.errors)), self.errors.tolist(), self.bounds.tolist(),
-                         self._satisfied().tolist()))
+                         self.satisfied.tolist()))
 
     @property
     def all_satisfied(self) -> bool:
-        return bool(self._satisfied().all())
+        return bool(self.satisfied.all())
 
     @property
     def slack_min(self) -> float:
-        return min([float("inf"), *_slacks(self.errors, self.bounds).tolist()])
+        return min([float("inf"), *self.slacks.tolist()])
 
 
 def _require_chain(subspaces: Sequence[AffineSubspace], fixed: Optional[AffineSubspace]) -> None:
@@ -133,16 +137,13 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace) -> float:
         raise ValueError("fixed subspace must be linear")
     if fixed.ambient_dim != matrix.shape[0]:
         raise ValueError("operator and subspace dimensions differ")
-    gaps = np.linalg.norm(fixed.basis @ matrix.T - fixed.basis, axis=1)
-    gap = float(np.max(gaps, initial=0.0))
+    gap = _direction_gap(op, fixed)
     if gap > CONSISTENCY_TOL:
         raise ValueError(f"a basis direction of the subspace is not fixed, gap {gap:.3e}")
 
     def rate() -> float:
-        if fixed.dim == 0:
-            return spectral_norm(matrix)
-        perp = np.eye(matrix.shape[0]) - fixed.projector_matrix()
-        return spectral_norm(matrix @ perp)
+        perp = _chain_start(fixed)
+        return spectral_norm(matrix if perp is None else matrix @ perp)
 
     return op._spectral_datum(("rate", fixed), rate)
 

@@ -19,6 +19,7 @@ from .numerics import (
     _ORTHONORMALITY_TOL,
     _certifies_full_rank,
     _norm,
+    _orthonormality_defect,
     as_vector,
     orthonormal_basis,
     solution_set,
@@ -56,8 +57,7 @@ class AffineSubspace:
         if basis.shape[0] > basis.shape[1]:
             raise ValueError("more basis vectors than ambient dimensions")
         if basis.shape[0] > 0:
-            gram = basis @ basis.T
-            defect = np.max(np.abs(gram - np.eye(basis.shape[0])))
+            defect = _orthonormality_defect(basis)
             if defect > _ORTHONORMALITY_TOL:
                 raise ValueError(
                     f"basis rows must be orthonormal to {_ORTHONORMALITY_TOL:g}, "

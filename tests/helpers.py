@@ -13,6 +13,7 @@ import numpy as np
 from circumproj import (
     AUDIT_TOL,
     CONSISTENCY_TOL,
+    EQ_TOL,
     RANK_TOL,
     AffineIsometry,
     AffineMap,
@@ -214,10 +215,16 @@ def _fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def reference_step_norms(iterates) -> np.ndarray:
+    """0, then ``_norm(iterates[k] - iterates[k - 1])``, from the iterates themselves."""
+    return np.array([0.0] + [_norm(iterates[k] - iterates[k - 1])
+                             for k in range(1, len(iterates))])
+
+
 def reference_trace_csv(trace) -> str:
     """``k,x_norm,error,step_norm`` rows at 17 significant digits."""
     lines = ["k,x_norm,error,step_norm"]
-    steps = trace.step_norms()
+    steps = reference_step_norms(trace.iterates)
     for k, row in enumerate(trace.iterates):
         lines.append(
             f"{k},{_fmt17(_norm(row))},{_fmt17(trace.errors[k])},{_fmt17(steps[k])}"
@@ -252,7 +259,7 @@ def reference_rate_csv(report) -> str:
 
 def _reference_trace_obj(trace) -> dict:
     """The embedded trace, one ``k, x_norm, error, step_norm`` dict per iterate."""
-    steps = trace.step_norms()
+    steps = reference_step_norms(trace.iterates)
     return {
         "method": trace.method,
         "ambient_dim": int(trace.iterates.shape[1]),
@@ -472,6 +479,12 @@ def reference_map_operator(subspaces) -> AffineMap:
 def reference_symmetric_map_operator(subspaces) -> AffineMap:
     """P_1 .. P_m .. P_1 through :func:`reference_map_operator`."""
     return reference_map_operator(list(subspaces) + list(subspaces[-2::-1]))
+
+
+def reference_is_self_adjoint(op) -> bool:
+    """max |A - A^T| <= EQ_TOL (1 + max |A|), from the abs of each matrix."""
+    A = op.A
+    return float(np.max(np.abs(A - A.T))) <= EQ_TOL * (1.0 + float(np.max(np.abs(A))))
 
 
 def reference_operator_rate(op, fixed) -> float:

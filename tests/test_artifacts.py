@@ -32,6 +32,7 @@ from helpers import (
     reference_rate_csv,
     reference_report_json,
     reference_report_obj,
+    reference_step_norms,
     reference_trace_csv,
 )
 
@@ -183,8 +184,11 @@ def _audited_outcomes(draw):
     one report."""
     count = draw(st.integers(1, 8))
     iterates = draw(_column(count)).reshape(count, 1)
-    trace = IterationTrace("map", iterates, draw(_column(count)), np.ones(1), np.zeros(1))
-    audit = RateReport(RateConstant("gamma", 0.5, {}), trace.errors, draw(_column(count)))
+    errors, bounds = draw(_column(count)), draw(_column(count))
+    with np.errstate(all="ignore"):
+        trace = IterationTrace("map", iterates, errors, reference_step_norms(iterates),
+                               np.ones(1), np.zeros(1))
+        audit = RateReport(RateConstant("gamma", 0.5, {}), trace.errors, bounds)
     label = draw(st.sampled_from(["map", f"map {ROW_LIST_TEXT}"]))
     instance = bench.InstanceOutcome("drawn", 1, (0,), 0, np.zeros(1),
                                      (bench.MethodOutcome(label, trace, audit),), ())

@@ -12,12 +12,14 @@ import pytest
 import circumproj
 from circumproj import (
     ConfigError,
+    bench,
     cli,
     compute_rates,
     generate_instance,
     intersect,
     load_config,
     parse_config,
+    rates,
     run_experiment,
 )
 
@@ -27,6 +29,7 @@ from helpers import (
     load_script,
     one_method_report,
     reference_report_obj,
+    reference_step_norms,
     reference_verify_lines,
     written_artifacts,
 )
@@ -952,10 +955,52 @@ def test_cli_verify_lines_read_no_audit_rows(monkeypatch, mutate):
     assert cli._verify_lines(report) == expected
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_run_computes_each_audit_column_once_and_no_step_norm_after_driving(
+        monkeypatch, tmp_path, fmt):
+    """Across run_experiment, its artifacts and verify's lines, each audit
+    computes its slack and verdict columns once, and the writer takes no
+    difference of a trace's iterates: it norms the iterates themselves, for
+    x_norm, and formats the step norms the driver recorded."""
+    slacked, audited, normed = [], [], []
+    slacks, audit_columns = rates._slacks, rates.RateReport.__post_init__
+
+    def counted_slacks(observed, bounds):
+        slacked.append(id(bounds))
+        return slacks(observed, bounds)
+
+    def counted_audit_columns(audit):
+        audited.append(id(audit.bounds))
+        audit_columns(audit)
+
+    def no_difference(*args, **kwargs):
+        raise AssertionError("a difference of the iterates was formed after the run")
+
+    row_norms = bench._row_norms
+
+    def recorded_row_norms(rows):
+        normed.append(rows)
+        return row_norms(rows)
+
+    monkeypatch.setattr(rates, "_slacks", counted_slacks)
+    monkeypatch.setattr(rates.RateReport, "__post_init__", counted_audit_columns)
+    monkeypatch.setattr(np, "diff", no_difference)
+    monkeypatch.setattr(bench, "_row_norms", recorded_row_norms)
+    report = run_experiment(parse_config(demo_config()), out_dir=tmp_path, fmt=fmt)
+    cli._verify_lines(report)
+    outcomes = [m for instance in report.instances for m in instance.methods]
+    audits = sorted(id(m.report.bounds) for m in outcomes if m.report is not None)
+    assert len(audits) > 1
+    assert sorted(slacked) == sorted(audited) == audits
+    iterates = {id(m.trace.iterates) for m in outcomes}
+    assert normed and all(id(rows) in iterates for rows in normed)
+
+
 def _trace_with_errors(errors) -> circumproj.IterationTrace:
     errors = np.array(errors)
-    return circumproj.IterationTrace("map", errors.reshape(-1, 1), errors, np.ones(1),
-                                     np.zeros(1))
+    iterates = errors.reshape(-1, 1)
+    return circumproj.IterationTrace("map", iterates, errors, reference_step_norms(iterates),
+                                     np.ones(1), np.zeros(1))
 
 
 @pytest.mark.parametrize("errors, reached", [

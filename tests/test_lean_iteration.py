@@ -40,6 +40,7 @@ from helpers import (
     reference_circumcenter,
     reference_distinct,
     reference_rate_csv,
+    reference_step_norms,
     reference_trace_csv,
     reflectors_of,
     unit_vector,
@@ -378,8 +379,9 @@ def test_the_accelerated_step_equals_its_formula(seed):
 def _trace(errors) -> IterationTrace:
     """A trace with the given errors, on iterates at those distances from 0."""
     errors = np.asarray(errors, dtype=float)
-    return IterationTrace("map", np.outer(errors, [0.6, -0.8]), errors, np.array([1.0, 2.0]),
-                          np.zeros(2))
+    iterates = np.outer(errors, [0.6, -0.8])
+    return IterationTrace("map", iterates, errors, reference_step_norms(iterates),
+                          np.array([1.0, 2.0]), np.zeros(2))
 
 
 def _audited():
@@ -442,8 +444,8 @@ def test_x_norms_have_the_bits_of_norm(dim):
     rng = np.random.default_rng(dim)
     scales = 10.0 ** rng.integers(-150, 150, size=(25, 1))
     iterates = rng.standard_normal((25, dim)) * scales
-    trace = IterationTrace("map", iterates, np.linalg.norm(iterates, axis=1), iterates[0],
-                           np.zeros(dim))
+    trace = IterationTrace("map", iterates, np.linalg.norm(iterates, axis=1),
+                           reference_step_norms(iterates), iterates[0], np.zeros(dim))
     rows = written_record(trace)["trace"]["rows"]
     for k, row in enumerate(iterates):
         assert _bits(rows[k]["x_norm"]) == _bits(_norm(row))

@@ -10,6 +10,7 @@ from circumproj import (
     AffineSubspace,
     IterationTrace,
     MethodConfig,
+    bench,
     build_psi,
     dr_operator,
     fixed_point_set,
@@ -20,7 +21,7 @@ from circumproj import (
     run_map,
     symmetric_map_operator,
 )
-from circumproj.methods import _row_norms
+from circumproj.methods import _drive
 from circumproj.numerics import _norm
 from helpers import (
     json_text,
@@ -214,7 +215,7 @@ def test_trace_json_is_deterministic_and_time_free():
 
 def test_step_norms_start_at_zero():
     trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=2), ORIGIN)
-    steps = trace.step_norms()
+    steps = trace.step_norms
     assert steps[0] == 0.0
     assert abs(steps[1] - np.linalg.norm(trace.iterates[1] - trace.iterates[0])) < 1e-15
 
@@ -225,32 +226,61 @@ def test_step_norms_are_the_norms_the_stop_rule_compares():
     trace = run_map(subspaces, unit_vector(rng, 30),
                     MethodConfig(method="map", max_iters=100, stop_tol=1e-12),
                     intersect(subspaces).subspace)
-    steps = trace.step_norms()
+    steps = trace.step_norms
+    assert (steps[1:-1] > 1e-12).all()
     for k in range(1, trace.iterates.shape[0]):
         assert steps[k] == _norm(trace.iterates[k] - trace.iterates[k - 1]), k
 
 
+def test_a_zero_step_stops_a_run_only_when_stop_tol_is_positive():
+    """The identity's steps are exactly 0: stop_tol 0 still runs to
+    max_iters, any positive stop_tol stops at the first step."""
+    identity_map = AffineMap(np.eye(3), np.zeros(3))
+    for stop_tol, steps in ((0.0, 7), (1e-300, 1)):
+        trace = run_linear(identity_map, [1.0, -2.0, 0.5],
+                           MethodConfig(method="dr", max_iters=7, stop_tol=stop_tol),
+                           fixed_point_set(identity_map))
+        assert trace.stopped_at == steps
+        assert not trace.step_norms.any()
+
+
+@pytest.mark.parametrize("errors, steps", [(2, 3), (3, 2)], ids=["errors", "step_norms"])
+def test_a_trace_holds_one_error_and_one_step_norm_per_iterate(errors, steps):
+    with pytest.raises(ValueError, match="^errors and step_norms must have one entry per iterate$"):
+        IterationTrace("map", np.zeros((3, 2)), np.zeros(errors), np.zeros(steps), np.zeros(2),
+                       np.zeros(2))
+
+
 def _random_trace(rng, k: int, n: int) -> IterationTrace:
-    iterates = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-12, 2, size=(k, 1))
-    return IterationTrace("map", iterates, np.zeros(k), np.zeros(n), np.zeros(n))
+    """A trace of k random iterates at scales 1e-12 to 1e2, driven by a
+    step that returns them one by one."""
+    iterates = iter(rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-12, 2, size=(k, 1)))
+    return _drive("map", lambda x: next(iterates), next(iterates),
+                  MethodConfig(method="map", max_iters=k - 1), np.zeros(n))
 
 
 @given(st.integers(0, 10**6), st.integers(1, 300), st.integers(1, 60))
 def test_step_norms_equal_the_whole_difference_bit_for_bit(seed, k, n):
+    """The driver's step norms have the bits of the norms of the whole
+    difference of the trace, as the writer once took them."""
     trace = _random_trace(np.random.default_rng(seed), k, n)
     want = np.zeros(k)
-    want[1:] = _row_norms(np.diff(trace.iterates, axis=0))
-    assert trace.step_norms().tobytes() == want.tobytes()
+    want[1:] = bench._row_norms(np.diff(trace.iterates, axis=0))
+    assert trace.step_norms.tobytes() == want.tobytes()
 
 
 # a long trace, and the trace shapes of resolve-n200 (20 steps in R^200)
 # and family-psi (up to 60 steps in R^60)
 @pytest.mark.parametrize("k,n", [(501, 200), (21, 200), (61, 60)])
 def test_step_norms_hold_less_than_one_difference_of_the_trace(k, n):
+    """Writing a trace's CSV and its json rows forms no difference of its
+    iterates: the writer formats the step norms the driver recorded."""
     trace = _random_trace(np.random.default_rng(3), k, n)
+    error = bench._float_texts(trace.errors)
     tracemalloc.start()
     try:
-        trace.step_norms()
+        bench._trace_csv(trace)
+        bench._trace_rows(trace, error)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

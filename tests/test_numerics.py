@@ -19,6 +19,8 @@ from circumproj import (
     sym_eigen_extremes,
 )
 
+from circumproj import AffineIsometry, AffineSubspace
+from circumproj.numerics import _orthonormality_defect
 from helpers import DEMO_CONFIG
 
 
@@ -204,3 +206,24 @@ def test_demo_run_loads_one_blas():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+
+
+@given(st.integers(0, 10**6), st.integers(1, 12), st.floats(0.0, 1e-9))
+def test_the_orthonormality_defect_has_the_bits_of_its_expression(seed, n, noise):
+    """Both constructors' defect, of B B^T - I for a basis B and of
+    Q^T Q - I for an isometry, by the one in-place helper."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0] + noise * rng.standard_normal((n, n))
+    rows = Q[: int(rng.integers(1, n + 1))]
+    want_rows = np.max(np.abs(rows @ rows.T - np.eye(rows.shape[0])))
+    want_q = np.max(np.abs(Q.T @ Q - np.eye(n)))
+    assert np.float64(_orthonormality_defect(rows)).tobytes() == want_rows.tobytes()
+    assert np.float64(_orthonormality_defect(Q.T)).tobytes() == want_q.tobytes()
+
+
+def test_each_constructor_keeps_its_own_orthonormality_message():
+    with pytest.raises(ValueError, match=r"^basis rows must be orthonormal to 1e-10, "
+                                         r"defect 3\.000e\+00$"):
+        AffineSubspace(np.zeros(2), np.array([[2.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"^linear part is not orthogonal, defect 3\.000e\+00$"):
+        AffineIsometry(np.diag([2.0, 1.0]), np.zeros(2))

@@ -24,6 +24,7 @@ from helpers import (
     one_method_report,
     random_family,
     random_linear_subspace,
+    reference_step_norms,
     written_artifacts,
     written_record,
 )
@@ -45,6 +46,7 @@ def _toy_trace(errors, x0=None, target=None):
         method="map",
         iterates=iterates,
         errors=errors,
+        step_norms=reference_step_norms(iterates),
         x0_original=np.array([1.0, 0.0]) if x0 is None else np.asarray(x0, dtype=float),
         target=np.zeros(2) if target is None else np.asarray(target, dtype=float),
     )
@@ -178,6 +180,17 @@ def test_audit_bound_frozen_synthetic_violation():
     report = audit_bound(_toy_trace([1.0, 0.6]), RateConstant("linear_rate", 0.5, {}))
     assert not report.all_satisfied
     assert report.slack_min < -0.19
+
+
+# The audit tolerance by literals, not by the imported AUDIT_TOL: an error
+# 2e-8 above its bound (relative) breaks the audit, one 0.5e-8 above holds.
+@pytest.mark.parametrize("excess, holds", [(2e-8, False), (0.5e-8, True)])
+def test_audit_bound_frozen_rows_just_above_the_bound(excess, holds):
+    trace = _toy_trace([1.0, 0.5 * (1.0 + excess), 0.25])
+    report = audit_bound(trace, RateConstant("linear_rate", 0.5, {}))
+    assert [row[3] for row in report.per_iteration] == [True, holds, True]
+    assert report.all_satisfied is holds
+    assert one_method_report(trace, report).instances[0].all_ok is holds
 
 
 def test_audit_bound_all_zero_trace():

@@ -21,7 +21,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from circumproj import (
+    EQ_TOL,
     AffineIsometry,
+    AffineMap,
     AffineSubspace,
     build_product_averaged,
     build_sum_averaged,
@@ -36,13 +38,14 @@ from circumproj import (
     symmetric_map_operator,
     tuple_angle_cos,
 )
-from circumproj.isometry import _common_fixed_points, _relaxed
+from circumproj.isometry import _common_fixed_points, _is_self_adjoint, _relaxed
 from helpers import (
     reference_build_product_averaged,
     reference_build_sum_averaged,
     reference_common_fixed_points,
     reference_dr_operator,
     reference_intersect,
+    reference_is_self_adjoint,
     reference_make_reflector,
     reference_map_operator,
     reference_operator_rate,
@@ -138,6 +141,7 @@ def _check_planning(family) -> None:
         want = reference_make_reflector(s)
         assert _bits(reflector.Q) == _bits(want.Q) and _bits(reflector.b) == _bits(want.b)
     operators = [(sym, fixed)]
+    assert _is_self_adjoint(sym) == reference_is_self_adjoint(sym)
     for build, reference in ((build_sum_averaged, reference_build_sum_averaged),
                              (build_product_averaged, reference_build_product_averaged)):
         averaged, want = build(reflectors), reference(reflectors)
@@ -191,6 +195,40 @@ def test_the_relaxed_term_keeps_the_signed_zeros_of_its_expression():
         assert _bits(_relaxed(X, c, out=np.empty((4, 4)))) == _bits(want)
         Y = X.copy()
         assert _bits(_relaxed(Y, c, out=Y)) == _bits(want)
+
+
+def _near_cut(seed: int, n: int, skew: float) -> np.ndarray:
+    """A symmetric matrix plus a skew part whose largest entry is ``skew``
+    times EQ_TOL (1 + max |S|), near the cut of the self-adjoint check."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+    S = S + S.T
+    K = np.triu(rng.standard_normal((n, n)), 1)
+    K = K - K.T
+    K /= max(float(np.max(np.abs(K))), 1e-300)
+    return S + skew * EQ_TOL * (1.0 + float(np.max(np.abs(S)))) * K / 2.0
+
+
+@given(st.integers(0, 10**6), st.integers(1, 30), st.floats(0.0, 2.0))
+def test_the_self_adjoint_check_is_its_formula(seed, n, skew):
+    """On both sides of the cut, and on signed zeros."""
+    for A in (_near_cut(seed, n, skew), -np.eye(n), np.zeros((n, n))):
+        op = AffineMap(A, np.zeros(n))
+        assert _is_self_adjoint(op) == reference_is_self_adjoint(op)
+
+
+def test_the_near_cut_matrices_reach_both_verdicts():
+    for skew, verdict in ((0.5, True), (1.5, False)):
+        assert _is_self_adjoint(AffineMap(_near_cut(0, 6, skew), np.zeros(6))) is verdict
+
+
+def test_the_self_adjoint_check_holds_less_than_two_matrices():
+    n = 200
+    A = np.random.default_rng(4).standard_normal((n, n))
+    op = AffineMap(A + A.T, np.zeros(n))
+    assert _is_self_adjoint(op)
+    peak = _traced_peak(_is_self_adjoint, op)
+    assert peak < 2 * n * n * 8, peak
 
 
 def test_operator_rate_rejects_a_fixed_set_the_operator_moves():
