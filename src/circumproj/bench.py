@@ -38,13 +38,14 @@ from .methods import (
     METHOD_TAGS,
     IterationTrace,
     MethodConfig,
+    _mirrored,
     _sweep,
     dr_operator,
     run_cim,
     run_linear,
     run_map,
 )
-from .numerics import EQ_TOL, _one_blas_thread, as_vector, spectral_norm
+from .numerics import EQ_TOL, _one_blas_thread, _row_norms, as_vector, spectral_norm
 from .rates import (
     AccelConstants,
     RateConstant,
@@ -571,7 +572,7 @@ class _Instance:
     def _family_indices(self, symmetrized: bool) -> list:
         """Subspace indices 0..m-1, as the palindrome 0..m-1..0 when symmetrized."""
         indices = list(range(len(self.subspaces)))
-        return indices + indices[-2::-1] if symmetrized else indices
+        return _mirrored(indices) if symmetrized else indices
 
     def family(self, symmetrized: bool) -> list:
         """The reflectors, as the palindrome R1..Rm..R1 when symmetrized."""
@@ -591,7 +592,7 @@ class _Instance:
         """``sym_op`` and the norm of its sweep's first half applied to
         I - P_fixed, the tuple chain."""
         half = list(self.subspaces)
-        op, chain = _sweep(half + half[-2::-1], len(half), _chain_start(self.inter.subspace))
+        op, chain = _sweep(_mirrored(half), len(half), _chain_start(self.inter.subspace))
         return op, spectral_norm(chain)
 
     @property
@@ -667,12 +668,12 @@ def _plan_averaged_iter(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 
 
 def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
-    family = ctx.family(spec.symmetrized)
     prefix = ctx.sym_op if spec.prefix == "sym_map_product" else None
 
     def run(config: MethodConfig) -> IterationTrace:
+        # the reflectors are made here: the constant needs none of them
         config = dataclasses.replace(config, prefix=prefix)
-        operator_set = build_psi(family, fixed=ctx.inter.subspace)
+        operator_set = build_psi(ctx.family(spec.symmetrized), fixed=ctx.inter.subspace)
         return run_cim(operator_set, ctx.x0, config)
 
     if prefix is not None:
@@ -921,16 +922,11 @@ def _vector_text(vector: np.ndarray) -> str:
     return ",".join(_json_texts(vector, _float_texts(vector)))
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """``_norm`` of each row, from one stack of 1 x n by n x 1 products. The
-    x_norm column is the one column computed at writing, not stored by the
-    run: on a 2-vCPU Xeon, a dot per step would cost about 4 ms on an
-    iterate-long operation, this about 0.15 ms."""
-    return np.sqrt(np.matmul(rows[:, None], rows[:, :, None]).ravel())
-
-
 def _trace_csv(trace: IterationTrace) -> str:
-    """One row per iterate at 17 significant digits, by one template."""
+    """One row per iterate at 17 significant digits, by one template. The
+    x_norm column, by ``_row_norms``, is the one column computed at writing,
+    not stored by the run: on a 2-vCPU Xeon, a dot per step would cost about
+    4 ms on an iterate-long operation, this about 0.15 ms."""
     return "k,x_norm,error,step_norm\n" + _rows_text(
         "%d,%.17g,%.17g,%.17g\n", "", range(trace.iterates.shape[0]),
         _row_norms(trace.iterates).tolist(), trace.errors.tolist(), trace.step_norms.tolist())

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .isometry import AffineIsometry, _common_fixed_points, _direction_gap, _is_self_adjoint
-from .numerics import CONSISTENCY_TOL, EQ_TOL, RANK_TOL, _norm, as_vector
+from .numerics import CONSISTENCY_TOL, EQ_TOL, RANK_TOL, _norm, _row_norms, as_vector
 from .subspace import AffineSubspace
 
 __all__ = [
@@ -143,9 +143,7 @@ def _merge(points: np.ndarray) -> Optional[list]:
         members = np.array(members)
         while members.shape[0] > 1:
             later = members[1:]
-            # the dot product of _norm, as a stack of 1 x n by n x 1 products
-            diff = points[later] - points[members[0]]
-            far = np.sqrt(np.matmul(diff[:, None], diff[:, :, None]).ravel()) > threshold
+            far = _row_norms(points[later] - points[members[0]]) > threshold
             dropped.update(later[~far].tolist())
             members = later[far]
     if not dropped:
@@ -275,7 +273,7 @@ class OperatorSet:
 
     Letters are integer indices, bools excepted, and are stored as plain
     ints. Construction also lays out the step plan of :meth:`images`: per
-    word, its last generator's ``Q`` and ``b`` (the generator's own arrays)
+    word, its last generator's ``A`` and ``b`` (the generator's own arrays)
     and the row it applies them to. ``b`` is left out when it is exactly
     zero, as for linear reflectors: np.dot accumulates its sums from +0.0,
     so they are never -0.0, and adding a zero to them moves no bit. The
@@ -321,7 +319,7 @@ class OperatorSet:
         words, steps = _layout(words, count)
         offsets = [op.b if op.b.any() else None for op in generators]
         plan = tuple((None, None, source) if letter is None
-                     else (generators[letter].Q, offsets[letter], source)
+                     else (generators[letter].A, offsets[letter], source)
                      for letter, source in steps)
         distinct = {id(op): op for op in generators}.values()
         if fixed is None:
@@ -449,7 +447,7 @@ def _require_fixed(generators, fixed: AffineSubspace) -> None:
     for op in generators:
         if fixed.ambient_dim != op.ambient_dim:
             raise ValueError("fixed set and operators live in different dimensions")
-        anchor_gap = float(np.linalg.norm(op.Q @ fixed.anchor + op.b - fixed.anchor))
+        anchor_gap = float(np.linalg.norm(op.A @ fixed.anchor + op.b - fixed.anchor))
         direction_gap = _direction_gap(op, fixed)
         if anchor_gap > anchor_tol or direction_gap > CONSISTENCY_TOL:
             raise ValueError(

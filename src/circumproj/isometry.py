@@ -1,17 +1,18 @@
 """Affine isometries of R^n and the averaged maps built from them.
 
-An affine isometry is x -> Q x + b with Q orthogonal; that property is
-enforced at construction so it cannot be forged. General affine maps (whose
-linear part is arbitrary) are a deliberately separate type: averaged
-combinations of isometries are nonexpansive but no longer isometric, and
-keeping the types apart keeps the isometry invariant meaningful.
+An affine map is x -> A x + b. An affine isometry is an affine map whose
+linear part is orthogonal, a property checked at construction so it cannot
+be forged; :class:`AffineIsometry` is the subclass of :class:`AffineMap`
+that checks it. The averaged combinations of isometries are affine maps,
+nonexpansive but no longer isometric, and only their builders certify
+their averagedness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Hashable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -54,49 +55,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineIsometry:
-    """x -> Q x + b with Q orthogonal.
-
-    Construction rejects any Q with ||Q^T Q - I||_max above 1e-10, so every
-    value of this type is an isometry by construction. ``Q`` and ``b`` are
-    read-only views of the arrays passed in, as :class:`AffineMap` holds its
-    parts, so the isometry cannot be forged through them afterwards.
-    """
-
-    Q: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        Q = as_matrix(self.Q)
-        b = as_vector(self.b)
-        if Q.shape[0] != Q.shape[1]:
-            raise ValueError(f"linear part must be square, got shape {Q.shape}")
-        if Q.shape[0] != b.shape[0]:
-            raise ValueError("linear part and offset dimensions differ")
-        defect = _orthonormality_defect(Q.T)
-        if defect > _ORTHONORMALITY_TOL:
-            raise ValueError(f"linear part is not orthogonal, defect {defect:.3e}")
-        object.__setattr__(self, "Q", _read_only(np.ascontiguousarray(Q)))
-        object.__setattr__(self, "b", _read_only(b))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.b.shape[0]
-
-    def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        return self.Q @ x + self.b
-
-    def is_linear(self) -> bool:
-        return _zero_offset(self)
-
-
-@dataclass(frozen=True, eq=False)
 class AffineMap:
     """x -> A x + b with arbitrary linear part.
 
-    ``averagedness`` is set only by the averaged builders below and serves
-    as their certificate; hand-built maps carry None there.
+    ``averagedness`` is the averaged builders' certificate: it is not a
+    constructor argument, and only :func:`build_sum_averaged` and
+    :func:`build_product_averaged` set it; every other map carries None.
 
     ``A`` and ``b`` are read-only views of the arrays passed in, not
     copies, so the spectral data of A (its symmetric eigenvalue extremes and
@@ -106,7 +70,7 @@ class AffineMap:
 
     A: np.ndarray
     b: np.ndarray
-    averagedness: Optional[float] = None
+    averagedness: Optional[float] = field(default=None, init=False)
     _spectral: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -133,8 +97,28 @@ class AffineMap:
         x = as_vector(x)
         return self.A @ x + self.b
 
+    def is_linear(self) -> bool:
+        """Whether the offset is 0 within EQ_TOL. Every test of an
+        operator's linearity goes through here, so it means one thing."""
+        return float(np.linalg.norm(self.b)) <= EQ_TOL
 
-AffineOperator = Union[AffineIsometry, AffineMap]
+
+@dataclass(frozen=True, eq=False)
+class AffineIsometry(AffineMap):
+    """x -> A x + b with A orthogonal.
+
+    Construction validates the parts as :class:`AffineMap` does, then
+    rejects any A with ||A^T A - I||_max above 1e-10, so every value of this
+    type is an isometry by construction, and its read-only parts keep it
+    one. An :class:`AffineMap` whose A happens to be orthogonal is not an
+    isometry of this type: the builders and operator sets refuse it.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        defect = _orthonormality_defect(self.A.T)
+        if defect > _ORTHONORMALITY_TOL:
+            raise ValueError(f"linear part is not orthogonal, defect {defect:.3e}")
 
 
 def identity(ambient_dim: int) -> AffineIsometry:
@@ -160,27 +144,16 @@ def compose(second: AffineIsometry, first: AffineIsometry) -> AffineIsometry:
     """The isometry 'second after first'."""
     if second.ambient_dim != first.ambient_dim:
         raise ValueError("cannot compose isometries of different dimensions")
-    return AffineIsometry(second.Q @ first.Q, second.Q @ first.b + second.b)
+    return AffineIsometry(second.A @ first.A, second.A @ first.b + second.b)
 
 
-def _zero_offset(op: AffineOperator) -> bool:
-    """Whether op is linear: its offset is 0 within EQ_TOL. Every test of an
-    operator's linearity goes through here, so it means one thing."""
-    return float(np.linalg.norm(op.b)) <= EQ_TOL
-
-
-def _linear_part(op: AffineOperator) -> np.ndarray:
-    return op.Q if isinstance(op, AffineIsometry) else op.A
-
-
-def _direction_gap(op: AffineOperator, fixed: AffineSubspace) -> float:
+def _direction_gap(op: AffineMap, fixed: AffineSubspace) -> float:
     """The largest distance that op's linear part moves a basis direction of
     ``fixed``, every direction by one product; 0.0 when ``fixed`` is a point."""
-    M = _linear_part(op)
-    return float(np.max(np.linalg.norm(fixed.basis @ M.T - fixed.basis, axis=1), initial=0.0))
+    return float(np.max(np.linalg.norm(fixed.basis @ op.A.T - fixed.basis, axis=1), initial=0.0))
 
 
-def fixed_point_set(op: AffineOperator) -> Optional[AffineSubspace]:
+def fixed_point_set(op: AffineMap) -> Optional[AffineSubspace]:
     """Fixed points of an affine operator, or None when there are none.
 
     The solution set of (M - I) x = -b, from one :func:`solution_set`
@@ -190,7 +163,7 @@ def fixed_point_set(op: AffineOperator) -> Optional[AffineSubspace]:
     return _common_fixed_points((op,))
 
 
-def _common_fixed_points(ops: Sequence[AffineOperator]) -> Optional[AffineSubspace]:
+def _common_fixed_points(ops: Sequence[AffineMap]) -> Optional[AffineSubspace]:
     """Points fixed by every operator, or None when there are none: the
     solution set of the stacked systems (M_i - I) x = -b_i, from one
     :func:`solution_set` call, empty when the residual exceeds
@@ -203,7 +176,7 @@ def _common_fixed_points(ops: Sequence[AffineOperator]) -> Optional[AffineSubspa
     rhs = -np.concatenate([op.b for op in ops])
     system = np.empty((len(ops) * n, n))
     for block, op in zip(system.reshape(len(ops), n, n), ops):
-        block[...] = _linear_part(op)
+        block[...] = op.A
         block.flat[::n + 1] -= 1.0
     anchor, direction, residual = solution_set(system, rhs)
     if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
@@ -229,7 +202,7 @@ def _linear_isometry_parts(operators: Sequence[AffineIsometry]) -> Iterator[np.n
                 raise ValueError("operators live in different dimensions")
             if not op.is_linear():
                 raise ValueError("averaged builders require linear isometries")
-            yield op.Q
+            yield op.A
 
     return parts()
 
@@ -243,6 +216,14 @@ def _relaxed(X: np.ndarray, c: float, out: Optional[np.ndarray]) -> np.ndarray:
     out += 0.0
     out.flat[::out.shape[0] + 1] += 1.0 - c
     return out
+
+
+def _certified(A: np.ndarray, m: int, w: float, a: float) -> AffineMap:
+    """The linear map A, carrying the averagedness sum_i w a of m relaxed
+    terms of weight w and alpha a: the one place that sets the certificate."""
+    op = AffineMap(A, np.zeros(A.shape[0]))
+    object.__setattr__(op, "averagedness", sum(w * a for _ in range(m)))
+    return op
 
 
 def build_sum_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
@@ -263,8 +244,7 @@ def build_sum_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
         term = _relaxed(Q, a, out=term)
         term *= w
         A += term
-    certificate = sum(w * a for _ in range(m))
-    return AffineMap(A, np.zeros(A.shape[0]), averagedness=certificate)
+    return _certified(A, m, w, a)
 
 
 def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
@@ -295,8 +275,7 @@ def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
         if i < m:
             # the inner factor is read; its buffer takes the next prefix
             prefix, spare = np.matmul(Q, prefix, out=inner), prefix
-    certificate = sum(w * a for _ in range(m))
-    return AffineMap(A, np.zeros(A.shape[0]), averagedness=certificate)
+    return _certified(A, m, w, a)
 
 
 _ACCEL_STATIONARY_FLOOR = 1e-13
@@ -325,9 +304,9 @@ def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return t * image + (1.0 - t) * x
 
 
-def _is_self_adjoint(op: AffineOperator) -> bool:
+def _is_self_adjoint(op: AffineMap) -> bool:
     """max |M - M^T| <= EQ_TOL (1 + max |M|), in one n x n buffer."""
-    M = _linear_part(op)
+    M = op.A
     skew = M - M.T
     largest = max(float(M.max()), -float(M.min()))
     return float(np.abs(skew, out=skew).max()) <= EQ_TOL * (1.0 + largest)
@@ -345,7 +324,7 @@ def _require_nonexpansive(op: AffineMap) -> None:
     The norm of a self-adjoint operator is max(-lambda_min, lambda_max), read
     from :func:`_sym_extremes`, which is computed once per operator.
     """
-    if not _zero_offset(op):
+    if not op.is_linear():
         raise ValueError("expected a linear operator")
     if not _is_self_adjoint(op):
         raise ValueError("expected a self-adjoint operator")

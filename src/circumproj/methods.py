@@ -8,8 +8,9 @@ relevant fixed set, also when a prefix operator was applied to the start.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +40,6 @@ __all__ = [
 METHOD_TAGS = ("cim", "map", "sym_map", "accel_map", "dr", "averaged_iter")
 LINEAR_METHODS = ("sym_map", "accel_map", "dr", "averaged_iter")
 
-PrefixOperator = Union[AffineIsometry, AffineMap]
-
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -49,18 +48,29 @@ class MethodConfig:
     ``stop_tol`` acts on the distance between consecutive iterates; zero
     disables early stopping. ``prefix`` is applied once to the start point
     before iterating, while errors keep referring to the original start.
+    What ``parse_config`` refuses is refused here too: a bool or non-integer
+    ``max_iters`` and a bool or non-finite ``stop_tol``; numpy integers are
+    integers.
     """
 
     method: str
     max_iters: int = 50
     stop_tol: float = 0.0
-    prefix: Optional[PrefixOperator] = None
+    prefix: Optional[AffineMap] = None
 
     def __post_init__(self) -> None:
         if self.method not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method!r}")
+        try:
+            if isinstance(self.max_iters, bool):
+                raise TypeError
+            operator.index(self.max_iters)
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if isinstance(self.stop_tol, bool) or not math.isfinite(self.stop_tol):
+            raise ValueError(f"stop_tol must be a finite number, got {self.stop_tol!r}")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
 
@@ -255,4 +265,9 @@ def symmetric_map_operator(subspaces: Sequence[AffineSubspace]) -> AffineMap:
     Each of the n projectors is formed once, by the one sweep ``_sweep``,
     whose first half ``bench._Instance`` applies to I - P_fixed.
     """
-    return _sweep(list(subspaces) + list(subspaces[-2::-1]), 0)[0]
+    return _sweep(_mirrored(list(subspaces)), 0)[0]
+
+
+def _mirrored(seq: list) -> list:
+    """The palindrome of ``seq``: seq, then seq reversed without its last entry."""
+    return seq + seq[-2::-1]

@@ -123,6 +123,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``_norm`` of each row of a 2-d array, with the same bits, from one
+    stack of 1 x n by n x 1 products."""
+    return np.sqrt(np.matmul(rows[:, None], rows[:, :, None]).ravel())
+
+
 def _orthonormality_defect(rows: np.ndarray) -> float:
     """The largest entry of |rows rows^T - I|, formed in the one Gram buffer:
     x - 0.0 is x off the diagonal, so it has the bits of the expression."""

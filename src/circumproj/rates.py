@@ -18,7 +18,6 @@ from .isometry import (
     _direction_gap,
     _require_nonexpansive,
     _sym_extremes,
-    _zero_offset,
 )
 from .methods import IterationTrace, _sweep
 from .numerics import CONSISTENCY_TOL, EQ_TOL, spectral_norm, sym_eigen_extremes
@@ -131,7 +130,7 @@ def operator_rate(op: AffineMap, fixed: AffineSubspace) -> float:
     since A (I - 0) equals A bit for bit.
     """
     matrix = op.A
-    if not _zero_offset(op):
+    if not op.is_linear():
         raise ValueError("operator rates are defined for linear operators")
     if not fixed.is_linear():
         raise ValueError("fixed subspace must be linear")

@@ -175,7 +175,7 @@ def reference_images(operator_set, x) -> np.ndarray:
     for word in operator_set.words:
         if word not in image:
             gen = operator_set.generators[word[-1]]
-            image[word] = gen.Q @ image[word[:-1]] + gen.b
+            image[word] = gen.A @ image[word[:-1]] + gen.b
     return np.array([image[word] for word in operator_set.words])
 
 
@@ -397,17 +397,13 @@ def reference_intersect(subspaces) -> Intersection:
     return Intersection(AffineSubspace(anchor, direction), residual)
 
 
-def _reference_linear_part(op):
-    return op.Q if isinstance(op, AffineIsometry) else op.A
-
-
 def reference_common_fixed_points(ops):
     """The stacked systems (M_i - I) x = -b_i, solved by the QR+SVD
     reference, or None when inconsistent."""
     eye = np.eye(ops[0].ambient_dim)
     rhs = -np.concatenate([op.b for op in ops])
     anchor, direction, residual = reference_solution_set(
-        np.vstack([_reference_linear_part(op) - eye for op in ops]), rhs)
+        np.vstack([op.A - eye for op in ops]), rhs)
     if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
         return None
     return AffineSubspace(anchor, direction)
@@ -421,27 +417,33 @@ def reference_make_reflector(subspace) -> AffineIsometry:
     return AffineIsometry(Q, b)
 
 
+def _with_certificate(op: AffineMap, certificate: float) -> AffineMap:
+    """``op`` carrying ``certificate`` as its averagedness, which only the
+    library's builders set and no constructor takes."""
+    object.__setattr__(op, "averagedness", certificate)
+    return op
+
+
 def reference_build_sum_averaged(operators) -> AffineMap:
     """Each relaxed operator formed with an identity, weighted and summed."""
-    parts = [op.Q for op in operators]
+    parts = [op.A for op in operators]
     n = parts[0].shape[0]
     w, a = 1.0 / len(parts), 0.5
     A = np.zeros((n, n))
     for Q in parts:
         A += w * ((1.0 - a) * np.eye(n) + a * Q)
-    certificate = sum(w * a for _ in parts)
-    return AffineMap(A, np.zeros(n), averagedness=certificate)
+    return _with_certificate(AffineMap(A, np.zeros(n)), sum(w * a for _ in parts))
 
 
 def reference_dr_operator(first, second) -> AffineMap:
     """(I + R_second R_first) / 2 with an identity added to the product."""
     n = first.ambient_dim
-    return AffineMap(0.5 * (np.eye(n) + second.Q @ first.Q), np.zeros(n))
+    return AffineMap(0.5 * (np.eye(n) + second.A @ first.A), np.zeros(n))
 
 
 def reference_build_product_averaged(operators) -> AffineMap:
     """The m relaxed prefix products, listed, then summed with weight 1/m."""
-    parts = [op.Q for op in operators]
+    parts = [op.A for op in operators]
     n = parts[0].shape[0]
     w, a, lam = 1.0 / len(parts), 0.5, 0.5
     eye = np.eye(n)
@@ -455,8 +457,7 @@ def reference_build_product_averaged(operators) -> AffineMap:
     A = np.zeros((n, n))
     for piece in pieces:
         A += w * piece
-    certificate = sum(w * a for _ in parts)
-    return AffineMap(A, np.zeros(n), averagedness=certificate)
+    return _with_certificate(AffineMap(A, np.zeros(n)), sum(w * a for _ in parts))
 
 
 def _reference_projector_map(subspace) -> AffineMap:

@@ -689,17 +689,49 @@ def test_compute_rates_builds_no_circumcentered_family(monkeypatch):
     assert all(row["rate"] is not None for row in rows)
 
 
-def test_run_experiment_makes_each_reflector_once(monkeypatch):
-    """The demo's five subspaces give five reflectors: the fixed-line check
-    of ``three_lines_plane`` composes the ones its methods made."""
+def _counting_reflectors(monkeypatch) -> list:
     made = []
     original = circumproj.bench.make_reflector
     monkeypatch.setattr("circumproj.bench.make_reflector",
                         lambda subspace: made.append(subspace) or original(subspace))
+    return made
+
+
+def test_run_experiment_makes_each_reflector_once(monkeypatch):
+    """The demo's five subspaces give five reflectors: the fixed-line check
+    of ``three_lines_plane`` composes the ones its methods made."""
+    made = _counting_reflectors(monkeypatch)
     report = run_experiment(load_config(DEMO_CONFIG))
     assert len(made) == 5
     assert [name for name, passed, _ in report.instances[1].extra_checks if passed] == [
         "product_fixed_line"]
+
+
+def test_compute_rates_makes_no_reflector_for_a_psi_family(monkeypatch):
+    """A psi family's constant reads the subspaces' sweep, not reflectors,
+    so only its run makes them."""
+    made = _counting_reflectors(monkeypatch)
+    obj = demo_config()
+    obj["methods"] = [m for m in obj["methods"] if m.get("operator_set") == "psi"]
+    assert len(obj["methods"]) == 2
+    rows = compute_rates(parse_config(obj))
+    assert len(rows) == 4 and all(row["rate"] is not None for row in rows)
+    assert made == []
+
+
+@pytest.mark.parametrize("workload, reflectors", [
+    ("family-psi", 5), ("iterate-long", 3), ("resolve-n200", 14)])
+def test_a_workload_operation_makes_its_reflectors_as_before(monkeypatch, workload, reflectors):
+    """Making the psi reflectors at run time leaves the count of a run:
+    m per family operation, and on resolve-n200 the two that dr holds
+    plus six per averaged builder, which reads the rest on demand."""
+    made = _counting_reflectors(monkeypatch)
+    pinned = load_script("pinned")
+    for index in range(3):
+        _, config, _ = pinned.operation(workload, 4242, index)
+        run_experiment(config)
+        assert len(made) == reflectors, index
+        made.clear()
 
 
 RANDOM_ALL_RECIPES = {
@@ -1221,7 +1253,7 @@ def test_a_custom_family_is_loaded_from_its_literals():
     family = parse_config(obj).methods[0].family
     assert isinstance(family, circumproj.OperatorSet)
     (generator,) = family.generators
-    assert np.array_equal(generator.Q, rotation["matrix"])
+    assert np.array_equal(generator.A, rotation["matrix"])
     assert np.array_equal(generator.b, np.zeros(2))
     assert family.common_fixed.dim == 0
 

@@ -8,6 +8,8 @@ from circumproj import (
     AffineMap,
     AffineSubspace,
     MethodConfig,
+    OperatorSet,
+    accel_constants,
     build_product_averaged,
     build_psi,
     build_sum_averaged,
@@ -22,7 +24,13 @@ from circumproj import (
 )
 from circumproj.bench import _operator
 from circumproj.isometry import _is_self_adjoint
-from helpers import random_family, random_linear_subspace, reflectors_of
+from helpers import (
+    random_family,
+    random_linear_subspace,
+    reference_build_product_averaged,
+    reference_build_sum_averaged,
+    reflectors_of,
+)
 
 LINE_X = AffineSubspace.linear([[1.0, 0.0]])
 LINE_DIAG = AffineSubspace.linear([[1.0, 1.0]])
@@ -33,14 +41,14 @@ def test_make_reflector_frozen_horizontal_line():
     """Reflecting about the line y = 1 is x -> (x1, 2 - x2)."""
     line = AffineSubspace.from_span([0.0, 1.0], [[1.0, 0.0]])
     reflector = make_reflector(line)
-    assert np.allclose(reflector.Q, np.diag([1.0, -1.0]), atol=1e-12)
+    assert np.allclose(reflector.A, np.diag([1.0, -1.0]), atol=1e-12)
     assert np.allclose(reflector.b, [0.0, 2.0], atol=1e-12)
     assert np.allclose(reflector.apply([3.0, 5.0]), [3.0, -3.0], atol=1e-12)
 
 
 def test_compose_frozen_two_axis_reflectors_give_point_reflection():
     product = compose(make_reflector(LINE_Y), make_reflector(LINE_X))
-    assert np.allclose(product.Q, -np.eye(2), atol=1e-12)
+    assert np.allclose(product.A, -np.eye(2), atol=1e-12)
     assert np.allclose(product.b, 0.0, atol=1e-12)
 
 
@@ -55,23 +63,23 @@ def test_compose_applies_first_argument_last():
 
 def test_affine_isometry_rejects_non_orthogonal_linear_part():
     with pytest.raises(ValueError):
-        AffineIsometry(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), b=np.zeros(2))
+        AffineIsometry(A=np.array([[1.0, 0.5], [0.0, 1.0]]), b=np.zeros(2))
 
 
 def test_isometry_parts_and_map_offsets_are_read_only():
     R = AffineIsometry(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
-        R.Q[0, 0] = 5.0
+        R.A[0, 0] = 5.0
     with pytest.raises(ValueError):
         R.b[0] = 1.0
     # a reflector is formed in its projector's buffer, which it then holds
     reflector = make_reflector(LINE_X)
     with pytest.raises(ValueError):
-        reflector.Q[1, 1] = 1.0
+        reflector.A[1, 1] = 1.0
     op = AffineMap(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         op.b[0] = 1.0
-    assert R.Q[0, 0] == 1.0 and not np.any(R.b) and not np.any(op.b)
+    assert R.A[0, 0] == 1.0 and not np.any(R.b) and not np.any(op.b)
 
 
 def test_fixed_point_set_frozen_cases():
@@ -201,7 +209,7 @@ def test_operator_literal_kinds():
     reflector = _operator(
         {"kind": "reflector", "subspace": {"anchor": [0.0, 1.0], "span": [[1.0, 0.0]]}}, "o", 2
     )
-    assert np.allclose(reflector.Q, np.diag([1.0, -1.0]), atol=1e-12)
+    assert np.allclose(reflector.A, np.diag([1.0, -1.0]), atol=1e-12)
     assert np.allclose(reflector.b, [0.0, 2.0], atol=1e-12)
 
     shift = _operator({"kind": "translation", "offset": [1.0, 2.0]}, "o", 2)
@@ -262,3 +270,49 @@ def test_one_linearity_verdict_for_every_check(offset, linear):
         "operator_rate": _accepts(lambda: operator_rate(halving, LINE_X)),
     }
     assert verdicts == dict.fromkeys(verdicts, linear)
+
+
+def test_a_reflector_is_an_affine_map_with_its_rate_and_fixed_set():
+    """An isometry is an AffineMap whose A is checked orthogonal, so every
+    reader of an affine map reads a reflector too."""
+    reflector = make_reflector(LINE_X)
+    assert isinstance(reflector, AffineMap)
+    assert operator_rate(reflector, LINE_X) == 1.0
+    fixed = fixed_point_set(reflector)
+    assert fixed.dim == 1 and np.allclose(fixed.basis @ LINE_X.basis.T, [[1.0]], atol=1e-12)
+
+
+def test_a_reflector_runs_sym_map_and_is_refused_by_accel_constants():
+    reflector = make_reflector(LINE_X)
+    trace = run_linear(reflector, (1, 1), MethodConfig("sym_map", max_iters=2), fixed=LINE_X)
+    assert trace.stopped_at == 2
+    with pytest.raises(ValueError, match="not monotone"):
+        accel_constants(reflector, LINE_X)
+
+
+def test_no_constructor_takes_an_averagedness():
+    with pytest.raises(TypeError):
+        AffineMap(np.eye(2), np.zeros(2), averagedness=0.5)
+    with pytest.raises(TypeError):
+        AffineIsometry(np.eye(2), np.zeros(2), 0.5)
+    assert AffineMap(np.eye(2), np.zeros(2)).averagedness is None
+    assert make_reflector(LINE_X).averagedness is None
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 9])
+def test_builder_certificates_equal_the_references_bit_for_bit(count):
+    reflectors = reflectors_of(random_family(np.random.default_rng(count), 6, count, 1, 5))
+    for build, reference in ((build_sum_averaged, reference_build_sum_averaged),
+                             (build_product_averaged, reference_build_product_averaged)):
+        averaged = build(reflectors)
+        assert not isinstance(averaged, AffineIsometry)
+        assert averaged.averagedness.hex() == reference(reflectors).averagedness.hex()
+
+
+def test_an_affine_map_with_an_orthogonal_part_is_not_an_isometry():
+    """The checks that want isometries test the type, not the matrix."""
+    flip = AffineMap(np.diag([1.0, -1.0]), np.zeros(2))
+    for refuse in (lambda: OperatorSet([flip]), lambda: build_psi([flip]),
+                   lambda: build_sum_averaged([flip]), lambda: build_product_averaged([flip])):
+        with pytest.raises(ValueError):
+            refuse()

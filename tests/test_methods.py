@@ -51,6 +51,31 @@ def test_method_config_validation():
         MethodConfig(method="map", stop_tol=-0.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stop_tol", float("nan")),
+    ("stop_tol", float("inf")),
+    ("stop_tol", True),
+    ("max_iters", True),
+    ("max_iters", np.True_),
+    ("max_iters", 2.5),
+    ("max_iters", 30.0),
+], ids=["stop_tol_nan", "stop_tol_inf", "stop_tol_bool", "max_iters_bool", "max_iters_numpy_bool",
+        "max_iters_fraction", "max_iters_float"])
+def test_method_config_refuses_what_the_config_parser_refuses(field, value):
+    """A non-finite stop_tol never or always stops a run, a bool stop_tol
+    is read as 1.0, and a bool or float max_iters runs one step or fails
+    only when the run starts; each is refused at construction, as
+    parse_config refuses it."""
+    with pytest.raises(ValueError, match=field):
+        MethodConfig(method="map", **{field: value})
+
+
+def test_method_config_takes_numpy_integers():
+    config = MethodConfig(method="map", max_iters=np.int64(3))
+    trace = run_map([LINE_X, LINE_DIAG], X0, config, ORIGIN)
+    assert trace.stopped_at == 3
+
+
 def test_run_map_frozen_45_degree_sweeps():
     """First sweep lands on (0.15, 0.15); afterwards errors halve exactly."""
     trace = run_map([LINE_X, LINE_DIAG], X0, MethodConfig(method="map", max_iters=6), ORIGIN)
@@ -162,9 +187,12 @@ def test_dr_operator_rejects_anchored_subspace():
 
 
 def test_run_averaged_iter_requires_certificate():
-    bare = AffineMap(A=0.5 * np.eye(2), b=np.zeros(2))
-    with pytest.raises(ValueError):
-        run_linear(bare, X0, MethodConfig(method="averaged_iter"), ORIGIN)
+    """Only the averaged builders certify a map; a hand-built one, also an
+    expansive one, carries no certificate and cannot be given one."""
+    for scale in (0.5, 2.0):
+        bare = AffineMap(A=scale * np.eye(2), b=np.zeros(2))
+        with pytest.raises(ValueError, match="no averagedness certificate"):
+            run_linear(bare, X0, MethodConfig(method="averaged_iter"), ORIGIN)
 
 
 def test_stop_tol_halts_early():

@@ -20,7 +20,7 @@ from circumproj import (
 )
 
 from circumproj import AffineIsometry, AffineSubspace
-from circumproj.numerics import _orthonormality_defect
+from circumproj.numerics import _norm, _orthonormality_defect, _row_norms
 from helpers import DEMO_CONFIG
 
 
@@ -227,3 +227,12 @@ def test_each_constructor_keeps_its_own_orthonormality_message():
         AffineSubspace(np.zeros(2), np.array([[2.0, 0.0]]))
     with pytest.raises(ValueError, match=r"^linear part is not orthogonal, defect 3\.000e\+00$"):
         AffineIsometry(np.diag([2.0, 1.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 60, 200])
+def test_row_norms_equal_the_norm_of_each_row_bit_for_bit(n):
+    """The one stacked row norm, which the trace writer and the merge of
+    near-equal images both use, has the bits of ``_norm`` row by row."""
+    rows = np.random.default_rng(n).standard_normal((40, n)) * np.logspace(-8, 8, 40)[:, None]
+    norms = _row_norms(rows)
+    assert [x.hex() for x in norms.tolist()] == [_norm(row).hex() for row in rows]

@@ -77,7 +77,7 @@ def _check_every_caller(subspaces) -> None:
     _assert_same_subspace(inter.subspace, want[0], want[1])
 
     reflectors = reflectors_of(subspaces)
-    stacked = np.vstack([op.Q - eye for op in reflectors])
+    stacked = np.vstack([op.A - eye for op in reflectors])
     anchor, basis, _ = reference_solution_set(
         stacked, -np.concatenate([op.b for op in reflectors]))
     _assert_same_subspace(OperatorSet(reflectors).common_fixed, anchor, basis)

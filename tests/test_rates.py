@@ -142,7 +142,7 @@ def test_accel_constants_take_the_intersection_at_a_small_angle():
 def test_accel_constants_reject_unsuitable_operators():
     rotation = AffineIsometry(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     with pytest.raises((ValueError, RuntimeError)):
-        accel_constants(AffineMap(A=rotation.Q, b=np.zeros(2)), ORIGIN)
+        accel_constants(AffineMap(A=rotation.A, b=np.zeros(2)), ORIGIN)
     with pytest.raises((ValueError, RuntimeError)):
         accel_constants(AffineMap(A=2.0 * np.eye(2), b=np.zeros(2)), ORIGIN)
     with pytest.raises((ValueError, RuntimeError)):

@@ -224,7 +224,7 @@ def _distinct_subsets(reflectors):
     kept, products = [], []
     for indices in subsets(len(reflectors)):
         product = dense_product(reflectors, indices)
-        if not any(np.allclose(product.Q, other.Q, rtol=0.0, atol=1e-12) for other in products):
+        if not any(np.allclose(product.A, other.A, rtol=0.0, atol=1e-12) for other in products):
             kept.append(indices)
             products.append(product)
     return kept

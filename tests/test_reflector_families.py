@@ -49,7 +49,7 @@ def test_psi_words_reduce_over_involutions():
             continue
         product = dense_product(palindrome, word)
         assert any(order[earlier] < order[word]
-                   and np.allclose(product.Q, other.Q, rtol=0.0, atol=1e-12)
+                   and np.allclose(product.A, other.A, rtol=0.0, atol=1e-12)
                    for earlier, other in kept.items()), word
 
 

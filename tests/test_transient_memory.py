@@ -139,7 +139,7 @@ def _check_planning(family) -> None:
     reflectors = reflectors_of(family)
     for reflector, s in zip(reflectors, family):
         want = reference_make_reflector(s)
-        assert _bits(reflector.Q) == _bits(want.Q) and _bits(reflector.b) == _bits(want.b)
+        assert _bits(reflector.A) == _bits(want.A) and _bits(reflector.b) == _bits(want.b)
     operators = [(sym, fixed)]
     assert _is_self_adjoint(sym) == reference_is_self_adjoint(sym)
     for build, reference in ((build_sum_averaged, reference_build_sum_averaged),
