@@ -40,6 +40,9 @@ __all__ = [
 METHOD_TAGS = ("cim", "map", "sym_map", "accel_map", "dr", "averaged_iter")
 LINEAR_METHODS = ("sym_map", "accel_map", "dr", "averaged_iter")
 
+# the lower end of the range [1/sqrt 2, sqrt 2) that _scale puts a norm in
+_SQRT_HALF = math.sqrt(0.5)
+
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -50,7 +53,7 @@ class MethodConfig:
     before iterating, while errors keep referring to the original start.
     What ``parse_config`` refuses is refused here too: a bool or non-integer
     ``max_iters`` and a bool or non-finite ``stop_tol``; numpy integers are
-    integers.
+    integers. A ``prefix`` must be None or an :class:`AffineMap`.
     """
 
     method: str
@@ -73,6 +76,8 @@ class MethodConfig:
             raise ValueError(f"stop_tol must be a finite number, got {self.stop_tol!r}")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
+        if self.prefix is not None and not isinstance(self.prefix, AffineMap):
+            raise ValueError(f"prefix must be an AffineMap, got {type(self.prefix).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +120,30 @@ class IterationTrace:
         return float(np.linalg.norm(self.x0_original - self.target))
 
 
+def _scale(x: np.ndarray) -> float:
+    """The power of two s with ||x|| / s in [1/sqrt 2, sqrt 2), from the exponent
+    of ``math.frexp``; 1 when the norm is 0 or overflows."""
+    with np.errstate(over="ignore"):
+        mantissa, exponent = math.frexp(_norm(x))
+    return 2.0 ** (exponent - (mantissa < _SQRT_HALF)) if 0.0 < mantissa < math.inf else 1.0
+
+
 def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
-           config: MethodConfig, target: np.ndarray) -> IterationTrace:
+           config: MethodConfig, target: np.ndarray, homogeneous: bool = False) -> IterationTrace:
     """Iterate ``step``, which may trust its argument to be a finite vector. A finite
-    step norm proves an iterate finite; only a non-finite one tests it."""
+    step norm proves an iterate finite; only a non-finite one tests it. The data's scale
+    is decided here, once: a ``homogeneous`` step (every offset exactly 0, the prefix's
+    too) runs from x0 / s with ``stop_tol`` / s, s = ``_scale(x0)``, and its iterates, errors
+    and step norms are multiplied back by s, exactly, so every threshold acts at unit scale."""
     x0_original = as_vector(x0)
-    current = x0_original if config.prefix is None else as_vector(config.prefix.apply(x0_original))
+    prefix = config.prefix
+    if prefix is not None and prefix.ambient_dim != x0_original.shape[0]:
+        raise ValueError(f"point has dimension {x0_original.shape[0]}, "
+                         f"prefix lives in R^{prefix.ambient_dim}")
+    scale = _scale(x0_original) if homogeneous and (prefix is None or not prefix.b.any()) else 1.0
+    current = x0_original if scale == 1.0 else x0_original / scale
+    current = current if prefix is None else as_vector(prefix.apply(current))
+    stop_tol = config.stop_tol / scale
     iterates, step_norms = [current], [0.0]
     for steps_taken in range(1, config.max_iters + 1):
         nxt = step(current)
@@ -130,18 +153,18 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
         iterates.append(nxt)
         step_norms.append(step_norm)
         current = nxt
-        if config.stop_tol > 0 and step_norm <= config.stop_tol:
+        if stop_tol > 0 and step_norm <= stop_tol:
             break
-    stacked = np.array(iterates)
-    errors = np.linalg.norm(stacked - target, axis=1)
-    return IterationTrace(
-        method=method,
-        iterates=stacked,
-        errors=errors,
-        step_norms=np.array(step_norms),
-        x0_original=x0_original,
-        target=target,
-    )
+    # rebinding drops the list of rows once stacked, so at most two k x n arrays are held
+    iterates, step_norms = np.array(iterates), np.array(step_norms)
+    # np.linalg.norm(iterates - target, axis=1)'s reductions, in one difference
+    # buffer, at unit scale, so that no square underflows for small data
+    diff = iterates - (target if scale == 1.0 else target / scale)
+    errors = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
+    if scale != 1.0:
+        for column in (iterates, errors, step_norms):
+            column *= scale
+    return IterationTrace(method, iterates, errors, step_norms, x0_original, target)
 
 
 def run_cim(operator_set: OperatorSet, x0, config: MethodConfig) -> IterationTrace:
@@ -149,7 +172,8 @@ def run_cim(operator_set: OperatorSet, x0, config: MethodConfig) -> IterationTra
     one image array, for the run."""
     x0 = as_vector(x0)
     target = operator_set.common_fixed.project(x0)
-    return _drive(config.method, _Stepper(operator_set, x0.shape[0]), x0, config, target)
+    return _drive(config.method, _Stepper(operator_set, x0.shape[0]), x0, config, target,
+                  homogeneous=all(b is None for _, b, _ in operator_set._plan))
 
 
 def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
@@ -173,7 +197,8 @@ def run_map(subspaces: Sequence[AffineSubspace], x0, config: MethodConfig,
             x = s._project(x)
         return x
 
-    return _drive(config.method, sweep, x0, config, target)
+    return _drive(config.method, sweep, x0, config, target,
+                  homogeneous=not any(s.anchor.any() for s in subspaces))
 
 
 def run_linear(op: AffineMap, x0, config: MethodConfig,
@@ -206,7 +231,7 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
     # iterates are finite vectors, checked by _drive, so op.apply's check of x is skipped
     step = (lambda x: _accelerated_step(A, x)) if config.method == "accel_map" else (
         lambda x: A @ x + b)
-    return _drive(config.method, step, x0, config, target)
+    return _drive(config.method, step, x0, config, target, homogeneous=not b.any())
 
 
 def dr_operator(first: AffineIsometry, second: AffineIsometry) -> AffineMap:

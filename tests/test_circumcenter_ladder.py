@@ -46,20 +46,11 @@ def _assert_reaches(family, x0, projection):
     assert final <= 1e-6 * start, f"stopped at {final / start:.3e} of the starting error"
 
 
-# At scale 1e-6 the images of the two lines lie within EQ_TOL of each other
-# once theta <= 1e-5: the deduplication threshold EQ_TOL * (1 + largest norm)
-# is absolute for data this small, so the step sees one line and the trace
-# stops at the projection onto it, about 0.26 of the starting error away.
-SMALL_SCALE_FREEZE = pytest.mark.xfail(
-    strict=True, reason="deduplication merges the images of nearly parallel lines at scale 1e-6")
-
-
+# The driver runs a linear problem from its start divided by a power of two
+# near its norm, so at every scale the step's thresholds act as at scale 1.
 @pytest.mark.parametrize("symmetrized", [False, True], ids=["psi", "psi_sym"])
 @pytest.mark.parametrize("scale, theta", [
-    *[pytest.param(1e-6, theta, id=f"1e-6-{theta:.0e}")
-      for theta in THETAS if theta > 1e-5],
-    *[pytest.param(1e-6, theta, id=f"1e-6-{theta:.0e}", marks=SMALL_SCALE_FREEZE)
-      for theta in THETAS if theta <= 1e-5],
+    *[pytest.param(1e-6, theta, id=f"1e-6-{theta:.0e}") for theta in THETAS],
     *[pytest.param(1.0, theta, id=f"1-{theta:.0e}") for theta in THETAS],
     *[pytest.param(1e6, theta, id=f"1e6-{theta:.0e}") for theta in THETAS],
 ])

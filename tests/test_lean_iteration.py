@@ -31,7 +31,7 @@ from circumproj import (
     run_map,
     symmetric_map_operator,
 )
-from circumproj.methods import _drive
+from circumproj.methods import _drive, _scale
 from circumproj.numerics import RANK_TOL, _norm
 from helpers import (
     one_method_report,
@@ -141,11 +141,13 @@ def _iterate_long_families(seed: int):
 
 
 def _assert_the_run_is_the_chain_of_circumcenters(family, x0, steps: int) -> int:
-    """run_cim equals the chain of ``circumcenter(images)``, and each step
-    the reference solve of ``helpers``, bit for bit; returns how many steps
-    cut the rank of their offsets below their row count."""
-    x = x0
-    chain = [x0]
+    """run_cim equals s times the chain of ``circumcenter(images)`` from
+    x0 / s, the start the driver runs from, and each step the reference
+    solve of ``helpers``, bit for bit; returns how many steps cut the rank of
+    their offsets below their row count."""
+    scale = _scale(x0)
+    x = x0 / scale
+    chain = [x]
     cut = 0
     for _ in range(steps):
         images = family.images(x)
@@ -160,7 +162,7 @@ def _assert_the_run_is_the_chain_of_circumcenters(family, x0, steps: int) -> int
         chain.append(step)
         x = step
     trace = run_cim(family, x0, MethodConfig("cim", max_iters=steps))
-    assert _bits(trace.iterates) == _bits(np.array(chain))
+    assert _bits(trace.iterates) == _bits(scale * np.array(chain))
     return cut
 
 
@@ -202,7 +204,8 @@ def test_no_iterate_shares_memory_with_the_image_array(monkeypatch):
     """A start on the common line has one distinct image, the start itself,
     so the step returns a copy of an image row; the run then goes on from
     there. No step returns the run's image array or a view of it, and no
-    iterate changes when later steps refill it."""
+    iterate changes when later steps refill it: each is s times its step's
+    center, s the driver's power of two for the start."""
     family, on_line, off_line = _one_line_family()
     module = importlib.import_module("circumproj.circumcenter")
     arrays, centers = [], []
@@ -219,7 +222,7 @@ def test_no_iterate_shares_memory_with_the_image_array(monkeypatch):
         assert len({id(array) for array in arrays}) == 1
         for k, x in enumerate(centers, start=1):
             assert not np.shares_memory(x, arrays[0])
-            assert _bits(x) == _bits(trace.iterates[k])
+            assert _bits(_scale(x0) * x) == _bits(trace.iterates[k])
     assert _bits(trace.iterates[0]) == _bits(off_line)
     on_trace = run_cim(family, on_line, MethodConfig("cim", max_iters=6))
     assert np.all(on_trace.iterates == on_line)
