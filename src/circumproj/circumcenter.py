@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .isometry import AffineIsometry, _common_fixed_points, _direction_gap, _is_self_adjoint
-from .numerics import CONSISTENCY_TOL, EQ_TOL, RANK_TOL, _norm, _row_norms, as_vector
+from .numerics import CONSISTENCY_TOL, RANK_TOL, _norm, _row_norms, as_vector
 from .subspace import AffineSubspace
 
 __all__ = [
@@ -38,6 +38,35 @@ __all__ = [
 WORD_LIMIT = 8192
 
 _EPS = float(np.finfo(float).eps)
+
+# The rounding model of the circumcenter step, the one source of its merge
+# radius and its rank floor. The unit is u = eps (1 + M), M the largest norm
+# of one step's images; ``methods._drive`` runs every homogeneous problem
+# from a start of norm about 1, so M is the iterate's norm at that unit scale.
+# 1 + M, not M: a run that lands on the fixed set {0} has images of norm
+# about eps, whose differences are rounding left by earlier steps.
+#
+# The model has two sources of error, each within _ROUNDING units: the step's
+# input x, as the previous solve rounded it, and each image's own rounding,
+# the stored operator's departure from an exact isometry and the product's.
+# Measured against extended precision on 30-dimensional psi families (three
+# subspaces of dimension 21), the input's rounding reaches 6.8 units and the
+# image's own 5.0 + 1.1; the images R3 x and x, one point in exact
+# arithmetic, lie up to 13.8 units apart. Hence:
+# - an image lies within 2 _ROUNDING units of the image of the exact input,
+#   so two images of one point lie within 4 _ROUNDING units, the merge radius;
+# - the input's rounding moves every image by an isometry, so the images are
+#   those of a nearby point, and only their own rounding adds hull
+#   directions: a singular value of the offsets at or below _ROUNDING units
+#   is one along which every offset lies within one image's error, and the
+#   solve, which divides by it, keeps only the directions above it.
+# Both ends are bounded by what they must keep apart. A merge radius of 8
+# units splits an image from its duplicate in the reduced psi words. A real
+# hull direction of two lines at an angle of 1e-7 has 28.8 units, and a
+# floor above it leaves that step without a circumcenter.
+_ROUNDING = 16.0
+_MERGE_UNITS = 4.0 * _ROUNDING
+_RANK_UNITS = _ROUNDING
 
 
 class NumericalPropernessError(RuntimeError):
@@ -78,14 +107,15 @@ class CircumcenterResult:
     equidistance_residual: float
 
 
-def _merge(points: np.ndarray) -> Optional[list]:
-    """The greedy first-occurrence representatives at EQ_TOL, from one sort:
-    None when no point merges into another, else the kept row indices in
-    order.
+def _merge(points: np.ndarray) -> tuple:
+    """The greedy first-occurrence representatives within the step's merge
+    radius, from one sort, and the rounding unit u = eps (1 + M): (None, u)
+    when no point merges into another, else (the kept row indices in order,
+    u). M is the largest norm of the points, taken once, here.
 
-    Point i is dropped when it lies within the threshold t = EQ_TOL * (1 +
-    M) of an earlier kept point, M the largest norm of the points, by the
-    distance that ``_norm`` measures.
+    Point i is dropped when it lies within the threshold t = _MERGE_UNITS * u
+    of an earlier kept point, by the distance that ``_norm`` measures (see
+    the rounding model above).
     The points are projected onto the fixed unit vector ``_direction(n)``
     and sorted, and only pairs joined by a chain of projected gaps within
     the window t + 4 (n + 2) eps (t + M) are measured; each such run is
@@ -104,17 +134,19 @@ def _merge(points: np.ndarray) -> Optional[list]:
 
     M comes from row-wise sums of squares. When 4 M^2, the bound on every
     squared offset, is not finite, a non-finite point raises ValueError;
-    otherwise every point is kept, and the squared offsets that overflow in
-    the equidistance system make the circumcenter absent.
+    otherwise every point is kept and the unit is 0, so the solve cuts rank
+    at RANK_TOL alone, and the squared offsets that overflow in the
+    equidistance system make the circumcenter absent.
     """
     count, dim = points.shape
     largest_sq = float(np.maximum.reduce(np.einsum("ij,ij->i", points, points)))
     if not math.isfinite(4.0 * largest_sq):
         if not np.isfinite(points).all():
             raise ValueError("point entries must be finite")
-        return None
+        return None, 0.0
     largest = math.sqrt(largest_sq)
-    threshold = EQ_TOL * (1.0 + largest)
+    unit = _EPS * (1.0 + largest)
+    threshold = _MERGE_UNITS * unit
     window = threshold + 4.0 * (dim + 2) * _EPS * (threshold + largest)
     proj = points @ _direction(dim)
     # numpy's default sort maps about 0.3 MB more of its code into the
@@ -123,7 +155,7 @@ def _merge(points: np.ndarray) -> Optional[list]:
     ordered = proj.take(order)
     near = (ordered[1:] - ordered[:-1] <= window).nonzero()[0].tolist()
     if not near:
-        return None
+        return None, unit
     # each run of near gaps p, p + 1, .. joins sorted positions start..stop
     runs = []
     for gap in near:
@@ -147,8 +179,8 @@ def _merge(points: np.ndarray) -> Optional[list]:
             dropped.update(later[~far].tolist())
             members = later[far]
     if not dropped:
-        return None
-    return [i for i in range(count) if i not in dropped]
+        return None, unit
+    return [i for i in range(count) if i not in dropped], unit
 
 
 @lru_cache(maxsize=64)
@@ -186,17 +218,20 @@ def _spread(points: np.ndarray, center: np.ndarray) -> float:
 def circumcenter(points) -> CircumcenterResult:
     """Circumcenter of a finite point set, if it exists.
 
-    Points are deduplicated at EQ_TOL first. With d_i the offsets of the
-    remaining points from the first one, p0, a point p0 + y is equidistant
-    from all of them when <d_i, y> = h_i / 2 with h_i = ||d_i||^2. The
-    candidate takes the minimum-norm solution y of this system, which lies
-    in the hull's direction space, from one thin SVD D = U S V^T of the
-    offset rows: with rank r at RANK_TOL relative to the largest
-    singular value, y = V_r S_r^-1 U_r^T h / 2. Working on D itself, not on
-    its Gram matrix, keeps the conditioning of the offsets rather than its
-    square, so nearly parallel hull directions are kept. The candidate is
-    accepted when the distances from it to all original points agree
-    within CONSISTENCY_TOL relative to the diameter; otherwise the
+    Points are merged first: those within 64 eps (1 + M) of an earlier
+    kept point, M the largest point norm, count as that point (the rounding
+    model of this module). With d_i the offsets of the remaining points from
+    the first one, p0, a point p0 + y is equidistant from all of them when
+    <d_i, y> = h_i / 2 with h_i = ||d_i||^2. The candidate takes the
+    minimum-norm solution y of this system, which lies in the hull's
+    direction space, from one thin SVD D = U S V^T of the offset rows:
+    keeping the r singular values above both RANK_TOL times the largest and
+    the rounding floor 16 eps (1 + M), y = V_r S_r^-1 U_r^T h / 2. When none
+    is kept, every offset is rounding, and p0 is the center. Working on D
+    itself, not on its Gram matrix, keeps the conditioning of the offsets
+    rather than its square, so nearly parallel hull directions are kept. The
+    candidate is accepted when the distances from it to all original points
+    agree within CONSISTENCY_TOL relative to the diameter; otherwise the
     result is absent with the achieved spread attached.
     """
     pts = np.asarray(points, dtype=float)
@@ -218,22 +253,31 @@ def _solve(pts: np.ndarray) -> tuple:
     None for one distinct point, else (half, u, projected, coords, s). The
     merge raises ValueError on a non-finite point, so finite points pass
     without a test of their own. The candidate never shares memory with
-    ``pts``, which may be a buffer that the next step refills."""
-    kept = _merge(pts)
+    ``pts``, which may be a buffer that the next step refills.
+
+    The rank keeps the singular values s > max(RANK_TOL s_1, _RANK_UNITS u),
+    u the rounding unit that the merge took from the largest point norm. A
+    rank of 0 leaves p0 as the one distinct point, as a merge down to p0
+    does. With u above 0 the floor alone never cuts every direction: each
+    kept offset is longer than the merge radius, four times the floor, and
+    s_1 is at least its length."""
+    kept, unit = _merge(pts)
     # the merge keeps the first point always
     p0 = pts[0]
     others = pts[1:] if kept is None else pts.take(kept[1:], 0)
-    if others.shape[0] == 0:
+    rank = others.shape[0]
+    if rank:
+        offsets = others - p0
+        u, s, vt = np.linalg.svd(offsets, full_matrices=False)
+        # the rank cut. The singular values come in descending order, so
+        # when the last one passes the cut they all do, and nothing is sliced.
+        cut = max(s[0] * RANK_TOL, _RANK_UNITS * unit)
+        if not s[-1] > cut:
+            rank = np.count_nonzero(s > cut)
+            u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+    if not rank:
         return p0.copy(), _spread(pts, p0), True, None
-    offsets = others - p0
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
-    u, s, vt = np.linalg.svd(offsets, full_matrices=False)
-    # the rank cut. The singular values come in descending order, so when
-    # the last one passes the cut they all do, and nothing is sliced.
-    cut = s[0] * RANK_TOL
-    if not s[-1] > cut:
-        rank = np.count_nonzero(s > cut)
-        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     projected = u.T @ half
     coords = projected / s
     candidate = p0 + vt.T @ coords

@@ -22,7 +22,7 @@ from .isometry import (
     _linear_isometry_parts,
     _require_nonexpansive,
 )
-from .numerics import _norm, as_vector
+from .numerics import _SHIFT, _norm, as_vector
 from .subspace import AffineSubspace
 
 __all__ = [
@@ -88,8 +88,10 @@ class IterationTrace:
     the distance from ``iterates[k]`` to ``target``, the projection of the
     original, pre-prefix start onto the fixed set of the method, and
     ``step_norms[k]`` the driver's ``_norm(iterates[k] - iterates[k - 1])``, 0
-    at k = 0. Nothing time-dependent is recorded, so reruns of a seeded
-    experiment are byte-identical.
+    at k = 0. ``error_origin`` is the distance from the original start to
+    the target, which ``_drive`` measures at the run's unit scale, as it
+    does the errors. Nothing time-dependent is recorded, so reruns of a
+    seeded experiment are byte-identical.
     """
 
     method: str
@@ -98,6 +100,7 @@ class IterationTrace:
     step_norms: np.ndarray
     x0_original: np.ndarray
     target: np.ndarray
+    error_origin: float
 
     def __post_init__(self) -> None:
         if self.iterates.ndim != 2:
@@ -114,18 +117,21 @@ class IterationTrace:
         """The number of steps taken, one fewer than the iterates."""
         return self.iterates.shape[0] - 1
 
-    @property
-    def error_origin(self) -> float:
-        """Distance from the original start to the target."""
-        return float(np.linalg.norm(self.x0_original - self.target))
-
 
 def _scale(x: np.ndarray) -> float:
     """The power of two s with ||x|| / s in [1/sqrt 2, sqrt 2), from the exponent
-    of ``math.frexp``; 1 when the norm is 0 or overflows."""
+    of ``math.frexp``, and at most 2^1023, the largest power of two; 1 when the
+    norm is 0 or beyond the float range. When the sum of squares of ``_norm``
+    overflows, the norm is taken of x times 2^-``_SHIFT``, exactly, and its
+    exponent shifted back, so no start whose ``_norm`` is finite changes its s."""
     with np.errstate(over="ignore"):
-        mantissa, exponent = math.frexp(_norm(x))
-    return 2.0 ** (exponent - (mantissa < _SQRT_HALF)) if 0.0 < mantissa < math.inf else 1.0
+        norm = _norm(x)
+    shift = 0 if norm < math.inf else _SHIFT
+    mantissa, exponent = math.frexp(_norm(np.ldexp(x, -shift)) if shift else norm)
+    exponent += shift
+    if mantissa == 0.0 or exponent > 1024:
+        return 1.0
+    return math.ldexp(1.0, min(exponent - (mantissa < _SQRT_HALF), 1023))
 
 
 def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
@@ -141,8 +147,8 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
         raise ValueError(f"point has dimension {x0_original.shape[0]}, "
                          f"prefix lives in R^{prefix.ambient_dim}")
     scale = _scale(x0_original) if homogeneous and (prefix is None or not prefix.b.any()) else 1.0
-    current = x0_original if scale == 1.0 else x0_original / scale
-    current = current if prefix is None else as_vector(prefix.apply(current))
+    start = x0_original if scale == 1.0 else x0_original / scale
+    current = start if prefix is None else as_vector(prefix.apply(start))
     stop_tol = config.stop_tol / scale
     iterates, step_norms = [current], [0.0]
     for steps_taken in range(1, config.max_iters + 1):
@@ -159,12 +165,15 @@ def _drive(method: str, step: Callable[[np.ndarray], np.ndarray], x0,
     iterates, step_norms = np.array(iterates), np.array(step_norms)
     # np.linalg.norm(iterates - target, axis=1)'s reductions, in one difference
     # buffer, at unit scale, so that no square underflows for small data
-    diff = iterates - (target if scale == 1.0 else target / scale)
+    unit_target = target if scale == 1.0 else target / scale
+    diff = iterates - unit_target
     errors = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
+    origin = _norm(start - unit_target)
     if scale != 1.0:
         for column in (iterates, errors, step_norms):
             column *= scale
-    return IterationTrace(method, iterates, errors, step_norms, x0_original, target)
+    return IterationTrace(method, iterates, errors, step_norms, x0_original, target,
+                          scale * origin)
 
 
 def run_cim(operator_set: OperatorSet, x0, config: MethodConfig) -> IterationTrace:

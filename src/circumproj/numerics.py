@@ -50,8 +50,10 @@ __all__ = [
 # this float64 implementation, fixed: no argument or config key sets them.
 # RANK_TOL is the relative singular value cutoff for rank decisions,
 # CONSISTENCY_TOL decides whether a linear system or a membership test is
-# satisfied, and EQ_TOL is the pointwise equality threshold used for
-# deduplication and exactness checks.
+# satisfied, and EQ_TOL is the pointwise equality threshold of exactness
+# checks, such as a zero offset or a self-adjoint part. The circumcenter step
+# merges points and cuts rank by its own rounding model instead, stated in
+# ``circumcenter``, with RANK_TOL as the floor of its relative cut.
 RANK_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 EQ_TOL = 1e-10
@@ -123,10 +125,26 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+# The exponent that brings the sum of squares of every finite vector into
+# range: entries times 2^-600 are below 2^424, so their squares stay below
+# 2^848, and an entry that the shift takes out of the normal range, one below
+# 2^-422, cannot move a norm whose sum of squares overflowed, one above 2^511.
+_SHIFT = 600
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """``_norm`` of each row of a 2-d array, with the same bits, from one
-    stack of 1 x n by n x 1 products."""
-    return np.sqrt(np.matmul(rows[:, None], rows[:, :, None]).ravel())
+    stack of 1 x n by n x 1 products. A row whose sum of squares overflows
+    is measured at 2^-_SHIFT times its size and scaled back, exactly, so its
+    norm is finite whenever it is in the float range."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(rows[:, None], rows[:, :, None]).ravel())
+        over = norms == math.inf
+        if over.any():
+            shifted = np.ldexp(rows[over], -_SHIFT)
+            norms[over] = np.ldexp(
+                np.sqrt(np.matmul(shifted[:, None], shifted[:, :, None]).ravel()), _SHIFT)
+    return norms
 
 
 def _orthonormality_defect(rows: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from circumproj import (
 )
 from circumproj.circumcenter import _merge
 from circumproj.numerics import _norm
-from oracles import merge_threshold
+from oracles import merge_threshold, rank_floor
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -116,16 +116,18 @@ def dense_product(ops, word):
 def merged_rows(points: np.ndarray) -> list:
     """The row indices that the circumcenter step's merge keeps: its list,
     or every row when it returns None because no point merges."""
-    kept = _merge(points)
+    kept, _ = _merge(points)
     return list(range(points.shape[0])) if kept is None else kept
 
 
 def reference_distinct(points: np.ndarray) -> tuple:
     """Greedy first-occurrence representatives within the merge threshold,
-    and the diameter."""
+    the diameter, and the largest point norm that the threshold and the rank
+    floor read."""
     gram = points @ points.T
     norms_sq = np.diag(gram)
-    threshold = merge_threshold(float(np.sqrt(np.max(norms_sq))))
+    largest = float(np.sqrt(np.max(norms_sq)))
+    threshold = merge_threshold(largest)
     pair_sq = norms_sq[:, None] + norms_sq
     dist_sq = np.subtract(pair_sq, np.multiply(gram, 2.0, out=gram), out=gram)
     threshold_sq = threshold**2
@@ -138,7 +140,14 @@ def reference_distinct(points: np.ndarray) -> tuple:
             if float(np.linalg.norm(points[i] - points[j])) <= threshold:
                 keep[i] = False
                 break
-    return np.flatnonzero(keep), float(np.sqrt(max(float(np.max(dist_sq)), 0.0)))
+    return np.flatnonzero(keep), float(np.sqrt(max(float(np.max(dist_sq)), 0.0))), largest
+
+
+def reference_rank(s: np.ndarray, largest: float) -> int:
+    """How many singular values s of the offsets the step keeps, for points of
+    largest norm ``largest``: those above RANK_TOL times the first and above
+    the rank floor."""
+    return int(np.sum(s > max(s[0] * RANK_TOL, rank_floor(largest))))
 
 
 def reference_circumcenter(points) -> CircumcenterResult:
@@ -146,17 +155,19 @@ def reference_circumcenter(points) -> CircumcenterResult:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
-    kept, diameter = reference_distinct(pts)
+    kept, diameter, largest = reference_distinct(pts)
     rep = pts[kept]
     p0 = rep[0]
     offsets = rep[1:] - p0
-    if offsets.shape[0] == 0:
+    rank = 0
+    if offsets.shape[0]:
+        u, s, vt = np.linalg.svd(offsets, full_matrices=False)
+        rank = reference_rank(s, largest)
+    if rank == 0:
         dists = np.linalg.norm(pts - p0, axis=1)
         spread = float(np.max(dists) - np.min(dists))
         return CircumcenterResult(p0.copy(), np.zeros(0), spread, 0.0)
     half = 0.5 * np.einsum("ij,ij->i", offsets, offsets)
-    u, s, vt = np.linalg.svd(offsets, full_matrices=False)
-    rank = int(np.sum(s > s[0] * RANK_TOL))
     u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     projected = u.T @ half
     coords = projected / s
@@ -221,13 +232,21 @@ def reference_step_norms(iterates) -> np.ndarray:
                              for k in range(1, len(iterates))])
 
 
+def reference_x_norm(row: np.ndarray) -> float:
+    """``_norm(row)``, or, when its sum of squares overflows, 2^600 times the
+    norm of row / 2^600, so it is finite wherever the norm is in range."""
+    with np.errstate(over="ignore"):
+        norm = _norm(row)
+        return norm if norm < math.inf else float(np.ldexp(_norm(np.ldexp(row, -600)), 600))
+
+
 def reference_trace_csv(trace) -> str:
     """``k,x_norm,error,step_norm`` rows at 17 significant digits."""
     lines = ["k,x_norm,error,step_norm"]
     steps = reference_step_norms(trace.iterates)
     for k, row in enumerate(trace.iterates):
         lines.append(
-            f"{k},{_fmt17(_norm(row))},{_fmt17(trace.errors[k])},{_fmt17(steps[k])}"
+            f"{k},{_fmt17(reference_x_norm(row))},{_fmt17(trace.errors[k])},{_fmt17(steps[k])}"
         )
     return "\n".join(lines) + "\n"
 
@@ -267,7 +286,7 @@ def _reference_trace_obj(trace) -> dict:
         "x0_original": [float(v) for v in trace.x0_original],
         "target": [float(v) for v in trace.target],
         "error_origin": float(np.linalg.norm(trace.x0_original - trace.target)),
-        "rows": [{"k": k, "x_norm": _norm(row), "error": float(trace.errors[k]),
+        "rows": [{"k": k, "x_norm": reference_x_norm(row), "error": float(trace.errors[k]),
                   "step_norm": float(steps[k])} for k, row in enumerate(trace.iterates)],
     }
 

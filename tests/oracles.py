@@ -83,12 +83,22 @@ def oracle_operator_rate(matrix: np.ndarray, fixed_projector: np.ndarray,
 
 def merge_threshold(largest_norm: float) -> float:
     """The distance within which the CIM step merges two images,
-    1e-10 * (1 + M) for M the largest image norm.
+    64 eps (1 + M) for M the largest image norm: four times the 16 units of
+    eps (1 + M) that the step's rounding model allows for the input's
+    rounding and for each image's own.
 
-    This is the tests' one statement of the merge rule. It restates the
-    rule rather than importing the library's, so the tests judge it.
+    With :func:`rank_floor`, this is the tests' one statement of the step's
+    rounding rule. It restates the rule rather than importing the library's,
+    so the tests judge it.
     """
-    return 1e-10 * (1.0 + largest_norm)
+    return 64.0 * np.finfo(float).eps * (1.0 + largest_norm)
+
+
+def rank_floor(largest_norm: float) -> float:
+    """The singular value of the offsets at or below which the CIM step
+    cuts a hull direction, besides RANK_TOL times the largest: 16 eps (1 + M),
+    an image's own error in the rounding model of :func:`merge_threshold`."""
+    return 16.0 * np.finfo(float).eps * (1.0 + largest_norm)
 
 
 def oracle_dedup(points) -> list:

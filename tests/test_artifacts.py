@@ -187,7 +187,7 @@ def _audited_outcomes(draw):
     errors, bounds = draw(_column(count)), draw(_column(count))
     with np.errstate(all="ignore"):
         trace = IterationTrace("map", iterates, errors, reference_step_norms(iterates),
-                               np.ones(1), np.zeros(1))
+                               np.ones(1), np.zeros(1), 1.0)
         audit = RateReport(RateConstant("gamma", 0.5, {}), trace.errors, bounds)
     label = draw(st.sampled_from(["map", f"map {ROW_LIST_TEXT}"]))
     instance = bench.InstanceOutcome("drawn", 1, (0,), 0, np.zeros(1),

@@ -1032,7 +1032,7 @@ def _trace_with_errors(errors) -> circumproj.IterationTrace:
     errors = np.array(errors)
     iterates = errors.reshape(-1, 1)
     return circumproj.IterationTrace("map", iterates, errors, reference_step_norms(iterates),
-                                     np.ones(1), np.zeros(1))
+                                     np.ones(1), np.zeros(1), 1.0)
 
 
 @pytest.mark.parametrize("errors, reached", [

@@ -32,13 +32,14 @@ from circumproj import (
     symmetric_map_operator,
 )
 from circumproj.methods import _drive, _scale
-from circumproj.numerics import RANK_TOL, _norm
+from circumproj.numerics import _norm
 from helpers import (
     one_method_report,
     random_family,
     reference_audit_rows,
     reference_circumcenter,
     reference_distinct,
+    reference_rank,
     reference_rate_csv,
     reference_step_norms,
     reference_trace_csv,
@@ -154,11 +155,11 @@ def _assert_the_run_is_the_chain_of_circumcenters(family, x0, steps: int) -> int
         center = circumcenter(images).center
         step = circumcenter_map(family, x)
         assert _bits(step) == _bits(center) == _bits(reference_circumcenter(images).center)
-        kept = reference_distinct(images)[0]
+        kept, _, largest = reference_distinct(images)
         offsets = images[kept[1:]] - images[kept[0]]
         if offsets.shape[0]:
             s = np.linalg.svd(offsets, compute_uv=False)
-            cut += int(np.count_nonzero(s > s[0] * RANK_TOL) < s.shape[0])
+            cut += int(reference_rank(s, largest) < s.shape[0])
         chain.append(step)
         x = step
     trace = run_cim(family, x0, MethodConfig("cim", max_iters=steps))
@@ -384,7 +385,7 @@ def _trace(errors) -> IterationTrace:
     errors = np.asarray(errors, dtype=float)
     iterates = np.outer(errors, [0.6, -0.8])
     return IterationTrace("map", iterates, errors, reference_step_norms(iterates),
-                          np.array([1.0, 2.0]), np.zeros(2))
+                          np.array([1.0, 2.0]), np.zeros(2), _norm(np.array([1.0, 2.0])))
 
 
 def _audited():
@@ -448,7 +449,8 @@ def test_x_norms_have_the_bits_of_norm(dim):
     scales = 10.0 ** rng.integers(-150, 150, size=(25, 1))
     iterates = rng.standard_normal((25, dim)) * scales
     trace = IterationTrace("map", iterates, np.linalg.norm(iterates, axis=1),
-                           reference_step_norms(iterates), iterates[0], np.zeros(dim))
+                           reference_step_norms(iterates), iterates[0], np.zeros(dim),
+                           _norm(iterates[0]))
     rows = written_record(trace)["trace"]["rows"]
     for k, row in enumerate(iterates):
         assert _bits(rows[k]["x_norm"]) == _bits(_norm(row))

@@ -236,3 +236,17 @@ def test_row_norms_equal_the_norm_of_each_row_bit_for_bit(n):
     rows = np.random.default_rng(n).standard_normal((40, n)) * np.logspace(-8, 8, 40)[:, None]
     norms = _row_norms(rows)
     assert [x.hex() for x in norms.tolist()] == [_norm(row).hex() for row in rows]
+
+
+@pytest.mark.parametrize("n", [1, 30, 200])
+def test_row_norms_whose_squares_overflow_stay_finite(n):
+    """Rows at 2^520 square past the float range; their norms are the unit
+    rows' norms times 2^520, bit for bit, beside rows that do not overflow,
+    which keep the bits of ``_norm``. A norm beyond the range is infinite."""
+    unit = np.random.default_rng(n).standard_normal((6, n))
+    rows = np.vstack([np.ldexp(unit, 520), unit, np.full((1, n), np.finfo(float).max)])
+    with np.errstate(over="ignore"):
+        norms = _row_norms(rows)
+    assert norms[:6].tobytes() == np.ldexp(_row_norms(unit), 520).tobytes()
+    assert [x.hex() for x in norms[6:12].tolist()] == [_norm(row).hex() for row in unit]
+    assert norms[12] == (np.inf if n > 1 else np.finfo(float).max)

@@ -42,13 +42,16 @@ def _toy_trace(errors, x0=None, target=None):
     count = errors.shape[0]
     iterates = np.zeros((count, 2))
     iterates[:, 0] = errors
+    x0 = np.array([1.0, 0.0]) if x0 is None else np.asarray(x0, dtype=float)
+    target = np.zeros(2) if target is None else np.asarray(target, dtype=float)
     return IterationTrace(
         method="map",
         iterates=iterates,
         errors=errors,
         step_norms=reference_step_norms(iterates),
-        x0_original=np.array([1.0, 0.0]) if x0 is None else np.asarray(x0, dtype=float),
-        target=np.zeros(2) if target is None else np.asarray(target, dtype=float),
+        x0_original=x0,
+        target=target,
+        error_origin=float(np.linalg.norm(x0 - target)),
     )
 
 

@@ -37,7 +37,9 @@ from circumproj import methods
 from circumproj.methods import _scale
 from helpers import demo_config, load_script
 
-SCALES = [-40, -20, 7, 20, 40]
+# 2^520 squares past the float range and 2^-520 below the normal one, so
+# both ends run ``_drive``'s overflow-free scale and its unit-scale figures.
+SCALES = [-520, -40, -20, 7, 20, 40, 520]
 SQRT_TWO = math.sqrt(2.0)
 
 
@@ -68,8 +70,21 @@ def test_the_ends_of_the_range_land_on_their_stated_side(x, norm, scale):
     assert _scale(x) == scale
 
 
-def test_a_norm_that_overflows_has_scale_one():
-    assert _scale(np.full(3, 1e200)) == 1.0
+@pytest.mark.parametrize("x", [np.full(3, 1e200), np.ldexp(np.arange(1.0, 31.0), 520)],
+                         ids=["1e200", "2^520"])
+def test_a_norm_whose_squares_overflow_is_brought_into_range(x):
+    with np.errstate(over="ignore"):
+        assert methods._norm(x) == math.inf
+    scale = _scale(x)
+    assert math.frexp(scale)[0] == 0.5
+    assert math.sqrt(0.5) <= methods._norm(x / scale) < SQRT_TWO
+
+
+def test_the_largest_norms_take_the_largest_power_of_two_or_one():
+    """A norm in [2^1023 sqrt 2, 2^1024) takes 2^1023, the largest power of
+    two; a norm beyond the float range runs unnormalized, as before."""
+    assert _scale(np.array([1.5e308])) == math.ldexp(1.0, 1023)
+    assert _scale(np.full(2, 1.5e308)) == 1.0
 
 
 @given(st.integers(0, 10**6), st.integers(-300, 300))
@@ -190,7 +205,8 @@ def _bits(array) -> bytes:
 
 def _assert_equivariant(unit, scaled, j: int):
     """Every trace of ``scaled`` is the unit trace times 2^j, bit for bit,
-    and every audit has the unit verdicts and slacks."""
+    its distance from the start to the target too, and every audit has the
+    unit bounds times 2^j, and the unit verdicts and slacks."""
     assert len(scaled.instances) == len(unit.instances)
     for ours, theirs in zip(scaled.instances, unit.instances):
         assert [m.label for m in ours.methods] == [m.label for m in theirs.methods]
@@ -199,8 +215,10 @@ def _assert_equivariant(unit, scaled, j: int):
             for column in ("iterates", "errors", "step_norms"):
                 assert _bits(getattr(mine.trace, column)) == _bits(
                     np.ldexp(getattr(base.trace, column), j)), f"{where} {column}"
+            assert mine.trace.error_origin == math.ldexp(base.trace.error_origin, j), where
             assert (mine.report is None) == (base.report is None), where
             if base.report is not None:
+                assert _bits(mine.report.bounds) == _bits(np.ldexp(base.report.bounds, j)), where
                 assert np.array_equal(mine.report.satisfied, base.report.satisfied), where
                 assert _bits(mine.report.slacks) == _bits(base.report.slacks), where
 
