@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .isometry import AffineIsometry, _common_fixed_points, _direction_gap, _is_self_adjoint
+from .isometry import AffineIsometry, _common_fixed_points, _is_self_adjoint, _require_fixed
 from .numerics import CONSISTENCY_TOL, RANK_TOL, _norm, _row_norms, as_vector
 from .subspace import AffineSubspace
 
@@ -371,7 +371,7 @@ class OperatorSet:
             if fixed is None:
                 raise ValueError("operators share no common fixed point")
         else:
-            _require_fixed(distinct, fixed)
+            _require_fixed(distinct, fixed, "a generator")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "common_fixed", fixed)
@@ -483,21 +483,6 @@ def _require_subset_limit(reflectors: int) -> None:
     if reflectors > WORD_LIMIT.bit_length() - 1:
         count = 2 ** reflectors if reflectors < 64 else f"2^{reflectors}"
         raise ValueError(f"{count} words exceed the limit of {WORD_LIMIT} words")
-
-
-def _require_fixed(generators, fixed: AffineSubspace) -> None:
-    """Raise unless every generator fixes the anchor and the basis of ``fixed``."""
-    anchor_tol = CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(fixed.anchor)))
-    for op in generators:
-        if fixed.ambient_dim != op.ambient_dim:
-            raise ValueError("fixed set and operators live in different dimensions")
-        anchor_gap = float(np.linalg.norm(op.A @ fixed.anchor + op.b - fixed.anchor))
-        direction_gap = _direction_gap(op, fixed)
-        if anchor_gap > anchor_tol or direction_gap > CONSISTENCY_TOL:
-            raise ValueError(
-                f"a generator moves the given fixed set, anchor gap {anchor_gap:.3e}, "
-                f"direction gap {direction_gap:.3e}"
-            )
 
 
 def circumcenter_map(operator_set: OperatorSet, x) -> np.ndarray:

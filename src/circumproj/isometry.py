@@ -10,9 +10,8 @@ their averagedness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -153,6 +152,23 @@ def _direction_gap(op: AffineMap, fixed: AffineSubspace) -> float:
     return float(np.max(np.linalg.norm(fixed.basis @ op.A.T - fixed.basis, axis=1), initial=0.0))
 
 
+def _require_fixed(ops: Iterable[AffineMap], fixed: AffineSubspace, name: str) -> None:
+    """Raise ValueError unless every operator of ``ops`` fixes ``fixed``: its
+    anchor within CONSISTENCY_TOL (1 + ||anchor||), and each basis direction
+    within CONSISTENCY_TOL. ``name`` names the operator in the message."""
+    anchor_tol = CONSISTENCY_TOL * (1.0 + _norm(fixed.anchor))
+    for op in ops:
+        if fixed.ambient_dim != op.ambient_dim:
+            raise ValueError("fixed set and operators live in different dimensions")
+        anchor_gap = _norm(op.A @ fixed.anchor + op.b - fixed.anchor)
+        direction_gap = _direction_gap(op, fixed)
+        if anchor_gap > anchor_tol or direction_gap > CONSISTENCY_TOL:
+            raise ValueError(
+                f"{name} moves the given fixed set, anchor gap {anchor_gap:.3e}, "
+                f"direction gap {direction_gap:.3e}"
+            )
+
+
 def fixed_point_set(op: AffineMap) -> Optional[AffineSubspace]:
     """Fixed points of an affine operator, or None when there are none.
 
@@ -278,30 +294,21 @@ def build_product_averaged(operators: Sequence[AffineIsometry]) -> AffineMap:
     return _certified(A, m, w, a)
 
 
-_ACCEL_STATIONARY_FLOOR = 1e-13
-
-
-def _accelerated_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One step of the line-search acceleration of the linear map T = A.
-
-    Moves from x to t * T x + (1 - t) * x with
-    t = <x, x - Tx> / ||x - Tx||^2, which is the projection of the limit
-    point onto the line through x and T x. The caller has checked once that
-    T is linear, self-adjoint and nonexpansive. Once the residual x - Tx is
-    dominated by rounding noise in the subtraction, the step length is
-    meaningless and could throw the iterate an O(||x||) distance away, so x
-    is returned unchanged while ||x - Tx|| is at most
-    ``_ACCEL_STATIONARY_FLOOR`` * (1 + ||x||), a floor a few orders above
-    machine epsilon.
-    """
-    image = A @ x
-    direction = x - image
-    # ||x - Tx||^2 once, for the floor test and for t
+def _accelerated_step(A: np.ndarray, x: np.ndarray, fixed: AffineSubspace) -> np.ndarray:
+    """One step of the line-search acceleration of the linear map T = A:
+    x - t d, with y = x - P_F x (x itself when F = {0}), d = y - T y and
+    t = <y, d> / ||d||^2. F must be T's fixed set: ``run_linear`` checks that,
+    and once that T is linear, self-adjoint and nonexpansive. T then fixes
+    P_F x, so this is the step t T x + (1 - t) x, t = <x, x - Tx> /
+    ||x - Tx||^2, without T's rounding of P_F x in t or in d. By Cauchy-Schwarz
+    |t| ||d|| <= ||y||: no step moves x farther than its distance to F. The one
+    guard is d = 0, which returns x."""
+    y = x - fixed._project(x) if fixed.dim else x
+    direction = y - A @ y
     direction_sq = float(direction @ direction)
-    if math.sqrt(direction_sq) <= _ACCEL_STATIONARY_FLOOR * (1.0 + _norm(x)):
-        return x.copy()
-    t = float(x @ direction) / direction_sq
-    return t * image + (1.0 - t) * x
+    if direction_sq == 0.0:
+        return x
+    return x - (float(y @ direction) / direction_sq) * direction
 
 
 def _is_self_adjoint(op: AffineMap) -> bool:

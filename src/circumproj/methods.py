@@ -20,6 +20,7 @@ from .isometry import (
     AffineMap,
     _accelerated_step,
     _linear_isometry_parts,
+    _require_fixed,
     _require_nonexpansive,
 )
 from .numerics import _SHIFT, _norm, as_vector
@@ -219,7 +220,8 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
     made once per run: ``sym_map`` and ``accel_map`` need a self-adjoint
     nonexpansive operator, ``averaged_iter`` the averaged builders'
     certificate, all a fixed point.
-    ``fixed`` is the operator's fixed set; None raises ValueError. For
+    ``fixed`` is the operator's fixed set, which the ``accel_map`` step reads;
+    None, or a set that the operator moves, raises ValueError. For
     ``sym_map``, ``accel_map`` and ``averaged_iter`` it is the intersection
     of the subspaces. For ``dr`` it is ``fixed_point_set`` of the operator,
     which strictly contains the intersection whenever the two orthogonal
@@ -235,10 +237,11 @@ def run_linear(op: AffineMap, x0, config: MethodConfig,
                          "use build_sum_averaged or build_product_averaged")
     if fixed is None:
         raise ValueError("operator has no fixed points")
+    _require_fixed((op,), fixed, "the operator")
     target = fixed.project(x0)
     A, b = op.A, op.b
     # iterates are finite vectors, checked by _drive, so op.apply's check of x is skipped
-    step = (lambda x: _accelerated_step(A, x)) if config.method == "accel_map" else (
+    step = (lambda x: _accelerated_step(A, x, fixed)) if config.method == "accel_map" else (
         lambda x: A @ x + b)
     return _drive(config.method, step, x0, config, target, homogeneous=not b.any())
 

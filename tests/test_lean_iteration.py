@@ -349,21 +349,22 @@ def test_the_map_sweep_equals_a_loop_of_project():
             assert _bits(trace.iterates) == _bits(np.array(chain))
 
 
-def _accelerated_reference(A, x):
-    """The line-search acceleration step, formula by formula."""
-    image = A @ x
-    direction = x - image
-    if np.linalg.norm(direction) <= 1e-13 * (1.0 + np.linalg.norm(x)):
-        return x.copy()
-    t = float(x @ direction) / float(direction @ direction)
-    return t * image + (1.0 - t) * x
+def _accelerated_reference(A, x, fixed):
+    """The line-search acceleration step, formula by formula, from the part
+    y = x - P_F x of x off the fixed set F."""
+    y = x - fixed.project(x) if fixed.dim else x
+    direction = y - A @ y
+    if float(direction @ direction) == 0.0:
+        return x
+    t = float(y @ direction) / float(direction @ direction)
+    return x - t * direction
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_the_accelerated_step_equals_its_formula(seed):
     """The symmetric MAP operator of three subspaces, from a generic start,
-    from signed zeros and from a start in the intersection, where the step
-    stops at the floor."""
+    from signed zeros and from a start in the intersection, which no step
+    moves farther than its distance to the intersection."""
     rng = np.random.default_rng(seed)
     subspaces = random_family(rng, 7, 3, 3, 6)
     fixed = intersect(subspaces).subspace
@@ -373,7 +374,7 @@ def test_the_accelerated_step_equals_its_formula(seed):
         trace = run_linear(op, x0, MethodConfig("accel_map", max_iters=30), fixed)
         chain = [x0]
         for _ in range(30):
-            chain.append(_accelerated_reference(op.A, chain[-1]))
+            chain.append(_accelerated_reference(op.A, chain[-1], fixed))
         assert _bits(trace.iterates) == _bits(np.array(chain))
 
 

@@ -152,6 +152,20 @@ def test_run_accel_reaches_machine_floor():
         assert trace.errors[k + 1] <= (1.0 / 3.0) * trace.errors[k] * (1.0 + 1e-8)
 
 
+def test_run_linear_refuses_a_fixed_set_its_operator_moves():
+    """The accel_map step reads its fixed set, so a subspace that the operator
+    moves would be a silent wrong answer: its run would converge onto that
+    subspace. Every linear method refuses it, and takes the intersection."""
+    rng = np.random.default_rng(3)
+    subspaces = random_family(rng, 6, 3, 4, 4)
+    op = symmetric_map_operator(subspaces)
+    x0 = unit_vector(rng, 6)
+    for method in ("sym_map", "accel_map"):
+        with pytest.raises(ValueError, match="the operator moves the given fixed set"):
+            run_linear(op, x0, MethodConfig(method=method), subspaces[0])
+        run_linear(op, x0, MethodConfig(method=method), intersect(subspaces).subspace)
+
+
 def test_run_linear_checks_the_operator_once_per_run(monkeypatch):
     """The self-adjoint check takes one eigen-solve per operator, not one
     per step, and a second run on the same operator takes none."""

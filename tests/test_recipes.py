@@ -149,8 +149,8 @@ def _direct_accel_map(subspaces, x0):
     op = symmetric_map_operator(subspaces)
     fixed, target = _fixed_target(op, x0)
     c = accel_constants(op, fixed)
-    return (_iterate(lambda x: isometry._accelerated_step(op.A, x), x0, target), c.eta,
-            {"c1": c.c1, "c2": c.c2, "eta": c.eta, "cT": c.cT})
+    return (_iterate(lambda x: isometry._accelerated_step(op.A, x, fixed), x0, target),
+            c.eta, {"c1": c.c1, "c2": c.c2, "eta": c.eta, "cT": c.cT})
 
 
 def _direct_dr(subspaces, x0):
