@@ -538,7 +538,9 @@ class _MethodPlan:
 class _Instance:
     """One instance and the parts its recipes share, each computed once.
     ``inter`` is the intersection of the subspaces, computed on resolution.
-    Its subspace is the fixed set of every recipe but ``dr``, and the
+    Shifted by :func:`_instance`, both hold direction spaces, ``shift`` is z,
+    and the recipes start at x0 - z, a ``custom`` family at ``x0`` itself.
+    ``inter``'s subspace is the fixed set of every recipe but ``dr``, and the
     drivers and rate functions take it as a required argument, so it is
     decided here. Deriving it from A - I, as ``fixed_point_set`` does, is
     ill-conditioned at small angles theta: the smallest singular values of
@@ -559,8 +561,13 @@ class _Instance:
     subspaces: Sequence
     x0: np.ndarray
     inter: Intersection
+    shift: Optional[np.ndarray] = None
     _reflectors: dict = field(default_factory=dict, init=False, repr=False)
     _averaged: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        return self.x0 if self.shift is None else self.x0 - self.shift
 
     def reflector(self, index: int) -> AffineIsometry:
         """The reflector through subspace ``index``, made on first use and
@@ -629,14 +636,14 @@ def _linear_plan(constant_name: str, op: AffineMap, fixed: AffineSubspace,
                  ctx: _Instance, **ingredients) -> _MethodPlan:
     rate = operator_rate(op, fixed)
     return _MethodPlan(RateConstant(constant_name, rate, {"operator_rate": rate, **ingredients}),
-                       lambda config: run_linear(op, ctx.x0, config, fixed=fixed))
+                       lambda config: run_linear(op, ctx.start, config, fixed=fixed))
 
 
 def _plan_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     gamma = ctx.tuple_cos
     return _MethodPlan(RateConstant("cyclic_projection_tuple_rate", gamma,
                                     {"tuple_angle_cos": gamma}),
-                       lambda config: run_map(ctx.subspaces, ctx.x0, config,
+                       lambda config: run_map(ctx.subspaces, ctx.start, config,
                                               fixed=ctx.inter.subspace))
 
 
@@ -648,7 +655,7 @@ def _plan_sym_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
 def _plan_accel_map(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
     return _MethodPlan(RateConstant("acceleration_rate", ctx.accel.eta,
                                     dataclasses.asdict(ctx.accel)),
-                       lambda config: run_linear(ctx.sym_op, ctx.x0, config,
+                       lambda config: run_linear(ctx.sym_op, ctx.start, config,
                                                  fixed=ctx.inter.subspace))
 
 
@@ -674,7 +681,7 @@ def _plan_cim_psi(spec: MethodSpec, ctx: _Instance) -> _MethodPlan:
         # the reflectors are made here: the constant needs none of them
         config = dataclasses.replace(config, prefix=prefix)
         operator_set = build_psi(ctx.family(spec.symmetrized), fixed=ctx.inter.subspace)
-        return run_cim(operator_set, ctx.x0, config)
+        return run_cim(operator_set, ctx.start, config)
 
     if prefix is not None:
         return _MethodPlan(RateConstant("accelerated_prefixed_rate", ctx.accel.eta,
@@ -695,7 +702,7 @@ def _plan_cim_averaged(builder: str, spec: MethodSpec, ctx: _Instance) -> _Metho
 
     def run(config: MethodConfig) -> IterationTrace:
         operator_set = OperatorSet(family, [()] + words, fixed=ctx.inter.subspace)
-        return run_cim(operator_set, ctx.x0, config)
+        return run_cim(operator_set, ctx.start, config)
 
     rate = operator_rate(ctx.averaged(builder, spec.symmetrized), ctx.inter.subspace)
     constant = RateConstant(f"{builder}_averaged_rate", rate, {"operator_rate": rate})
@@ -803,34 +810,49 @@ def _resolve_instances(config: ExperimentConfig):
     return resolved
 
 
+def _instance(subspaces, x0: np.ndarray, inter: Intersection) -> _Instance:
+    """The instance the recipes plan: when an anchor is nonzero and M is not
+    empty, the direction spaces and M's, shifted by z, M's minimum-norm point.
+    Errors are distances, so every verdict is the linear run's; a direction
+    space drops only its offset from z, which ``intersect`` bounded."""
+    if inter.is_empty or not any(s.anchor.any() for s in subspaces):
+        return _Instance(subspaces, x0, inter)
+    zero = np.zeros(len(x0))
+    return _Instance([AffineSubspace(zero, s.basis) for s in subspaces], x0,
+                     Intersection(AffineSubspace(zero, inter.subspace.basis), inter.residual),
+                     shift=inter.subspace.anchor)
+
+
 def _product_fixed_line_check(ctx: _Instance, direction):
-    """Whether R_m .. R_1 fixes exactly the line through the origin along ``direction``."""
+    """Whether R_m .. R_1's linear part fixes exactly the line along
+    ``direction``: the direction of its fixed line, which passes through z."""
     product, *rest = ctx.family(symmetrized=False)
     for reflector in rest:
         product = compose(reflector, product)
-    fixed = fixed_point_set(product)
-    if fixed is None:
-        return ("product_fixed_line", False, "product has no fixed points")
+    fixed = fixed_point_set(AffineMap(product.A, np.zeros(product.ambient_dim)))
     wanted = as_vector(list(direction))
     unit = wanted / float(np.linalg.norm(wanted))
     if fixed.dim != 1:
         return ("product_fixed_line", False, f"fixed set has dimension {fixed.dim}")
     basis_vec = fixed.basis[0]
     residual = float(np.linalg.norm(basis_vec - (basis_vec @ unit) * unit))
-    through_origin = fixed.contains(np.zeros(fixed.ambient_dim))
-    passed = residual <= EQ_TOL and through_origin
+    passed = residual <= EQ_TOL
     return ("product_fixed_line", passed,
             f"dimension {fixed.dim}, direction residual {residual:.3e}")
 
 
 def _run_methods(config: ExperimentConfig, ctx: _Instance) -> tuple:
-    """Plan, run and audit every method of the config on one instance."""
+    """Plan, run and audit every method of the config on one instance; on a
+    shifted one, map each trace but a ``custom`` family's back by z."""
     outcomes = []
     for spec in config.methods:
         plan = _plan_method(spec, ctx)
         max_iters = spec.max_iters if spec.max_iters is not None else config.max_iters
         trace = plan.run(MethodConfig(method=spec.method, max_iters=max_iters,
                                       stop_tol=config.stop_tol))
+        if ctx.shift is not None and spec.variant != "custom":
+            trace = dataclasses.replace(trace, iterates=trace.iterates + ctx.shift,
+                                        x0_original=ctx.x0, target=trace.target + ctx.shift)
         report = None if plan.constant is None else audit_bound(trace, plan.constant)
         outcomes.append(MethodOutcome(spec.label, trace, report))
     return tuple(outcomes)
@@ -850,7 +872,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, fmt: str = "csv") -> 
         raise ValueError(f"unknown format {fmt!r}")
     outcomes = []
     for label, subspaces, x0, inter, fixed_line in _resolve_instances(config):
-        ctx = _Instance(subspaces, x0, inter)
+        ctx = _instance(subspaces, x0, inter)
         method_outcomes = _run_methods(config, ctx)
         checks = [] if fixed_line is None else [_product_fixed_line_check(ctx, fixed_line)]
         del ctx  # its shared parts are freed before the next instance and the artifacts
@@ -1095,7 +1117,7 @@ def compute_rates(config: ExperimentConfig) -> list:
     """
     rows = []
     for label, subspaces, x0, inter, _ in _resolve_instances(config):
-        ctx = _Instance(subspaces, x0, inter)
+        ctx = _instance(subspaces, x0, inter)
         for spec in config.methods:
             constant = _plan_method(spec, ctx).constant
             rows.append({

@@ -19,8 +19,9 @@ from .numerics import (
     CONSISTENCY_TOL,
     EQ_TOL,
     _ORTHONORMALITY_TOL,
-    _norm,
+    _consistent,
     _orthonormality_defect,
+    _safe_norm,
     as_matrix,
     as_vector,
     solution_set,
@@ -154,15 +155,15 @@ def _direction_gap(op: AffineMap, fixed: AffineSubspace) -> float:
 
 def _require_fixed(ops: Iterable[AffineMap], fixed: AffineSubspace, name: str) -> None:
     """Raise ValueError unless every operator of ``ops`` fixes ``fixed``: its
-    anchor within CONSISTENCY_TOL (1 + ||anchor||), and each basis direction
-    within CONSISTENCY_TOL. ``name`` names the operator in the message."""
-    anchor_tol = CONSISTENCY_TOL * (1.0 + _norm(fixed.anchor))
+    anchor by ``_consistent``, relative to the anchor, and each basis
+    direction within CONSISTENCY_TOL. ``name`` names the operator in the
+    message."""
     for op in ops:
         if fixed.ambient_dim != op.ambient_dim:
             raise ValueError("fixed set and operators live in different dimensions")
-        anchor_gap = _norm(op.A @ fixed.anchor + op.b - fixed.anchor)
+        anchor_gap = _safe_norm(op.A @ fixed.anchor + op.b - fixed.anchor)
         direction_gap = _direction_gap(op, fixed)
-        if anchor_gap > anchor_tol or direction_gap > CONSISTENCY_TOL:
+        if not _consistent(anchor_gap, fixed.anchor) or direction_gap > CONSISTENCY_TOL:
             raise ValueError(
                 f"{name} moves the given fixed set, anchor gap {anchor_gap:.3e}, "
                 f"direction gap {direction_gap:.3e}"
@@ -182,8 +183,8 @@ def fixed_point_set(op: AffineMap) -> Optional[AffineSubspace]:
 def _common_fixed_points(ops: Sequence[AffineMap]) -> Optional[AffineSubspace]:
     """Points fixed by every operator, or None when there are none: the
     solution set of the stacked systems (M_i - I) x = -b_i, from one
-    :func:`solution_set` call, empty when the residual exceeds
-    CONSISTENCY_TOL relative to the stacked offsets. Unlike :func:`intersect`
+    :func:`solution_set` call, empty unless ``_consistent`` accepts its
+    residual relative to the stacked offsets. Unlike :func:`intersect`
     it asks no Gram certificate first: the runner gives its psi and averaged
     families their fixed set, so it comes here for one operator or a custom
     family. The blocks M_i - I are written into the one stacked array, and
@@ -195,7 +196,7 @@ def _common_fixed_points(ops: Sequence[AffineMap]) -> Optional[AffineSubspace]:
         block[...] = op.A
         block.flat[::n + 1] -= 1.0
     anchor, direction, residual = solution_set(system, rhs)
-    if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
+    if not _consistent(residual, rhs):
         return None
     return AffineSubspace(anchor, direction)
 

@@ -147,6 +147,17 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _safe_norm(v: np.ndarray) -> float:
+    """``_norm`` of a 1-d array by ``_row_norms``: its bits where it is finite,
+    and finite, with no overflow warning, wherever the norm is in range."""
+    return float(_row_norms(v[None])[0])
+
+
+def _consistent(residual: float, rhs: np.ndarray) -> bool:
+    """The one consistency rule: residual <= CONSISTENCY_TOL (1 + ||rhs||)."""
+    return residual <= CONSISTENCY_TOL * (1.0 + _safe_norm(rhs))
+
+
 def _orthonormality_defect(rows: np.ndarray) -> float:
     """The largest entry of |rows rows^T - I|, formed in the one Gram buffer:
     x - 0.0 is x off the diagonal, so it has the bits of the expression."""
@@ -231,7 +242,7 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
     if rows == 0:
         return np.zeros(n), np.eye(n), 0.0
     if n == 0:
-        return np.zeros(0), np.zeros((0, 0)), _norm(rhs)
+        return np.zeros(0), np.zeros((0, 0)), _safe_norm(rhs)
     outside = 0.0
     if rows > n:
         r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")
@@ -243,7 +254,7 @@ def solution_set(A, b) -> tuple[np.ndarray, np.ndarray, float]:
         return np.zeros(n), null_basis, outside
     coords = u[:, :rank].T @ rhs
     solution = vt[:rank].T @ (coords / s[:rank])
-    residual = math.hypot(_norm(rhs - u[:, :rank] @ coords), outside)
+    residual = math.hypot(_safe_norm(rhs - u[:, :rank] @ coords), outside)
     return solution, null_basis, residual
 
 

@@ -14,12 +14,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    CONSISTENCY_TOL,
     EQ_TOL,
     _ORTHONORMALITY_TOL,
     _certifies_full_rank,
-    _norm,
+    _consistent,
     _orthonormality_defect,
+    _safe_norm,
     as_vector,
     orthonormal_basis,
     solution_set,
@@ -114,17 +114,12 @@ class AffineSubspace:
     def _project(self, x: np.ndarray) -> np.ndarray:  # x: finite, of this dimension
         return self.anchor + self.basis.T @ (self.basis @ (x - self.anchor))
 
-    def contains(self, x) -> bool:
-        """Membership up to CONSISTENCY_TOL relative to ||x||."""
-        x = as_vector(x)
-        gap = float(np.linalg.norm(self.project(x) - x))
-        return gap <= CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(x)))
-
     def is_linear(self) -> bool:
-        """True when the subspace passes through the origin."""
-        zero = np.zeros(self.ambient_dim)
-        gap = float(np.linalg.norm(self.project(zero)))
-        return gap <= EQ_TOL * (1.0 + float(np.linalg.norm(self.anchor)))
+        """True when the subspace passes through the origin: the origin's
+        distance to it is within EQ_TOL (1 + ||anchor||), both norms taken
+        by ``_safe_norm``, so finite wherever they are in the float range."""
+        gap = _safe_norm(self._project(np.zeros(self.ambient_dim)))
+        return gap <= EQ_TOL * (1.0 + _safe_norm(self.anchor))
 
     def orthogonal_complement(self) -> "AffineSubspace":
         """Orthogonal complement; defined for linear subspaces only."""
@@ -132,12 +127,6 @@ class AffineSubspace:
             raise ValueError("orthogonal complement is defined for linear subspaces only")
         _, comp, _ = solution_set(self.basis, np.zeros(self.dim))
         return AffineSubspace(np.zeros(self.ambient_dim), comp)
-
-    def translate(self, z) -> "AffineSubspace":
-        """The subspace shifted by z. No caller yet: it is kept for running an
-        affine instance as a linear one, translated through a common point
-        (see ROADMAP.md)."""
-        return AffineSubspace(self.anchor + as_vector(z), self.basis)
 
 
 @dataclass(frozen=True)
@@ -172,7 +161,7 @@ def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
     I - P_i are formed and stacked only when it fails or some anchor is not
     the origin, so a certified intersection holds O(n^2) memory, not the
     m n x n blocks, and takes no n x n product. The intersection is empty
-    when the residual exceeds CONSISTENCY_TOL relative to the data scale.
+    unless ``_consistent`` accepts the residual relative to the data scale.
     """
     if len(subspaces) == 0:
         raise ValueError("need at least one subspace to intersect")
@@ -190,7 +179,7 @@ def intersect(subspaces: Sequence[AffineSubspace]) -> Intersection:
         np.subtract(eye, s.projector_matrix(), out=block)
     rhs = np.concatenate([block @ s.anchor for block, s in zip(blocks, subspaces)])
     anchor, direction, residual = solution_set(blocks.reshape(-1, n), rhs)
-    if residual > CONSISTENCY_TOL * (1.0 + _norm(rhs)):
+    if not _consistent(residual, rhs):
         return Intersection(None, residual)
     return Intersection(AffineSubspace(anchor, direction), residual)
 

@@ -76,6 +76,13 @@ def written_record(trace, audit=None) -> dict:
     return json.loads(json_text(trace, audit))["instances"][0]["methods"][0]
 
 
+def contains(subspace: AffineSubspace, x) -> bool:
+    """Whether ``subspace`` holds x, up to CONSISTENCY_TOL relative to ||x||."""
+    x = as_vector(x)
+    gap = float(np.linalg.norm(subspace.project(x) - x))
+    return gap <= CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(x)))
+
+
 def random_linear_subspace(rng: np.random.Generator, ambient_dim: int,
                            dim: int) -> AffineSubspace:
     return AffineSubspace.linear(rng.standard_normal((dim, ambient_dim)))

@@ -25,6 +25,7 @@ from circumproj import (
 from circumproj.circumcenter import _diameter
 from circumproj.isometry import _is_self_adjoint
 from helpers import (
+    contains,
     merged_rows,
     random_family,
     reference_images,
@@ -404,7 +405,7 @@ def test_circumcenter_map_translation_identity(seed):
     z = rng.standard_normal(4)
     anchored = [AffineSubspace.from_span(z + s.anchor, s.basis) for s in linear_family]
     operator_set = OperatorSet(reflectors_of(anchored))
-    assert operator_set.common_fixed.contains(z)
+    assert contains(operator_set.common_fixed, z)
     linear = OperatorSet(reflectors_of(linear_family))
     x = rng.standard_normal(4) * 2.0
     direct = circumcenter_map(operator_set, x)

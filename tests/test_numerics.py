@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from circumproj import (
     sym_eigen_extremes,
 )
 
-from circumproj import AffineIsometry, AffineSubspace
+from circumproj import AffineIsometry, AffineSubspace, fixed_point_set, make_reflector
+from circumproj.isometry import _require_fixed
 from circumproj.numerics import _norm, _orthonormality_defect, _row_norms
 from helpers import DEMO_CONFIG
 
@@ -250,3 +252,21 @@ def test_row_norms_whose_squares_overflow_stay_finite(n):
     assert norms[:6].tobytes() == np.ldexp(_row_norms(unit), 520).tobytes()
     assert [x.hex() for x in norms[6:12].tolist()] == [_norm(row).hex() for row in unit]
     assert norms[12] == (np.inf if n > 1 else np.finfo(float).max)
+
+
+@pytest.mark.parametrize("j", [0, 500, 520])
+def test_consistency_decisions_hold_when_the_squares_overflow(j):
+    """Each relative-tolerance decision takes its norms by ``_row_norms``,
+    finite wherever the norm is in the float range. With ``_norm`` the sum
+    of squares overflows at 2^520: the tolerance becomes inf, and the test
+    passes anything, with an overflow warning."""
+    far = np.ldexp(1.0, j)
+    line = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
+    parallel = AffineSubspace(np.array([0.0, far]), np.array([[1.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert intersect([line, parallel]).is_empty
+        assert fixed_point_set(AffineIsometry(np.eye(2), np.array([far, 0.0]))) is None
+        with pytest.raises(ValueError, match="moves the given fixed set"):
+            _require_fixed((make_reflector(line),), AffineSubspace.point([0.0, far]), "it")
+        assert not parallel.is_linear()

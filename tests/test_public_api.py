@@ -188,12 +188,6 @@ def test_no_comparison_reads_an_unnamed_threshold():
     assert not found, found
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# Public names kept for a caller that does not exist yet, each with its reason.
-NOT_YET_CALLED = {
-    # for running an affine instance as a linear one, by translation (ROADMAP.md)
-    "AffineSubspace.translate",
-}
-
 
 def _public_members(cls):
     """The public methods and properties a class defines itself."""
@@ -250,7 +244,7 @@ def test_every_public_name_has_a_caller():
         obj = getattr(circumproj, name)
         if inspect.isclass(obj):
             uncalled += [f"{name}.{attr}" for attr in _public_members(obj)
-                         if attr not in attributes and f"{name}.{attr}" not in NOT_YET_CALLED]
+                         if attr not in attributes]
     assert not uncalled, f"public names that no program path calls: {uncalled}"
 
 

@@ -7,7 +7,11 @@ leaves every verdict alone. ``methods._drive`` makes this exact: it runs a
 homogeneous problem from x0 / s, s the power of two of ``_scale``, and
 multiplies the trace back by s. These tests pin the choice of s, which
 problems it applies to, and the bitwise equivariance of every built-in
-recipe, including runs that aborted before the driver normalized.
+recipe, including runs that aborted before the driver normalized. An
+instance whose subspaces have anchors runs as the linear instance of its
+direction spaces, shifted by a point of the intersection, so it is
+equivariant too when its anchors are scaled with its start; offsets passed
+straight to a driver still run at the data's scale.
 """
 
 import math
@@ -168,9 +172,11 @@ def test_a_linear_prefix_applies_to_the_normalized_start(monkeypatch):
 
 def _scaled(config, j: int):
     """``config`` with each instance given its resolved start times 2^j as
-    an explicit start, and ``stop_tol`` times 2^j."""
+    an explicit start, its subspaces' anchors times 2^j, and ``stop_tol``
+    times 2^j."""
     items = tuple(
-        bench.InstanceItem(label, tuple(subspaces),
+        bench.InstanceItem(label, tuple(AffineSubspace(np.ldexp(s.anchor, j), s.basis)
+                                        for s in subspaces),
                            bench.X0Spec("explicit", point=tuple(np.ldexp(x0, j).tolist())),
                            fixed_line)
         for label, subspaces, x0, _, fixed_line in bench._resolve_instances(config))
@@ -193,7 +199,32 @@ PSI_SYM = [{"method": "cim", "operator_set": "psi", "symmetrized": True},
            {"method": "cim", "operator_set": "psi", "symmetrized": True,
             "prefix": "sym_map_product"}]
 
+# every built-in recipe on three hyperplanes of R^4 through (1, -2, 0.5, 3),
+# each anchored at another of its points, which meet in a line
+ANCHORED_CONFIG = {
+    "name": "anchored", "ambient_dim": 4, "max_iters": 40, "stop_tol": 1e-14,
+    "x0": {"kind": "explicit", "point": [0.3, 0.9, 0.7, -0.4]},
+    "instances": {"kind": "explicit", "items": [{"label": "hyperplanes", "subspaces": [
+        {"anchor": [2.0, -2.0, 0.5, 3.0],
+         "span": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]]},
+        {"anchor": [1.0, -2.0, 1.5, 2.0],
+         "span": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]]},
+        {"anchor": [1.0, -1.0, 0.5, 3.0],
+         "span": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]]},
+    ]}]},
+    "methods": [
+        {"method": "cim", "operator_set": "psi"},
+        *PSI_SYM,
+        {"method": "cim", "operator_set": "identity_plus_reflectors"},
+        {"method": "cim", "operator_set": "identity_plus_prefix_products"},
+        {"method": "map"}, {"method": "sym_map"}, {"method": "accel_map"}, {"method": "dr"},
+        {"method": "averaged_iter", "builder": "sum"},
+        {"method": "averaged_iter", "builder": "product"},
+    ],
+}
+
 CONFIGS = {
+    "anchored": lambda: parse_config(ANCHORED_CONFIG),
     "demo": lambda: parse_config(demo_config()),
     "iterate-long": lambda: _iterate_long(11, 0, PSI_SYM),
 }

@@ -160,17 +160,3 @@ def test_a_fixed_set_of_none_raises_value_error(name):
     with pytest.raises(ValueError, match="empty intersection|no fixed points"):
         WITHOUT_FIXED_SET[name]()
 
-
-def test_affine_instance_still_rejected_by_rate_constants():
-    config = parse_config({
-        "name": "affine",
-        "ambient_dim": 2,
-        "max_iters": 4,
-        "instances": {"kind": "explicit", "items": [{"label": "through_1_1", "subspaces": [
-            {"anchor": [1.0, 1.0], "span": [[1.0, 0.0]]},
-            {"anchor": [1.0, 1.0], "span": [[1.0, 1.0]]},
-        ]}]},
-        "methods": [{"method": "map"}],
-    })
-    with pytest.raises(ValueError, match="rate constants are defined for linear subspaces"):
-        run_experiment(config)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from circumproj import (
     AffineIsometry,
+    AffineSubspace,
     MethodConfig,
     NumericalPropernessError,
     OperatorSet,
@@ -219,7 +220,8 @@ def _generators(rng, dim: int, count: int, fixed_point: np.ndarray) -> list:
             generators.append(generators[int(rng.integers(len(generators)))])
         elif roll == 1:
             subspace = random_linear_subspace(rng, dim, int(rng.integers(1, dim)))
-            generators.append(make_reflector(subspace.translate(fixed_point)))
+            generators.append(make_reflector(AffineSubspace(subspace.anchor + fixed_point,
+                                                            subspace.basis)))
         else:
             q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
             generators.append(AffineIsometry(q, fixed_point - q @ fixed_point))

@@ -112,9 +112,9 @@ def _family(rng, m: int, n: int, kind: str) -> list:
         family[-1] = AffineSubspace.linear(base + theta * rng.standard_normal(base.shape))
     if kind == "translated":
         z = rng.standard_normal(n)
-        family = [s.translate(z) for s in family]
+        family = [AffineSubspace(s.anchor + z, s.basis) for s in family]
         if rng.integers(2):
-            family[0] = family[0].translate(rng.standard_normal(n))
+            family[0] = AffineSubspace(family[0].anchor + rng.standard_normal(n), family[0].basis)
     return [family[i] for i in rng.permutation(m)]
 
 
